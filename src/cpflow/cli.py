@@ -31,7 +31,7 @@ from .weights import (
     rank_one,
     xi_from_nu,
 )
-from .opbasis import MatrixModel, choi_min_eig
+from .opbasis import DEFAULT_EDGES, MatrixModel, choi_min_eig
 from .cornercheck import (
     DegenerateDirectionError,
     derivation_residual,
@@ -95,8 +95,30 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _parses(convert, values) -> bool:
+    try:
+        for value in values:
+            convert(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
 def _validate(cfg: dict) -> list[str]:
     errors = []
+    malformed = False
+    for section, block in cfg.items():
+        if section not in DEFAULT_CONFIG:
+            errors.append("unknown config section %r" % section)
+        elif not isinstance(block, dict):
+            errors.append("config section %r must be a mapping" % section)
+            malformed = True
+        else:
+            errors.extend("unknown config key %s.%s" % (section, key)
+                          for key in block
+                          if key not in DEFAULT_CONFIG[section])
+    if malformed:
+        return errors
     if cfg["grid"]["length"] <= 0 or cfg["grid"]["points"] <= 0:
         errors.append("grid.length and grid.points must be positive")
     if cfg["tensor"]["factors"] < 1 or cfg["tensor"]["factor_dim"] < 1:
@@ -107,6 +129,20 @@ def _validate(cfg: dict) -> list[str]:
         errors.append("lambda.kind=custom requires lambda.values")
     if cfg["series"]["max_terms"] < 1:
         errors.append("series.max_terms must be >= 1")
+    labels = cfg["covariance"]["labels"]
+    if not isinstance(labels, list) or not _parses(_label, labels):
+        errors.append("covariance.labels must be a list of complex numbers")
+    cuts = cfg["corner"]["cut_levels"]
+    if not isinstance(cuts, list) or not _parses(float, cuts) \
+            or not all(any(abs(float(t) - edge) < 1e-12
+                           for edge in DEFAULT_EDGES) for t in cuts):
+        errors.append("corner.cut_levels must be a list of cell edges %s"
+                      % (DEFAULT_EDGES,))
+    witness = cfg["corner"]["witness_label"]
+    if not _parses(_label, [witness]) \
+            or not abs(abs(_label(witness)) - 1.0) <= 1e-12:
+        errors.append("corner.witness_label must be a complex number on "
+                      "the unit circle")
     return errors
 
 
@@ -115,6 +151,8 @@ def load_config(path: str | None) -> dict:
     if path:
         with open(path) as fh:
             override = yaml.safe_load(fh) or {}
+    if not isinstance(override, dict):
+        raise ConfigError("invalid config: the top level must be a mapping")
     cfg = _merge(DEFAULT_CONFIG, override)
     errors = _validate(cfg)
     if errors:

@@ -20,10 +20,7 @@ import numpy as np
 from .opbasis import (
     ChoiVerdict,
     MatrixModel,
-    choi_matrix,
     choi_min_eig,
-    identity_superop,
-    transpose_superop,
 )
 
 

@@ -9,8 +9,8 @@ samples at cell midpoints and is the carrier for transport.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 

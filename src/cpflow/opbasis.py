@@ -18,7 +18,7 @@ row-major vectorized densities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -215,11 +215,20 @@ class MatrixModel:
         return s0.conj().T @ rho @ s0
 
     def pred_lambda(self, mu: np.ndarray, blocks: int = 1) -> np.ndarray:
-        """Density of mu composed with the damping embedding."""
+        """Density of mu composed with the damping embedding.
+
+        mu is a density, or a superoperator whose columns are vectorized
+        densities; a superoperator is mapped column by column, which is
+        lambda_superop(blocks) @ mu without building lambda_superop.
+        """
         d = blocks * self.dim_k
         mh = self.h_dim
-        mu4 = mu.reshape(d, mh, d, mh)
-        return np.einsum("bqap,pq->ba", mu4, self.h_damping)
+        if mu.shape == (d * mh, d * mh):
+            mu4 = mu.reshape(d, mh, d, mh)
+            return np.einsum("bqap,pq->ba", mu4, self.h_damping)
+        mu5 = mu.reshape(d, mh, d, mh, -1)
+        out = np.einsum("bqap...,pq->ba...", mu5, self.h_damping)
+        return out.reshape(d * d, -1)
 
     # -- superoperator matrices --------------------------------------------
 
@@ -286,14 +295,22 @@ class MatrixModel:
                          blocks: int = 1) -> np.ndarray:
         """Compose mu -> P mu P after the given superoperator.
 
-        Equivalent to truncation_superop(t, blocks) @ superop without
-        materializing the large Kronecker factor.
+        With the cell basis the cut P is an exact 0/1 diagonal, so P mu P
+        keeps the rows and columns of mu on the cells at or above t and
+        zeroes the rest.  The result is a mask over the output axes of the
+        superoperator and equals truncation_superop(t, blocks) @ superop
+        bit for bit.  Raises ValueError on the span basis, where the cut is
+        not a projection.
         """
+        if self.h_kind != "cells":
+            raise ValueError(
+                "spectral cuts need the cell basis (h_kind='cells'); on the "
+                "%r basis the cut is a compression, not a projection"
+                % self.h_kind)
         dh = blocks * self.dim_k * self.h_dim
-        p_tilde = np.kron(np.eye(blocks * self.dim_k), self.cut(t))
+        keep = np.tile(np.diag(self.cut(t)).real, blocks * self.dim_k)
         om3 = superop.reshape(dh, dh, -1)
-        out = np.einsum("ai,ijr->ajr", p_tilde, om3)
-        out = np.einsum("ajr,jb->abr", out, p_tilde)
+        out = om3 * np.outer(keep, keep)[:, :, None]
         return out.reshape(dh * dh, -1)
 
     def boundary_rep(self, omega_superop: np.ndarray, t: float,
@@ -302,17 +319,23 @@ class MatrixModel:
 
         Solves (I + lambdahat omegahat|_t) sigma = rho and returns the
         superoperator rho -> omegahat|_t(sigma) together with the condition
-        number of the solved system.
+        number of the solved system.  No inverse is formed: the rows of
+        omegahat|_t that are not identically zero are solved against the
+        transposed system, and the rows the cut removed stay exact zeros.
+        Raises ValueError on the span basis (see apply_truncation).
         """
         w_t = self.apply_truncation(t, omega_superop, blocks)
-        k_mat = self.lambda_superop(blocks) @ w_t
+        k_mat = self.pred_lambda(w_t, blocks)
         d2 = k_mat.shape[0]
         system = np.eye(d2) + k_mat
         condition = float(np.linalg.cond(system))
         if not np.isfinite(condition) or condition > 1e12:
             raise NonInvertibleSystemError(
                 "resolvent system is numerically singular", condition)
-        return w_t @ np.linalg.solve(system, np.eye(d2)), condition
+        live = np.flatnonzero(np.any(w_t != 0, axis=1))
+        rep = np.zeros((w_t.shape[0], d2), dtype=system.dtype)
+        rep[live] = np.linalg.solve(system.T, w_t[live].T).T
+        return rep, condition
 
     # -- the damped translation average ------------------------------------
 
@@ -370,13 +393,25 @@ class ChoiVerdict:
 
 def choi_min_eig(superop: np.ndarray, dim_in: int, dim_out: int,
                  tolerance: float = 1e-8) -> ChoiVerdict:
-    """Minimum Choi eigenvalue; the map is CP when it is not negative."""
+    """Minimum Choi eigenvalue; the map is CP when it is not negative.
+
+    The spectrum is taken on the Hermitian part of the Choi matrix.  A row
+    of a Hermitian matrix that is identically zero (exact test, no
+    tolerance) has a zero column too, so the matrix is the principal
+    submatrix on the other rows plus a zero block: the minimum eigenvalue
+    is min(lambda_sub, 0) when rows were dropped, and 0 for the zero map.
+    Trace and hermiticity defect are those of the whole Choi matrix.
+    """
     choi = choi_matrix(superop, dim_in, dim_out)
     herm = 0.5 * (choi + choi.conj().T)
     defect = float(np.linalg.norm(choi - herm))
-    evals = np.linalg.eigvalsh(herm)
-    return ChoiVerdict(float(evals[0]), float(np.trace(herm).real),
-                       defect, tolerance)
+    live = np.flatnonzero(np.any(herm != 0, axis=1))
+    low = 0.0
+    if live.size:
+        low = float(np.linalg.eigvalsh(herm[np.ix_(live, live)])[0])
+        if live.size < herm.shape[0]:
+            low = min(low, 0.0)
+    return ChoiVerdict(low, float(np.trace(herm).real), defect, tolerance)
 
 
 def identity_superop(dim: int) -> np.ndarray:

@@ -12,7 +12,7 @@ tail has a closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -20,13 +20,11 @@ from .halfline import (
     ExpKernelVector,
     ExpMultiplier,
     Grid,
-    GridVector,
     HalfLineOperator,
     IdentityOperator,
     inner_product,
 )
 from .tensorspace import (
-    LambdaSequence,
     ProductVector,
     TensorOperator,
     delta_operator,

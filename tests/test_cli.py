@@ -74,6 +74,55 @@ class TestCommands:
         assert "grid.length" in result.output
         assert "lambda.kind" in result.output
 
+    @pytest.mark.parametrize("override, message", [
+        ({"corner": {"cut_levels": [0.3]}}, "corner.cut_levels"),
+        ({"corner": {"cut_levels": ["abc"]}}, "corner.cut_levels"),
+        ({"corner": {"witness_label": "abc"}}, "corner.witness_label"),
+        ({"corner": {"witness_label": 2}}, "corner.witness_label"),
+        ({"covariance": {"labels": [0.0, "1+"]}}, "covariance.labels"),
+        ({"gird": {"points": 10}}, "'gird'"),
+        ({"corner": {"cut_level": [0.5]}}, "corner.cut_level"),
+        ({"grid": 5}, "'grid'"),
+        ([1, 2], "top level"),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, override, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(override))
+        result = CliRunner().invoke(
+            main, ["corner", "--config", str(path), "--out",
+                   str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+
+    def test_corner_errors_aggregated(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump({
+            "gird": {"points": 10},
+            "corner": {"cut_levels": [0.3], "witness_label": "abc"},
+            "covariance": {"labels": ["x"]},
+        }))
+        result = CliRunner().invoke(
+            main, ["corner", "--config", str(path), "--out",
+                   str(tmp_path / "o")])
+        assert result.exit_code == 2
+        for name in ("'gird'", "corner.cut_levels", "corner.witness_label",
+                     "covariance.labels"):
+            assert name in result.output
+
+    def test_every_cell_edge_is_a_valid_cut(self, tmp_path):
+        path = tmp_path / "edges.yaml"
+        config = dict(FAST_CONFIG)
+        config["corner"] = dict(FAST_CONFIG["corner"],
+                                cut_levels=[0.0, 0.25, 0.5, 2.0])
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path / "out"
+        result = run_cli(["corner", "--config", str(path), "--out",
+                          str(out)])
+        assert result.exit_code == 0, result.output
+        assert load_report(out, "corner")["all_pass"]
+
     def test_unknown_command_rejected(self, tmp_path):
         result = CliRunner().invoke(main, ["frobnicate"])
         assert result.exit_code != 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cpflow.cornercheck import assemble_doubled
 from cpflow.halfline import ExpKernelVector, inner_product
 from cpflow.opbasis import (
     ChoiVerdict,
@@ -104,6 +105,16 @@ class TestPredualMaps:
             model.dim_k, model.dim_k)
         np.testing.assert_allclose(direct, via, atol=1e-12)
 
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_pred_lambda_maps_superop_columns(self, model, blocks):
+        rng = np.random.default_rng(6)
+        dh = blocks * model.dim_h
+        stack = rng.normal(size=(dh * dh, 5)) + 1j * rng.normal(
+            size=(dh * dh, 5))
+        np.testing.assert_allclose(model.pred_lambda(stack, blocks),
+                                   model.lambda_superop(blocks) @ stack,
+                                   atol=1e-12)
+
     def test_lambda_of_identity_is_damping_trace(self, model):
         mu = np.eye(model.dim_h, dtype=complex)
         out = model.pred_lambda(mu)
@@ -183,3 +194,81 @@ class TestChoi:
         superop = np.kron(k, k.conj())
         v = choi_min_eig(superop, 2, 2)
         assert v.completely_positive
+
+
+def doubled_weight(model):
+    omega, corner = model.weight_superop(), model.weight_superop(-1.0)
+    return assemble_doubled([[omega, corner], [corner, omega]],
+                            model.dim_k, model.dim_h)
+
+
+def random_kraus_superop(rng, dim_in, dim_out, rank, cut_rows=()):
+    """Superoperator of a random CP map; cut_rows are zero output rows."""
+    out = np.zeros((dim_out * dim_out, dim_in * dim_in), dtype=complex)
+    for _ in range(rank):
+        k = rng.normal(size=(dim_out, dim_in)) \
+            + 1j * rng.normal(size=(dim_out, dim_in))
+        k[list(cut_rows)] = 0.0
+        out += np.kron(k, k.conj())
+    return out
+
+
+class TestCutAwareKernels:
+    """The cut-aware kernels against the dense reference path."""
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("t", [0.5, 0.25])
+    def test_apply_truncation_equals_truncation_superop(self, blocks, t):
+        small = MatrixModel(n_factors=2, factor_dim=2)
+        rng = np.random.default_rng(7)
+        dh, din = blocks * small.dim_h, blocks * small.dim_k
+        superop = rng.normal(size=(dh * dh, din * din)) \
+            + 1j * rng.normal(size=(dh * dh, din * din))
+        masked = small.apply_truncation(t, superop, blocks)
+        dense = small.truncation_superop(t, blocks) @ superop
+        assert np.array_equal(masked, dense)
+
+    @pytest.mark.parametrize("n_factors", [2, 3])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_boundary_rep_matches_explicit_inverse(self, n_factors, blocks):
+        m = MatrixModel(n_factors=n_factors, factor_dim=2)
+        omega = m.weight_superop() if blocks == 1 else doubled_weight(m)
+        for t in (0.5, 0.25):
+            w_t = m.truncation_superop(t, blocks) @ omega
+            system = np.eye(w_t.shape[1]) + m.lambda_superop(blocks) @ w_t
+            reference = w_t @ np.linalg.inv(system)
+            rep, cond = m.boundary_rep(omega, t, blocks)
+            np.testing.assert_allclose(rep, reference, rtol=0, atol=1e-12)
+            assert cond == pytest.approx(np.linalg.cond(system), rel=1e-12)
+
+    @pytest.mark.parametrize("cut_rows", [(), (0, 2), (1, 3, 4)])
+    def test_choi_min_eig_matches_full_spectrum(self, cut_rows):
+        rng = np.random.default_rng(8)
+        din, dout = 3, 5
+        # full Kraus rank: the Choi block on the live rows is positive
+        # definite, so only the min(lambda, 0) rule gives the zero eigenvalue
+        cp_map = random_kraus_superop(rng, din, dout, din * dout, cut_rows)
+        other = random_kraus_superop(rng, din, dout, 1, cut_rows)
+        for superop in (cp_map, cp_map - other):
+            choi = choi_matrix(superop, din, dout)
+            herm = 0.5 * (choi + choi.conj().T)
+            v = choi_min_eig(superop, din, dout)
+            assert v.min_eigenvalue == pytest.approx(
+                np.linalg.eigvalsh(herm)[0], abs=1e-12)
+            assert v.trace == np.trace(herm).real
+            assert v.hermiticity_defect == np.linalg.norm(choi - herm)
+        assert choi_min_eig(cp_map, din, dout).completely_positive
+
+    def test_choi_min_eig_of_zero_map(self):
+        v = choi_min_eig(np.zeros((16, 9)), 3, 4)
+        assert v.min_eigenvalue == 0.0
+        assert v.trace == 0.0
+        assert v.completely_positive
+
+    def test_span_basis_rejects_spectral_cuts(self, span_model):
+        d2, dh2 = span_model.dim_k ** 2, span_model.dim_h ** 2
+        omega = np.zeros((dh2, d2), dtype=complex)
+        with pytest.raises(ValueError, match="cell basis"):
+            span_model.apply_truncation(0.5, omega)
+        with pytest.raises(ValueError, match="cell basis"):
+            span_model.boundary_rep(omega, 0.5)
