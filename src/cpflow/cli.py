@@ -104,6 +104,26 @@ def _parses(convert, values) -> bool:
     return True
 
 
+def _mistyped_numbers(cfg: dict) -> list[str]:
+    """Errors for numeric settings whose value has the wrong type.
+
+    A setting whose default is an int takes an int; one whose default is
+    a float takes an int or a float.  Booleans are neither.
+    """
+    errors = []
+    for section, block in DEFAULT_CONFIG.items():
+        for key, default in block.items():
+            if not isinstance(default, (int, float)):
+                continue
+            value = cfg[section][key]
+            kind = int if isinstance(default, int) else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                errors.append("%s.%s must be %s, got %r" % (
+                    section, key,
+                    "an integer" if kind is int else "a number", value))
+    return errors
+
+
 def _validate(cfg: dict) -> list[str]:
     errors = []
     malformed = False
@@ -119,16 +139,20 @@ def _validate(cfg: dict) -> list[str]:
                           if key not in DEFAULT_CONFIG[section])
     if malformed:
         return errors
-    if cfg["grid"]["length"] <= 0 or cfg["grid"]["points"] <= 0:
-        errors.append("grid.length and grid.points must be positive")
-    if cfg["tensor"]["factors"] < 1 or cfg["tensor"]["factor_dim"] < 1:
-        errors.append("tensor.factors and tensor.factor_dim must be >= 1")
+    mistyped = _mistyped_numbers(cfg)
+    errors.extend(mistyped)
+    if not mistyped:
+        if cfg["grid"]["length"] <= 0 or cfg["grid"]["points"] <= 0:
+            errors.append("grid.length and grid.points must be positive")
+        if cfg["tensor"]["factors"] < 1 or cfg["tensor"]["factor_dim"] < 1:
+            errors.append(
+                "tensor.factors and tensor.factor_dim must be >= 1")
+        if cfg["series"]["max_terms"] < 1:
+            errors.append("series.max_terms must be >= 1")
     if cfg["lambda"]["kind"] not in ("linear", "geometric", "custom"):
         errors.append("lambda.kind must be linear, geometric or custom")
     if cfg["lambda"]["kind"] == "custom" and not cfg["lambda"]["values"]:
         errors.append("lambda.kind=custom requires lambda.values")
-    if cfg["series"]["max_terms"] < 1:
-        errors.append("series.max_terms must be >= 1")
     labels = cfg["covariance"]["labels"]
     if not isinstance(labels, list) or not _parses(_label, labels):
         errors.append("covariance.labels must be a list of complex numbers")

@@ -139,6 +139,15 @@ def _composed_class(g: GaugeParam, gp: GaugeParam) -> str:
     return GENERAL
 
 
+def _composed(g: GaugeParam, gp: GaugeParam, sign: int) -> tuple:
+    """(a'', b'', c'', y'') of C C' with
+        y'' = y + y' + sign (r / 2 - i Im(conj(c) b')).
+    """
+    y2 = g.y + gp.y + sign * (0.5 * r_term(g, gp)
+                              - 1j * (np.conj(g.c) * gp.b).imag)
+    return g.a * gp.a, g.a * gp.b + g.b, np.conj(gp.a) * g.c + gp.c, y2
+
+
 def compose(g: GaugeParam, gp: GaugeParam) -> GaugeParam:
     """Parameter of C C', acting first with gp then with g.
 
@@ -147,12 +156,7 @@ def compose(g: GaugeParam, gp: GaugeParam) -> GaugeParam:
     which sequential application of act() forces and which keep
     Re(y'') >= 0 (r >= 0).
     """
-    a2 = g.a * gp.a
-    b2 = g.a * gp.b + g.b
-    c2 = np.conj(gp.a) * g.c + gp.c
-    y2 = (g.y + gp.y - 1j * (np.conj(g.c) * gp.b).imag
-          + 0.5 * r_term(g, gp))
-    return GaugeParam(a2, b2, c2, y2, klass=_composed_class(g, gp),
+    return GaugeParam(*_composed(g, gp, 1), klass=_composed_class(g, gp),
                       relax_isometric=g.relax_isometric or gp.relax_isometric)
 
 
@@ -161,12 +165,7 @@ def compose_printed(g: GaugeParam, gp: GaugeParam) -> GaugeParam:
         y'' = y + y' + i Im(conj(c) b') - r / 2,
     kept for cross-validation; see formula_discrepancy_report.
     """
-    a2 = g.a * gp.a
-    b2 = g.a * gp.b + g.b
-    c2 = np.conj(gp.a) * g.c + gp.c
-    y2 = (g.y + gp.y + 1j * (np.conj(g.c) * gp.b).imag
-          - 0.5 * r_term(g, gp))
-    return GaugeParam(a2, b2, c2, y2, klass=RAW)
+    return GaugeParam(*_composed(g, gp, -1), klass=RAW)
 
 
 def action_composition_residual(g: GaugeParam, gp: GaugeParam, sample_zs,

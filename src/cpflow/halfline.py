@@ -5,6 +5,12 @@ combinations of decaying exponentials, for which inner products and the
 canonical maps (multiplication by e^{-x}, the damped translation average,
 the boundary expectation) all have closed forms.  The grid backend stores
 samples at cell midpoints and is the carrier for transport.
+
+Every analytic closed form reduces to inner_product, the one place where
+the exponential kernel sum_{jk} conj(c_j) d_k / (conj(mu_j) + nu_k) is
+summed: multiplication by exp(-r x) shifts every rate by r, translation
+and tail restriction rescale the coefficients, and rank-one factors fold
+into the coefficients of a single vector.
 """
 
 from __future__ import annotations
@@ -73,8 +79,9 @@ def inner_product(f: ExpKernelVector, g: ExpKernelVector) -> complex:
     """
     total = 0.0 + 0.0j
     for c, mu in f.terms:
+        c_bar, mu_bar = c.conjugate(), mu.conjugate()
         for d, nu in g.terms:
-            total += np.conj(c) * d / (np.conj(mu) + nu)
+            total += c_bar * d / (mu_bar + nu)
     return total
 
 
@@ -83,11 +90,6 @@ def reference_vector(lam: float) -> ExpKernelVector:
     if lam <= 0:
         raise InvalidVectorError("reference parameter must be positive")
     return ExpKernelVector([(lam, 0.5 * lam * lam)])
-
-
-def apply_lambda_factor(f: ExpKernelVector) -> ExpKernelVector:
-    """Pointwise multiplication by exp(-x): every rate moves up by one."""
-    return f.shifted(1.0)
 
 
 BOUNDARY_KERNEL = ExpKernelVector([(1.0, 0.5)])
@@ -180,25 +182,16 @@ class GammaImage(HalfLineOperator):
     def matrix_element(self, u, v):
         src = self.source
         if isinstance(src, IdentityOperator):
-            total = 0.0 + 0.0j
-            for a, alpha in u.terms:
-                for d, nu in v.terms:
-                    s = np.conj(alpha) + nu
-                    total += np.conj(a) * d / (s * (1.0 + s))
-            return total
+            return inner_product(u, v) - inner_product(u, v.shifted(1.0))
         if isinstance(src, ZeroOperator):
             return 0.0 + 0.0j
         if isinstance(src, RankOneSum):
+            # (u, ket)(bra, v) / (1 + conj(alpha) + nu) per pair of terms of
+            # u and v: fold the overlaps into the coefficients, damp once
             total = 0.0 + 0.0j
             for bra, ket, w in src.parts:
-                for a, alpha in u.terms:
-                    for c, mu in ket.terms:
-                        left = np.conj(a) * c / (np.conj(alpha) + mu)
-                        for d, nu in v.terms:
-                            for e, beta in bra.terms:
-                                right = d * np.conj(e) / (nu + np.conj(beta))
-                                total += (w * left * right
-                                          / (1.0 + np.conj(alpha) + nu))
+                total += w * inner_product(_weighted(u, ket),
+                                           _weighted(v, bra).shifted(1.0))
             return total
         raise UnsupportedRepresentationError(
             "damped translation average needs identity or rank-one-sum input; "
@@ -206,6 +199,13 @@ class GammaImage(HalfLineOperator):
 
     def adjoint(self):
         return GammaImage(self.source.adjoint())
+
+
+def _weighted(f: ExpKernelVector, g: ExpKernelVector) -> ExpKernelVector:
+    """sum_j c_j (g, exp(-mu_j x)) exp(-mu_j x) over the terms of f."""
+    return ExpKernelVector(
+        [(c * inner_product(g, ExpKernelVector([(1.0, mu)])), mu)
+         for c, mu in f.terms])
 
 
 def apply_gamma(a: HalfLineOperator) -> HalfLineOperator:

@@ -41,23 +41,21 @@ class NonInvertibleSystemError(np.linalg.LinAlgError):
 
 
 def tail_overlap(f: ExpKernelVector, g: ExpKernelVector, t: float) -> complex:
-    """integral_t^inf conj(f) g dx in closed form."""
-    total = 0.0 + 0.0j
-    for c, mu in f.terms:
-        for d, nu in g.terms:
-            s = np.conj(mu) + nu
-            total += np.conj(c) * d * np.exp(-s * t) / s
-    return total
+    """integral_t^inf conj(f) g dx = (f_t, g_t) with v_t(x) = v(x + t)."""
+    return inner_product(_advanced(f, t), _advanced(g, t))
+
+
+def _advanced(v: ExpKernelVector, t: float) -> ExpKernelVector:
+    """x -> v(x + t): every coefficient c picks up exp(-mu t)."""
+    return ExpKernelVector([(c * np.exp(-mu * t), mu) for c, mu in v.terms])
 
 
 def orthonormal_span(rates) -> list[ExpKernelVector]:
     """Exact orthonormal basis of span{exp(-r x)} via Cholesky of the Gram."""
     rates = [complex(r) for r in rates]
     m = len(rates)
-    gram = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            gram[i, j] = 1.0 / (np.conj(rates[i]) + rates[j])
+    units = [ExpKernelVector([(1.0, r)]) for r in rates]
+    gram = np.array([[inner_product(u, v) for v in units] for u in units])
     chol = np.linalg.cholesky(gram)
     coeff = np.linalg.inv(chol).conj().T  # columns: coordinates of the basis
     return [ExpKernelVector([(coeff[i, k], rates[i]) for i in range(m)])

@@ -61,7 +61,8 @@ class FlowState:
     """A function in K tensor L2(0, L) sampled on grid cells.
 
     cells[j] is the K-coordinate vector carried by cell j (the transported
-    channel).  source_cells keeps the initial data so pairings can replay
+    channel); cells has shape (points, dim_k), and a 1-D array of length
+    points is one channel.  source_cells keeps the initial data so pairings can replay
     the feed recursion; steps counts applied transport steps; fed cells
     are implicit (cells [0, steps) belong to the boundary feed and carry
     no explicit coordinates).
@@ -75,11 +76,13 @@ class FlowState:
     source_cells: np.ndarray | None = None
 
     def __post_init__(self):
-        cells = np.atleast_2d(np.asarray(self.cells, dtype=complex))
-        if cells.shape[0] != self.grid.points:
-            cells = cells.T
-        if cells.shape[0] != self.grid.points:
-            raise InvalidExperimentError("cell array does not match the grid")
+        cells = np.asarray(self.cells, dtype=complex)
+        if cells.ndim == 1:
+            cells = cells[:, None]
+        if cells.ndim != 2 or cells.shape[0] != self.grid.points:
+            raise InvalidExperimentError(
+                "cell array must have shape (points,) or (points, dim_k), "
+                "got %r for %d points" % (cells.shape, self.grid.points))
         object.__setattr__(self, "cells", cells)
         src = self.source_cells
         object.__setattr__(self, "source_cells",

@@ -264,13 +264,11 @@ def delta_operator() -> TensorOperator:
     return TensorOperator([(1.0, (), "damping")])
 
 
-def _slot_element(op: HalfLineOperator | TailKind,
-                  g: ExpKernelVector, f: ExpKernelVector) -> complex:
-    if op == "identity":
-        return inner_product(g, f)
-    if op == "damping":
-        return inner_product(g, f.shifted(1.0))
-    return op.matrix_element(g, f)
+_TAIL_OPS: dict[TailKind, HalfLineOperator] = {
+    "identity": IdentityOperator(),
+    "damping": ExpMultiplier(1.0),
+}
+"""The operator every slot past a term's explicit factors carries."""
 
 
 def pairing(g: ProductVector, a: TensorOperator, f: ProductVector) -> complex:
@@ -283,10 +281,11 @@ def pairing(g: ProductVector, a: TensorOperator, f: ProductVector) -> complex:
         if len(factors) > n:
             raise TruncationExceededError(
                 "operator touches %d slots, state has %d" % (len(factors), n))
+        tail_op = _TAIL_OPS[tail]
         val = c
         for i in range(n):
-            op = factors[i] if i < len(factors) else tail
-            val *= _slot_element(op, g.factors[i], f.factors[i])
+            op = factors[i] if i < len(factors) else tail_op
+            val *= op.matrix_element(g.factors[i], f.factors[i])
         if tail == "damping":
             val *= tail_weight_product(f.seq, f.tail_start)
         total += val
@@ -349,8 +348,8 @@ def multiply(a: TensorOperator, b: TensorOperator) -> TensorOperator:
             width = max(len(fa), len(fb))
             factors = []
             for i in range(width):
-                xa = fa[i] if i < len(fa) else _tail_op(ta)
-                xb = fb[i] if i < len(fb) else _tail_op(tb)
+                xa = fa[i] if i < len(fa) else _TAIL_OPS[ta]
+                xb = fb[i] if i < len(fb) else _TAIL_OPS[tb]
                 factors.append(_compose_factor(xa, xb))
             if ta == "identity" and tb == "identity":
                 tail: TailKind = "identity"
@@ -361,10 +360,6 @@ def multiply(a: TensorOperator, b: TensorOperator) -> TensorOperator:
                                 "closed operator class")
             out.append((ca * cb, tuple(factors), tail))
     return TensorOperator(out)
-
-
-def _tail_op(kind: TailKind) -> HalfLineOperator:
-    return IdentityOperator() if kind == "identity" else ExpMultiplier(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,26 @@ class TestCommands:
         assert result.exception is None or isinstance(result.exception,
                                                       SystemExit)
 
+    @pytest.mark.parametrize("override, message", [
+        ({"grid": {"length": "abc"}}, "grid.length must be a number"),
+        ({"series": {"max_terms": "5"}}, "series.max_terms must be an integer"),
+        ({"corner": {"factors": "x"}}, "corner.factors must be an integer"),
+        ({"corner": {"factors": 2.0}}, "corner.factors must be an integer"),
+        ({"grid": {"points": True}}, "grid.points must be an integer"),
+    ])
+    def test_mistyped_number_is_config_error(self, tmp_path, override,
+                                             message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(dict(override, gird={})))
+        result = CliRunner().invoke(
+            main, ["corner", "--config", str(path), "--out",
+                   str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert "'gird'" in result.output
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+
     def test_corner_errors_aggregated(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump({

@@ -17,7 +17,6 @@ from cpflow.halfline import (
     UnsupportedRepresentationError,
     ZeroOperator,
     apply_gamma,
-    apply_lambda_factor,
     cut_projector,
     gamma_grid,
     grid_inner_product,
@@ -28,6 +27,27 @@ from cpflow.halfline import (
     tail_projector,
     translate,
 )
+
+
+def kernel_sum(f, g):
+    """sum_{jk} conj(c_j) d_k / (conj(mu_j) + nu_k), written out."""
+    return sum(np.conj(c) * d / (np.conj(mu) + nu)
+               for c, mu in f.terms for d, nu in g.terms)
+
+
+def random_vector(rng, n_terms):
+    return ExpKernelVector(
+        [(complex(rng.normal(), rng.normal()),
+          complex(rng.uniform(0.3, 3.0), rng.normal()))
+         for _ in range(n_terms)])
+
+
+complex_terms = st.lists(st.tuples(
+    st.complex_numbers(max_magnitude=3, allow_nan=False,
+                       allow_infinity=False),
+    st.builds(complex, st.floats(min_value=0.2, max_value=5.0),
+              st.floats(min_value=-4.0, max_value=4.0))),
+    min_size=1, max_size=4)
 
 
 def quad_inner(f, g, upper=60.0):
@@ -50,6 +70,15 @@ class TestInnerProduct:
     def test_rejects_growing_kernel(self):
         with pytest.raises(InvalidVectorError):
             ExpKernelVector([(1.0, -0.2)])
+
+    @given(complex_terms, complex_terms)
+    @settings(max_examples=50, deadline=None)
+    def test_matches_kernel_sum(self, f_terms, g_terms):
+        f, g = ExpKernelVector(f_terms), ExpKernelVector(g_terms)
+        expected = kernel_sum(f, g)
+        scale = sum(abs(c * d / (np.conj(mu) + nu))
+                    for c, mu in f.terms for d, nu in g.terms)
+        assert abs(inner_product(f, g) - expected) <= 1e-14 * max(scale, 1e-300)
 
     @given(st.lists(st.tuples(
         st.complex_numbers(max_magnitude=3, allow_nan=False,
@@ -78,7 +107,7 @@ class TestReferenceVectors:
 
     def test_damped_overlap(self):
         v = reference_vector(1.0)
-        damped = apply_lambda_factor(v)
+        damped = v.shifted(1.0)
         # (k1, e^{-x} k1) = 1/(1 + lambda_1^2) = 1/2
         assert inner_product(v, damped).real == pytest.approx(0.5)
 
@@ -104,11 +133,38 @@ class TestBoundaryKernel:
 
 class TestGamma:
     def test_identity_image_is_identity_minus_damping(self):
-        u = ExpKernelVector([(1.0, 0.8)])
-        v = ExpKernelVector([(1.0 - 0.5j, 1.7)])
+        # Gamma(I) = I - e^{-x}: sum conj(a) d / (s (1 + s)), s = conj(alpha) + nu
+        rng = np.random.default_rng(3)
         img = apply_gamma(IdentityOperator())
-        expected = inner_product(u, v) - inner_product(u, v.shifted(1.0))
-        assert img.matrix_element(u, v) == pytest.approx(expected)
+        for _ in range(20):
+            u, v = random_vector(rng, 3), random_vector(rng, 2)
+            expected = 0.0
+            for a, alpha in u.terms:
+                for d, nu in v.terms:
+                    s = np.conj(alpha) + nu
+                    expected += np.conj(a) * d / (s * (1.0 + s))
+            assert img.matrix_element(u, v) == pytest.approx(expected,
+                                                             rel=1e-12)
+
+    def test_rank_one_matches_nested_kernel_sums(self):
+        # the term-by-term closed form: one overlap per rank-one side,
+        # divided by 1 + conj(alpha) + nu for the damped translation
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            u, v, ket, bra = (random_vector(rng, n) for n in (3, 2, 2, 3))
+            w = complex(rng.normal(), rng.normal())
+            expected = 0.0
+            for a, alpha in u.terms:
+                for c, mu in ket.terms:
+                    left = np.conj(a) * c / (np.conj(alpha) + mu)
+                    for d, nu in v.terms:
+                        for e, beta in bra.terms:
+                            right = d * np.conj(e) / (nu + np.conj(beta))
+                            expected += (w * left * right
+                                         / (1.0 + np.conj(alpha) + nu))
+            img = apply_gamma(RankOneSum([(bra, ket, w)]))
+            assert img.matrix_element(u, v) == pytest.approx(expected,
+                                                             rel=1e-12)
 
     def test_rank_one_closed_form(self):
         e = ExpKernelVector([(1.0, 1.0)])

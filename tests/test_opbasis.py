@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from cpflow.cornercheck import assemble_doubled
 from cpflow.halfline import ExpKernelVector, inner_product
@@ -46,6 +47,18 @@ class TestBases:
         f = ExpKernelVector([(1.0, 1.0)])
         assert tail_overlap(f, f, 0.0) == pytest.approx(
             inner_product(f, f))
+
+    @pytest.mark.parametrize("t", [0.25, 1.3])
+    def test_tail_overlap_matches_quadrature(self, t):
+        f = ExpKernelVector([(1.0 + 0.5j, 0.7), (-0.3, 2.1 + 0.4j)])
+        g = ExpKernelVector([(2.0, 1.3), (0.25j, 0.9 - 0.6j)])
+
+        def part(fn):
+            return quad(lambda x: fn(np.conj(f(x)) * g(x)), t, 60.0,
+                        limit=200)[0]
+
+        oracle = part(np.real) + 1j * part(np.imag)
+        assert tail_overlap(f, g, t) == pytest.approx(oracle, abs=1e-10)
 
     def test_damping_is_contraction(self, model):
         evals = np.linalg.eigvalsh(model.damping)

@@ -180,6 +180,20 @@ class TestGram:
         assert errs[1] < errs[0]
 
 
+class TestFlowStateShape:
+    def test_points_last_rejected(self):
+        grid = Grid(4.0, 10)
+        with pytest.raises(InvalidExperimentError):
+            FlowState(grid, np.ones((2, grid.points)))
+
+    def test_one_dimensional_is_one_channel(self):
+        grid = Grid(4.0, 10)
+        values = np.arange(grid.points, dtype=complex)
+        state = FlowState(grid, values)
+        assert state.dim_k == 1
+        np.testing.assert_array_equal(state.cells[:, 0], values)
+
+
 class TestParams:
     def test_step_damping(self):
         p = UzParams(2.0, 0.01)
