@@ -62,10 +62,10 @@ class FlowState:
 
     cells[j] is the K-coordinate vector carried by cell j (the transported
     channel); cells has shape (points, dim_k), and a 1-D array of length
-    points is one channel.  source_cells keeps the initial data so pairings can replay
-    the feed recursion; steps counts applied transport steps; fed cells
-    are implicit (cells [0, steps) belong to the boundary feed and carry
-    no explicit coordinates).
+    points is one channel.  source_cells keeps the initial data so
+    pairings can replay the feed recursion; steps counts applied transport
+    steps; fed cells are implicit (cells [0, steps) belong to the boundary
+    feed and carry no explicit coordinates).
     """
 
     grid: Grid

@@ -217,6 +217,12 @@ def s0_apply(v: ProductVector, h: ExpKernelVector) -> ShiftResult:
 
 TailKind = Literal["identity", "damping"]
 
+_TAIL_OPS: dict[TailKind, HalfLineOperator] = {
+    "identity": IdentityOperator(),
+    "damping": ExpMultiplier(1.0),
+}
+"""The operator every slot past a term's explicit factors carries."""
+
 
 @dataclass(frozen=True)
 class TensorOperator:
@@ -234,7 +240,7 @@ class TensorOperator:
     def __init__(self, terms: Iterable[tuple[complex, Sequence[HalfLineOperator], TailKind]]):
         packed = []
         for c, factors, tail in terms:
-            if tail not in ("identity", "damping"):
+            if tail not in _TAIL_OPS:
                 raise ValueError("unknown tail kind %r" % (tail,))
             packed.append((complex(c), tuple(factors), tail))
         object.__setattr__(self, "terms", tuple(packed))
@@ -262,13 +268,6 @@ def identity_operator() -> TensorOperator:
 def delta_operator() -> TensorOperator:
     """Delta: exp(-x) damping on every slot including the implicit tail."""
     return TensorOperator([(1.0, (), "damping")])
-
-
-_TAIL_OPS: dict[TailKind, HalfLineOperator] = {
-    "identity": IdentityOperator(),
-    "damping": ExpMultiplier(1.0),
-}
-"""The operator every slot past a term's explicit factors carries."""
 
 
 def pairing(g: ProductVector, a: TensorOperator, f: ProductVector) -> complex:
