@@ -95,6 +95,18 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+# The least value of each integer setting.  Below it a runner indexes an
+# empty tuple, takes the min or max of no samples, or passes a check that
+# never ran; covariance needs two refinement levels for one order.
+MINIMUMS = {
+    "tensor.factors": 1, "tensor.factor_dim": 1, "series.max_terms": 1,
+    "seeds.rng": 0, "covariance.refinements": 2, "gauge.triples": 1,
+    "gauge.r_samples": 1, "gauge.z_samples": 1, "gauge.pairs": 1,
+    "transitivity.pairs": 1, "corner.factors": 1, "weights.samples": 1,
+    "weights.factor_dim": 1,
+}
+
+
 def _parses(convert, values) -> bool:
     try:
         for value in values:
@@ -144,15 +156,22 @@ def _validate(cfg: dict) -> list[str]:
     if not mistyped:
         if cfg["grid"]["length"] <= 0 or cfg["grid"]["points"] <= 0:
             errors.append("grid.length and grid.points must be positive")
-        if cfg["tensor"]["factors"] < 1 or cfg["tensor"]["factor_dim"] < 1:
-            errors.append(
-                "tensor.factors and tensor.factor_dim must be >= 1")
-        if cfg["series"]["max_terms"] < 1:
-            errors.append("series.max_terms must be >= 1")
+        for name, least in MINIMUMS.items():
+            section, key = name.split(".")
+            if cfg[section][key] < least:
+                errors.append("%s must be >= %d, got %r"
+                              % (name, least, cfg[section][key]))
+        if cfg["decay"]["n_max"] < cfg["decay"]["head_level"]:
+            errors.append("decay.n_max must be >= decay.head_level")
     if cfg["lambda"]["kind"] not in ("linear", "geometric", "custom"):
         errors.append("lambda.kind must be linear, geometric or custom")
-    if cfg["lambda"]["kind"] == "custom" and not cfg["lambda"]["values"]:
+    values = cfg["lambda"]["values"]
+    if cfg["lambda"]["kind"] == "custom" and not values:
         errors.append("lambda.kind=custom requires lambda.values")
+    if values is not None and not (isinstance(values, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
+            for v in values)):
+        errors.append("lambda.values must be a list of positive numbers")
     labels = cfg["covariance"]["labels"]
     if not isinstance(labels, list) or not _parses(_label, labels):
         errors.append("covariance.labels must be a list of complex numbers")
@@ -477,7 +496,7 @@ COMMANDS = {
               default=None, help="YAML config overriding the defaults.")
 @click.option("--out", "out_dir", type=click.Path(), default="out",
               help="Directory for the report and CSV curves.")
-@click.option("--seed", type=int, default=None,
+@click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override the RNG seed from the config.")
 @click.option("--refine", type=int, default=0,
               help="Extra grid halvings for convergence-order records.")

@@ -56,6 +56,20 @@ def assemble_doubled(blocks, dim_in: int, dim_out: int) -> np.ndarray:
     return big.reshape(4 * dim_out * dim_out, 4 * dim_in * dim_in)
 
 
+def doubled_boundary_rep(model: MatrixModel, blocks, t: float) -> np.ndarray:
+    """Boundary representation of a 2x2 matrix of weights at cut level t.
+
+    The cut and lambdahat act entrywise on doubled densities, so the
+    resolvent system of the doubled weight is block diagonal and its
+    boundary representation is the 2x2 matrix of the entries'
+    representations.  blocks is a 2x2 nested sequence of weight
+    superoperators over the model; each entry's system goes through the
+    singularity gate of MatrixModel.boundary_rep.
+    """
+    return assemble_doubled([[model.boundary_rep(w, t)[0] for w in row]
+                             for row in blocks], model.dim_k, model.dim_h)
+
+
 def permuted_choi_min_eig(superop: np.ndarray, dim_in: int, dim_out: int,
                           perm_in, perm_out,
                           tolerance: float = 1e-8) -> ChoiVerdict:
@@ -90,13 +104,8 @@ class WeightMatrix:
         lower = self.model.weight_superop(np.conj(z))
         return [[self.diagonal, upper], [lower, self.diagonal]]
 
-    def doubled(self) -> np.ndarray:
-        return assemble_doubled(self.blocks(), self.model.dim_k,
-                                self.model.dim_h)
-
     def boundary_rep(self, t: float) -> np.ndarray:
-        rep, _ = self.model.boundary_rep(self.doubled(), t, blocks=2)
-        return rep
+        return doubled_boundary_rep(self.model, self.blocks(), t)
 
 
 def minimal_weight_matrix(model: MatrixModel, z: complex) -> WeightMatrix:
@@ -230,11 +239,10 @@ def derivation_residual(model: MatrixModel, z: complex) -> float:
     """
     z = complex(z)
     sigma = model.weight_superop(z)
-    p_hat = model.pi_superop
-    k_hat = model.lambda_superop() @ p_hat
+    k_hat, _ = model.series_kernel
     d2 = k_hat.shape[0]
     lhs = sigma @ (np.eye(d2) - z * k_hat)
-    return float(np.linalg.norm(lhs - z * p_hat))
+    return float(np.linalg.norm(lhs - z * model.pi_superop))
 
 
 def offdiag_perturbation_min_eig(model: MatrixModel, z: complex,
@@ -252,8 +260,6 @@ def offdiag_perturbation_min_eig(model: MatrixModel, z: complex,
     diag = model.weight_superop()
     upper = model.weight_superop(complex(z)) + gap
     lower = model.weight_superop(np.conj(complex(z)))
-    doubled = assemble_doubled([[diag, upper], [lower, diag]],
-                               model.dim_k, model.dim_h)
-    rep, _ = model.boundary_rep(doubled, t, blocks=2)
+    rep = doubled_boundary_rep(model, [[diag, upper], [lower, diag]], t)
     return choi_min_eig(rep, 2 * model.dim_k,
                         2 * model.dim_h).min_eigenvalue

@@ -212,14 +212,14 @@ class MatrixModel:
         s0 = self.shift
         return s0.conj().T @ rho @ s0
 
-    def pred_lambda(self, mu: np.ndarray, blocks: int = 1) -> np.ndarray:
+    def pred_lambda(self, mu: np.ndarray) -> np.ndarray:
         """Density of mu composed with the damping embedding.
 
         mu is a density, or a superoperator whose columns are vectorized
         densities; a superoperator is mapped column by column, which is
-        lambda_superop(blocks) @ mu without building lambda_superop.
+        lambda_superop() @ mu without building lambda_superop.
         """
-        d = blocks * self.dim_k
+        d = self.dim_k
         mh = self.h_dim
         if mu.shape == (d * mh, d * mh):
             mu4 = mu.reshape(d, mh, d, mh)
@@ -235,12 +235,23 @@ class MatrixModel:
         s0 = self.shift
         return np.kron(s0.conj().T, s0.T)
 
-    def lambda_superop(self, blocks: int = 1) -> np.ndarray:
-        d = blocks * self.dim_k
+    def lambda_superop(self) -> np.ndarray:
+        d = self.dim_k
         mh = self.h_dim
         eye = np.eye(d)
         t6 = np.einsum("bi,aj,pq->baiqjp", eye, eye, self.h_damping)
         return t6.reshape(d * d, (d * mh) ** 2)
+
+    @cached_property
+    def series_kernel(self) -> tuple[np.ndarray, float]:
+        """lambdahat pihat on K-densities, and its spectral radius.
+
+        Every series resolvent of the model is (I - z lambdahat pihat)^{-1}
+        on dim_k^2 coordinates; the weight series converges for
+        |z| radius < 1.
+        """
+        k_hat = self.lambda_superop() @ self.pi_superop
+        return k_hat, float(np.max(np.abs(np.linalg.eigvals(k_hat))))
 
     def weight_superop(self, z: complex = 1.0,
                        xi_eta: np.ndarray | None = None) -> np.ndarray:
@@ -251,15 +262,12 @@ class MatrixModel:
         tr(rho Delta) xi_eta is added.
         """
         d = self.dim_k
-        p_hat = self.pi_superop
-        l_hat = self.lambda_superop()
-        k_hat = l_hat @ p_hat
-        radius = np.max(np.abs(np.linalg.eigvals(k_hat)))
+        k_hat, radius = self.series_kernel
         if abs(z) * radius >= 1.0 - 1e-9:
             raise NonInvertibleSystemError(
-                "weight series does not converge in this model", float(radius))
+                "weight series does not converge in this model", radius)
         core = np.linalg.solve(np.eye(d * d) - z * k_hat, np.eye(d * d))
-        omega = z * (p_hat @ core)
+        omega = z * (self.pi_superop @ core)
         if xi_eta is not None:
             delta_vec = self.delta_matrix.T.reshape(1, -1)
             omega = omega + xi_eta.reshape(-1, 1) @ delta_vec
@@ -268,51 +276,57 @@ class MatrixModel:
     def xi_eta(self, nu_density: np.ndarray) -> tuple[np.ndarray, float]:
         """Density of the normalized weight built from nu, plus nu(Lambda Delta).
 
-        eta = (1 - nu(Lambda(Delta)))^{-1} sum_n (pihat lambdahat)^n nu.
+        With d = nu(Lambda(Delta)), eta = (1 - d)^{-1} sum_n (pihat
+        lambdahat)^n nu.  Pushing the resolvent through lambdahat sums the
+        series on K-densities:
+
+            sum_n (pihat lambdahat)^n nu
+                = nu + pihat (I - lambdahat pihat)^{-1} lambdahat nu,
+
+        so eta = (nu + omega1(nu o Lambda)) / (1 - d) with omega1 the
+        minimal weight.  This is the formula of weights.BoundaryWeight.value
+        for the weight that weights.xi_from_nu builds from nu.
         """
-        lam_delta = np.kron(self.delta_matrix, self.h_damping)
-        d_val = np.trace(nu_density @ lam_delta).real
+        lam_nu = self.pred_lambda(nu_density)
+        d_val = np.trace(lam_nu @ self.delta_matrix).real
         if d_val >= 1.0 - 1e-8:
             raise NonInvertibleSystemError(
                 "normalization 1 - nu(Lambda(Delta)) is singular", d_val)
-        dh = self.dim_h
-        p_hat = self.pi_superop
-        l_hat = self.lambda_superop()
-        k_hat = p_hat @ l_hat  # on big-space densities
-        vec = np.linalg.solve(np.eye(dh * dh) - k_hat,
-                              nu_density.reshape(-1))
-        eta = vec.reshape(dh, dh) / (1.0 - d_val)
+        dk, dh = self.dim_k, self.dim_h
+        k_hat, _ = self.series_kernel
+        core = np.linalg.solve(np.eye(dk * dk) - k_hat, lam_nu.reshape(-1))
+        tail = (self.pi_superop @ core).reshape(dh, dh)
+        eta = (nu_density + tail) / (1.0 - d_val)
         return 0.5 * (eta + eta.conj().T), d_val
 
-    def truncation_superop(self, t: float, blocks: int = 1) -> np.ndarray:
+    def truncation_superop(self, t: float) -> np.ndarray:
         """Superoperator of mu -> P mu P for the spectral cut at level t."""
-        p_tilde = np.kron(np.eye(blocks * self.dim_k), self.cut(t))
+        p_tilde = np.kron(np.eye(self.dim_k), self.cut(t))
         return np.kron(p_tilde, p_tilde.T)
 
-    def apply_truncation(self, t: float, superop: np.ndarray,
-                         blocks: int = 1) -> np.ndarray:
+    def apply_truncation(self, t: float, superop: np.ndarray) -> np.ndarray:
         """Compose mu -> P mu P after the given superoperator.
 
         With the cell basis the cut P is an exact 0/1 diagonal, so P mu P
         keeps the rows and columns of mu on the cells at or above t and
         zeroes the rest.  The result is a mask over the output axes of the
-        superoperator and equals truncation_superop(t, blocks) @ superop
-        bit for bit.  Raises ValueError on the span basis, where the cut is
-        not a projection.
+        superoperator and equals truncation_superop(t) @ superop bit for
+        bit.  Raises ValueError on the span basis, where the cut is not a
+        projection.
         """
         if self.h_kind != "cells":
             raise ValueError(
                 "spectral cuts need the cell basis (h_kind='cells'); on the "
                 "%r basis the cut is a compression, not a projection"
                 % self.h_kind)
-        dh = blocks * self.dim_k * self.h_dim
-        keep = np.tile(np.diag(self.cut(t)).real, blocks * self.dim_k)
+        dh = self.dim_h
+        keep = np.tile(np.diag(self.cut(t)).real, self.dim_k)
         om3 = superop.reshape(dh, dh, -1)
         out = om3 * np.outer(keep, keep)[:, :, None]
         return out.reshape(dh * dh, -1)
 
-    def boundary_rep(self, omega_superop: np.ndarray, t: float,
-                     blocks: int = 1) -> tuple[np.ndarray, float]:
+    def boundary_rep(self, omega_superop: np.ndarray,
+                     t: float) -> tuple[np.ndarray, float]:
         """Generalized boundary representation at cut level t.
 
         Solves (I + lambdahat omegahat|_t) sigma = rho and returns the
@@ -322,8 +336,8 @@ class MatrixModel:
         transposed system, and the rows the cut removed stay exact zeros.
         Raises ValueError on the span basis (see apply_truncation).
         """
-        w_t = self.apply_truncation(t, omega_superop, blocks)
-        k_mat = self.pred_lambda(w_t, blocks)
+        w_t = self.apply_truncation(t, omega_superop)
+        k_mat = self.pred_lambda(w_t)
         d2 = k_mat.shape[0]
         system = np.eye(d2) + k_mat
         condition = float(np.linalg.cond(system))

@@ -151,12 +151,14 @@ def flow_inner(f: FlowState, g: FlowState) -> complex:
     """(f, g) including the symbolic boundary-feed contributions.
 
     Both states must live on the same grid and have taken the same number
-    of steps.  The pairing is replayed from the sources: with
+    of steps.  The pairing is a scalar recursion from the sources: with
     I_k = (U_w(kh) f0, U_z(kh) g0), one transport step gives
 
         I_k = d_w d_z [ (I_{k-1} - outflow_k) + h conj(w) z I_{k-1} ]
 
-    because fed cells pair through (S0 a, S0 b) = (a, b).
+    because fed cells pair through (S0 a, S0 b) = (a, b).  Step k pushes
+    source cell P-1-k past the right edge of the P cells, so
+    outflow_k = h (a0[P-1-k], b0[P-1-k]) for k < P and 0 after that.
     """
     if f.grid != g.grid:
         raise IncompatibleStatesError("grid mismatch")
@@ -165,17 +167,14 @@ def flow_inner(f: FlowState, g: FlowState) -> complex:
     h = f.grid.spacing
     if f.steps == 0:
         return h * complex(np.vdot(f.cells, g.cells))
-    a = f.source_cells.copy()
-    b = g.source_cells.copy()
+    a, b = f.source_cells, g.source_cells
     d = UzParams(f.z, h).step_damping * UzParams(g.z, h).step_damping
     feed = h * np.conj(complex(f.z)) * complex(g.z)
+    last = len(a) - 1
     value = h * complex(np.vdot(a, b))
-    for _ in range(f.steps):
-        ov = h * complex(np.vdot(a[-1], b[-1]))
-        a[1:] = a[:-1]
-        a[0] = 0.0
-        b[1:] = b[:-1]
-        b[0] = 0.0
+    for k in range(f.steps):
+        ov = h * complex(np.vdot(a[last - k], b[last - k])) \
+            if k <= last else 0.0
         value = d * ((value - ov) + feed * value)
     return value
 

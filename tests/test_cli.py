@@ -6,7 +6,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from cpflow.cli import main
+from cpflow.cli import MINIMUMS, main
 
 FAST_CONFIG = {
     "gauge": {"triples": 50, "r_samples": 500, "z_samples": 10, "pairs": 20},
@@ -84,6 +84,26 @@ class TestCommands:
         ({"corner": {"cut_level": [0.5]}}, "corner.cut_level"),
         ({"grid": 5}, "'grid'"),
         ([1, 2], "top level"),
+        ({"corner": {"factors": 0}}, "corner.factors must be >= 1"),
+        ({"covariance": {"refinements": 0}},
+         "covariance.refinements must be >= 2"),
+        ({"covariance": {"refinements": 1}},
+         "covariance.refinements must be >= 2"),
+        ({"gauge": {"r_samples": 0}}, "gauge.r_samples must be >= 1"),
+        ({"gauge": {"triples": 0}}, "gauge.triples must be >= 1"),
+        ({"gauge": {"z_samples": 0}}, "gauge.z_samples must be >= 1"),
+        ({"gauge": {"pairs": 0}}, "gauge.pairs must be >= 1"),
+        ({"transitivity": {"pairs": 0}}, "transitivity.pairs must be >= 1"),
+        ({"weights": {"samples": 0}}, "weights.samples must be >= 1"),
+        ({"weights": {"factor_dim": 0}}, "weights.factor_dim must be >= 1"),
+        ({"tensor": {"factors": 0}}, "tensor.factors must be >= 1"),
+        ({"seeds": {"rng": -1}}, "seeds.rng must be >= 0"),
+        ({"decay": {"n_max": 2}},
+         "decay.n_max must be >= decay.head_level"),
+        ({"lambda": {"kind": "custom", "values": ["a"]}}, "lambda.values"),
+        ({"lambda": {"kind": "custom", "values": [1.0, -2.0]}},
+         "lambda.values"),
+        ({"lambda": {"values": 3}}, "lambda.values"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, override, message):
         path = tmp_path / "bad.yaml"
@@ -130,6 +150,26 @@ class TestCommands:
         for name in ("'gird'", "corner.cut_levels", "corner.witness_label",
                      "covariance.labels"):
             assert name in result.output
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_least_accepted_values_run(self, command, tmp_path):
+        path = tmp_path / "least.yaml"
+        config = {name.split(".")[0]: {} for name in MINIMUMS}
+        for name, least in MINIMUMS.items():
+            section, key = name.split(".")
+            config[section][key] = least
+        config["decay"] = {"n_max": 3, "head_level": 3}
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path / "out"
+        result = run_cli([command, "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert load_report(out, command)["all_pass"]
+
+    def test_negative_seed_option_is_usage_error(self, tmp_path):
+        result = CliRunner().invoke(
+            main, ["delta", "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "--seed" in result.output
 
     def test_every_cell_edge_is_a_valid_cut(self, tmp_path):
         path = tmp_path / "edges.yaml"

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cpflow.cornercheck import assemble_doubled
+from cpflow.cornercheck import (
+    WeightMatrix,
+    assemble_doubled,
+    doubled_boundary_rep,
+)
 from cpflow.halfline import ExpKernelVector, inner_product
 from cpflow.opbasis import (
     ChoiVerdict,
@@ -30,10 +34,49 @@ def span_model():
     return MatrixModel(n_factors=3, factor_dim=2, h_kind="span")
 
 
-def random_density(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_density(rng, dim, rank=None):
+    a = rng.normal(size=(dim, rank or dim)) \
+        + 1j * rng.normal(size=(dim, rank or dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def point_mass(model):
+    nu = np.zeros((model.dim_h, model.dim_h), dtype=complex)
+    nu[0, 0] = 1.0
+    return nu
+
+
+def rank_two(model):
+    return random_density(np.random.default_rng(9), model.dim_h, rank=2)
+
+
+def corner(model, entries, dim_out):
+    """A 1x1 matrix of maps as its entry, a 2x2 one on the doubled space.
+
+    Every entry maps K-densities to dim_out-densities.
+    """
+    if len(entries) == 1:
+        return entries[0][0]
+    return assemble_doubled(entries, model.dim_k, dim_out)
+
+
+def reference_truncation(model, t, blocks):
+    """Dense mu -> P mu P on densities with 1 or 2 diagonal blocks."""
+    if blocks == 1:
+        return model.truncation_superop(t)
+    p_tilde = np.kron(np.eye(2 * model.dim_k), model.cut(t))
+    return np.kron(p_tilde, p_tilde.T)
+
+
+def reference_lambda(model, blocks):
+    """Dense lambdahat on densities with 1 or 2 diagonal blocks."""
+    if blocks == 1:
+        return model.lambda_superop()
+    d, mh = 2 * model.dim_k, model.h_dim
+    eye = np.eye(d)
+    t6 = np.einsum("bi,aj,pq->baiqjp", eye, eye, model.h_damping)
+    return t6.reshape(d * d, (d * mh) ** 2)
 
 
 class TestBases:
@@ -120,13 +163,18 @@ class TestPredualMaps:
 
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_pred_lambda_maps_superop_columns(self, model, blocks):
+        # two blocks: lambdahat of a doubled superoperator is the 2x2
+        # matrix of lambdahat of its entries
         rng = np.random.default_rng(6)
-        dh = blocks * model.dim_h
-        stack = rng.normal(size=(dh * dh, 5)) + 1j * rng.normal(
-            size=(dh * dh, 5))
-        np.testing.assert_allclose(model.pred_lambda(stack, blocks),
-                                   model.lambda_superop(blocks) @ stack,
-                                   atol=1e-12)
+        dh, cols = model.dim_h, 5 if blocks == 1 else model.dim_k ** 2
+        entries = [[rng.normal(size=(dh * dh, cols))
+                    + 1j * rng.normal(size=(dh * dh, cols))
+                    for _ in range(blocks)] for _ in range(blocks)]
+        images = [[model.pred_lambda(e) for e in row] for row in entries]
+        np.testing.assert_allclose(
+            corner(model, images, model.dim_k),
+            reference_lambda(model, blocks) @ corner(model, entries, dh),
+            atol=1e-12)
 
     def test_lambda_of_identity_is_damping_trace(self, model):
         mu = np.eye(model.dim_h, dtype=complex)
@@ -150,11 +198,35 @@ class TestWeightSuperop:
             model.weight_superop(z=1e6)
 
     def test_xi_eta_normalization(self, model):
-        nu = np.zeros((model.dim_h, model.dim_h), dtype=complex)
-        nu[0, 0] = 1.0
-        eta, d_val = model.xi_eta(nu)
+        eta, d_val = model.xi_eta(point_mass(model))
         assert 0.0 < d_val < 1.0
         np.testing.assert_allclose(eta, eta.conj().T, atol=1e-12)
+
+    @pytest.mark.parametrize("make_nu", [point_mass, rank_two])
+    @pytest.mark.parametrize("n_factors", [2, 3])
+    def test_xi_eta_matches_big_space_series(self, n_factors, make_nu):
+        m = MatrixModel(n_factors=n_factors, factor_dim=2)
+        nu, dh = make_nu(m), m.dim_h
+        # sum_n (pihat lambdahat)^n nu solved on the dim_h^2 coordinates
+        big = m.pi_superop @ m.lambda_superop()
+        d_ref = np.trace(nu @ np.kron(m.delta_matrix, m.h_damping)).real
+        series = np.linalg.solve(np.eye(dh * dh) - big, nu.reshape(-1))
+        ref = series.reshape(dh, dh) / (1.0 - d_ref)
+        ref = 0.5 * (ref + ref.conj().T)
+        eta, d_val = m.xi_eta(nu)
+        assert d_val == pytest.approx(d_ref, rel=0, abs=1e-14)
+        assert np.linalg.norm(eta - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("make_nu", [point_mass, rank_two])
+    @pytest.mark.parametrize("n_factors", [2, 3])
+    def test_xi_eta_fixed_point(self, n_factors, make_nu):
+        # x = (1 - d) eta solves x - pihat lambdahat x = nu
+        m = MatrixModel(n_factors=n_factors, factor_dim=2)
+        nu = make_nu(m)
+        eta, d_val = m.xi_eta(nu)
+        x = (1.0 - d_val) * eta
+        np.testing.assert_allclose(x - m.pred_pi(m.pred_lambda(x)), nu,
+                                   rtol=0, atol=1e-12)
 
     def test_boundary_rep_cp_at_cell_edges(self, model):
         omega = model.weight_superop()
@@ -209,12 +281,6 @@ class TestChoi:
         assert v.completely_positive
 
 
-def doubled_weight(model):
-    omega, corner = model.weight_superop(), model.weight_superop(-1.0)
-    return assemble_doubled([[omega, corner], [corner, omega]],
-                            model.dim_k, model.dim_h)
-
-
 def random_kraus_superop(rng, dim_in, dim_out, rank, cut_rows=()):
     """Superoperator of a random CP map; cut_rows are zero output rows."""
     out = np.zeros((dim_out * dim_out, dim_in * dim_in), dtype=complex)
@@ -232,27 +298,42 @@ class TestCutAwareKernels:
     @pytest.mark.parametrize("blocks", [1, 2])
     @pytest.mark.parametrize("t", [0.5, 0.25])
     def test_apply_truncation_equals_truncation_superop(self, blocks, t):
+        # two blocks: the cut of a doubled superoperator is the 2x2 matrix
+        # of the cuts of its entries
         small = MatrixModel(n_factors=2, factor_dim=2)
         rng = np.random.default_rng(7)
-        dh, din = blocks * small.dim_h, blocks * small.dim_k
-        superop = rng.normal(size=(dh * dh, din * din)) \
-            + 1j * rng.normal(size=(dh * dh, din * din))
-        masked = small.apply_truncation(t, superop, blocks)
-        dense = small.truncation_superop(t, blocks) @ superop
+        dh, din = small.dim_h, small.dim_k
+        entries = [[rng.normal(size=(dh * dh, din * din))
+                    + 1j * rng.normal(size=(dh * dh, din * din))
+                    for _ in range(blocks)] for _ in range(blocks)]
+        masked = corner(small, [[small.apply_truncation(t, e) for e in row]
+                                for row in entries], dh)
+        dense = reference_truncation(small, t, blocks) \
+            @ corner(small, entries, dh)
         assert np.array_equal(masked, dense)
 
     @pytest.mark.parametrize("n_factors", [2, 3])
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_boundary_rep_matches_explicit_inverse(self, n_factors, blocks):
+        # two blocks: the corner at z = 1j (upper != lower), solved entry
+        # by entry, against the inverse of the whole doubled system
         m = MatrixModel(n_factors=n_factors, factor_dim=2)
-        omega = m.weight_superop() if blocks == 1 else doubled_weight(m)
+        omega = m.weight_superop()
+        entries = [[omega]] if blocks == 1 \
+            else WeightMatrix(m, omega, 1j).blocks()
         for t in (0.5, 0.25):
-            w_t = m.truncation_superop(t, blocks) @ omega
-            system = np.eye(w_t.shape[1]) + m.lambda_superop(blocks) @ w_t
+            w_t = reference_truncation(m, t, blocks) \
+                @ corner(m, entries, m.dim_h)
+            system = np.eye(w_t.shape[1]) \
+                + reference_lambda(m, blocks) @ w_t
             reference = w_t @ np.linalg.inv(system)
-            rep, cond = m.boundary_rep(omega, t, blocks)
+            if blocks == 1:
+                rep, cond = m.boundary_rep(omega, t)
+                assert cond == pytest.approx(np.linalg.cond(system),
+                                             rel=1e-12)
+            else:
+                rep = doubled_boundary_rep(m, entries, t)
             np.testing.assert_allclose(rep, reference, rtol=0, atol=1e-12)
-            assert cond == pytest.approx(np.linalg.cond(system), rel=1e-12)
 
     @pytest.mark.parametrize("cut_rows", [(), (0, 2), (1, 3, 4)])
     def test_choi_min_eig_matches_full_spectrum(self, cut_rows):

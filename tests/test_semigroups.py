@@ -92,7 +92,41 @@ class TestEvolve:
         assert ratio == pytest.approx(1.0, abs=20 * g.spacing)
 
 
+def replayed_flow_inner(f, g):
+    """flow_inner by replaying the transport on copies of the sources."""
+    h = f.grid.spacing
+    a = f.source_cells.copy()
+    b = g.source_cells.copy()
+    d = UzParams(f.z, h).step_damping * UzParams(g.z, h).step_damping
+    feed = h * np.conj(complex(f.z)) * complex(g.z)
+    value = h * complex(np.vdot(a, b))
+    for _ in range(f.steps):
+        ov = h * complex(np.vdot(a[-1], b[-1]))
+        a[1:] = a[:-1]
+        a[0] = 0.0
+        b[1:] = b[:-1]
+        b[0] = 0.0
+        value = d * ((value - ov) + feed * value)
+    return value
+
+
 class TestPairings:
+    # (50, 12.0): more steps than cells
+    @pytest.mark.parametrize("points, t", [(200, 1.0), (1600, 1.0),
+                                           (50, 12.0)])
+    @pytest.mark.parametrize("dim_k", [1, 2])
+    def test_matches_replayed_transport(self, points, t, dim_k):
+        grid = Grid(8.0, points)
+        rng = np.random.default_rng(points)
+        f, g = (FlowState(grid, rng.normal(size=(points, dim_k))
+                          + 1j * rng.normal(size=(points, dim_k)))
+                for _ in range(2))
+        for w in LABELS:
+            for z in LABELS:
+                ef, eg = evolve(f, w, t).state, evolve(g, z, t).state
+                assert ef.steps > 0
+                assert flow_inner(ef, eg) == replayed_flow_inner(ef, eg)
+
     def test_flow_inner_at_rest(self):
         g = Grid(8.0, 100)
         f = bump_state(g, 3.0, 0.4)
