@@ -19,7 +19,12 @@ import yaml
 
 from . import __version__
 from .halfline import ExpKernelVector, Grid
-from .tensorspace import LambdaSequence, delta_pairing, reference_state
+from .tensorspace import (
+    LambdaSequence,
+    TruncationExceededError,
+    delta_pairing,
+    reference_state,
+)
 from .weights import (
     HFunctional,
     boundary_identity,
@@ -53,7 +58,7 @@ from .semigroups import (
     analytic_gram,
     bump_state,
     covariance,
-    covariance_residual,
+    covariance_residuals,
     gram_min_eig,
     numeric_gram,
     refinement_orders,
@@ -97,13 +102,14 @@ def _merge(base: dict, override: dict) -> dict:
 
 # The least value of each integer setting.  Below it a runner indexes an
 # empty tuple, takes the min or max of no samples, or passes a check that
-# never ran; covariance needs two refinement levels for one order.
+# never ran; covariance needs two refinement levels for one order, and
+# decay bumps no factor below head level 1.
 MINIMUMS = {
     "tensor.factors": 1, "tensor.factor_dim": 1, "series.max_terms": 1,
     "seeds.rng": 0, "covariance.refinements": 2, "gauge.triples": 1,
     "gauge.r_samples": 1, "gauge.z_samples": 1, "gauge.pairs": 1,
     "transitivity.pairs": 1, "corner.factors": 1, "weights.samples": 1,
-    "weights.factor_dim": 1,
+    "weights.factor_dim": 1, "decay.head_level": 1,
 }
 
 
@@ -322,17 +328,14 @@ def run_covariance(cfg, rep: Reporter, rng, refine: int = 0):
     t = float(block["t"])
     length = float(cfg["grid"]["length"])
     base_points = int(cfg["grid"]["points"])
-    n_levels = int(block["refinements"]) + max(0, refine)
+    n_levels = int(block["refinements"]) + refine
     max_residuals = []
     for level in range(n_levels):
         grid = Grid(length, base_points * 2 ** level)
         f = bump_state(grid, 3.0, 0.4)
         g = bump_state(grid, 3.5, 0.5)
-        worst = 0.0
-        for w in labels:
-            for z in labels:
-                worst = max(worst, covariance_residual(w, z, t, f, g))
-        max_residuals.append(worst)
+        max_residuals.append(
+            float(covariance_residuals(labels, labels, t, f, g).max()))
     orders = refinement_orders(max_residuals)
     rep.bound("min-refinement-order", min(orders), 0.8, "ge",
               "derived-oracle")
@@ -498,7 +501,7 @@ COMMANDS = {
               help="Directory for the report and CSV curves.")
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override the RNG seed from the config.")
-@click.option("--refine", type=int, default=0,
+@click.option("--refine", type=click.IntRange(min=0), default=0,
               help="Extra grid halvings for convergence-order records.")
 def main(command, config_path, out_dir, seed, refine):
     """Run one experiment and write its report."""
@@ -508,10 +511,17 @@ def main(command, config_path, out_dir, seed, refine):
     rng = np.random.default_rng(cfg["seeds"]["rng"])
     rep = Reporter(command, cfg, Path(out_dir))
     runner = COMMANDS[command]
-    if command == "covariance":
-        runner(cfg, rep, rng, refine=refine)
-    else:
-        runner(cfg, rep, rng)
+    try:
+        if command == "covariance":
+            runner(cfg, rep, rng, refine=refine)
+        else:
+            runner(cfg, rep, rng)
+    except TruncationExceededError as exc:
+        # how many values a command reads is known only once it runs
+        if cfg["lambda"]["kind"] != "custom":
+            raise
+        raise ConfigError("invalid config: lambda.values is too short for "
+                          "%s: %s" % (command, exc)) from exc
     path = rep.write()
     failed = [r["name"] for r in rep.records if not r["pass"]]
     click.echo("report: %s" % path)

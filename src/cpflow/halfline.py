@@ -223,19 +223,33 @@ def gamma_grid(a: np.ndarray, grid: "Grid", t_cut: float = 40.0) -> np.ndarray:
     """Approximate the damped translation average of a grid-matrix operator.
 
     The result is flagged approximate: the t-integral is a Riemann sum over
-    whole-cell translations and the tail beyond t_cut is dropped.
+    whole-cell translations and the tail beyond t_cut is dropped:
+
+        out[i, j] = sum_{k < steps, k <= min(i, j)} h e^{-kh} a[i-k, j-k],
+
+    since U(kh) A U(kh)* shifts the matrix down-right by k cells.  Rows
+    follow the diagonal recursion
+
+        out[i] = h a[i] + e^{-h} shift(out[i-1]),
+
+    less h e^{-steps h} shift^steps(a[i-steps]) once the cut truncates,
+    which is O(n^2) instead of one n x n block per step, O(n^3).  It
+    agrees with the blockwise sum to 1e-13 relative (tests/test_halfline).
     """
     n = grid.points
     if a.shape != (n, n):
         raise UnsupportedRepresentationError("matrix does not match the grid")
     h = grid.spacing
     steps = min(n, int(round(t_cut / h)))
-    out = np.zeros_like(a, dtype=complex)
-    for k in range(steps):
-        # U(kh) A U(kh)* shifts the matrix down-right by k cells
-        block = np.zeros_like(out)
-        block[k:, k:] = a[: n - k, : n - k]
-        out += np.exp(-k * h) * h * block
+    if steps <= 0:
+        return np.zeros((n, n), dtype=complex)
+    out = h * np.asarray(a, dtype=complex)
+    decay = np.exp(-h)
+    cut = h * np.exp(-steps * h)
+    for i in range(1, n):
+        out[i, 1:] += decay * out[i - 1, :-1]
+        if i >= steps:
+            out[i, steps:] -= cut * a[i - steps, : n - steps]
     return out
 
 

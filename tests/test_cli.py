@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from cpflow.cli import MINIMUMS, main
+from cpflow.cli import MINIMUMS, Reporter, load_config, main, run_delta
+from cpflow.tensorspace import TruncationExceededError
 
 FAST_CONFIG = {
     "gauge": {"triples": 50, "r_samples": 500, "z_samples": 10, "pairs": 20},
@@ -104,6 +106,8 @@ class TestCommands:
         ({"lambda": {"kind": "custom", "values": [1.0, -2.0]}},
          "lambda.values"),
         ({"lambda": {"values": 3}}, "lambda.values"),
+        ({"decay": {"head_level": -1}}, "decay.head_level must be >= 1"),
+        ({"decay": {"head_level": 0}}, "decay.head_level must be >= 1"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, override, message):
         path = tmp_path / "bad.yaml"
@@ -171,6 +175,13 @@ class TestCommands:
         assert result.exit_code == 2
         assert "--seed" in result.output
 
+    def test_negative_refine_option_is_usage_error(self, tmp_path):
+        result = CliRunner().invoke(
+            main, ["covariance", "--refine", "-1", "--out",
+                   str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "--refine" in result.output
+
     def test_every_cell_edge_is_a_valid_cut(self, tmp_path):
         path = tmp_path / "edges.yaml"
         config = dict(FAST_CONFIG)
@@ -223,3 +234,36 @@ class TestRefine:
         lines = (out / "covariance-residuals.csv").read_text() \
             .strip().splitlines()
         assert len(lines) - 1 == 3  # 2 configured + 1 extra level
+
+
+# custom lambda sequences that parse but are too short for delta
+SHORT_LAMBDAS = [
+    ([1.0, 2.0], "custom sequence has no value at index 3"),
+    ([2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
+     "custom sequence ends before its tail product settles"),
+]
+
+
+class TestShortLambdaSequence:
+    @pytest.mark.parametrize("values, message", SHORT_LAMBDAS)
+    def test_cli_reports_config_error(self, tmp_path, values, message):
+        path = tmp_path / "short.yaml"
+        path.write_text(yaml.safe_dump(
+            {"lambda": {"kind": "custom", "values": values}}))
+        result = CliRunner().invoke(
+            main, ["delta", "--config", str(path), "--out",
+                   str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "invalid config: lambda.values" in result.output
+        assert message in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("values, message", SHORT_LAMBDAS)
+    def test_runner_still_raises(self, tmp_path, values, message):
+        path = tmp_path / "short.yaml"
+        path.write_text(yaml.safe_dump(
+            {"lambda": {"kind": "custom", "values": values}}))
+        cfg = load_config(str(path))
+        rep = Reporter("delta", cfg, tmp_path / "o")
+        with pytest.raises(TruncationExceededError, match=message):
+            run_delta(cfg, rep, np.random.default_rng(0))

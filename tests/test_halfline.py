@@ -207,6 +207,45 @@ class TestGamma:
         assert val.real == pytest.approx(1.0 / 6.0, abs=5e-3)
 
 
+def blockwise_gamma_grid(a, grid, t_cut=40.0):
+    """gamma_grid as one shifted n x n block per translation step, O(n^3)."""
+    n = grid.points
+    h = grid.spacing
+    steps = min(n, int(round(t_cut / h)))
+    out = np.zeros_like(a, dtype=complex)
+    for k in range(steps):
+        block = np.zeros_like(out)
+        block[k:, k:] = a[: n - k, : n - k]
+        out += np.exp(-k * h) * h * block
+    return out
+
+
+class TestGammaGridRecursion:
+    # t_cut above the grid length keeps every step; 0.4 of it truncates
+    # (for n = 1 it rounds to no step at all)
+    @pytest.mark.parametrize("n", [1, 2, 150, 301])
+    @pytest.mark.parametrize("source", ["identity", "random"])
+    @pytest.mark.parametrize("cut_fraction", [40.0 / 15.0, 0.4],
+                             ids=["uncut", "cut"])
+    def test_matches_blockwise_sum(self, n, source, cut_fraction):
+        grid = Grid(15.0, n)
+        if source == "identity":
+            a = np.eye(n)
+        else:
+            rng = np.random.default_rng(n)
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        t_cut = cut_fraction * grid.length
+        ref = blockwise_gamma_grid(a, grid, t_cut)
+        out = gamma_grid(a, grid, t_cut)
+        scale = np.max(np.abs(ref))
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (4,)])
+    def test_mismatched_shape_rejected(self, shape):
+        with pytest.raises(UnsupportedRepresentationError):
+            gamma_grid(np.ones(shape), Grid(1.0, 4))
+
+
 class TestGridBackend:
     def test_sampled_inner_product_converges(self):
         f = ExpKernelVector([(1.0, 0.9)])

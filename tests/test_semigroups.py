@@ -15,6 +15,7 @@ from cpflow.semigroups import (
     bump_state,
     covariance,
     covariance_residual,
+    covariance_residuals,
     evolve,
     flow_inner,
     gram_min_eig,
@@ -92,6 +93,63 @@ class TestEvolve:
         assert ratio == pytest.approx(1.0, abs=20 * g.spacing)
 
 
+def per_step_evolve(state, z, t):
+    """evolve as a shift-and-damp loop over the whole state per step."""
+    z = complex(z)
+    h = state.grid.spacing
+    n_steps = int(round(t / h))
+    snap = abs(t - n_steps * h)
+    damping = UzParams(z, h).step_damping
+    cells = state.cells.copy()
+    outflow = state.outflow_mass
+    for _ in range(n_steps):
+        outflow += h * float(np.sum(np.abs(cells[-1]) ** 2))
+        cells[1:] = cells[:-1]
+        cells[0] = 0.0
+        cells *= damping
+    return EvolveResult(
+        FlowState(state.grid, cells, z, state.steps + n_steps,
+                  outflow, state.source_cells),
+        snap,
+    )
+
+
+def assert_same_evolution(res, ref):
+    np.testing.assert_array_equal(res.state.cells, ref.state.cells)
+    assert res.state.outflow_mass == ref.state.outflow_mass
+    assert res.state.steps == ref.state.steps
+    assert res.state.z == ref.state.z
+    assert res.snap_distance == ref.snap_distance
+
+
+class TestEvolveMatchesPerStepLoop:
+    # t = 12.0 takes more steps than the 8.0-long grid has cells
+    @pytest.mark.parametrize("points", [50, 1600])
+    @pytest.mark.parametrize("dim_k", [1, 2])
+    @pytest.mark.parametrize("z", [0.0, 1 + 1j, -0.5j, 2.0])
+    @pytest.mark.parametrize("t", [0.0, 0.503, 1.0, 12.0])
+    def test_bit_identical(self, points, dim_k, z, t):
+        grid = Grid(8.0, points)
+        rng = np.random.default_rng(points + dim_k)
+        f = FlowState(grid, rng.normal(size=(points, dim_k))
+                      + 1j * rng.normal(size=(points, dim_k)))
+        assert_same_evolution(evolve(f, z, t), per_step_evolve(f, z, t))
+
+    @pytest.mark.parametrize("points", [50, 1600])
+    @pytest.mark.parametrize("dim_k", [1, 2])
+    @pytest.mark.parametrize("z", [0.0, 1 + 1j])
+    def test_continued_state_bit_identical(self, points, dim_k, z):
+        grid = Grid(8.0, points)
+        rng = np.random.default_rng(points * dim_k)
+        f = FlowState(grid, rng.normal(size=(points, dim_k))
+                      + 1j * rng.normal(size=(points, dim_k)))
+        fed = per_step_evolve(f, z, 2.5).state
+        assert fed.steps > 0 and fed.outflow_mass > 0.0
+        for t in (0.0, 1.0, 9.0):
+            assert_same_evolution(evolve(fed, z, t),
+                                  per_step_evolve(fed, z, t))
+
+
 def replayed_flow_inner(f, g):
     """flow_inner by replaying the transport on copies of the sources."""
     h = f.grid.spacing
@@ -144,6 +202,41 @@ class TestPairings:
         g = bump_state(Grid(8.0, 200), 3.0, 0.4)
         with pytest.raises(IncompatibleStatesError):
             flow_inner(f, g)
+
+
+def pairwise_residual(w, z, t, f, g):
+    """One covariance residual from its own pair of evolutions."""
+    ef, eg = evolve(f, w, t).state, evolve(g, z, t).state
+    t_snapped = (ef.steps - f.steps) * f.grid.spacing
+    expected = np.exp(covariance(w, z) * t_snapped) * flow_inner(f, g)
+    return float(abs(flow_inner(ef, eg) - expected))
+
+
+class TestCovarianceResiduals:
+    @pytest.mark.parametrize("points, t", [(200, 1.0), (400, 0.503),
+                                           (200, 0.0)])
+    def test_matches_one_pair_at_a_time(self, points, t):
+        grid = Grid(8.0, points)
+        f = bump_state(grid, 3.0, 0.4)
+        # a phase on g makes (f, g) complex
+        g = FlowState(grid, bump_state(grid, 3.5, 0.5).cells
+                      * np.exp(2j * grid.midpoints)[:, None])
+        ws = LABELS + [-0.5j]
+        table = covariance_residuals(ws, LABELS, t, f, g)
+        assert table.shape == (len(ws), len(LABELS))
+        for i, w in enumerate(ws):
+            for j, z in enumerate(LABELS):
+                assert table[i, j] == covariance_residual(w, z, t, f, g)
+                assert table[i, j] == pairwise_residual(w, z, t, f, g)
+
+    @pytest.mark.parametrize("leaking", ["f", "g"])
+    def test_outflow_guard(self, leaking):
+        grid = Grid(8.0, 200)
+        near = bump_state(grid, 3.0, 0.4)
+        far = bump_state(grid, 7.5, 0.2)
+        f, g = (far, near) if leaking == "f" else (near, far)
+        with pytest.raises(InvalidExperimentError, match="outflow mass"):
+            covariance_residuals(LABELS, LABELS, 3.0, f, g)
 
 
 class TestCovarianceResidual:
