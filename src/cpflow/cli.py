@@ -32,7 +32,6 @@ from .weights import (
     identity_element,
     lemma_decay_curve,
     omega1,
-    omega_full,
     rank_one,
     xi_from_nu,
 )
@@ -103,13 +102,14 @@ def _merge(base: dict, override: dict) -> dict:
 # The least value of each integer setting.  Below it a runner indexes an
 # empty tuple, takes the min or max of no samples, or passes a check that
 # never ran; covariance needs two refinement levels for one order, and
-# decay bumps no factor below head level 1.
+# decay bumps no factor below head level 1; at delta level 0 the pairing
+# curve is the single point 1.
 MINIMUMS = {
     "tensor.factors": 1, "tensor.factor_dim": 1, "series.max_terms": 1,
     "seeds.rng": 0, "covariance.refinements": 2, "gauge.triples": 1,
     "gauge.r_samples": 1, "gauge.z_samples": 1, "gauge.pairs": 1,
     "transitivity.pairs": 1, "corner.factors": 1, "weights.samples": 1,
-    "weights.factor_dim": 1, "decay.head_level": 1,
+    "weights.factor_dim": 1, "decay.head_level": 1, "delta.levels": 1,
 }
 
 
@@ -169,6 +169,11 @@ def _validate(cfg: dict) -> list[str]:
                               % (name, least, cfg[section][key]))
         if cfg["decay"]["n_max"] < cfg["decay"]["head_level"]:
             errors.append("decay.n_max must be >= decay.head_level")
+        # at t = 0 every covariance residual is exactly 0 and the
+        # refinement order is inf: a pass that checks nothing
+        if cfg["covariance"]["t"] <= 0:
+            errors.append("covariance.t must be > 0, got %r"
+                          % cfg["covariance"]["t"])
     if cfg["lambda"]["kind"] not in ("linear", "geometric", "custom"):
         errors.append("lambda.kind must be linear, geometric or custom")
     values = cfg["lambda"]["values"]
@@ -179,14 +184,19 @@ def _validate(cfg: dict) -> list[str]:
             for v in values)):
         errors.append("lambda.values must be a list of positive numbers")
     labels = cfg["covariance"]["labels"]
-    if not isinstance(labels, list) or not _parses(_label, labels):
-        errors.append("covariance.labels must be a list of complex numbers")
+    if not isinstance(labels, list) or not labels \
+            or not _parses(_label, labels):
+        errors.append("covariance.labels must be a non-empty list of "
+                      "complex numbers")
+    # a cut at the top edge keeps no cell: every boundary representation
+    # there is the zero map and passes any CP check
     cuts = cfg["corner"]["cut_levels"]
-    if not isinstance(cuts, list) or not _parses(float, cuts) \
+    if not isinstance(cuts, list) or not cuts or not _parses(float, cuts) \
             or not all(any(abs(float(t) - edge) < 1e-12
-                           for edge in DEFAULT_EDGES) for t in cuts):
-        errors.append("corner.cut_levels must be a list of cell edges %s"
-                      % (DEFAULT_EDGES,))
+                           for edge in DEFAULT_EDGES[:-1]) for t in cuts):
+        errors.append("corner.cut_levels must be a non-empty list of the "
+                      "cell edges below the top edge %s"
+                      % (DEFAULT_EDGES[:-1],))
     witness = cfg["corner"]["witness_label"]
     if not _parses(_label, [witness]) \
             or not abs(abs(_label(witness)) - 1.0) <= 1e-12:
@@ -461,6 +471,7 @@ def run_weights_unitality(cfg, rep: Reporter, rng):
     scale = raw(identity_element()).real
     nu = HFunctional(((1.0 / scale, (nu_vec, nu_h), (nu_vec, nu_h)),))
     xi = xi_from_nu(nu, n_factors=n_factors)
+    xi_at_identity = xi.value(bid)
     worst1 = worst2 = 0.0
     for _ in range(samples):
         vecs = []
@@ -472,11 +483,11 @@ def run_weights_unitality(cfg, rep: Reporter, rng):
                     [(coeffs[j], 1.0 + j) for j in range(m)]))
             vecs.append(ProductVector(seq, tuple(factors), n_factors + 1))
         rho = rank_one(vecs[0], vecs[0]) + rank_one(vecs[1], vecs[1])
-        val1 = omega1(rho, bid, n_factors=n_factors)
-        expected1 = rho(None) - rho.delta_value()
-        worst1 = max(worst1, abs(val1.value - expected1))
-        val2 = omega_full(rho, bid, xi, n_factors=n_factors)
-        worst2 = max(worst2, abs(val2 - rho(None)))
+        val1 = omega1(rho, bid, n_factors=n_factors).value
+        total, delta = rho(None), rho.delta_value()
+        worst1 = max(worst1, abs(val1 - (total - delta)))
+        # the full weight omega(rho) = omega1(rho) + rho(Delta) xi(I)
+        worst2 = max(worst2, abs(val1 + delta * xi_at_identity - total))
     rep.bound("minimal-weight-identity-residual", worst1, 1e-8, "le",
               "paper")
     rep.bound("unital-weight-residual", worst2, 1e-8, "le", "paper")

@@ -1,14 +1,25 @@
 """2x2 matrices of maps and weights, Choi positivity, subordination.
 
-A corner is the off-diagonal entry of a 2x2 matrix of maps acting
-entrywise on a doubled space.  Here the diagonal entries are weight
-superoperators (the minimal series weight or its unital extension) and
-the off-diagonal entries are the series weights with label z on the unit
-circle.  Complete positivity of the induced generalized boundary
-representations is decided through Choi spectra, and the subordination
-order between two weights is the complete positivity of the difference
-of their boundary representations along a decreasing sequence of cut
-levels.
+A corner is the off-diagonal entry of a 2x2 matrix of maps Phi = [phi_ab]
+acting entrywise on a doubled space: Phi(X) has the blocks phi_ab(X_ab).
+Here the diagonal entries are weight superoperators (the minimal series
+weight or its unital extension) and the off-diagonal entries are the
+series weights with label z on the unit circle.  Complete positivity of
+the induced generalized boundary representations is decided through
+Choi spectra, and the subordination order between two weights is the
+complete positivity of the difference of their boundary representations
+along a decreasing sequence of cut levels.
+
+The doubled space is never built.  A 2x2 map is CP iff its fold
+psi(X) = sum_ab phi_ab(X_ab) = V* Phi(X) V, V = [I; I], is CP: up to a
+permutation Choi(Phi) is Choi(psi) plus an identically zero block (see
+fold_doubled), so its Choi spectrum is taken on 2 dim_k dim_h rows
+instead of 4 dim_k dim_h.  The unital and the minimal matrix at a label
+share their off-diagonal entries, and boundary representations of 2x2
+matrices are taken entry by entry, so the difference of theirs is
+diag(D, D), with D the difference of the diagonal entries'
+representations.  Dominance of the minimal matrix by the unital one is
+therefore the subordination of the minimal weight to the unital weight.
 """
 
 from __future__ import annotations
@@ -17,11 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opbasis import (
-    ChoiVerdict,
-    MatrixModel,
-    choi_min_eig,
-)
+from .opbasis import MatrixModel, choi_min_eig
 
 
 class NonCompletelyPositiveInputError(ValueError):
@@ -36,53 +43,42 @@ class DegenerateDirectionError(ValueError):
     """The requested witness direction is degenerate (label z = 1)."""
 
 
-def assemble_doubled(blocks, dim_in: int, dim_out: int) -> np.ndarray:
-    """Superoperator of the entrywise 2x2 map on the doubled space.
+def fold_doubled(blocks, dim_in: int, dim_out: int) -> np.ndarray:
+    """Superoperator of the fold psi(X) = sum_ab phi_ab(X_ab) of a 2x2 map.
 
-    blocks is a 2x2 nested sequence of superoperators, each of shape
-    (dim_out^2, dim_in^2); block (a, b) acts on the (a, b) block of a
-    doubled density.
+    blocks is a 2x2 nested sequence of superoperators phi_ab, each of
+    shape (dim_out^2, dim_in^2); the entrywise map Phi = [phi_ab] sends a
+    doubled density X to the doubled density with blocks phi_ab(X_ab).
+    Its fold is psi(X) = V* Phi(X) V with V = [I; I], a map from
+    2*dim_in- to dim_out-densities.  Phi(E_ij) lives in the output block
+    of the input block of i, so up to a permutation Choi(Phi) is
+    Choi(psi) plus an identically zero block: Phi is CP iff psi is, and
+    the minimum Choi eigenvalue of Phi is min(that of psi, 0).  The fold
+    places each entry on its input block and adds nothing up, so its
+    Choi matrix has the very entries of the nonzero part of Choi(Phi).
     """
-    big = np.zeros((2 * dim_out, 2 * dim_out, 2 * dim_in, 2 * dim_in),
-                   dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            s4 = np.asarray(blocks[a][b], dtype=complex).reshape(
-                dim_out, dim_out, dim_in, dim_in)
-            big[a * dim_out:(a + 1) * dim_out,
-                b * dim_out:(b + 1) * dim_out,
-                a * dim_in:(a + 1) * dim_in,
-                b * dim_in:(b + 1) * dim_in] = s4
-    return big.reshape(4 * dim_out * dim_out, 4 * dim_in * dim_in)
+    s5 = np.array([[np.reshape(blocks[a][b], (dim_out * dim_out, dim_in,
+                                              dim_in))
+                    for b in range(2)] for a in range(2)], dtype=complex)
+    return s5.transpose(2, 0, 3, 1, 4).reshape(dim_out * dim_out,
+                                               4 * dim_in * dim_in)
 
 
-def doubled_boundary_rep(model: MatrixModel, blocks, t: float) -> np.ndarray:
-    """Boundary representation of a 2x2 matrix of weights at cut level t.
+def _folded_rep(model: MatrixModel, diagonal, upper, lower,
+                t: float) -> np.ndarray:
+    """Folded boundary representation of a 2x2 weight matrix at level t.
 
-    The cut and lambdahat act entrywise on doubled densities, so the
-    resolvent system of the doubled weight is block diagonal and its
-    boundary representation is the 2x2 matrix of the entries'
-    representations.  blocks is a 2x2 nested sequence of weight
-    superoperators over the model; each entry's system goes through the
+    The matrix is [[diagonal, upper], [lower, diagonal]].  The cut and
+    lambdahat act entrywise on doubled densities, so the resolvent system
+    of the doubled weight is block diagonal and its boundary
+    representation is the 2x2 matrix of the entries' representations; the
+    shared diagonal is solved once.  Each entry's system goes through the
     singularity gate of MatrixModel.boundary_rep.
     """
-    return assemble_doubled([[model.boundary_rep(w, t)[0] for w in row]
-                             for row in blocks], model.dim_k, model.dim_h)
-
-
-def permuted_choi_min_eig(superop: np.ndarray, dim_in: int, dim_out: int,
-                          perm_in, perm_out,
-                          tolerance: float = 1e-8) -> ChoiVerdict:
-    """Choi spectrum after permuting the input and output operator bases.
-
-    Basis permutations are unitary conjugations, so the minimum Choi
-    eigenvalue must be unchanged up to round-off.
-    """
-    p_in = np.eye(dim_in)[:, list(perm_in)]
-    p_out = np.eye(dim_out)[:, list(perm_out)]
-    left = np.kron(p_out.T, p_out.T)
-    right = np.kron(p_in, p_in)
-    return choi_min_eig(left @ superop @ right, dim_in, dim_out, tolerance)
+    diag_rep, upper_rep, lower_rep = (model.boundary_rep(w, t)[0]
+                                      for w in (diagonal, upper, lower))
+    return fold_doubled([[diag_rep, upper_rep], [lower_rep, diag_rep]],
+                        model.dim_k, model.dim_h)
 
 
 @dataclass(frozen=True)
@@ -105,17 +101,9 @@ class WeightMatrix:
         return [[self.diagonal, upper], [lower, self.diagonal]]
 
     def boundary_rep(self, t: float) -> np.ndarray:
-        return doubled_boundary_rep(self.model, self.blocks(), t)
-
-
-def minimal_weight_matrix(model: MatrixModel, z: complex) -> WeightMatrix:
-    return WeightMatrix(model, model.weight_superop(), z)
-
-
-def unital_weight_matrix(model: MatrixModel, z: complex,
-                         nu_density: np.ndarray) -> WeightMatrix:
-    eta, _ = model.xi_eta(nu_density)
-    return WeightMatrix(model, model.weight_superop(xi_eta=eta), z)
+        """Fold of the doubled boundary representation at cut level t."""
+        (diagonal, upper), (lower, _) = self.blocks()
+        return _folded_rep(self.model, diagonal, upper, lower, t)
 
 
 @dataclass(frozen=True)
@@ -131,31 +119,36 @@ def subordination_check(model: MatrixModel, upper, lower, cut_levels,
     """Is lower subordinate to upper at the sampled cut levels?
 
     upper and lower are weight superoperators over the model (or
-    WeightMatrix instances); the check compares their generalized
-    boundary representations: the difference must be CP at every sampled
-    level.  Inputs whose own boundary representations are not CP are
-    rejected with the offending eigenvalue.
+    WeightMatrix instances, whose folds are compared); the check compares
+    their generalized boundary representations: the difference must be
+    CP at every sampled level.  Inputs whose own boundary representations
+    are not CP are rejected with the offending eigenvalue.  An empty list
+    of cut levels samples nothing, and a cut at the top cell edge keeps
+    no cell, so every representation there is the zero map: both are
+    rejected with ValueError.
     """
+    top = model.h_edges[-1]
+    if len(cut_levels) == 0 or max(cut_levels) >= top - 1e-12:
+        raise ValueError("subordination needs cut levels below the top "
+                         "cell edge %g" % top)
     if isinstance(upper, WeightMatrix):
-        blocks = 2
+        din = 2 * model.dim_k
         reps = [(upper.boundary_rep(t), lower.boundary_rep(t))
                 for t in cut_levels]
     else:
-        blocks = 1
+        din = model.dim_k
         reps = [(model.boundary_rep(upper, t)[0],
                  model.boundary_rep(lower, t)[0])
                 for t in cut_levels]
-    din = blocks * model.dim_k
-    dout = blocks * model.dim_h
     mins = []
     for t, (rep_up, rep_low) in zip(cut_levels, reps):
         for name, rep in (("upper", rep_up), ("lower", rep_low)):
-            v = choi_min_eig(rep, din, dout, tolerance)
+            v = choi_min_eig(rep, din, model.dim_h, tolerance)
             if not v.completely_positive:
                 raise NonCompletelyPositiveInputError(
                     "%s weight is not CP at cut level %g" % (name, t),
                     v.min_eigenvalue)
-        mins.append(choi_min_eig(rep_up - rep_low, din, dout,
+        mins.append(choi_min_eig(rep_up - rep_low, din, model.dim_h,
                                  tolerance).min_eigenvalue)
     sub = all(m >= -tolerance for m in mins)
     return SubordinationVerdict(sub, tuple(cut_levels), tuple(mins),
@@ -204,6 +197,10 @@ def hypermax_witness(z: complex, model: MatrixModel,
 
     Requires |z| = 1 and z != 1; z = 1 is the degenerate direction where
     the off-diagonal admits an extra weight and the witness collapses.
+    Dominance is read from subordination_check of the minimal weight
+    under the unital one (see the module docstring), so it does not
+    depend on z, and non-CP diagonal weights or cut levels that sample
+    nothing are rejected as there.
     """
     z = complex(z)
     if abs(abs(z) - 1.0) > 1e-12:
@@ -215,20 +212,17 @@ def hypermax_witness(z: complex, model: MatrixModel,
     eta, _ = model.xi_eta(nu_density)
     gap_norm = float(np.linalg.norm(eta)) * float(
         np.linalg.norm(model.delta_matrix))
-    minimal = minimal_weight_matrix(model, z)
-    unital = WeightMatrix(model, model.weight_superop(xi_eta=eta), z)
-    din, dout = 2 * model.dim_k, 2 * model.dim_h
-    minimal_eigs = []
-    diff_eigs = []
-    for t in cut_levels:
-        rep_min = minimal.boundary_rep(t)
-        rep_full = unital.boundary_rep(t)
-        minimal_eigs.append(choi_min_eig(rep_min, din, dout,
-                                         tolerance).min_eigenvalue)
-        diff_eigs.append(choi_min_eig(rep_full - rep_min, din, dout,
-                                      tolerance).min_eigenvalue)
-    return HypermaxReport(z, tuple(cut_levels), tuple(minimal_eigs),
-                          tuple(diff_eigs), gap_norm, tolerance)
+    minimal = model.weight_superop()
+    dominance = subordination_check(
+        model, model.weight_superop(xi_eta=eta), minimal, cut_levels,
+        tolerance)
+    corner = WeightMatrix(model, minimal, z)
+    minimal_eigs = tuple(
+        choi_min_eig(corner.boundary_rep(t), 2 * model.dim_k, model.dim_h,
+                     tolerance).min_eigenvalue for t in cut_levels)
+    return HypermaxReport(z, tuple(cut_levels), minimal_eigs,
+                          dominance.difference_min_eigs, gap_norm,
+                          tolerance)
 
 
 def derivation_residual(model: MatrixModel, z: complex) -> float:
@@ -257,9 +251,7 @@ def offdiag_perturbation_min_eig(model: MatrixModel, z: complex,
     """
     eta, _ = model.xi_eta(nu_density)
     gap = eps * eta.reshape(-1, 1) @ model.delta_matrix.T.reshape(1, -1)
-    diag = model.weight_superop()
-    upper = model.weight_superop(complex(z)) + gap
-    lower = model.weight_superop(np.conj(complex(z)))
-    rep = doubled_boundary_rep(model, [[diag, upper], [lower, diag]], t)
-    return choi_min_eig(rep, 2 * model.dim_k,
-                        2 * model.dim_h).min_eigenvalue
+    rep = _folded_rep(model, model.weight_superop(),
+                      model.weight_superop(complex(z)) + gap,
+                      model.weight_superop(np.conj(complex(z))), t)
+    return choi_min_eig(rep, 2 * model.dim_k, model.dim_h).min_eigenvalue

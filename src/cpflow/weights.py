@@ -327,14 +327,6 @@ def xi_from_nu(nu: HFunctional, cfg: WeightSeriesConfig | None = None,
     return BoundaryWeight(nu, 1.0 / (1.0 - d.real), n_factors, cfg)
 
 
-def omega_full(rho: Functional, element: HElement, xi: BoundaryWeight,
-               cfg: WeightSeriesConfig | None = None,
-               n_factors: int | None = None) -> complex:
-    """The full weight omega(rho) = omega1(rho) + rho(Delta) xi."""
-    base = omega1(rho, element, cfg, n_factors)
-    return base.value + rho.delta_value() * xi.value(element)
-
-
 # ---------------------------------------------------------------------------
 # the decay curve
 # ---------------------------------------------------------------------------

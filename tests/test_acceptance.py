@@ -53,10 +53,10 @@ from cpflow.weights import (
     identity_element,
     lemma_decay_curve,
     omega1,
-    omega_full,
     rank_one,
     xi_from_nu,
 )
+from references import omega_full
 
 LINEAR = LambdaSequence("linear")
 

@@ -108,6 +108,13 @@ class TestCommands:
         ({"lambda": {"values": 3}}, "lambda.values"),
         ({"decay": {"head_level": -1}}, "decay.head_level must be >= 1"),
         ({"decay": {"head_level": 0}}, "decay.head_level must be >= 1"),
+        ({"corner": {"cut_levels": [2.0]}}, "corner.cut_levels"),
+        ({"corner": {"cut_levels": []}}, "corner.cut_levels"),
+        ({"covariance": {"labels": []}}, "covariance.labels"),
+        ({"covariance": {"t": -1.0}}, "covariance.t must be > 0"),
+        ({"covariance": {"t": 0.0}}, "covariance.t must be > 0"),
+        ({"delta": {"levels": 0}}, "delta.levels must be >= 1"),
+        ({"delta": {"levels": -2}}, "delta.levels must be >= 1"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, override, message):
         path = tmp_path / "bad.yaml"
@@ -183,10 +190,11 @@ class TestCommands:
         assert "--refine" in result.output
 
     def test_every_cell_edge_is_a_valid_cut(self, tmp_path):
+        # every edge below the top one: a cut at the top edge keeps no cell
         path = tmp_path / "edges.yaml"
         config = dict(FAST_CONFIG)
         config["corner"] = dict(FAST_CONFIG["corner"],
-                                cut_levels=[0.0, 0.25, 0.5, 2.0])
+                                cut_levels=[0.0, 0.25, 0.5])
         path.write_text(yaml.safe_dump(config))
         out = tmp_path / "out"
         result = run_cli(["corner", "--config", str(path), "--out",

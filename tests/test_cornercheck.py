@@ -7,14 +7,11 @@ from cpflow.cornercheck import (
     DegenerateDirectionError,
     NonCompletelyPositiveInputError,
     WeightMatrix,
-    assemble_doubled,
     derivation_residual,
+    fold_doubled,
     hypermax_witness,
-    minimal_weight_matrix,
     offdiag_perturbation_min_eig,
-    permuted_choi_min_eig,
     subordination_check,
-    unital_weight_matrix,
 )
 from cpflow.opbasis import (
     MatrixModel,
@@ -22,6 +19,7 @@ from cpflow.opbasis import (
     identity_superop,
     transpose_superop,
 )
+from references import assemble_doubled, permuted_choi_min_eig
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +68,81 @@ class TestDoubledAssembly:
         assert not choi_min_eig(doubled, 2 * d, 2 * d).completely_positive
 
 
+def random_entrywise_cp(rng, din, dout, rank, cut_rows=()):
+    """Entries phi_ab = sum_k K_ak (.) K_bk^* of a random CP 2x2 map.
+
+    The map is X -> sum_k K_k X K_k^* with K_k = diag(K_1k, K_2k);
+    cut_rows are zero output rows of every K_ak.
+    """
+    blocks = [[np.zeros((dout * dout, din * din), dtype=complex)
+               for _ in range(2)] for _ in range(2)]
+    for _ in range(rank):
+        kraus = []
+        for _ in range(2):
+            k = rng.normal(size=(dout, din)) \
+                + 1j * rng.normal(size=(dout, din))
+            k[list(cut_rows)] = 0.0
+            kraus.append(k)
+        for a in range(2):
+            for b in range(2):
+                blocks[a][b] += np.kron(kraus[a], kraus[b].conj())
+    return blocks
+
+
+def fold_cases():
+    rng = np.random.default_rng(11)
+    din, dout = 3, 4
+    cases = []
+    for cut_rows in ((), (0, 2)):
+        # full Kraus rank: the live Choi block of the fold is positive
+        # definite, so only the zero block of the doubled form gives 0
+        cp_map = random_entrywise_cp(rng, din, dout, 2 * din * dout,
+                                     cut_rows)
+        other = random_entrywise_cp(rng, din, dout, 1, cut_rows)
+        non_cp = [[cp_map[a][b] - 50.0 * other[a][b] for b in range(2)]
+                  for a in range(2)]
+        cases += [("cp", cp_map, din, dout, True),
+                  ("non-cp", non_cp, din, dout, False)]
+    d = 2
+    zero = np.zeros((d * d, d * d))
+    ident, transp = identity_superop(d), transpose_superop(d)
+    cases += [("identity", [[ident, zero], [zero, ident]], d, d, True),
+              ("transpose", [[ident, transp], [transp, ident]], d, d, False)]
+    return cases
+
+
+class TestFold:
+    @pytest.mark.parametrize("name, blocks, din, dout, cp", fold_cases(),
+                             ids=["cp", "non-cp", "cp-cut", "non-cp-cut",
+                                  "identity", "transpose"])
+    def test_choi_min_eig_equals_assembled(self, name, blocks, din, dout,
+                                           cp):
+        folded = choi_min_eig(fold_doubled(blocks, din, dout), 2 * din,
+                              dout)
+        assembled = choi_min_eig(assemble_doubled(blocks, din, dout),
+                                 2 * din, 2 * dout)
+        assert min(folded.min_eigenvalue, 0.0) == assembled.min_eigenvalue
+        assert folded.completely_positive == assembled.completely_positive
+        assert folded.completely_positive == cp
+
+    def test_fold_is_compression_by_v(self):
+        # psi(X) = V* Phi(X) V with V = [I; I]: the sum of the output blocks
+        rng = np.random.default_rng(12)
+        din, dout = 3, 2
+        blocks = [[rng.normal(size=(dout * dout, din * din))
+                   + 1j * rng.normal(size=(dout * dout, din * din))
+                   for _ in range(2)] for _ in range(2)]
+        x = rng.normal(size=(2 * din, 2 * din)) \
+            + 1j * rng.normal(size=(2 * din, 2 * din))
+        out = (assemble_doubled(blocks, din, dout) @ x.reshape(-1)) \
+            .reshape(2 * dout, 2 * dout)
+        v = np.vstack([np.eye(dout), np.eye(dout)])
+        folded = (fold_doubled(blocks, din, dout) @ x.reshape(-1)) \
+            .reshape(dout, dout)
+        np.testing.assert_allclose(folded, v.T @ out @ v, rtol=0,
+                                   atol=1e-12)
+
+
 class TestBasisInvariance:
     def test_permutation_leaves_min_eig(self, model):
         omega = model.weight_superop()
@@ -112,10 +185,19 @@ class TestSubordination:
         assert err.value.eigenvalue < 0
 
     def test_matrix_form(self, model, nu):
-        upper = unital_weight_matrix(model, -1.0, nu)
-        lower = minimal_weight_matrix(model, -1.0)
+        eta, _ = model.xi_eta(nu)
+        upper = WeightMatrix(model, model.weight_superop(xi_eta=eta), -1.0)
+        lower = WeightMatrix(model, model.weight_superop(), -1.0)
         v = subordination_check(model, upper, lower, (0.5, 0.25))
         assert v.subordinate
+
+    @pytest.mark.parametrize("cuts", [(), (2.0,), (0.5, 2.0)])
+    def test_vacuous_cut_levels_rejected(self, model, cuts):
+        # at the top edge every representation is the zero map, so even a
+        # non-CP upper weight would pass
+        omega = model.weight_superop()
+        with pytest.raises(ValueError, match="cut levels"):
+            subordination_check(model, -omega, omega, cuts)
 
 
 class TestHypermaxWitness:
@@ -138,6 +220,47 @@ class TestHypermaxWitness:
         with pytest.raises(ValueError):
             hypermax_witness(0.5, model, nu)
 
+    @pytest.mark.parametrize("cuts", [(), (2.0,)])
+    def test_vacuous_cut_levels_rejected(self, model, nu, cuts):
+        with pytest.raises(ValueError, match="cut levels"):
+            hypermax_witness(-1.0, model, nu, cut_levels=cuts)
+
+    def test_non_cp_unital_diagonal_rejected(self, model, nu):
+        # a negative nu makes the unital diagonal non-CP; dominance is a
+        # subordination check, which rejects such an input
+        with pytest.raises(NonCompletelyPositiveInputError) as err:
+            hypermax_witness(-1.0, model, -nu)
+        assert err.value.eigenvalue < 0
+
+    @pytest.mark.parametrize("n_factors", [2, 3])
+    def test_matches_dense_doubled_reference(self, n_factors):
+        # the parent form: both 2x2 matrices assembled on the doubled space
+        m = MatrixModel(n_factors=n_factors, factor_dim=2)
+        nu = np.zeros((m.dim_h, m.dim_h), dtype=complex)
+        nu[0, 0] = 1.0
+        eta, _ = m.xi_eta(nu)
+        full, minimal = m.weight_superop(xi_eta=eta), m.weight_superop()
+        cuts = (0.5, 0.25)
+        dims = (m.dim_k, m.dim_h)
+        doubled = (2 * m.dim_k, 2 * m.dim_h)
+        labels = (-1.0 + 0j, 1j, complex(np.exp(1j * np.pi / 4)))
+        reports = [hypermax_witness(z, m, nu, cuts) for z in labels]
+        for z, rep in zip(labels, reports):
+            assert rep.witnessed
+            assert rep.difference_min_eigs == reports[0].difference_min_eigs
+            upper, lower = m.weight_superop(z), m.weight_superop(np.conj(z))
+            for t, got_min, got_diff in zip(cuts, rep.minimal_min_eigs,
+                                            rep.difference_min_eigs):
+                def dense(diag):
+                    return assemble_doubled(
+                        [[m.boundary_rep(w, t)[0] for w in row]
+                         for row in ((diag, upper), (lower, diag))], *dims)
+                ref_min = choi_min_eig(dense(minimal), *doubled)
+                ref_diff = choi_min_eig(dense(full) - dense(minimal),
+                                        *doubled)
+                assert min(got_min, 0.0) == ref_min.min_eigenvalue
+                assert abs(got_diff - ref_diff.min_eigenvalue) <= 1e-15
+
     def test_zero_gap_reported(self, model, nu):
         rep = hypermax_witness(-1.0, model, 0.0 * nu)
         assert not rep.gap_nonzero
@@ -152,3 +275,17 @@ class TestCornerIdentity:
     def test_offdiag_shift_breaks_cp(self, model, nu):
         val = offdiag_perturbation_min_eig(model, -1.0, nu, 0.05, 0.5)
         assert val < -1e-8
+
+    def test_offdiag_shift_matches_dense_doubled_reference(self, model, nu):
+        eta, _ = model.xi_eta(nu)
+        gap = 0.05 * eta.reshape(-1, 1) \
+            @ model.delta_matrix.T.reshape(1, -1)
+        diag = model.weight_superop()
+        entries = ((diag, model.weight_superop(1j) + gap),
+                   (model.weight_superop(-1j), diag))
+        dense = assemble_doubled([[model.boundary_rep(w, 0.25)[0]
+                                   for w in row] for row in entries],
+                                 model.dim_k, model.dim_h)
+        ref = choi_min_eig(dense, 2 * model.dim_k, 2 * model.dim_h)
+        val = offdiag_perturbation_min_eig(model, 1j, nu, 0.05, 0.25)
+        assert min(val, 0.0) == ref.min_eigenvalue

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cpflow.cornercheck import (
-    WeightMatrix,
-    assemble_doubled,
-    doubled_boundary_rep,
-)
+from cpflow.cornercheck import WeightMatrix, fold_doubled
 from cpflow.halfline import ExpKernelVector, inner_product
 from cpflow.opbasis import (
     ChoiVerdict,
@@ -22,6 +18,7 @@ from cpflow.opbasis import (
     transpose_superop,
 )
 from cpflow.tensorspace import LambdaSequence, tail_weight_product
+from references import assemble_doubled, doubled_entries
 
 
 @pytest.fixture(scope="module")
@@ -316,11 +313,12 @@ class TestCutAwareKernels:
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_boundary_rep_matches_explicit_inverse(self, n_factors, blocks):
         # two blocks: the corner at z = 1j (upper != lower), solved entry
-        # by entry, against the inverse of the whole doubled system
+        # by entry and folded, against the fold of the four entries of the
+        # inverse of the whole doubled system
         m = MatrixModel(n_factors=n_factors, factor_dim=2)
         omega = m.weight_superop()
-        entries = [[omega]] if blocks == 1 \
-            else WeightMatrix(m, omega, 1j).blocks()
+        corner_matrix = WeightMatrix(m, omega, 1j)
+        entries = [[omega]] if blocks == 1 else corner_matrix.blocks()
         for t in (0.5, 0.25):
             w_t = reference_truncation(m, t, blocks) \
                 @ corner(m, entries, m.dim_h)
@@ -332,7 +330,10 @@ class TestCutAwareKernels:
                 assert cond == pytest.approx(np.linalg.cond(system),
                                              rel=1e-12)
             else:
-                rep = doubled_boundary_rep(m, entries, t)
+                rep = corner_matrix.boundary_rep(t)
+                reference = fold_doubled(
+                    doubled_entries(reference, m.dim_k, m.dim_h),
+                    m.dim_k, m.dim_h)
             np.testing.assert_allclose(rep, reference, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("cut_rows", [(), (0, 2), (1, 3, 4)])

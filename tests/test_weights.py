@@ -17,13 +17,13 @@ from cpflow.weights import (
     lemma_decay_curve,
     nonnormal_weight_demo,
     omega1,
-    omega_full,
     omega_z,
     rank_one,
     xi_from_nu,
     zero_boundary_weight,
 )
 from cpflow.tensorspace import identity_operator
+from references import omega_full
 
 LINEAR = LambdaSequence("linear")
 
