@@ -9,6 +9,7 @@ reports modulo timestamps.
 
 from __future__ import annotations
 
+import copy
 import json
 import time
 from pathlib import Path
@@ -27,6 +28,7 @@ from .tensorspace import (
 )
 from .weights import (
     HFunctional,
+    WeightSeriesConfig,
     boundary_identity,
     build_delta_null_functional,
     identity_element,
@@ -212,7 +214,8 @@ def load_config(path: str | None) -> dict:
             override = yaml.safe_load(fh) or {}
     if not isinstance(override, dict):
         raise ConfigError("invalid config: the top level must be a mapping")
-    cfg = _merge(DEFAULT_CONFIG, override)
+    # a copy: runners and main may write into the sections they get
+    cfg = _merge(copy.deepcopy(DEFAULT_CONFIG), override)
     errors = _validate(cfg)
     if errors:
         raise ConfigError("invalid config: " + "; ".join(errors))
@@ -464,13 +467,15 @@ def run_weights_unitality(cfg, rep: Reporter, rng):
     n_factors = cfg["tensor"]["factors"]
     m = cfg["weights"]["factor_dim"]
     samples = cfg["weights"]["samples"]
+    series = WeightSeriesConfig(max_terms=cfg["series"]["max_terms"],
+                                tail_tolerance=cfg["series"]["tail_tolerance"])
     bid = boundary_identity()
     nu_vec = reference_state(seq, n_factors)
     nu_h = seq.reference(1)
     raw = HFunctional(((1.0, (nu_vec, nu_h), (nu_vec, nu_h)),))
     scale = raw(identity_element()).real
     nu = HFunctional(((1.0 / scale, (nu_vec, nu_h), (nu_vec, nu_h)),))
-    xi = xi_from_nu(nu, n_factors=n_factors)
+    xi = xi_from_nu(nu, series, n_factors=n_factors)
     xi_at_identity = xi.value(bid)
     worst1 = worst2 = 0.0
     for _ in range(samples):
@@ -483,7 +488,7 @@ def run_weights_unitality(cfg, rep: Reporter, rng):
                     [(coeffs[j], 1.0 + j) for j in range(m)]))
             vecs.append(ProductVector(seq, tuple(factors), n_factors + 1))
         rho = rank_one(vecs[0], vecs[0]) + rank_one(vecs[1], vecs[1])
-        val1 = omega1(rho, bid, n_factors=n_factors).value
+        val1 = omega1(rho, bid, series, n_factors=n_factors).value
         total, delta = rho(None), rho.delta_value()
         worst1 = max(worst1, abs(val1 - (total - delta)))
         # the full weight omega(rho) = omega1(rho) + rho(Delta) xi(I)

@@ -25,10 +25,11 @@ therefore the subordination of the minimal weight to the unital weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .opbasis import MatrixModel, choi_min_eig
+from .opbasis import DEFAULT_EDGES, MatrixModel, choi_min_eig
 
 
 class NonCompletelyPositiveInputError(ValueError):
@@ -88,12 +89,14 @@ class WeightMatrix:
     diagonal: the weight used on both diagonal entries; offdiag_label:
     the unit label z of the off-diagonal series weights (upper gets z,
     lower gets conj(z) so Hermiticity of doubled densities is preserved).
+    The off-diagonal series weights are solved once per matrix.
     """
 
     model: MatrixModel
     diagonal: np.ndarray
     offdiag_label: complex
 
+    @cached_property
     def blocks(self) -> list:
         z = complex(self.offdiag_label)
         upper = self.model.weight_superop(z)
@@ -102,7 +105,7 @@ class WeightMatrix:
 
     def boundary_rep(self, t: float) -> np.ndarray:
         """Fold of the doubled boundary representation at cut level t."""
-        (diagonal, upper), (lower, _) = self.blocks()
+        (diagonal, upper), (lower, _) = self.blocks
         return _folded_rep(self.model, diagonal, upper, lower, t)
 
 
@@ -118,37 +121,29 @@ def subordination_check(model: MatrixModel, upper, lower, cut_levels,
                         tolerance: float = 1e-8) -> SubordinationVerdict:
     """Is lower subordinate to upper at the sampled cut levels?
 
-    upper and lower are weight superoperators over the model (or
-    WeightMatrix instances, whose folds are compared); the check compares
-    their generalized boundary representations: the difference must be
-    CP at every sampled level.  Inputs whose own boundary representations
-    are not CP are rejected with the offending eigenvalue.  An empty list
-    of cut levels samples nothing, and a cut at the top cell edge keeps
-    no cell, so every representation there is the zero map: both are
-    rejected with ValueError.
+    upper and lower are weight superoperators over the model; the check
+    compares their generalized boundary representations: the difference
+    must be CP at every sampled level.  Inputs whose own boundary
+    representations are not CP are rejected with the offending eigenvalue.
+    An empty list of cut levels samples nothing, and a cut at the top cell
+    edge keeps no cell, so every representation there is the zero map:
+    both are rejected with ValueError.
     """
-    top = model.h_edges[-1]
+    top = DEFAULT_EDGES[-1]
     if len(cut_levels) == 0 or max(cut_levels) >= top - 1e-12:
         raise ValueError("subordination needs cut levels below the top "
                          "cell edge %g" % top)
-    if isinstance(upper, WeightMatrix):
-        din = 2 * model.dim_k
-        reps = [(upper.boundary_rep(t), lower.boundary_rep(t))
-                for t in cut_levels]
-    else:
-        din = model.dim_k
-        reps = [(model.boundary_rep(upper, t)[0],
-                 model.boundary_rep(lower, t)[0])
-                for t in cut_levels]
+    reps = [(model.boundary_rep(upper, t)[0], model.boundary_rep(lower, t)[0])
+            for t in cut_levels]
     mins = []
     for t, (rep_up, rep_low) in zip(cut_levels, reps):
         for name, rep in (("upper", rep_up), ("lower", rep_low)):
-            v = choi_min_eig(rep, din, model.dim_h, tolerance)
+            v = choi_min_eig(rep, model.dim_k, model.dim_h, tolerance)
             if not v.completely_positive:
                 raise NonCompletelyPositiveInputError(
                     "%s weight is not CP at cut level %g" % (name, t),
                     v.min_eigenvalue)
-        mins.append(choi_min_eig(rep_up - rep_low, din, model.dim_h,
+        mins.append(choi_min_eig(rep_up - rep_low, model.dim_k, model.dim_h,
                                  tolerance).min_eigenvalue)
     sub = all(m >= -tolerance for m in mins)
     return SubordinationVerdict(sub, tuple(cut_levels), tuple(mins),

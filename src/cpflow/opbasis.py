@@ -2,12 +2,12 @@
 
 The truncated tensor space is modelled as N factors of an m-dimensional
 span of decaying exponentials, orthonormalized exactly.  The extra
-half-line slot of the big space can carry either the same kind of span
-("span") or an orthonormal family of cell indicators ("cells").  With
-cells, multiplication by exp(-x) and the spectral tail cuts are exact
-commuting diagonal matrices, which is what makes the generalized boundary
-representation of a series weight manifestly completely positive: the
-resolvent rearranges into the positive series
+half-line slot of the big space carries the orthonormal indicators of the
+cells between DEFAULT_EDGES.  On these cells multiplication by exp(-x) and
+the spectral tail cuts are exact commuting diagonal matrices, which is
+what makes the generalized boundary representation of a series weight
+manifestly completely positive: the resolvent rearranges into the
+positive series
 
     cut o sum_n (pihat lambdahat_complement)^n pihat.
 
@@ -23,12 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .halfline import (
-    ExpKernelVector,
-    GammaImage,
-    RankOneSum,
-    inner_product,
-)
+from .halfline import ExpKernelVector, inner_product
 from .tensorspace import LambdaSequence, tail_weight_product
 
 
@@ -38,16 +33,6 @@ class NonInvertibleSystemError(np.linalg.LinAlgError):
     def __init__(self, message: str, condition: float):
         super().__init__(message)
         self.condition = condition
-
-
-def tail_overlap(f: ExpKernelVector, g: ExpKernelVector, t: float) -> complex:
-    """integral_t^inf conj(f) g dx = (f_t, g_t) with v_t(x) = v(x + t)."""
-    return inner_product(_advanced(f, t), _advanced(g, t))
-
-
-def _advanced(v: ExpKernelVector, t: float) -> ExpKernelVector:
-    """x -> v(x + t): every coefficient c picks up exp(-mu t)."""
-    return ExpKernelVector([(c * np.exp(-mu * t), mu) for c, mu in v.terms])
 
 
 def orthonormal_span(rates) -> list[ExpKernelVector]:
@@ -74,16 +59,12 @@ DEFAULT_EDGES = (0.0, 0.25, 0.5, 2.0)
 class MatrixModel:
     """Truncated model with n_factors tensor slots of dimension factor_dim.
 
-    h_kind selects the half-line slot basis: "cells" (indicator functions
-    over h_edges, needed for spectral cuts) or "span" (same exponential
-    span as the tensor slots, needed for the damped translation average).
+    The half-line slot has one basis vector per cell of DEFAULT_EDGES.
     """
 
     n_factors: int = 4
     factor_dim: int = 2
     seq: LambdaSequence = LambdaSequence("linear")
-    h_kind: str = "cells"
-    h_edges: tuple[float, ...] = DEFAULT_EDGES
 
     @property
     def dim_k(self) -> int:
@@ -91,9 +72,7 @@ class MatrixModel:
 
     @property
     def h_dim(self) -> int:
-        if self.h_kind == "cells":
-            return len(self.h_edges) - 1
-        return self.factor_dim
+        return len(DEFAULT_EDGES) - 1
 
     @property
     def dim_h(self) -> int:
@@ -118,9 +97,7 @@ class MatrixModel:
     @cached_property
     def h_damping(self) -> np.ndarray:
         """Multiplication by exp(-x) compressed to the half-line slot."""
-        if self.h_kind == "span":
-            return self.damping
-        e = self.h_edges
+        e = DEFAULT_EDGES
         vals = [_exp_cell_integral(1.0, e[j], e[j + 1]).real / (e[j + 1] - e[j])
                 for j in range(self.h_dim)]
         return np.diag(vals).astype(complex)
@@ -128,9 +105,7 @@ class MatrixModel:
     @cached_property
     def cross_overlap(self) -> np.ndarray:
         """(tensor-slot basis_i, half-line basis_j) overlap matrix."""
-        if self.h_kind == "span":
-            return np.eye(self.factor_dim, dtype=complex)
-        e = self.h_edges
+        e = DEFAULT_EDGES
         out = np.empty((self.factor_dim, self.h_dim), dtype=complex)
         for i, vec in enumerate(self.basis):
             for j in range(self.h_dim):
@@ -186,31 +161,16 @@ class MatrixModel:
     def cut(self, t: float) -> np.ndarray:
         """The spectral tail cut U(t)U(t)* on the half-line slot.
 
-        With the cell basis, t must coincide with a cell edge and the cut
-        is an exact diagonal projection.  With the span basis, the result
-        is only a compression (not a projection) and is unsuitable for
-        boundary-representation work.
+        t must coincide with a cell edge; the cut is then an exact
+        diagonal projection.
         """
-        if self.h_kind == "cells":
-            e = self.h_edges
-            if not any(abs(t - edge) < 1e-12 for edge in e):
-                raise ValueError(
-                    "cut level %g is not a cell edge of %r" % (t, e))
-            return np.diag([1.0 + 0.0j if e[j] >= t - 1e-12 else 0.0
-                            for j in range(self.h_dim)])
-        m = self.factor_dim
-        out = np.empty((m, m), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                out[i, j] = tail_overlap(self.basis[i], self.basis[j], t)
-        return 0.5 * (out + out.conj().T)
+        e = DEFAULT_EDGES
+        if not any(abs(t - edge) < 1e-12 for edge in e):
+            raise ValueError("cut level %g is not a cell edge of %r" % (t, e))
+        return np.diag([1.0 + 0.0j if e[j] >= t - 1e-12 else 0.0
+                        for j in range(self.h_dim)])
 
     # -- predual maps on densities -----------------------------------------
-
-    def pred_pi(self, rho: np.ndarray) -> np.ndarray:
-        """Density of rho composed with the shift endomorphism."""
-        s0 = self.shift
-        return s0.conj().T @ rho @ s0
 
     def pred_lambda(self, mu: np.ndarray) -> np.ndarray:
         """Density of mu composed with the damping embedding.
@@ -232,6 +192,7 @@ class MatrixModel:
 
     @cached_property
     def pi_superop(self) -> np.ndarray:
+        """pihat: the density of rho composed with the shift, s0* rho s0."""
         s0 = self.shift
         return np.kron(s0.conj().T, s0.T)
 
@@ -299,26 +260,15 @@ class MatrixModel:
         eta = (nu_density + tail) / (1.0 - d_val)
         return 0.5 * (eta + eta.conj().T), d_val
 
-    def truncation_superop(self, t: float) -> np.ndarray:
-        """Superoperator of mu -> P mu P for the spectral cut at level t."""
-        p_tilde = np.kron(np.eye(self.dim_k), self.cut(t))
-        return np.kron(p_tilde, p_tilde.T)
-
     def apply_truncation(self, t: float, superop: np.ndarray) -> np.ndarray:
         """Compose mu -> P mu P after the given superoperator.
 
-        With the cell basis the cut P is an exact 0/1 diagonal, so P mu P
-        keeps the rows and columns of mu on the cells at or above t and
-        zeroes the rest.  The result is a mask over the output axes of the
-        superoperator and equals truncation_superop(t) @ superop bit for
-        bit.  Raises ValueError on the span basis, where the cut is not a
-        projection.
+        The cut P is an exact 0/1 diagonal, so P mu P keeps the rows and
+        columns of mu on the cells at or above t and zeroes the rest.  The
+        result is a mask over the output axes of the superoperator and
+        equals the dense superoperator of mu -> P mu P times superop, bit
+        for bit.
         """
-        if self.h_kind != "cells":
-            raise ValueError(
-                "spectral cuts need the cell basis (h_kind='cells'); on the "
-                "%r basis the cut is a compression, not a projection"
-                % self.h_kind)
         dh = self.dim_h
         keep = np.tile(np.diag(self.cut(t)).real, self.dim_k)
         om3 = superop.reshape(dh, dh, -1)
@@ -334,7 +284,6 @@ class MatrixModel:
         number of the solved system.  No inverse is formed: the rows of
         omegahat|_t that are not identically zero are solved against the
         transposed system, and the rows the cut removed stay exact zeros.
-        Raises ValueError on the span basis (see apply_truncation).
         """
         w_t = self.apply_truncation(t, omega_superop)
         k_mat = self.pred_lambda(w_t)
@@ -348,33 +297,6 @@ class MatrixModel:
         rep = np.zeros((w_t.shape[0], d2), dtype=system.dtype)
         rep[live] = np.linalg.solve(system.T, w_t[live].T).T
         return rep, condition
-
-    # -- the damped translation average ------------------------------------
-
-    @cached_property
-    def gamma_tensor(self) -> np.ndarray:
-        """G[i,j,k,l] = (e_i, Gamma(|e_k><e_l|) e_j) on the span slot."""
-        if self.h_kind != "span":
-            raise NotImplementedError(
-                "the damped translation average is provided on the span "
-                "variant of the model")
-        m = self.factor_dim
-        out = np.empty((m, m, m, m), dtype=complex)
-        for k in range(m):
-            for l in range(m):
-                img = GammaImage(RankOneSum([(self.basis[l], self.basis[k], 1.0)]))
-                for i in range(m):
-                    for j in range(m):
-                        out[i, j, k, l] = img.matrix_element(self.basis[i],
-                                                             self.basis[j])
-        return out
-
-    def pred_gamma(self, mu: np.ndarray) -> np.ndarray:
-        """Density of mu composed with the damped translation average."""
-        d, m = self.dim_k, self.h_dim
-        mu4 = mu.reshape(d, m, d, m)
-        out4 = np.einsum("apbq,qpkl->albk", mu4, self.gamma_tensor)
-        return out4.reshape(self.dim_h, self.dim_h)
 
 
 # ---------------------------------------------------------------------------
@@ -425,15 +347,3 @@ def choi_min_eig(superop: np.ndarray, dim_in: int, dim_out: int,
             low = min(low, 0.0)
     return ChoiVerdict(low, float(np.trace(herm).real), defect, tolerance)
 
-
-def identity_superop(dim: int) -> np.ndarray:
-    return np.eye(dim * dim, dtype=complex)
-
-
-def transpose_superop(dim: int) -> np.ndarray:
-    """Superoperator of the matrix transpose (the canonical non-CP map)."""
-    out = np.zeros((dim * dim, dim * dim))
-    for i in range(dim):
-        for j in range(dim):
-            out[j * dim + i, i * dim + j] = 1.0
-    return out

@@ -43,6 +43,28 @@ def doubled_entries(superop: np.ndarray, dim_in: int, dim_out: int):
              for b in range(2)] for a in range(2)]
 
 
+def identity_superop(dim: int) -> np.ndarray:
+    return np.eye(dim * dim, dtype=complex)
+
+
+def transpose_superop(dim: int) -> np.ndarray:
+    """Superoperator of the matrix transpose (the canonical non-CP map)."""
+    out = np.zeros((dim * dim, dim * dim))
+    for i in range(dim):
+        for j in range(dim):
+            out[j * dim + i, i * dim + j] = 1.0
+    return out
+
+
+def truncation_superop(model, t: float) -> np.ndarray:
+    """Superoperator of mu -> P mu P for the spectral cut at level t.
+
+    MatrixModel.apply_truncation is the masked form.
+    """
+    p_tilde = np.kron(np.eye(model.dim_k), model.cut(t))
+    return np.kron(p_tilde, p_tilde.T)
+
+
 def permuted_choi_min_eig(superop: np.ndarray, dim_in: int, dim_out: int,
                           perm_in, perm_out,
                           tolerance: float = 1e-8) -> ChoiVerdict:

@@ -7,7 +7,16 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from cpflow.cli import MINIMUMS, Reporter, load_config, main, run_delta
+from cpflow.cli import (
+    COMMANDS,
+    DEFAULT_CONFIG,
+    MINIMUMS,
+    Reporter,
+    load_config,
+    main,
+    run_delta,
+    run_weights_unitality,
+)
 from cpflow.tensorspace import TruncationExceededError
 
 FAST_CONFIG = {
@@ -202,9 +211,59 @@ class TestCommands:
         assert result.exit_code == 0, result.output
         assert load_report(out, "corner")["all_pass"]
 
+    def test_loaded_configs_share_no_section(self):
+        # main writes --seed into cfg["seeds"]; the defaults must not see it
+        first = load_config(None)
+        first["seeds"]["rng"] = 1
+        assert load_config(None)["seeds"]["rng"] == DEFAULT_CONFIG["seeds"][
+            "rng"] == 2024
+
     def test_unknown_command_rejected(self, tmp_path):
         result = CliRunner().invoke(main, ["frobnicate"])
         assert result.exit_code != 0
+
+
+class RecordingConfig(dict):
+    """A config that records the dotted name of every setting read."""
+
+    def __init__(self, data, read, prefix=""):
+        super().__init__(data)
+        self.read = read
+        self.prefix = prefix
+
+    def __getitem__(self, key):
+        name = self.prefix + key
+        self.read.add(name)
+        value = super().__getitem__(key)
+        if isinstance(value, dict):
+            return RecordingConfig(value, self.read, name + ".")
+        return value
+
+
+class TestConfigKeysRead:
+    def test_every_setting_is_read_by_a_runner(self, tmp_path, fast_config):
+        # seeds.rng is read by main, which seeds the runner's generator
+        read = set()
+        for command, runner in COMMANDS.items():
+            cfg = RecordingConfig(load_config(fast_config), read)
+            runner(cfg, Reporter(command, cfg, tmp_path / command),
+                   np.random.default_rng(0))
+        settings = {"%s.%s" % (section, key)
+                    for section, block in DEFAULT_CONFIG.items()
+                    for key in block}
+        assert settings - read == {"seeds.rng"}
+
+    def test_series_settings_reach_the_weight_series(self, tmp_path,
+                                                     fast_config):
+        # a loose tail tolerance cuts the series short: the identity misses
+        cfg = load_config(fast_config)
+        cfg["series"]["tail_tolerance"] = 0.5
+        rep = Reporter("weights-unitality", cfg, tmp_path)
+        run_weights_unitality(cfg, rep, np.random.default_rng(7))
+        residual = {r["name"]: r for r in rep.records}[
+            "minimal-weight-identity-residual"]
+        assert not residual["pass"]
+        assert residual["value"] > 1e-3
 
 
 class TestDeterminism:

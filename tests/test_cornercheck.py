@@ -6,20 +6,19 @@ import pytest
 from cpflow.cornercheck import (
     DegenerateDirectionError,
     NonCompletelyPositiveInputError,
-    WeightMatrix,
     derivation_residual,
     fold_doubled,
     hypermax_witness,
     offdiag_perturbation_min_eig,
     subordination_check,
 )
-from cpflow.opbasis import (
-    MatrixModel,
-    choi_min_eig,
+from cpflow.opbasis import MatrixModel, choi_min_eig
+from references import (
+    assemble_doubled,
     identity_superop,
+    permuted_choi_min_eig,
     transpose_superop,
 )
-from references import assemble_doubled, permuted_choi_min_eig
 
 
 @pytest.fixture(scope="module")
@@ -183,13 +182,6 @@ class TestSubordination:
         with pytest.raises(NonCompletelyPositiveInputError) as err:
             subordination_check(model, omega, bad, (0.5,))
         assert err.value.eigenvalue < 0
-
-    def test_matrix_form(self, model, nu):
-        eta, _ = model.xi_eta(nu)
-        upper = WeightMatrix(model, model.weight_superop(xi_eta=eta), -1.0)
-        lower = WeightMatrix(model, model.weight_superop(), -1.0)
-        v = subordination_check(model, upper, lower, (0.5, 0.25))
-        assert v.subordinate
 
     @pytest.mark.parametrize("cuts", [(), (2.0,), (0.5, 2.0)])
     def test_vacuous_cut_levels_rejected(self, model, cuts):

@@ -2,33 +2,29 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from cpflow.cornercheck import WeightMatrix, fold_doubled
-from cpflow.halfline import ExpKernelVector, inner_product
+from cpflow.halfline import inner_product
 from cpflow.opbasis import (
-    ChoiVerdict,
     MatrixModel,
     NonInvertibleSystemError,
     choi_matrix,
     choi_min_eig,
-    identity_superop,
     orthonormal_span,
-    tail_overlap,
-    transpose_superop,
 )
-from cpflow.tensorspace import LambdaSequence, tail_weight_product
-from references import assemble_doubled, doubled_entries
+from cpflow.tensorspace import tail_weight_product
+from references import (
+    assemble_doubled,
+    doubled_entries,
+    identity_superop,
+    transpose_superop,
+    truncation_superop,
+)
 
 
 @pytest.fixture(scope="module")
 def model():
     return MatrixModel(n_factors=3, factor_dim=2)
-
-
-@pytest.fixture(scope="module")
-def span_model():
-    return MatrixModel(n_factors=3, factor_dim=2, h_kind="span")
 
 
 def random_density(rng, dim, rank=None):
@@ -61,7 +57,7 @@ def corner(model, entries, dim_out):
 def reference_truncation(model, t, blocks):
     """Dense mu -> P mu P on densities with 1 or 2 diagonal blocks."""
     if blocks == 1:
-        return model.truncation_superop(t)
+        return truncation_superop(model, t)
     p_tilde = np.kron(np.eye(2 * model.dim_k), model.cut(t))
     return np.kron(p_tilde, p_tilde.T)
 
@@ -82,23 +78,6 @@ class TestBases:
         gram = np.array([[inner_product(u, v) for v in basis]
                          for u in basis])
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
-
-    def test_tail_overlap_full_range(self):
-        f = ExpKernelVector([(1.0, 1.0)])
-        assert tail_overlap(f, f, 0.0) == pytest.approx(
-            inner_product(f, f))
-
-    @pytest.mark.parametrize("t", [0.25, 1.3])
-    def test_tail_overlap_matches_quadrature(self, t):
-        f = ExpKernelVector([(1.0 + 0.5j, 0.7), (-0.3, 2.1 + 0.4j)])
-        g = ExpKernelVector([(2.0, 1.3), (0.25j, 0.9 - 0.6j)])
-
-        def part(fn):
-            return quad(lambda x: fn(np.conj(f(x)) * g(x)), t, 60.0,
-                        limit=200)[0]
-
-        oracle = part(np.real) + 1j * part(np.imag)
-        assert tail_overlap(f, g, t) == pytest.approx(oracle, abs=1e-10)
 
     def test_damping_is_contraction(self, model):
         evals = np.linalg.eigvalsh(model.damping)
@@ -135,20 +114,26 @@ class TestBases:
         assert evals[-1] <= tail + 1e-12
 
 
+def apply_pi(model, rho):
+    """pihat applied to a K-density through its superoperator."""
+    return (model.pi_superop @ rho.reshape(-1)).reshape(model.dim_h,
+                                                        model.dim_h)
+
+
 class TestPredualMaps:
     def test_pred_pi_positive(self, model):
         rng = np.random.default_rng(0)
         rho = random_density(rng, model.dim_k)
-        mu = model.pred_pi(rho)
+        mu = apply_pi(model, rho)
         assert np.linalg.eigvalsh(mu)[0] >= -1e-12
 
     def test_pi_superop_matches_pred_pi(self, model):
+        # the predual of the shift endomorphism: rho -> s0* rho s0
         rng = np.random.default_rng(1)
         rho = random_density(rng, model.dim_k)
-        direct = model.pred_pi(rho)
-        via = (model.pi_superop @ rho.reshape(-1)).reshape(model.dim_h,
-                                                           model.dim_h)
-        np.testing.assert_allclose(direct, via, atol=1e-12)
+        s0 = model.shift
+        np.testing.assert_allclose(s0.conj().T @ rho @ s0,
+                                   apply_pi(model, rho), atol=1e-12)
 
     def test_lambda_superop_matches_pred_lambda(self, model):
         rng = np.random.default_rng(2)
@@ -222,7 +207,7 @@ class TestWeightSuperop:
         nu = make_nu(m)
         eta, d_val = m.xi_eta(nu)
         x = (1.0 - d_val) * eta
-        np.testing.assert_allclose(x - m.pred_pi(m.pred_lambda(x)), nu,
+        np.testing.assert_allclose(x - apply_pi(m, m.pred_lambda(x)), nu,
                                    rtol=0, atol=1e-12)
 
     def test_boundary_rep_cp_at_cell_edges(self, model):
@@ -232,27 +217,6 @@ class TestWeightSuperop:
             verdict = choi_min_eig(rep, model.dim_k, model.dim_h)
             assert verdict.completely_positive
             assert cond < 1e6
-
-
-class TestGammaModel:
-    def test_gamma_requires_span_variant(self, model):
-        with pytest.raises(NotImplementedError):
-            model.gamma_tensor
-
-    def test_gamma_identity_relation(self, span_model):
-        m = span_model.factor_dim
-        ident = np.eye(m, dtype=complex).reshape(-1)
-        g2 = span_model.gamma_tensor.reshape(m * m, m * m)
-        image = (g2 @ ident).reshape(m, m)
-        expected = np.eye(m) - span_model.damping
-        np.testing.assert_allclose(image, expected, atol=1e-12)
-
-    def test_pred_gamma_positive(self, span_model):
-        rng = np.random.default_rng(4)
-        mu = random_density(rng, span_model.dim_h)
-        out = span_model.pred_gamma(mu)
-        herm = 0.5 * (out + out.conj().T)
-        assert np.linalg.eigvalsh(herm)[0] >= -1e-10
 
 
 class TestChoi:
@@ -318,7 +282,7 @@ class TestCutAwareKernels:
         m = MatrixModel(n_factors=n_factors, factor_dim=2)
         omega = m.weight_superop()
         corner_matrix = WeightMatrix(m, omega, 1j)
-        entries = [[omega]] if blocks == 1 else corner_matrix.blocks()
+        entries = [[omega]] if blocks == 1 else corner_matrix.blocks
         for t in (0.5, 0.25):
             w_t = reference_truncation(m, t, blocks) \
                 @ corner(m, entries, m.dim_h)
@@ -360,10 +324,3 @@ class TestCutAwareKernels:
         assert v.trace == 0.0
         assert v.completely_positive
 
-    def test_span_basis_rejects_spectral_cuts(self, span_model):
-        d2, dh2 = span_model.dim_k ** 2, span_model.dim_h ** 2
-        omega = np.zeros((dh2, d2), dtype=complex)
-        with pytest.raises(ValueError, match="cell basis"):
-            span_model.apply_truncation(0.5, omega)
-        with pytest.raises(ValueError, match="cell basis"):
-            span_model.boundary_rep(omega, 0.5)
