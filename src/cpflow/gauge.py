@@ -21,6 +21,8 @@ reported with a reproducer.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,10 +59,7 @@ class GaugeParam:
         a, b, c, y = self.a, self.b, self.c, self.y
         if self.klass == RAW:
             return
-        if abs(a) > 1.0 + _TOL:
-            raise InvalidParameterError("|a| must not exceed 1")
-        if y.real < -_TOL:
-            raise InvalidParameterError("Re(y) must be nonnegative")
+        _check_contractive(a, y)
         if self.klass in (UNITARY, ISOMETRIC):
             if abs(abs(a) - 1.0) > _TOL:
                 raise InvalidParameterError("%s class needs |a| = 1" % self.klass)
@@ -79,6 +78,14 @@ class GaugeParam:
     @property
     def on_unit_circle(self) -> bool:
         return abs(abs(self.a) - 1.0) <= _TOL
+
+
+def _check_contractive(a: complex, y: complex):
+    """The invariants of every validated class: |a| <= 1 and Re(y) >= 0."""
+    if abs(a) > 1.0 + _TOL:
+        raise InvalidParameterError("|a| must not exceed 1")
+    if y.real < -_TOL:
+        raise InvalidParameterError("Re(y) must be nonnegative")
 
 
 def identity_param(klass: str = GENERAL) -> GaugeParam:
@@ -121,16 +128,67 @@ def r_term(g: GaugeParam, gp: GaugeParam) -> float:
     """
     if g.on_unit_circle or gp.on_unit_circle:
         return 0.0
-    a, b, c = g.a, g.b, g.c
-    ap, bp, cp = gp.a, gp.b, gp.c
+    return _r_value(g.a, g.b, g.c, gp.a, gp.b, gp.c)
+
+
+def _r_value(a: complex, b: complex, c: complex,
+             ap: complex, bp: complex, cp: complex) -> float:
+    """r for |a|, |a'| < 1 on plain complex numbers."""
     da = 1.0 - abs(a) ** 2
     dap = 1.0 - abs(ap) ** 2
     daap = 1.0 - abs(a * ap) ** 2
-    val = (abs(np.conj(ap) * bp + cp) ** 2 / dap
-           + abs(bp * da - np.conj(a) * b - c) ** 2 / da
-           - abs(np.conj(a * ap) * (a * bp + b)
-                 + np.conj(ap) * c + cp) ** 2 / daap)
-    return float(val.real) if isinstance(val, complex) else float(val)
+    return (abs(ap.conjugate() * bp + cp) ** 2 / dap
+            + abs(bp * da - a.conjugate() * b - c) ** 2 / da
+            - abs((a * ap).conjugate() * (a * bp + b)
+                  + ap.conjugate() * c + cp) ** 2 / daap)
+
+
+def _r_square_form(a: complex, b: complex, c: complex,
+                   ap: complex, bp: complex, cp: complex) -> float:
+    """r as one squared modulus over a positive denominator:
+
+        |(1-|a|^2) a' (conj(a') b' + c')
+         + (1-|a'|^2) (b' (1-|a|^2) - conj(a) b - c)|^2
+        / ((1-|a|^2) (1-|a'|^2) (1-|a a'|^2)),
+
+    nonnegative by construction for |a|, |a'| < 1.
+    """
+    da = 1.0 - abs(a) ** 2
+    dap = 1.0 - abs(ap) ** 2
+    daap = 1.0 - abs(a * ap) ** 2
+    num = (da * ap * (ap.conjugate() * bp + cp)
+           + dap * (bp * da - a.conjugate() * b - c))
+    return abs(num) ** 2 / (da * dap * daap)
+
+
+def r_sweep(rng: np.random.Generator, n: int) -> tuple[float, float]:
+    """min r over n general pairs, and the square-form residual.
+
+    Draws the pairs from the stream that
+    min(r_term(random_param(rng), random_param(rng)) for _ in range(n))
+    consumes, and returns that minimum unchanged together with
+    max |r - r_sq| / max(r_sq, 1), r_sq being _r_square_form of the same
+    pair.  Each draw is checked against the general-class invariants.
+    General draws have |a| <= 0.95, so r_term's unit-circle branch never
+    applies.  Memory is O(1) in n.
+    """
+    if n < 1:
+        raise ValueError("r_sweep needs n >= 1")
+    r_min = math.inf
+    worst = 0.0
+    for _ in range(n):
+        a, b, c, y = _draw(rng, GENERAL)
+        _check_contractive(a, y)
+        ap, bp, cp, yp = _draw(rng, GENERAL)
+        _check_contractive(ap, yp)
+        r = _r_value(a, b, c, ap, bp, cp)
+        if r < r_min:
+            r_min = r
+        r_sq = _r_square_form(a, b, c, ap, bp, cp)
+        res = abs(r - r_sq) / max(r_sq, 1.0)
+        if res > worst:
+            worst = res
+    return r_min, worst
 
 
 def _composed_class(g: GaugeParam, gp: GaugeParam) -> str:
@@ -262,18 +320,33 @@ def single_reachable(z0: complex, z1: complex) -> Reachability:
 # random sampling helpers (seeded by the caller)
 # ---------------------------------------------------------------------------
 
-def random_param(rng: np.random.Generator, klass: str = GENERAL) -> GaugeParam:
-    def cplx(scale=1.0):
-        return complex(rng.normal(scale=scale), rng.normal(scale=scale))
+_TWO_PI_I = 2j * np.pi
 
+
+def _draw(rng: np.random.Generator, klass: str = GENERAL) -> tuple:
+    """Plain (a, b, c, y) of a random parameter of the given class.
+
+    rng.uniform(0, s) is s * rng.random() and rng.normal() is
+    rng.standard_normal() bit for bit, and rng.standard_normal(4) is four
+    such calls in order, so the bound methods consume the generator
+    exactly as those calls would; cmath.exp and the plain complex products
+    stand for numpy's scalar exp and conj.  The tests compare every class
+    with the keyword-call numpy form, value for value.
+    """
+    uniform, normal = rng.random, rng.standard_normal
     if klass == FLOW:
-        return GaugeParam(rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform()),
-                          klass=FLOW)
+        return uniform() * cmath.exp(_TWO_PI_I * uniform()), 0j, 0j, 0j
     if klass in (UNITARY, ISOMETRIC):
-        a = np.exp(2j * np.pi * rng.uniform())
-        b = cplx()
-        return GaugeParam(a, b, -np.conj(a) * b, 1j * rng.normal(),
-                          klass=klass)
-    a = rng.uniform(0, 0.95) * np.exp(2j * np.pi * rng.uniform())
-    return GaugeParam(a, cplx(), cplx(), complex(rng.uniform(0, 2),
-                                                 rng.normal()))
+        a = cmath.exp(_TWO_PI_I * uniform())
+        b = complex(normal(), normal())
+        return a, b, -a.conjugate() * b, 1j * normal()
+    a = 0.95 * uniform() * cmath.exp(_TWO_PI_I * uniform())
+    b_re, b_im, c_re, c_im = normal(4).tolist()  # one call for b and c
+    return (a, complex(b_re, b_im), complex(c_re, c_im),
+            complex(2.0 * uniform(), normal()))
+
+
+def random_param(rng: np.random.Generator, klass: str = GENERAL) -> GaugeParam:
+    if klass not in (FLOW, UNITARY, ISOMETRIC):
+        klass = GENERAL
+    return GaugeParam(*_draw(rng, klass), klass=klass)

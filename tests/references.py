@@ -6,7 +6,9 @@ does in a cheaper shape; the tests compare the two.
 
 import numpy as np
 
+from cpflow.gauge import FLOW, GENERAL, ISOMETRIC, UNITARY, GaugeParam
 from cpflow.opbasis import ChoiVerdict, choi_min_eig
+from cpflow.semigroups import evolve, flow_inner
 from cpflow.weights import omega1
 
 
@@ -84,3 +86,31 @@ def omega_full(rho, element, xi, cfg=None, n_factors=None) -> complex:
     """The full weight omega(rho) = omega1(rho) + rho(Delta) xi."""
     base = omega1(rho, element, cfg, n_factors)
     return base.value + rho.delta_value() * xi.value(element)
+
+
+def random_param_reference(rng: np.random.Generator,
+                           klass: str = GENERAL) -> GaugeParam:
+    """A random gauge parameter drawn with keyword-parsed generator calls.
+
+    gauge.random_param draws the same stream through bound methods.
+    """
+    def cplx(scale=1.0):
+        return complex(rng.normal(scale=scale), rng.normal(scale=scale))
+
+    if klass == FLOW:
+        return GaugeParam(rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform()),
+                          klass=FLOW)
+    if klass in (UNITARY, ISOMETRIC):
+        a = np.exp(2j * np.pi * rng.uniform())
+        b = cplx()
+        return GaugeParam(a, b, -np.conj(a) * b, 1j * rng.normal(),
+                          klass=klass)
+    a = rng.uniform(0, 0.95) * np.exp(2j * np.pi * rng.uniform())
+    return GaugeParam(a, cplx(), cplx(), complex(rng.uniform(0, 2),
+                                                 rng.normal()))
+
+
+def full_numeric_gram(zs, t: float, f) -> np.ndarray:
+    """Gram matrix pairing all k^2 evolved states; numeric_gram pairs i <= j."""
+    states = [evolve(f, z, t).state for z in zs]
+    return np.array([[flow_inner(u, v) for v in states] for u in states])

@@ -266,6 +266,21 @@ class TestConfigKeysRead:
         assert residual["value"] > 1e-3
 
 
+class TestGaugeRecords:
+    def test_r_minimum_and_square_form_residual(self, tmp_path, fast_config):
+        out = tmp_path / "out"
+        result = run_cli(["gauge-check", "--config", fast_config,
+                          "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        records = {r["name"]: r for r in load_report(out,
+                                                     "gauge-check")["records"]}
+        assert records["r-minimum"]["expected"] == "ge -1e-12"
+        residual = records["r-square-form-residual"]
+        assert residual["expected"] == "le 1e-12"
+        assert residual["provenance"] == "derived-oracle"
+        assert 0.0 <= residual["value"] <= 1e-12
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("command", ["delta", "gauge-check",
                                          "weights-unitality"])

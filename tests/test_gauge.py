@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cpflow import gauge
 from cpflow.gauge import (
     FLOW,
     GENERAL,
@@ -18,10 +20,12 @@ from cpflow.gauge import (
     formula_discrepancy_report,
     identity_param,
     pair_reachable,
+    r_sweep,
     r_term,
     random_param,
     single_reachable,
 )
+from references import random_param_reference
 
 RNG = np.random.default_rng(20240823)
 ZS = [complex(RNG.normal(), RNG.normal()) for _ in range(25)]
@@ -139,6 +143,106 @@ class TestComposition:
         g = random_param(RNG, UNITARY)
         gp = random_param(RNG)
         assert r_term(g, gp) == 0.0
+
+
+class TestDraws:
+    @pytest.mark.parametrize("klass", [GENERAL, UNITARY, ISOMETRIC, FLOW])
+    @pytest.mark.parametrize("seed", [2024, 7])
+    def test_same_stream_as_reference(self, klass, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2000):
+            g, h = random_param(rng, klass), random_param_reference(ref, klass)
+            assert (g.a, g.b, g.c, g.y, g.klass) == (h.a, h.b, h.c, h.y,
+                                                     h.klass)
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("seed", [2024, 7, 11])
+    def test_sweep_minimum_is_the_scalar_minimum(self, seed):
+        n = 2000
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        r_min, _ = r_sweep(rng, n)
+        assert r_min == min(r_term(random_param(ref), random_param(ref))
+                            for _ in range(n))
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("seed", [2024, 7, 11])
+    def test_sweep_square_form_residual(self, seed):
+        n = 2000
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        _, residual = r_sweep(rng, n)
+        worst = 0.0
+        for _ in range(n):
+            g, gp = random_param(ref), random_param(ref)
+            da, dap = 1 - abs(g.a) ** 2, 1 - abs(gp.a) ** 2
+            num = (da * gp.a * (np.conj(gp.a) * gp.b + gp.c)
+                   + dap * (gp.b * da - np.conj(g.a) * g.b - g.c))
+            r_sq = abs(num) ** 2 / (da * dap * (1 - abs(g.a * gp.a) ** 2))
+            worst = max(worst, abs(r_term(g, gp) - r_sq) / max(r_sq, 1.0))
+        assert residual == worst
+        assert residual <= 1e-12
+
+    @pytest.mark.parametrize("bad", [(0.5, 0j, 0j, -1.0 + 0j),
+                                     (1.5, 0j, 0j, 0j)])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_sweep_validates_each_draw(self, monkeypatch, bad, position):
+        draws = [(0.5 + 0j, 0j, 0j, 0j)] * 2
+        draws[position] = bad
+        stream = iter(draws)
+        monkeypatch.setattr(gauge, "_draw", lambda rng, klass: next(stream))
+        with pytest.raises(InvalidParameterError):
+            r_sweep(np.random.default_rng(0), 1)
+
+    def test_sweep_needs_a_sample(self):
+        with pytest.raises(ValueError):
+            r_sweep(np.random.default_rng(0), 0)
+
+
+@st.composite
+def near_circle_pairs(draw):
+    """g_s on the surface ac + b = 0 with |a| = s near 1, and a general g'.
+
+    Returns (g_s, g_u, g', z), g_u being the unitary parameter
+    (u, -u c, c, i Im y) with u = a / |a|.
+    """
+    unit = st.floats(min_value=-2.0, max_value=2.0)
+    cplx = st.builds(complex, unit, unit)
+    angle = st.floats(min_value=0.0, max_value=2 * np.pi)
+    u = np.exp(1j * draw(angle))
+    a = (1.0 - draw(st.floats(min_value=1e-6, max_value=1e-2))) * u
+    c = draw(cplx)
+    y = complex(draw(st.floats(min_value=0.0, max_value=2.0)), draw(unit))
+    g = GaugeParam(a, -a * c, c, y)
+    g_u = GaugeParam(u, -u * c, c, 1j * y.imag, klass=UNITARY)
+    ap = draw(st.floats(min_value=0.0, max_value=0.95)) * np.exp(
+        1j * draw(angle))
+    gp = GaugeParam(ap, draw(cplx), draw(cplx),
+                    complex(draw(st.floats(min_value=0.0, max_value=2.0)),
+                            draw(unit)))
+    return g, g_u, gp, draw(cplx)
+
+
+class TestNearUnitCircle:
+    """On ac + b = 0, r and the rate go continuously to the |a| = 1 branch."""
+
+    @given(near_circle_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_rate_tends_to_unitary_rate(self, case):
+        g, g_u, _, z = case
+        da = 1.0 - abs(g.a) ** 2
+        expected = (act(g_u, z).exponent_rate - g.y.real
+                    - 0.5 * abs(z - g.c) ** 2 * da)
+        assert abs(act(g, z).exponent_rate - expected) <= 1e-12
+
+    @given(near_circle_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_r_vanishes_like_one_minus_modulus_squared(self, case):
+        g, _, gp, _ = case
+        da = 1.0 - abs(g.a) ** 2
+        dap = 1.0 - abs(gp.a) ** 2
+        limit = (abs(gp.a * (np.conj(gp.a) * gp.b + gp.c)
+                     + dap * (gp.b - g.c)) ** 2
+                 / (dap * (1.0 - abs(g.a * gp.a) ** 2)))
+        assert abs(r_term(g, gp) / da - limit) <= 1e-6 * max(limit, 1.0)
 
 
 class TestActionOracle:

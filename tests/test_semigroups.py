@@ -24,6 +24,7 @@ from cpflow.semigroups import (
     refinement_orders,
     semigroup_residual,
 )
+from references import full_numeric_gram
 
 LABELS = [0.0, 1.0, 1j, 1 + 1j]
 
@@ -297,6 +298,15 @@ class TestGram:
     def test_numeric_gram_psd(self):
         f = bump_state(Grid(8.0, 200), 3.0, 0.4)
         assert gram_min_eig(numeric_gram(LABELS, 1.0, f)) >= -1e-12
+
+    @pytest.mark.parametrize("labels", [LABELS, [0.3 - 0.7j, -1.2, 2j, 0.5]])
+    def test_numeric_gram_is_exactly_hermitian(self, labels):
+        f = bump_state(Grid(8.0, 200), 3.0, 0.4)
+        gram = numeric_gram(labels, 1.0, f)
+        np.testing.assert_array_equal(gram, gram.conj().T)
+        full = full_numeric_gram(labels, 1.0, f)
+        assert np.max(np.abs(gram - full)) <= 1e-15
+        assert abs(gram_min_eig(gram) - gram_min_eig(full)) <= 1e-15
 
     def test_numeric_approaches_analytic(self):
         errs = []
