@@ -323,7 +323,7 @@ def single_reachable(z0: complex, z1: complex) -> Reachability:
 _TWO_PI_I = 2j * np.pi
 
 
-def _draw(rng: np.random.Generator, klass: str = GENERAL) -> tuple:
+def _draw(rng: np.random.Generator, klass: str) -> tuple:
     """Plain (a, b, c, y) of a random parameter of the given class.
 
     rng.uniform(0, s) is s * rng.random() and rng.normal() is

@@ -263,14 +263,16 @@ def analytic_gram(zs, t: float) -> np.ndarray:
 def numeric_gram(zs, t: float, f: FlowState) -> np.ndarray:
     """Gram matrix of the evolved states U_{z_i}(t) f from the stepper.
 
-    Pairs each i <= j once and fills the lower triangle with conjugates,
-    so the matrix is exactly Hermitian.
+    Pairs each i < j once and fills the lower triangle with conjugates;
+    the diagonal keeps the real part of each self-pairing (a squared
+    norm), so the matrix is exactly Hermitian.
     """
     states = [evolve(f, z, t).state for z in zs]
     k = len(states)
     out = np.empty((k, k), dtype=complex)
     for i in range(k):
-        for j in range(i, k):
+        out[i, i] = flow_inner(states[i], states[i]).real
+        for j in range(i + 1, k):
             out[i, j] = flow_inner(states[i], states[j])
             out[j, i] = out[i, j].conjugate()
     return out
