@@ -347,6 +347,7 @@ def _draw(rng: np.random.Generator, klass: str) -> tuple:
 
 
 def random_param(rng: np.random.Generator, klass: str = GENERAL) -> GaugeParam:
-    if klass not in (FLOW, UNITARY, ISOMETRIC):
-        klass = GENERAL
+    """A random parameter of the class; an unknown class draws nothing."""
+    if klass not in (FLOW, UNITARY, ISOMETRIC, GENERAL):
+        raise InvalidParameterError("unknown class %r" % (klass,))
     return GaugeParam(*_draw(rng, klass), klass=klass)

@@ -117,7 +117,10 @@ class HalfLineOperator:
         raise NotImplementedError
 
 
+@dataclass(frozen=True)
 class IdentityOperator(HalfLineOperator):
+    """The identity; every instance is equal to and hashes like every other."""
+
     def matrix_element(self, u, v):
         return inner_product(u, v)
 
@@ -125,6 +128,7 @@ class IdentityOperator(HalfLineOperator):
         return self
 
 
+@dataclass(frozen=True)
 class ZeroOperator(HalfLineOperator):
     def matrix_element(self, u, v):
         return 0.0 + 0.0j

@@ -2,16 +2,31 @@
 
 Functionals are finite sums of rank-one bra-kets over product vectors.
 The weight series (the minimal weight, its z-twisted variants, and the
-unital family built from a normalization functional) are evaluated by
-shifting the functional instead of the operator, so the truncation window
-never overflows.  Series tails are certified by the positive majorant at
-the boundary identity I - Lambda, for which the series telescopes and the
-tail has a closed form.
+unital family built from a normalization functional) are evaluated on the
+shift orbit rho_n = rho o sigma^n of the functional instead of shifting
+the operator, so the truncation window never overflows.  Series tails are
+certified by the positive majorant at the boundary identity I - Lambda,
+for which the series telescopes and the tail has a closed form.
+
+The series reads the orbit from a table per rank-one term: for each
+distinct slot operator (identity, damping, and those of the target) one
+column of matrix elements (bra_s, op ket_s) per absolute slot s, grown
+by one reference slot per shift; the damping column gives the shift
+weights.  Every value multiplies the entries in the order
+tensorspace.pairing does, so it equals the pairing of the shifted
+functional bit for bit (tests/references.py keeps that loop as
+series_by_shifting), and a custom sequence that runs out raises at the
+same shift.  Entries between reference vectors depend only on the
+sequences, the index and the operator, and are memoised in bounded
+tables.  Functional.__call__, delta_value and shifted stay on pairing:
+they give the independent side of the checked identities (rho(I) and
+rho(Delta) in weights-unitality) and the decay curve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -25,13 +40,17 @@ from .halfline import (
     inner_product,
 )
 from .tensorspace import (
+    _TAIL_OPS,
+    LambdaSequence,
     ProductVector,
     TensorOperator,
+    TruncationExceededError,
     delta_operator,
     identity_operator,
     pairing,
     pi_apply,
     product_inner,
+    tail_weight_product,
 )
 
 
@@ -184,34 +203,216 @@ class SeriesValue:
     exact_tail: bool
 
 
+class _Column:
+    """Matrix elements (bra_s, op ket_s) of one slot operator of one term.
+
+    vals[s - start] holds absolute slot s; refs is the shared memo of the
+    operator's entries between reference vectors.
+    """
+
+    __slots__ = ("op", "start", "vals", "refs")
+
+    def __init__(self, op: HalfLineOperator, start: int,
+                 refs: dict[int, complex]):
+        self.op = op
+        self.start = start
+        self.vals: list[complex] = []
+        self.refs = refs
+
+
+_REFERENCE_INDICES = 1024
+"""Entries kept per reference table; later indices are recomputed."""
+
+
+@lru_cache(maxsize=64)
+def _reference_table(bra_seq: LambdaSequence, ket_seq: LambdaSequence,
+                     op: HalfLineOperator) -> dict[int, complex]:
+    """Memo index -> (k_index, op k_index) between two reference sequences.
+
+    Past its explicit factors every slot of the orbit holds reference
+    vectors, so these entries depend on (sequences, index, operator) only
+    and are shared by every functional on the same sequences.  The memo
+    is bounded: at most 64 tables, least recently used first out, each
+    keeping at most _REFERENCE_INDICES entries.  Operators are keys, so
+    they must be hashable values.
+    """
+    return {}
+
+
+class _OrbitTerm:
+    """One rank-one w (bra, . ket) of a functional along its shift orbit.
+
+    Absolute slot s holds the explicit factors for s < width and the
+    reference vectors k_{tail_start + s - width} past them.  After k
+    shifts the weight is w times the damping entries of slots 0..k-1, and
+    position i of the truncated state reads slot k + i.  Products are
+    taken in the order tensorspace.pairing takes them, so every value is
+    the one pairing gives on the shifted functional.
+
+    The explicit slots of the identity and damping columns are filled on
+    construction, those of the target's columns at the first target
+    value, and each shift opens one reference slot in every column.
+    """
+
+    def __init__(self, w: complex, ket: ProductVector, bra: ProductVector,
+                 target: TensorOperator):
+        if ket.width != bra.width or ket.tail_start != bra.tail_start:
+            raise ValueError("states must share truncation and tail alignment")
+        self.w = w
+        self.ket = ket
+        self.bra = bra
+        self.width = n = ket.width
+        # the slot operator at each position of each target term, up to the
+        # first term wider than the state (pairing raises there)
+        resolved = []
+        self.overwide: int | None = None
+        for c, factors, tail in target.terms:
+            if len(factors) > n:
+                self.overwide = len(factors)
+                break
+            tail_op = _TAIL_OPS[tail]
+            ops = [factors[i] if i < len(factors) else tail_op
+                   for i in range(n)]
+            resolved.append((c, ops, tail == "damping"))
+        # one column per distinct operator, from the first position it is
+        # read at; identity (rho(I)) and damping (rho(Delta), the shift)
+        # are read from position 0
+        first = {_IDENTITY: 0, _DAMPING: 0}
+        for _, ops, _ in resolved:
+            for i, op in enumerate(ops):
+                first[op] = min(first.get(op, i), i)
+        cols = {op: _Column(op, i, _reference_table(bra.seq, ket.seq, op))
+                for op, i in first.items()}
+        self.columns = list(cols.values())
+        self.identity = cols[_IDENTITY]
+        self.damping = cols[_DAMPING]
+        self.target = [(c, [(cols[op].vals, i - cols[op].start)
+                            for i, op in enumerate(ops)], damping)
+                       for c, ops, damping in resolved]
+        self.unfilled = [col for col in self.columns
+                         if col is not self.identity
+                         and col is not self.damping]
+        self._fill([self.identity, self.damping])
+
+    def _fill(self, columns: list[_Column]) -> None:
+        """Explicit slots start..width-1 of each column."""
+        bra, ket = self.bra.factors, self.ket.factors
+        for col in columns:
+            col.vals.extend(col.op.matrix_element(bra[s], ket[s])
+                            for s in range(col.start, self.width))
+
+    def delta_value(self) -> complex:
+        """rho_0(Delta): damping on every slot and on the implicit tail."""
+        val = _ONE
+        for m in self.damping.vals:
+            val *= m
+        val *= tail_weight_product(self.ket.seq, self.ket.tail_start)
+        total = 0.0 + 0.0j
+        total += val
+        return self.w * total
+
+    def identity_value(self, k: int) -> complex:
+        """rho_k(I) after k shifts."""
+        vals = self.identity.vals
+        val = _ONE
+        for i in range(k, k + self.width):
+            val *= vals[i]
+        total = 0.0 + 0.0j
+        total += val
+        return self.w * total
+
+    def target_value(self, k: int) -> complex:
+        """rho_k(target) after k shifts."""
+        if self.unfilled:
+            self._fill(self.unfilled)
+            self.unfilled = []
+        total = 0.0 + 0.0j
+        for c, factors, damping in self.target:
+            val = c
+            for vals, d in factors:
+                val *= vals[k + d]
+            if damping:
+                val *= tail_weight_product(self.ket.seq,
+                                           self.ket.tail_start + k)
+            total += val
+        if self.overwide is not None:
+            raise TruncationExceededError(
+                "operator touches %d slots, state has %d"
+                % (self.overwide, self.width))
+        return self.w * total
+
+    def shift(self, k: int) -> None:
+        """rho_k -> rho_{k+1}: damp slot k, open slot k + width.
+
+        The new slot's reference vectors are fetched on the first memo
+        miss, so a custom sequence too short for them raises here, at the
+        shift where ProductVector.shifted_down would.
+        """
+        self.w = self.w * self.damping.vals[k]
+        index = self.ket.tail_start + k
+        vectors = None
+        for col in self.columns:
+            val = col.refs.get(index)
+            if val is None:
+                if vectors is None:
+                    # ket first, in the order ProductVector.shifted_down
+                    # is called on the two sides
+                    ket = self.ket.seq.reference(index)
+                    vectors = self.bra.seq.reference(index), ket
+                val = col.op.matrix_element(*vectors)
+                if len(col.refs) < _REFERENCE_INDICES:
+                    col.refs[index] = val
+            col.vals.append(val)
+
+
+_ONE = complex(1.0)
+_IDENTITY = _TAIL_OPS["identity"]
+_DAMPING = _TAIL_OPS["damping"]
+
+
 def _series(rho: Functional, element: HElement, cfg: WeightSeriesConfig,
             n_factors: int, z: complex = 1.0) -> SeriesValue:
-    """sum_n z^{n+1} rho((pi Lambda)^n pi(element)) with certified tail."""
+    """sum_n z^{n+1} rho((pi Lambda)^n pi(element)) with certified tail.
+
+    The orbit rho_n = rho o sigma^n is read from per-slot tables (see the
+    module docstring); the certificate compares rho_n(I) with rho(Delta).
+    """
     target = element.pi_image(n_factors)
-    delta_limit = rho.delta_value()
+    orbit = []
+    parts = []
+    for w, ket, bra in rho.terms:
+        term = _OrbitTerm(w, ket, bra, target)
+        parts.append(term.delta_value())
+        orbit.append(term)
+    delta_limit = sum(parts, 0.0 + 0.0j)
     telescopes = element.telescoping and z == 1.0
     explicit = cfg.max_terms
     if telescopes:
         explicit = min(cfg.max_terms, 4 * n_factors + 4)
-    cur = rho
     terms = []
     zpow = z
-    for _ in range(explicit):
-        terms.append(zpow * cur(target))
-        cur = cur.shifted()
+    for k in range(explicit):
+        terms.append(zpow * sum((t.target_value(k) for t in orbit),
+                                0.0 + 0.0j))
+        for t in orbit:
+            t.shift(k)
         zpow = zpow * z
-        cert = abs(zpow) * abs(cur(None) - delta_limit)
+        cert = abs(zpow) * abs(_identity_value(orbit, k + 1) - delta_limit)
         if cert < cfg.tail_tolerance:
             return SeriesValue(np.sum(terms), np.array(terms), cert, False)
     if telescopes:
         # for I - Lambda the terms are rho_n(I) - rho_{n+1}(I), so the
-        # remaining sum is exactly cur(I) - rho(Delta)
-        tail = cur(None) - delta_limit
+        # remaining sum is exactly rho_n(I) - rho(Delta)
+        tail = _identity_value(orbit, len(terms)) - delta_limit
         return SeriesValue(np.sum(terms) + tail, np.array(terms), 0.0, True)
     partial = np.cumsum(terms)
     raise NonConvergenceError(
         "weight series still above tolerance after %d terms" % cfg.max_terms,
         partial)
+
+
+def _identity_value(orbit: list[_OrbitTerm], k: int) -> complex:
+    return sum((t.identity_value(k) for t in orbit), 0.0 + 0.0j)
 
 
 def omega1(rho: Functional, element: HElement,
@@ -242,6 +443,8 @@ def omega_z(z: complex, rho: Functional, element: HElement,
 
 
 def _infer_width(rho: Functional) -> int:
+    if not rho.terms:
+        raise ValueError("functional has no terms: pass n_factors")
     widths = {k.width for _, k, b in rho.terms} | {b.width for _, k, b in rho.terms}
     if len(widths) != 1:
         raise ValueError("functional mixes truncation widths")

@@ -6,10 +6,17 @@ does in a cheaper shape; the tests compare the two.
 
 import numpy as np
 
-from cpflow.gauge import FLOW, GENERAL, ISOMETRIC, UNITARY, GaugeParam
+from cpflow.gauge import (
+    FLOW,
+    GENERAL,
+    ISOMETRIC,
+    UNITARY,
+    GaugeParam,
+    InvalidParameterError,
+)
 from cpflow.opbasis import ChoiVerdict, choi_min_eig
 from cpflow.semigroups import evolve, flow_inner
-from cpflow.weights import omega1
+from cpflow.weights import NonConvergenceError, SeriesValue, omega1
 
 
 def assemble_doubled(blocks, dim_in: int, dim_out: int) -> np.ndarray:
@@ -94,6 +101,9 @@ def random_param_reference(rng: np.random.Generator,
 
     gauge.random_param draws the same stream through bound methods.
     """
+    if klass not in (FLOW, UNITARY, ISOMETRIC, GENERAL):
+        raise InvalidParameterError("unknown class %r" % (klass,))
+
     def cplx(scale=1.0):
         return complex(rng.normal(scale=scale), rng.normal(scale=scale))
 
@@ -114,3 +124,35 @@ def full_numeric_gram(zs, t: float, f) -> np.ndarray:
     """Gram matrix pairing all k^2 evolved states; numeric_gram pairs i <= j."""
     states = [evolve(f, z, t).state for z in zs]
     return np.array([[flow_inner(u, v) for v in states] for u in states])
+
+
+def series_by_shifting(rho, element, cfg, n_factors, z=1.0) -> SeriesValue:
+    """The weight series by building each shifted functional and pairing it.
+
+    weights._series reads the same orbit from per-slot tables.
+    """
+    target = element.pi_image(n_factors)
+    delta_limit = rho.delta_value()
+    telescopes = element.telescoping and z == 1.0
+    explicit = cfg.max_terms
+    if telescopes:
+        explicit = min(cfg.max_terms, 4 * n_factors + 4)
+    cur = rho
+    terms = []
+    zpow = z
+    for _ in range(explicit):
+        terms.append(zpow * cur(target))
+        cur = cur.shifted()
+        zpow = zpow * z
+        cert = abs(zpow) * abs(cur(None) - delta_limit)
+        if cert < cfg.tail_tolerance:
+            return SeriesValue(np.sum(terms), np.array(terms), cert, False)
+    if telescopes:
+        # for I - Lambda the terms are rho_n(I) - rho_{n+1}(I), so the
+        # remaining sum is exactly cur(I) - rho(Delta)
+        tail = cur(None) - delta_limit
+        return SeriesValue(np.sum(terms) + tail, np.array(terms), 0.0, True)
+    partial = np.cumsum(terms)
+    raise NonConvergenceError(
+        "weight series still above tolerance after %d terms" % cfg.max_terms,
+        partial)

@@ -307,6 +307,40 @@ class TestDeterminism:
         assert verdicts == [0, 0]
 
 
+# record values at the default config, as computed when each shifted
+# functional was built and paired; the slot-table series must keep them
+GOLDEN_RECORDS = {
+    ("weights-unitality", 2024): {
+        "minimal-weight-identity-residual": "2.842170943040401e-14",
+        "unital-weight-residual": "2.842170943040401e-14"},
+    ("weights-unitality", 7): {
+        "minimal-weight-identity-residual": "1.4210854715202004e-14",
+        "unital-weight-residual": "2.1316282072803006e-14"},
+    ("weights-unitality", 11): {
+        "minimal-weight-identity-residual": "7.105427357601002e-15",
+        "unital-weight-residual": "7.105427357601002e-15"},
+}
+for _seed in (2024, 7, 11):
+    GOLDEN_RECORDS[("decay", _seed)] = {"delta-value": "0.0",
+                                        "max-norm-from-level-3": "0.0"}
+GOLDEN_DECAY_CURVE = ["0.95584308492520298", "0.10790507654127174",
+                      "0.060773472717787533"] + ["0"] * 6
+
+
+class TestGoldenRecords:
+    @pytest.mark.parametrize("command, seed", sorted(GOLDEN_RECORDS))
+    def test_record_values_pinned(self, command, seed, tmp_path):
+        out = tmp_path / "out"
+        result = run_cli([command, "--seed", str(seed), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        values = {r["name"]: repr(r["value"])
+                  for r in load_report(out, command)["records"]}
+        assert values == GOLDEN_RECORDS[(command, seed)]
+        if command == "decay":
+            rows = (out / "decay-decay.csv").read_text().split()[1:]
+            assert [row.split(",")[1] for row in rows] == GOLDEN_DECAY_CURVE
+
+
 class TestRefine:
     def test_extra_refinement_levels(self, tmp_path, fast_config):
         out = tmp_path / "out"

@@ -156,6 +156,41 @@ class TestDraws:
                                                      h.klass)
         assert rng.random() == ref.random()
 
+    # the third draw at seed 2024 and the next rng.random() after it, as
+    # drawn before unknown classes were rejected
+    PINNED = {
+        GENERAL: ("((0.2832422184829814-0.8825011317868586j), "
+                  "(-1.2910916333479945-0.7756786842437912j), "
+                  "(0.9030630777436289-1.4805813250203528j), "
+                  "(0.5560827994840305+0.16378857220098098j))",
+                  0.8071819864678583),
+        UNITARY: ("((-0.6357129270140613+0.7719255627502011j), "
+                  "(0.7508434731539183+0.6397595539314624j), "
+                  "(-0.016525851645280587+0.9862986891666341j), "
+                  "(-0-0.7313225212292476j))", 0.10538567974837565),
+        FLOW: ("((0.6239266120103004+0.7761039897656865j), 0j, 0j, 0j)",
+               0.07872553376199898),
+    }
+    PINNED[ISOMETRIC] = PINNED[UNITARY]
+
+    @pytest.mark.parametrize("draw", [random_param, random_param_reference])
+    @pytest.mark.parametrize("klass", [GENERAL, UNITARY, ISOMETRIC, FLOW])
+    def test_known_class_stream_pinned(self, draw, klass):
+        rng = np.random.default_rng(2024)
+        g = [draw(rng, klass) for _ in range(3)][-1]
+        assert g.klass == klass
+        assert (repr((g.a, g.b, g.c, g.y)), rng.random()) == self.PINNED[klass]
+
+    @pytest.mark.parametrize("draw", [random_param, random_param_reference])
+    @pytest.mark.parametrize("klass", ["unitray", "general", "", None])
+    def test_unknown_class_raises_before_drawing(self, draw, klass):
+        rng = np.random.default_rng(2024)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParameterError, match="unknown class"):
+            draw(rng, klass)
+        assert rng.bit_generator.state == state
+        assert rng.random() == np.random.default_rng(2024).random()
+
     @pytest.mark.parametrize("seed", [2024, 7, 11])
     def test_sweep_minimum_is_the_scalar_minimum(self, seed):
         n = 2000

@@ -1,11 +1,22 @@
 """Weight series, normalization identities and the decay lemma."""
 
+import cmath
+
 import numpy as np
 import pytest
 
-from cpflow.halfline import ExpKernelVector
-from cpflow.tensorspace import LambdaSequence, ProductVector, reference_state
+from cpflow import weights
+from cpflow.halfline import ExpKernelVector, ExpMultiplier, IdentityOperator
+from cpflow.tensorspace import (
+    LambdaSequence,
+    ProductVector,
+    TensorOperator,
+    TruncationExceededError,
+    delta_operator,
+    reference_state,
+)
 from cpflow.weights import (
+    Functional,
     HFunctional,
     NonConvergenceError,
     PreconditionViolationError,
@@ -23,7 +34,7 @@ from cpflow.weights import (
     zero_boundary_weight,
 )
 from cpflow.tensorspace import identity_operator
-from references import omega_full
+from references import omega_full, series_by_shifting
 
 LINEAR = LambdaSequence("linear")
 
@@ -142,3 +153,190 @@ class TestNonNormalWeight:
     def test_rejects_bad_exponent(self):
         with pytest.raises(ValueError):
             nonnormal_weight_demo(2.5, 3)
+
+
+# ---------------------------------------------------------------------------
+# the slot-table series against the shift-by-shift loop
+# ---------------------------------------------------------------------------
+
+ELEMENTS = {
+    "boundary-identity": boundary_identity,
+    "identity": identity_element,
+    "lambda-identity": lambda: lambda_of(identity_operator()),
+    "lambda-delta": lambda: lambda_of(delta_operator()),
+}
+TWISTS = [1.0, 0.5, 0.7j, -0.4, cmath.exp(1j * cmath.pi / 3)]
+SHORT_CFG = WeightSeriesConfig(max_terms=60)
+
+
+def random_functional(rng, width, n_terms=3, seq=LINEAR, tail_start=None):
+    """n_terms rank-ones w (bra, . ket) with independent bra and ket."""
+    def vec():
+        factors = []
+        for _ in range(width):
+            coeffs = rng.normal(size=2) + 1j * rng.normal(size=2)
+            factors.append(ExpKernelVector(
+                [(coeffs[j], 1.0 + j + 0.5 * rng.random()) for j in range(2)]))
+        return ProductVector(seq, factors, tail_start)
+    return Functional([(complex(rng.normal(), rng.normal()), vec(), vec())
+                       for _ in range(n_terms)])
+
+
+def outcome(series, *args):
+    try:
+        return series(*args), None
+    except Exception as exc:  # compared with the reference's
+        return None, exc
+
+
+def assert_same_series(rho, element, cfg, n_factors, z):
+    """omega_z and the shift-by-shift loop agree bit for bit, errors too."""
+    new, new_exc = outcome(omega_z, z, rho, element, cfg, n_factors)
+    old, old_exc = outcome(series_by_shifting, rho, element, cfg,
+                           n_factors, z)
+    if old_exc is not None:
+        assert type(new_exc) is type(old_exc)
+        assert str(new_exc) == str(old_exc)
+        if isinstance(old_exc, NonConvergenceError):
+            assert np.array_equal(new_exc.partial_sums, old_exc.partial_sums)
+        return old_exc
+    assert new_exc is None, new_exc
+    assert new.value == old.value
+    assert new.tail_certificate == old.tail_certificate
+    assert new.exact_tail == old.exact_tail
+    assert new.terms.dtype == old.terms.dtype
+    assert np.array_equal(new.terms, old.terms)
+    return old
+
+
+class TestSeriesTable:
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize("element", sorted(ELEMENTS))
+    @pytest.mark.parametrize("z", TWISTS)
+    def test_matches_shift_by_shift(self, width, element, z):
+        rng = np.random.default_rng(1000 * width + TWISTS.index(z))
+        rho = random_functional(rng, width)
+        assert_same_series(rho, ELEMENTS[element](), SHORT_CFG, width, z)
+
+    def test_cases_cover_each_outcome(self):
+        # the parametrized cases reach a converged value, an exact
+        # telescoped tail and a non-convergence error
+        kinds = set()
+        for element in ELEMENTS:
+            for z in (1.0, 0.5):
+                rho = random_functional(np.random.default_rng(3), 2)
+                res = assert_same_series(rho, ELEMENTS[element](),
+                                         SHORT_CFG, 2, z)
+                kinds.add(type(res).__name__ if isinstance(res, Exception)
+                          else res.exact_tail)
+        assert kinds == {True, False, "NonConvergenceError"}
+
+    @pytest.mark.parametrize("element", sorted(ELEMENTS))
+    @pytest.mark.parametrize("z", [1.0, 0.7j])
+    def test_other_tail_start(self, element, z):
+        rng = np.random.default_rng(11)
+        rho = random_functional(rng, 3, tail_start=6)
+        assert_same_series(rho, ELEMENTS[element](), SHORT_CFG, 3, z)
+
+    def test_nonconvergence_partial_sums(self):
+        rng = np.random.default_rng(12)
+        rho = random_functional(rng, 2)
+        exc = assert_same_series(rho, identity_element(),
+                                 WeightSeriesConfig(max_terms=25), 2, 1.0)
+        assert isinstance(exc, NonConvergenceError)
+        assert len(exc.partial_sums) == 25
+
+    def test_terms_of_different_widths(self):
+        rng = np.random.default_rng(13)
+        rho = random_functional(rng, 2) + random_functional(rng, 3, 1)
+        for element in ELEMENTS.values():
+            assert_same_series(rho, element(), SHORT_CFG, 2, 0.5)
+
+    def test_mismatched_widths(self):
+        rng = np.random.default_rng(14)
+        good = random_functional(rng, 2, 1)
+        (w, ket, _), = random_functional(rng, 3, 1).terms
+        (_, _, bra), = good.terms
+        rho = good + Functional([(w, ket, bra)])
+        exc = assert_same_series(rho, boundary_identity(), SHORT_CFG, 2, 1.0)
+        assert isinstance(exc, ValueError)
+
+    def test_state_narrower_than_target(self):
+        # pi(Lambda(e^{-x} x I)) touches two slots; the second term has one
+        rng = np.random.default_rng(15)
+        rho = random_functional(rng, 2) + random_functional(rng, 1, 1)
+        two_slots = lambda_of(TensorOperator([(1.0, (ExpMultiplier(1.0),),
+                                               "identity")]))
+        exc = assert_same_series(rho, two_slots, SHORT_CFG, 2, 1.0)
+        assert isinstance(exc, TruncationExceededError)
+        assert str(exc) == "operator touches 2 slots, state has 1"
+
+    @pytest.mark.parametrize("element", sorted(ELEMENTS))
+    def test_short_custom_sequence_accepted(self, element):
+        seq = LambdaSequence("custom", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0,
+                                        8.0, 1e9, 1e9))
+        rho = random_functional(np.random.default_rng(16), 2, seq=seq)
+        res = assert_same_series(rho, ELEMENTS[element](),
+                                 WeightSeriesConfig(), 2, 1.0)
+        assert not isinstance(res, Exception)
+        assert len(res.terms) == 8
+
+    @pytest.mark.parametrize("values, message", [
+        ((1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 1e9),
+         "custom sequence has no value at index 10"),
+        ((2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0),
+         "custom sequence ends before its tail product settles"),
+    ])
+    @pytest.mark.parametrize("element", sorted(ELEMENTS))
+    def test_short_custom_sequence_rejected(self, values, message, element):
+        seq = LambdaSequence("custom", values)
+        rho = random_functional(np.random.default_rng(17), 2, seq=seq)
+        exc = assert_same_series(rho, ELEMENTS[element](),
+                                 WeightSeriesConfig(), 2, 1.0)
+        assert isinstance(exc, TruncationExceededError)
+        assert str(exc) == message
+
+    def test_unital_family_matches(self):
+        xi = xi_from_nu(unit_nu(), n_factors=4)
+        for element in ELEMENTS.values():
+            el = element()
+            old, _ = outcome(series_by_shifting, xi.nu.damped_trace(), el,
+                             xi.cfg, 4)
+            if old is not None:
+                expected = xi.norm_const * (xi.nu(el) + old.value)
+                assert xi.value(el) == expected
+
+
+class TestReferenceMemo:
+    def test_operators_are_values(self):
+        assert IdentityOperator() == IdentityOperator()
+        assert hash(IdentityOperator()) == hash(IdentityOperator())
+        assert IdentityOperator() != ExpMultiplier(1.0)
+
+    def test_bounded_over_fresh_elements(self):
+        rho = rank_one(random_state(np.random.default_rng(18)))
+        tables = weights._reference_table
+
+        def sizes():
+            return (tables.cache_info().currsize,
+                    len(tables(LINEAR, LINEAR, IdentityOperator())),
+                    len(tables(LINEAR, LINEAR, ExpMultiplier(1.0))))
+
+        omega1(rho, boundary_identity(), n_factors=4)
+        first = sizes()
+        for _ in range(200):
+            omega1(rho, boundary_identity(), n_factors=4)
+        assert sizes() <= first
+        assert first[1] > 0
+
+
+class TestInferWidth:
+    def test_empty_functional_needs_width(self):
+        with pytest.raises(ValueError, match="no terms"):
+            omega1(Functional([]), boundary_identity())
+        with pytest.raises(ValueError, match="no terms"):
+            omega_z(0.5, Functional([]), boundary_identity())
+
+    def test_empty_functional_with_width(self):
+        res = omega1(Functional([]), boundary_identity(), n_factors=2)
+        assert res.value == 0.0
