@@ -37,7 +37,8 @@ from .weights import (
     rank_one,
     xi_from_nu,
 )
-from .opbasis import DEFAULT_EDGES, MatrixModel, choi_min_eig
+# choi_min_eig is unused here; perfbench's selftest checks this binding
+from .opbasis import DEFAULT_EDGES, MatrixModel, choi_min_eig  # noqa: F401
 from .cornercheck import (
     DegenerateDirectionError,
     derivation_residual,
@@ -436,24 +437,21 @@ def run_corner(cfg, rep: Reporter, rng):
     model = MatrixModel(n_factors=int(block["factors"]),
                         factor_dim=cfg["tensor"]["factor_dim"],
                         seq=_seq(cfg))
-    d, dh = model.dim_k, model.dim_h
     cuts = [float(t) for t in block["cut_levels"]]
-    minimal = model.weight_superop()
-    for t in cuts:
-        br, _ = model.boundary_rep(minimal, t)
-        rep.bound("boundary-rep-choi-min-t-%g" % t,
-                  choi_min_eig(br, d, dh).min_eigenvalue, -1e-8, "ge",
-                  "derived-oracle")
-    nu = np.zeros((dh, dh), dtype=complex)
+    nu = np.zeros((model.dim_h, model.dim_h), dtype=complex)
     nu[0, 0] = 1.0
+    minimal = model.weight_superop()
     eta, _ = model.xi_eta(nu)
     full = model.weight_superop(xi_eta=eta)
     verdict = subordination_check(model, full, minimal, cuts)
+    for t, low in zip(cuts, verdict.lower_min_eigs):
+        rep.bound("boundary-rep-choi-min-t-%g" % t, low, -1e-8, "ge",
+                  "derived-oracle")
     rep.record("subordination-full-over-minimal", verdict.subordinate,
                True, 1e-8, verdict.subordinate, "paper")
     label = _label(block["witness_label"])
     try:
-        wit = hypermax_witness(label, model, nu, tuple(cuts))
+        wit = hypermax_witness(label, model, minimal, eta, verdict)
         rep.record("hypermax-witness", wit.witnessed, True, 1e-8,
                    wit.witnessed, "derived-oracle")
     except DegenerateDirectionError as exc:

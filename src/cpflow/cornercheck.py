@@ -111,8 +111,12 @@ class WeightMatrix:
 
 @dataclass(frozen=True)
 class SubordinationVerdict:
+    """Minimum Choi eigenvalues per cut: upper, lower, upper - lower."""
+
     subordinate: bool
     cut_levels: tuple[float, ...]
+    upper_min_eigs: tuple[float, ...]
+    lower_min_eigs: tuple[float, ...]
     difference_min_eigs: tuple[float, ...]
     tolerance: float
 
@@ -133,47 +137,50 @@ def subordination_check(model: MatrixModel, upper, lower, cut_levels,
     if len(cut_levels) == 0 or max(cut_levels) >= top - 1e-12:
         raise ValueError("subordination needs cut levels below the top "
                          "cell edge %g" % top)
-    reps = [(model.boundary_rep(upper, t)[0], model.boundary_rep(lower, t)[0])
-            for t in cut_levels]
-    mins = []
-    for t, (rep_up, rep_low) in zip(cut_levels, reps):
+    mins = {"upper": [], "lower": [], "difference": []}
+    for t in cut_levels:
+        rep_up = model.boundary_rep(upper, t)[0]
+        rep_low = model.boundary_rep(lower, t)[0]
         for name, rep in (("upper", rep_up), ("lower", rep_low)):
             v = choi_min_eig(rep, model.dim_k, model.dim_h, tolerance)
             if not v.completely_positive:
                 raise NonCompletelyPositiveInputError(
                     "%s weight is not CP at cut level %g" % (name, t),
                     v.min_eigenvalue)
-        mins.append(choi_min_eig(rep_up - rep_low, model.dim_k, model.dim_h,
-                                 tolerance).min_eigenvalue)
-    sub = all(m >= -tolerance for m in mins)
-    return SubordinationVerdict(sub, tuple(cut_levels), tuple(mins),
-                                tolerance)
+            mins[name].append(v.min_eigenvalue)
+        mins["difference"].append(choi_min_eig(
+            rep_up - rep_low, model.dim_k, model.dim_h,
+            tolerance).min_eigenvalue)
+    sub = all(m >= -tolerance for m in mins["difference"])
+    return SubordinationVerdict(sub, tuple(cut_levels), tuple(mins["upper"]),
+                                tuple(mins["lower"]),
+                                tuple(mins["difference"]), tolerance)
 
 
 @dataclass(frozen=True)
 class HypermaxReport:
     """Numerical witness that the off-diagonal corner at z is not hypermaximal.
 
-    minimal_cp: the mixed matrix with minimal diagonal is CP at every
-    sampled cut level; dominated: the unital-diagonal matrix dominates it;
-    gap_nonzero: the diagonal gap is a nonzero weight.  All three passing
-    is the finite-dimensional content of the no-rotations obstruction.
+    minimal_cp: the mixed matrix with minimal diagonal is CP at every cut
+    level of dominance; dominated: dominance, the subordination of the
+    minimal weight to the unital one, holds; gap_nonzero: the diagonal
+    gap is a nonzero weight.  All three passing is the finite-dimensional
+    content of the no-rotations obstruction.
     """
 
     label: complex
-    cut_levels: tuple[float, ...]
     minimal_min_eigs: tuple[float, ...]
-    difference_min_eigs: tuple[float, ...]
     gap_norm: float
-    tolerance: float
+    dominance: SubordinationVerdict
 
     @property
     def minimal_cp(self) -> bool:
-        return all(m >= -self.tolerance for m in self.minimal_min_eigs)
+        return all(m >= -self.dominance.tolerance
+                   for m in self.minimal_min_eigs)
 
     @property
     def dominated(self) -> bool:
-        return all(m >= -self.tolerance for m in self.difference_min_eigs)
+        return self.dominance.subordinate
 
     @property
     def gap_nonzero(self) -> bool:
@@ -184,18 +191,18 @@ class HypermaxReport:
         return self.minimal_cp and self.dominated and self.gap_nonzero
 
 
-def hypermax_witness(z: complex, model: MatrixModel,
-                     nu_density: np.ndarray,
-                     cut_levels=(0.5, 0.25),
-                     tolerance: float = 1e-8) -> HypermaxReport:
+def hypermax_witness(z: complex, model: MatrixModel, minimal: np.ndarray,
+                     eta: np.ndarray,
+                     dominance: SubordinationVerdict) -> HypermaxReport:
     """Witness the failure of hypermaximality of the corner at label z.
 
     Requires |z| = 1 and z != 1; z = 1 is the degenerate direction where
     the off-diagonal admits an extra weight and the witness collapses.
-    Dominance is read from subordination_check of the minimal weight
-    under the unital one (see the module docstring), so it does not
-    depend on z, and non-CP diagonal weights or cut levels that sample
-    nothing are rejected as there.
+    minimal is the minimal weight superoperator, eta the density of the
+    normalized weight (MatrixModel.xi_eta), which sets the diagonal gap,
+    and dominance the subordination_check of the unital weight over
+    minimal (see the module docstring); its cut levels and tolerance are
+    the witness's.  Only the corner at z is computed here.
     """
     z = complex(z)
     if abs(abs(z) - 1.0) > 1e-12:
@@ -204,20 +211,14 @@ def hypermax_witness(z: complex, model: MatrixModel,
         raise DegenerateDirectionError(
             "label z = 1 admits an off-diagonal weight shift; the witness "
             "direction is degenerate")
-    eta, _ = model.xi_eta(nu_density)
     gap_norm = float(np.linalg.norm(eta)) * float(
         np.linalg.norm(model.delta_matrix))
-    minimal = model.weight_superop()
-    dominance = subordination_check(
-        model, model.weight_superop(xi_eta=eta), minimal, cut_levels,
-        tolerance)
     corner = WeightMatrix(model, minimal, z)
     minimal_eigs = tuple(
         choi_min_eig(corner.boundary_rep(t), 2 * model.dim_k, model.dim_h,
-                     tolerance).min_eigenvalue for t in cut_levels)
-    return HypermaxReport(z, tuple(cut_levels), minimal_eigs,
-                          dominance.difference_min_eigs, gap_norm,
-                          tolerance)
+                     dominance.tolerance).min_eigenvalue
+        for t in dominance.cut_levels)
+    return HypermaxReport(z, minimal_eigs, gap_norm, dominance)
 
 
 def derivation_residual(model: MatrixModel, z: complex) -> float:

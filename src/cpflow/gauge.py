@@ -108,17 +108,19 @@ def act(g: GaugeParam, z: complex) -> UnitAction:
     a, b, c, y = g.a, g.b, g.c, g.y
     label = a * z + b
     if g.on_unit_circle:
-        rate = -(y + 1j * (a * np.conj(b) * z).imag)
+        rate = -(y + 1j * (a * b.conjugate() * z).imag)
     else:
-        v = -(np.conj(a) * b + c) / (1.0 - abs(a) ** 2)
+        # times the reciprocal: a complex quotient rounds differently, and
+        # the action-oracle-residual records are pinned to this rounding
+        v = -(a.conjugate() * b + c) * (1.0 / (1.0 - abs(a) ** 2))
         rate = (-y - 0.5 * abs(v + z) ** 2 * (1.0 - abs(a) ** 2)
-                + 1j * (np.conj(c) * z).imag)
-    return UnitAction(label, complex(rate))
+                + 1j * (c.conjugate() * z).imag)
+    return UnitAction(label, rate)
 
 
 def adjoint(g: GaugeParam) -> GaugeParam:
     """Parameter of the adjoint cocycle: a -> conj(a), b <-> c, y -> conj(y)."""
-    return replace(g, a=np.conj(g.a), b=g.c, c=g.b, y=np.conj(g.y))
+    return replace(g, a=g.a.conjugate(), b=g.c, c=g.b, y=g.y.conjugate())
 
 
 def r_term(g: GaugeParam, gp: GaugeParam) -> float:
@@ -202,8 +204,8 @@ def _composed(g: GaugeParam, gp: GaugeParam, sign: int) -> tuple:
         y'' = y + y' + sign (r / 2 - i Im(conj(c) b')).
     """
     y2 = g.y + gp.y + sign * (0.5 * r_term(g, gp)
-                              - 1j * (np.conj(g.c) * gp.b).imag)
-    return g.a * gp.a, g.a * gp.b + g.b, np.conj(gp.a) * g.c + gp.c, y2
+                              - 1j * (g.c.conjugate() * gp.b).imag)
+    return g.a * gp.a, g.a * gp.b + g.b, gp.a.conjugate() * g.c + gp.c, y2
 
 
 def compose(g: GaugeParam, gp: GaugeParam) -> GaugeParam:

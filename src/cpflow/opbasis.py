@@ -12,8 +12,8 @@ positive series
     cut o sum_n (pihat lambdahat_complement)^n pihat.
 
 Functionals are identified with density matrices: rho(A) = tr(rho_d A).
-Maps between functional spaces are stored as superoperator matrices over
-row-major vectorized densities.
+Maps between functional spaces are superoperator matrices over row-major
+vectorized densities; lambdahat alone is applied without its matrix.
 """
 
 from __future__ import annotations
@@ -170,14 +170,20 @@ class MatrixModel:
         return np.diag([1.0 + 0.0j if e[j] >= t - 1e-12 else 0.0
                         for j in range(self.h_dim)])
 
-    # -- predual maps on densities -----------------------------------------
+    # -- superoperator matrices --------------------------------------------
 
-    def pred_lambda(self, mu: np.ndarray) -> np.ndarray:
-        """Density of mu composed with the damping embedding.
+    @cached_property
+    def pi_superop(self) -> np.ndarray:
+        """pihat: the density of rho composed with the shift, s0* rho s0."""
+        s0 = self.shift
+        return np.kron(s0.conj().T, s0.T)
+
+    def lambda_superop(self, mu: np.ndarray) -> np.ndarray:
+        """lambdahat: the density of mu composed with the damping embedding.
 
         mu is a density, or a superoperator whose columns are vectorized
-        densities; a superoperator is mapped column by column, which is
-        lambda_superop() @ mu without building lambda_superop.
+        densities; a superoperator is mapped column by column, so the
+        result is lambdahat @ mu without building the dense lambdahat.
         """
         d = self.dim_k
         mh = self.h_dim
@@ -188,21 +194,6 @@ class MatrixModel:
         out = np.einsum("bqap...,pq->ba...", mu5, self.h_damping)
         return out.reshape(d * d, -1)
 
-    # -- superoperator matrices --------------------------------------------
-
-    @cached_property
-    def pi_superop(self) -> np.ndarray:
-        """pihat: the density of rho composed with the shift, s0* rho s0."""
-        s0 = self.shift
-        return np.kron(s0.conj().T, s0.T)
-
-    def lambda_superop(self) -> np.ndarray:
-        d = self.dim_k
-        mh = self.h_dim
-        eye = np.eye(d)
-        t6 = np.einsum("bi,aj,pq->baiqjp", eye, eye, self.h_damping)
-        return t6.reshape(d * d, (d * mh) ** 2)
-
     @cached_property
     def series_kernel(self) -> tuple[np.ndarray, float]:
         """lambdahat pihat on K-densities, and its spectral radius.
@@ -211,7 +202,7 @@ class MatrixModel:
         on dim_k^2 coordinates; the weight series converges for
         |z| radius < 1.
         """
-        k_hat = self.lambda_superop() @ self.pi_superop
+        k_hat = self.lambda_superop(self.pi_superop)
         return k_hat, float(np.max(np.abs(np.linalg.eigvals(k_hat))))
 
     def weight_superop(self, z: complex = 1.0,
@@ -248,7 +239,7 @@ class MatrixModel:
         minimal weight.  This is the formula of weights.BoundaryWeight.value
         for the weight that weights.xi_from_nu builds from nu.
         """
-        lam_nu = self.pred_lambda(nu_density)
+        lam_nu = self.lambda_superop(nu_density)
         d_val = np.trace(lam_nu @ self.delta_matrix).real
         if d_val >= 1.0 - 1e-8:
             raise NonInvertibleSystemError(
@@ -286,7 +277,7 @@ class MatrixModel:
         transposed system, and the rows the cut removed stay exact zeros.
         """
         w_t = self.apply_truncation(t, omega_superop)
-        k_mat = self.pred_lambda(w_t)
+        k_mat = self.lambda_superop(w_t)
         d2 = k_mat.shape[0]
         system = np.eye(d2) + k_mat
         condition = float(np.linalg.cond(system))

@@ -181,10 +181,17 @@ def reference_state(seq: LambdaSequence, n_factors: int) -> ProductVector:
     return ProductVector(seq, [seq.reference(i) for i in range(1, n_factors + 1)])
 
 
-def product_inner(f: ProductVector, g: ProductVector) -> complex:
-    """(f, g) as the product of factor inner products; tails must align."""
+def _check_aligned(f: ProductVector, g: ProductVector) -> None:
+    """Width, tail start and lambda sequence: tails are resolved as one."""
     if f.width != g.width or f.tail_start != g.tail_start:
         raise ValueError("states must share truncation and tail alignment")
+    if f.seq != g.seq:
+        raise ValueError("states must share their lambda sequence")
+
+
+def product_inner(f: ProductVector, g: ProductVector) -> complex:
+    """(f, g) as the product of factor inner products; tails must align."""
+    _check_aligned(f, g)
     total = 1.0 + 0.0j
     for a, b in zip(f.factors, g.factors):
         total *= inner_product(a, b)
@@ -272,8 +279,7 @@ def delta_operator() -> TensorOperator:
 
 def pairing(g: ProductVector, a: TensorOperator, f: ProductVector) -> complex:
     """(g, A f) on the truncated space, tails resolved in closed form."""
-    if f.width != g.width or f.tail_start != g.tail_start:
-        raise ValueError("states must share truncation and tail alignment")
+    _check_aligned(f, g)
     n = f.width
     total = 0.0 + 0.0j
     for c, factors, tail in a.terms:

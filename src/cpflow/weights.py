@@ -41,6 +41,7 @@ from .halfline import (
 )
 from .tensorspace import (
     _TAIL_OPS,
+    _check_aligned,
     LambdaSequence,
     ProductVector,
     TensorOperator,
@@ -256,8 +257,7 @@ class _OrbitTerm:
 
     def __init__(self, w: complex, ket: ProductVector, bra: ProductVector,
                  target: TensorOperator):
-        if ket.width != bra.width or ket.tail_start != bra.tail_start:
-            raise ValueError("states must share truncation and tail alignment")
+        _check_aligned(ket, bra)
         self.w = w
         self.ket = ket
         self.bra = bra

@@ -13,6 +13,8 @@ from cpflow.gauge import (
     UNITARY,
     GaugeParam,
     InvalidParameterError,
+    UnitAction,
+    r_term,
 )
 from cpflow.opbasis import ChoiVerdict, choi_min_eig
 from cpflow.semigroups import evolve, flow_inner
@@ -74,6 +76,17 @@ def truncation_superop(model, t: float) -> np.ndarray:
     return np.kron(p_tilde, p_tilde.T)
 
 
+def dense_lambda_superop(model, blocks: int = 1) -> np.ndarray:
+    """Dense lambdahat on densities with 1 or 2 diagonal blocks.
+
+    MatrixModel.lambda_superop is the matrix-free form.
+    """
+    d, mh = blocks * model.dim_k, model.h_dim
+    eye = np.eye(d)
+    t6 = np.einsum("bi,aj,pq->baiqjp", eye, eye, model.h_damping)
+    return t6.reshape(d * d, (d * mh) ** 2)
+
+
 def permuted_choi_min_eig(superop: np.ndarray, dim_in: int, dim_out: int,
                           perm_in, perm_out,
                           tolerance: float = 1e-8) -> ChoiVerdict:
@@ -118,6 +131,31 @@ def random_param_reference(rng: np.random.Generator,
     a = rng.uniform(0, 0.95) * np.exp(2j * np.pi * rng.uniform())
     return GaugeParam(a, cplx(), cplx(), complex(rng.uniform(0, 2),
                                                  rng.normal()))
+
+
+def act_reference(g: GaugeParam, z: complex) -> UnitAction:
+    """gauge.act in numpy scalar arithmetic (np.conj and a complex quotient).
+
+    gauge.act takes the same steps on plain complex numbers.
+    """
+    z = complex(z)
+    a, b, c, y = g.a, g.b, g.c, g.y
+    label = a * z + b
+    if g.on_unit_circle:
+        rate = -(y + 1j * (a * np.conj(b) * z).imag)
+    else:
+        v = -(np.conj(a) * b + c) / (1.0 - abs(a) ** 2)
+        rate = (-y - 0.5 * abs(v + z) ** 2 * (1.0 - abs(a) ** 2)
+                + 1j * (np.conj(c) * z).imag)
+    return UnitAction(label, complex(rate))
+
+
+def composed_reference(g: GaugeParam, gp: GaugeParam, sign: int) -> tuple:
+    """(a'', b'', c'', y'') of gauge.compose (sign 1) or compose_printed
+    (sign -1) in numpy scalar arithmetic."""
+    y2 = g.y + gp.y + sign * (0.5 * r_term(g, gp)
+                              - 1j * (np.conj(g.c) * gp.b).imag)
+    return g.a * gp.a, g.a * gp.b + g.b, np.conj(gp.a) * g.c + gp.c, y2
 
 
 def full_numeric_gram(zs, t: float, f) -> np.ndarray:

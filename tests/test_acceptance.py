@@ -27,7 +27,7 @@ from cpflow.gauge import (
 )
 from cpflow.halfline import ExpKernelVector, Grid, grid_inner_product, \
     inner_product, sample
-from cpflow.opbasis import MatrixModel, choi_min_eig
+from cpflow.opbasis import MatrixModel
 from cpflow.cornercheck import (
     DegenerateDirectionError,
     hypermax_witness,
@@ -205,23 +205,21 @@ def test_criterion_6_transitivity():
 
 def test_criterion_7_cp_subordination():
     model = MatrixModel(n_factors=4, factor_dim=2)
-    d, dh = model.dim_k, model.dim_h
+    dh = model.dim_h
     nu = np.zeros((dh, dh), dtype=complex)
     nu[0, 0] = 1.0
     minimal = model.weight_superop()
-    eigs = {}
-    for t in (0.5, 0.25):
-        rep, _ = model.boundary_rep(minimal, t)
-        eigs[t] = choi_min_eig(rep, d, dh).min_eigenvalue
-        assert eigs[t] >= -1e-8
     eta, _ = model.xi_eta(nu)
     full = model.weight_superop(xi_eta=eta)
     verdict = subordination_check(model, full, minimal, (0.5, 0.25))
+    eigs = dict(zip(verdict.cut_levels, verdict.lower_min_eigs))
+    for t in (0.5, 0.25):
+        assert eigs[t] >= -1e-8
     assert verdict.subordinate
-    witness = hypermax_witness(-1.0, model, nu)
+    witness = hypermax_witness(-1.0, model, minimal, eta, verdict)
     assert witness.witnessed
     with pytest.raises(DegenerateDirectionError):
-        hypermax_witness(1.0, model, nu)
+        hypermax_witness(1.0, model, minimal, eta, verdict)
     announce("criterion-7",
              "boundary-rep Choi min eigs %s, subordination %s, hypermax "
              "witness passes, z=1 degenerate"

@@ -7,6 +7,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from cpflow import cornercheck, opbasis
 from cpflow.cli import (
     COMMANDS,
     DEFAULT_CONFIG,
@@ -17,6 +18,7 @@ from cpflow.cli import (
     run_delta,
     run_weights_unitality,
 )
+from cpflow.opbasis import MatrixModel
 from cpflow.tensorspace import TruncationExceededError
 
 FAST_CONFIG = {
@@ -339,6 +341,69 @@ class TestGoldenRecords:
         if command == "decay":
             rows = (out / "decay-decay.csv").read_text().split()[1:]
             assert [row.split(",")[1] for row in rows] == GOLDEN_DECAY_CURVE
+
+
+# corner records (name, value, pass) at the default config (3 factors)
+# and at 2 factors, as computed when the corner runner solved each
+# boundary representation and Choi spectrum as often as it needed it
+GOLDEN_CORNER = {
+    3: [("boundary-rep-choi-min-t-0.5", -6.114370999510743e-16, True),
+        ("boundary-rep-choi-min-t-0.25", -1.1187446642285858e-15, True),
+        ("subordination-full-over-minimal", True, True),
+        ("hypermax-witness", True, True),
+        ("corner-derivation-residual", 4.955900126292414e-16, True)],
+    2: [("boundary-rep-choi-min-t-0.5", -4.3257011323278505e-16, True),
+        ("boundary-rep-choi-min-t-0.25", -1.4710984740809945e-16, True),
+        ("subordination-full-over-minimal", True, True),
+        ("hypermax-witness", True, True),
+        ("corner-derivation-residual", 2.5064281004120743e-16, True)],
+}
+
+
+def corner_records(factors, out_dir):
+    cfg = load_config(None)
+    cfg["corner"]["factors"] = factors
+    rep = Reporter("corner", cfg, out_dir)
+    COMMANDS["corner"](cfg, rep, np.random.default_rng(cfg["seeds"]["rng"]))
+    return rep.records
+
+
+class TestCornerPipeline:
+    @pytest.mark.parametrize("factors", sorted(GOLDEN_CORNER))
+    def test_records_pinned(self, factors, tmp_path):
+        records = corner_records(factors, tmp_path)
+        golden = GOLDEN_CORNER[factors]
+        assert [(r["name"], r["pass"]) for r in records] \
+            == [(name, passed) for name, _, passed in golden]
+        for record, (_, value, _) in zip(records, golden):
+            if isinstance(value, bool):
+                assert record["value"] is value
+            else:
+                assert abs(record["value"] - value) <= 1e-12
+
+    def test_each_result_computed_once(self, monkeypatch, tmp_path):
+        # 5 weights (minimal, unital, z, conj(z), the derivation label);
+        # boundary representations: unital and minimal at each cut, then
+        # the corner's diagonal, upper and lower; Choi spectra: unital,
+        # minimal and their difference at each cut, then the corner
+        calls = {"boundary_rep": 0, "choi_min_eig": 0, "weight_superop": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("boundary_rep", "weight_superop"):
+            monkeypatch.setattr(MatrixModel, name,
+                                counted(name, getattr(MatrixModel, name)))
+        choi = counted("choi_min_eig", opbasis.choi_min_eig)
+        for module in (opbasis, cornercheck):
+            monkeypatch.setattr(module, "choi_min_eig", choi)
+        corner_records(3, tmp_path)
+        assert calls["boundary_rep"] <= 10
+        assert calls["choi_min_eig"] <= 8
+        assert calls["weight_superop"] <= 5
 
 
 class TestRefine:

@@ -33,6 +33,20 @@ def nu(model):
     return out
 
 
+def witness_inputs(model, nu, cuts=(0.5, 0.25)):
+    """The minimal weight, eta and the dominance verdict of the unital one."""
+    eta, _ = model.xi_eta(nu)
+    minimal = model.weight_superop()
+    dominance = subordination_check(model, model.weight_superop(xi_eta=eta),
+                                    minimal, cuts)
+    return minimal, eta, dominance
+
+
+@pytest.fixture(scope="module")
+def inputs(model, nu):
+    return witness_inputs(model, nu)
+
+
 class TestDoubledAssembly:
     def test_blockwise_action(self):
         rng = np.random.default_rng(0)
@@ -167,6 +181,13 @@ class TestSubordination:
         minimal = model.weight_superop()
         v = subordination_check(model, full, minimal, (0.5, 0.25))
         assert v.subordinate
+        # the verdict keeps the Choi minima of both representations
+        for t, up, low in zip((0.5, 0.25), v.upper_min_eigs,
+                              v.lower_min_eigs):
+            for weight, got in ((full, up), (minimal, low)):
+                rep, _ = model.boundary_rep(weight, t)
+                assert got == choi_min_eig(rep, model.dim_k,
+                                           model.dim_h).min_eigenvalue
 
     def test_strict_order(self, model, nu):
         eta, _ = model.xi_eta(nu)
@@ -191,38 +212,34 @@ class TestSubordination:
         with pytest.raises(ValueError, match="cut levels"):
             subordination_check(model, -omega, omega, cuts)
 
+    def test_non_cp_unital_weight_rejected(self, model, nu):
+        # a negative nu makes the unital weight non-CP
+        eta, _ = model.xi_eta(-nu)
+        with pytest.raises(NonCompletelyPositiveInputError) as err:
+            subordination_check(model, model.weight_superop(xi_eta=eta),
+                                model.weight_superop(), (0.5, 0.25))
+        assert err.value.eigenvalue < 0
+
 
 class TestHypermaxWitness:
-    def test_witness_at_minus_one(self, model, nu):
-        rep = hypermax_witness(-1.0, model, nu)
+    def test_witness_at_minus_one(self, model, inputs):
+        rep = hypermax_witness(-1.0, model, *inputs)
         assert rep.minimal_cp
         assert rep.dominated
         assert rep.gap_nonzero
         assert rep.witnessed
 
     def test_witness_off_axis(self, model, nu):
-        rep = hypermax_witness(1j, model, nu, cut_levels=(0.5,))
+        rep = hypermax_witness(1j, model, *witness_inputs(model, nu, (0.5,)))
         assert rep.witnessed
 
-    def test_degenerate_direction(self, model, nu):
+    def test_degenerate_direction(self, model, inputs):
         with pytest.raises(DegenerateDirectionError):
-            hypermax_witness(1.0, model, nu)
+            hypermax_witness(1.0, model, *inputs)
 
-    def test_off_circle_rejected(self, model, nu):
+    def test_off_circle_rejected(self, model, inputs):
         with pytest.raises(ValueError):
-            hypermax_witness(0.5, model, nu)
-
-    @pytest.mark.parametrize("cuts", [(), (2.0,)])
-    def test_vacuous_cut_levels_rejected(self, model, nu, cuts):
-        with pytest.raises(ValueError, match="cut levels"):
-            hypermax_witness(-1.0, model, nu, cut_levels=cuts)
-
-    def test_non_cp_unital_diagonal_rejected(self, model, nu):
-        # a negative nu makes the unital diagonal non-CP; dominance is a
-        # subordination check, which rejects such an input
-        with pytest.raises(NonCompletelyPositiveInputError) as err:
-            hypermax_witness(-1.0, model, -nu)
-        assert err.value.eigenvalue < 0
+            hypermax_witness(0.5, model, *inputs)
 
     @pytest.mark.parametrize("n_factors", [2, 3])
     def test_matches_dense_doubled_reference(self, n_factors):
@@ -230,19 +247,20 @@ class TestHypermaxWitness:
         m = MatrixModel(n_factors=n_factors, factor_dim=2)
         nu = np.zeros((m.dim_h, m.dim_h), dtype=complex)
         nu[0, 0] = 1.0
-        eta, _ = m.xi_eta(nu)
-        full, minimal = m.weight_superop(xi_eta=eta), m.weight_superop()
+        minimal, eta, dominance = witness_inputs(m, nu)
+        full = m.weight_superop(xi_eta=eta)
         cuts = (0.5, 0.25)
         dims = (m.dim_k, m.dim_h)
         doubled = (2 * m.dim_k, 2 * m.dim_h)
         labels = (-1.0 + 0j, 1j, complex(np.exp(1j * np.pi / 4)))
-        reports = [hypermax_witness(z, m, nu, cuts) for z in labels]
+        reports = [hypermax_witness(z, m, minimal, eta, dominance)
+                   for z in labels]
         for z, rep in zip(labels, reports):
             assert rep.witnessed
-            assert rep.difference_min_eigs == reports[0].difference_min_eigs
             upper, lower = m.weight_superop(z), m.weight_superop(np.conj(z))
-            for t, got_min, got_diff in zip(cuts, rep.minimal_min_eigs,
-                                            rep.difference_min_eigs):
+            for t, got_min, got_diff in zip(
+                    cuts, rep.minimal_min_eigs,
+                    rep.dominance.difference_min_eigs):
                 def dense(diag):
                     return assemble_doubled(
                         [[m.boundary_rep(w, t)[0] for w in row]
@@ -253,8 +271,9 @@ class TestHypermaxWitness:
                 assert min(got_min, 0.0) == ref_min.min_eigenvalue
                 assert abs(got_diff - ref_diff.min_eigenvalue) <= 1e-15
 
-    def test_zero_gap_reported(self, model, nu):
-        rep = hypermax_witness(-1.0, model, 0.0 * nu)
+    def test_zero_gap_reported(self, model, inputs):
+        minimal, eta, dominance = inputs
+        rep = hypermax_witness(-1.0, model, minimal, 0.0 * eta, dominance)
         assert not rep.gap_nonzero
         assert not rep.witnessed
 

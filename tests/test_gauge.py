@@ -25,7 +25,11 @@ from cpflow.gauge import (
     random_param,
     single_reachable,
 )
-from references import random_param_reference
+from references import (
+    act_reference,
+    composed_reference,
+    random_param_reference,
+)
 
 RNG = np.random.default_rng(20240823)
 ZS = [complex(RNG.normal(), RNG.normal()) for _ in range(25)]
@@ -278,6 +282,23 @@ class TestNearUnitCircle:
                      + dap * (gp.b - g.c)) ** 2
                  / (dap * (1.0 - abs(g.a * gp.a) ** 2)))
         assert abs(r_term(g, gp) / da - limit) <= 1e-6 * max(limit, 1.0)
+
+
+class TestPlainComplexArithmetic:
+    @pytest.mark.parametrize("klass", [GENERAL, UNITARY, ISOMETRIC, FLOW])
+    @pytest.mark.parametrize("seed", [2024, 7, 11])
+    def test_same_values_as_numpy_scalars(self, klass, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(2000):
+            g, gp = random_param(rng, klass), random_param(rng, klass)
+            z = complex(rng.normal(), rng.normal())
+            out, ref = act(g, z), act_reference(g, z)
+            assert (out.new_label, out.exponent_rate) \
+                == (ref.new_label, ref.exponent_rate)
+            for law, sign in ((compose, 1), (compose_printed, -1)):
+                h = law(g, gp)
+                assert (h.a, h.b, h.c, h.y) \
+                    == composed_reference(g, gp, sign)
 
 
 class TestActionOracle:

@@ -15,6 +15,7 @@ from cpflow.opbasis import (
 from cpflow.tensorspace import tail_weight_product
 from references import (
     assemble_doubled,
+    dense_lambda_superop,
     doubled_entries,
     identity_superop,
     transpose_superop,
@@ -60,16 +61,6 @@ def reference_truncation(model, t, blocks):
         return truncation_superop(model, t)
     p_tilde = np.kron(np.eye(2 * model.dim_k), model.cut(t))
     return np.kron(p_tilde, p_tilde.T)
-
-
-def reference_lambda(model, blocks):
-    """Dense lambdahat on densities with 1 or 2 diagonal blocks."""
-    if blocks == 1:
-        return model.lambda_superop()
-    d, mh = 2 * model.dim_k, model.h_dim
-    eye = np.eye(d)
-    t6 = np.einsum("bi,aj,pq->baiqjp", eye, eye, model.h_damping)
-    return t6.reshape(d * d, (d * mh) ** 2)
 
 
 class TestBases:
@@ -135,16 +126,16 @@ class TestPredualMaps:
         np.testing.assert_allclose(s0.conj().T @ rho @ s0,
                                    apply_pi(model, rho), atol=1e-12)
 
-    def test_lambda_superop_matches_pred_lambda(self, model):
+    def test_lambda_superop_matches_dense(self, model):
         rng = np.random.default_rng(2)
         mu = random_density(rng, model.dim_h)
-        direct = model.pred_lambda(mu)
-        via = (model.lambda_superop() @ mu.reshape(-1)).reshape(
+        direct = model.lambda_superop(mu)
+        via = (dense_lambda_superop(model) @ mu.reshape(-1)).reshape(
             model.dim_k, model.dim_k)
         np.testing.assert_allclose(direct, via, atol=1e-12)
 
     @pytest.mark.parametrize("blocks", [1, 2])
-    def test_pred_lambda_maps_superop_columns(self, model, blocks):
+    def test_lambda_superop_maps_superop_columns(self, model, blocks):
         # two blocks: lambdahat of a doubled superoperator is the 2x2
         # matrix of lambdahat of its entries
         rng = np.random.default_rng(6)
@@ -152,15 +143,27 @@ class TestPredualMaps:
         entries = [[rng.normal(size=(dh * dh, cols))
                     + 1j * rng.normal(size=(dh * dh, cols))
                     for _ in range(blocks)] for _ in range(blocks)]
-        images = [[model.pred_lambda(e) for e in row] for row in entries]
+        images = [[model.lambda_superop(e) for e in row] for row in entries]
         np.testing.assert_allclose(
             corner(model, images, model.dim_k),
-            reference_lambda(model, blocks) @ corner(model, entries, dh),
+            dense_lambda_superop(model, blocks) @ corner(model, entries, dh),
             atol=1e-12)
+
+    @pytest.mark.parametrize("n_factors, factor_dim", [(3, 2), (4, 2),
+                                                       (2, 3)])
+    def test_series_kernel_matches_dense_product(self, n_factors,
+                                                 factor_dim):
+        # the einsum sums each entry in another order than the dense
+        # product, so the two agree to roundoff, not bit for bit
+        m = MatrixModel(n_factors=n_factors, factor_dim=factor_dim)
+        k_hat, _ = m.series_kernel
+        dense = dense_lambda_superop(m) @ m.pi_superop
+        assert np.linalg.norm(k_hat - dense) \
+            <= np.finfo(float).eps * np.linalg.norm(dense)
 
     def test_lambda_of_identity_is_damping_trace(self, model):
         mu = np.eye(model.dim_h, dtype=complex)
-        out = model.pred_lambda(mu)
+        out = model.lambda_superop(mu)
         expected = np.eye(model.dim_k) * np.trace(model.h_damping)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -190,7 +193,7 @@ class TestWeightSuperop:
         m = MatrixModel(n_factors=n_factors, factor_dim=2)
         nu, dh = make_nu(m), m.dim_h
         # sum_n (pihat lambdahat)^n nu solved on the dim_h^2 coordinates
-        big = m.pi_superop @ m.lambda_superop()
+        big = m.pi_superop @ dense_lambda_superop(m)
         d_ref = np.trace(nu @ np.kron(m.delta_matrix, m.h_damping)).real
         series = np.linalg.solve(np.eye(dh * dh) - big, nu.reshape(-1))
         ref = series.reshape(dh, dh) / (1.0 - d_ref)
@@ -207,7 +210,7 @@ class TestWeightSuperop:
         nu = make_nu(m)
         eta, d_val = m.xi_eta(nu)
         x = (1.0 - d_val) * eta
-        np.testing.assert_allclose(x - apply_pi(m, m.pred_lambda(x)), nu,
+        np.testing.assert_allclose(x - apply_pi(m, m.lambda_superop(x)), nu,
                                    rtol=0, atol=1e-12)
 
     def test_boundary_rep_cp_at_cell_edges(self, model):
@@ -287,7 +290,7 @@ class TestCutAwareKernels:
             w_t = reference_truncation(m, t, blocks) \
                 @ corner(m, entries, m.dim_h)
             system = np.eye(w_t.shape[1]) \
-                + reference_lambda(m, blocks) @ w_t
+                + dense_lambda_superop(m, blocks) @ w_t
             reference = w_t @ np.linalg.inv(system)
             if blocks == 1:
                 rep, cond = m.boundary_rep(omega, t)

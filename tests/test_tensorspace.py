@@ -86,6 +86,16 @@ class TestProductVector:
         with pytest.raises(ValueError):
             product_inner(f, g)
 
+    def test_mixed_sequences_rejected(self):
+        # the implicit tails would be resolved with the ket's sequence alone
+        f = reference_state(LINEAR, 2)
+        g = reference_state(LambdaSequence("geometric"), 2)
+        with pytest.raises(ValueError, match="lambda sequence"):
+            product_inner(f, g)
+        for op in (identity_operator(), delta_operator()):
+            with pytest.raises(ValueError, match="lambda sequence"):
+                pairing(f, op, g)
+
     def test_shift_against_boundary_vector(self):
         f = reference_state(LINEAR, 4)
         res = s0_apply(f, ExpKernelVector([(1.0, 0.5)]))

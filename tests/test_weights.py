@@ -261,6 +261,15 @@ class TestSeriesTable:
         exc = assert_same_series(rho, boundary_identity(), SHORT_CFG, 2, 1.0)
         assert isinstance(exc, ValueError)
 
+    def test_mixed_sequences(self):
+        # a linear ket against a geometric bra: their tails differ
+        rho = rank_one(reference_state(LINEAR, 2),
+                       reference_state(LambdaSequence("geometric"), 2))
+        for element in ELEMENTS.values():
+            exc = assert_same_series(rho, element(), SHORT_CFG, 2, 1.0)
+            assert isinstance(exc, ValueError)
+            assert "lambda sequence" in str(exc)
+
     def test_state_narrower_than_target(self):
         # pi(Lambda(e^{-x} x I)) touches two slots; the second term has one
         rng = np.random.default_rng(15)
