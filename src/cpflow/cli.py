@@ -9,8 +9,10 @@ reports modulo timestamps.
 
 from __future__ import annotations
 
+import cmath
 import copy
 import json
+import math
 import time
 from pathlib import Path
 
@@ -125,11 +127,12 @@ def _parses(convert, values) -> bool:
     return True
 
 
-def _mistyped_numbers(cfg: dict) -> list[str]:
-    """Errors for numeric settings whose value has the wrong type.
+def _bad_numbers(cfg: dict) -> list[str]:
+    """Errors for numeric settings whose value has the wrong type or is
+    not finite.
 
     A setting whose default is an int takes an int; one whose default is
-    a float takes an int or a float.  Booleans are neither.
+    a float takes a finite int or float.  Booleans are neither.
     """
     errors = []
     for section, block in DEFAULT_CONFIG.items():
@@ -142,6 +145,9 @@ def _mistyped_numbers(cfg: dict) -> list[str]:
                 errors.append("%s.%s must be %s, got %r" % (
                     section, key,
                     "an integer" if kind is int else "a number", value))
+            elif isinstance(value, float) and not math.isfinite(value):
+                errors.append("%s.%s must be finite, got %r"
+                              % (section, key, value))
     return errors
 
 
@@ -160,9 +166,9 @@ def _validate(cfg: dict) -> list[str]:
                           if key not in DEFAULT_CONFIG[section])
     if malformed:
         return errors
-    mistyped = _mistyped_numbers(cfg)
-    errors.extend(mistyped)
-    if not mistyped:
+    bad_numbers = _bad_numbers(cfg)
+    errors.extend(bad_numbers)
+    if not bad_numbers:
         if cfg["grid"]["length"] <= 0 or cfg["grid"]["points"] <= 0:
             errors.append("grid.length and grid.points must be positive")
         for name, least in MINIMUMS.items():
@@ -177,20 +183,27 @@ def _validate(cfg: dict) -> list[str]:
         if cfg["covariance"]["t"] <= 0:
             errors.append("covariance.t must be > 0, got %r"
                           % cfg["covariance"]["t"])
+        # below it the tail certificate cert < tol never holds, and every
+        # series runs all max_terms terms
+        if cfg["series"]["tail_tolerance"] <= 0:
+            errors.append("series.tail_tolerance must be > 0, got %r"
+                          % cfg["series"]["tail_tolerance"])
     if cfg["lambda"]["kind"] not in ("linear", "geometric", "custom"):
         errors.append("lambda.kind must be linear, geometric or custom")
     values = cfg["lambda"]["values"]
     if cfg["lambda"]["kind"] == "custom" and not values:
         errors.append("lambda.kind=custom requires lambda.values")
     if values is not None and not (isinstance(values, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
-            for v in values)):
-        errors.append("lambda.values must be a list of positive numbers")
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            and 0 < v < math.inf for v in values)):
+        errors.append("lambda.values must be a list of finite positive "
+                      "numbers")
     labels = cfg["covariance"]["labels"]
     if not isinstance(labels, list) or not labels \
-            or not _parses(_label, labels):
+            or not _parses(_label, labels) \
+            or not all(cmath.isfinite(_label(v)) for v in labels):
         errors.append("covariance.labels must be a non-empty list of "
-                      "complex numbers")
+                      "finite complex numbers")
     # a cut at the top edge keeps no cell: every boundary representation
     # there is the zero map and passes any CP check
     cuts = cfg["corner"]["cut_levels"]

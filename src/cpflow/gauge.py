@@ -88,10 +88,6 @@ def _check_contractive(a: complex, y: complex):
         raise InvalidParameterError("Re(y) must be nonnegative")
 
 
-def identity_param(klass: str = GENERAL) -> GaugeParam:
-    return GaugeParam(1.0, 0.0, 0.0, 0.0, klass=klass)
-
-
 @dataclass(frozen=True)
 class UnitAction:
     """Result of acting on the unit labeled z: new label and rate.
@@ -135,7 +131,7 @@ def r_term(g: GaugeParam, gp: GaugeParam) -> float:
 
 def _r_value(a: complex, b: complex, c: complex,
              ap: complex, bp: complex, cp: complex) -> float:
-    """r for |a|, |a'| < 1 on plain complex numbers."""
+    """r for |a|, |a'| < 1 on plain complex numbers or complex arrays."""
     da = 1.0 - abs(a) ** 2
     dap = 1.0 - abs(ap) ** 2
     daap = 1.0 - abs(a * ap) ** 2
@@ -166,30 +162,22 @@ def _r_square_form(a: complex, b: complex, c: complex,
 def r_sweep(rng: np.random.Generator, n: int) -> tuple[float, float]:
     """min r over n general pairs, and the square-form residual.
 
-    Draws the pairs from the stream that
-    min(r_term(random_param(rng), random_param(rng)) for _ in range(n))
-    consumes, and returns that minimum unchanged together with
-    max |r - r_sq| / max(r_sq, 1), r_sq being _r_square_form of the same
-    pair.  Each draw is checked against the general-class invariants.
+    Returns the minimum of r over the pairs of _general_pairs(rng, n)
+    together with max |r - r_sq| / max(r_sq, 1), r_sq being
+    _r_square_form of the same pair.  Both kernels run on whole blocks.
     General draws have |a| <= 0.95, so r_term's unit-circle branch never
-    applies.  Memory is O(1) in n.
+    applies.  Memory is O(_SWEEP_BLOCK) in n.
     """
     if n < 1:
         raise ValueError("r_sweep needs n >= 1")
     r_min = math.inf
     worst = 0.0
-    for _ in range(n):
-        a, b, c, y = _draw(rng, GENERAL)
-        _check_contractive(a, y)
-        ap, bp, cp, yp = _draw(rng, GENERAL)
-        _check_contractive(ap, yp)
-        r = _r_value(a, b, c, ap, bp, cp)
-        if r < r_min:
-            r_min = r
-        r_sq = _r_square_form(a, b, c, ap, bp, cp)
-        res = abs(r - r_sq) / max(r_sq, 1.0)
-        if res > worst:
-            worst = res
+    for pairs in _general_pairs(rng, n):
+        r = _r_value(*pairs)
+        r_sq = _r_square_form(*pairs)
+        r_min = min(r_min, float(r.min()))
+        worst = max(worst,
+                    float((abs(r - r_sq) / np.maximum(r_sq, 1.0)).max()))
     return r_min, worst
 
 
@@ -323,6 +311,7 @@ def single_reachable(z0: complex, z1: complex) -> Reachability:
 # ---------------------------------------------------------------------------
 
 _TWO_PI_I = 2j * np.pi
+_SWEEP_BLOCK = 1024  # pairs per block of r_sweep
 
 
 def _draw(rng: np.random.Generator, klass: str) -> tuple:
@@ -346,6 +335,26 @@ def _draw(rng: np.random.Generator, klass: str) -> tuple:
     b_re, b_im, c_re, c_im = normal(4).tolist()  # one call for b and c
     return (a, complex(b_re, b_im), complex(c_re, c_im),
             complex(2.0 * uniform(), normal()))
+
+
+def _general_pairs(rng: np.random.Generator, n: int):
+    """n random general pairs, as blocks (a, b, c, a', b', c') of complex
+    arrays with at most _SWEEP_BLOCK pairs each.
+
+    Each parameter (a, b, c, y) is distributed as _draw(rng, GENERAL) and
+    is checked against the general-class invariants.
+    """
+    for start in range(0, n, _SWEEP_BLOCK):
+        m = min(_SWEEP_BLOCK, n - start)
+        u = rng.random((3, 2 * m))
+        normal = rng.standard_normal((5, 2 * m))
+        a = 0.95 * u[0] * np.exp(_TWO_PI_I * u[1])
+        y = 2.0 * u[2] + 1j * normal[4]
+        # the largest |a| and the least Re(y) decide the whole block
+        _check_contractive(np.abs(a).max(), y.real.min())
+        b = normal[0] + 1j * normal[1]
+        c = normal[2] + 1j * normal[3]
+        yield a[:m], b[:m], c[:m], a[m:], b[m:], c[m:]
 
 
 def random_param(rng: np.random.Generator, klass: str = GENERAL) -> GaugeParam:

@@ -133,6 +133,10 @@ def random_param_reference(rng: np.random.Generator,
                                                  rng.normal()))
 
 
+def identity_param(klass: str = GENERAL) -> GaugeParam:
+    return GaugeParam(1.0, 0.0, 0.0, 0.0, klass=klass)
+
+
 def act_reference(g: GaugeParam, z: complex) -> UnitAction:
     """gauge.act in numpy scalar arithmetic (np.conj and a complex quotient).
 

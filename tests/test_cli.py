@@ -1,6 +1,7 @@
 """Command-line runner: reports, curves, determinism, config validation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -126,6 +127,23 @@ class TestCommands:
         ({"covariance": {"t": 0.0}}, "covariance.t must be > 0"),
         ({"delta": {"levels": 0}}, "delta.levels must be >= 1"),
         ({"delta": {"levels": -2}}, "delta.levels must be >= 1"),
+        ({"grid": {"length": math.inf}}, "grid.length must be finite"),
+        ({"grid": {"length": -math.inf}}, "grid.length must be finite"),
+        ({"grid": {"length": math.nan}}, "grid.length must be finite"),
+        ({"covariance": {"t": math.nan}}, "covariance.t must be finite"),
+        ({"covariance": {"t": math.inf}}, "covariance.t must be finite"),
+        ({"series": {"tail_tolerance": math.nan}},
+         "series.tail_tolerance must be finite"),
+        ({"series": {"tail_tolerance": 0.0}},
+         "series.tail_tolerance must be > 0"),
+        ({"series": {"tail_tolerance": -1.0}},
+         "series.tail_tolerance must be > 0"),
+        ({"lambda": {"kind": "custom", "values": [math.inf, 2.0]}},
+         "lambda.values must be a list of finite positive numbers"),
+        ({"lambda": {"kind": "custom", "values": [1.0, math.nan]}},
+         "lambda.values must be a list of finite positive numbers"),
+        ({"covariance": {"labels": [0.0, "nan"]}}, "covariance.labels"),
+        ({"covariance": {"labels": ["1+infj"]}}, "covariance.labels"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, override, message):
         path = tmp_path / "bad.yaml"

@@ -18,7 +18,6 @@ from cpflow.gauge import (
     compose,
     compose_printed,
     formula_discrepancy_report,
-    identity_param,
     pair_reachable,
     r_sweep,
     r_term,
@@ -28,6 +27,7 @@ from cpflow.gauge import (
 from references import (
     act_reference,
     composed_reference,
+    identity_param,
     random_param_reference,
 )
 
@@ -149,6 +149,36 @@ class TestComposition:
         assert r_term(g, gp) == 0.0
 
 
+def r_terms(a, b, c, ap, bp, cp):
+    """The three terms whose sum is gauge._r_value, on complex numbers."""
+    da, dap = 1.0 - abs(a) ** 2, 1.0 - abs(ap) ** 2
+    return (abs(ap.conjugate() * bp + cp) ** 2 / dap,
+            abs(bp * da - a.conjugate() * b - c) ** 2 / da,
+            abs((a * ap).conjugate() * (a * bp + b) + ap.conjugate() * c
+                + cp) ** 2 / (1.0 - abs(a * ap) ** 2))
+
+
+class TamperedGenerator:
+    """A seeded generator whose uniform block number `block` has one entry
+    set to `value`; r_sweep reads row 0 of a uniform block as |a| / 0.95
+    and row 2 as Re(y) / 2."""
+
+    def __init__(self, seed, block, entry, value):
+        self._rng = np.random.default_rng(seed)
+        self.block, self.entry, self.value = block, entry, value
+        self.calls = 0
+
+    def random(self, size):
+        u = self._rng.random(size)
+        if self.calls == self.block:
+            u[self.entry] = self.value
+        self.calls += 1
+        return u
+
+    def standard_normal(self, size):
+        return self._rng.standard_normal(size)
+
+
 class TestDraws:
     @pytest.mark.parametrize("klass", [GENERAL, UNITARY, ISOMETRIC, FLOW])
     @pytest.mark.parametrize("seed", [2024, 7])
@@ -195,41 +225,45 @@ class TestDraws:
         assert rng.bit_generator.state == state
         assert rng.random() == np.random.default_rng(2024).random()
 
-    @pytest.mark.parametrize("seed", [2024, 7, 11])
-    def test_sweep_minimum_is_the_scalar_minimum(self, seed):
-        n = 2000
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        r_min, _ = r_sweep(rng, n)
-        assert r_min == min(r_term(random_param(ref), random_param(ref))
-                            for _ in range(n))
-        assert rng.random() == ref.random()
+    # several whole blocks and a partial one
+    SWEEP_N = 3 * gauge._SWEEP_BLOCK + 123
 
     @pytest.mark.parametrize("seed", [2024, 7, 11])
-    def test_sweep_square_form_residual(self, seed):
-        n = 2000
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        _, residual = r_sweep(rng, n)
-        worst = 0.0
-        for _ in range(n):
-            g, gp = random_param(ref), random_param(ref)
-            da, dap = 1 - abs(g.a) ** 2, 1 - abs(gp.a) ** 2
-            num = (da * gp.a * (np.conj(gp.a) * gp.b + gp.c)
-                   + dap * (gp.b * da - np.conj(g.a) * g.b - g.c))
-            r_sq = abs(num) ** 2 / (da * dap * (1 - abs(g.a * gp.a) ** 2))
-            worst = max(worst, abs(r_term(g, gp) - r_sq) / max(r_sq, 1.0))
-        assert residual == worst
+    def test_sweep_agrees_with_scalar_kernels(self, seed):
+        n = self.SWEEP_N
+        r_min, residual = r_sweep(np.random.default_rng(seed), n)
+        blocks = list(gauge._general_pairs(np.random.default_rng(seed), n))
+        assert sum(len(block[0]) for block in blocks) == n
+        r_all, sq_all, r_ref, sq_ref, scale = [], [], [], [], []
+        for block in blocks:
+            r_all.extend(gauge._r_value(*block))
+            sq_all.extend(gauge._r_square_form(*block))
+            for pair in zip(*block):
+                pair = [complex(v) for v in pair]
+                r_ref.append(gauge._r_value(*pair))
+                sq_ref.append(gauge._r_square_form(*pair))
+                scale.append(max(1.0, *r_terms(*pair)))
+        r_all, sq_all, r_ref, sq_ref, scale = map(
+            np.array, (r_all, sq_all, r_ref, sq_ref, scale))
+        assert np.all(abs(r_all - r_ref) <= 1e-13 * scale)
+        assert np.all(abs(sq_all - sq_ref) <= 1e-13 * scale)
+        assert r_min == r_all.min()
+        assert residual == (abs(r_all - sq_all) / np.maximum(sq_all, 1)).max()
+        i = r_ref.argmin()
+        assert abs(r_min - r_ref[i]) <= 1e-13 * scale[i]
+        ref_residual = abs(r_ref - sq_ref) / np.maximum(sq_ref, 1.0)
+        assert abs(residual - ref_residual.max()) <= 1e-13
         assert residual <= 1e-12
 
-    @pytest.mark.parametrize("bad", [(0.5, 0j, 0j, -1.0 + 0j),
-                                     (1.5, 0j, 0j, 0j)])
-    @pytest.mark.parametrize("position", [0, 1])
-    def test_sweep_validates_each_draw(self, monkeypatch, bad, position):
-        draws = [(0.5 + 0j, 0j, 0j, 0j)] * 2
-        draws[position] = bad
-        stream = iter(draws)
-        monkeypatch.setattr(gauge, "_draw", lambda rng, klass: next(stream))
+    @pytest.mark.parametrize("row, value", [(0, 2.0),    # |a| = 1.9
+                                            (2, -1.0)])  # Re y = -2
+    @pytest.mark.parametrize("block, column", [(0, 0), (0, -1),
+                                               (3, 0), (3, -1)])
+    def test_sweep_validates_every_block(self, row, value, block, column):
+        rng = TamperedGenerator(2024, block, (row, column), value)
         with pytest.raises(InvalidParameterError):
-            r_sweep(np.random.default_rng(0), 1)
+            r_sweep(rng, self.SWEEP_N)
+        assert rng.calls == block + 1
 
     def test_sweep_needs_a_sample(self):
         with pytest.raises(ValueError):
