@@ -49,13 +49,12 @@ from .cornercheck import (
 )
 from .gauge import (
     FLOW,
+    GENERAL,
     UNITARY,
-    action_composition_residual,
-    compose,
-    formula_discrepancy_report,
+    action_sweep,
+    associativity_sweep,
     pair_reachable,
     r_sweep,
-    random_param,
     single_reachable,
 )
 from .semigroups import (
@@ -384,35 +383,17 @@ def run_gauge_check(cfg, rep: Reporter, rng):
     block = cfg["gauge"]
     zs = [complex(rng.normal(), rng.normal())
           for _ in range(block["z_samples"])]
-    worst_assoc = 0.0
-    for _ in range(block["triples"]):
-        a, b, c = (random_param(rng) for _ in range(3))
-        p1, p2 = compose(compose(a, b), c), compose(a, compose(b, c))
-        worst_assoc = max(worst_assoc,
-                          max(abs(getattr(p1, n) - getattr(p2, n))
-                              for n in "abcy"))
-    rep.bound("associativity-residual", worst_assoc, 1e-12, "le",
+    rep.bound("associativity-residual",
+              associativity_sweep(rng, block["triples"]), 1e-12, "le",
               "derived-oracle")
     r_min, square_form_residual = r_sweep(rng, block["r_samples"])
     rep.bound("r-minimum", r_min, -1e-12, "ge", "paper")
     rep.bound("r-square-form-residual", square_form_residual, 1e-12, "le",
               "derived-oracle")
-    worst = {"unitary": 0.0, "flow": 0.0, "general": 0.0}
-    discrepancy = None
-    for _ in range(block["pairs"]):
-        for key, klass in (("unitary", UNITARY), ("flow", FLOW)):
-            g, gp = random_param(rng, klass), random_param(rng, klass)
-            worst[key] = max(worst[key],
-                             action_composition_residual(g, gp, zs))
-        g, gp = random_param(rng), random_param(rng)
-        res = action_composition_residual(g, gp, zs)
-        worst["general"] = max(worst["general"], res)
-        if discrepancy is None:
-            report = formula_discrepancy_report(g, gp, zs)
-            if report["discrepant"]:
-                discrepancy = report
-    for key in ("unitary", "flow", "general"):
-        rep.bound("action-oracle-residual-%s" % key, worst[key], 1e-12,
+    worst, discrepancy = action_sweep(rng, block["pairs"], zs)
+    for key, klass in (("unitary", UNITARY), ("flow", FLOW),
+                       ("general", GENERAL)):
+        rep.bound("action-oracle-residual-%s" % key, worst[klass], 1e-12,
                   "le", "derived-oracle")
     if discrepancy is not None:
         path = rep.out_dir / "gauge-check-formula-discrepancy.json"
@@ -491,14 +472,13 @@ def run_weights_unitality(cfg, rep: Reporter, rng):
     xi_at_identity = xi.value(bid)
     worst1 = worst2 = 0.0
     for _ in range(samples):
-        vecs = []
-        for _ in range(2):
-            factors = []
-            for _ in range(n_factors):
-                coeffs = rng.normal(size=m) + 1j * rng.normal(size=m)
-                factors.append(ExpKernelVector(
-                    [(coeffs[j], 1.0 + j) for j in range(m)]))
-            vecs.append(ProductVector(seq, tuple(factors), n_factors + 1))
+        # one draw per sample, indexed [vector, factor, re/im, j]: the same
+        # stream as one rng.normal(size=m) call per part, in that order
+        parts = rng.normal(size=(2, n_factors, 2, m))
+        coeffs = parts[:, :, 0] + 1j * parts[:, :, 1]
+        vecs = [ProductVector(seq, tuple(
+            ExpKernelVector([(row[j], 1.0 + j) for j in range(m)])
+            for row in vec), n_factors + 1) for vec in coeffs]
         rho = rank_one(vecs[0], vecs[0]) + rank_one(vecs[1], vecs[1])
         val1 = omega1(rho, bid, series, n_factors=n_factors).value
         total, delta = rho(None), rho.delta_value()

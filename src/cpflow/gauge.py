@@ -43,6 +43,12 @@ _TOL = 1e-12
 
 @dataclass(frozen=True)
 class GaugeParam:
+    """A parameter (a, b, c, y), or a block of parameters of one class.
+
+    A block holds equal-shape complex arrays, one member per entry; the
+    class invariants and the branch of act() hold for the whole block.
+    """
+
     a: complex
     b: complex = 0.0
     c: complex = 0.0
@@ -52,40 +58,59 @@ class GaugeParam:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "y"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray) and value.ndim:
+                value = np.asarray(value, complex)
+            else:
+                value = complex(value)
+            object.__setattr__(self, name, value)
         self.validate()
 
     def validate(self):
         a, b, c, y = self.a, self.b, self.c, self.y
         if self.klass == RAW:
             return
-        _check_contractive(a, y)
+        # the invariants of every validated class
+        if _largest(abs(a)) > 1.0 + _TOL:
+            raise InvalidParameterError("|a| must not exceed 1")
+        if _least(y.real) < -_TOL:
+            raise InvalidParameterError("Re(y) must be nonnegative")
         if self.klass in (UNITARY, ISOMETRIC):
-            if abs(abs(a) - 1.0) > _TOL:
+            if _largest(abs(abs(a) - 1.0)) > _TOL:
                 raise InvalidParameterError("%s class needs |a| = 1" % self.klass)
-            if abs(a * c + b) > _TOL:
+            if _largest(abs(a * c + b)) > _TOL:
                 raise InvalidParameterError("%s class needs ac + b = 0" % self.klass)
-            if not self.relax_isometric and abs(y.real) > _TOL:
+            if not self.relax_isometric and _largest(abs(y.real)) > _TOL:
                 raise InvalidParameterError(
                     "%s class needs Re(y) = 0 (set relax_isometric to allow "
                     "Re(y) >= 0)" % self.klass)
         elif self.klass == FLOW:
-            if max(abs(b), abs(c), abs(y)) > _TOL:
+            if max(_largest(abs(b)), _largest(abs(c)),
+                   _largest(abs(y))) > _TOL:
                 raise InvalidParameterError("flow class needs b = c = y = 0")
         elif self.klass != GENERAL:
             raise InvalidParameterError("unknown class %r" % self.klass)
 
     @property
     def on_unit_circle(self) -> bool:
-        return abs(abs(self.a) - 1.0) <= _TOL
+        on = abs(abs(self.a) - 1.0) <= _TOL
+        if not isinstance(on, np.ndarray):
+            return on
+        if on.all():
+            return True
+        if not on.any():
+            return False
+        raise InvalidParameterError("block straddles the unit circle")
 
 
-def _check_contractive(a: complex, y: complex):
-    """The invariants of every validated class: |a| <= 1 and Re(y) >= 0."""
-    if abs(a) > 1.0 + _TOL:
-        raise InvalidParameterError("|a| must not exceed 1")
-    if y.real < -_TOL:
-        raise InvalidParameterError("Re(y) must be nonnegative")
+def _largest(x):
+    """The largest entry of a block, or a plain number itself."""
+    return x.max() if isinstance(x, np.ndarray) else x
+
+
+def _least(x):
+    """The least entry of a block, or a plain number itself."""
+    return x.min() if isinstance(x, np.ndarray) else x
 
 
 @dataclass(frozen=True)
@@ -100,7 +125,8 @@ class UnitAction:
 
 
 def act(g: GaugeParam, z: complex) -> UnitAction:
-    z = complex(z)
+    """The action on label z; a block g acts on labels that broadcast
+    against it, such as a column block on a row of labels."""
     a, b, c, y = g.a, g.b, g.c, g.y
     label = a * z + b
     if g.on_unit_circle:
@@ -181,6 +207,99 @@ def r_sweep(rng: np.random.Generator, n: int) -> tuple[float, float]:
     return r_min, worst
 
 
+def associativity_sweep(rng: np.random.Generator, n: int) -> float:
+    """max |(g g') g'' - g (g' g'')| over the parts a, b, c, y of n random
+    general triples, composed a block of at most _SWEEP_BLOCK triples at a
+    time.
+    """
+    if n < 1:
+        raise ValueError("associativity_sweep needs n >= 1")
+    worst = 0.0
+    for g, gp, gpp in _param_blocks(rng, GENERAL, n, 3, _SWEEP_BLOCK):
+        left = compose(compose(g, gp), gpp)
+        right = compose(g, compose(gp, gpp))
+        worst = max(worst, *(float(abs(getattr(left, part)
+                                       - getattr(right, part)).max())
+                             for part in "abcy"))
+    return worst
+
+
+def action_sweep(rng: np.random.Generator, n: int,
+                 sample_zs) -> tuple[dict, dict | None]:
+    """The action oracle over n random pairs of each drawn class.
+
+    Returns the worst action_composition_residual per class (UNITARY,
+    FLOW, GENERAL, drawn in that order) and the formula_discrepancy_report
+    of the first general pair, in draw order, whose report is discrepant
+    (None if there is none).  A block holds at most _PAIR_ENTRIES
+    (pair, label) entries, so memory does not grow with n or the number of
+    labels: with more labels than that, they are taken in chunks.
+    """
+    if n < 1:
+        raise ValueError("action_sweep needs n >= 1")
+    zs = np.asarray(sample_zs, complex)
+    pairs, labels = _pair_block_shape(len(zs))
+    worst = {UNITARY: 0.0, FLOW: 0.0, GENERAL: 0.0}
+    discrepancy = None
+    for klass in worst:
+        for g, gp in _param_blocks(rng, klass, n, 2, pairs):
+            res = 0.0
+            for start in range(0, len(zs), labels):
+                res = np.maximum(res, _member_residuals(
+                    g, gp, zs[start:start + labels]))
+            worst[klass] = max(worst[klass], float(res.max()))
+            if klass == GENERAL and discrepancy is None:
+                discrepancy = _first_discrepancy(g, gp, sample_zs)
+    return worst, discrepancy
+
+
+def _pair_block_shape(n_labels: int) -> tuple[int, int]:
+    """(pairs, labels) of one action_sweep block for n_labels labels:
+    pairs * labels <= _PAIR_ENTRIES."""
+    labels = min(n_labels, _PAIR_ENTRIES)
+    return _PAIR_ENTRIES // labels, labels
+
+
+def _member_residuals(g: GaugeParam, gp: GaugeParam, zs) -> np.ndarray:
+    """action_composition_residual of each member of a pair block.
+
+    act() reads one branch for a whole block, so the members are grouped
+    by the branch of g, g' and C C' (whose a is g.a * g'.a) and each
+    group runs on its own branch.
+    """
+    on = [abs(abs(a) - 1.0) <= _TOL for a in (g.a, gp.a, g.a * gp.a)]
+    branch = on[0] + 2 * on[1] + 4 * on[2]
+    out = np.empty(branch.shape)
+    for key in set(branch.tolist()):
+        idx = np.flatnonzero(branch == key)
+        out[idx] = action_composition_residual(_column(g, idx),
+                                               _column(gp, idx), zs)
+    return out
+
+
+def _column(g: GaugeParam, idx) -> GaugeParam:
+    """The members idx of a block, as a column block."""
+    return replace(g, **{part: getattr(g, part)[idx, None]
+                         for part in "abcy"})
+
+
+def _member(g: GaugeParam, i: int) -> GaugeParam:
+    """Member i of a block, rebuilt as a plain parameter."""
+    return GaugeParam(g.a[i], g.b[i], g.c[i], g.y[i], klass=g.klass,
+                      relax_isometric=g.relax_isometric)
+
+
+def _first_discrepancy(g: GaugeParam, gp: GaugeParam, sample_zs):
+    """formula_discrepancy_report of the first member of a pair block whose
+    report is discrepant, rebuilt as plain parameters; None if none is."""
+    for i in range(len(g.a)):
+        report = formula_discrepancy_report(_member(g, i), _member(gp, i),
+                                            sample_zs)
+        if report["discrepant"]:
+            return report
+    return None
+
+
 def _composed_class(g: GaugeParam, gp: GaugeParam) -> str:
     if g.klass == gp.klass and g.klass in (UNITARY, ISOMETRIC, FLOW):
         return g.klass
@@ -217,24 +336,24 @@ def compose_printed(g: GaugeParam, gp: GaugeParam) -> GaugeParam:
 
 
 def action_composition_residual(g: GaugeParam, gp: GaugeParam, sample_zs,
-                                law=compose) -> float:
+                                law=compose):
     """Oracle: compare the composition law against sequential action.
 
     Returns the max over sampled z of the exponent mismatch plus the label
-    mismatch; the label part vanishes identically for the affine law.
+    mismatch; the label part vanishes identically for the affine law.  All
+    labels go through one act() call per side; for column blocks g, gp
+    the result is the array of per-member residuals.
     """
     composed = law(g, gp)
-    worst = 0.0
-    for z in sample_zs:
-        z = complex(z)
-        first = act(gp, z)
-        second = act(g, first.new_label)
-        direct = act(composed, z)
-        label_gap = abs(second.new_label - direct.new_label)
-        rate_gap = abs(first.exponent_rate + second.exponent_rate
-                       - direct.exponent_rate)
-        worst = max(worst, label_gap + rate_gap)
-    return worst
+    z = np.asarray(sample_zs, complex)
+    first = act(gp, z)
+    second = act(g, first.new_label)
+    direct = act(composed, z)
+    gap = (abs(second.new_label - direct.new_label)
+           + abs(first.exponent_rate + second.exponent_rate
+                 - direct.exponent_rate))
+    worst = gap.max(axis=-1)
+    return worst if worst.ndim else float(worst)
 
 
 def formula_discrepancy_report(g: GaugeParam, gp: GaugeParam,
@@ -311,7 +430,10 @@ def single_reachable(z0: complex, z1: complex) -> Reachability:
 # ---------------------------------------------------------------------------
 
 _TWO_PI_I = 2j * np.pi
-_SWEEP_BLOCK = 1024  # pairs per block of r_sweep
+_SWEEP_BLOCK = 1024  # pairs or triples per r_sweep or associativity block
+# (pair, label) entries per action_sweep block: 200 pairs at 25 labels run
+# in three blocks with a working set like that of one r_sweep block
+_PAIR_ENTRIES = 2 * _SWEEP_BLOCK
 
 
 def _draw(rng: np.random.Generator, klass: str) -> tuple:
@@ -337,24 +459,55 @@ def _draw(rng: np.random.Generator, klass: str) -> tuple:
             complex(2.0 * uniform(), normal()))
 
 
+def _draw_block(rng: np.random.Generator, klass: str, k: int) -> tuple:
+    """(a, b, c, y) of k random parameters of the class, as complex arrays.
+
+    Entry j is distributed as _draw(rng, klass), from the uniform rows u
+    and the normal rows N of one block draw each:
+        flow:     a = u0 exp(2 pi i u1), b = c = y = 0;
+        unitary:  a = exp(2 pi i u0), b = N0 + i N1, c = -conj(a) b,
+                  y = i N2;
+        general:  a = 0.95 u0 exp(2 pi i u1), b = N0 + i N1,
+                  c = N2 + i N3, y = 2 u2 + i N4.
+    """
+    if klass == FLOW:
+        u = rng.random((2, k))
+        zero = np.zeros(k, complex)
+        return u[0] * np.exp(_TWO_PI_I * u[1]), zero, zero, zero
+    if klass in (UNITARY, ISOMETRIC):
+        u = rng.random((1, k))
+        normal = rng.standard_normal((3, k))
+        a = np.exp(_TWO_PI_I * u[0])
+        b = normal[0] + 1j * normal[1]
+        return a, b, -a.conj() * b, 1j * normal[2]
+    u = rng.random((3, k))
+    normal = rng.standard_normal((5, k))
+    return (0.95 * u[0] * np.exp(_TWO_PI_I * u[1]),
+            normal[0] + 1j * normal[1], normal[2] + 1j * normal[3],
+            2.0 * u[2] + 1j * normal[4])
+
+
+def _param_blocks(rng: np.random.Generator, klass: str, n: int, group: int,
+                  size: int):
+    """n random groups of `group` parameters of the class, as blocks of at
+    most `size` groups.
+
+    Each block is one _draw_block of group * m parameters, split into
+    `group` blocks of m members that are validated as the class.
+    """
+    for start in range(0, n, size):
+        m = min(size, n - start)
+        parts = [v.reshape(group, m) for v in _draw_block(rng, klass,
+                                                           group * m)]
+        yield tuple(GaugeParam(*(v[i] for v in parts), klass=klass)
+                    for i in range(group))
+
+
 def _general_pairs(rng: np.random.Generator, n: int):
     """n random general pairs, as blocks (a, b, c, a', b', c') of complex
-    arrays with at most _SWEEP_BLOCK pairs each.
-
-    Each parameter (a, b, c, y) is distributed as _draw(rng, GENERAL) and
-    is checked against the general-class invariants.
-    """
-    for start in range(0, n, _SWEEP_BLOCK):
-        m = min(_SWEEP_BLOCK, n - start)
-        u = rng.random((3, 2 * m))
-        normal = rng.standard_normal((5, 2 * m))
-        a = 0.95 * u[0] * np.exp(_TWO_PI_I * u[1])
-        y = 2.0 * u[2] + 1j * normal[4]
-        # the largest |a| and the least Re(y) decide the whole block
-        _check_contractive(np.abs(a).max(), y.real.min())
-        b = normal[0] + 1j * normal[1]
-        c = normal[2] + 1j * normal[3]
-        yield a[:m], b[:m], c[:m], a[m:], b[m:], c[m:]
+    arrays with at most _SWEEP_BLOCK pairs each; see _param_blocks."""
+    for g, gp in _param_blocks(rng, GENERAL, n, 2, _SWEEP_BLOCK):
+        yield g.a, g.b, g.c, gp.a, gp.b, gp.c
 
 
 def random_param(rng: np.random.Generator, klass: str = GENERAL) -> GaugeParam:

@@ -328,13 +328,24 @@ def choi_min_eig(superop: np.ndarray, dim_in: int, dim_out: int,
     Trace and hermiticity defect are those of the whole Choi matrix.
     """
     choi = choi_matrix(superop, dim_in, dim_out)
-    herm = 0.5 * (choi + choi.conj().T)
-    defect = float(np.linalg.norm(choi - herm))
+    # two Choi-sized arrays at most: herm is built in place on a new array
+    # (choi.conj() of a real choi would be choi itself), the defect in
+    # place on choi unless choi views superop, and choi is freed before
+    # eigvalsh copies herm
+    herm = np.conjugate(choi).T
+    herm += choi
+    herm *= 0.5
+    if np.may_share_memory(choi, superop):
+        choi = choi.copy()
+    choi -= herm
+    defect = float(np.linalg.norm(choi))
+    del choi
     live = np.flatnonzero(np.any(herm != 0, axis=1))
     low = 0.0
-    if live.size:
-        low = float(np.linalg.eigvalsh(herm[np.ix_(live, live)])[0])
-        if live.size < herm.shape[0]:
-            low = min(low, 0.0)
+    if live.size == herm.shape[0]:
+        low = float(np.linalg.eigvalsh(herm)[0])
+    elif live.size:
+        low = min(float(np.linalg.eigvalsh(herm[np.ix_(live, live)])[0]),
+                  0.0)
     return ChoiVerdict(low, float(np.trace(herm).real), defect, tolerance)
 

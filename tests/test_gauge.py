@@ -14,7 +14,9 @@ from cpflow.gauge import (
     InvalidParameterError,
     act,
     action_composition_residual,
+    action_sweep,
     adjoint,
+    associativity_sweep,
     compose,
     compose_printed,
     formula_discrepancy_report,
@@ -268,6 +270,213 @@ class TestDraws:
     def test_sweep_needs_a_sample(self):
         with pytest.raises(ValueError):
             r_sweep(np.random.default_rng(0), 0)
+
+
+def scaled_gap(x, ref):
+    """|x - ref| / max(1, |ref|), entrywise."""
+    return abs(np.asarray(x) - ref) / np.maximum(1.0, abs(np.asarray(ref)))
+
+
+class FixedGenerator:
+    """Hands out given uniform rows U and normal rows N: whole blocks to
+    _draw_block, or the entries of column j one call at a time to
+    _draw."""
+
+    def __init__(self, u, normal, column=None):
+        self.u, self.normal = u, normal
+        if column is not None:
+            self.u_iter = iter(u[:, column].tolist())
+            self.normal_iter = iter(normal[:, column].tolist())
+
+    def random(self, size=None):
+        if size is None:
+            return next(self.u_iter)
+        return self.u[:size[0]].copy()
+
+    def standard_normal(self, size=None):
+        if size is None:
+            return next(self.normal_iter)
+        if isinstance(size, int):  # _draw's normal(4)
+            return np.array([next(self.normal_iter) for _ in range(size)])
+        return self.normal[:size[0]].copy()
+
+
+class TestBlocks:
+    """Parameter blocks through the unchanged act/compose kernels."""
+
+    TRIPLES = 3 * gauge._SWEEP_BLOCK + 123
+    LABELS = 25
+    # whole pair blocks at 25 labels and a partial one
+    PAIRS = gauge._pair_block_shape(LABELS)[0] + 123
+
+    @pytest.mark.parametrize("klass", [GENERAL, UNITARY])
+    def test_act_on_plain_number_labels(self, klass):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            g = random_param(rng, klass)
+            assert g.on_unit_circle == (klass == UNITARY)
+            for z in (rng.normal(), -0.0, 0.0, 2.5, 0, 3, -7):
+                out, ref = act(g, z), act(g, complex(z))
+                assert (out.new_label, out.exponent_rate) \
+                    == (ref.new_label, ref.exponent_rate)
+
+    @pytest.mark.parametrize("seed", [2024, 7, 11])
+    def test_associativity_sweep_agrees_with_scalar_compose(self, seed):
+        n = self.TRIPLES
+        worst = associativity_sweep(np.random.default_rng(seed), n)
+        blocks = list(gauge._param_blocks(np.random.default_rng(seed),
+                                          GENERAL, n, 3, gauge._SWEEP_BLOCK))
+        assert sum(len(g.a) for g, _, _ in blocks) == n
+        members = []
+        for g, gp, gpp in blocks:
+            left = compose(compose(g, gp), gpp)
+            right = compose(g, compose(gp, gpp))
+            members.extend(max(abs(getattr(left, part)[i]
+                                   - getattr(right, part)[i])
+                               for part in "abcy")
+                           for i in range(len(g.a)))
+            for i in range(len(g.a)):
+                p, pp, ppp = (gauge._member(h, i) for h in (g, gp, gpp))
+                for block, ref in ((left, compose(compose(p, pp), ppp)),
+                                   (right, compose(p, compose(pp, ppp)))):
+                    for part in "abcy":
+                        assert scaled_gap(getattr(block, part)[i],
+                                          getattr(ref, part)) <= 1e-13
+        assert worst == max(members)
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("seed", [2024, 7, 11])
+    def test_action_sweep_agrees_with_scalar_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        zs = rng.normal(size=self.LABELS) + 1j * rng.normal(size=self.LABELS)
+        n = self.PAIRS
+        worst, report = action_sweep(np.random.default_rng(seed), n, zs)
+        rng = np.random.default_rng(seed)
+        pairs, labels = gauge._pair_block_shape(len(zs))
+        assert labels == len(zs) and n % pairs
+        first_general = None
+        for klass in (UNITARY, FLOW, GENERAL):
+            members = []
+            for g, gp in gauge._param_blocks(rng, klass, n, 2, pairs):
+                res = gauge._member_residuals(g, gp, zs)
+                members.extend(res)
+                for i in range(len(g.a)):
+                    p, pp = gauge._member(g, i), gauge._member(gp, i)
+                    if first_general is None and klass == GENERAL:
+                        first_general = (p, pp)
+                    ref = action_composition_residual(p, pp, zs)
+                    scale = max(1.0, abs(act(compose(p, pp), zs)
+                                         .exponent_rate).max())
+                    assert abs(res[i] - ref) <= 1e-13 * scale
+            assert len(members) == n
+            assert worst[klass] == max(members)
+            assert worst[klass] <= 1e-12
+        # the first general pair is discrepant at these seeds
+        assert report == formula_discrepancy_report(*first_general, zs)
+        assert report["discrepant"]
+
+    @pytest.mark.parametrize("klass", [GENERAL, UNITARY, ISOMETRIC, FLOW])
+    def test_block_draw_uses_the_scalar_formulas(self, klass):
+        rng = np.random.default_rng(3)
+        k = 500
+        u, normal = rng.random((3, k)), rng.standard_normal((5, k))
+        block = gauge._draw_block(FixedGenerator(u, normal), klass, k)
+        for j in range(k):
+            ref = gauge._draw(FixedGenerator(u, normal, j), klass)
+            for part, value in zip(block, ref):
+                # numpy's complex exp and products may round c = -conj(a) b
+                # differently in the last place
+                assert scaled_gap(part[j], value) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("sweep, klass, row, value", [
+        ("associativity", GENERAL, 0, 2.0),  # |a| = 1.9
+        ("associativity", GENERAL, 2, -1.0),  # Re y = -2
+        ("action", FLOW, 0, 2.0),  # |a| = 2
+        ("action", GENERAL, 0, 2.0),
+        ("action", GENERAL, 2, -1.0),
+    ])
+    @pytest.mark.parametrize("later, column", [(0, 0), (0, -1), (2, 0),
+                                               (2, -1)])
+    def test_sweeps_validate_every_drawn_block(self, sweep, klass, row,
+                                               value, later, column):
+        zs = np.arange(self.LABELS) * 0.1j
+        pairs = gauge._pair_block_shape(self.LABELS)[0]
+        if sweep == "associativity":
+            n, blocks_before = self.TRIPLES, 0
+            run = associativity_sweep
+        else:
+            # three blocks per class, unitary then flow then general
+            n, classes = 2 * pairs + 7, (UNITARY, FLOW, GENERAL)
+            blocks_before = 3 * classes.index(klass)
+            def run(rng, n):
+                return action_sweep(rng, n, zs)
+        block = blocks_before + later
+        rng = TamperedGenerator(2024, block, (row, column), value)
+        with pytest.raises(InvalidParameterError):
+            run(rng, n)
+        assert rng.calls == block + 1
+
+    def test_unitary_block_invariants(self):
+        # unitary draws hold their invariants for any uniform and normal
+        # values, so the blocks are crafted
+        a = np.exp(1j * np.arange(4.0))
+        b = np.arange(4.0) + 1j
+        for i in (0, -1):
+            for part, bad in (("a", 0.5), ("b", 5.0), ("y", 1.0 + 1j)):
+                fields = {"a": a.copy(), "b": b.copy(),
+                          "c": -a.conj() * b, "y": np.zeros(4, complex)}
+                fields[part][i] = bad
+                with pytest.raises(InvalidParameterError):
+                    GaugeParam(klass=UNITARY, **fields)
+        GaugeParam(a, b, -a.conj() * b, 1j * b.real, klass=UNITARY)
+        with pytest.raises(InvalidParameterError, match="b = c = y = 0"):
+            GaugeParam(a / 2, np.array([0, 0, 0, 1e-9]), klass=FLOW)
+
+    def test_on_unit_circle_of_blocks(self):
+        on, off = np.exp(1j * np.arange(3.0)), 0.5 * np.ones(3)
+        assert GaugeParam(on).on_unit_circle is True
+        assert GaugeParam(off).on_unit_circle is False
+        mixed = GaugeParam(np.concatenate([on, off]))
+        with pytest.raises(InvalidParameterError, match="straddles"):
+            mixed.on_unit_circle
+        with pytest.raises(InvalidParameterError, match="straddles"):
+            act(mixed, 1.0)
+
+    def test_straddling_block_uses_each_members_branch(self):
+        # every combination of g and g' on and off the circle; C C' is on
+        # it exactly when both are.  On the circle the rate is that of
+        # ac + b = 0, which the members there satisfy.
+        rng = np.random.default_rng(5)
+        unit = np.exp(2j * np.pi * rng.random((2, 8)))
+        modulus = np.array([[1, 1, 0.5, 0.5] * 2, [1, 0.5] * 4])
+        a = modulus * unit
+        b, c = (rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+                for _ in range(2))
+        c = np.where(modulus == 1, -a.conj() * b, c)
+        y = rng.random((2, 8)) + 1j * rng.normal(size=(2, 8))
+        g, gp = (GaugeParam(a[k], b[k], c[k], y[k]) for k in range(2))
+        zs = ZS[:7]
+        with pytest.raises(InvalidParameterError, match="straddles"):
+            action_composition_residual(gauge._column(g, slice(None)),
+                                        gauge._column(gp, slice(None)), zs)
+        res = gauge._member_residuals(g, gp, zs)
+        for i in range(8):
+            p, pp = gauge._member(g, i), gauge._member(gp, i)
+            assert (p.on_unit_circle, pp.on_unit_circle) \
+                == (modulus[0, i] == 1, modulus[1, i] == 1)
+            assert abs(res[i] - action_composition_residual(p, pp, zs)) \
+                <= 1e-13
+        assert res.max() <= 1e-12
+
+    @pytest.mark.parametrize("n_labels, pairs, chunks", [(25, 81, 1),
+                                                          (10 ** 5, 1, 49)])
+    def test_pair_block_size_bound(self, n_labels, pairs, chunks):
+        # computed, not run: memory is bounded whatever the label count
+        assert gauge._PAIR_ENTRIES <= 32 * gauge._SWEEP_BLOCK
+        got_pairs, labels = gauge._pair_block_shape(n_labels)
+        assert (got_pairs, -(-n_labels // labels)) == (pairs, chunks)
+        assert gauge._PAIR_ENTRIES - labels < got_pairs * labels \
+            <= gauge._PAIR_ENTRIES
 
 
 @st.composite

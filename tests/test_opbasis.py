@@ -237,6 +237,27 @@ class TestChoi:
         with pytest.raises(ValueError):
             choi_matrix(np.eye(4), 3, 3)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 1), (1, 3), (1, 1)])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_superop_unchanged(self, dims, real):
+        # the Choi matrix of a map into or out of a 1-dimensional space is
+        # a view of the superoperator
+        din, dout = dims
+        rng = np.random.default_rng(9)
+        superop = rng.normal(size=(dout * dout, din * din))
+        if not real:
+            superop = superop + 1j * rng.normal(size=superop.shape)
+        kept = superop.copy()
+        v = choi_min_eig(superop, din, dout)
+        assert np.array_equal(superop, kept)
+        assert v.hermiticity_defect > 0 or din * dout == 1
+
+    def test_transpose_map_unchanged(self):
+        superop = transpose_superop(3)
+        kept = superop.copy()
+        choi_min_eig(superop, 3, 3)
+        assert np.array_equal(superop, kept)
+
     def test_conjugation_choi_rank_one(self):
         rng = np.random.default_rng(5)
         k = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
