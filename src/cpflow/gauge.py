@@ -224,40 +224,29 @@ def associativity_sweep(rng: np.random.Generator, n: int) -> float:
     return worst
 
 
-def action_sweep(rng: np.random.Generator, n: int,
-                 sample_zs) -> tuple[dict, dict | None]:
-    """The action oracle over n random pairs of each drawn class.
+def action_sweep(rng: np.random.Generator, n: int, sample_zs) -> dict:
+    """The worst action_composition_residual over n random pairs of each
+    drawn class (UNITARY, FLOW, GENERAL, drawn in that order).
 
-    Returns the worst action_composition_residual per class (UNITARY,
-    FLOW, GENERAL, drawn in that order) and the formula_discrepancy_report
-    of the first general pair, in draw order, whose report is discrepant
-    (None if there is none).  A block holds at most _PAIR_ENTRIES
-    (pair, label) entries, so memory does not grow with n or the number of
-    labels: with more labels than that, they are taken in chunks.
+    A block holds at most max(_PAIR_ENTRIES, number of labels) (pair,
+    label) entries, so memory is O(_PAIR_ENTRIES + number of labels)
+    whatever n.
     """
     if n < 1:
         raise ValueError("action_sweep needs n >= 1")
     zs = np.asarray(sample_zs, complex)
-    pairs, labels = _pair_block_shape(len(zs))
+    pairs = _pairs_per_block(len(zs))
     worst = {UNITARY: 0.0, FLOW: 0.0, GENERAL: 0.0}
-    discrepancy = None
     for klass in worst:
         for g, gp in _param_blocks(rng, klass, n, 2, pairs):
-            res = 0.0
-            for start in range(0, len(zs), labels):
-                res = np.maximum(res, _member_residuals(
-                    g, gp, zs[start:start + labels]))
-            worst[klass] = max(worst[klass], float(res.max()))
-            if klass == GENERAL and discrepancy is None:
-                discrepancy = _first_discrepancy(g, gp, sample_zs)
-    return worst, discrepancy
+            worst[klass] = max(worst[klass],
+                               float(_member_residuals(g, gp, zs).max()))
+    return worst
 
 
-def _pair_block_shape(n_labels: int) -> tuple[int, int]:
-    """(pairs, labels) of one action_sweep block for n_labels labels:
-    pairs * labels <= _PAIR_ENTRIES."""
-    labels = min(n_labels, _PAIR_ENTRIES)
-    return _PAIR_ENTRIES // labels, labels
+def _pairs_per_block(n_labels: int) -> int:
+    """Pairs in one action_sweep block at n_labels labels."""
+    return max(1, _PAIR_ENTRIES // n_labels)
 
 
 def _member_residuals(g: GaugeParam, gp: GaugeParam, zs) -> np.ndarray:
@@ -265,7 +254,9 @@ def _member_residuals(g: GaugeParam, gp: GaugeParam, zs) -> np.ndarray:
 
     act() reads one branch for a whole block, so the members are grouped
     by the branch of g, g' and C C' (whose a is g.a * g'.a) and each
-    group runs on its own branch.
+    group runs on its own branch.  Drawn blocks never mix branches (a
+    flow draw lands within _TOL of |a| = 1 with probability about 1e-12);
+    the grouping keeps crafted blocks on the right formulas.
     """
     on = [abs(abs(a) - 1.0) <= _TOL for a in (g.a, gp.a, g.a * gp.a)]
     branch = on[0] + 2 * on[1] + 4 * on[2]
@@ -283,18 +274,13 @@ def _column(g: GaugeParam, idx) -> GaugeParam:
                          for part in "abcy"})
 
 
-def _member(g: GaugeParam, i: int) -> GaugeParam:
-    """Member i of a block, rebuilt as a plain parameter."""
-    return GaugeParam(g.a[i], g.b[i], g.c[i], g.y[i], klass=g.klass,
-                      relax_isometric=g.relax_isometric)
-
-
-def _first_discrepancy(g: GaugeParam, gp: GaugeParam, sample_zs):
-    """formula_discrepancy_report of the first member of a pair block whose
-    report is discrepant, rebuilt as plain parameters; None if none is."""
-    for i in range(len(g.a)):
-        report = formula_discrepancy_report(_member(g, i), _member(gp, i),
-                                            sample_zs)
+def first_discrepancy(rng: np.random.Generator, n: int, sample_zs):
+    """formula_discrepancy_report of the first of up to n random general
+    pairs, drawn one parameter at a time by random_param, whose report is
+    discrepant; None if none is."""
+    for _ in range(n):
+        report = formula_discrepancy_report(random_param(rng),
+                                            random_param(rng), sample_zs)
         if report["discrepant"]:
             return report
     return None

@@ -19,6 +19,7 @@ from cpflow.gauge import (
     associativity_sweep,
     compose,
     compose_printed,
+    first_discrepancy,
     formula_discrepancy_report,
     pair_reachable,
     r_sweep,
@@ -301,13 +302,19 @@ class FixedGenerator:
         return self.normal[:size[0]].copy()
 
 
+def member(g, i):
+    """Member i of a block, rebuilt as a plain parameter."""
+    return GaugeParam(g.a[i], g.b[i], g.c[i], g.y[i], klass=g.klass,
+                      relax_isometric=g.relax_isometric)
+
+
 class TestBlocks:
     """Parameter blocks through the unchanged act/compose kernels."""
 
     TRIPLES = 3 * gauge._SWEEP_BLOCK + 123
     LABELS = 25
     # whole pair blocks at 25 labels and a partial one
-    PAIRS = gauge._pair_block_shape(LABELS)[0] + 123
+    PAIRS = gauge._pairs_per_block(LABELS) + 123
 
     @pytest.mark.parametrize("klass", [GENERAL, UNITARY])
     def test_act_on_plain_number_labels(self, klass):
@@ -336,7 +343,7 @@ class TestBlocks:
                                for part in "abcy")
                            for i in range(len(g.a)))
             for i in range(len(g.a)):
-                p, pp, ppp = (gauge._member(h, i) for h in (g, gp, gpp))
+                p, pp, ppp = (member(h, i) for h in (g, gp, gpp))
                 for block, ref in ((left, compose(compose(p, pp), ppp)),
                                    (right, compose(p, compose(pp, ppp)))):
                     for part in "abcy":
@@ -350,20 +357,17 @@ class TestBlocks:
         rng = np.random.default_rng(seed)
         zs = rng.normal(size=self.LABELS) + 1j * rng.normal(size=self.LABELS)
         n = self.PAIRS
-        worst, report = action_sweep(np.random.default_rng(seed), n, zs)
+        worst = action_sweep(np.random.default_rng(seed), n, zs)
         rng = np.random.default_rng(seed)
-        pairs, labels = gauge._pair_block_shape(len(zs))
-        assert labels == len(zs) and n % pairs
-        first_general = None
+        pairs = gauge._pairs_per_block(len(zs))
+        assert n % pairs
         for klass in (UNITARY, FLOW, GENERAL):
             members = []
             for g, gp in gauge._param_blocks(rng, klass, n, 2, pairs):
                 res = gauge._member_residuals(g, gp, zs)
                 members.extend(res)
                 for i in range(len(g.a)):
-                    p, pp = gauge._member(g, i), gauge._member(gp, i)
-                    if first_general is None and klass == GENERAL:
-                        first_general = (p, pp)
+                    p, pp = member(g, i), member(gp, i)
                     ref = action_composition_residual(p, pp, zs)
                     scale = max(1.0, abs(act(compose(p, pp), zs)
                                          .exponent_rate).max())
@@ -371,9 +375,30 @@ class TestBlocks:
             assert len(members) == n
             assert worst[klass] == max(members)
             assert worst[klass] <= 1e-12
-        # the first general pair is discrepant at these seeds
-        assert report == formula_discrepancy_report(*first_general, zs)
-        assert report["discrepant"]
+
+    @pytest.mark.parametrize("seed", [2024, 7, 11])
+    def test_first_discrepancy_is_the_first_discrepant_scalar_pair(self,
+                                                                  seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        report = first_discrepancy(rng, 200, ZS)
+        while True:
+            expected = formula_discrepancy_report(random_param(ref),
+                                                  random_param(ref), ZS)
+            if expected["discrepant"]:
+                break
+        assert report == expected
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_first_discrepancy_none_after_n_agreeing_pairs(self,
+                                                           monkeypatch):
+        # b = c = 0 makes the printed law agree with the action
+        calls = []
+        def agreeing(rng, klass=GENERAL):
+            calls.append(klass)
+            return GaugeParam(0.5)
+        monkeypatch.setattr(gauge, "random_param", agreeing)
+        assert first_discrepancy(np.random.default_rng(0), 7, ZS) is None
+        assert calls == [GENERAL] * 14
 
     @pytest.mark.parametrize("klass", [GENERAL, UNITARY, ISOMETRIC, FLOW])
     def test_block_draw_uses_the_scalar_formulas(self, klass):
@@ -400,7 +425,7 @@ class TestBlocks:
     def test_sweeps_validate_every_drawn_block(self, sweep, klass, row,
                                                value, later, column):
         zs = np.arange(self.LABELS) * 0.1j
-        pairs = gauge._pair_block_shape(self.LABELS)[0]
+        pairs = gauge._pairs_per_block(self.LABELS)
         if sweep == "associativity":
             n, blocks_before = self.TRIPLES, 0
             run = associativity_sweep
@@ -461,22 +486,22 @@ class TestBlocks:
                                         gauge._column(gp, slice(None)), zs)
         res = gauge._member_residuals(g, gp, zs)
         for i in range(8):
-            p, pp = gauge._member(g, i), gauge._member(gp, i)
+            p, pp = member(g, i), member(gp, i)
             assert (p.on_unit_circle, pp.on_unit_circle) \
                 == (modulus[0, i] == 1, modulus[1, i] == 1)
             assert abs(res[i] - action_composition_residual(p, pp, zs)) \
                 <= 1e-13
         assert res.max() <= 1e-12
 
-    @pytest.mark.parametrize("n_labels, pairs, chunks", [(25, 81, 1),
-                                                          (10 ** 5, 1, 49)])
-    def test_pair_block_size_bound(self, n_labels, pairs, chunks):
-        # computed, not run: memory is bounded whatever the label count
+    @pytest.mark.parametrize("n_labels, pairs", [(25, 81), (10 ** 5, 1)])
+    def test_pair_block_size_bound(self, n_labels, pairs):
+        # computed, not run: a block holds about _PAIR_ENTRIES entries, or
+        # one pair at more labels than that
         assert gauge._PAIR_ENTRIES <= 32 * gauge._SWEEP_BLOCK
-        got_pairs, labels = gauge._pair_block_shape(n_labels)
-        assert (got_pairs, -(-n_labels // labels)) == (pairs, chunks)
-        assert gauge._PAIR_ENTRIES - labels < got_pairs * labels \
-            <= gauge._PAIR_ENTRIES
+        assert gauge._pairs_per_block(n_labels) == pairs
+        # as full as the bound allows
+        bound = max(gauge._PAIR_ENTRIES, n_labels)
+        assert pairs * n_labels <= bound < (pairs + 1) * n_labels
 
 
 @st.composite
