@@ -1,9 +1,9 @@
 """The gauge-parameter group acting on units.
 
 A local cocycle is parameterized by four complex numbers (a, b, c, y)
-with |a| <= 1 and Re(y) >= 0.  It acts on the unit labeled z by moving
-the label to a z + b and multiplying by exp(lambda t), where the rate
-lambda depends on the branch:
+with |a| <= 1, Re(y) >= 0 and ac + b = 0 where |a| = 1.  It acts on the
+unit labeled z by moving the label to a z + b and multiplying by
+exp(lambda t), where the rate lambda depends on the branch:
 
     |a| < 1:  lambda = -y - |v + z|^2 (1 - |a|^2) / 2 + i Im(conj(c) z)
               with v = -(conj(a) b + c) / (1 - |a|^2)
@@ -90,6 +90,10 @@ class GaugeParam:
                 raise InvalidParameterError("flow class needs b = c = y = 0")
         elif self.klass != GENERAL:
             raise InvalidParameterError("unknown class %r" % self.klass)
+        elif _largest((abs(abs(a) - 1.0) <= _TOL) & (abs(a * c + b) > _TOL)):
+            # act's unit-circle rate holds only where ac + b = 0
+            raise InvalidParameterError(
+                "general class needs ac + b = 0 where |a| = 1")
 
     @property
     def on_unit_circle(self) -> bool:

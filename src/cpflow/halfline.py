@@ -37,13 +37,17 @@ class UnsupportedRepresentationError(TypeError):
 class ExpKernelVector:
     """A function x -> sum_j c_j exp(-mu_j x) with Re(mu_j) > 0.
 
-    terms: sequence of (coefficient, rate) pairs.
+    terms: sequence of (coefficient, rate) pairs.  A coefficient may be a
+    1-D array, one entry per member of a block of vectors with the same
+    rates; it is held as an object array of Python complex numbers, so
+    every closed form runs on each member with the operations it runs on
+    a single vector.  Block vectors are not hashable.
     """
 
     terms: tuple[tuple[complex, complex], ...]
 
     def __init__(self, terms: Iterable[tuple[complex, complex]]):
-        terms = tuple((complex(c), complex(mu)) for c, mu in terms)
+        terms = tuple((_coefficient(c), complex(mu)) for c, mu in terms)
         for _, mu in terms:
             if mu.real <= 0.0:
                 raise InvalidVectorError(
@@ -69,6 +73,13 @@ class ExpKernelVector:
 
     def norm(self) -> float:
         return float(np.sqrt(inner_product(self, self).real))
+
+
+def _coefficient(c):
+    """complex(c), or a block's object array of Python complex numbers."""
+    if isinstance(c, np.ndarray) and c.ndim:
+        return np.asarray(c, complex).astype(object)
+    return complex(c)
 
 
 def inner_product(f: ExpKernelVector, g: ExpKernelVector) -> complex:

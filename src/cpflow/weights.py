@@ -21,6 +21,13 @@ sequences, the index and the operator, and are memoised in bounded
 tables.  Functional.__call__, delta_value and shifted stay on pairing:
 they give the independent side of the checked identities (rho(I) and
 rho(Delta) in weights-unitality) and the decay curve.
+
+A functional whose explicit factors carry array coefficients is a block
+of functionals with the same rates, sequence and target: the same kernels
+evaluate every member at once, and each value is an array over members.
+The coefficients are object arrays of Python complex numbers, so each
+member takes exactly the operations of the single functional (numpy's
+complex128 products and quotients round differently in the last place).
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ import numpy as np
 from .halfline import (
     ExpKernelVector,
     ExpMultiplier,
-    Grid,
     HalfLineOperator,
     IdentityOperator,
     inner_product,
@@ -183,11 +189,6 @@ def boundary_identity() -> HElement:
         telescoping=True)
 
 
-def lambda_of(k_op: TensorOperator) -> HElement:
-    """Lambda(C) = C tensor multiplication-by-exp(-x)."""
-    return HElement(terms=((1.0, ExpMultiplier(1.0), k_op),))
-
-
 def identity_element() -> HElement:
     return HElement(terms=((1.0, IdentityOperator(), identity_operator()),))
 
@@ -198,6 +199,8 @@ def identity_element() -> HElement:
 
 @dataclass(frozen=True)
 class SeriesValue:
+    """Per member of a block, arrays; terms has the term axis first and is
+    nan past the terms a member sums."""
     value: complex
     terms: np.ndarray
     tail_certificate: float
@@ -376,6 +379,8 @@ def _series(rho: Functional, element: HElement, cfg: WeightSeriesConfig,
 
     The orbit rho_n = rho o sigma^n is read from per-slot tables (see the
     module docstring); the certificate compares rho_n(I) with rho(Delta).
+    Each member of a block stops at the first term its certificate allows
+    and sums its own terms; the loop runs until every member has stopped.
     """
     target = element.pi_image(n_factors)
     orbit = []
@@ -389,6 +394,9 @@ def _series(rho: Functional, element: HElement, cfg: WeightSeriesConfig,
     explicit = cfg.max_terms
     if telescopes:
         explicit = min(cfg.max_terms, 4 * n_factors + 4)
+    shape = np.shape(delta_limit)  # () for a single functional
+    stop = np.zeros(np.size(delta_limit), int)  # terms summed; 0 = running
+    cert_at = np.zeros(stop.size)
     terms = []
     zpow = z
     for k in range(explicit):
@@ -397,18 +405,40 @@ def _series(rho: Functional, element: HElement, cfg: WeightSeriesConfig,
         for t in orbit:
             t.shift(k)
         zpow = zpow * z
-        cert = abs(zpow) * abs(_identity_value(orbit, k + 1) - delta_limit)
-        if cert < cfg.tail_tolerance:
-            return SeriesValue(np.sum(terms), np.array(terms), cert, False)
-    if telescopes:
+        cert = np.asarray(abs(zpow) * abs(_identity_value(orbit, k + 1)
+                                          - delta_limit), float).reshape(-1)
+        hit = cert < cfg.tail_tolerance
+        if hit.any():
+            hit &= stop == 0
+            stop[hit] = k + 1
+            cert_at[hit] = cert[hit]
+            if stop.all():
+                break
+    series = np.array(terms, complex)
+    rows = series.reshape(len(terms), stop.size)  # a view, one column each
+    running = stop == 0
+    if running.any() and not telescopes:
+        first = np.flatnonzero(running)[0]
+        raise NonConvergenceError(
+            "weight series still above tolerance after %d terms"
+            % cfg.max_terms, np.cumsum(rows[:, first]))
+    stop[running] = len(terms)
+    value = np.empty(stop.size, complex)
+    for n in sorted(set(stop.tolist())):  # np.unique loads numpy.ma, +1 MB
+        # one contiguous row per member: np.sum adds it pairwise, as on
+        # the member's own 1-D terms
+        members = stop == n
+        value[members] = np.ascontiguousarray(rows[:n, members].T).sum(axis=1)
+        rows[n:, members] = np.nan
+    if running.any():
         # for I - Lambda the terms are rho_n(I) - rho_{n+1}(I), so the
         # remaining sum is exactly rho_n(I) - rho(Delta)
         tail = _identity_value(orbit, len(terms)) - delta_limit
-        return SeriesValue(np.sum(terms) + tail, np.array(terms), 0.0, True)
-    partial = np.cumsum(terms)
-    raise NonConvergenceError(
-        "weight series still above tolerance after %d terms" % cfg.max_terms,
-        partial)
+        value[running] += np.asarray(tail, complex).reshape(-1)[running]
+    exact = running.reshape(shape)
+    return SeriesValue(value.reshape(shape)[()], series,
+                       cert_at.reshape(shape)[()],
+                       exact if shape else bool(exact))
 
 
 def _identity_value(orbit: list[_OrbitTerm], k: int) -> complex:
@@ -497,15 +527,6 @@ class BoundaryWeight:
                          self.n_factors)
         return self.norm_const * (self.nu(element) + series.value)
 
-    def on_boundary_identity(self) -> complex:
-        return self.value(boundary_identity())
-
-
-def zero_boundary_weight(n_factors: int,
-                         cfg: WeightSeriesConfig | None = None) -> BoundaryWeight:
-    return BoundaryWeight(HFunctional(()), 0.0, n_factors,
-                          cfg or WeightSeriesConfig())
-
 
 def xi_from_nu(nu: HFunctional, cfg: WeightSeriesConfig | None = None,
                n_factors: int | None = None,
@@ -559,48 +580,3 @@ def lemma_decay_curve(rho: Functional, n_max: int,
         out.append(cur.norm())
         cur = cur.shifted()
     return np.array(out)
-
-
-# ---------------------------------------------------------------------------
-# a weight that vanishes on an exhausting family yet has infinite mass
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NonNormalRow:
-    n: int
-    weight_value: float
-    partial_mass: float
-
-
-def nonnormal_weight_demo(s: float, n_max: int,
-                          points: int = 4000,
-                          length: float = 12.0) -> list[NonNormalRow]:
-    """Grid demonstration of a weight with no normal part.
-
-    The generating function is h(x) = x^{-s/2} (1 - exp(-x))^{1/2} with
-    s in (1, 2).  For each n a function g orthogonal to h and supported in
-    [1/n, infinity) is built; the weight vanishes on it while the h-mass
-    over [1/n, infinity) keeps growing as n increases.
-    """
-    if not (1.0 < s < 2.0):
-        raise ValueError("the exponent must lie strictly between 1 and 2")
-    grid = Grid(length, points)
-    x = grid.midpoints
-    h = x ** (-0.5 * s) * np.sqrt(1.0 - np.exp(-x))
-    hsq = h * h
-    dx = grid.spacing
-    rows = []
-    for n in range(1, n_max + 1):
-        support = x >= 1.0 / n
-        idx = np.nonzero(support)[0]
-        half = idx[: len(idx) // 2]
-        rest = idx[len(idx) // 2:]
-        g = np.zeros_like(h)
-        g[half] = h[half]
-        c = (hsq[half].sum() / hsq[rest].sum())
-        g[rest] = -c * h[rest]
-        gnorm = np.sqrt(dx) * np.linalg.norm(g)
-        weight_value = abs(dx * np.vdot(h, g / gnorm)) ** 2
-        partial_mass = dx * hsq[support].sum()
-        rows.append(NonNormalRow(n, float(weight_value), float(partial_mass)))
-    return rows

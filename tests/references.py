@@ -4,6 +4,8 @@ Each function here is the plain form of a computation that the package
 does in a cheaper shape; the tests compare the two.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from cpflow.gauge import (
@@ -16,9 +18,24 @@ from cpflow.gauge import (
     UnitAction,
     r_term,
 )
+from cpflow.cli import _seq
+from cpflow.halfline import ExpKernelVector, ExpMultiplier, Grid
 from cpflow.opbasis import ChoiVerdict, choi_min_eig
 from cpflow.semigroups import evolve, flow_inner
-from cpflow.weights import NonConvergenceError, SeriesValue, omega1
+from cpflow.tensorspace import ProductVector, TensorOperator, reference_state
+from cpflow.weights import (
+    BoundaryWeight,
+    HElement,
+    HFunctional,
+    NonConvergenceError,
+    SeriesValue,
+    WeightSeriesConfig,
+    boundary_identity,
+    identity_element,
+    omega1,
+    rank_one,
+    xi_from_nu,
+)
 
 
 def assemble_doubled(blocks, dim_in: int, dim_out: int) -> np.ndarray:
@@ -198,3 +215,102 @@ def series_by_shifting(rho, element, cfg, n_factors, z=1.0) -> SeriesValue:
     raise NonConvergenceError(
         "weight series still above tolerance after %d terms" % cfg.max_terms,
         partial)
+
+
+def weights_unitality_by_sample(cfg, rep, rng):
+    """cli.run_weights_unitality with one functional per sample.
+
+    The runner puts a block of samples through each weight series.
+    """
+    seq = _seq(cfg)
+    n_factors = cfg["tensor"]["factors"]
+    m = cfg["weights"]["factor_dim"]
+    samples = cfg["weights"]["samples"]
+    series = WeightSeriesConfig(max_terms=cfg["series"]["max_terms"],
+                                tail_tolerance=cfg["series"]["tail_tolerance"])
+    bid = boundary_identity()
+    nu_vec = reference_state(seq, n_factors)
+    nu_h = seq.reference(1)
+    raw = HFunctional(((1.0, (nu_vec, nu_h), (nu_vec, nu_h)),))
+    scale = raw(identity_element()).real
+    nu = HFunctional(((1.0 / scale, (nu_vec, nu_h), (nu_vec, nu_h)),))
+    xi = xi_from_nu(nu, series, n_factors=n_factors)
+    xi_at_identity = xi.value(bid)
+    worst1 = worst2 = 0.0
+    for _ in range(samples):
+        # one draw per sample, indexed [vector, factor, re/im, j]: the same
+        # stream as one rng.normal(size=m) call per part, in that order
+        parts = rng.normal(size=(2, n_factors, 2, m))
+        coeffs = parts[:, :, 0] + 1j * parts[:, :, 1]
+        vecs = [ProductVector(seq, tuple(
+            ExpKernelVector([(row[j], 1.0 + j) for j in range(m)])
+            for row in vec), n_factors + 1) for vec in coeffs]
+        rho = rank_one(vecs[0], vecs[0]) + rank_one(vecs[1], vecs[1])
+        val1 = omega1(rho, bid, series, n_factors=n_factors).value
+        total, delta = rho(None), rho.delta_value()
+        worst1 = max(worst1, abs(val1 - (total - delta)))
+        # the full weight omega(rho) = omega1(rho) + rho(Delta) xi(I)
+        worst2 = max(worst2, abs(val1 + delta * xi_at_identity - total))
+    rep.bound("minimal-weight-identity-residual", worst1, 1e-8, "le",
+              "paper")
+    rep.bound("unital-weight-residual", worst2, 1e-8, "le", "paper")
+
+
+def lambda_of(k_op: TensorOperator) -> HElement:
+    """Lambda(C) = C tensor multiplication-by-exp(-x)."""
+    return HElement(terms=((1.0, ExpMultiplier(1.0), k_op),))
+
+
+def on_boundary_identity(weight: BoundaryWeight) -> complex:
+    return weight.value(boundary_identity())
+
+
+def zero_boundary_weight(n_factors: int,
+                         cfg: WeightSeriesConfig | None = None) -> BoundaryWeight:
+    return BoundaryWeight(HFunctional(()), 0.0, n_factors,
+                          cfg or WeightSeriesConfig())
+
+
+# ---------------------------------------------------------------------------
+# a weight that vanishes on an exhausting family yet has infinite mass
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class NonNormalRow:
+    n: int
+    weight_value: float
+    partial_mass: float
+
+
+def nonnormal_weight_demo(s: float, n_max: int,
+                          points: int = 4000,
+                          length: float = 12.0) -> list[NonNormalRow]:
+    """Grid demonstration of a weight with no normal part.
+
+    The generating function is h(x) = x^{-s/2} (1 - exp(-x))^{1/2} with
+    s in (1, 2).  For each n a function g orthogonal to h and supported in
+    [1/n, infinity) is built; the weight vanishes on it while the h-mass
+    over [1/n, infinity) keeps growing as n increases.
+    """
+    if not (1.0 < s < 2.0):
+        raise ValueError("the exponent must lie strictly between 1 and 2")
+    grid = Grid(length, points)
+    x = grid.midpoints
+    h = x ** (-0.5 * s) * np.sqrt(1.0 - np.exp(-x))
+    hsq = h * h
+    dx = grid.spacing
+    rows = []
+    for n in range(1, n_max + 1):
+        support = x >= 1.0 / n
+        idx = np.nonzero(support)[0]
+        half = idx[: len(idx) // 2]
+        rest = idx[len(idx) // 2:]
+        g = np.zeros_like(h)
+        g[half] = h[half]
+        c = (hsq[half].sum() / hsq[rest].sum())
+        g[rest] = -c * h[rest]
+        gnorm = np.sqrt(dx) * np.linalg.norm(g)
+        weight_value = abs(dx * np.vdot(h, g / gnorm)) ** 2
+        partial_mass = dx * hsq[support].sum()
+        rows.append(NonNormalRow(n, float(weight_value), float(partial_mass)))
+    return rows

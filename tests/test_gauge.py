@@ -89,6 +89,20 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             GaugeParam(0.5, b=1.0, klass=FLOW)
 
+    def test_general_on_circle_needs_unit_action_constraint(self):
+        # act's |a| = 1 rate holds only where ac + b = 0
+        message = "general class needs ac \\+ b = 0 where \\|a\\| = 1"
+        with pytest.raises(InvalidParameterError, match=message):
+            GaugeParam(1, 1, 0, 0)
+        a = np.array([0.5, 1j, 1.0, np.exp(0.3j)])
+        b = np.array([2.0, 1.0, 0.0, 1.0 + 1j])
+        c = -a.conj() * b
+        c[0] = 3.0  # off the circle: any c
+        GaugeParam(a, b, c, np.zeros(4))
+        c[2] = 1e-3
+        with pytest.raises(InvalidParameterError, match=message):
+            GaugeParam(a, b, c, np.zeros(4))
+
 
 class TestAdjoint:
     def test_involution(self):

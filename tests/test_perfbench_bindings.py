@@ -54,3 +54,26 @@ def test_counted_function_resolves_and_is_traced(qualified, traced_names):
         obj = getattr(obj, attr)
     assert callable(obj)
     assert qualified in traced_names
+
+
+def test_series_terms_counts_the_term_axis_of_a_block():
+    # tracer.py counts weights.series_terms as len(result.terms); a block
+    # keeps the term axis first, so the count is its longest member's
+    import numpy as np
+    from cpflow.halfline import ExpKernelVector
+    from cpflow.tensorspace import LambdaSequence, ProductVector
+    from cpflow.weights import identity_element, omega_z, rank_one
+
+    count = load_readonly("tracer").FACTS["weights.omega_z"]["series_terms"]
+    scales = np.array([1.0, 10.0, 1e-4])
+
+    def series(c):
+        vec = ProductVector(LambdaSequence("linear"),
+                            [ExpKernelVector([(c, 1.0)])] * 2)
+        return omega_z(0.5, rank_one(vec), identity_element())
+
+    lengths = [len(series(c).terms) for c in scales]
+    assert len(set(lengths)) == 3
+    block = series(scales)
+    assert block.terms.shape == (max(lengths), 3)
+    assert count(None, block) == max(lengths)

@@ -5,7 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
-from cpflow import weights
+from cpflow import cli, weights
 from cpflow.halfline import ExpKernelVector, ExpMultiplier, IdentityOperator
 from cpflow.tensorspace import (
     LambdaSequence,
@@ -24,17 +24,22 @@ from cpflow.weights import (
     boundary_identity,
     build_delta_null_functional,
     identity_element,
-    lambda_of,
     lemma_decay_curve,
-    nonnormal_weight_demo,
     omega1,
     omega_z,
     rank_one,
     xi_from_nu,
-    zero_boundary_weight,
 )
 from cpflow.tensorspace import identity_operator
-from references import omega_full, series_by_shifting
+from references import (
+    lambda_of,
+    nonnormal_weight_demo,
+    omega_full,
+    on_boundary_identity,
+    series_by_shifting,
+    weights_unitality_by_sample,
+    zero_boundary_weight,
+)
 
 LINEAR = LambdaSequence("linear")
 
@@ -91,8 +96,8 @@ class TestMinimalWeight:
 class TestUnitalFamily:
     def test_xi_unital_on_boundary_identity(self):
         xi = xi_from_nu(unit_nu(), n_factors=4)
-        assert xi.on_boundary_identity().real == pytest.approx(1.0,
-                                                               abs=1e-10)
+        assert on_boundary_identity(xi).real == pytest.approx(1.0,
+                                                              abs=1e-10)
 
     def test_full_weight_unitality(self):
         rng = np.random.default_rng(5)
@@ -349,3 +354,176 @@ class TestInferWidth:
     def test_empty_functional_with_width(self):
         res = omega1(Functional([]), boundary_identity(), n_factors=2)
         assert res.value == 0.0
+
+
+# ---------------------------------------------------------------------------
+# blocks of functionals against one functional per member
+# ---------------------------------------------------------------------------
+
+SEEDS = [2024, 7, 11]
+BLOCK_SIZES = [1, cli._SAMPLE_BLOCK, cli._SAMPLE_BLOCK + 1]
+THIRD = 0.9 * cmath.exp(1j * cmath.pi / 3)
+
+
+def block_coefficients(seed, members, n_factors=3, m=3):
+    """Coefficients indexed [member, vector, factor, j], as the runner's."""
+    parts = np.random.default_rng(seed).normal(
+        size=(members, 2, n_factors, 2, m))
+    return parts[:, :, :, 0] + 1j * parts[:, :, :, 1]
+
+
+def block_functional(coeffs, seq=LINEAR):
+    """Two rank-ones and a cross term over vectors coeffs[..., v, i, j].
+
+    coeffs with a leading member axis gives a block; coeffs[i] gives
+    member i alone.
+    """
+    n_factors, m = coeffs.shape[-2:]
+    v0, v1 = (ProductVector(seq, [
+        ExpKernelVector([(coeffs[..., v, i, j], 1.0 + j) for j in range(m)])
+        for i in range(n_factors)]) for v in range(2))
+    return Functional([(1.0, v0, v0), (1.0, v1, v1), (0.3 - 0.4j, v0, v1)])
+
+
+def assert_member(block, i, single):
+    """Member i of a block series is the single functional's series."""
+    n = len(single.terms)
+    assert np.array_equal(block.terms[:n, i], single.terms)
+    assert np.isnan(block.terms[n:, i]).all()
+    assert block.value[i] == single.value
+    assert block.tail_certificate[i] == single.tail_certificate
+    assert block.exact_tail[i] == single.exact_tail
+
+
+SERIES = {
+    "omega1": lambda rho: omega1(rho, boundary_identity()),
+    "omega_z(0.5)": lambda rho: omega_z(0.5, rho, boundary_identity()),
+    "omega_z(0.9e^{i pi/3})": lambda rho: omega_z(THIRD, rho,
+                                                  identity_element()),
+}
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("members", BLOCK_SIZES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_members_equal_single_functionals(self, seed, members):
+        coeffs = block_coefficients(seed, members)
+        block = block_functional(coeffs)
+        singles = [block_functional(coeffs[i]) for i in range(members)]
+        for series in SERIES.values():
+            res = series(block)
+            assert res.terms.shape[1:] == (members,)
+            for i, rho in enumerate(singles):
+                assert_member(res, i, series(rho))
+        for name, a in (("identity", None), ("delta", delta_operator())):
+            values = block(a)
+            assert values.shape == (members,)
+            assert all(type(v) is complex for v in values)
+            assert list(values) == [rho(a) for rho in singles], name
+        assert list(block.delta_value()) == [rho.delta_value()
+                                             for rho in singles]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_members_stop_at_their_own_term(self, seed):
+        coeffs = block_coefficients(seed, 7)
+        coeffs *= 2.0 ** np.arange(-6, 1)[:, None, None, None]
+        block = block_functional(coeffs)
+        for series in SERIES.values():
+            res = series(block)
+            lengths = [len(series(block_functional(coeffs[i])).terms)
+                       for i in range(7)]
+            assert len(set(lengths)) > 1
+            assert len(res.terms) == max(lengths)
+            for i in range(7):
+                assert_member(res, i, series(block_functional(coeffs[i])))
+
+    def test_first_failing_member_partial_sums(self):
+        coeffs = block_coefficients(2024, 3)
+        coeffs *= np.array([1e-6, 1e3, 1e2])[:, None, None, None]
+
+        def series(rho, max_terms):
+            return omega_z(0.5, rho, identity_element(),
+                           WeightSeriesConfig(max_terms=max_terms))
+
+        small = series(block_functional(coeffs[0]), 200)
+        cfg_terms = len(small.terms)
+        failures = []
+        for i in (1, 2):
+            with pytest.raises(NonConvergenceError) as err:
+                series(block_functional(coeffs[i]), cfg_terms)
+            failures.append(err.value)
+        assert not np.array_equal(failures[0].partial_sums,
+                                  failures[1].partial_sums)
+        with pytest.raises(NonConvergenceError) as err:
+            series(block_functional(coeffs), cfg_terms)
+        assert str(err.value) == str(failures[0])
+        assert np.array_equal(err.value.partial_sums,
+                              failures[0].partial_sums)
+
+    @pytest.mark.parametrize("values", [
+        (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 1e9),
+        (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0),
+        (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 1e9, 1e9),
+    ])
+    @pytest.mark.parametrize("element", sorted(ELEMENTS))
+    def test_short_custom_sequence(self, values, element):
+        seq = LambdaSequence("custom", values)
+        coeffs = block_coefficients(17, 4, n_factors=2, m=2)
+        coeffs *= np.array([1e-9, 1.0, 1e-3, 10.0])[:, None, None, None]
+        el = ELEMENTS[element]()
+        # the small members stop before the sequence runs out, if at all
+        for picks in ([0, 1, 2, 3], [0, 2]):
+            singles = [outcome(omega1, block_functional(coeffs[i], seq), el)
+                       for i in picks]
+            res, exc = outcome(omega1, block_functional(coeffs[picks], seq),
+                               el)
+            errors = [e for _, e in singles if e is not None]
+            if not errors:
+                assert exc is None, exc
+                for i, (single, _) in enumerate(singles):
+                    assert_member(res, i, single)
+            else:
+                assert isinstance(exc, TruncationExceededError)
+                assert str(exc) == str(errors[0])
+
+    def test_short_custom_sequence_cases_raise(self):
+        seq = LambdaSequence("custom", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0,
+                                        8.0, 1e9))
+        coeffs = block_coefficients(17, 4, n_factors=2, m=2)
+        with pytest.raises(TruncationExceededError,
+                           match="no value at index 10"):
+            omega1(block_functional(coeffs, seq), boundary_identity())
+
+    def test_complex128_coefficients_are_coerced(self):
+        coeffs = block_coefficients(11, 5)
+        (c, _), = ExpKernelVector([(coeffs[:, 0, 0, 0], 1.0)]).terms
+        assert c.dtype == object
+        assert all(type(x) is complex for x in c)
+        assert list(c) == [complex(x) for x in coeffs[:, 0, 0, 0]]
+        as_objects = coeffs.astype(object)
+        for series in SERIES.values():
+            res = series(block_functional(coeffs))
+            ref = series(block_functional(as_objects))
+            assert np.array_equal(res.terms, ref.terms, equal_nan=True)
+            for i in range(5):
+                assert_member(res, i, series(block_functional(coeffs[i])))
+
+    def test_scalar_coefficients_stay_complex(self):
+        (c, mu), = ExpKernelVector([(np.complex128(1 + 2j), 1)]).terms
+        assert type(c) is complex and type(mu) is complex
+        (c, _), = ExpKernelVector([(np.array(1 + 2j), 1.0)]).terms
+        assert type(c) is complex
+
+    @pytest.mark.parametrize("samples", sorted(
+        {1, 64, 65, cli._SAMPLE_BLOCK, cli._SAMPLE_BLOCK + 1, 700}))
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_runner_matches_per_sample_loop(self, seed, samples, tmp_path):
+        cfg = cli.load_config(None)
+        cfg["weights"]["samples"] = samples
+        reps = []
+        for runner in (cli.run_weights_unitality,
+                       weights_unitality_by_sample):
+            rep = cli.Reporter("weights-unitality", cfg, tmp_path)
+            runner(cfg, rep, np.random.default_rng(seed))
+            reps.append(repr(rep.records))
+        assert reps[0] == reps[1]
