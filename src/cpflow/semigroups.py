@@ -19,6 +19,8 @@ boundary vectors.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,9 +129,17 @@ def evolve(state: FlowState, z: complex, t: float) -> EvolveResult:
     offset n_steps once, at the end.  Every surviving value takes the
     same sequential multiplies in the same order as a shift-and-damp loop
     over the whole state, so the result is bit-identical to it
-    (tests/test_semigroups), at O(P) per step without the shift copy;
-    steps past the P-th push out nothing and cost nothing.
+    (tests/test_semigroups); a closed-form power of the damping would
+    not be.  The damping is one in-place multiply per step on the float
+    view of a C-ordered copy (real and imaginary parts scale alike, so
+    the values are those of the complex multiply), skipped when it is
+    1.0 (label 0); steps past the P-th push out nothing and cost
+    nothing.  A pushed cell is never touched again, so the outflow is
+    read from the pushed cells after the loop with one reduction and
+    added up in push order.
     """
+    if not math.isfinite(t):
+        raise InvalidExperimentError("evolution time must be finite")
     if t < 0:
         raise InvalidExperimentError("evolution time must be nonnegative")
     z = complex(z)
@@ -141,13 +151,17 @@ def evolve(state: FlowState, z: complex, t: float) -> EvolveResult:
     n_steps = int(round(t / h))
     snap = abs(t - n_steps * h)
     damping = UzParams(z, h).step_damping
-    src = state.cells.copy()
+    src = state.cells.copy(order="C")
     points = len(src)
+    pushed = min(n_steps, points)
+    if damping != 1.0:
+        flat = src.view(np.float64)
+        for edge in range(points - 1, points - 1 - pushed, -1):
+            flat[:edge] *= damping
     outflow = state.outflow_mass
-    for k in range(min(n_steps, points)):
-        edge = points - 1 - k
-        outflow += h * float(np.sum(np.abs(src[edge]) ** 2))
-        src[:edge] *= damping
+    masses = np.sum(np.abs(src[points - pushed:]) ** 2, axis=1)
+    for mass in masses[::-1].tolist():
+        outflow += h * mass
     cells = np.zeros_like(src)
     cells[n_steps:] = src[:max(points - n_steps, 0)]
     return EvolveResult(
@@ -169,6 +183,10 @@ def flow_inner(f: FlowState, g: FlowState) -> complex:
     because fed cells pair through (S0 a, S0 b) = (a, b).  Step k pushes
     source cell P-1-k past the right edge of the P cells, so
     outflow_k = h (a0[P-1-k], b0[P-1-k]) for k < P and 0 after that.
+    All overlaps of pushed cells come from one batched product of the
+    pushed rows; tests/test_semigroups checks that it rounds exactly as
+    np.vdot of each row pair (an elementwise sum or einsum did not).
+    The recursion itself stays a scalar loop.
     """
     if f.grid != g.grid:
         raise IncompatibleStatesError("grid mismatch")
@@ -180,11 +198,12 @@ def flow_inner(f: FlowState, g: FlowState) -> complex:
     a, b = f.source_cells, g.source_cells
     d = UzParams(f.z, h).step_damping * UzParams(g.z, h).step_damping
     feed = h * np.conj(complex(f.z)) * complex(g.z)
-    last = len(a) - 1
+    first = len(a) - min(f.steps, len(a))
+    overlaps = (a[first:].conj()[:, None, :] @ b[first:, :, None])[:, 0, 0]
+    outflows = itertools.chain((h * ov for ov in overlaps[::-1].tolist()),
+                               itertools.repeat(0.0, f.steps - len(overlaps)))
     value = h * complex(np.vdot(a, b))
-    for k in range(f.steps):
-        ov = h * complex(np.vdot(a[last - k], b[last - k])) \
-            if k <= last else 0.0
+    for ov in outflows:
         value = d * ((value - ov) + feed * value)
     return value
 
@@ -225,8 +244,10 @@ def covariance_residual(w: complex, z: complex, t: float,
 def semigroup_residual(z: complex, t: float, s: float, f: FlowState) -> float:
     """Norm distance between evolving by t+s and evolving by s then t.
 
-    Zero by construction: both paths run the identical per-step loop.
-    Kept as a regression guard on the stepper.
+    Zero by construction: both paths give every surviving cell the same
+    sequence of per-step damping multiplies (no closed-form power), so
+    the cells agree bit for bit.  Kept as a regression guard on the
+    stepper.
     """
     one_shot = evolve(f, z, t + s).state
     two_step = evolve(evolve(f, z, s).state, z, t).state

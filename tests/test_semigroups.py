@@ -75,6 +75,12 @@ class TestEvolve:
         with pytest.raises(InvalidExperimentError):
             evolve(f, 0.0, -1.0)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, t):
+        f = bump_state(self.grid(), 3.0, 0.4)
+        with pytest.raises(InvalidExperimentError, match="finite"):
+            evolve(f, 1.0, t)
+
     def test_label_switch_rejected_after_feed(self):
         f = bump_state(self.grid(), 3.0, 0.4)
         fed = evolve(f, 1.0, 0.5).state
@@ -126,7 +132,7 @@ def assert_same_evolution(res, ref):
 class TestEvolveMatchesPerStepLoop:
     # t = 12.0 takes more steps than the 8.0-long grid has cells
     @pytest.mark.parametrize("points", [50, 1600])
-    @pytest.mark.parametrize("dim_k", [1, 2])
+    @pytest.mark.parametrize("dim_k", [1, 2, 3])
     @pytest.mark.parametrize("z", [0.0, 1 + 1j, -0.5j, 2.0])
     @pytest.mark.parametrize("t", [0.0, 0.503, 1.0, 12.0])
     def test_bit_identical(self, points, dim_k, z, t):
@@ -137,7 +143,7 @@ class TestEvolveMatchesPerStepLoop:
         assert_same_evolution(evolve(f, z, t), per_step_evolve(f, z, t))
 
     @pytest.mark.parametrize("points", [50, 1600])
-    @pytest.mark.parametrize("dim_k", [1, 2])
+    @pytest.mark.parametrize("dim_k", [1, 2, 3])
     @pytest.mark.parametrize("z", [0.0, 1 + 1j])
     def test_continued_state_bit_identical(self, points, dim_k, z):
         grid = Grid(8.0, points)
@@ -149,6 +155,32 @@ class TestEvolveMatchesPerStepLoop:
         for t in (0.0, 1.0, 9.0):
             assert_same_evolution(evolve(fed, z, t),
                                   per_step_evolve(fed, z, t))
+
+    # evolve damps a float view of its own copy: the input must stay
+    # untouched whatever the layout of its arrays (and flow_inner must
+    # pair non-contiguous sources as the replay does)
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    @pytest.mark.parametrize("z", [0.0, 1 + 1j])
+    def test_input_layout_and_contents_kept(self, layout, z):
+        points, dim_k = 50, 3
+        grid = Grid(8.0, points)
+        rng = np.random.default_rng(11)
+        wide = (rng.normal(size=(2, points, 2 * dim_k))
+                + 1j * rng.normal(size=(2, points, 2 * dim_k)))
+        if layout == "fortran":
+            cells, source = (np.asfortranarray(w[:, :dim_k]) for w in wide)
+        else:
+            cells, source = (w[:, ::2] for w in wide)
+        f = FlowState(grid, cells, z, 7, 0.25, source)
+        assert f.cells is cells and not f.cells.flags.c_contiguous
+        kept = cells.tobytes(), source.tobytes()
+        for t in (0.0, 1.0, 12.0):
+            res = evolve(f, z, t)
+            assert_same_evolution(res, per_step_evolve(f, z, t))
+            assert res.state.source_cells is source
+            assert flow_inner(res.state, res.state) == replayed_flow_inner(
+                res.state, res.state)
+            assert (cells.tobytes(), source.tobytes()) == kept
 
 
 def replayed_flow_inner(f, g):
@@ -173,7 +205,7 @@ class TestPairings:
     # (50, 12.0): more steps than cells
     @pytest.mark.parametrize("points, t", [(200, 1.0), (1600, 1.0),
                                            (50, 12.0)])
-    @pytest.mark.parametrize("dim_k", [1, 2])
+    @pytest.mark.parametrize("dim_k", [1, 2, 3])
     def test_matches_replayed_transport(self, points, t, dim_k):
         grid = Grid(8.0, points)
         rng = np.random.default_rng(points)
@@ -185,6 +217,23 @@ class TestPairings:
                 ef, eg = evolve(f, w, t).state, evolve(g, z, t).state
                 assert ef.steps > 0
                 assert flow_inner(ef, eg) == replayed_flow_inner(ef, eg)
+
+    # label 0 damps by exactly 1.0; continuing to 2.5 + 9.0 runs past the
+    # 50 cells, so the zero-overlap steps of the recursion run too
+    @pytest.mark.parametrize("dim_k", [1, 2, 3])
+    @pytest.mark.parametrize("w, z", [(0.0, 1 + 1j), (-0.5j, 0.0)])
+    def test_continued_states_match_replay(self, dim_k, w, z):
+        points = 50
+        grid = Grid(8.0, points)
+        rng = np.random.default_rng(5 * dim_k)
+        f, g = (FlowState(grid, rng.normal(size=(points, dim_k))
+                          + 1j * rng.normal(size=(points, dim_k)))
+                for _ in range(2))
+        for t in (2.5, 1.0, 9.0):
+            f, g = evolve(f, w, t).state, evolve(g, z, t).state
+            assert flow_inner(f, g) == replayed_flow_inner(f, g)
+            assert flow_inner(g, f) == replayed_flow_inner(g, f)
+        assert f.steps > points
 
     def test_flow_inner_at_rest(self):
         g = Grid(8.0, 100)
