@@ -434,7 +434,7 @@ def run_corner(cfg, rep: Reporter, rng):
                         factor_dim=cfg["tensor"]["factor_dim"],
                         seq=_seq(cfg))
     cuts = [float(t) for t in block["cut_levels"]]
-    nu = np.zeros((model.dim_h, model.dim_h), dtype=complex)
+    nu = np.zeros((model.dim_h, model.dim_h))
     nu[0, 0] = 1.0
     minimal = model.weight_superop()
     eta, _ = model.xi_eta(nu)

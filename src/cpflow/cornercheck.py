@@ -24,7 +24,7 @@ therefore the subordination of the minimal weight to the unital weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -57,27 +57,30 @@ def fold_doubled(blocks, dim_in: int, dim_out: int) -> np.ndarray:
     the minimum Choi eigenvalue of Phi is min(that of psi, 0).  The fold
     places each entry on its input block and adds nothing up, so its
     Choi matrix has the very entries of the nonzero part of Choi(Phi).
+    The fold has the dtype numpy promotes the blocks to: it is real when
+    every block is.
     """
     s5 = np.array([[np.reshape(blocks[a][b], (dim_out * dim_out, dim_in,
                                               dim_in))
-                    for b in range(2)] for a in range(2)], dtype=complex)
+                    for b in range(2)] for a in range(2)])
     return s5.transpose(2, 0, 3, 1, 4).reshape(dim_out * dim_out,
                                                4 * dim_in * dim_in)
 
 
-def _folded_rep(model: MatrixModel, diagonal, upper, lower,
+def _folded_rep(model: MatrixModel, diag_rep: np.ndarray, upper, lower,
                 t: float) -> np.ndarray:
     """Folded boundary representation of a 2x2 weight matrix at level t.
 
-    The matrix is [[diagonal, upper], [lower, diagonal]].  The cut and
-    lambdahat act entrywise on doubled densities, so the resolvent system
-    of the doubled weight is block diagonal and its boundary
-    representation is the 2x2 matrix of the entries' representations; the
-    shared diagonal is solved once.  Each entry's system goes through the
+    The matrix is [[diagonal, upper], [lower, diagonal]], and diag_rep is
+    the diagonal weight's representation at t, solved once by the caller
+    for both diagonal entries.  The cut and lambdahat act entrywise on
+    doubled densities, so the resolvent system of the doubled weight is
+    block diagonal and its boundary representation is the 2x2 matrix of
+    the entries' representations.  Each entry's system goes through the
     singularity gate of MatrixModel.boundary_rep.
     """
-    diag_rep, upper_rep, lower_rep = (model.boundary_rep(w, t)[0]
-                                      for w in (diagonal, upper, lower))
+    upper_rep, lower_rep = (model.boundary_rep(w, t)[0]
+                            for w in (upper, lower))
     return fold_doubled([[diag_rep, upper_rep], [lower_rep, diag_rep]],
                         model.dim_k, model.dim_h)
 
@@ -106,12 +109,17 @@ class WeightMatrix:
     def boundary_rep(self, t: float) -> np.ndarray:
         """Fold of the doubled boundary representation at cut level t."""
         (diagonal, upper), (lower, _) = self.blocks
-        return _folded_rep(self.model, diagonal, upper, lower, t)
+        return _folded_rep(self.model, self.model.boundary_rep(diagonal, t)[0],
+                           upper, lower, t)
 
 
 @dataclass(frozen=True)
 class SubordinationVerdict:
-    """Minimum Choi eigenvalues per cut: upper, lower, upper - lower."""
+    """Minimum Choi eigenvalues per cut: upper, lower, upper - lower.
+
+    lower_reps keeps the lower weight's boundary representation at each
+    cut, for a corner with that weight on its diagonal (hypermax_witness).
+    """
 
     subordinate: bool
     cut_levels: tuple[float, ...]
@@ -119,6 +127,7 @@ class SubordinationVerdict:
     lower_min_eigs: tuple[float, ...]
     difference_min_eigs: tuple[float, ...]
     tolerance: float
+    lower_reps: tuple[np.ndarray, ...] = field(compare=False, repr=False)
 
 
 def subordination_check(model: MatrixModel, upper, lower, cut_levels,
@@ -138,9 +147,11 @@ def subordination_check(model: MatrixModel, upper, lower, cut_levels,
         raise ValueError("subordination needs cut levels below the top "
                          "cell edge %g" % top)
     mins = {"upper": [], "lower": [], "difference": []}
+    lower_reps = []
     for t in cut_levels:
         rep_up = model.boundary_rep(upper, t)[0]
         rep_low = model.boundary_rep(lower, t)[0]
+        lower_reps.append(rep_low)
         for name, rep in (("upper", rep_up), ("lower", rep_low)):
             v = choi_min_eig(rep, model.dim_k, model.dim_h, tolerance)
             if not v.completely_positive:
@@ -154,7 +165,8 @@ def subordination_check(model: MatrixModel, upper, lower, cut_levels,
     sub = all(m >= -tolerance for m in mins["difference"])
     return SubordinationVerdict(sub, tuple(cut_levels), tuple(mins["upper"]),
                                 tuple(mins["lower"]),
-                                tuple(mins["difference"]), tolerance)
+                                tuple(mins["difference"]), tolerance,
+                                tuple(lower_reps))
 
 
 @dataclass(frozen=True)
@@ -202,7 +214,8 @@ def hypermax_witness(z: complex, model: MatrixModel, minimal: np.ndarray,
     normalized weight (MatrixModel.xi_eta), which sets the diagonal gap,
     and dominance the subordination_check of the unital weight over
     minimal (see the module docstring); its cut levels and tolerance are
-    the witness's.  Only the corner at z is computed here.
+    the witness's, and its lower representations are the corner's
+    diagonal ones.  Only the off-diagonal entries at z are solved here.
     """
     z = complex(z)
     if abs(abs(z) - 1.0) > 1e-12:
@@ -213,11 +226,12 @@ def hypermax_witness(z: complex, model: MatrixModel, minimal: np.ndarray,
             "direction is degenerate")
     gap_norm = float(np.linalg.norm(eta)) * float(
         np.linalg.norm(model.delta_matrix))
-    corner = WeightMatrix(model, minimal, z)
+    (_, upper), (lower, _) = WeightMatrix(model, minimal, z).blocks
     minimal_eigs = tuple(
-        choi_min_eig(corner.boundary_rep(t), 2 * model.dim_k, model.dim_h,
+        choi_min_eig(_folded_rep(model, diag_rep, upper, lower, t),
+                     2 * model.dim_k, model.dim_h,
                      dominance.tolerance).min_eigenvalue
-        for t in dominance.cut_levels)
+        for t, diag_rep in zip(dominance.cut_levels, dominance.lower_reps))
     return HypermaxReport(z, minimal_eigs, gap_norm, dominance)
 
 
@@ -247,7 +261,7 @@ def offdiag_perturbation_min_eig(model: MatrixModel, z: complex,
     """
     eta, _ = model.xi_eta(nu_density)
     gap = eps * eta.reshape(-1, 1) @ model.delta_matrix.T.reshape(1, -1)
-    rep = _folded_rep(model, model.weight_superop(),
-                      model.weight_superop(complex(z)) + gap,
+    diag_rep = model.boundary_rep(model.weight_superop(), t)[0]
+    rep = _folded_rep(model, diag_rep, model.weight_superop(complex(z)) + gap,
                       model.weight_superop(np.conj(complex(z))), t)
     return choi_min_eig(rep, 2 * model.dim_k, model.dim_h).min_eigenvalue

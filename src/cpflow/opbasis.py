@@ -14,6 +14,14 @@ positive series
 Functionals are identified with density matrices: rho(A) = tr(rho_d A).
 Maps between functional spaces are superoperator matrices over row-major
 vectorized densities; lambdahat alone is applied without its matrix.
+
+The model is real: its rates, lambda sequence, cells and cuts are real, so
+every constant matrix (damping, cross overlap, reference coordinates,
+Delta, shift, cut, pihat and the series kernel) is float64, and so are the
+minimal and unital weights and their boundary representations.  Complex
+numbers enter only through a label z with nonzero imaginary part, from
+which numpy promotes.  A closed form that returns complex numbers is
+taken real only when its imaginary part is exactly zero (_real_if_exact).
 """
 
 from __future__ import annotations
@@ -45,6 +53,12 @@ def orthonormal_span(rates) -> list[ExpKernelVector]:
     coeff = np.linalg.inv(chol).conj().T  # columns: coordinates of the basis
     return [ExpKernelVector([(coeff[i, k], rates[i]) for i in range(m)])
             for k in range(m)]
+
+
+def _real_if_exact(a) -> np.ndarray:
+    """a as float64 if its imaginary part is exactly zero, else as it is."""
+    a = np.asarray(a)
+    return a if a.imag.any() else a.real.copy()
 
 
 def _exp_cell_integral(rate: complex, a: float, b: float) -> complex:
@@ -86,12 +100,8 @@ class MatrixModel:
     @cached_property
     def damping(self) -> np.ndarray:
         """Compression of multiplication by exp(-x) to the tensor-slot span."""
-        m = self.factor_dim
-        out = np.empty((m, m), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                out[i, j] = inner_product(self.basis[i],
-                                          self.basis[j].shifted(1.0))
+        out = _real_if_exact([[inner_product(u, v.shifted(1.0))
+                               for v in self.basis] for u in self.basis])
         return 0.5 * (out + out.conj().T)
 
     @cached_property
@@ -100,7 +110,7 @@ class MatrixModel:
         e = DEFAULT_EDGES
         vals = [_exp_cell_integral(1.0, e[j], e[j + 1]).real / (e[j + 1] - e[j])
                 for j in range(self.h_dim)]
-        return np.diag(vals).astype(complex)
+        return np.diag(vals)
 
     @cached_property
     def cross_overlap(self) -> np.ndarray:
@@ -114,7 +124,7 @@ class MatrixModel:
                                                           e[j], e[j + 1])
                           for c, mu in vec.terms)
                 out[i, j] = val / np.sqrt(width)
-        return out
+        return _real_if_exact(out)
 
     @cached_property
     def reference_coords(self) -> tuple[np.ndarray, float]:
@@ -123,14 +133,14 @@ class MatrixModel:
         Returns (unit coordinate vector, projection fidelity).
         """
         ref = self.seq.reference(self.n_factors + 1)
-        raw = np.array([inner_product(b, ref) for b in self.basis])
+        raw = _real_if_exact([inner_product(b, ref) for b in self.basis])
         fid = float(np.linalg.norm(raw))
         return raw / fid, fid
 
     @cached_property
     def delta_matrix(self) -> np.ndarray:
         """Compression of the limit operator Delta to the truncated space."""
-        out = np.array([[1.0 + 0.0j]])
+        out = np.array([[1.0]])
         for _ in range(self.n_factors):
             out = np.kron(out, self.damping)
         return out * tail_weight_product(self.seq, self.n_factors + 1)
@@ -146,11 +156,12 @@ class MatrixModel:
         m, n, mh = self.factor_dim, self.n_factors, self.h_dim
         kappa, _ = self.reference_coords
         cross = self.cross_overlap
-        s0 = np.zeros((self.dim_k, self.dim_h), dtype=complex)
+        s0 = np.zeros((self.dim_k, self.dim_h),
+                      dtype=np.result_type(kappa, cross))
         shape = (m,) * n + (mh,)
         for col in range(self.dim_h):
             idx = np.unravel_index(col, shape)  # (i1 .. iN, i0)
-            v = np.zeros((m,) * n, dtype=complex)
+            v = np.zeros((m,) * n, dtype=s0.dtype)
             coeff = np.conj(kappa[idx[-2]])
             for j in range(m):
                 out_idx = (j,) + idx[:-2]
@@ -167,7 +178,7 @@ class MatrixModel:
         e = DEFAULT_EDGES
         if not any(abs(t - edge) < 1e-12 for edge in e):
             raise ValueError("cut level %g is not a cell edge of %r" % (t, e))
-        return np.diag([1.0 + 0.0j if e[j] >= t - 1e-12 else 0.0
+        return np.diag([1.0 if e[j] >= t - 1e-12 else 0.0
                         for j in range(self.h_dim)])
 
     # -- superoperator matrices --------------------------------------------
@@ -211,8 +222,12 @@ class MatrixModel:
 
         The geometric series z pihat (I - z lambdahat pihat)^{-1} is summed
         by an exact resolvent solve; with xi_eta given, the gap term
-        tr(rho Delta) xi_eta is added.
+        tr(rho Delta) xi_eta is added.  A label with zero imaginary part
+        is real, so the weight is as real as xi_eta.
         """
+        z = complex(z)
+        if not z.imag:
+            z = z.real
         d = self.dim_k
         k_hat, radius = self.series_kernel
         if abs(z) * radius >= 1.0 - 1e-9:
@@ -261,7 +276,7 @@ class MatrixModel:
         for bit.
         """
         dh = self.dim_h
-        keep = np.tile(np.diag(self.cut(t)).real, self.dim_k)
+        keep = np.tile(np.diag(self.cut(t)), self.dim_k)
         om3 = superop.reshape(dh, dh, -1)
         out = om3 * np.outer(keep, keep)[:, :, None]
         return out.reshape(dh * dh, -1)
@@ -328,10 +343,11 @@ def choi_min_eig(superop: np.ndarray, dim_in: int, dim_out: int,
     Trace and hermiticity defect are those of the whole Choi matrix.
     """
     choi = choi_matrix(superop, dim_in, dim_out)
-    # two Choi-sized arrays at most: herm is built in place on a new array
-    # (choi.conj() of a real choi would be choi itself), the defect in
-    # place on choi unless choi views superop, and choi is freed before
-    # eigvalsh copies herm
+    # two Choi-sized arrays at most: herm is built in place on a new array,
+    # the defect in place on choi unless choi views superop, and choi is
+    # freed before eigvalsh copies herm.  np.conjugate always allocates;
+    # choi.conj() would not do here, since for real input (the model's
+    # usual case) it returns choi itself and herm += choi would double it
     herm = np.conjugate(choi).T
     herm += choi
     herm *= 0.5

@@ -20,7 +20,7 @@ from cpflow.gauge import (
 )
 from cpflow.cli import _seq
 from cpflow.halfline import ExpKernelVector, ExpMultiplier, Grid
-from cpflow.opbasis import ChoiVerdict, choi_min_eig
+from cpflow.opbasis import ChoiVerdict, MatrixModel, choi_min_eig
 from cpflow.semigroups import evolve, flow_inner
 from cpflow.tensorspace import ProductVector, TensorOperator, reference_state
 from cpflow.weights import (
@@ -43,13 +43,14 @@ def assemble_doubled(blocks, dim_in: int, dim_out: int) -> np.ndarray:
 
     blocks is a 2x2 nested sequence of superoperators, each of shape
     (dim_out^2, dim_in^2); block (a, b) acts on the (a, b) block of a
-    doubled density.  cornercheck.fold_doubled is the folded form.
+    doubled density.  cornercheck.fold_doubled is the folded form; like
+    it, the result has the dtype numpy promotes the blocks to.
     """
     big = np.zeros((2 * dim_out, 2 * dim_out, 2 * dim_in, 2 * dim_in),
-                   dtype=complex)
+                   dtype=np.result_type(*(b for row in blocks for b in row)))
     for a in range(2):
         for b in range(2):
-            s4 = np.asarray(blocks[a][b], dtype=complex).reshape(
+            s4 = np.asarray(blocks[a][b]).reshape(
                 dim_out, dim_out, dim_in, dim_in)
             big[a * dim_out:(a + 1) * dim_out,
                 b * dim_out:(b + 1) * dim_out,
@@ -81,6 +82,23 @@ def transpose_superop(dim: int) -> np.ndarray:
     for i in range(dim):
         for j in range(dim):
             out[j * dim + i, i * dim + j] = 1.0
+    return out
+
+
+def complex_model(model: MatrixModel) -> MatrixModel:
+    """The same model with its constant matrices promoted to complex128.
+
+    MatrixModel keeps real data real; this is its complex form, in which
+    every product, solve, condition number and Choi spectrum runs in
+    complex arithmetic on data whose imaginary part is zero.  The leaf
+    constants are model's, promoted; the shift, pihat and the series
+    kernel are then built from them in complex arithmetic.
+    """
+    out = MatrixModel(model.n_factors, model.factor_dim, model.seq)
+    for name in ("damping", "h_damping", "cross_overlap", "delta_matrix"):
+        vars(out)[name] = getattr(model, name).astype(complex)
+    kappa, fidelity = model.reference_coords
+    vars(out)["reference_coords"] = (kappa.astype(complex), fidelity)
     return out
 
 

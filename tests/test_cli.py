@@ -402,7 +402,8 @@ class TestCornerPipeline:
     def test_each_result_computed_once(self, monkeypatch, tmp_path):
         # 5 weights (minimal, unital, z, conj(z), the derivation label);
         # boundary representations: unital and minimal at each cut, then
-        # the corner's diagonal, upper and lower; Choi spectra: unital,
+        # the corner's upper and lower (its diagonal is the minimal
+        # weight's, handed on by the subordination verdict); Choi: unital,
         # minimal and their difference at each cut, then the corner
         calls = {"boundary_rep": 0, "choi_min_eig": 0, "weight_superop": 0}
 
@@ -419,7 +420,7 @@ class TestCornerPipeline:
         for module in (opbasis, cornercheck):
             monkeypatch.setattr(module, "choi_min_eig", choi)
         corner_records(3, tmp_path)
-        assert calls["boundary_rep"] <= 10
+        assert calls["boundary_rep"] <= 8
         assert calls["choi_min_eig"] <= 8
         assert calls["weight_superop"] <= 5
 
