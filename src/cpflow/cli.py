@@ -29,6 +29,7 @@ from .tensorspace import (
     reference_state,
 )
 from .weights import (
+    Functional,
     HFunctional,
     WeightSeriesConfig,
     boundary_identity,
@@ -447,7 +448,7 @@ def run_corner(cfg, rep: Reporter, rng):
                True, 1e-8, verdict.subordinate, "paper")
     label = _label(block["witness_label"])
     try:
-        wit = hypermax_witness(label, model, minimal, eta, verdict)
+        wit = hypermax_witness(label, model, eta, verdict)
         rep.record("hypermax-witness", wit.witnessed, True, 1e-8,
                    wit.witnessed, "derived-oracle")
     except DegenerateDirectionError as exc:
@@ -457,8 +458,27 @@ def run_corner(cfg, rep: Reporter, rng):
               derivation_residual(model, 0.4 + 0.3j), 1e-10, "le", "paper")
 
 
-_SAMPLE_BLOCK = 128
-"""Samples run through the weight series as one block of functionals."""
+_SAMPLE_BLOCK = 512
+"""Samples run through the weight series as one block of functionals.
+
+Block arithmetic costs per numpy call, not per member, so larger blocks
+are faster; 700 samples run in two blocks, and a 1024 cap would add
+about 1 MB of peak memory for little time."""
+
+
+def _sample_block(rng, seq, n_factors: int, m: int, k: int) -> Functional:
+    """k random functionals |f><f| + |g><g| as one block functional.
+
+    The draw is indexed [sample, vector, factor, re/im, j]: the same
+    stream as one rng.normal(size=m) call per part, sample after sample.
+    Only the block's coefficients outlive the call, not the draw.
+    """
+    parts = rng.normal(size=(k, 2, n_factors, 2, m))
+    coeffs = parts[:, :, :, 0] + 1j * parts[:, :, :, 1]
+    vecs = [ProductVector(seq, tuple(
+        ExpKernelVector([(coeffs[:, v, i, j], 1.0 + j) for j in range(m)])
+        for i in range(n_factors)), n_factors + 1) for v in range(2)]
+    return rank_one(vecs[0], vecs[0]) + rank_one(vecs[1], vecs[1])
 
 
 def run_weights_unitality(cfg, rep: Reporter, rng):
@@ -478,15 +498,8 @@ def run_weights_unitality(cfg, rep: Reporter, rng):
     xi_at_identity = xi.value(bid)
     worst1 = worst2 = 0.0
     for done in range(0, samples, _SAMPLE_BLOCK):
-        k = min(_SAMPLE_BLOCK, samples - done)
-        # indexed [sample, vector, factor, re/im, j]: the same stream as one
-        # rng.normal(size=m) call per part, sample after sample
-        parts = rng.normal(size=(k, 2, n_factors, 2, m))
-        coeffs = parts[:, :, :, 0] + 1j * parts[:, :, :, 1]
-        vecs = [ProductVector(seq, tuple(
-            ExpKernelVector([(coeffs[:, v, i, j], 1.0 + j) for j in range(m)])
-            for i in range(n_factors)), n_factors + 1) for v in range(2)]
-        rho = rank_one(vecs[0], vecs[0]) + rank_one(vecs[1], vecs[1])
+        rho = _sample_block(rng, seq, n_factors, m,
+                            min(_SAMPLE_BLOCK, samples - done))
         val1 = omega1(rho, bid, series, n_factors=n_factors).value
         total, delta = rho(None), rho.delta_value()
         # member by member in the number types of a single sample: numpy's

@@ -203,19 +203,18 @@ class HypermaxReport:
         return self.minimal_cp and self.dominated and self.gap_nonzero
 
 
-def hypermax_witness(z: complex, model: MatrixModel, minimal: np.ndarray,
-                     eta: np.ndarray,
+def hypermax_witness(z: complex, model: MatrixModel, eta: np.ndarray,
                      dominance: SubordinationVerdict) -> HypermaxReport:
     """Witness the failure of hypermaximality of the corner at label z.
 
     Requires |z| = 1 and z != 1; z = 1 is the degenerate direction where
     the off-diagonal admits an extra weight and the witness collapses.
-    minimal is the minimal weight superoperator, eta the density of the
-    normalized weight (MatrixModel.xi_eta), which sets the diagonal gap,
-    and dominance the subordination_check of the unital weight over
-    minimal (see the module docstring); its cut levels and tolerance are
-    the witness's, and its lower representations are the corner's
-    diagonal ones.  Only the off-diagonal entries at z are solved here.
+    eta is the density of the normalized weight (MatrixModel.xi_eta),
+    which sets the diagonal gap, and dominance the subordination_check of
+    the unital weight over the minimal one (see the module docstring);
+    its cut levels and tolerance are the witness's, and its lower
+    representations are the corner's diagonal ones.  Only the
+    off-diagonal entries at z and conj(z) are solved here.
     """
     z = complex(z)
     if abs(abs(z) - 1.0) > 1e-12:
@@ -226,7 +225,8 @@ def hypermax_witness(z: complex, model: MatrixModel, minimal: np.ndarray,
             "direction is degenerate")
     gap_norm = float(np.linalg.norm(eta)) * float(
         np.linalg.norm(model.delta_matrix))
-    (_, upper), (lower, _) = WeightMatrix(model, minimal, z).blocks
+    upper = model.weight_superop(z)
+    lower = model.weight_superop(z.conjugate())
     minimal_eigs = tuple(
         choi_min_eig(_folded_rep(model, diag_rep, upper, lower, t),
                      2 * model.dim_k, model.dim_h,

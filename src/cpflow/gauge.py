@@ -71,12 +71,14 @@ class GaugeParam:
         if self.klass == RAW:
             return
         # the invariants of every validated class
-        if _largest(abs(a)) > 1.0 + _TOL:
+        modulus = abs(a)
+        top = _largest(modulus)
+        if top > 1.0 + _TOL:
             raise InvalidParameterError("|a| must not exceed 1")
         if _least(y.real) < -_TOL:
             raise InvalidParameterError("Re(y) must be nonnegative")
         if self.klass in (UNITARY, ISOMETRIC):
-            if _largest(abs(abs(a) - 1.0)) > _TOL:
+            if _largest(abs(modulus - 1.0)) > _TOL:
                 raise InvalidParameterError("%s class needs |a| = 1" % self.klass)
             if _largest(abs(a * c + b)) > _TOL:
                 raise InvalidParameterError("%s class needs ac + b = 0" % self.klass)
@@ -90,10 +92,13 @@ class GaugeParam:
                 raise InvalidParameterError("flow class needs b = c = y = 0")
         elif self.klass != GENERAL:
             raise InvalidParameterError("unknown class %r" % self.klass)
-        elif _largest((abs(abs(a) - 1.0) <= _TOL) & (abs(a * c + b) > _TOL)):
-            # act's unit-circle rate holds only where ac + b = 0
-            raise InvalidParameterError(
-                "general class needs ac + b = 0 where |a| = 1")
+        elif not top < 1.0 - _TOL:  # a NaN member checks the block too
+            # act's unit-circle rate holds only where ac + b = 0; drawn
+            # general blocks have |a| <= 0.95 and skip it
+            on = abs(modulus - 1.0) <= _TOL
+            if _largest(on & (abs(a * c + b) > _TOL)):
+                raise InvalidParameterError(
+                    "general class needs ac + b = 0 where |a| = 1")
 
     @property
     def on_unit_circle(self) -> bool:

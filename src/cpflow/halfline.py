@@ -39,9 +39,9 @@ class ExpKernelVector:
 
     terms: sequence of (coefficient, rate) pairs.  A coefficient may be a
     1-D array, one entry per member of a block of vectors with the same
-    rates; it is held as an object array of Python complex numbers, so
-    every closed form runs on each member with the operations it runs on
-    a single vector.  Block vectors are not hashable.
+    rates; it is held as a ComplexBlock, so every closed form runs on all
+    members at once and rounds each member as it rounds a single vector.
+    Block vectors are not hashable.
     """
 
     terms: tuple[tuple[complex, complex], ...]
@@ -76,10 +76,130 @@ class ExpKernelVector:
 
 
 def _coefficient(c):
-    """complex(c), or a block's object array of Python complex numbers."""
+    """complex(c), or a 1-D block as a ComplexBlock."""
+    if isinstance(c, ComplexBlock):
+        return c
     if isinstance(c, np.ndarray) and c.ndim:
-        return np.asarray(c, complex).astype(object)
+        c = np.asarray(c, complex)
+        return ComplexBlock(np.array(c.real), np.array(c.imag))
     return complex(c)
+
+
+class ComplexBlock:
+    """A 1-D block of complex numbers held as two float64 arrays.
+
+    +, -, unary -, *, / by a scalar, conjugate() and abs() round every
+    member exactly as CPython 3.11 rounds the same operation on that
+    member as a Python complex (_Py_c_sum, _Py_c_diff, _Py_c_prod,
+    _Py_c_quot, hypot).  Each real multiply and add is its own ufunc
+    call, so no pair of them can fuse into an FMA; numpy's complex128
+    product and np.abs round differently.  A scalar operand (int, float,
+    complex or a numpy number) is promoted with complex(x), as CPython
+    promotes it.  A block divisor and array operands raise TypeError, an
+    overflowing modulus is inf where CPython raises OverflowError, and
+    numpy may warn on overflow where CPython is silent.
+    Iteration yields Python complex numbers; np.asarray gives complex128.
+    """
+
+    __slots__ = ("real", "imag")
+    __array_ufunc__ = None  # numpy operators defer to the block
+    __hash__ = None
+
+    def __init__(self, real: np.ndarray, imag: np.ndarray):
+        self.real = real
+        self.imag = imag
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.real.shape
+
+    @property
+    def size(self) -> int:
+        return self.real.size
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.empty(self.real.shape, complex)
+        out.real = self.real
+        out.imag = self.imag
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def __iter__(self):
+        return map(complex, self.real.tolist(), self.imag.tolist())
+
+    def conjugate(self) -> "ComplexBlock":
+        return ComplexBlock(self.real, -self.imag)
+
+    def __abs__(self) -> np.ndarray:
+        return np.hypot(self.real, self.imag)
+
+    def __neg__(self) -> "ComplexBlock":
+        return ComplexBlock(-self.real, -self.imag)
+
+    def __add__(self, other) -> "ComplexBlock":
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        return ComplexBlock(self.real + o[0], self.imag + o[1])
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "ComplexBlock":
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        return ComplexBlock(self.real - o[0], self.imag - o[1])
+
+    def __rsub__(self, other) -> "ComplexBlock":
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        return ComplexBlock(o[0] - self.real, o[1] - self.imag)
+
+    def __mul__(self, other) -> "ComplexBlock":
+        # (ar br - ai bi) + (ar bi + ai br) i: the same sum in either
+        # operand order, so it serves both sides
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        ar, ai = self.real, self.imag
+        br, bi = o
+        return ComplexBlock(ar * br - ai * bi, ar * bi + ai * br)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "ComplexBlock":
+        """The branches of _Py_c_quot, chosen once from the scalar divisor."""
+        if isinstance(other, ComplexBlock):
+            raise TypeError("a block divides only by a scalar")
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        ar, ai = self.real, self.imag
+        br, bi = o
+        if abs(br) >= abs(bi):
+            if br == 0.0:
+                raise ZeroDivisionError("complex division by zero")
+            ratio = bi / br
+            denom = br + bi * ratio
+            return ComplexBlock((ar + ai * ratio) / denom,
+                                (ai - ar * ratio) / denom)
+        if abs(bi) >= abs(br):
+            ratio = br / bi
+            denom = br * ratio + bi
+            return ComplexBlock((ar * ratio + ai) / denom,
+                                (ai * ratio - ar) / denom)
+        nan = np.full(ar.shape, np.nan)  # a NaN part in the divisor
+        return ComplexBlock(nan, nan.copy())
+
+
+def _parts(x):
+    """(real, imag) of a block or of complex(x) for a scalar x, else None."""
+    if isinstance(x, ComplexBlock):
+        return x.real, x.imag
+    if isinstance(x, (int, float, complex, np.number)):
+        x = complex(x)
+        return x.real, x.imag
+    return None
 
 
 def inner_product(f: ExpKernelVector, g: ExpKernelVector) -> complex:

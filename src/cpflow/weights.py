@@ -25,9 +25,11 @@ rho(Delta) in weights-unitality) and the decay curve.
 A functional whose explicit factors carry array coefficients is a block
 of functionals with the same rates, sequence and target: the same kernels
 evaluate every member at once, and each value is an array over members.
-The coefficients are object arrays of Python complex numbers, so each
-member takes exactly the operations of the single functional (numpy's
-complex128 products and quotients round differently in the last place).
+The coefficients are halfline.ComplexBlock values, float64 real and
+imaginary parts whose arithmetic rounds each member exactly as Python's
+complex rounds the single functional, so every member's value is the
+single functional's bit for bit (numpy's complex128 products and moduli
+round differently in the last place).
 """
 
 from __future__ import annotations

@@ -34,12 +34,11 @@ def nu(model):
 
 
 def witness_inputs(model, nu, cuts=(0.5, 0.25)):
-    """The minimal weight, eta and the dominance verdict of the unital one."""
+    """eta and the dominance verdict of the unital over the minimal weight."""
     eta, _ = model.xi_eta(nu)
-    minimal = model.weight_superop()
     dominance = subordination_check(model, model.weight_superop(xi_eta=eta),
-                                    minimal, cuts)
-    return minimal, eta, dominance
+                                    model.weight_superop(), cuts)
+    return eta, dominance
 
 
 @pytest.fixture(scope="module")
@@ -247,13 +246,13 @@ class TestHypermaxWitness:
         m = MatrixModel(n_factors=n_factors, factor_dim=2)
         nu = np.zeros((m.dim_h, m.dim_h), dtype=complex)
         nu[0, 0] = 1.0
-        minimal, eta, dominance = witness_inputs(m, nu)
-        full = m.weight_superop(xi_eta=eta)
+        eta, dominance = witness_inputs(m, nu)
+        minimal, full = m.weight_superop(), m.weight_superop(xi_eta=eta)
         cuts = (0.5, 0.25)
         dims = (m.dim_k, m.dim_h)
         doubled = (2 * m.dim_k, 2 * m.dim_h)
         labels = (-1.0 + 0j, 1j, complex(np.exp(1j * np.pi / 4)))
-        reports = [hypermax_witness(z, m, minimal, eta, dominance)
+        reports = [hypermax_witness(z, m, eta, dominance)
                    for z in labels]
         for z, rep in zip(labels, reports):
             assert rep.witnessed
@@ -272,8 +271,8 @@ class TestHypermaxWitness:
                 assert abs(got_diff - ref_diff.min_eigenvalue) <= 1e-15
 
     def test_zero_gap_reported(self, model, inputs):
-        minimal, eta, dominance = inputs
-        rep = hypermax_witness(-1.0, model, minimal, 0.0 * eta, dominance)
+        eta, dominance = inputs
+        rep = hypermax_witness(-1.0, model, 0.0 * eta, dominance)
         assert not rep.gap_nonzero
         assert not rep.witnessed
 

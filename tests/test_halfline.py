@@ -1,5 +1,7 @@
 """Closed-form half-line calculus against quadrature oracles."""
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from scipy.integrate import quad
 
 from cpflow.halfline import (
     BOUNDARY_KERNEL,
+    ComplexBlock,
     ExpKernelVector,
     ExpMultiplier,
     GammaImage,
@@ -280,3 +283,132 @@ class TestGridBackend:
         f = sample(ExpKernelVector([(1.0, 1.0)]), grid)
         with pytest.raises(ValueError):
             translate(f, -0.5)
+
+
+# ---------------------------------------------------------------------------
+# block arithmetic against CPython's complex, member by member
+# ---------------------------------------------------------------------------
+
+# finite floats over the whole exponent range, signed zeros included
+parts = st.one_of(st.sampled_from([0.0, -0.0]),
+                  st.floats(allow_nan=False, allow_infinity=False),
+                  st.floats(min_value=-1e3, max_value=1e3))
+complexes = st.builds(complex, parts, parts)
+members = st.lists(complexes, min_size=1, max_size=8)
+# every scalar type a block meets: Python and numpy, real and complex
+scalars = st.one_of(parts, parts.map(np.float64), complexes,
+                    complexes.map(np.complex128))
+
+
+def block_of(values):
+    return ExpKernelVector([(np.array(values, complex), 1.0)]).terms[0][0]
+
+
+def same_members(block, expected):
+    """Member by member by repr, so signed zeros count."""
+    assert isinstance(block, ComplexBlock)
+    assert [repr(z) for z in block] == [repr(z) for z in expected]
+
+
+def quiet():
+    """numpy warns on overflow where CPython's complex is silent."""
+    return np.errstate(all="ignore")
+
+
+OPERATORS = (operator.add, operator.sub, operator.mul)
+
+
+class TestComplexBlock:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_block_with_block(self, data):
+        xs = data.draw(members)
+        ys = data.draw(st.lists(complexes, min_size=len(xs),
+                                max_size=len(xs)))
+        with quiet():
+            for fn in OPERATORS:
+                same_members(fn(block_of(xs), block_of(ys)),
+                             [fn(x, y) for x, y in zip(xs, ys)])
+
+    @given(members, scalars)
+    @settings(max_examples=100, deadline=None)
+    def test_block_with_scalar_on_either_side(self, xs, s):
+        block = block_of(xs)
+        with quiet():
+            for fn in OPERATORS:
+                same_members(fn(block, s), [fn(x, complex(s)) for x in xs])
+                same_members(fn(s, block), [fn(complex(s), x) for x in xs])
+
+    @pytest.mark.parametrize("branch", ["real", "imag"])
+    @given(members, parts, parts, st.sampled_from([complex, np.complex128]))
+    @settings(max_examples=60, deadline=None)
+    def test_quotient_by_scalar(self, branch, xs, p, q, kind):
+        # |real| >= |imag| and |imag| > |real| take different branches
+        big, small = sorted((p, q), key=abs, reverse=True)
+        divisor = kind(complex(big, small) if branch == "real"
+                       else complex(small, big))
+        if divisor == 0 or (branch == "imag" and abs(big) == abs(small)):
+            return
+        with quiet():
+            same_members(block_of(xs) / divisor,
+                         [x / complex(divisor) for x in xs])
+
+    @given(members, parts.map(np.float64))
+    @settings(max_examples=50, deadline=None)
+    def test_quotient_by_real_scalar(self, xs, s):
+        if s == 0:
+            return
+        with quiet():
+            same_members(block_of(xs) / s, [x / s for x in xs])
+
+    def test_quotient_special_divisors(self):
+        xs = [1 + 2j, -0.0 + 0j]
+        with pytest.raises(ZeroDivisionError):
+            block_of(xs) / 0j
+        nan = complex(float("nan"), 1.0)
+        with quiet():
+            same_members(block_of(xs) / nan, [x / nan for x in xs])
+
+    @given(members)
+    @settings(max_examples=100, deadline=None)
+    def test_negation_conjugate_and_modulus(self, xs):
+        block = block_of(xs)
+        same_members(-block, [-x for x in xs])
+        same_members(block.conjugate(), [x.conjugate() for x in xs])
+        with quiet():
+            modulus = abs(block)
+        expected = []
+        for x in xs:
+            try:
+                expected.append(abs(x))
+            except OverflowError:  # CPython raises; the block gives inf
+                expected.append(float("inf"))
+        assert [repr(v) for v in modulus.tolist()] == [
+            repr(v) for v in expected]
+
+    @given(members)
+    @settings(max_examples=30, deadline=None)
+    def test_conversions(self, xs):
+        block = block_of(xs)
+        assert block.shape == (len(xs),) and block.size == len(xs)
+        assert all(type(z) is complex for z in block)
+        out = np.asarray(block)
+        assert out.dtype == np.complex128
+        assert [repr(complex(z)) for z in out] == [repr(x) for x in xs]
+
+    def test_block_divisor_and_arrays_rejected(self):
+        block = block_of([1 + 2j, 3 - 4j])
+        with pytest.raises(TypeError):
+            block / block
+        with pytest.raises(TypeError):
+            2.0 / block
+        with pytest.raises(TypeError):
+            np.complex128(2.0) / block
+        array = np.array([1.0, 2.0])
+        for op in OPERATORS:
+            with pytest.raises(TypeError):
+                op(block, array)
+            with pytest.raises(TypeError):
+                op(array, block)
+        with pytest.raises(TypeError):
+            block / array

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from cpflow import cli, weights
-from cpflow.halfline import ExpKernelVector, ExpMultiplier, IdentityOperator
+from cpflow.halfline import (
+    ComplexBlock,
+    ExpKernelVector,
+    ExpMultiplier,
+    IdentityOperator,
+)
 from cpflow.tensorspace import (
     LambdaSequence,
     ProductVector,
@@ -361,7 +366,7 @@ class TestInferWidth:
 # ---------------------------------------------------------------------------
 
 SEEDS = [2024, 7, 11]
-BLOCK_SIZES = [1, cli._SAMPLE_BLOCK, cli._SAMPLE_BLOCK + 1]
+BLOCK_SIZES = [1, 128, 129]
 THIRD = 0.9 * cmath.exp(1j * cmath.pi / 3)
 
 
@@ -403,25 +408,50 @@ SERIES = {
 }
 
 
+@pytest.fixture(scope="module")
+def single_references():
+    """seed -> the single-functional values of each member of the largest
+    block, computed once per seed.
+
+    A block's draw is member-major, so the first k members of the largest
+    draw are the block of k members.
+    """
+    cache = {}
+
+    def get(seed):
+        if seed not in cache:
+            coeffs = block_coefficients(seed, max(BLOCK_SIZES))
+            singles = [block_functional(c) for c in coeffs]
+            values = {name: [series(rho) for rho in singles]
+                      for name, series in SERIES.items()}
+            for name, a in (("identity", None), ("delta", delta_operator())):
+                values[name] = [rho(a) for rho in singles]
+            values["delta_value"] = [rho.delta_value() for rho in singles]
+            cache[seed] = coeffs, values
+        return cache[seed]
+    return get
+
+
 class TestBlocks:
     @pytest.mark.parametrize("members", BLOCK_SIZES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_members_equal_single_functionals(self, seed, members):
+    def test_members_equal_single_functionals(self, seed, members,
+                                              single_references):
         coeffs = block_coefficients(seed, members)
+        largest, singles = single_references(seed)
+        assert np.array_equal(coeffs, largest[:members])
         block = block_functional(coeffs)
-        singles = [block_functional(coeffs[i]) for i in range(members)]
-        for series in SERIES.values():
+        for name, series in SERIES.items():
             res = series(block)
             assert res.terms.shape[1:] == (members,)
-            for i, rho in enumerate(singles):
-                assert_member(res, i, series(rho))
+            for i in range(members):
+                assert_member(res, i, singles[name][i])
         for name, a in (("identity", None), ("delta", delta_operator())):
             values = block(a)
             assert values.shape == (members,)
             assert all(type(v) is complex for v in values)
-            assert list(values) == [rho(a) for rho in singles], name
-        assert list(block.delta_value()) == [rho.delta_value()
-                                             for rho in singles]
+            assert list(values) == singles[name][:members], name
+        assert list(block.delta_value()) == singles["delta_value"][:members]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_members_stop_at_their_own_term(self, seed):
@@ -497,7 +527,8 @@ class TestBlocks:
     def test_complex128_coefficients_are_coerced(self):
         coeffs = block_coefficients(11, 5)
         (c, _), = ExpKernelVector([(coeffs[:, 0, 0, 0], 1.0)]).terms
-        assert c.dtype == object
+        assert type(c) is ComplexBlock
+        assert c.real.dtype == c.imag.dtype == np.float64
         assert all(type(x) is complex for x in c)
         assert list(c) == [complex(x) for x in coeffs[:, 0, 0, 0]]
         as_objects = coeffs.astype(object)
