@@ -27,6 +27,7 @@ from .tensorspace import (
     TruncationExceededError,
     delta_pairing,
     reference_state,
+    tail_weight_product,
 )
 from .weights import (
     Functional,
@@ -318,9 +319,11 @@ def run_delta(cfg, rep: Reporter, rng):
     f = reference_state(seq, levels)
     result = delta_pairing(f, f)
     curve = result.curve.real
-    finite = float(np.prod([i * i / (1.0 + i * i)
+    finite = float(np.prod([seq.value(i) ** 2 / (1.0 + seq.value(i) ** 2)
                             for i in range(1, levels + 1)]))
-    limit = float(np.pi / np.sinh(np.pi))
+    # pi/sinh(pi) is the full product of the linear sequence in closed form
+    limit = (float(np.pi / np.sinh(np.pi)) if seq.kind == "linear"
+             else tail_weight_product(seq, 1))
     rep.close("pairing-at-level-%d" % levels, float(curve[-1]), finite,
               1e-10, "derived-oracle")
     rep.close("limit-reference", float(result.value.real), limit, 1e-10,
@@ -350,13 +353,13 @@ def run_decay(cfg, rep: Reporter, rng):
                         for i, v in enumerate(curve)])
 
 
-def run_covariance(cfg, rep: Reporter, rng, refine: int = 0):
+def run_covariance(cfg, rep: Reporter, rng):
     block = cfg["covariance"]
     labels = [_label(v) for v in block["labels"]]
     t = float(block["t"])
     length = float(cfg["grid"]["length"])
     base_points = int(cfg["grid"]["points"])
-    n_levels = int(block["refinements"]) + refine
+    n_levels = int(block["refinements"])
     max_residuals = []
     for level in range(n_levels):
         grid = Grid(length, base_points * 2 ** level)
@@ -439,7 +442,7 @@ def run_corner(cfg, rep: Reporter, rng):
     nu[0, 0] = 1.0
     minimal = model.weight_superop()
     eta, _ = model.xi_eta(nu)
-    full = model.weight_superop(xi_eta=eta)
+    full = minimal + model.gap_superop(eta)
     verdict = subordination_check(model, full, minimal, cuts)
     for t, low in zip(cuts, verdict.lower_min_eigs):
         rep.bound("boundary-rep-choi-min-t-%g" % t, low, -1e-8, "ge",
@@ -532,21 +535,15 @@ COMMANDS = {
               help="Directory for the report and CSV curves.")
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override the RNG seed from the config.")
-@click.option("--refine", type=click.IntRange(min=0), default=0,
-              help="Extra grid halvings for convergence-order records.")
-def main(command, config_path, out_dir, seed, refine):
+def main(command, config_path, out_dir, seed):
     """Run one experiment and write its report."""
     cfg = load_config(config_path)
     if seed is not None:
         cfg["seeds"]["rng"] = int(seed)
     rng = np.random.default_rng(cfg["seeds"]["rng"])
     rep = Reporter(command, cfg, Path(out_dir))
-    runner = COMMANDS[command]
     try:
-        if command == "covariance":
-            runner(cfg, rep, rng, refine=refine)
-        else:
-            runner(cfg, rep, rng)
+        COMMANDS[command](cfg, rep, rng)
     except TruncationExceededError as exc:
         # how many values a command reads is known only once it runs
         if cfg["lambda"]["kind"] != "custom":

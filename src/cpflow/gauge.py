@@ -248,8 +248,9 @@ def action_sweep(rng: np.random.Generator, n: int, sample_zs) -> dict:
     worst = {UNITARY: 0.0, FLOW: 0.0, GENERAL: 0.0}
     for klass in worst:
         for g, gp in _param_blocks(rng, klass, n, 2, pairs):
-            worst[klass] = max(worst[klass],
-                               float(_member_residuals(g, gp, zs).max()))
+            worst[klass] = max(worst[klass], float(
+                action_composition_residual(_column(g), _column(gp),
+                                            zs).max()))
     return worst
 
 
@@ -258,29 +259,13 @@ def _pairs_per_block(n_labels: int) -> int:
     return max(1, _PAIR_ENTRIES // n_labels)
 
 
-def _member_residuals(g: GaugeParam, gp: GaugeParam, zs) -> np.ndarray:
-    """action_composition_residual of each member of a pair block.
+def _column(g: GaugeParam) -> GaugeParam:
+    """A block as a column block, which acts on a row of labels.
 
-    act() reads one branch for a whole block, so the members are grouped
-    by the branch of g, g' and C C' (whose a is g.a * g'.a) and each
-    group runs on its own branch.  Drawn blocks never mix branches (a
-    flow draw lands within _TOL of |a| = 1 with probability about 1e-12);
-    the grouping keeps crafted blocks on the right formulas.
+    Drawn blocks never straddle |a| = 1 (a flow draw lands within _TOL of
+    it with probability about 1e-12); act() raises on one that does.
     """
-    on = [abs(abs(a) - 1.0) <= _TOL for a in (g.a, gp.a, g.a * gp.a)]
-    branch = on[0] + 2 * on[1] + 4 * on[2]
-    out = np.empty(branch.shape)
-    for key in set(branch.tolist()):
-        idx = np.flatnonzero(branch == key)
-        out[idx] = action_composition_residual(_column(g, idx),
-                                               _column(gp, idx), zs)
-    return out
-
-
-def _column(g: GaugeParam, idx) -> GaugeParam:
-    """The members idx of a block, as a column block."""
-    return replace(g, **{part: getattr(g, part)[idx, None]
-                         for part in "abcy"})
+    return replace(g, **{part: getattr(g, part)[:, None] for part in "abcy"})
 
 
 def first_discrepancy(rng: np.random.Generator, n: int, sample_zs):

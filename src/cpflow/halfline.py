@@ -1,10 +1,11 @@
 """Single-particle calculus on L2(0, infinity).
 
-Two backends live here.  The analytic backend works with finite
-combinations of decaying exponentials, for which inner products and the
-canonical maps (multiplication by e^{-x}, the damped translation average,
-the boundary expectation) all have closed forms.  The grid backend stores
-samples at cell midpoints and is the carrier for transport.
+Functions are finite combinations of decaying exponentials, for which
+inner products and the canonical maps (multiplication by e^{-x}, the
+damped translation average, the boundary expectation) all have closed
+forms.  Grid is the cell-midpoint grid on [0, L); gamma_grid is the
+damped translation average of a matrix on it, and grid functions under
+transport are semigroups.FlowState.
 
 Every analytic closed form reduces to inner_product, the one place where
 the exponential kernel sum_{jk} conj(c_j) d_k / (conj(mu_j) + nu_k) is
@@ -30,7 +31,7 @@ class UnsupportedRepresentationError(TypeError):
 
 
 # ---------------------------------------------------------------------------
-# analytic backend
+# exponential kernels
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -404,7 +405,7 @@ def phi_functional(rho: Callable, a_h: HalfLineOperator | None = None,
 
 
 # ---------------------------------------------------------------------------
-# grid backend
+# grid
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -424,72 +425,3 @@ class Grid:
     def midpoints(self) -> np.ndarray:
         h = self.spacing
         return (np.arange(self.points) + 0.5) * h
-
-
-@dataclass(frozen=True)
-class GridVector:
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.grid.points,):
-            raise ValueError("value array does not match the grid")
-        object.__setattr__(self, "values", vals)
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.grid.spacing) * np.linalg.norm(self.values))
-
-
-def sample(f: ExpKernelVector, grid: Grid) -> GridVector:
-    return GridVector(grid, f(grid.midpoints))
-
-
-def grid_inner_product(f: GridVector, g: GridVector) -> complex:
-    if f.grid != g.grid:
-        raise ValueError("grid mismatch")
-    return f.grid.spacing * complex(np.vdot(f.values, g.values))
-
-
-@dataclass(frozen=True)
-class TranslateResult:
-    vector: GridVector
-    steps: int
-    snap_distance: float
-
-
-def translate(f: GridVector, t: float) -> TranslateResult:
-    """Right translation by t, snapped to a whole number of cells.
-
-    Shift with zero fill; mass pushed past the right edge is discarded.
-    """
-    if t < 0:
-        raise ValueError("translation distance must be nonnegative")
-    h = f.grid.spacing
-    steps = int(round(t / h))
-    snap = abs(t - steps * h)
-    vals = np.zeros_like(f.values)
-    if steps < f.grid.points:
-        if steps == 0:
-            vals[:] = f.values
-        else:
-            vals[steps:] = f.values[:-steps]
-    return TranslateResult(GridVector(f.grid, vals), steps, snap)
-
-
-def cut_projector(f: GridVector, t: float) -> GridVector:
-    """Apply E(t) = I - U(t)U(t)*: keep the part supported in [0, t)."""
-    h = f.grid.spacing
-    steps = int(round(t / h))
-    vals = f.values.copy()
-    vals[steps:] = 0.0
-    return GridVector(f.grid, vals)
-
-
-def tail_projector(f: GridVector, t: float) -> GridVector:
-    """Apply U(t)U(t)*: keep the part supported in [t, infinity)."""
-    h = f.grid.spacing
-    steps = int(round(t / h))
-    vals = f.values.copy()
-    vals[:steps] = 0.0
-    return GridVector(f.grid, vals)

@@ -216,14 +216,13 @@ class MatrixModel:
         k_hat = self.lambda_superop(self.pi_superop)
         return k_hat, float(np.max(np.abs(np.linalg.eigvals(k_hat))))
 
-    def weight_superop(self, z: complex = 1.0,
-                       xi_eta: np.ndarray | None = None) -> np.ndarray:
+    def weight_superop(self, z: complex = 1.0) -> np.ndarray:
         """Matrix of rho -> series weight density on the big space.
 
         The geometric series z pihat (I - z lambdahat pihat)^{-1} is summed
-        by an exact resolvent solve; with xi_eta given, the gap term
-        tr(rho Delta) xi_eta is added.  A label with zero imaginary part
-        is real, so the weight is as real as xi_eta.
+        by an exact resolvent solve.  At z = 1 this is the minimal weight;
+        the unital weight adds gap_superop.  A label with zero imaginary
+        part is real, so the weight is real.
         """
         z = complex(z)
         if not z.imag:
@@ -234,11 +233,15 @@ class MatrixModel:
             raise NonInvertibleSystemError(
                 "weight series does not converge in this model", radius)
         core = np.linalg.solve(np.eye(d * d) - z * k_hat, np.eye(d * d))
-        omega = z * (self.pi_superop @ core)
-        if xi_eta is not None:
-            delta_vec = self.delta_matrix.T.reshape(1, -1)
-            omega = omega + xi_eta.reshape(-1, 1) @ delta_vec
-        return omega
+        return z * (self.pi_superop @ core)
+
+    def gap_superop(self, eta: np.ndarray) -> np.ndarray:
+        """The rank-one gap G = eta (x) Delta, rho -> tr(rho Delta) eta.
+
+        eta is the density of the normalized weight (xi_eta), and the
+        unital weight is weight_superop() + gap_superop(eta).
+        """
+        return eta.reshape(-1, 1) @ self.delta_matrix.T.reshape(1, -1)
 
     def xi_eta(self, nu_density: np.ndarray) -> tuple[np.ndarray, float]:
         """Density of the normalized weight built from nu, plus nu(Lambda Delta).

@@ -233,14 +233,6 @@ def covariance_residuals(ws, zs, t: float, f: FlowState, g: FlowState,
     return out
 
 
-def covariance_residual(w: complex, z: complex, t: float,
-                        f: FlowState, g: FlowState,
-                        outflow_tolerance: float = 1e-8) -> float:
-    """The one-pair case of covariance_residuals."""
-    return float(covariance_residuals([w], [z], t, f, g,
-                                      outflow_tolerance)[0, 0])
-
-
 def semigroup_residual(z: complex, t: float, s: float, f: FlowState) -> float:
     """Norm distance between evolving by t+s and evolving by s then t.
 

@@ -235,10 +235,13 @@ def series_by_shifting(rho, element, cfg, n_factors, z=1.0) -> SeriesValue:
         partial)
 
 
-def weights_unitality_by_sample(cfg, rep, rng):
-    """cli.run_weights_unitality with one functional per sample.
+def unitality_residuals_by_sample(cfg, rng):
+    """The running (worst1, worst2) of cli.run_weights_unitality after each
+    sample, with one functional per sample.
 
-    The runner puts a block of samples through each weight series.
+    The runner puts a block of samples through each weight series.  The
+    draw is sample after sample, so the first k values are those of a run
+    of k samples.
     """
     seq = _seq(cfg)
     n_factors = cfg["tensor"]["factors"]
@@ -269,6 +272,11 @@ def weights_unitality_by_sample(cfg, rep, rng):
         worst1 = max(worst1, abs(val1 - (total - delta)))
         # the full weight omega(rho) = omega1(rho) + rho(Delta) xi(I)
         worst2 = max(worst2, abs(val1 + delta * xi_at_identity - total))
+        yield worst1, worst2
+
+
+def unitality_records(rep, worst1: float, worst2: float) -> None:
+    """The records cli.run_weights_unitality makes of its residuals."""
     rep.bound("minimal-weight-identity-residual", worst1, 1e-8, "le",
               "paper")
     rep.bound("unital-weight-residual", worst2, 1e-8, "le", "paper")

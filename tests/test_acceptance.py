@@ -25,8 +25,7 @@ from cpflow.gauge import (
     random_param,
     single_reachable,
 )
-from cpflow.halfline import ExpKernelVector, Grid, grid_inner_product, \
-    inner_product, sample
+from cpflow.halfline import ExpKernelVector, Grid, inner_product
 from cpflow.opbasis import MatrixModel
 from cpflow.cornercheck import (
     DegenerateDirectionError,
@@ -34,9 +33,11 @@ from cpflow.cornercheck import (
     subordination_check,
 )
 from cpflow.semigroups import (
+    FlowState,
     analytic_gram,
     bump_state,
-    covariance_residual,
+    covariance_residuals,
+    flow_inner,
     gram_min_eig,
     refinement_orders,
 )
@@ -131,7 +132,8 @@ def test_criterion_4_covariance():
         worst = 0.0
         for w in labels:
             for z in labels:
-                worst = max(worst, covariance_residual(w, z, 1.0, f, g))
+                worst = max(worst, covariance_residuals(
+                    [w], [z], 1.0, f, g)[0, 0])
         residuals.append(worst)
     orders = refinement_orders(residuals)
     assert min(orders) >= 0.8
@@ -210,7 +212,7 @@ def test_criterion_7_cp_subordination():
     nu[0, 0] = 1.0
     minimal = model.weight_superop()
     eta, _ = model.xi_eta(nu)
-    full = model.weight_superop(xi_eta=eta)
+    full = minimal + model.gap_superop(eta)
     verdict = subordination_check(model, full, minimal, (0.5, 0.25))
     eigs = dict(zip(verdict.cut_levels, verdict.lower_min_eigs))
     for t in (0.5, 0.25):
@@ -237,11 +239,11 @@ def test_criterion_8_backend_cross_validation():
     errors = []
     for n in (2000, 4000, 8000):
         grid = Grid(40.0, n)
-        sampled = [sample(f, grid) for f in funcs]
+        sampled = [FlowState(grid, f(grid.midpoints)) for f in funcs]
         worst = 0.0
         for f, sf in zip(funcs, sampled):
             exact = inner_product(f, f)
-            worst = max(worst, abs(grid_inner_product(sf, sf) - exact))
+            worst = max(worst, abs(flow_inner(sf, sf) - exact))
         errors.append(worst)
     orders = refinement_orders(errors)
     assert min(orders) >= 0.9

@@ -31,6 +31,16 @@ FAST_CONFIG = {
     "transitivity": {"pairs": 10},
 }
 
+# the fast config of acceptance criterion 9 (run there with --seed 11)
+REPRODUCTION_CONFIG = {
+    "gauge": {"triples": 100, "r_samples": 2000, "z_samples": 10,
+              "pairs": 30},
+    "corner": {"factors": 2, "cut_levels": [0.5, 0.25],
+               "witness_label": "-1"},
+    "weights": {"samples": 5, "factor_dim": 2},
+    "covariance": {"refinements": 2},
+}
+
 ALL_COMMANDS = ["delta", "decay", "covariance", "gauge-check",
                 "transitivity", "corner", "weights-unitality"]
 
@@ -211,13 +221,6 @@ class TestCommands:
         assert result.exit_code == 2
         assert "--seed" in result.output
 
-    def test_negative_refine_option_is_usage_error(self, tmp_path):
-        result = CliRunner().invoke(
-            main, ["covariance", "--refine", "-1", "--out",
-                   str(tmp_path / "o")])
-        assert result.exit_code == 2
-        assert "--refine" in result.output
-
     def test_every_cell_edge_is_a_valid_cut(self, tmp_path):
         # every edge below the top one: a cut at the top edge keeps no cell
         path = tmp_path / "edges.yaml"
@@ -326,6 +329,33 @@ class TestDeterminism:
             verdicts.append(result.exit_code)
         assert verdicts == [0, 0]
 
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_report_reproduces_from_its_own_config(self, command, tmp_path):
+        # the config block of a report is the whole run: fed back through
+        # --config alone, it gives the same report and the same sidecars
+        first, second = tmp_path / "first", tmp_path / "second"
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(REPRODUCTION_CONFIG))
+        result = run_cli([command, "--config", str(path), "--seed", "11",
+                          "--out", str(first)])
+        assert result.exit_code == 0, result.output
+        report = load_report(first, command)
+        path = tmp_path / "recorded.yaml"
+        path.write_text(yaml.safe_dump(report["config"]))
+        result = run_cli([command, "--config", str(path),
+                          "--out", str(second)])
+        assert result.exit_code == 0, result.output
+        again = load_report(second, command)
+        report.pop("timing")
+        again.pop("timing")
+        assert again == report
+        sidecars = sorted(p.name for p in first.iterdir()
+                          if p.name != "%s-report.json" % command)
+        assert sidecars == sorted(p.name for p in second.iterdir()
+                                  if p.name != "%s-report.json" % command)
+        for name in sidecars:
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+
 
 # record values at the default config, as computed when each shifted
 # functional was built and paired; the slot-table series must keep them
@@ -400,7 +430,8 @@ class TestCornerPipeline:
                 assert abs(record["value"] - value) <= 1e-12
 
     def test_each_result_computed_once(self, monkeypatch, tmp_path):
-        # 5 weights (minimal, unital, z, conj(z), the derivation label);
+        # 4 weights (minimal, z, conj(z), the derivation label; the unital
+        # weight is the minimal one plus the rank-one gap);
         # boundary representations: unital and minimal at each cut, then
         # the corner's upper and lower (its diagonal is the minimal
         # weight's, handed on by the subordination verdict); Choi: unital,
@@ -422,18 +453,46 @@ class TestCornerPipeline:
         corner_records(3, tmp_path)
         assert calls["boundary_rep"] <= 8
         assert calls["choi_min_eig"] <= 8
-        assert calls["weight_superop"] <= 5
+        assert calls["weight_superop"] <= 4
 
 
-class TestRefine:
-    def test_extra_refinement_levels(self, tmp_path, fast_config):
+# the default delta report, linear lambda: (name, value, expected)
+GOLDEN_DELTA = [
+    ("pairing-at-level-8", "0.30586775289037743", "0.30586775289037743"),
+    ("limit-reference", "0.27202905498213314", "0.2720290549821332"),
+    ("curve-monotone-nonincreasing", "True", "True"),
+]
+
+
+class TestDeltaOracle:
+    def test_linear_report_pinned(self, tmp_path):
         out = tmp_path / "out"
-        result = run_cli(["covariance", "--config", fast_config,
-                          "--refine", "1", "--out", str(out)])
+        result = run_cli(["delta", "--out", str(out)])
         assert result.exit_code == 0, result.output
-        lines = (out / "covariance-residuals.csv").read_text() \
-            .strip().splitlines()
-        assert len(lines) - 1 == 3  # 2 configured + 1 extra level
+        records = load_report(out, "delta")["records"]
+        assert [(r["name"], repr(r["value"]), repr(r["expected"]))
+                for r in records] == GOLDEN_DELTA
+        rows = (out / "delta-pairing.csv").read_text().split()[1:]
+        assert {row.split(",")[2] for row in rows} \
+            == {"%.17g" % 0.2720290549821332}
+
+    def test_geometric_sequence_passes(self, tmp_path):
+        # lambda_n = 2^n: the level product and the limit follow the
+        # sequence instead of the linear closed forms
+        path = tmp_path / "geometric.yaml"
+        path.write_text(yaml.safe_dump({"lambda": {"kind": "geometric"}}))
+        out = tmp_path / "out"
+        result = run_cli(["delta", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        records = {r["name"]: r for r in load_report(out, "delta")["records"]}
+        assert all(r["pass"] for r in records.values())
+        level = records["pairing-at-level-8"]["expected"]
+        assert level == pytest.approx(math.prod(
+            4.0 ** i / (1.0 + 4.0 ** i) for i in range(1, 9)), rel=1e-15)
+        limit = records["limit-reference"]["expected"]
+        assert limit == pytest.approx(math.prod(
+            4.0 ** i / (1.0 + 4.0 ** i) for i in range(1, 60)), rel=1e-15)
+        assert limit < level
 
 
 # custom lambda sequences that parse but are too short for delta

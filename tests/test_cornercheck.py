@@ -36,8 +36,9 @@ def nu(model):
 def witness_inputs(model, nu, cuts=(0.5, 0.25)):
     """eta and the dominance verdict of the unital over the minimal weight."""
     eta, _ = model.xi_eta(nu)
-    dominance = subordination_check(model, model.weight_superop(xi_eta=eta),
-                                    model.weight_superop(), cuts)
+    minimal = model.weight_superop()
+    dominance = subordination_check(model, minimal + model.gap_superop(eta),
+                                    minimal, cuts)
     return eta, dominance
 
 
@@ -176,8 +177,8 @@ class TestSubordination:
 
     def test_unital_dominates_minimal(self, model, nu):
         eta, _ = model.xi_eta(nu)
-        full = model.weight_superop(xi_eta=eta)
         minimal = model.weight_superop()
+        full = minimal + model.gap_superop(eta)
         v = subordination_check(model, full, minimal, (0.5, 0.25))
         assert v.subordinate
         # the verdict keeps the Choi minima of both representations
@@ -190,8 +191,8 @@ class TestSubordination:
 
     def test_strict_order(self, model, nu):
         eta, _ = model.xi_eta(nu)
-        full = model.weight_superop(xi_eta=eta)
         minimal = model.weight_superop()
+        full = minimal + model.gap_superop(eta)
         v = subordination_check(model, minimal, full, (0.5,))
         assert not v.subordinate
         assert v.difference_min_eigs[0] < -1e-4
@@ -214,9 +215,10 @@ class TestSubordination:
     def test_non_cp_unital_weight_rejected(self, model, nu):
         # a negative nu makes the unital weight non-CP
         eta, _ = model.xi_eta(-nu)
+        minimal = model.weight_superop()
         with pytest.raises(NonCompletelyPositiveInputError) as err:
-            subordination_check(model, model.weight_superop(xi_eta=eta),
-                                model.weight_superop(), (0.5, 0.25))
+            subordination_check(model, minimal + model.gap_superop(eta),
+                                minimal, (0.5, 0.25))
         assert err.value.eigenvalue < 0
 
 
@@ -247,7 +249,8 @@ class TestHypermaxWitness:
         nu = np.zeros((m.dim_h, m.dim_h), dtype=complex)
         nu[0, 0] = 1.0
         eta, dominance = witness_inputs(m, nu)
-        minimal, full = m.weight_superop(), m.weight_superop(xi_eta=eta)
+        minimal = m.weight_superop()
+        full = minimal + m.gap_superop(eta)
         cuts = (0.5, 0.25)
         dims = (m.dim_k, m.dim_h)
         doubled = (2 * m.dim_k, 2 * m.dim_h)

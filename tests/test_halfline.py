@@ -20,16 +20,12 @@ from cpflow.halfline import (
     UnsupportedRepresentationError,
     ZeroOperator,
     apply_gamma,
-    cut_projector,
     gamma_grid,
-    grid_inner_product,
     inner_product,
     phi_functional,
     reference_vector,
-    sample,
-    tail_projector,
-    translate,
 )
+from cpflow.semigroups import FlowState, evolve, flow_inner
 
 
 def kernel_sum(f, g):
@@ -204,8 +200,8 @@ class TestGamma:
         grid = Grid(30.0, 3000)
         a = np.eye(grid.points)
         out = gamma_grid(a, grid)
-        u = sample(ExpKernelVector([(1.0, 1.0)]), grid)
-        val = grid.spacing * np.vdot(u.values, out @ u.values)
+        u = np.exp(-grid.midpoints)
+        val = grid.spacing * np.vdot(u, out @ u)
         # Gamma(I) = I - damping: (u, (I - e^{-x}) u) = 1/2 - 1/3
         assert val.real == pytest.approx(1.0 / 6.0, abs=5e-3)
 
@@ -250,6 +246,8 @@ class TestGammaGridRecursion:
 
 
 class TestGridBackend:
+    """Sampled exponential kernels on the transport stepper's grid."""
+
     def test_sampled_inner_product_converges(self):
         f = ExpKernelVector([(1.0, 0.9)])
         g = ExpKernelVector([(1.0 + 1j, 1.3)])
@@ -257,32 +255,20 @@ class TestGridBackend:
         errs = []
         for n in (400, 800, 1600):
             grid = Grid(40.0, n)
-            approx = grid_inner_product(sample(f, grid), sample(g, grid))
+            approx = flow_inner(FlowState(grid, f(grid.midpoints)),
+                                FlowState(grid, g(grid.midpoints)))
             errs.append(abs(approx - exact))
         assert errs[0] > errs[1] > errs[2]
 
     def test_translate_shifts_support(self):
+        # U_0(t) is the plain right translation, snapped to whole cells
         grid = Grid(10.0, 100)
-        f = sample(ExpKernelVector([(1.0, 1.0)]), grid)
-        res = translate(f, 1.0)
-        assert res.steps == 10
+        f = FlowState(grid, ExpKernelVector([(1.0, 1.0)])(grid.midpoints))
+        res = evolve(f, 0.0, 1.0)
+        assert res.state.steps == 10
         assert res.snap_distance == pytest.approx(0.0, abs=1e-12)
-        assert np.all(res.vector.values[:10] == 0)
-        np.testing.assert_allclose(res.vector.values[10:], f.values[:-10])
-
-    def test_cut_and_tail_partition(self):
-        grid = Grid(10.0, 100)
-        f = sample(ExpKernelVector([(1.0, 1.0)]), grid)
-        head = cut_projector(f, 2.0)
-        tail = tail_projector(f, 2.0)
-        np.testing.assert_allclose(head.values + tail.values, f.values)
-        assert np.vdot(head.values, tail.values) == 0
-
-    def test_negative_translation_rejected(self):
-        grid = Grid(10.0, 100)
-        f = sample(ExpKernelVector([(1.0, 1.0)]), grid)
-        with pytest.raises(ValueError):
-            translate(f, -0.5)
+        assert np.all(res.state.cells[:10] == 0)
+        np.testing.assert_allclose(res.state.cells[10:], f.cells[:-10])
 
 
 # ---------------------------------------------------------------------------

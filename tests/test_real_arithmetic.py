@@ -106,9 +106,10 @@ class TestComplexOracle:
             ref.xi_eta(nu.astype(complex))
         assert_close(eta, ref_eta)
         assert_close(d_val, ref_d)
-        weights = [(real.weight_superop(), ref.weight_superop()),
-                   (real.weight_superop(xi_eta=eta),
-                    ref.weight_superop(xi_eta=ref_eta))]
+        minimal, ref_minimal = real.weight_superop(), ref.weight_superop()
+        weights = [(minimal, ref_minimal),
+                   (minimal + real.gap_superop(eta),
+                    ref_minimal + ref.gap_superop(ref_eta))]
         for z in LABELS:
             weights += [(real.weight_superop(w), ref.weight_superop(w))
                         for w in (z, np.conj(z))]

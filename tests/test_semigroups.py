@@ -14,7 +14,6 @@ from cpflow.semigroups import (
     analytic_gram,
     bump_state,
     covariance,
-    covariance_residual,
     covariance_residuals,
     evolve,
     flow_inner,
@@ -276,7 +275,8 @@ class TestCovarianceResiduals:
         assert table.shape == (len(ws), len(LABELS))
         for i, w in enumerate(ws):
             for j, z in enumerate(LABELS):
-                assert table[i, j] == covariance_residual(w, z, t, f, g)
+                assert table[i, j] == covariance_residuals(
+                    [w], [z], t, f, g)[0, 0]
                 assert table[i, j] == pairwise_residual(w, z, t, f, g)
 
     @pytest.mark.parametrize("leaking", ["f", "g"])
@@ -297,7 +297,8 @@ class TestCovarianceResidual:
         worst = 0.0
         for w in LABELS:
             for z in LABELS:
-                worst = max(worst, covariance_residual(w, z, 1.0, f, g))
+                worst = max(worst, covariance_residuals(
+                    [w], [z], 1.0, f, g)[0, 0])
         return worst
 
     def test_first_order_convergence(self):
@@ -309,18 +310,18 @@ class TestCovarianceResidual:
         grid = Grid(8.0, 200)
         f = bump_state(grid, 3.0, 0.4)
         g = bump_state(grid, 3.5, 0.5)
-        assert covariance_residual(0.0, 1.0, 1.0, f, g) < 1e-12
+        assert covariance_residuals([0.0], [1.0], 1.0, f, g)[0, 0] < 1e-12
 
     def test_outflow_guard(self):
         grid = Grid(8.0, 200)
         f = bump_state(grid, 7.5, 0.2)
         with pytest.raises(InvalidExperimentError):
-            covariance_residual(0.0, 0.0, 3.0, f, f)
+            covariance_residuals([0.0], [0.0], 3.0, f, f)
 
     def test_time_zero_exact(self):
         grid = Grid(8.0, 200)
         f = bump_state(grid, 3.0, 0.4)
-        assert covariance_residual(1.0, 1j, 0.0, f, f) == 0.0
+        assert covariance_residuals([1.0], [1j], 0.0, f, f)[0, 0] == 0.0
 
 
 class TestSemigroupLaw:

@@ -42,7 +42,8 @@ from references import (
     omega_full,
     on_boundary_identity,
     series_by_shifting,
-    weights_unitality_by_sample,
+    unitality_records,
+    unitality_residuals_by_sample,
     zero_boundary_weight,
 )
 
@@ -432,6 +433,26 @@ def single_references():
     return get
 
 
+RUNNER_SAMPLES = sorted(
+    {1, 64, 65, cli._SAMPLE_BLOCK, cli._SAMPLE_BLOCK + 1, 700})
+
+
+@pytest.fixture(scope="module")
+def per_sample_residuals():
+    """seed -> the per-sample reference's running (worst1, worst2) after
+    each of max(RUNNER_SAMPLES) samples, computed once per seed."""
+    cache = {}
+
+    def get(seed):
+        if seed not in cache:
+            cfg = cli.load_config(None)
+            cfg["weights"]["samples"] = max(RUNNER_SAMPLES)
+            cache[seed] = list(unitality_residuals_by_sample(
+                cfg, np.random.default_rng(seed)))
+        return cache[seed]
+    return get
+
+
 class TestBlocks:
     @pytest.mark.parametrize("members", BLOCK_SIZES)
     @pytest.mark.parametrize("seed", SEEDS)
@@ -545,16 +566,14 @@ class TestBlocks:
         (c, _), = ExpKernelVector([(np.array(1 + 2j), 1.0)]).terms
         assert type(c) is complex
 
-    @pytest.mark.parametrize("samples", sorted(
-        {1, 64, 65, cli._SAMPLE_BLOCK, cli._SAMPLE_BLOCK + 1, 700}))
+    @pytest.mark.parametrize("samples", RUNNER_SAMPLES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_runner_matches_per_sample_loop(self, seed, samples, tmp_path):
+    def test_runner_matches_per_sample_loop(self, seed, samples, tmp_path,
+                                            per_sample_residuals):
         cfg = cli.load_config(None)
         cfg["weights"]["samples"] = samples
-        reps = []
-        for runner in (cli.run_weights_unitality,
-                       weights_unitality_by_sample):
-            rep = cli.Reporter("weights-unitality", cfg, tmp_path)
-            runner(cfg, rep, np.random.default_rng(seed))
-            reps.append(repr(rep.records))
-        assert reps[0] == reps[1]
+        rep = cli.Reporter("weights-unitality", cfg, tmp_path)
+        cli.run_weights_unitality(cfg, rep, np.random.default_rng(seed))
+        ref = cli.Reporter("weights-unitality", cfg, tmp_path)
+        unitality_records(ref, *per_sample_residuals(seed)[samples - 1])
+        assert repr(rep.records) == repr(ref.records)
