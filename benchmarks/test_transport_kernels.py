@@ -1,0 +1,60 @@
+"""Timings of the transport kernels (opt-in, not part of the test suite).
+
+Run with
+
+    PYTHONPATH=src python -m pytest benchmarks --benchmark-only
+
+pytest-benchmark prints min/median/max per kernel; add
+``--benchmark-autosave`` to keep a run under ``.benchmarks/`` and
+``--benchmark-compare`` to set a later run against it.  The inputs are
+those of the ``covariance`` command at ``covariance.refinements: 6``
+(the benchmark's transport workload).
+"""
+
+import pytest
+
+from cpflow.cli import DEFAULT_CONFIG
+from cpflow.halfline import Grid
+from cpflow.semigroups import (
+    bump_state,
+    covariance_residuals,
+    evolve,
+    flow_inner,
+)
+
+LABELS = [0.0, 1.0, 1j, 1 + 1j]
+LENGTH = DEFAULT_CONFIG["grid"]["length"]
+BASE_POINTS = DEFAULT_CONFIG["grid"]["points"]
+LEVELS = 6
+T = 1.0
+
+
+def bumps(points):
+    grid = Grid(LENGTH, points)
+    return bump_state(grid, 3.0, 0.4), bump_state(grid, 3.5, 0.5)
+
+
+def test_evolve(benchmark):
+    f, _ = bumps(6400)
+    res = benchmark(evolve, f, 1 + 1j, T)
+    assert res.state.steps == 800
+
+
+def test_flow_inner(benchmark):
+    f, g = bumps(6400)
+    ef, eg = evolve(f, 1.0, T).state, evolve(g, 1j, T).state
+    value = benchmark(flow_inner, ef, eg)
+    assert abs(value) <= 1.0
+
+
+def test_covariance_sweep(benchmark):
+    states = [bumps(BASE_POINTS * 2 ** level) for level in range(LEVELS)]
+
+    def sweep():
+        return [float(covariance_residuals(LABELS, LABELS, T, f, g).max())
+                for f, g in states]
+
+    residuals = benchmark(sweep)
+    assert residuals == sorted(residuals, reverse=True)
+    assert residuals[-1] == pytest.approx(residuals[0] / 2 ** (LEVELS - 1),
+                                          rel=0.5)

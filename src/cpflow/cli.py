@@ -61,6 +61,7 @@ from .gauge import (
     single_reachable,
 )
 from .semigroups import (
+    InvalidExperimentError,
     analytic_gram,
     bump_state,
     covariance,
@@ -550,6 +551,13 @@ def main(command, config_path, out_dir, seed):
             raise
         raise ConfigError("invalid config: lambda.values is too short for "
                           "%s: %s" % (command, exc)) from exc
+    except InvalidExperimentError as exc:
+        # the outflow gate: whether the bumps leave the grid within t is
+        # known only once they are evolved
+        if command != "covariance":
+            raise
+        raise ConfigError("invalid config: grid.length is too short for "
+                          "covariance.t: %s" % exc) from exc
     path = rep.write()
     failed = [r["name"] for r in rep.records if not r["pass"]]
     click.echo("report: %s" % path)

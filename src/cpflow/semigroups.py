@@ -15,13 +15,19 @@ involves fed cells reduces, via (S0 f, S0 g) = (f, g), to the pairing of
 the two states one step earlier.  Pairings are therefore computed by a
 joint recursion over the step history instead of from materialized
 boundary vectors.
+
+With the feed symbolic, the transported cells depend on a label z only
+through |z| (the step damping), and a pairing only through its two
+sources, its step count and the scalars (d, feed) of its recursion.  A
+covariance table or Gram matrix therefore costs one evolution per
+distinct damping per state, one outflow sequence, and one recursion per
+distinct (d, feed), bit-identical to pairing label by label.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -171,6 +177,54 @@ def evolve(state: FlowState, z: complex, t: float) -> EvolveResult:
     )
 
 
+def _outflows(a: np.ndarray, b: np.ndarray, steps: int, h: float) -> list:
+    """The outflow sequence of a pairing of sources a and b over steps.
+
+    Step k pushes source cell P-1-k past the right edge of the P cells,
+    so outflow_k = h (a[P-1-k], b[P-1-k]) for k < P and 0 after that.
+    All overlaps of pushed cells come from one batched product of the
+    pushed rows; tests/test_semigroups checks that it rounds exactly as
+    np.vdot of each row pair (an elementwise sum or einsum did not).
+    """
+    first = len(a) - min(steps, len(a))
+    overlaps = (a[first:].conj()[:, None, :] @ b[first:, :, None])[:, 0, 0]
+    return ([h * ov for ov in overlaps[::-1].tolist()]
+            + [0.0] * (steps - len(overlaps)))
+
+
+def _pairer(f: FlowState, g: FlowState):
+    """flow_inner for states evolved from the sources of f and g by the
+    same number of steps as f and g.
+
+    The outflow sequence is built once; the recursion runs once per
+    distinct (d, feed), keyed on their exact bits (0.0 and -0.0 differ).
+    """
+    if f.grid != g.grid:
+        raise IncompatibleStatesError("grid mismatch")
+    if f.steps != g.steps:
+        raise IncompatibleStatesError("step-count mismatch")
+    h = f.grid.spacing
+    if f.steps == 0:
+        return lambda u, v: h * complex(np.vdot(u.cells, v.cells))
+    a, b = f.source_cells, g.source_cells
+    start = h * complex(np.vdot(a, b))
+    outflows = _outflows(a, b, f.steps, h)
+    done = {}
+
+    def pair(u: FlowState, v: FlowState) -> complex:
+        d = UzParams(u.z, h).step_damping * UzParams(v.z, h).step_damping
+        feed = h * np.conj(complex(u.z)) * complex(v.z)
+        key = d.hex(), feed.real.hex(), feed.imag.hex()
+        if key not in done:
+            value = start
+            for ov in outflows:
+                value = d * ((value - ov) + feed * value)
+            done[key] = value
+        return done[key]
+
+    return pair
+
+
 def flow_inner(f: FlowState, g: FlowState) -> complex:
     """(f, g) including the symbolic boundary-feed contributions.
 
@@ -180,56 +234,62 @@ def flow_inner(f: FlowState, g: FlowState) -> complex:
 
         I_k = d_w d_z [ (I_{k-1} - outflow_k) + h conj(w) z I_{k-1} ]
 
-    because fed cells pair through (S0 a, S0 b) = (a, b).  Step k pushes
-    source cell P-1-k past the right edge of the P cells, so
-    outflow_k = h (a0[P-1-k], b0[P-1-k]) for k < P and 0 after that.
-    All overlaps of pushed cells come from one batched product of the
-    pushed rows; tests/test_semigroups checks that it rounds exactly as
-    np.vdot of each row pair (an elementwise sum or einsum did not).
-    The recursion itself stays a scalar loop.
+    because fed cells pair through (S0 a, S0 b) = (a, b); outflow_k is
+    the mass pair that step k pushes past the right edge (_outflows).
+    The recursion itself stays a scalar loop (_pairer).
     """
-    if f.grid != g.grid:
-        raise IncompatibleStatesError("grid mismatch")
-    if f.steps != g.steps:
-        raise IncompatibleStatesError("step-count mismatch")
-    h = f.grid.spacing
-    if f.steps == 0:
-        return h * complex(np.vdot(f.cells, g.cells))
-    a, b = f.source_cells, g.source_cells
-    d = UzParams(f.z, h).step_damping * UzParams(g.z, h).step_damping
-    feed = h * np.conj(complex(f.z)) * complex(g.z)
-    first = len(a) - min(f.steps, len(a))
-    overlaps = (a[first:].conj()[:, None, :] @ b[first:, :, None])[:, 0, 0]
-    outflows = itertools.chain((h * ov for ov in overlaps[::-1].tolist()),
-                               itertools.repeat(0.0, f.steps - len(overlaps)))
-    value = h * complex(np.vdot(a, b))
-    for ov in outflows:
-        value = d * ((value - ov) + feed * value)
-    return value
+    return _pairer(f, g)(f, g)
+
+
+def _evolve_labels(state: FlowState, labels, t: float) -> list:
+    """[evolve(state, z, t).state for z in labels], one evolution per
+    distinct step damping.
+
+    The cells depend on z only through the damping, so a label whose
+    damping has been evolved gets those cells under its own label.  A
+    label that evolve would reject is passed to evolve, so every error
+    fires for every label.
+    """
+    h = state.grid.spacing
+    by_damping = {}
+    out = []
+    for z in map(complex, labels):
+        damping = UzParams(z, h).step_damping
+        if damping in by_damping and (state.steps == 0 or z == state.z):
+            out.append(replace(by_damping[damping], z=z))
+        else:
+            out.append(by_damping.setdefault(damping,
+                                             evolve(state, z, t).state))
+    return out
 
 
 def covariance_residuals(ws, zs, t: float, f: FlowState, g: FlowState,
                          outflow_tolerance: float = 1e-8) -> np.ndarray:
     """[|(U_w(t) f, U_z(t) g) - exp(c(w,z) t) (f, g)|] over w in ws, z in zs.
 
-    Each residual is expected O(h).  f is evolved once per w and g once
-    per z, and (f, g) is paired once, so a len(ws) x len(zs) table costs
-    len(ws) + len(zs) evolutions.
+    Each residual is expected O(h).  The evolved cells depend on a label
+    only through |z| (its step damping), so f and g are evolved once per
+    distinct damping among ws and zs; all pairings share one source pair
+    and one step count, so the table builds one outflow sequence and runs
+    one recursion per distinct (d, feed).  (f, g) is paired once.  The
+    values are bit-identical to pairing each (w, z) from its own pair of
+    evolutions.
     """
     base = flow_inner(f, g)
-    efs = [evolve(f, w, t).state for w in ws]
-    egs = [evolve(g, z, t).state for z in zs]
+    efs = _evolve_labels(f, ws, t)
+    egs = _evolve_labels(g, zs, t)
     outflow = max(e.outflow_mass for e in efs + egs)
     if outflow > outflow_tolerance:
         raise InvalidExperimentError(
             "outflow mass %.3e exceeds the experiment tolerance; enlarge "
             "the grid" % outflow)
+    pair = _pairer(efs[0], egs[0]) if efs and egs else None
     out = np.empty((len(efs), len(egs)))
     for i, (w, ef) in enumerate(zip(ws, efs)):
         t_snapped = (ef.steps - f.steps) * f.grid.spacing
         for j, (z, eg) in enumerate(zip(zs, egs)):
             expected = np.exp(covariance(w, z) * t_snapped) * base
-            out[i, j] = abs(flow_inner(ef, eg) - expected)
+            out[i, j] = abs(pair(ef, eg) - expected)
     return out
 
 
@@ -250,18 +310,6 @@ def semigroup_residual(z: complex, t: float, s: float, f: FlowState) -> float:
     return float(np.sqrt(h) * np.linalg.norm(diff))
 
 
-def isometry_residual(z: complex, t: float, f: FlowState) -> float:
-    """| ||U_z(t) f|| - ||f|| |, the O(h) boundary-feed discretization error.
-
-    c(z, z) = 0 makes U_z(t) an isometry; in the stepper the damping and
-    the boundary feed cancel only to first order in the step size, so this
-    residual measures exactly the boundary-feed discretization and must
-    shrink linearly under grid refinement.
-    """
-    ef = evolve(f, z, t).state
-    return float(abs(ef.norm() - f.norm()))
-
-
 def analytic_gram(zs, t: float) -> np.ndarray:
     """The matrix [exp(c(z_i, z_j) t)], a Gram matrix of evolved units."""
     zs = [complex(v) for v in zs]
@@ -276,17 +324,20 @@ def analytic_gram(zs, t: float) -> np.ndarray:
 def numeric_gram(zs, t: float, f: FlowState) -> np.ndarray:
     """Gram matrix of the evolved states U_{z_i}(t) f from the stepper.
 
+    f is evolved once per distinct step damping among zs and the
+    pairings share one outflow sequence, as in covariance_residuals.
     Pairs each i < j once and fills the lower triangle with conjugates;
     the diagonal keeps the real part of each self-pairing (a squared
     norm), so the matrix is exactly Hermitian.
     """
-    states = [evolve(f, z, t).state for z in zs]
+    states = _evolve_labels(f, zs, t)
+    pair = _pairer(states[0], states[0]) if states else None
     k = len(states)
     out = np.empty((k, k), dtype=complex)
     for i in range(k):
-        out[i, i] = flow_inner(states[i], states[i]).real
+        out[i, i] = pair(states[i], states[i]).real
         for j in range(i + 1, k):
-            out[i, j] = flow_inner(states[i], states[j])
+            out[i, j] = pair(states[i], states[j])
             out[j, i] = out[i, j].conjugate()
     return out
 

@@ -120,8 +120,10 @@ def tail_weight_product(seq: LambdaSequence, start: int) -> float:
     """prod_{i >= start} lambda_i^2 / (1 + lambda_i^2).
 
     For the linear sequence the full product is pi/sinh(pi) and tails are
-    obtained by dividing out the leading factors.  Other kinds are summed
-    numerically until the terms are indistinguishable from 1.
+    obtained by dividing out the leading factors.  The geometric sequence
+    is summed numerically until the terms are indistinguishable from 1.
+    A custom list need not be monotone, so every listed term counts, and
+    the implicit tail behind it is taken as 1 only if its last term is.
     """
     if seq.kind == "linear":
         full = math.pi / math.sinh(math.pi)
@@ -135,7 +137,8 @@ def tail_weight_product(seq: LambdaSequence, start: int) -> float:
         lam2 = seq.value(i) ** 2
         term = lam2 / (1.0 + lam2)
         log_total += math.log(term)
-        if 1.0 - term < 1e-17:
+        if 1.0 - term < 1e-17 and (seq.kind != "custom"
+                                   or i == len(seq.custom_values)):
             return math.exp(log_total)
         i += 1
         if seq.kind == "custom" and i > len(seq.custom_values):

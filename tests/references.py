@@ -21,7 +21,12 @@ from cpflow.gauge import (
 from cpflow.cli import _seq
 from cpflow.halfline import ExpKernelVector, ExpMultiplier, Grid
 from cpflow.opbasis import ChoiVerdict, MatrixModel, choi_min_eig
-from cpflow.semigroups import evolve, flow_inner
+from cpflow.semigroups import (
+    InvalidExperimentError,
+    covariance,
+    evolve,
+    flow_inner,
+)
 from cpflow.tensorspace import ProductVector, TensorOperator, reference_state
 from cpflow.weights import (
     BoundaryWeight,
@@ -201,6 +206,57 @@ def full_numeric_gram(zs, t: float, f) -> np.ndarray:
     """Gram matrix pairing all k^2 evolved states; numeric_gram pairs i <= j."""
     states = [evolve(f, z, t).state for z in zs]
     return np.array([[flow_inner(u, v) for v in states] for u in states])
+
+
+def covariance_residuals_by_label(ws, zs, t: float, f, g,
+                                  outflow_tolerance: float = 1e-8):
+    """semigroups.covariance_residuals evolving f once per w and g once per
+    z, and pairing each (w, z) with its own flow_inner call.
+
+    semigroups.covariance_residuals evolves once per distinct step
+    damping and runs the pairing recursion once per distinct (d, feed).
+    """
+    base = flow_inner(f, g)
+    efs = [evolve(f, w, t).state for w in ws]
+    egs = [evolve(g, z, t).state for z in zs]
+    outflow = max(e.outflow_mass for e in efs + egs)
+    if outflow > outflow_tolerance:
+        raise InvalidExperimentError(
+            "outflow mass %.3e exceeds the experiment tolerance; enlarge "
+            "the grid" % outflow)
+    out = np.empty((len(efs), len(egs)))
+    for i, (w, ef) in enumerate(zip(ws, efs)):
+        t_snapped = (ef.steps - f.steps) * f.grid.spacing
+        for j, (z, eg) in enumerate(zip(zs, egs)):
+            expected = np.exp(covariance(w, z) * t_snapped) * base
+            out[i, j] = abs(flow_inner(ef, eg) - expected)
+    return out
+
+
+def numeric_gram_by_label(zs, t: float, f) -> np.ndarray:
+    """semigroups.numeric_gram with one evolution and one flow_inner call
+    per label and per pair i <= j."""
+    states = [evolve(f, z, t).state for z in zs]
+    k = len(states)
+    out = np.empty((k, k), dtype=complex)
+    for i in range(k):
+        out[i, i] = flow_inner(states[i], states[i]).real
+        for j in range(i + 1, k):
+            out[i, j] = flow_inner(states[i], states[j])
+            out[j, i] = out[i, j].conjugate()
+    return out
+
+
+def isometry_residual(z: complex, t: float, f) -> float:
+    """| ||U_z(t) f|| - ||f|| |, the O(h) boundary-feed discretization error.
+
+    c(z, z) = 0 makes U_z(t) an isometry; in the stepper the damping and
+    the boundary feed cancel only to first order in the step size, so this
+    residual measures exactly the boundary-feed discretization and must
+    shrink linearly under grid refinement.
+    """
+    ef = evolve(f, z, t).state
+    return float(abs(ef.norm() - f.norm()))
 
 
 def series_by_shifting(rho, element, cfg, n_factors, z=1.0) -> SeriesValue:

@@ -8,7 +8,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from cpflow import cornercheck, opbasis
+from cpflow import cornercheck, opbasis, semigroups
 from cpflow.cli import (
     COMMANDS,
     DEFAULT_CONFIG,
@@ -16,10 +16,12 @@ from cpflow.cli import (
     Reporter,
     load_config,
     main,
+    run_covariance,
     run_delta,
     run_weights_unitality,
 )
 from cpflow.opbasis import MatrixModel
+from cpflow.semigroups import InvalidExperimentError
 from cpflow.tensorspace import TruncationExceededError
 
 FAST_CONFIG = {
@@ -464,6 +466,57 @@ GOLDEN_DELTA = [
 ]
 
 
+class TestCovariancePipeline:
+    # per level and bump: labels 0, 1 and 1j, 1+1j have three step
+    # dampings; then numeric_gram's three and semigroup_residual's three
+    @pytest.mark.parametrize("refinements, evolutions", [(3, 24), (6, 42)])
+    def test_one_evolution_per_damping(self, monkeypatch, tmp_path,
+                                       refinements, evolutions):
+        calls = []
+        evolve = semigroups.evolve
+
+        def counted(state, z, t):
+            calls.append(z)
+            return evolve(state, z, t)
+
+        monkeypatch.setattr(semigroups, "evolve", counted)
+        path = tmp_path / "covariance.yaml"
+        path.write_text(yaml.safe_dump(
+            {"covariance": {"refinements": refinements}}))
+        result = run_cli(["covariance", "--config", str(path), "--out",
+                          str(tmp_path / "o")])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == evolutions
+
+
+# bumps that leave the grid within covariance.t
+OUTFLOW_CONFIGS = [{"covariance": {"t": 7.9}}, {"grid": {"length": 3.0}}]
+
+
+class TestOutflowGate:
+    @pytest.mark.parametrize("override", OUTFLOW_CONFIGS)
+    def test_cli_reports_config_error(self, tmp_path, override):
+        path = tmp_path / "outflow.yaml"
+        path.write_text(yaml.safe_dump(override))
+        result = CliRunner().invoke(
+            main, ["covariance", "--config", str(path), "--out",
+                   str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "invalid config: grid.length" in result.output
+        assert "covariance.t" in result.output
+        assert "outflow mass" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("override", OUTFLOW_CONFIGS)
+    def test_runner_still_raises(self, tmp_path, override):
+        path = tmp_path / "outflow.yaml"
+        path.write_text(yaml.safe_dump(override))
+        cfg = load_config(str(path))
+        rep = Reporter("covariance", cfg, tmp_path / "o")
+        with pytest.raises(InvalidExperimentError, match="outflow mass"):
+            run_covariance(cfg, rep, np.random.default_rng(0))
+
+
 class TestDeltaOracle:
     def test_linear_report_pinned(self, tmp_path):
         out = tmp_path / "out"
@@ -493,6 +546,22 @@ class TestDeltaOracle:
         assert limit == pytest.approx(math.prod(
             4.0 ** i / (1.0 + 4.0 ** i) for i in range(1, 60)), rel=1e-15)
         assert limit < level
+
+    def test_custom_sequence_limit_takes_every_listed_value(self, tmp_path):
+        # not monotone: the first value has settled, later ones have not
+        values = [1.0e9] + [float(i) for i in range(2, 21)] + [1.0e9]
+        path = tmp_path / "custom.yaml"
+        path.write_text(yaml.safe_dump(
+            {"lambda": {"kind": "custom", "values": values}}))
+        out = tmp_path / "out"
+        result = run_cli(["delta", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        records = {r["name"]: r for r in load_report(out, "delta")["records"]}
+        assert all(r["pass"] for r in records.values())
+        limit = records["limit-reference"]["expected"]
+        assert limit == pytest.approx(math.prod(
+            v * v / (1.0 + v * v) for v in values), rel=1e-14)
+        assert limit == pytest.approx(0.5712, abs=1e-4)
 
 
 # custom lambda sequences that parse but are too short for delta

@@ -11,6 +11,7 @@ from cpflow.semigroups import (
     IncompatibleStatesError,
     InvalidExperimentError,
     UzParams,
+    _evolve_labels,
     analytic_gram,
     bump_state,
     covariance,
@@ -18,12 +19,16 @@ from cpflow.semigroups import (
     evolve,
     flow_inner,
     gram_min_eig,
-    isometry_residual,
     numeric_gram,
     refinement_orders,
     semigroup_residual,
 )
-from references import full_numeric_gram
+from references import (
+    covariance_residuals_by_label,
+    full_numeric_gram,
+    isometry_residual,
+    numeric_gram_by_label,
+)
 
 LABELS = [0.0, 1.0, 1j, 1 + 1j]
 
@@ -287,6 +292,98 @@ class TestCovarianceResiduals:
         f, g = (far, near) if leaking == "f" else (near, far)
         with pytest.raises(InvalidExperimentError, match="outflow mass"):
             covariance_residuals(LABELS, LABELS, 3.0, f, g)
+
+
+# equal moduli with different phases share a step damping; 0.0 and -0.0j
+# share it too but give feeds whose zeros differ in sign; e^{i pi/4} is
+# not exactly on the unit circle, yet |z|^2 rounds to 1.0, while 1 + 1e-9
+# has a damping of its own that a tolerance would merge with label 1's
+ORACLE_LABELS = [1.0, 1j, -1.0, -1j, 0.0, -0.0j, np.exp(0.25j * np.pi),
+                 1 + 1e-9, 1 + 1j]
+
+
+def random_states(points, dim_k, seed):
+    grid = Grid(8.0, points)
+    rng = np.random.default_rng(seed)
+    return [FlowState(grid, rng.normal(size=(points, dim_k))
+                      + 1j * rng.normal(size=(points, dim_k)))
+            for _ in range(2)]
+
+
+def assert_evolved_per_label(f, labels, t):
+    """_evolve_labels gives each label the state evolve gives it.
+
+    The tables read the evolved cells only through the outflow gate (the
+    pairing recursion runs from the sources), so the states are compared
+    directly."""
+    for state, z in zip(_evolve_labels(f, labels, t), labels):
+        ref = evolve(f, z, t).state
+        np.testing.assert_array_equal(state.cells, ref.cells)
+        assert state.outflow_mass == ref.outflow_mass
+        assert (state.steps, state.z) == (ref.steps, ref.z)
+        assert state.source_cells is ref.source_cells
+
+
+class TestMatchesPerLabelReference:
+    """covariance_residuals and numeric_gram evolve once per step damping
+    and recurse once per (d, feed); the per-label bodies in references are
+    the old path, and the tables must agree bit for bit."""
+
+    # (50, 12.0): more steps than cells
+    @pytest.mark.parametrize("points, t", [(50, 1.0), (50, 12.0),
+                                           (1600, 1.0)])
+    @pytest.mark.parametrize("dim_k", [1, 2, 3])
+    def test_tables_bit_identical(self, points, t, dim_k):
+        f, g = random_states(points, dim_k, points + dim_k)
+        ws = ORACLE_LABELS[::-1]
+        # the outflow of random states is O(1): no gate here
+        table = covariance_residuals(ws, ORACLE_LABELS, t, f, g, np.inf)
+        assert np.array_equal(table, covariance_residuals_by_label(
+            ws, ORACLE_LABELS, t, f, g, np.inf))
+        assert np.array_equal(numeric_gram(ORACLE_LABELS, t, f),
+                              numeric_gram_by_label(ORACLE_LABELS, t, f))
+        assert_evolved_per_label(f, ORACLE_LABELS, t)
+
+    @pytest.mark.parametrize("dim_k", [1, 2, 3])
+    @pytest.mark.parametrize("w, z", [(0.0, -0.0j), (1j, 1j),
+                                      (1 + 1j, 0.0)])
+    def test_continued_states_bit_identical(self, dim_k, w, z):
+        f, g = random_states(50, dim_k, 7 * dim_k)
+        f, g = evolve(f, w, 2.5).state, evolve(g, z, 2.5).state
+        assert f.steps > 0
+        # labels equal to the state's own (0.0 == -0.0j) may continue it
+        ws = [w, complex(w).conjugate() if w == 0 else w]
+        zs = [z, z, -z if z == 0 else z]
+        for t in (0.0, 1.0, 12.0):
+            assert np.array_equal(
+                covariance_residuals(ws, zs, t, f, g, np.inf),
+                covariance_residuals_by_label(ws, zs, t, f, g, np.inf))
+            assert np.array_equal(numeric_gram(ws, t, f),
+                                  numeric_gram_by_label(ws, t, f))
+            assert_evolved_per_label(f, ws, t)
+            assert_evolved_per_label(g, zs, t)
+
+    # 1j has the step damping of label 1, so without the check the second
+    # label would reuse the first one's cells instead of being rejected
+    @pytest.mark.parametrize("labels", [[1.0, 1j], [1.0, -1.0], [0.0, 1.0]])
+    def test_label_switch_rejected_for_every_label(self, labels):
+        f, g = random_states(50, 1, 3)
+        fed = evolve(f, labels[0], 0.5).state
+        for table in (covariance_residuals, covariance_residuals_by_label):
+            with pytest.raises(IncompatibleStatesError):
+                table([labels[0]], labels, 1.0, evolve(g, labels[0],
+                                                       0.5).state, fed)
+        for gram in (numeric_gram, numeric_gram_by_label):
+            with pytest.raises(IncompatibleStatesError):
+                gram(labels, 1.0, fed)
+
+    @pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
+    def test_bad_time_rejected(self, t):
+        f, g = random_states(50, 1, 4)
+        with pytest.raises(InvalidExperimentError):
+            covariance_residuals(LABELS, LABELS, t, f, g)
+        with pytest.raises(InvalidExperimentError):
+            numeric_gram(LABELS, t, f)
 
 
 class TestCovarianceResidual:

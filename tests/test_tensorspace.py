@@ -68,6 +68,23 @@ class TestTailWeight:
         val = tail_weight_product(geom, 1)
         assert 0.0 < val < 1.0
 
+    def test_custom_takes_every_listed_value(self):
+        # a settled term before unsettled ones does not end the product
+        values = (1e9, 2.0, 3.0, 1e9)
+        seq = LambdaSequence("custom", values)
+        for start in (1, 2, 4):
+            assert tail_weight_product(seq, start) == pytest.approx(
+                np.prod([v * v / (1.0 + v * v) for v in values[start - 1:]]),
+                rel=1e-15)
+
+    def test_custom_unsettled_last_value_rejected(self):
+        seq = LambdaSequence("custom", (1e9, 2.0, 3.0))
+        for start in (1, 3):
+            with pytest.raises(TruncationExceededError, match="settles"):
+                tail_weight_product(seq, start)
+        with pytest.raises(TruncationExceededError, match="index 4"):
+            tail_weight_product(seq, 4)
+
 
 class TestProductVector:
     def test_reference_state_norm(self):
