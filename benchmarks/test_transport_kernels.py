@@ -20,6 +20,7 @@ from cpflow.semigroups import (
     covariance_residuals,
     evolve,
     flow_inner,
+    numeric_gram,
 )
 
 LABELS = [0.0, 1.0, 1j, 1 + 1j]
@@ -45,6 +46,12 @@ def test_flow_inner(benchmark):
     ef, eg = evolve(f, 1.0, T).state, evolve(g, 1j, T).state
     value = benchmark(flow_inner, ef, eg)
     assert abs(value) <= 1.0
+
+
+def test_numeric_gram(benchmark):
+    f, _ = bumps(6400)
+    gram = benchmark(numeric_gram, LABELS, T, f)
+    assert gram.shape == (len(LABELS), len(LABELS))
 
 
 def test_covariance_sweep(benchmark):

@@ -9,7 +9,6 @@ reports modulo timestamps.
 
 from __future__ import annotations
 
-import cmath
 import copy
 import json
 import math
@@ -125,7 +124,7 @@ def _parses(convert, values) -> bool:
     try:
         for value in values:
             convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return False
     return True
 
@@ -201,12 +200,13 @@ def _validate(cfg: dict) -> list[str]:
             and 0 < v < math.inf for v in values)):
         errors.append("lambda.values must be a list of finite positive "
                       "numbers")
+    # the step damping exp(-|z|^2 h / 2) needs |z|^2 as a finite float
     labels = cfg["covariance"]["labels"]
     if not isinstance(labels, list) or not labels \
-            or not _parses(_label, labels) \
-            or not all(cmath.isfinite(_label(v)) for v in labels):
+            or not _parses(_modulus_squared, labels) \
+            or not all(math.isfinite(_modulus_squared(v)) for v in labels):
         errors.append("covariance.labels must be a non-empty list of "
-                      "finite complex numbers")
+                      "complex numbers with a finite squared modulus")
     # a cut at the top edge keeps no cell: every boundary representation
     # there is the zero map and passes any CP check
     cuts = cfg["corner"]["cut_levels"]
@@ -247,6 +247,10 @@ def _seq(cfg: dict) -> LambdaSequence:
 
 def _label(value) -> complex:
     return complex(str(value).replace(" ", ""))
+
+
+def _modulus_squared(value) -> float:
+    return abs(_label(value)) ** 2
 
 
 class Reporter:

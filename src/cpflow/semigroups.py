@@ -16,18 +16,17 @@ the two states one step earlier.  Pairings are therefore computed by a
 joint recursion over the step history instead of from materialized
 boundary vectors.
 
-With the feed symbolic, the transported cells depend on a label z only
-through |z| (the step damping), and a pairing only through its two
-sources, its step count and the scalars (d, feed) of its recursion.  A
-covariance table or Gram matrix therefore costs one evolution per
-distinct damping per state, one outflow sequence, and one recursion per
-distinct (d, feed), bit-identical to pairing label by label.
+With the feed symbolic, a pairing depends only on its two sources, its
+step count and the scalars (d, feed) of its recursion.  A covariance
+table or Gram matrix therefore pairs straight from the sources, with one
+outflow sequence and one recursion per distinct (d, feed), bit-identical
+to evolving and pairing label by label; only the outflow gate evolves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,6 +120,24 @@ class EvolveResult:
     snap_distance: float
 
 
+def _step_count(state: FlowState, labels, t: float) -> int:
+    """The steps evolve(state, z, t) takes for each z in labels, after
+    evolve's checks on t, on t/h and on the labels."""
+    if not math.isfinite(t):
+        raise InvalidExperimentError("evolution time must be finite")
+    if t < 0:
+        raise InvalidExperimentError("evolution time must be nonnegative")
+    if state.steps > 0 and any(complex(z) != state.z for z in labels):
+        raise IncompatibleStatesError(
+            "a state carrying feed history can only continue under the "
+            "same unit label")
+    steps = t / state.grid.spacing
+    if not math.isfinite(steps):
+        raise InvalidExperimentError(
+            "evolution time %r is too large for the grid spacing" % t)
+    return int(round(steps))
+
+
 def evolve(state: FlowState, z: complex, t: float) -> EvolveResult:
     """Apply U_z(t) by whole-cell transport steps.
 
@@ -144,17 +161,9 @@ def evolve(state: FlowState, z: complex, t: float) -> EvolveResult:
     read from the pushed cells after the loop with one reduction and
     added up in push order.
     """
-    if not math.isfinite(t):
-        raise InvalidExperimentError("evolution time must be finite")
-    if t < 0:
-        raise InvalidExperimentError("evolution time must be nonnegative")
+    n_steps = _step_count(state, [z], t)
     z = complex(z)
-    if state.steps > 0 and z != state.z:
-        raise IncompatibleStatesError(
-            "a state carrying feed history can only continue under the "
-            "same unit label")
     h = state.grid.spacing
-    n_steps = int(round(t / h))
     snap = abs(t - n_steps * h)
     damping = UzParams(z, h).step_damping
     src = state.cells.copy(order="C")
@@ -192,9 +201,9 @@ def _outflows(a: np.ndarray, b: np.ndarray, steps: int, h: float) -> list:
             + [0.0] * (steps - len(overlaps)))
 
 
-def _pairer(f: FlowState, g: FlowState):
-    """flow_inner for states evolved from the sources of f and g by the
-    same number of steps as f and g.
+def _pairer(f: FlowState, g: FlowState, extra: int):
+    """pair(w, z) = flow_inner(evolve(f, w, .), evolve(g, z, .)) for the
+    evolutions of f and g by extra more steps, read from the sources.
 
     The outflow sequence is built once; the recursion runs once per
     distinct (d, feed), keyed on their exact bits (0.0 and -0.0 differ).
@@ -204,16 +213,17 @@ def _pairer(f: FlowState, g: FlowState):
     if f.steps != g.steps:
         raise IncompatibleStatesError("step-count mismatch")
     h = f.grid.spacing
-    if f.steps == 0:
-        return lambda u, v: h * complex(np.vdot(u.cells, v.cells))
-    a, b = f.source_cells, g.source_cells
+    steps = f.steps + extra
+    a, b = (f.source_cells, g.source_cells) if steps else (f.cells, g.cells)
     start = h * complex(np.vdot(a, b))
-    outflows = _outflows(a, b, f.steps, h)
+    if not steps:
+        return lambda w, z: start
+    outflows = _outflows(a, b, steps, h)
     done = {}
 
-    def pair(u: FlowState, v: FlowState) -> complex:
-        d = UzParams(u.z, h).step_damping * UzParams(v.z, h).step_damping
-        feed = h * np.conj(complex(u.z)) * complex(v.z)
+    def pair(w: complex, z: complex) -> complex:
+        d = UzParams(w, h).step_damping * UzParams(z, h).step_damping
+        feed = h * np.conj(complex(w)) * complex(z)
         key = d.hex(), feed.real.hex(), feed.imag.hex()
         if key not in done:
             value = start
@@ -238,58 +248,43 @@ def flow_inner(f: FlowState, g: FlowState) -> complex:
     the mass pair that step k pushes past the right edge (_outflows).
     The recursion itself stays a scalar loop (_pairer).
     """
-    return _pairer(f, g)(f, g)
-
-
-def _evolve_labels(state: FlowState, labels, t: float) -> list:
-    """[evolve(state, z, t).state for z in labels], one evolution per
-    distinct step damping.
-
-    The cells depend on z only through the damping, so a label whose
-    damping has been evolved gets those cells under its own label.  A
-    label that evolve would reject is passed to evolve, so every error
-    fires for every label.
-    """
-    h = state.grid.spacing
-    by_damping = {}
-    out = []
-    for z in map(complex, labels):
-        damping = UzParams(z, h).step_damping
-        if damping in by_damping and (state.steps == 0 or z == state.z):
-            out.append(replace(by_damping[damping], z=z))
-        else:
-            out.append(by_damping.setdefault(damping,
-                                             evolve(state, z, t).state))
-    return out
+    return _pairer(f, g, 0)(f.z, g.z)
 
 
 def covariance_residuals(ws, zs, t: float, f: FlowState, g: FlowState,
                          outflow_tolerance: float = 1e-8) -> np.ndarray:
     """[|(U_w(t) f, U_z(t) g) - exp(c(w,z) t) (f, g)|] over w in ws, z in zs.
 
-    Each residual is expected O(h).  The evolved cells depend on a label
-    only through |z| (its step damping), so f and g are evolved once per
-    distinct damping among ws and zs; all pairings share one source pair
-    and one step count, so the table builds one outflow sequence and runs
-    one recursion per distinct (d, feed).  (f, g) is paired once.  The
+    Each residual is expected O(h).  The pairings read only the sources
+    and the step count, so the table builds one outflow sequence and runs
+    one recursion per distinct (d, feed); (f, g) is paired once.  The
     values are bit-identical to pairing each (w, z) from its own pair of
     evolutions.
+
+    The outflow gate evolves each state once, under its label with the
+    largest step damping: a larger damping never rounds a cell to a
+    smaller modulus, so that outflow is the largest over the labels.
     """
     base = flow_inner(f, g)
-    efs = _evolve_labels(f, ws, t)
-    egs = _evolve_labels(g, zs, t)
-    outflow = max(e.outflow_mass for e in efs + egs)
+    steps = _step_count(f, ws, t)
+    _step_count(g, zs, t)
+    h = f.grid.spacing
+
+    def damping(z):
+        return UzParams(z, h).step_damping
+
+    outflow = max(evolve(s, max(labels, key=damping), t).state.outflow_mass
+                  for s, labels in ((f, ws), (g, zs)) if labels)
     if outflow > outflow_tolerance:
         raise InvalidExperimentError(
             "outflow mass %.3e exceeds the experiment tolerance; enlarge "
             "the grid" % outflow)
-    pair = _pairer(efs[0], egs[0]) if efs and egs else None
-    out = np.empty((len(efs), len(egs)))
-    for i, (w, ef) in enumerate(zip(ws, efs)):
-        t_snapped = (ef.steps - f.steps) * f.grid.spacing
-        for j, (z, eg) in enumerate(zip(zs, egs)):
-            expected = np.exp(covariance(w, z) * t_snapped) * base
-            out[i, j] = abs(pair(ef, eg) - expected)
+    pair = _pairer(f, g, steps)
+    out = np.empty((len(ws), len(zs)))
+    for i, w in enumerate(ws):
+        for j, z in enumerate(zs):
+            expected = np.exp(covariance(w, z) * (steps * h)) * base
+            out[i, j] = abs(pair(w, z) - expected)
     return out
 
 
@@ -324,20 +319,19 @@ def analytic_gram(zs, t: float) -> np.ndarray:
 def numeric_gram(zs, t: float, f: FlowState) -> np.ndarray:
     """Gram matrix of the evolved states U_{z_i}(t) f from the stepper.
 
-    f is evolved once per distinct step damping among zs and the
-    pairings share one outflow sequence, as in covariance_residuals.
-    Pairs each i < j once and fills the lower triangle with conjugates;
-    the diagonal keeps the real part of each self-pairing (a squared
-    norm), so the matrix is exactly Hermitian.
+    Nothing is evolved: the pairings read the source and the step count
+    and share one outflow sequence, as in covariance_residuals.  Pairs
+    each i < j once and fills the lower triangle with conjugates; the
+    diagonal keeps the real part of each self-pairing (a squared norm),
+    so the matrix is exactly Hermitian.
     """
-    states = _evolve_labels(f, zs, t)
-    pair = _pairer(states[0], states[0]) if states else None
-    k = len(states)
+    pair = _pairer(f, f, _step_count(f, zs, t))
+    k = len(zs)
     out = np.empty((k, k), dtype=complex)
     for i in range(k):
-        out[i, i] = pair(states[i], states[i]).real
+        out[i, i] = pair(zs[i], zs[i]).real
         for j in range(i + 1, k):
-            out[i, j] = pair(states[i], states[j])
+            out[i, j] = pair(zs[i], zs[j])
             out[j, i] = out[i, j].conjugate()
     return out
 

@@ -156,6 +156,8 @@ class TestCommands:
          "lambda.values must be a list of finite positive numbers"),
         ({"covariance": {"labels": [0.0, "nan"]}}, "covariance.labels"),
         ({"covariance": {"labels": ["1+infj"]}}, "covariance.labels"),
+        # |z|^2 overflows a float: the step damping cannot be formed
+        ({"covariance": {"labels": ["1e155", "1"]}}, "covariance.labels"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, override, message):
         path = tmp_path / "bad.yaml"
@@ -467,9 +469,9 @@ GOLDEN_DELTA = [
 
 
 class TestCovariancePipeline:
-    # per level and bump: labels 0, 1 and 1j, 1+1j have three step
-    # dampings; then numeric_gram's three and semigroup_residual's three
-    @pytest.mark.parametrize("refinements, evolutions", [(3, 24), (6, 42)])
+    # per level, the outflow gate evolves each bump once (the tables pair
+    # from the sources); then semigroup_residual's three
+    @pytest.mark.parametrize("refinements, evolutions", [(3, 9), (6, 15)])
     def test_one_evolution_per_damping(self, monkeypatch, tmp_path,
                                        refinements, evolutions):
         calls = []
@@ -505,6 +507,17 @@ class TestOutflowGate:
         assert "invalid config: grid.length" in result.output
         assert "covariance.t" in result.output
         assert "outflow mass" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    # t / h overflows to inf: no step count exists
+    def test_huge_time_is_config_error(self, tmp_path):
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump({"covariance": {"t": 1.0e308}}))
+        result = CliRunner().invoke(
+            main, ["covariance", "--config", str(path), "--out",
+                   str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "covariance.t" in result.output
         assert isinstance(result.exception, SystemExit)
 
     @pytest.mark.parametrize("override", OUTFLOW_CONFIGS)

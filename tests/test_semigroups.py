@@ -11,7 +11,6 @@ from cpflow.semigroups import (
     IncompatibleStatesError,
     InvalidExperimentError,
     UzParams,
-    _evolve_labels,
     analytic_gram,
     bump_state,
     covariance,
@@ -310,24 +309,10 @@ def random_states(points, dim_k, seed):
             for _ in range(2)]
 
 
-def assert_evolved_per_label(f, labels, t):
-    """_evolve_labels gives each label the state evolve gives it.
-
-    The tables read the evolved cells only through the outflow gate (the
-    pairing recursion runs from the sources), so the states are compared
-    directly."""
-    for state, z in zip(_evolve_labels(f, labels, t), labels):
-        ref = evolve(f, z, t).state
-        np.testing.assert_array_equal(state.cells, ref.cells)
-        assert state.outflow_mass == ref.outflow_mass
-        assert (state.steps, state.z) == (ref.steps, ref.z)
-        assert state.source_cells is ref.source_cells
-
-
 class TestMatchesPerLabelReference:
-    """covariance_residuals and numeric_gram evolve once per step damping
-    and recurse once per (d, feed); the per-label bodies in references are
-    the old path, and the tables must agree bit for bit."""
+    """covariance_residuals and numeric_gram pair from the sources and
+    recurse once per (d, feed); the per-label bodies in references evolve
+    and pair label by label, and the tables must agree bit for bit."""
 
     # (50, 12.0): more steps than cells
     @pytest.mark.parametrize("points, t", [(50, 1.0), (50, 12.0),
@@ -342,7 +327,6 @@ class TestMatchesPerLabelReference:
             ws, ORACLE_LABELS, t, f, g, np.inf))
         assert np.array_equal(numeric_gram(ORACLE_LABELS, t, f),
                               numeric_gram_by_label(ORACLE_LABELS, t, f))
-        assert_evolved_per_label(f, ORACLE_LABELS, t)
 
     @pytest.mark.parametrize("dim_k", [1, 2, 3])
     @pytest.mark.parametrize("w, z", [(0.0, -0.0j), (1j, 1j),
@@ -360,8 +344,6 @@ class TestMatchesPerLabelReference:
                 covariance_residuals_by_label(ws, zs, t, f, g, np.inf))
             assert np.array_equal(numeric_gram(ws, t, f),
                                   numeric_gram_by_label(ws, t, f))
-            assert_evolved_per_label(f, ws, t)
-            assert_evolved_per_label(g, zs, t)
 
     # 1j has the step damping of label 1, so without the check the second
     # label would reuse the first one's cells instead of being rejected
@@ -384,6 +366,59 @@ class TestMatchesPerLabelReference:
             covariance_residuals(LABELS, LABELS, t, f, g)
         with pytest.raises(InvalidExperimentError):
             numeric_gram(LABELS, t, f)
+
+
+def gate_message(table, *args):
+    """The outflow-gate message table(*args) raises, or None."""
+    try:
+        table(*args)
+    except InvalidExperimentError as exc:
+        return str(exc)
+    return None
+
+
+class TestOutflowGateParity:
+    """covariance_residuals evolves each state once, under its label with
+    the largest step damping; the reference evolves every label.  A larger
+    damping never rounds to a smaller outflow, so the gates must fire
+    together, with the same message, right at the reference's maximum."""
+
+    @pytest.mark.parametrize("continued", [False, True])
+    @pytest.mark.parametrize("leaking", ["f", "g"])
+    def test_gate_fires_with_reference(self, continued, leaking):
+        grid = Grid(8.0, 200)
+        near, edge = bump_state(grid, 3.0, 0.4), bump_state(grid, 6.5, 0.3)
+        f, g = (edge, near) if leaking == "f" else (near, edge)
+        # no label 0: every damping loop runs; the largest damping (1, 1j)
+        # is not listed first
+        ws = [1 + 1j, 1 + 1e-9, 1.0, 1j]
+        zs = ws[::-1]
+        if continued:
+            f, g = evolve(f, 1 + 1e-9, 0.3).state, evolve(g, 1j, 0.3).state
+            ws, zs = [1 + 1e-9, 1 + 1e-9], [1j]
+        worst = max(evolve(s, z, 1.0).state.outflow_mass
+                    for s, labels in ((f, ws), (g, zs)) for z in labels)
+        assert worst > 1e-6
+        for tol in (np.nextafter(worst, 0.0), worst):
+            args = (ws, zs, 1.0, f, g, tol)
+            message = gate_message(covariance_residuals, *args)
+            assert message == gate_message(covariance_residuals_by_label,
+                                           *args)
+            assert (message is None) == (tol == worst)
+        assert np.array_equal(covariance_residuals(*args),
+                              covariance_residuals_by_label(*args))
+
+
+class TestHugeTime:
+    # t / h overflows to inf, so there is no step count
+    def test_every_entry_point_raises(self):
+        f = bump_state(Grid(8.0, 200), 3.0, 0.4)
+        with pytest.raises(InvalidExperimentError, match="too large"):
+            evolve(f, 1.0, 1e308)
+        with pytest.raises(InvalidExperimentError, match="too large"):
+            covariance_residuals(LABELS, LABELS, 1e308, f, f)
+        with pytest.raises(InvalidExperimentError, match="too large"):
+            numeric_gram(LABELS, 1e308, f)
 
 
 class TestCovarianceResidual:
