@@ -61,6 +61,7 @@ from .gauge import (
 )
 from .semigroups import (
     InvalidExperimentError,
+    StepCountError,
     analytic_gram,
     bump_state,
     covariance,
@@ -207,6 +208,13 @@ def _validate(cfg: dict) -> list[str]:
             or not all(math.isfinite(_modulus_squared(v)) for v in labels):
         errors.append("covariance.labels must be a non-empty list of "
                       "complex numbers with a finite squared modulus")
+    else:
+        # 2 conj(w) z - |w|^2 - |z|^2 may still overflow
+        zs = [_label(v) for v in labels]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not all(np.isfinite(covariance(w, z)) for w in zs for z in zs):
+                errors.append("covariance.labels must have a finite "
+                              "covariance c(w, z) for every pair")
     # a cut at the top edge keeps no cell: every boundary representation
     # there is the zero map and passes any CP check
     cuts = cfg["corner"]["cut_levels"]
@@ -551,17 +559,21 @@ def main(command, config_path, out_dir, seed):
         COMMANDS[command](cfg, rep, rng)
     except TruncationExceededError as exc:
         # how many values a command reads is known only once it runs
-        if cfg["lambda"]["kind"] != "custom":
+        kind = cfg["lambda"]["kind"]
+        if kind == "linear":
             raise
-        raise ConfigError("invalid config: lambda.values is too short for "
-                          "%s: %s" % (command, exc)) from exc
+        setting = ("lambda.values is too short" if kind == "custom"
+                   else "lambda.kind=geometric overflows")
+        raise ConfigError("invalid config: %s for %s: %s"
+                          % (setting, command, exc)) from exc
     except InvalidExperimentError as exc:
         # the outflow gate: whether the bumps leave the grid within t is
-        # known only once they are evolved
+        # known only once they are evolved (so is a t / h that overflows)
         if command != "covariance":
             raise
-        raise ConfigError("invalid config: grid.length is too short for "
-                          "covariance.t: %s" % exc) from exc
+        setting = ("covariance.t" if isinstance(exc, StepCountError)
+                   else "grid.length is too short for covariance.t")
+        raise ConfigError("invalid config: %s: %s" % (setting, exc)) from exc
     path = rep.write()
     failed = [r["name"] for r in rep.records if not r["pass"]]
     click.echo("report: %s" % path)

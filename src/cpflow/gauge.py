@@ -11,12 +11,11 @@ exp(lambda t), where the rate lambda depends on the branch:
 
 All rates are stored per unit time so composition is additive.
 
-The composition law is cross-validated against sequential action.  The
-printed form of the law carries two sign slips (the i Im(conj(c) b') term
-and the r correction); compose() uses the action-consistent signs, which
-are the only ones keeping Re(y) >= 0 closed under composition, and
-compose_printed() keeps the literal form so the discrepancy can be
-reported with a reproducer.
+compose() uses the action-consistent signs of the composition law, the
+only ones keeping Re(y) >= 0 closed under composition.  The printed form
+carries two sign slips (the i Im(conj(c) b') term and the r correction),
+so it misses sequential action by the rate gap 2i Im(conj(c) b') - r,
+which the symbolic tests prove and formula_discrepancy_report states.
 """
 
 from __future__ import annotations
@@ -34,9 +33,7 @@ class InvalidParameterError(ValueError):
 
 GENERAL = "general-contractive"
 UNITARY = "unitary"
-ISOMETRIC = "isometric"
 FLOW = "flow"
-RAW = "raw"  # unvalidated container, used only for cross-checking formulas
 
 _TOL = 1e-12
 
@@ -54,7 +51,6 @@ class GaugeParam:
     c: complex = 0.0
     y: complex = 0.0
     klass: str = GENERAL
-    relax_isometric: bool = False
 
     def __post_init__(self):
         for name in ("a", "b", "c", "y"):
@@ -68,24 +64,20 @@ class GaugeParam:
 
     def validate(self):
         a, b, c, y = self.a, self.b, self.c, self.y
-        if self.klass == RAW:
-            return
-        # the invariants of every validated class
+        # the invariants of every class
         modulus = abs(a)
         top = _largest(modulus)
         if top > 1.0 + _TOL:
             raise InvalidParameterError("|a| must not exceed 1")
         if _least(y.real) < -_TOL:
             raise InvalidParameterError("Re(y) must be nonnegative")
-        if self.klass in (UNITARY, ISOMETRIC):
+        if self.klass == UNITARY:
             if _largest(abs(modulus - 1.0)) > _TOL:
-                raise InvalidParameterError("%s class needs |a| = 1" % self.klass)
+                raise InvalidParameterError("unitary class needs |a| = 1")
             if _largest(abs(a * c + b)) > _TOL:
-                raise InvalidParameterError("%s class needs ac + b = 0" % self.klass)
-            if not self.relax_isometric and _largest(abs(y.real)) > _TOL:
-                raise InvalidParameterError(
-                    "%s class needs Re(y) = 0 (set relax_isometric to allow "
-                    "Re(y) >= 0)" % self.klass)
+                raise InvalidParameterError("unitary class needs ac + b = 0")
+            if _largest(abs(y.real)) > _TOL:
+                raise InvalidParameterError("unitary class needs Re(y) = 0")
         elif self.klass == FLOW:
             if max(_largest(abs(b)), _largest(abs(c)),
                    _largest(abs(y))) > _TOL:
@@ -281,17 +273,15 @@ def first_discrepancy(rng: np.random.Generator, n: int, sample_zs):
 
 
 def _composed_class(g: GaugeParam, gp: GaugeParam) -> str:
-    if g.klass == gp.klass and g.klass in (UNITARY, ISOMETRIC, FLOW):
+    if g.klass == gp.klass and g.klass in (UNITARY, FLOW):
         return g.klass
     return GENERAL
 
 
-def _composed(g: GaugeParam, gp: GaugeParam, sign: int) -> tuple:
-    """(a'', b'', c'', y'') of C C' with
-        y'' = y + y' + sign (r / 2 - i Im(conj(c) b')).
-    """
-    y2 = g.y + gp.y + sign * (0.5 * r_term(g, gp)
-                              - 1j * (g.c.conjugate() * gp.b).imag)
+def _composed(g: GaugeParam, gp: GaugeParam) -> tuple:
+    """(a'', b'', c'', y'') of C C' by the law of compose()."""
+    y2 = g.y + gp.y + (0.5 * r_term(g, gp)
+                       - 1j * (g.c.conjugate() * gp.b).imag)
     return g.a * gp.a, g.a * gp.b + g.b, gp.a.conjugate() * g.c + gp.c, y2
 
 
@@ -303,28 +293,18 @@ def compose(g: GaugeParam, gp: GaugeParam) -> GaugeParam:
     which sequential application of act() forces and which keep
     Re(y'') >= 0 (r >= 0).
     """
-    return GaugeParam(*_composed(g, gp, 1), klass=_composed_class(g, gp),
-                      relax_isometric=g.relax_isometric or gp.relax_isometric)
+    return GaugeParam(*_composed(g, gp), klass=_composed_class(g, gp))
 
 
-def compose_printed(g: GaugeParam, gp: GaugeParam) -> GaugeParam:
-    """The composition law in its literal printed form,
-        y'' = y + y' + i Im(conj(c) b') - r / 2,
-    kept for cross-validation; see formula_discrepancy_report.
-    """
-    return GaugeParam(*_composed(g, gp, -1), klass=RAW)
-
-
-def action_composition_residual(g: GaugeParam, gp: GaugeParam, sample_zs,
-                                law=compose):
-    """Oracle: compare the composition law against sequential action.
+def action_composition_residual(g: GaugeParam, gp: GaugeParam, sample_zs):
+    """Oracle: compare compose() against sequential action.
 
     Returns the max over sampled z of the exponent mismatch plus the label
     mismatch; the label part vanishes identically for the affine law.  All
     labels go through one act() call per side; for column blocks g, gp
     the result is the array of per-member residuals.
     """
-    composed = law(g, gp)
+    composed = compose(g, gp)
     z = np.asarray(sample_zs, complex)
     first = act(gp, z)
     second = act(g, first.new_label)
@@ -338,14 +318,14 @@ def action_composition_residual(g: GaugeParam, gp: GaugeParam, sample_zs,
 
 def formula_discrepancy_report(g: GaugeParam, gp: GaugeParam,
                                sample_zs) -> dict:
-    """Machine-readable comparison of the two composition-law variants.
+    """Machine-readable comparison of compose() with the printed law.
 
-    Contains the oracle residual of each variant and a reproducer (the
-    parameter tuples and sample labels).
+    Contains the oracle residual of compose(), the printed law's proven
+    rate gap |r - 2i Im(conj(c) b')| (its action residual at any label),
+    and a reproducer (the parameter tuples and sample labels).
     """
-    res_used = action_composition_residual(g, gp, sample_zs, law=compose)
-    res_printed = action_composition_residual(g, gp, sample_zs,
-                                              law=compose_printed)
+    res_used = action_composition_residual(g, gp, sample_zs)
+    res_printed = abs(r_term(g, gp) - 2j * (g.c.conjugate() * gp.b).imag)
     def tup(p):
         return [[p.a.real, p.a.imag], [p.b.real, p.b.imag],
                 [p.c.real, p.c.imag], [p.y.real, p.y.imag]]
@@ -429,7 +409,7 @@ def _draw(rng: np.random.Generator, klass: str) -> tuple:
     uniform, normal = rng.random, rng.standard_normal
     if klass == FLOW:
         return uniform() * cmath.exp(_TWO_PI_I * uniform()), 0j, 0j, 0j
-    if klass in (UNITARY, ISOMETRIC):
+    if klass == UNITARY:
         a = cmath.exp(_TWO_PI_I * uniform())
         b = complex(normal(), normal())
         return a, b, -a.conjugate() * b, 1j * normal()
@@ -454,7 +434,7 @@ def _draw_block(rng: np.random.Generator, klass: str, k: int) -> tuple:
         u = rng.random((2, k))
         zero = np.zeros(k, complex)
         return u[0] * np.exp(_TWO_PI_I * u[1]), zero, zero, zero
-    if klass in (UNITARY, ISOMETRIC):
+    if klass == UNITARY:
         u = rng.random((1, k))
         normal = rng.standard_normal((3, k))
         a = np.exp(_TWO_PI_I * u[0])
@@ -492,6 +472,6 @@ def _general_pairs(rng: np.random.Generator, n: int):
 
 def random_param(rng: np.random.Generator, klass: str = GENERAL) -> GaugeParam:
     """A random parameter of the class; an unknown class draws nothing."""
-    if klass not in (FLOW, UNITARY, ISOMETRIC, GENERAL):
+    if klass not in (FLOW, UNITARY, GENERAL):
         raise InvalidParameterError("unknown class %r" % (klass,))
     return GaugeParam(*_draw(rng, klass), klass=klass)

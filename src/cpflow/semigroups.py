@@ -37,6 +37,10 @@ class InvalidExperimentError(ValueError):
     """An experiment violates its stated preconditions (e.g. outflow)."""
 
 
+class StepCountError(InvalidExperimentError):
+    """An evolution time has no finite step count t / h on the grid."""
+
+
 class IncompatibleStatesError(ValueError):
     """Two flow states cannot be combined (grid, label or step mismatch)."""
 
@@ -133,7 +137,7 @@ def _step_count(state: FlowState, labels, t: float) -> int:
             "same unit label")
     steps = t / state.grid.spacing
     if not math.isfinite(steps):
-        raise InvalidExperimentError(
+        raise StepCountError(
             "evolution time %r is too large for the grid spacing" % t)
     return int(round(steps))
 

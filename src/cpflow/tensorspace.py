@@ -65,6 +65,9 @@ class LambdaSequence:
         if self.kind == "linear":
             return float(i)
         if self.kind == "geometric":
+            if i >= 512:  # 2^(2i) overflows a float
+                raise TruncationExceededError(
+                    "geometric sequence value 2^%d has no finite square" % i)
             return float(2.0 ** i)
         if i > len(self.custom_values):
             raise TruncationExceededError(

@@ -11,7 +11,6 @@ import numpy as np
 from cpflow.gauge import (
     FLOW,
     GENERAL,
-    ISOMETRIC,
     UNITARY,
     GaugeParam,
     InvalidParameterError,
@@ -154,7 +153,7 @@ def random_param_reference(rng: np.random.Generator,
 
     gauge.random_param draws the same stream through bound methods.
     """
-    if klass not in (FLOW, UNITARY, ISOMETRIC, GENERAL):
+    if klass not in (FLOW, UNITARY, GENERAL):
         raise InvalidParameterError("unknown class %r" % (klass,))
 
     def cplx(scale=1.0):
@@ -163,11 +162,11 @@ def random_param_reference(rng: np.random.Generator,
     if klass == FLOW:
         return GaugeParam(rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform()),
                           klass=FLOW)
-    if klass in (UNITARY, ISOMETRIC):
+    if klass == UNITARY:
         a = np.exp(2j * np.pi * rng.uniform())
         b = cplx()
         return GaugeParam(a, b, -np.conj(a) * b, 1j * rng.normal(),
-                          klass=klass)
+                          klass=UNITARY)
     a = rng.uniform(0, 0.95) * np.exp(2j * np.pi * rng.uniform())
     return GaugeParam(a, cplx(), cplx(), complex(rng.uniform(0, 2),
                                                  rng.normal()))
@@ -195,8 +194,9 @@ def act_reference(g: GaugeParam, z: complex) -> UnitAction:
 
 
 def composed_reference(g: GaugeParam, gp: GaugeParam, sign: int) -> tuple:
-    """(a'', b'', c'', y'') of gauge.compose (sign 1) or compose_printed
-    (sign -1) in numpy scalar arithmetic."""
+    """(a'', b'', c'', y'') of gauge.compose (sign 1) or of the literal
+    printed law y'' = y + y' + i Im(conj(c) b') - r / 2 (sign -1), in
+    numpy scalar arithmetic."""
     y2 = g.y + gp.y + sign * (0.5 * r_term(g, gp)
                               - 1j * (np.conj(g.c) * gp.b).imag)
     return g.a * gp.a, g.a * gp.b + g.b, np.conj(gp.a) * g.c + gp.c, y2

@@ -158,6 +158,9 @@ class TestCommands:
         ({"covariance": {"labels": ["1+infj"]}}, "covariance.labels"),
         # |z|^2 overflows a float: the step damping cannot be formed
         ({"covariance": {"labels": ["1e155", "1"]}}, "covariance.labels"),
+        # |z|^2 is finite, but c(z, z) overflows in 2 conj(z) z
+        ({"covariance": {"labels": ["1e154", "1"]}}, "covariance.labels"),
+        ({"covariance": {"labels": ["1", "-1e154j"]}}, "covariance.labels"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, override, message):
         path = tmp_path / "bad.yaml"
@@ -509,7 +512,19 @@ class TestOutflowGate:
         assert "outflow mass" in result.output
         assert isinstance(result.exception, SystemExit)
 
-    # t / h overflows to inf: no step count exists
+    def test_outflow_message_pinned(self, tmp_path):
+        path = tmp_path / "outflow.yaml"
+        path.write_text(yaml.safe_dump(
+            {"covariance": {"labels": ["1", "2j"], "t": 7.9}}))
+        result = CliRunner().invoke(
+            main, ["covariance", "--config", str(path), "--out",
+                   str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert ("Error: invalid config: grid.length is too short for "
+                "covariance.t: outflow mass 1.206e-02 exceeds the "
+                "experiment tolerance; enlarge the grid\n") in result.output
+
+    # t / h overflows to inf: no step count exists, whatever grid.length
     def test_huge_time_is_config_error(self, tmp_path):
         path = tmp_path / "huge.yaml"
         path.write_text(yaml.safe_dump({"covariance": {"t": 1.0e308}}))
@@ -517,8 +532,22 @@ class TestOutflowGate:
             main, ["covariance", "--config", str(path), "--out",
                    str(tmp_path / "o")])
         assert result.exit_code == 2, result.output
-        assert "covariance.t" in result.output
+        assert "invalid config: covariance.t" in result.output
+        assert "grid.length" not in result.output
         assert isinstance(result.exception, SystemExit)
+
+    def test_largest_overflow_free_labels_run(self, tmp_path):
+        # every c(w, z) is finite; the grid cannot resolve |z|^2 h, so
+        # the refinement order check may fail, but without a config error
+        path = tmp_path / "labels.yaml"
+        path.write_text(yaml.safe_dump(
+            {"covariance": {"labels": ["1e153", "1"]}}))
+        out = tmp_path / "o"
+        result = CliRunner().invoke(
+            main, ["covariance", "--config", str(path), "--out", str(out)])
+        assert result.exit_code in (0, 1), result.output
+        assert "invalid config" not in result.output
+        assert load_report(out, "covariance")["records"]
 
     @pytest.mark.parametrize("override", OUTFLOW_CONFIGS)
     def test_runner_still_raises(self, tmp_path, override):
@@ -575,6 +604,35 @@ class TestDeltaOracle:
         assert limit == pytest.approx(math.prod(
             v * v / (1.0 + v * v) for v in values), rel=1e-14)
         assert limit == pytest.approx(0.5712, abs=1e-4)
+
+
+class TestGeometricOverflow:
+    """lambda_i = 2^i squared overflows a float from i = 512 on."""
+
+    @pytest.mark.parametrize("command, override", [
+        ("delta", {"delta": {"levels": 511}}),
+        ("weights-unitality", {"tensor": {"factors": 600}}),
+    ])
+    def test_cli_reports_config_error(self, tmp_path, command, override):
+        path = tmp_path / "geometric.yaml"
+        path.write_text(yaml.safe_dump(
+            dict(override, **{"lambda": {"kind": "geometric"}})))
+        result = CliRunner().invoke(
+            main, [command, "--config", str(path), "--out",
+                   str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "invalid config: lambda.kind" in result.output
+        assert "2^512" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_last_overflow_free_level_runs(self, tmp_path):
+        path = tmp_path / "geometric.yaml"
+        path.write_text(yaml.safe_dump(
+            {"delta": {"levels": 510}, "lambda": {"kind": "geometric"}}))
+        out = tmp_path / "o"
+        result = run_cli(["delta", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert load_report(out, "delta")["all_pass"]
 
 
 # custom lambda sequences that parse but are too short for delta

@@ -1,5 +1,7 @@
 """Gauge parameter algebra: action, adjoints, composition, transitivity."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,6 @@ from cpflow import gauge
 from cpflow.gauge import (
     FLOW,
     GENERAL,
-    ISOMETRIC,
     UNITARY,
     GaugeParam,
     InvalidParameterError,
@@ -18,7 +19,6 @@ from cpflow.gauge import (
     adjoint,
     associativity_sweep,
     compose,
-    compose_printed,
     first_discrepancy,
     formula_discrepancy_report,
     pair_reachable,
@@ -78,12 +78,12 @@ class TestValidation:
 
     def test_isometric_follows_print(self):
         with pytest.raises(InvalidParameterError):
-            GaugeParam(1.0, 1.0, -1.0, 0.5, klass=ISOMETRIC)
+            GaugeParam(1.0, 1.0, -1.0, 0.5, klass=UNITARY)
 
     def test_isometric_relax_switch(self):
-        g = GaugeParam(1.0, 1.0, -1.0, 0.5, klass=ISOMETRIC,
-                       relax_isometric=True)
-        assert g.y == 0.5
+        # |a| = 1 with Re(y) > 0 is a general parameter
+        g = GaugeParam(1.0, 1.0, -1.0, 0.5)
+        assert (g.klass, g.y) == (GENERAL, 0.5)
 
     def test_flow_constraint(self):
         with pytest.raises(InvalidParameterError):
@@ -197,7 +197,7 @@ class TamperedGenerator:
 
 
 class TestDraws:
-    @pytest.mark.parametrize("klass", [GENERAL, UNITARY, ISOMETRIC, FLOW])
+    @pytest.mark.parametrize("klass", [GENERAL, UNITARY, FLOW])
     @pytest.mark.parametrize("seed", [2024, 7])
     def test_same_stream_as_reference(self, klass, seed):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -222,10 +222,9 @@ class TestDraws:
         FLOW: ("((0.6239266120103004+0.7761039897656865j), 0j, 0j, 0j)",
                0.07872553376199898),
     }
-    PINNED[ISOMETRIC] = PINNED[UNITARY]
 
     @pytest.mark.parametrize("draw", [random_param, random_param_reference])
-    @pytest.mark.parametrize("klass", [GENERAL, UNITARY, ISOMETRIC, FLOW])
+    @pytest.mark.parametrize("klass", [GENERAL, UNITARY, FLOW])
     def test_known_class_stream_pinned(self, draw, klass):
         rng = np.random.default_rng(2024)
         g = [draw(rng, klass) for _ in range(3)][-1]
@@ -318,8 +317,7 @@ class FixedGenerator:
 
 def member(g, i):
     """Member i of a block, rebuilt as a plain parameter."""
-    return GaugeParam(g.a[i], g.b[i], g.c[i], g.y[i], klass=g.klass,
-                      relax_isometric=g.relax_isometric)
+    return GaugeParam(g.a[i], g.b[i], g.c[i], g.y[i], klass=g.klass)
 
 
 class TestBlocks:
@@ -415,7 +413,7 @@ class TestBlocks:
         assert first_discrepancy(np.random.default_rng(0), 7, ZS) is None
         assert calls == [GENERAL] * 14
 
-    @pytest.mark.parametrize("klass", [GENERAL, UNITARY, ISOMETRIC, FLOW])
+    @pytest.mark.parametrize("klass", [GENERAL, UNITARY, FLOW])
     def test_block_draw_uses_the_scalar_formulas(self, klass):
         rng = np.random.default_rng(3)
         k = 500
@@ -567,7 +565,7 @@ class TestNearUnitCircle:
 
 
 class TestPlainComplexArithmetic:
-    @pytest.mark.parametrize("klass", [GENERAL, UNITARY, ISOMETRIC, FLOW])
+    @pytest.mark.parametrize("klass", [GENERAL, UNITARY, FLOW])
     @pytest.mark.parametrize("seed", [2024, 7, 11])
     def test_same_values_as_numpy_scalars(self, klass, seed):
         rng = np.random.default_rng(seed)
@@ -577,10 +575,8 @@ class TestPlainComplexArithmetic:
             out, ref = act(g, z), act_reference(g, z)
             assert (out.new_label, out.exponent_rate) \
                 == (ref.new_label, ref.exponent_rate)
-            for law, sign in ((compose, 1), (compose_printed, -1)):
-                h = law(g, gp)
-                assert (h.a, h.b, h.c, h.y) \
-                    == composed_reference(g, gp, sign)
+            h = compose(g, gp)
+            assert (h.a, h.b, h.c, h.y) == composed_reference(g, gp, 1)
 
 
 class TestActionOracle:
@@ -615,8 +611,44 @@ class TestActionOracle:
     def test_printed_law_agrees_when_terms_vanish(self):
         g = GaugeParam(0.5, 0.0, 0.0, 0.0)
         gp = GaugeParam(0.25, 0.0, 0.0, 0.0)
-        assert action_composition_residual(g, gp, ZS,
-                                           law=compose_printed) < 1e-12
+        report = formula_discrepancy_report(g, gp, ZS)
+        assert report["residual_printed"] == 0
+        assert not report["discrepant"]
+
+
+def printed_law_residual(g, gp, zs):
+    """The literal printed law's action residual, by sequential action:
+    act(C C') against act(C) after act(C') at every label."""
+    printed = SimpleNamespace(on_unit_circle=False, **dict(
+        zip("abcy", composed_reference(g, gp, -1))))
+    z = np.asarray(zs, complex)
+    first = act(gp, z)
+    second = act(g, first.new_label)
+    direct = act(printed, z)
+    return float((abs(second.new_label - direct.new_label)
+                  + abs(first.exponent_rate + second.exponent_rate
+                        - direct.exponent_rate)).max())
+
+
+class TestPrintedGap:
+    """The report's closed-form gap is the printed law's measured residual."""
+
+    @pytest.mark.parametrize("seed", [2024, 7, 11])
+    def test_first_discrepancy(self, seed):
+        report = first_discrepancy(np.random.default_rng(seed), 200, ZS)
+        g, gp = (GaugeParam(*(complex(*part) for part in report[
+            "reproducer"][key])) for key in ("g", "g_prime"))
+        measured = printed_law_residual(g, gp, ZS)
+        assert abs(measured - report["residual_printed"]) \
+            <= 1e-12 * measured
+
+    def test_seeded_general_pairs(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(200):
+            g, gp = random_param(rng), random_param(rng)
+            measured = printed_law_residual(g, gp, ZS)
+            gap = formula_discrepancy_report(g, gp, ZS)["residual_printed"]
+            assert abs(measured - gap) <= 1e-12 * measured
 
 
 class TestTransitivity:

@@ -1,5 +1,7 @@
 """Truncated tensor products, shifts and the limit-operator pairing."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +69,13 @@ class TestTailWeight:
         geom = LambdaSequence("geometric")
         val = tail_weight_product(geom, 1)
         assert 0.0 < val < 1.0
+
+    def test_geometric_ends_where_its_square_overflows(self):
+        geom = LambdaSequence("geometric")
+        assert geom.value(511) == 2.0 ** 511
+        assert math.isfinite(geom.value(511) ** 2)
+        with pytest.raises(TruncationExceededError, match="2\\^512"):
+            geom.value(512)
 
     def test_custom_takes_every_listed_value(self):
         # a settled term before unsettled ones does not end the product
