@@ -25,6 +25,7 @@ from .tensorspace import (
     LambdaSequence,
     TruncationExceededError,
     delta_pairing,
+    has_rate,
     reference_state,
     tail_weight_product,
 )
@@ -60,6 +61,7 @@ from .gauge import (
     single_reachable,
 )
 from .semigroups import (
+    CoarseGridError,
     InvalidExperimentError,
     StepCountError,
     analytic_gram,
@@ -196,11 +198,14 @@ def _validate(cfg: dict) -> list[str]:
     values = cfg["lambda"]["values"]
     if cfg["lambda"]["kind"] == "custom" and not values:
         errors.append("lambda.kind=custom requires lambda.values")
+    # the reference rate lambda^2 / 2 must neither overflow nor underflow
     if values is not None and not (isinstance(values, list) and all(
             isinstance(v, (int, float)) and not isinstance(v, bool)
-            and 0 < v < math.inf for v in values)):
+            and 0 < v and _parses(float, [v])
+            and has_rate(float(v)) for v in values)):
         errors.append("lambda.values must be a list of finite positive "
-                      "numbers")
+                      "numbers whose squares and halved squares are "
+                      "positive finite floats")
     # the step damping exp(-|z|^2 h / 2) needs |z|^2 as a finite float
     labels = cfg["covariance"]["labels"]
     if not isinstance(labels, list) or not labels \
@@ -568,11 +573,16 @@ def main(command, config_path, out_dir, seed):
                           % (setting, command, exc)) from exc
     except InvalidExperimentError as exc:
         # the outflow gate: whether the bumps leave the grid within t is
-        # known only once they are evolved (so is a t / h that overflows)
+        # known only once they are evolved (so is a t / h that overflows,
+        # and a grid whose cells miss the bumps)
         if command != "covariance":
             raise
-        setting = ("covariance.t" if isinstance(exc, StepCountError)
-                   else "grid.length is too short for covariance.t")
+        if isinstance(exc, StepCountError):
+            setting = "covariance.t"
+        elif isinstance(exc, CoarseGridError):
+            setting = "grid.points is too few for grid.length"
+        else:
+            setting = "grid.length is too short for covariance.t"
         raise ConfigError("invalid config: %s: %s" % (setting, exc)) from exc
     path = rep.write()
     failed = [r["name"] for r in rep.records if not r["pass"]]

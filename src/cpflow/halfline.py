@@ -1,11 +1,11 @@
 """Single-particle calculus on L2(0, infinity).
 
 Functions are finite combinations of decaying exponentials, for which
-inner products and the canonical maps (multiplication by e^{-x}, the
-damped translation average, the boundary expectation) all have closed
-forms.  Grid is the cell-midpoint grid on [0, L); gamma_grid is the
-damped translation average of a matrix on it, and grid functions under
-transport are semigroups.FlowState.
+inner products and the canonical maps (multiplication by e^{-x} and the
+damped translation average) have closed forms.  Grid is the
+cell-midpoint grid on [0, L); gamma_grid is the damped translation
+average of a matrix on it, and grid functions under transport are
+semigroups.FlowState.
 
 Every analytic closed form reduces to inner_product, the one place where
 the exponential kernel sum_{jk} conj(c_j) d_k / (conj(mu_j) + nu_k) is
@@ -17,7 +17,7 @@ into the coefficients of a single vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class ExpKernelVector:
     def __add__(self, other: "ExpKernelVector") -> "ExpKernelVector":
         return ExpKernelVector(self.terms + other.terms)
 
-    def scaled(self, c: complex) -> "ExpKernelVector":
-        return ExpKernelVector([(c * a, mu) for a, mu in self.terms])
-
     def shifted(self, delta: complex) -> "ExpKernelVector":
         """Multiply pointwise by exp(-delta x), i.e. add delta to each rate."""
         return ExpKernelVector([(a, mu + delta) for a, mu in self.terms])
@@ -71,9 +68,6 @@ class ExpKernelVector:
         for c, mu in self.terms:
             out += c * np.exp(-mu * x)
         return out
-
-    def norm(self) -> float:
-        return float(np.sqrt(inner_product(self, self).real))
 
 
 def _coefficient(c):
@@ -224,16 +218,6 @@ def reference_vector(lam: float) -> ExpKernelVector:
     return ExpKernelVector([(lam, 0.5 * lam * lam)])
 
 
-BOUNDARY_KERNEL = ExpKernelVector([(1.0, 0.5)])
-"""Unit vector q(x) = exp(-x/2) used for the boundary expectation.
-
-The defining identities (value 1 on the identity, factor 1/2 against
-multiplication by exp(-x), factor exp(-t) under translation conjugation)
-single out this kernel; source texts for this construction disagree on
-the printed expression, and the identity-preserving choice is used here.
-"""
-
-
 # ---------------------------------------------------------------------------
 # operators in kernel form
 # ---------------------------------------------------------------------------
@@ -245,9 +229,6 @@ class HalfLineOperator:
         """Return (u, A v)."""
         raise NotImplementedError
 
-    def adjoint(self) -> "HalfLineOperator":
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class IdentityOperator(HalfLineOperator):
@@ -256,17 +237,11 @@ class IdentityOperator(HalfLineOperator):
     def matrix_element(self, u, v):
         return inner_product(u, v)
 
-    def adjoint(self):
-        return self
-
 
 @dataclass(frozen=True)
 class ZeroOperator(HalfLineOperator):
     def matrix_element(self, u, v):
         return 0.0 + 0.0j
-
-    def adjoint(self):
-        return self
 
 
 @dataclass(frozen=True)
@@ -277,9 +252,6 @@ class ExpMultiplier(HalfLineOperator):
 
     def matrix_element(self, u, v):
         return inner_product(u, v.shifted(self.rate))
-
-    def adjoint(self):
-        return ExpMultiplier(np.conj(self.rate))
 
 
 @dataclass(frozen=True)
@@ -298,9 +270,6 @@ class RankOneSum(HalfLineOperator):
         for bra, ket, w in self.parts:
             total += w * inner_product(u, ket) * inner_product(bra, v)
         return total
-
-    def adjoint(self):
-        return RankOneSum([(ket, bra, np.conj(w)) for bra, ket, w in self.parts])
 
 
 @dataclass(frozen=True)
@@ -332,9 +301,6 @@ class GammaImage(HalfLineOperator):
         raise UnsupportedRepresentationError(
             "damped translation average needs identity or rank-one-sum input; "
             "use the grid quadrature path for matrix data")
-
-    def adjoint(self):
-        return GammaImage(self.source.adjoint())
 
 
 def _weighted(f: ExpKernelVector, g: ExpKernelVector) -> ExpKernelVector:
@@ -387,21 +353,6 @@ def gamma_grid(a: np.ndarray, grid: "Grid", t_cut: float = 40.0) -> np.ndarray:
         if i >= steps:
             out[i, steps:] -= cut * a[i - steps, : n - steps]
     return out
-
-
-def phi_functional(rho: Callable, a_h: HalfLineOperator | None = None,
-                   a_k=None) -> complex:
-    """Boundary expectation of a product operator against a functional.
-
-    rho is a callable functional on the tensor-space part (rho(None) must
-    give the value on the identity); a_h is the half-line factor of the
-    operator and a_k its tensor-space factor.  The half-line factor is
-    contracted against the boundary kernel q(x) = exp(-x/2).
-    """
-    if a_h is None:
-        a_h = IdentityOperator()
-    q = BOUNDARY_KERNEL
-    return a_h.matrix_element(q, q) * rho(a_k)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ to evolving and pairing label by label; only the outflow gate evolves.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,10 @@ class InvalidExperimentError(ValueError):
 
 class StepCountError(InvalidExperimentError):
     """An evolution time has no finite step count t / h on the grid."""
+
+
+class CoarseGridError(InvalidExperimentError):
+    """A grid whose cells hold none of a state's mass."""
 
 
 class IncompatibleStatesError(ValueError):
@@ -112,7 +117,12 @@ def bump_state(grid: Grid, center: float, width: float,
     """A normalized Gaussian bump in the first K-coordinate channel."""
     x = grid.midpoints
     profile = np.exp(-0.5 * ((x - center) / width) ** 2)
-    profile /= np.sqrt(grid.spacing) * np.linalg.norm(profile)
+    norm = np.sqrt(grid.spacing) * np.linalg.norm(profile)
+    if not norm > 0.0:
+        raise CoarseGridError(
+            "the bump at %r is zero at every midpoint of the %d-point "
+            "grid on [0, %r)" % (center, grid.points, grid.length))
+    profile /= norm
     cells = np.zeros((grid.points, dim_k), dtype=complex)
     cells[:, 0] = profile
     return FlowState(grid, cells)
@@ -126,7 +136,8 @@ class EvolveResult:
 
 def _step_count(state: FlowState, labels, t: float) -> int:
     """The steps evolve(state, z, t) takes for each z in labels, after
-    evolve's checks on t, on t/h and on the labels."""
+    evolve's checks on t, on t/h (finite, and small enough to index) and
+    on the labels."""
     if not math.isfinite(t):
         raise InvalidExperimentError("evolution time must be finite")
     if t < 0:
@@ -136,7 +147,7 @@ def _step_count(state: FlowState, labels, t: float) -> int:
             "a state carrying feed history can only continue under the "
             "same unit label")
     steps = t / state.grid.spacing
-    if not math.isfinite(steps):
+    if not math.isfinite(steps) or round(steps) > sys.maxsize:
         raise StepCountError(
             "evolution time %r is too large for the grid spacing" % t)
     return int(round(steps))

@@ -3,9 +3,9 @@
 States keep N explicit exponential-kernel factors and an implicit tail of
 reference vectors k_i(x) = lambda_i exp(-lambda_i^2 x / 2).  Operators are
 finite sums of elementary tensors with a declared behaviour (identity or
-damping by exp(-x)) on all slots past their explicit factors.  The shift
-isometry, the induced endomorphism pi, and the limit operator Delta are
-realised on this truncation.
+damping by exp(-x)) on all slots past their explicit factors.  The
+down-shift of states, the induced endomorphism pi, and the limit
+operator Delta are realised on this truncation.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .halfline import (
     ExpMultiplier,
     HalfLineOperator,
     IdentityOperator,
-    RankOneSum,
     inner_product,
     reference_vector,
 )
@@ -57,6 +56,10 @@ class LambdaSequence:
                 raise InvalidSequenceError("custom sequence is empty")
             if any(v <= 0 for v in vals):
                 raise InvalidSequenceError("scales must be strictly positive")
+            if not all(has_rate(v) for v in vals):
+                raise InvalidSequenceError(
+                    "scales must have a positive finite square and rate "
+                    "lambda^2 / 2")
             object.__setattr__(self, "custom_values", vals)
 
     def value(self, i: int) -> float:
@@ -76,6 +79,12 @@ class LambdaSequence:
 
     def reference(self, i: int) -> ExpKernelVector:
         return reference_vector(self.value(i))
+
+
+def has_rate(lam: float) -> bool:
+    """Whether lambda^2 and the reference rate lambda^2 / 2 are positive
+    finite floats, as reference_vector and tail_weight_product form them."""
+    return 0.0 < lam * lam < math.inf and 0.5 * lam * lam > 0.0
 
 
 @dataclass(frozen=True)
@@ -204,26 +213,6 @@ def product_inner(f: ProductVector, g: ProductVector) -> complex:
     return total
 
 
-@dataclass(frozen=True)
-class ShiftResult:
-    vector: ProductVector
-    fidelity: float
-
-
-def s0_apply(v: ProductVector, h: ExpKernelVector) -> ShiftResult:
-    """Shift the half-line factor h into slot one.
-
-    The old last factor leaves the truncation window; the reported fidelity
-    |(f_N, k_N)| measures how close it was to the reference it displaces.
-    """
-    if v.width == 0:
-        raise TruncationExceededError("no factors to shift")
-    k_last = v.seq.reference(v.width)
-    fid = abs(inner_product(v.factors[-1], k_last))
-    new = (h,) + v.factors[:-1]
-    return ShiftResult(ProductVector(v.seq, new, v.tail_start), fid)
-
-
 # ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
@@ -267,11 +256,6 @@ class TensorOperator:
 
     def __add__(self, other: "TensorOperator") -> "TensorOperator":
         return TensorOperator(self.terms + other.terms)
-
-    def adjoint(self) -> "TensorOperator":
-        return TensorOperator(
-            [(np.conj(c), tuple(op.adjoint() for op in f), t)
-             for c, f, t in self.terms])
 
 
 def identity_operator() -> TensorOperator:
@@ -326,51 +310,6 @@ def pi_apply(h_op: HalfLineOperator, k_op: TensorOperator,
         raise TruncationExceededError("no room to shift the factors up")
     return TensorOperator(
         [(c, (h_op,) + f, t) for c, f, t in k_op.terms])
-
-
-def _compose_factor(x: HalfLineOperator, y: HalfLineOperator) -> HalfLineOperator:
-    """Pointwise operator product for the closed factor classes."""
-    if isinstance(x, IdentityOperator):
-        return y
-    if isinstance(y, IdentityOperator):
-        return x
-    if isinstance(x, ExpMultiplier) and isinstance(y, ExpMultiplier):
-        return ExpMultiplier(x.rate + y.rate)
-    if isinstance(x, ExpMultiplier) and isinstance(y, RankOneSum):
-        return RankOneSum([(bra, ket.shifted(x.rate), w)
-                           for bra, ket, w in y.parts])
-    if isinstance(x, RankOneSum) and isinstance(y, ExpMultiplier):
-        return RankOneSum([(bra.shifted(np.conj(y.rate)), ket, w)
-                           for bra, ket, w in x.parts])
-    if isinstance(x, RankOneSum) and isinstance(y, RankOneSum):
-        parts = []
-        for bra1, ket1, w1 in x.parts:
-            for bra2, ket2, w2 in y.parts:
-                parts.append((bra2, ket1, w1 * w2 * inner_product(bra1, ket2)))
-        return RankOneSum(parts)
-    raise TypeError("cannot compose %r with %r" % (type(x), type(y)))
-
-
-def multiply(a: TensorOperator, b: TensorOperator) -> TensorOperator:
-    """Product of two tensor operators, composed slot by slot."""
-    out = []
-    for ca, fa, ta in a.terms:
-        for cb, fb, tb in b.terms:
-            width = max(len(fa), len(fb))
-            factors = []
-            for i in range(width):
-                xa = fa[i] if i < len(fa) else _TAIL_OPS[ta]
-                xb = fb[i] if i < len(fb) else _TAIL_OPS[tb]
-                factors.append(_compose_factor(xa, xb))
-            if ta == "identity" and tb == "identity":
-                tail: TailKind = "identity"
-            elif {ta, tb} == {"identity", "damping"}:
-                tail = "damping"
-            else:
-                raise TypeError("product of two damping tails leaves the "
-                                "closed operator class")
-            out.append((ca * cb, tuple(factors), tail))
-    return TensorOperator(out)
 
 
 # ---------------------------------------------------------------------------

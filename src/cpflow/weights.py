@@ -10,15 +10,14 @@ for which the series telescopes and the tail has a closed form.
 
 The series reads the orbit from a table per rank-one term: for each
 distinct slot operator (identity, damping, and those of the target) one
-column of matrix elements (bra_s, op ket_s) per absolute slot s, grown
-by one reference slot per shift; the damping column gives the shift
-weights.  Every value multiplies the entries in the order
-tensorspace.pairing does, so it equals the pairing of the shifted
-functional bit for bit (tests/references.py keeps that loop as
-series_by_shifting), and a custom sequence that runs out raises at the
-same shift.  Entries between reference vectors depend only on the
-sequences, the index and the operator, and are memoised in bounded
-tables.  Functional.__call__, delta_value and shifted stay on pairing:
+list of matrix elements (bra_s, op ket_s) per absolute slot s, filled
+for the explicit slots when the term is built and grown by one reference
+slot per shift; the damping list gives the shift weights.  Every value
+multiplies the entries in the order tensorspace.pairing does, so it
+equals the pairing of the shifted functional bit for bit
+(tests/references.py keeps that loop as series_by_shifting), and a
+custom sequence that runs out raises at the same shift.
+Functional.__call__, delta_value and shifted stay on pairing:
 they give the independent side of the checked identities (rho(I) and
 rho(Delta) in weights-unitality) and the decay curve.
 
@@ -35,7 +34,6 @@ round differently in the last place).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -50,7 +48,6 @@ from .halfline import (
 from .tensorspace import (
     _TAIL_OPS,
     _check_aligned,
-    LambdaSequence,
     ProductVector,
     TensorOperator,
     TruncationExceededError,
@@ -109,9 +106,6 @@ class Functional:
             a = identity_operator()
         return sum((w * pairing(bra, a, ket) for w, ket, bra in self.terms),
                    0.0 + 0.0j)
-
-    def scaled(self, c: complex) -> "Functional":
-        return Functional([(c * w, k, b) for w, k, b in self.terms])
 
     def __add__(self, other: "Functional") -> "Functional":
         return Functional(self.terms + other.terms)
@@ -209,42 +203,6 @@ class SeriesValue:
     exact_tail: bool
 
 
-class _Column:
-    """Matrix elements (bra_s, op ket_s) of one slot operator of one term.
-
-    vals[s - start] holds absolute slot s; refs is the shared memo of the
-    operator's entries between reference vectors.
-    """
-
-    __slots__ = ("op", "start", "vals", "refs")
-
-    def __init__(self, op: HalfLineOperator, start: int,
-                 refs: dict[int, complex]):
-        self.op = op
-        self.start = start
-        self.vals: list[complex] = []
-        self.refs = refs
-
-
-_REFERENCE_INDICES = 1024
-"""Entries kept per reference table; later indices are recomputed."""
-
-
-@lru_cache(maxsize=64)
-def _reference_table(bra_seq: LambdaSequence, ket_seq: LambdaSequence,
-                     op: HalfLineOperator) -> dict[int, complex]:
-    """Memo index -> (k_index, op k_index) between two reference sequences.
-
-    Past its explicit factors every slot of the orbit holds reference
-    vectors, so these entries depend on (sequences, index, operator) only
-    and are shared by every functional on the same sequences.  The memo
-    is bounded: at most 64 tables, least recently used first out, each
-    keeping at most _REFERENCE_INDICES entries.  Operators are keys, so
-    they must be hashable values.
-    """
-    return {}
-
-
 class _OrbitTerm:
     """One rank-one w (bra, . ket) of a functional along its shift orbit.
 
@@ -255,9 +213,11 @@ class _OrbitTerm:
     taken in the order tensorspace.pairing takes them, so every value is
     the one pairing gives on the shifted functional.
 
-    The explicit slots of the identity and damping columns are filled on
-    construction, those of the target's columns at the first target
-    value, and each shift opens one reference slot in every column.
+    vals keeps one list of matrix elements (bra_s, op ket_s) per distinct
+    slot operator, keyed by operator value, from the first position the
+    operator is read at; identity (rho(I)) and damping (rho(Delta), the
+    shift weights) are read from position 0.  The explicit slots are
+    filled here, and each shift appends one reference slot to every list.
     """
 
     def __init__(self, w: complex, ket: ProductVector, bra: ProductVector,
@@ -279,37 +239,23 @@ class _OrbitTerm:
             ops = [factors[i] if i < len(factors) else tail_op
                    for i in range(n)]
             resolved.append((c, ops, tail == "damping"))
-        # one column per distinct operator, from the first position it is
-        # read at; identity (rho(I)) and damping (rho(Delta), the shift)
-        # are read from position 0
         first = {_IDENTITY: 0, _DAMPING: 0}
         for _, ops, _ in resolved:
             for i, op in enumerate(ops):
                 first[op] = min(first.get(op, i), i)
-        cols = {op: _Column(op, i, _reference_table(bra.seq, ket.seq, op))
-                for op, i in first.items()}
-        self.columns = list(cols.values())
-        self.identity = cols[_IDENTITY]
-        self.damping = cols[_DAMPING]
-        self.target = [(c, [(cols[op].vals, i - cols[op].start)
+        self.vals = {op: [op.matrix_element(bra.factors[s], ket.factors[s])
+                          for s in range(start, n)]
+                     for op, start in first.items()}
+        self.identity = self.vals[_IDENTITY]
+        self.damping = self.vals[_DAMPING]
+        self.target = [(c, [(self.vals[op], i - first[op])
                             for i, op in enumerate(ops)], damping)
                        for c, ops, damping in resolved]
-        self.unfilled = [col for col in self.columns
-                         if col is not self.identity
-                         and col is not self.damping]
-        self._fill([self.identity, self.damping])
-
-    def _fill(self, columns: list[_Column]) -> None:
-        """Explicit slots start..width-1 of each column."""
-        bra, ket = self.bra.factors, self.ket.factors
-        for col in columns:
-            col.vals.extend(col.op.matrix_element(bra[s], ket[s])
-                            for s in range(col.start, self.width))
 
     def delta_value(self) -> complex:
         """rho_0(Delta): damping on every slot and on the implicit tail."""
         val = _ONE
-        for m in self.damping.vals:
+        for m in self.damping:
             val *= m
         val *= tail_weight_product(self.ket.seq, self.ket.tail_start)
         total = 0.0 + 0.0j
@@ -318,7 +264,7 @@ class _OrbitTerm:
 
     def identity_value(self, k: int) -> complex:
         """rho_k(I) after k shifts."""
-        vals = self.identity.vals
+        vals = self.identity
         val = _ONE
         for i in range(k, k + self.width):
             val *= vals[i]
@@ -328,9 +274,6 @@ class _OrbitTerm:
 
     def target_value(self, k: int) -> complex:
         """rho_k(target) after k shifts."""
-        if self.unfilled:
-            self._fill(self.unfilled)
-            self.unfilled = []
         total = 0.0 + 0.0j
         for c, factors, damping in self.target:
             val = c
@@ -347,27 +290,17 @@ class _OrbitTerm:
         return self.w * total
 
     def shift(self, k: int) -> None:
-        """rho_k -> rho_{k+1}: damp slot k, open slot k + width.
+        """rho_k -> rho_{k+1}: damp slot k, append slot k + width.
 
-        The new slot's reference vectors are fetched on the first memo
-        miss, so a custom sequence too short for them raises here, at the
+        Bra and ket share their sequence and tail start (_check_aligned),
+        so one reference vector fills the new slot on both sides.  It is
+        fetched here, so a custom sequence too short for it raises at the
         shift where ProductVector.shifted_down would.
         """
-        self.w = self.w * self.damping.vals[k]
-        index = self.ket.tail_start + k
-        vectors = None
-        for col in self.columns:
-            val = col.refs.get(index)
-            if val is None:
-                if vectors is None:
-                    # ket first, in the order ProductVector.shifted_down
-                    # is called on the two sides
-                    ket = self.ket.seq.reference(index)
-                    vectors = self.bra.seq.reference(index), ket
-                val = col.op.matrix_element(*vectors)
-                if len(col.refs) < _REFERENCE_INDICES:
-                    col.refs[index] = val
-            col.vals.append(val)
+        self.w = self.w * self.damping[k]
+        ref = self.ket.seq.reference(self.ket.tail_start + k)
+        for op, vals in self.vals.items():
+            vals.append(op.matrix_element(ref, ref))
 
 
 _ONE = complex(1.0)

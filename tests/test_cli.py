@@ -161,6 +161,13 @@ class TestCommands:
         # |z|^2 is finite, but c(z, z) overflows in 2 conj(z) z
         ({"covariance": {"labels": ["1e154", "1"]}}, "covariance.labels"),
         ({"covariance": {"labels": ["1", "-1e154j"]}}, "covariance.labels"),
+        # lambda^2 / 2 underflows to a zero rate
+        ({"lambda": {"kind": "custom", "values": [1.0e-12, 1.0e-300]}},
+         "lambda.values"),
+        # lambda^2 overflows a float
+        ({"lambda": {"kind": "custom",
+                     "values": [1, 2, 3, 4, 5, 6, 7, 8, 1.0e+300]}},
+         "lambda.values"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, override, message):
         path = tmp_path / "bad.yaml"
@@ -534,6 +541,33 @@ class TestOutflowGate:
         assert result.exit_code == 2, result.output
         assert "invalid config: covariance.t" in result.output
         assert "grid.length" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    # t / h is finite but too large to index the cells
+    def test_unindexable_step_count_is_config_error(self, tmp_path):
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump(
+            {"covariance": {"labels": ["-3+2j"], "t": 1.0e150}}))
+        result = CliRunner().invoke(
+            main, ["covariance", "--config", str(path), "--out",
+                   str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "invalid config: covariance.t" in result.output
+        assert "grid.length" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    # every cell midpoint lies where the bump underflows to zero
+    def test_coarse_grid_is_config_error(self, tmp_path):
+        path = tmp_path / "coarse.yaml"
+        path.write_text(yaml.safe_dump(
+            {"grid": {"length": 1.0e8, "points": 2}}))
+        result = CliRunner().invoke(
+            main, ["covariance", "--config", str(path), "--out",
+                   str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert ("invalid config: grid.points is too few for grid.length"
+                in result.output)
+        assert "covariance.t" not in result.output
         assert isinstance(result.exception, SystemExit)
 
     def test_largest_overflow_free_labels_run(self, tmp_path):

@@ -5,7 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
-from cpflow import cli, weights
+from cpflow import cli
 from cpflow.halfline import (
     ComplexBlock,
     ExpKernelVector,
@@ -332,22 +332,6 @@ class TestReferenceMemo:
         assert IdentityOperator() == IdentityOperator()
         assert hash(IdentityOperator()) == hash(IdentityOperator())
         assert IdentityOperator() != ExpMultiplier(1.0)
-
-    def test_bounded_over_fresh_elements(self):
-        rho = rank_one(random_state(np.random.default_rng(18)))
-        tables = weights._reference_table
-
-        def sizes():
-            return (tables.cache_info().currsize,
-                    len(tables(LINEAR, LINEAR, IdentityOperator())),
-                    len(tables(LINEAR, LINEAR, ExpMultiplier(1.0))))
-
-        omega1(rho, boundary_identity(), n_factors=4)
-        first = sizes()
-        for _ in range(200):
-            omega1(rho, boundary_identity(), n_factors=4)
-        assert sizes() <= first
-        assert first[1] > 0
 
 
 class TestInferWidth:
