@@ -1,0 +1,92 @@
+"""Timings of the matrix-model corner kernels (opt-in, not part of the test
+suite).
+
+Run with
+
+    PYTHONPATH=src python -m pytest benchmarks/test_corner_kernels.py \
+        --benchmark-only
+
+The inputs are those of the ``corner`` command at its default config:
+N = 3 factors of dimension 2 (dim_k = 8) and the three half-line cells
+(dim_h = 24), linear lambda, cuts 0.5 and 0.25, witness label -1.  The
+kernels are the model's construction with its cached constants, the
+series weight at labels 1 and -1, the cut and the boundary
+representation of the minimal weight at cut 0.5, the Choi spectrum of
+the folded 2x2 corner (a 384 x 384 Choi matrix) and the subordination
+check of the unital weight over the minimal one.
+"""
+
+import numpy as np
+import pytest
+
+from cpflow.cli import DEFAULT_CONFIG
+from cpflow.cornercheck import _folded_rep, subordination_check
+from cpflow.opbasis import MatrixModel, choi_min_eig
+from cpflow.tensorspace import LambdaSequence
+
+CORNER = DEFAULT_CONFIG["corner"]
+CUTS = tuple(CORNER["cut_levels"])
+CONSTANTS = ("basis", "damping", "cross_overlap", "reference_coords",
+             "delta_matrix", "shift", "pi_superop", "series_kernel")
+
+
+def build_model() -> MatrixModel:
+    model = MatrixModel(n_factors=CORNER["factors"],
+                        factor_dim=DEFAULT_CONFIG["tensor"]["factor_dim"],
+                        seq=LambdaSequence(DEFAULT_CONFIG["lambda"]["kind"]))
+    for name in CONSTANTS:
+        getattr(model, name)
+    return model
+
+
+@pytest.fixture(scope="module")
+def model():
+    return build_model()
+
+
+@pytest.fixture(scope="module")
+def weights(model):
+    """The minimal and the unital weight superoperators, as run_corner."""
+    nu = np.zeros((model.dim_h, model.dim_h))
+    nu[0, 0] = 1.0
+    minimal = model.weight_superop()
+    eta, _ = model.xi_eta(nu)
+    return minimal, minimal + model.gap_superop(eta)
+
+
+def test_model_construction(benchmark):
+    model = benchmark(build_model)
+    assert model.dim_k == 8 and model.dim_h == 24
+
+
+@pytest.mark.parametrize("z", [1.0, -1.0])
+def test_weight_superop(benchmark, model, z):
+    out = benchmark(model.weight_superop, z)
+    assert out.shape == (model.dim_h ** 2, model.dim_k ** 2)
+
+
+def test_apply_truncation(benchmark, model, weights):
+    out = benchmark(model.apply_truncation, CUTS[0], weights[0])
+    assert out.shape == weights[0].shape
+
+
+def test_boundary_rep(benchmark, model, weights):
+    rep, condition = benchmark(model.boundary_rep, weights[0], CUTS[0])
+    assert rep.shape == (model.dim_h ** 2, model.dim_k ** 2)
+    assert condition < 1e12
+
+
+def test_choi_min_eig_folded_corner(benchmark, model, weights):
+    z = complex(CORNER["witness_label"])
+    diag_rep = model.boundary_rep(weights[0], CUTS[0])[0]
+    folded = _folded_rep(model, diag_rep, model.weight_superop(z),
+                         model.weight_superop(z.conjugate()), CUTS[0])
+    verdict = benchmark(choi_min_eig, folded, 2 * model.dim_k, model.dim_h)
+    assert 2 * model.dim_k * model.dim_h == 384
+    assert verdict.completely_positive
+
+
+def test_subordination_check(benchmark, model, weights):
+    minimal, full = weights
+    verdict = benchmark(subordination_check, model, full, minimal, CUTS)
+    assert verdict.subordinate

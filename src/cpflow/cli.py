@@ -41,8 +41,9 @@ from .weights import (
     rank_one,
     xi_from_nu,
 )
+from .opbasis import CP_TOLERANCE, DEFAULT_EDGES, MatrixModel
 # choi_min_eig is unused here; perfbench's selftest checks this binding
-from .opbasis import DEFAULT_EDGES, MatrixModel, choi_min_eig  # noqa: F401
+from .opbasis import choi_min_eig  # noqa: F401
 from .cornercheck import (
     DegenerateDirectionError,
     derivation_residual,
@@ -463,14 +464,14 @@ def run_corner(cfg, rep: Reporter, rng):
     full = minimal + model.gap_superop(eta)
     verdict = subordination_check(model, full, minimal, cuts)
     for t, low in zip(cuts, verdict.lower_min_eigs):
-        rep.bound("boundary-rep-choi-min-t-%g" % t, low, -1e-8, "ge",
-                  "derived-oracle")
+        rep.bound("boundary-rep-choi-min-t-%g" % t, low, -CP_TOLERANCE,
+                  "ge", "derived-oracle")
     rep.record("subordination-full-over-minimal", verdict.subordinate,
-               True, 1e-8, verdict.subordinate, "paper")
+               True, CP_TOLERANCE, verdict.subordinate, "paper")
     label = _label(block["witness_label"])
     try:
         wit = hypermax_witness(label, model, eta, verdict)
-        rep.record("hypermax-witness", wit.witnessed, True, 1e-8,
+        rep.record("hypermax-witness", wit.witnessed, True, CP_TOLERANCE,
                    wit.witnessed, "derived-oracle")
     except DegenerateDirectionError as exc:
         rep.record("hypermax-witness", "degenerate: %s" % exc,

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .opbasis import DEFAULT_EDGES, MatrixModel, choi_min_eig
+from .opbasis import CP_TOLERANCE, DEFAULT_EDGES, MatrixModel, choi_min_eig
 
 
 class NonCompletelyPositiveInputError(ValueError):
@@ -126,12 +126,11 @@ class SubordinationVerdict:
     upper_min_eigs: tuple[float, ...]
     lower_min_eigs: tuple[float, ...]
     difference_min_eigs: tuple[float, ...]
-    tolerance: float
     lower_reps: tuple[np.ndarray, ...] = field(compare=False, repr=False)
 
 
-def subordination_check(model: MatrixModel, upper, lower, cut_levels,
-                        tolerance: float = 1e-8) -> SubordinationVerdict:
+def subordination_check(model: MatrixModel, upper, lower,
+                        cut_levels) -> SubordinationVerdict:
     """Is lower subordinate to upper at the sampled cut levels?
 
     upper and lower are weight superoperators over the model; the check
@@ -153,20 +152,18 @@ def subordination_check(model: MatrixModel, upper, lower, cut_levels,
         rep_low = model.boundary_rep(lower, t)[0]
         lower_reps.append(rep_low)
         for name, rep in (("upper", rep_up), ("lower", rep_low)):
-            v = choi_min_eig(rep, model.dim_k, model.dim_h, tolerance)
+            v = choi_min_eig(rep, model.dim_k, model.dim_h)
             if not v.completely_positive:
                 raise NonCompletelyPositiveInputError(
                     "%s weight is not CP at cut level %g" % (name, t),
                     v.min_eigenvalue)
             mins[name].append(v.min_eigenvalue)
         mins["difference"].append(choi_min_eig(
-            rep_up - rep_low, model.dim_k, model.dim_h,
-            tolerance).min_eigenvalue)
-    sub = all(m >= -tolerance for m in mins["difference"])
+            rep_up - rep_low, model.dim_k, model.dim_h).min_eigenvalue)
+    sub = all(m >= -CP_TOLERANCE for m in mins["difference"])
     return SubordinationVerdict(sub, tuple(cut_levels), tuple(mins["upper"]),
                                 tuple(mins["lower"]),
-                                tuple(mins["difference"]), tolerance,
-                                tuple(lower_reps))
+                                tuple(mins["difference"]), tuple(lower_reps))
 
 
 @dataclass(frozen=True)
@@ -187,8 +184,7 @@ class HypermaxReport:
 
     @property
     def minimal_cp(self) -> bool:
-        return all(m >= -self.dominance.tolerance
-                   for m in self.minimal_min_eigs)
+        return all(m >= -CP_TOLERANCE for m in self.minimal_min_eigs)
 
     @property
     def dominated(self) -> bool:
@@ -212,9 +208,9 @@ def hypermax_witness(z: complex, model: MatrixModel, eta: np.ndarray,
     eta is the density of the normalized weight (MatrixModel.xi_eta),
     which sets the diagonal gap, and dominance the subordination_check of
     the unital weight over the minimal one (see the module docstring);
-    its cut levels and tolerance are the witness's, and its lower
-    representations are the corner's diagonal ones.  Only the
-    off-diagonal entries at z and conj(z) are solved here.
+    its cut levels are the witness's, and its lower representations are
+    the corner's diagonal ones.  Only the off-diagonal entries at z and
+    conj(z) are solved here.
     """
     z = complex(z)
     if abs(abs(z) - 1.0) > 1e-12:
@@ -229,8 +225,7 @@ def hypermax_witness(z: complex, model: MatrixModel, eta: np.ndarray,
     lower = model.weight_superop(z.conjugate())
     minimal_eigs = tuple(
         choi_min_eig(_folded_rep(model, diag_rep, upper, lower, t),
-                     2 * model.dim_k, model.dim_h,
-                     dominance.tolerance).min_eigenvalue
+                     2 * model.dim_k, model.dim_h).min_eigenvalue
         for t, diag_rep in zip(dominance.cut_levels, dominance.lower_reps))
     return HypermaxReport(z, minimal_eigs, gap_norm, dominance)
 
@@ -260,7 +255,7 @@ def offdiag_perturbation_min_eig(model: MatrixModel, z: complex,
     representation is expected to go negative.
     """
     eta, _ = model.xi_eta(nu_density)
-    gap = eps * eta.reshape(-1, 1) @ model.delta_matrix.T.reshape(1, -1)
+    gap = model.gap_superop(eps * eta)
     diag_rep = model.boundary_rep(model.weight_superop(), t)[0]
     rep = _folded_rep(model, diag_rep, model.weight_superop(complex(z)) + gap,
                       model.weight_superop(np.conj(complex(z))), t)

@@ -189,7 +189,7 @@ def _r_square_form(a: complex, b: complex, c: complex,
 def r_sweep(rng: np.random.Generator, n: int) -> tuple[float, float]:
     """min r over n general pairs, and the square-form residual.
 
-    Returns the minimum of r over the pairs of _general_pairs(rng, n)
+    Returns the minimum of r over n general pairs of _param_blocks
     together with max |r - r_sq| / max(r_sq, 1), r_sq being
     _r_square_form of the same pair.  Both kernels run on whole blocks.
     General draws have |a| <= 0.95, so r_term's unit-circle branch never
@@ -199,7 +199,8 @@ def r_sweep(rng: np.random.Generator, n: int) -> tuple[float, float]:
         raise ValueError("r_sweep needs n >= 1")
     r_min = math.inf
     worst = 0.0
-    for pairs in _general_pairs(rng, n):
+    for g, gp in _param_blocks(rng, GENERAL, n, 2, _SWEEP_BLOCK):
+        pairs = g.a, g.b, g.c, gp.a, gp.b, gp.c
         r = _r_value(*pairs)
         r_sq = _r_square_form(*pairs)
         r_min = min(r_min, float(r.min()))
@@ -461,13 +462,6 @@ def _param_blocks(rng: np.random.Generator, klass: str, n: int, group: int,
                                                            group * m)]
         yield tuple(GaugeParam(*(v[i] for v in parts), klass=klass)
                     for i in range(group))
-
-
-def _general_pairs(rng: np.random.Generator, n: int):
-    """n random general pairs, as blocks (a, b, c, a', b', c') of complex
-    arrays with at most _SWEEP_BLOCK pairs each; see _param_blocks."""
-    for g, gp in _param_blocks(rng, GENERAL, n, 2, _SWEEP_BLOCK):
-        yield g.a, g.b, g.c, gp.a, gp.b, gp.c
 
 
 def random_param(rng: np.random.Generator, klass: str = GENERAL) -> GaugeParam:

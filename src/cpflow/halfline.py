@@ -246,12 +246,11 @@ class ZeroOperator(HalfLineOperator):
 
 @dataclass(frozen=True)
 class ExpMultiplier(HalfLineOperator):
-    """Multiplication by exp(-rate * x); rate=1 is the damping factor."""
-
-    rate: complex = 1.0
+    """Multiplication by exp(-x), the damping factor; every instance is
+    equal to and hashes like every other."""
 
     def matrix_element(self, u, v):
-        return inner_product(u, v.shifted(self.rate))
+        return inner_product(u, v.shifted(1.0))
 
 
 @dataclass(frozen=True)
@@ -321,20 +320,19 @@ def apply_gamma(a: HalfLineOperator) -> HalfLineOperator:
     return GammaImage(a)
 
 
-def gamma_grid(a: np.ndarray, grid: "Grid", t_cut: float = 40.0) -> np.ndarray:
+def gamma_grid(a: np.ndarray, grid: "Grid") -> np.ndarray:
     """Approximate the damped translation average of a grid-matrix operator.
 
     The result is flagged approximate: the t-integral is a Riemann sum over
-    whole-cell translations and the tail beyond t_cut is dropped:
+    every whole-cell translation that keeps a cell on the grid:
 
-        out[i, j] = sum_{k < steps, k <= min(i, j)} h e^{-kh} a[i-k, j-k],
+        out[i, j] = sum_{k <= min(i, j)} h e^{-kh} a[i-k, j-k],
 
     since U(kh) A U(kh)* shifts the matrix down-right by k cells.  Rows
     follow the diagonal recursion
 
         out[i] = h a[i] + e^{-h} shift(out[i-1]),
 
-    less h e^{-steps h} shift^steps(a[i-steps]) once the cut truncates,
     which is O(n^2) instead of one n x n block per step, O(n^3).  It
     agrees with the blockwise sum to 1e-13 relative (tests/test_halfline).
     """
@@ -342,16 +340,10 @@ def gamma_grid(a: np.ndarray, grid: "Grid", t_cut: float = 40.0) -> np.ndarray:
     if a.shape != (n, n):
         raise UnsupportedRepresentationError("matrix does not match the grid")
     h = grid.spacing
-    steps = min(n, int(round(t_cut / h)))
-    if steps <= 0:
-        return np.zeros((n, n), dtype=complex)
     out = h * np.asarray(a, dtype=complex)
     decay = np.exp(-h)
-    cut = h * np.exp(-steps * h)
     for i in range(1, n):
         out[i, 1:] += decay * out[i - 1, :-1]
-        if i >= steps:
-            out[i, steps:] -= cut * a[i - steps, : n - steps]
     return out
 
 

@@ -192,16 +192,12 @@ class MatrixModel:
     def lambda_superop(self, mu: np.ndarray) -> np.ndarray:
         """lambdahat: the density of mu composed with the damping embedding.
 
-        mu is a density, or a superoperator whose columns are vectorized
-        densities; a superoperator is mapped column by column, so the
-        result is lambdahat @ mu without building the dense lambdahat.
+        mu is a superoperator whose columns are vectorized densities (one
+        column for a single density); it is mapped column by column, so
+        the result is lambdahat @ mu without building the dense lambdahat.
         """
         d = self.dim_k
-        mh = self.h_dim
-        if mu.shape == (d * mh, d * mh):
-            mu4 = mu.reshape(d, mh, d, mh)
-            return np.einsum("bqap,pq->ba", mu4, self.h_damping)
-        mu5 = mu.reshape(d, mh, d, mh, -1)
+        mu5 = mu.reshape(d, self.h_dim, d, self.h_dim, -1)
         out = np.einsum("bqap...,pq->ba...", mu5, self.h_damping)
         return out.reshape(d * d, -1)
 
@@ -257,12 +253,12 @@ class MatrixModel:
         minimal weight.  This is the formula of weights.BoundaryWeight.value
         for the weight that weights.xi_from_nu builds from nu.
         """
-        lam_nu = self.lambda_superop(nu_density)
-        d_val = np.trace(lam_nu @ self.delta_matrix).real
+        dk, dh = self.dim_k, self.dim_h
+        lam_nu = self.lambda_superop(nu_density.reshape(-1, 1))
+        d_val = np.trace(lam_nu.reshape(dk, dk) @ self.delta_matrix).real
         if d_val >= 1.0 - 1e-8:
             raise NonInvertibleSystemError(
                 "normalization 1 - nu(Lambda(Delta)) is singular", d_val)
-        dk, dh = self.dim_k, self.dim_h
         k_hat, _ = self.series_kernel
         core = np.linalg.solve(np.eye(dk * dk) - k_hat, lam_nu.reshape(-1))
         tail = (self.pi_superop @ core).reshape(dh, dh)
@@ -321,21 +317,25 @@ def choi_matrix(superop: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
             .reshape(dim_in * dim_out, dim_in * dim_out))
 
 
+CP_TOLERANCE = 1e-8
+"""How far below zero a minimum Choi eigenvalue may lie for a CP verdict.
+ChoiVerdict scales it by max(|trace|, 1); the corner's verdicts do not."""
+
+
 @dataclass(frozen=True)
 class ChoiVerdict:
     min_eigenvalue: float
     trace: float
     hermiticity_defect: float
-    tolerance: float
 
     @property
     def completely_positive(self) -> bool:
         scale = max(abs(self.trace), 1.0)
-        return self.min_eigenvalue >= -self.tolerance * scale
+        return self.min_eigenvalue >= -CP_TOLERANCE * scale
 
 
-def choi_min_eig(superop: np.ndarray, dim_in: int, dim_out: int,
-                 tolerance: float = 1e-8) -> ChoiVerdict:
+def choi_min_eig(superop: np.ndarray, dim_in: int,
+                 dim_out: int) -> ChoiVerdict:
     """Minimum Choi eigenvalue; the map is CP when it is not negative.
 
     The spectrum is taken on the Hermitian part of the Choi matrix.  A row
@@ -366,5 +366,5 @@ def choi_min_eig(superop: np.ndarray, dim_in: int, dim_out: int,
     elif live.size:
         low = min(float(np.linalg.eigvalsh(herm[np.ix_(live, live)])[0]),
                   0.0)
-    return ChoiVerdict(low, float(np.trace(herm).real), defect, tolerance)
+    return ChoiVerdict(low, float(np.trace(herm).real), defect)
 

@@ -39,7 +39,8 @@ class InvalidExperimentError(ValueError):
 
 
 class StepCountError(InvalidExperimentError):
-    """An evolution time has no finite step count t / h on the grid."""
+    """An evolution time has no finite step count t / h on the grid, or
+    a positive one rounds to no step."""
 
 
 class CoarseGridError(InvalidExperimentError):
@@ -60,16 +61,9 @@ def covariance(w: complex, z: complex) -> complex:
     return 0.5 * (2.0 * np.conj(w) * z - abs(w) ** 2 - abs(z) ** 2)
 
 
-@dataclass(frozen=True)
-class UzParams:
-    """Stepping parameters for U_z on a given grid."""
-
-    z: complex
-    spacing: float
-
-    @property
-    def step_damping(self) -> float:
-        return float(np.exp(-0.5 * abs(self.z) ** 2 * self.spacing))
+def _step_damping(z: complex, h: float) -> float:
+    """The damping exp(-|z|^2 h / 2) of one U_z step of length h."""
+    return float(np.exp(-0.5 * abs(z) ** 2 * h))
 
 
 @dataclass(frozen=True)
@@ -112,9 +106,8 @@ class FlowState:
         return float(np.sqrt(max(flow_inner(self, self).real, 0.0)))
 
 
-def bump_state(grid: Grid, center: float, width: float,
-               dim_k: int = 1) -> FlowState:
-    """A normalized Gaussian bump in the first K-coordinate channel."""
+def bump_state(grid: Grid, center: float, width: float) -> FlowState:
+    """A normalized Gaussian bump in one K-coordinate channel."""
     x = grid.midpoints
     profile = np.exp(-0.5 * ((x - center) / width) ** 2)
     norm = np.sqrt(grid.spacing) * np.linalg.norm(profile)
@@ -123,9 +116,7 @@ def bump_state(grid: Grid, center: float, width: float,
             "the bump at %r is zero at every midpoint of the %d-point "
             "grid on [0, %r)" % (center, grid.points, grid.length))
     profile /= norm
-    cells = np.zeros((grid.points, dim_k), dtype=complex)
-    cells[:, 0] = profile
-    return FlowState(grid, cells)
+    return FlowState(grid, profile)
 
 
 @dataclass(frozen=True)
@@ -180,7 +171,7 @@ def evolve(state: FlowState, z: complex, t: float) -> EvolveResult:
     z = complex(z)
     h = state.grid.spacing
     snap = abs(t - n_steps * h)
-    damping = UzParams(z, h).step_damping
+    damping = _step_damping(z, h)
     src = state.cells.copy(order="C")
     points = len(src)
     pushed = min(n_steps, points)
@@ -202,26 +193,33 @@ def evolve(state: FlowState, z: complex, t: float) -> EvolveResult:
 
 
 def _outflows(a: np.ndarray, b: np.ndarray, steps: int, h: float) -> list:
-    """The outflow sequence of a pairing of sources a and b over steps.
+    """The outflows h (a[P-1-k], b[P-1-k]) of a pairing of sources a and b
+    at the steps k < min(steps, P), which push a cell past the right edge.
 
-    Step k pushes source cell P-1-k past the right edge of the P cells,
-    so outflow_k = h (a[P-1-k], b[P-1-k]) for k < P and 0 after that.
     All overlaps of pushed cells come from one batched product of the
     pushed rows; tests/test_semigroups checks that it rounds exactly as
     np.vdot of each row pair (an elementwise sum or einsum did not).
     """
     first = len(a) - min(steps, len(a))
     overlaps = (a[first:].conj()[:, None, :] @ b[first:, :, None])[:, 0, 0]
-    return ([h * ov for ov in overlaps[::-1].tolist()]
-            + [0.0] * (steps - len(overlaps)))
+    return [h * ov for ov in overlaps[::-1].tolist()]
 
 
 def _pairer(f: FlowState, g: FlowState, extra: int):
     """pair(w, z) = flow_inner(evolve(f, w, .), evolve(g, z, .)) for the
     evolutions of f and g by extra more steps, read from the sources.
 
-    The outflow sequence is built once; the recursion runs once per
-    distinct (d, feed), keyed on their exact bits (0.0 and -0.0 differ).
+    The outflows are built once; the recursion runs once per distinct
+    (d, feed), keyed on their exact bits (0.0 and -0.0 differ).  Past
+    the P-th step nothing flows out, so a step is value -> d (value +
+    feed value), which is the step with a zero outflow bit for bit.  The
+    recursion stops at the first step that maps the value to itself bit
+    for bit, since every later step does too: at once for w = z = 0, and
+    at exact 0 or a subnormal fixed point after underflow otherwise.
+    Memory is O(P) in the step count, and time is O(P) plus the steps to
+    that fixed point, not t / h.  Each step contracts the value by
+    |d (1 + feed)|, about exp(-|w - z|^2 h / 2) for w != z and
+    1 - (|z|^2 h)^2 / 2 for w = z, so small |z|^2 h makes it long.
     """
     if f.grid != g.grid:
         raise IncompatibleStatesError("grid mismatch")
@@ -229,21 +227,26 @@ def _pairer(f: FlowState, g: FlowState, extra: int):
         raise IncompatibleStatesError("step-count mismatch")
     h = f.grid.spacing
     steps = f.steps + extra
-    a, b = (f.source_cells, g.source_cells) if steps else (f.cells, g.cells)
+    a, b = f.source_cells, g.source_cells
     start = h * complex(np.vdot(a, b))
-    if not steps:
-        return lambda w, z: start
     outflows = _outflows(a, b, steps, h)
+    rest = steps - len(outflows)
     done = {}
 
     def pair(w: complex, z: complex) -> complex:
-        d = UzParams(w, h).step_damping * UzParams(z, h).step_damping
+        d = _step_damping(w, h) * _step_damping(z, h)
         feed = h * np.conj(complex(w)) * complex(z)
         key = d.hex(), feed.real.hex(), feed.imag.hex()
         if key not in done:
             value = start
             for ov in outflows:
                 value = d * ((value - ov) + feed * value)
+            for _ in range(rest):
+                step = d * (value + feed * value)
+                if (step.real.hex(), step.imag.hex()) \
+                        == (value.real.hex(), value.imag.hex()):
+                    break
+                value = step
             done[key] = value
         return done[key]
 
@@ -284,11 +287,13 @@ def covariance_residuals(ws, zs, t: float, f: FlowState, g: FlowState,
     steps = _step_count(f, ws, t)
     _step_count(g, zs, t)
     h = f.grid.spacing
-
-    def damping(z):
-        return UzParams(z, h).step_damping
-
-    outflow = max(evolve(s, max(labels, key=damping), t).state.outflow_mass
+    if t > 0 and not steps:
+        # every residual would be exactly 0: a pass that checks nothing
+        raise StepCountError(
+            "evolution time %r rounds to no step of the grid spacing %r"
+            % (t, h))
+    outflow = max(evolve(s, max(labels, key=lambda z: _step_damping(z, h)),
+                         t).state.outflow_mass
                   for s, labels in ((f, ws), (g, zs)) if labels)
     if outflow > outflow_tolerance:
         raise InvalidExperimentError(

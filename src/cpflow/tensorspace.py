@@ -99,14 +99,14 @@ class AdmissibilityReport:
         return self.inverse_square_ok and self.increment_ok
 
 
-def check_lambda_sequence(seq: LambdaSequence, horizon: int,
-                          cauchy_tol: float = 1e-4) -> AdmissibilityReport:
+def check_lambda_sequence(seq: LambdaSequence,
+                          horizon: int) -> AdmissibilityReport:
     """Partial sums of the two convergence conditions with a Cauchy verdict.
 
     Condition one is sum(1/lambda_n^2); condition two is
     sum(|lambda_n - lambda_{n+1}|^2 / (lambda_n^2 + lambda_{n+1}^2)).
     A series looks convergent when its late increments (the last tenth of
-    the horizon) stay below cauchy_tol on average.
+    the horizon) stay below 1e-4 on average.
     """
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
@@ -121,7 +121,7 @@ def check_lambda_sequence(seq: LambdaSequence, horizon: int,
     window = max(1, horizon // 10)
 
     def looks_convergent(terms):
-        return bool(np.mean(terms[-window:]) < cauchy_tol)
+        return bool(np.mean(terms[-window:]) < 1e-4)
 
     return AdmissibilityReport(sums1, sums2,
                                looks_convergent(terms1),
@@ -221,7 +221,7 @@ TailKind = Literal["identity", "damping"]
 
 _TAIL_OPS: dict[TailKind, HalfLineOperator] = {
     "identity": IdentityOperator(),
-    "damping": ExpMultiplier(1.0),
+    "damping": ExpMultiplier(),
 }
 """The operator every slot past a term's explicit factors carries."""
 
@@ -295,7 +295,7 @@ def pi_lambda_power(a: TensorOperator, n: int, n_factors: int) -> TensorOperator
         raise TruncationExceededError(
             "shifting by %d pushes the operator past %d factors"
             % (n, n_factors))
-    damp = tuple(ExpMultiplier(1.0) for _ in range(n))
+    damp = tuple(ExpMultiplier() for _ in range(n))
     return TensorOperator([(c, damp + f, t) for c, f, t in a.terms])
 
 

@@ -149,9 +149,9 @@ class Functional:
         return float(np.linalg.svd(mat, compute_uv=False).sum())
 
 
-def rank_one(ket: ProductVector, bra: ProductVector | None = None,
-             weight: complex = 1.0) -> Functional:
-    return Functional([(weight, ket, bra if bra is not None else ket)])
+def rank_one(ket: ProductVector,
+             bra: ProductVector | None = None) -> Functional:
+    return Functional([(1.0, ket, bra if bra is not None else ket)])
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,7 @@ def boundary_identity() -> HElement:
     """The element I - Lambda, i.e. identity minus damping on the last slot."""
     return HElement(
         terms=((1.0, IdentityOperator(), identity_operator()),
-               (-1.0, ExpMultiplier(1.0), identity_operator())),
+               (-1.0, ExpMultiplier(), identity_operator())),
         telescoping=True)
 
 
@@ -214,10 +214,10 @@ class _OrbitTerm:
     the one pairing gives on the shifted functional.
 
     vals keeps one list of matrix elements (bra_s, op ket_s) per distinct
-    slot operator, keyed by operator value, from the first position the
-    operator is read at; identity (rho(I)) and damping (rho(Delta), the
-    shift weights) are read from position 0.  The explicit slots are
-    filled here, and each shift appends one reference slot to every list.
+    slot operator, keyed by operator value, from slot 0: identity
+    (rho(I)), damping (rho(Delta), the shift weights) and each operator
+    of the target.  The explicit slots are filled here, and each shift
+    appends one reference slot to every list.
     """
 
     def __init__(self, w: complex, ket: ProductVector, bra: ProductVector,
@@ -239,17 +239,13 @@ class _OrbitTerm:
             ops = [factors[i] if i < len(factors) else tail_op
                    for i in range(n)]
             resolved.append((c, ops, tail == "damping"))
-        first = {_IDENTITY: 0, _DAMPING: 0}
-        for _, ops, _ in resolved:
-            for i, op in enumerate(ops):
-                first[op] = min(first.get(op, i), i)
+        distinct = dict.fromkeys([_IDENTITY, _DAMPING] + [
+            op for _, ops, _ in resolved for op in ops])
         self.vals = {op: [op.matrix_element(bra.factors[s], ket.factors[s])
-                          for s in range(start, n)]
-                     for op, start in first.items()}
+                          for s in range(n)] for op in distinct}
         self.identity = self.vals[_IDENTITY]
         self.damping = self.vals[_DAMPING]
-        self.target = [(c, [(self.vals[op], i - first[op])
-                            for i, op in enumerate(ops)], damping)
+        self.target = [(c, [self.vals[op] for op in ops], damping)
                        for c, ops, damping in resolved]
 
     def delta_value(self) -> complex:
@@ -277,8 +273,8 @@ class _OrbitTerm:
         total = 0.0 + 0.0j
         for c, factors, damping in self.target:
             val = c
-            for vals, d in factors:
-                val *= vals[k + d]
+            for i, vals in enumerate(factors):
+                val *= vals[k + i]
             if damping:
                 val *= tail_weight_product(self.ket.seq,
                                            self.ket.tail_start + k)
@@ -463,9 +459,8 @@ class BoundaryWeight:
         return self.norm_const * (self.nu(element) + series.value)
 
 
-def xi_from_nu(nu: HFunctional, cfg: WeightSeriesConfig | None = None,
-               n_factors: int | None = None,
-               epsilon: float = 1e-8) -> BoundaryWeight:
+def xi_from_nu(nu: HFunctional, cfg: WeightSeriesConfig | None = None, *,
+               n_factors: int) -> BoundaryWeight:
     """Build the normalized weight from a positive functional nu.
 
     The result satisfies xi(I - Lambda) = (nu(I) - d) / (1 - d) with
@@ -473,14 +468,11 @@ def xi_from_nu(nu: HFunctional, cfg: WeightSeriesConfig | None = None,
     nu(I) = 1.
     """
     cfg = cfg or WeightSeriesConfig()
-    if n_factors is None:
-        widths = {k[0].width for _, k, b in nu.terms}
-        n_factors = widths.pop() if widths else 1
     damped = nu.damped_trace()
     d = damped.delta_value()
     if abs(d.imag) > 1e-10:
         raise PreconditionViolationError("nu(Lambda(Delta)) is not real", d)
-    if d.real >= 1.0 - epsilon:
+    if d.real >= 1.0 - 1e-8:
         raise NearSingularNormalizationError(
             "nu(Lambda(Delta)) = %g is too close to 1" % d.real)
     return BoundaryWeight(nu, 1.0 / (1.0 - d.real), n_factors, cfg)
@@ -498,15 +490,14 @@ def build_delta_null_functional(f: ProductVector,
     return Functional([(1.0, f, f), (-num / den, f0, f0)])
 
 
-def lemma_decay_curve(rho: Functional, n_max: int,
-                      delta_tol: float = 1e-10) -> np.ndarray:
+def lemma_decay_curve(rho: Functional, n_max: int) -> np.ndarray:
     """Norms of the iterated down-shifts of rho.
 
-    Requires rho(Delta) = 0; for functionals built from head-supported
+    Requires |rho(Delta)| <= 1e-10; for functionals built from head-supported
     vectors at level m the curve is numerically zero from n = m on.
     """
     d = rho.delta_value()
-    if abs(d) > delta_tol:
+    if abs(d) > 1e-10:
         raise PreconditionViolationError(
             "functional does not vanish on Delta", d)
     out = []

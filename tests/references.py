@@ -22,6 +22,7 @@ from cpflow.halfline import ExpKernelVector, ExpMultiplier, Grid
 from cpflow.opbasis import ChoiVerdict, MatrixModel, choi_min_eig
 from cpflow.semigroups import (
     InvalidExperimentError,
+    _step_damping,
     covariance,
     evolve,
     flow_inner,
@@ -127,8 +128,7 @@ def dense_lambda_superop(model, blocks: int = 1) -> np.ndarray:
 
 
 def permuted_choi_min_eig(superop: np.ndarray, dim_in: int, dim_out: int,
-                          perm_in, perm_out,
-                          tolerance: float = 1e-8) -> ChoiVerdict:
+                          perm_in, perm_out) -> ChoiVerdict:
     """Choi spectrum after permuting the input and output operator bases.
 
     Basis permutations are unitary conjugations, so the minimum Choi
@@ -138,7 +138,7 @@ def permuted_choi_min_eig(superop: np.ndarray, dim_in: int, dim_out: int,
     p_out = np.eye(dim_out)[:, list(perm_out)]
     left = np.kron(p_out.T, p_out.T)
     right = np.kron(p_in, p_in)
-    return choi_min_eig(left @ superop @ right, dim_in, dim_out, tolerance)
+    return choi_min_eig(left @ superop @ right, dim_in, dim_out)
 
 
 def omega_full(rho, element, xi, cfg=None, n_factors=None) -> complex:
@@ -206,6 +206,27 @@ def full_numeric_gram(zs, t: float, f) -> np.ndarray:
     """Gram matrix pairing all k^2 evolved states; numeric_gram pairs i <= j."""
     states = [evolve(f, z, t).state for z in zs]
     return np.array([[flow_inner(u, v) for v in states] for u in states])
+
+
+def padded_pairing(f, g, steps: int, w: complex, z: complex) -> complex:
+    """The pairing of f and g under (w, z) after steps more steps, by the
+    recursion over a list of steps outflows, zero past the P cells.
+
+    semigroups._pairer keeps only the outflows of the P cells and stops at
+    the first step that leaves the value unchanged.
+    """
+    h = f.grid.spacing
+    a, b = f.source_cells, g.source_cells
+    points = len(a)
+    outflows = [h * complex(np.vdot(a[points - 1 - k], b[points - 1 - k]))
+                for k in range(min(steps, points))]
+    outflows += [0.0] * (steps - len(outflows))
+    d = _step_damping(w, h) * _step_damping(z, h)
+    feed = h * np.conj(complex(w)) * complex(z)
+    value = h * complex(np.vdot(a, b))
+    for ov in outflows:
+        value = d * ((value - ov) + feed * value)
+    return value
 
 
 def covariance_residuals_by_label(ws, zs, t: float, f, g,
@@ -340,7 +361,7 @@ def unitality_records(rep, worst1: float, worst2: float) -> None:
 
 def lambda_of(k_op: TensorOperator) -> HElement:
     """Lambda(C) = C tensor multiplication-by-exp(-x)."""
-    return HElement(terms=((1.0, ExpMultiplier(1.0), k_op),))
+    return HElement(terms=((1.0, ExpMultiplier(), k_op),))
 
 
 def on_boundary_identity(weight: BoundaryWeight) -> complex:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -556,6 +557,26 @@ class TestOutflowGate:
         assert "grid.length" not in result.output
         assert isinstance(result.exception, SystemExit)
 
+    # a positive t that rounds to no step at some refinement level would
+    # pass with every residual exactly 0 (or warn on log2(0))
+    @pytest.mark.parametrize("override", [
+        {"covariance": {"t": 1.0e-6}},
+        {"grid": {"length": 7.9, "points": 2}}])
+    def test_zero_step_count_is_config_error(self, tmp_path, override):
+        path = tmp_path / "zero.yaml"
+        path.write_text(yaml.safe_dump(override))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(
+                main, ["covariance", "--config", str(path), "--out",
+                       str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "invalid config: covariance.t" in result.output
+        assert "rounds to no step" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
     # every cell midpoint lies where the bump underflows to zero
     def test_coarse_grid_is_config_error(self, tmp_path):
         path = tmp_path / "coarse.yaml"
@@ -571,17 +592,27 @@ class TestOutflowGate:
         assert isinstance(result.exception, SystemExit)
 
     def test_largest_overflow_free_labels_run(self, tmp_path):
-        # every c(w, z) is finite; the grid cannot resolve |z|^2 h, so
-        # the refinement order check may fail, but without a config error
+        # every c(w, z) is finite, but the grid cannot resolve |z|^2 h:
+        # an unresolvable label is a FAIL of the refinement order check,
+        # which exists to catch it, not a config error
         path = tmp_path / "labels.yaml"
         path.write_text(yaml.safe_dump(
             {"covariance": {"labels": ["1e153", "1"]}}))
         out = tmp_path / "o"
-        result = CliRunner().invoke(
-            main, ["covariance", "--config", str(path), "--out", str(out)])
-        assert result.exit_code in (0, 1), result.output
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(
+                main, ["covariance", "--config", str(path), "--out",
+                       str(out)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
         assert "invalid config" not in result.output
-        assert load_report(out, "covariance")["records"]
+        assert "Traceback" not in result.output
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        records = load_report(out, "covariance")["records"]
+        assert [r["name"] for r in records if not r["pass"]] \
+            == ["min-refinement-order"]
 
     @pytest.mark.parametrize("override", OUTFLOW_CONFIGS)
     def test_runner_still_raises(self, tmp_path, override):

@@ -248,7 +248,10 @@ class TestDraws:
     def test_sweep_agrees_with_scalar_kernels(self, seed):
         n = self.SWEEP_N
         r_min, residual = r_sweep(np.random.default_rng(seed), n)
-        blocks = list(gauge._general_pairs(np.random.default_rng(seed), n))
+        blocks = [(g.a, g.b, g.c, gp.a, gp.b, gp.c)
+                  for g, gp in gauge._param_blocks(
+                      np.random.default_rng(seed), gauge.GENERAL, n, 2,
+                      gauge._SWEEP_BLOCK)]
         assert sum(len(block[0]) for block in blocks) == n
         r_all, sq_all, r_ref, sq_ref, scale = [], [], [], [], []
         for block in blocks:

@@ -129,7 +129,7 @@ class TestBoundaryKernel:
 
     def test_damping_expectation(self):
         q = BOUNDARY_KERNEL
-        val = ExpMultiplier(1.0).matrix_element(q, q)
+        val = ExpMultiplier().matrix_element(q, q)
         assert val.real == pytest.approx(0.5)
 
 
@@ -197,7 +197,7 @@ class TestGamma:
     def test_unsupported_source(self):
         u = ExpKernelVector([(1.0, 1.0)])
         with pytest.raises(UnsupportedRepresentationError):
-            GammaImage(ExpMultiplier(1.0)).matrix_element(u, u)
+            GammaImage(ExpMultiplier()).matrix_element(u, u)
 
     def test_grid_quadrature_approximates_identity_image(self):
         grid = Grid(30.0, 3000)
@@ -209,13 +209,12 @@ class TestGamma:
         assert val.real == pytest.approx(1.0 / 6.0, abs=5e-3)
 
 
-def blockwise_gamma_grid(a, grid, t_cut=40.0):
+def blockwise_gamma_grid(a, grid):
     """gamma_grid as one shifted n x n block per translation step, O(n^3)."""
     n = grid.points
     h = grid.spacing
-    steps = min(n, int(round(t_cut / h)))
     out = np.zeros_like(a, dtype=complex)
-    for k in range(steps):
+    for k in range(n):
         block = np.zeros_like(out)
         block[k:, k:] = a[: n - k, : n - k]
         out += np.exp(-k * h) * h * block
@@ -223,22 +222,17 @@ def blockwise_gamma_grid(a, grid, t_cut=40.0):
 
 
 class TestGammaGridRecursion:
-    # t_cut above the grid length keeps every step; 0.4 of it truncates
-    # (for n = 1 it rounds to no step at all)
     @pytest.mark.parametrize("n", [1, 2, 150, 301])
     @pytest.mark.parametrize("source", ["identity", "random"])
-    @pytest.mark.parametrize("cut_fraction", [40.0 / 15.0, 0.4],
-                             ids=["uncut", "cut"])
-    def test_matches_blockwise_sum(self, n, source, cut_fraction):
+    def test_matches_blockwise_sum(self, n, source):
         grid = Grid(15.0, n)
         if source == "identity":
             a = np.eye(n)
         else:
             rng = np.random.default_rng(n)
             a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        t_cut = cut_fraction * grid.length
-        ref = blockwise_gamma_grid(a, grid, t_cut)
-        out = gamma_grid(a, grid, t_cut)
+        ref = blockwise_gamma_grid(a, grid)
+        out = gamma_grid(a, grid)
         scale = np.max(np.abs(ref))
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13 * scale)
 

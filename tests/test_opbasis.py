@@ -129,9 +129,8 @@ class TestPredualMaps:
     def test_lambda_superop_matches_dense(self, model):
         rng = np.random.default_rng(2)
         mu = random_density(rng, model.dim_h)
-        direct = model.lambda_superop(mu)
-        via = (dense_lambda_superop(model) @ mu.reshape(-1)).reshape(
-            model.dim_k, model.dim_k)
+        direct = model.lambda_superop(mu.reshape(-1, 1))
+        via = (dense_lambda_superop(model) @ mu.reshape(-1)).reshape(-1, 1)
         np.testing.assert_allclose(direct, via, atol=1e-12)
 
     @pytest.mark.parametrize("blocks", [1, 2])
@@ -163,8 +162,9 @@ class TestPredualMaps:
 
     def test_lambda_of_identity_is_damping_trace(self, model):
         mu = np.eye(model.dim_h, dtype=complex)
-        out = model.lambda_superop(mu)
-        expected = np.eye(model.dim_k) * np.trace(model.h_damping)
+        out = model.lambda_superop(mu.reshape(-1, 1))
+        expected = np.eye(model.dim_k).reshape(-1, 1) * np.trace(
+            model.h_damping)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
 

@@ -1,5 +1,8 @@
 """Transport stepping, covariance and the semigroup laws."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +13,7 @@ from cpflow.semigroups import (
     FlowState,
     IncompatibleStatesError,
     InvalidExperimentError,
-    UzParams,
+    StepCountError,
     analytic_gram,
     bump_state,
     covariance,
@@ -21,12 +24,14 @@ from cpflow.semigroups import (
     numeric_gram,
     refinement_orders,
     semigroup_residual,
+    _step_damping,
 )
 from references import (
     covariance_residuals_by_label,
     full_numeric_gram,
     isometry_residual,
     numeric_gram_by_label,
+    padded_pairing,
 )
 
 LABELS = [0.0, 1.0, 1j, 1 + 1j]
@@ -109,7 +114,7 @@ def per_step_evolve(state, z, t):
     h = state.grid.spacing
     n_steps = int(round(t / h))
     snap = abs(t - n_steps * h)
-    damping = UzParams(z, h).step_damping
+    damping = _step_damping(z, h)
     cells = state.cells.copy()
     outflow = state.outflow_mass
     for _ in range(n_steps):
@@ -191,7 +196,7 @@ def replayed_flow_inner(f, g):
     h = f.grid.spacing
     a = f.source_cells.copy()
     b = g.source_cells.copy()
-    d = UzParams(f.z, h).step_damping * UzParams(g.z, h).step_damping
+    d = _step_damping(f.z, h) * _step_damping(g.z, h)
     feed = h * np.conj(complex(f.z)) * complex(g.z)
     value = h * complex(np.vdot(a, b))
     for _ in range(f.steps):
@@ -263,6 +268,41 @@ def pairwise_residual(w, z, t, f, g):
     t_snapped = (ef.steps - f.steps) * f.grid.spacing
     expected = np.exp(covariance(w, z) * t_snapped) * flow_inner(f, g)
     return float(abs(flow_inner(ef, eg) - expected))
+
+
+class TestOutflowFreeTail:
+    # past the P cells nothing flows out; w = z = 0 is a fixed point at
+    # once, w = -z underflows to 0 within 50 P steps, w = z does not
+    @pytest.mark.parametrize("multiple", [1, "P+1", 5, 50])
+    @pytest.mark.parametrize("w, z", [(0.0, 0.0), (1 + 1j, 1 + 1j),
+                                      (1 + 1j, -1 - 1j), (0.0, 2j)])
+    def test_matches_padded_recursion(self, multiple, w, z):
+        points = 50
+        f, g = random_states(points, 2, 19)
+        steps = points + 1 if multiple == "P+1" else multiple * points
+        t = steps * f.grid.spacing
+        ef, eg = evolve(f, w, t).state, evolve(g, z, t).state
+        assert ef.steps == steps
+        assert flow_inner(ef, eg) == padded_pairing(f, g, steps, w, z)
+
+    def test_huge_step_count_is_cheap(self):
+        f = bump_state(Grid(8.0, 200), 3.0, 0.4)
+        labels = [0.0, 3.0, -3.0]
+        t = 10 ** 9 * f.grid.spacing
+        start = time.perf_counter()
+        gram = numeric_gram(labels, t, f)
+        assert time.perf_counter() - start < 1.0
+        # tracing slows the loop, so the memory is measured on a rerun
+        tracemalloc.start()
+        try:
+            numeric_gram(labels, t, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        # every pairing sits at its fixed point well before 10^6 steps
+        np.testing.assert_array_equal(
+            gram, numeric_gram(labels, 10 ** 6 * f.grid.spacing, f))
 
 
 class TestCovarianceResiduals:
@@ -455,6 +495,13 @@ class TestCovarianceResidual:
         f = bump_state(grid, 3.0, 0.4)
         assert covariance_residuals([1.0], [1j], 0.0, f, f)[0, 0] == 0.0
 
+    # a positive t below h / 2 would pass with every residual exactly 0
+    def test_positive_time_without_steps_raises(self):
+        grid = Grid(8.0, 200)
+        f = bump_state(grid, 3.0, 0.4)
+        with pytest.raises(StepCountError, match="rounds to no step"):
+            covariance_residuals([1.0], [1j], 0.4 * grid.spacing, f, f)
+
 
 class TestSemigroupLaw:
     def test_bitwise_composition(self):
@@ -515,5 +562,4 @@ class TestFlowStateShape:
 
 class TestParams:
     def test_step_damping(self):
-        p = UzParams(2.0, 0.01)
-        assert p.step_damping == pytest.approx(np.exp(-0.02))
+        assert _step_damping(2.0, 0.01) == pytest.approx(np.exp(-0.02))

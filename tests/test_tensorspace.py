@@ -143,7 +143,7 @@ class TestPairing:
         # multiplication by e^{-x} is self-adjoint, so the adjoint of a
         # only conjugates its coefficient
         f = reference_state(LINEAR, 3)
-        damp = (ExpMultiplier(1.0),) * 3
+        damp = (ExpMultiplier(),) * 3
         a = TensorOperator([(0.7 + 0.2j, damp, "identity")])
         a_star = TensorOperator([(0.7 - 0.2j, damp, "identity")])
         lhs = pairing(f, a, f)
@@ -161,7 +161,7 @@ class TestIteratedShifts:
         assert op.width == 2
 
     def test_pi_apply_width(self):
-        op = pi_apply(ExpMultiplier(1.0), identity_operator(), 4)
+        op = pi_apply(ExpMultiplier(), identity_operator(), 4)
         assert op.width == 1
 
 

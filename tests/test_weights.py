@@ -285,7 +285,7 @@ class TestSeriesTable:
         # pi(Lambda(e^{-x} x I)) touches two slots; the second term has one
         rng = np.random.default_rng(15)
         rho = random_functional(rng, 2) + random_functional(rng, 1, 1)
-        two_slots = lambda_of(TensorOperator([(1.0, (ExpMultiplier(1.0),),
+        two_slots = lambda_of(TensorOperator([(1.0, (ExpMultiplier(),),
                                                "identity")]))
         exc = assert_same_series(rho, two_slots, SHORT_CFG, 2, 1.0)
         assert isinstance(exc, TruncationExceededError)
@@ -331,7 +331,7 @@ class TestReferenceMemo:
     def test_operators_are_values(self):
         assert IdentityOperator() == IdentityOperator()
         assert hash(IdentityOperator()) == hash(IdentityOperator())
-        assert IdentityOperator() != ExpMultiplier(1.0)
+        assert IdentityOperator() != ExpMultiplier()
 
 
 class TestInferWidth:
