@@ -6,14 +6,15 @@ Run with
     PYTHONPATH=src python -m pytest benchmarks/test_corner_kernels.py \
         --benchmark-only
 
-The inputs are those of the ``corner`` command at its default config:
-N = 3 factors of dimension 2 (dim_k = 8) and the three half-line cells
-(dim_h = 24), linear lambda, cuts 0.5 and 0.25, witness label -1.  The
-kernels are the model's construction with its cached constants, the
-series weight at labels 1 and -1, the cut and the boundary
-representation of the minimal weight at cut 0.5, the Choi spectrum of
-the folded 2x2 corner (a 384 x 384 Choi matrix) and the subordination
-check of the unital weight over the minimal one.
+The inputs are those of the ``corner`` command at its default config, at
+N = 3 factors (the default) and N = 4 of dimension 2 (dim_k = 8 and 16)
+and the three half-line cells (dim_h = 24 and 48), linear lambda, cuts
+0.5 and 0.25, witness label -1.  The kernels are the model's construction
+with its cached constants, the series weight at labels 1 and -1, the cut
+and the boundary representation of the minimal weight at cut 0.5, the
+Choi spectrum of the folded 2x2 corner (a 384 x 384 Choi matrix at N = 3,
+1536 x 1536 at N = 4) and the subordination check of the unital weight
+over the minimal one.
 """
 
 import numpy as np
@@ -21,27 +22,28 @@ import pytest
 
 from cpflow.cli import DEFAULT_CONFIG
 from cpflow.cornercheck import _folded_rep, subordination_check
-from cpflow.opbasis import MatrixModel, choi_min_eig
+from cpflow.opbasis import DEFAULT_EDGES, MatrixModel, choi_min_eig
 from cpflow.tensorspace import LambdaSequence
 
 CORNER = DEFAULT_CONFIG["corner"]
 CUTS = tuple(CORNER["cut_levels"])
+FACTOR_DIM = DEFAULT_CONFIG["tensor"]["factor_dim"]
 CONSTANTS = ("basis", "damping", "cross_overlap", "reference_coords",
              "delta_matrix", "shift", "pi_superop", "series_kernel")
 
 
-def build_model() -> MatrixModel:
-    model = MatrixModel(n_factors=CORNER["factors"],
-                        factor_dim=DEFAULT_CONFIG["tensor"]["factor_dim"],
+def build_model(n_factors: int) -> MatrixModel:
+    model = MatrixModel(n_factors=n_factors, factor_dim=FACTOR_DIM,
                         seq=LambdaSequence(DEFAULT_CONFIG["lambda"]["kind"]))
     for name in CONSTANTS:
         getattr(model, name)
     return model
 
 
-@pytest.fixture(scope="module")
-def model():
-    return build_model()
+@pytest.fixture(scope="module", params=[CORNER["factors"], 4],
+                ids=lambda n: "N%d" % n)
+def model(request):
+    return build_model(request.param)
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +56,10 @@ def weights(model):
     return minimal, minimal + model.gap_superop(eta)
 
 
-def test_model_construction(benchmark):
-    model = benchmark(build_model)
-    assert model.dim_k == 8 and model.dim_h == 24
+def test_model_construction(benchmark, model):
+    built = benchmark(build_model, model.n_factors)
+    assert built.dim_k == FACTOR_DIM ** model.n_factors
+    assert built.dim_h == built.dim_k * (len(DEFAULT_EDGES) - 1)
 
 
 @pytest.mark.parametrize("z", [1.0, -1.0])
@@ -82,7 +85,6 @@ def test_choi_min_eig_folded_corner(benchmark, model, weights):
     folded = _folded_rep(model, diag_rep, model.weight_superop(z),
                          model.weight_superop(z.conjugate()), CUTS[0])
     verdict = benchmark(choi_min_eig, folded, 2 * model.dim_k, model.dim_h)
-    assert 2 * model.dim_k * model.dim_h == 384
     assert verdict.completely_positive
 
 

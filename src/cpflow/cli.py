@@ -41,13 +41,14 @@ from .weights import (
     rank_one,
     xi_from_nu,
 )
-from .opbasis import CP_TOLERANCE, DEFAULT_EDGES, MatrixModel
+from .opbasis import CP_TOLERANCE, DEFAULT_EDGES, MatrixModel, cut_edge
 # choi_min_eig is unused here; perfbench's selftest checks this binding
 from .opbasis import choi_min_eig  # noqa: F401
 from .cornercheck import (
     DegenerateDirectionError,
     derivation_residual,
     hypermax_witness,
+    on_unit_circle,
     subordination_check,
 )
 from .gauge import (
@@ -123,6 +124,12 @@ MINIMUMS = {
     "weights.factor_dim": 1, "decay.head_level": 1, "delta.levels": 1,
 }
 
+# The settings that must be > 0.  At covariance.t = 0 every residual is 0
+# and the order inf: a pass that checks nothing.  At tail_tolerance <= 0
+# the certificate cert < tol never holds: every series runs max_terms.
+POSITIVE = ("grid.length", "grid.points", "covariance.t",
+            "series.tail_tolerance")
+
 
 def _parses(convert, values) -> bool:
     try:
@@ -175,8 +182,11 @@ def _validate(cfg: dict) -> list[str]:
     bad_numbers = _bad_numbers(cfg)
     errors.extend(bad_numbers)
     if not bad_numbers:
-        if cfg["grid"]["length"] <= 0 or cfg["grid"]["points"] <= 0:
-            errors.append("grid.length and grid.points must be positive")
+        for name in POSITIVE:
+            section, key = name.split(".")
+            if cfg[section][key] <= 0:
+                errors.append("%s must be > 0, got %r"
+                              % (name, cfg[section][key]))
         for name, least in MINIMUMS.items():
             section, key = name.split(".")
             if cfg[section][key] < least:
@@ -184,16 +194,6 @@ def _validate(cfg: dict) -> list[str]:
                               % (name, least, cfg[section][key]))
         if cfg["decay"]["n_max"] < cfg["decay"]["head_level"]:
             errors.append("decay.n_max must be >= decay.head_level")
-        # at t = 0 every covariance residual is exactly 0 and the
-        # refinement order is inf: a pass that checks nothing
-        if cfg["covariance"]["t"] <= 0:
-            errors.append("covariance.t must be > 0, got %r"
-                          % cfg["covariance"]["t"])
-        # below it the tail certificate cert < tol never holds, and every
-        # series runs all max_terms terms
-        if cfg["series"]["tail_tolerance"] <= 0:
-            errors.append("series.tail_tolerance must be > 0, got %r"
-                          % cfg["series"]["tail_tolerance"])
     if cfg["lambda"]["kind"] not in ("linear", "geometric", "custom"):
         errors.append("lambda.kind must be linear, geometric or custom")
     values = cfg["lambda"]["values"]
@@ -221,18 +221,14 @@ def _validate(cfg: dict) -> list[str]:
             if not all(np.isfinite(covariance(w, z)) for w in zs for z in zs):
                 errors.append("covariance.labels must have a finite "
                               "covariance c(w, z) for every pair")
-    # a cut at the top edge keeps no cell: every boundary representation
-    # there is the zero map and passes any CP check
     cuts = cfg["corner"]["cut_levels"]
-    if not isinstance(cuts, list) or not cuts or not _parses(float, cuts) \
-            or not all(any(abs(float(t) - edge) < 1e-12
-                           for edge in DEFAULT_EDGES[:-1]) for t in cuts):
+    if not isinstance(cuts, list) or not cuts \
+            or not _parses(lambda t: cut_edge(float(t)), cuts):
         errors.append("corner.cut_levels must be a non-empty list of the "
                       "cell edges below the top edge %s"
                       % (DEFAULT_EDGES[:-1],))
     witness = cfg["corner"]["witness_label"]
-    if not _parses(_label, [witness]) \
-            or not abs(abs(_label(witness)) - 1.0) <= 1e-12:
+    if not _parses(_label, [witness]) or not on_unit_circle(_label(witness)):
         errors.append("corner.witness_label must be a complex number on "
                       "the unit circle")
     return errors

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .opbasis import CP_TOLERANCE, DEFAULT_EDGES, MatrixModel, choi_min_eig
+from .opbasis import MatrixModel, choi_min_eig, cut_edge, is_cp
 
 
 class NonCompletelyPositiveInputError(ValueError):
@@ -137,14 +137,14 @@ def subordination_check(model: MatrixModel, upper, lower,
     compares their generalized boundary representations: the difference
     must be CP at every sampled level.  Inputs whose own boundary
     representations are not CP are rejected with the offending eigenvalue.
-    An empty list of cut levels samples nothing, and a cut at the top cell
-    edge keeps no cell, so every representation there is the zero map:
-    both are rejected with ValueError.
+    An empty list of cut levels samples nothing, and every level must
+    name a cell edge below the top one (opbasis.cut_edge): both are
+    rejected with ValueError before any representation is solved.
     """
-    top = DEFAULT_EDGES[-1]
-    if len(cut_levels) == 0 or max(cut_levels) >= top - 1e-12:
-        raise ValueError("subordination needs cut levels below the top "
-                         "cell edge %g" % top)
+    for t in cut_levels:
+        cut_edge(t)
+    if len(cut_levels) == 0:
+        raise ValueError("subordination needs cut levels, got none")
     mins = {"upper": [], "lower": [], "difference": []}
     lower_reps = []
     for t in cut_levels:
@@ -160,7 +160,7 @@ def subordination_check(model: MatrixModel, upper, lower,
             mins[name].append(v.min_eigenvalue)
         mins["difference"].append(choi_min_eig(
             rep_up - rep_low, model.dim_k, model.dim_h).min_eigenvalue)
-    sub = all(m >= -CP_TOLERANCE for m in mins["difference"])
+    sub = all(map(is_cp, mins["difference"]))
     return SubordinationVerdict(sub, tuple(cut_levels), tuple(mins["upper"]),
                                 tuple(mins["lower"]),
                                 tuple(mins["difference"]), tuple(lower_reps))
@@ -184,7 +184,7 @@ class HypermaxReport:
 
     @property
     def minimal_cp(self) -> bool:
-        return all(m >= -CP_TOLERANCE for m in self.minimal_min_eigs)
+        return all(map(is_cp, self.minimal_min_eigs))
 
     @property
     def dominated(self) -> bool:
@@ -197,6 +197,11 @@ class HypermaxReport:
     @property
     def witnessed(self) -> bool:
         return self.minimal_cp and self.dominated and self.gap_nonzero
+
+
+def on_unit_circle(z: complex) -> bool:
+    """|z| = 1 to within 1e-12; False for a NaN or infinite label."""
+    return abs(abs(z) - 1.0) <= 1e-12
 
 
 def hypermax_witness(z: complex, model: MatrixModel, eta: np.ndarray,
@@ -213,7 +218,7 @@ def hypermax_witness(z: complex, model: MatrixModel, eta: np.ndarray,
     conj(z) are solved here.
     """
     z = complex(z)
-    if abs(abs(z) - 1.0) > 1e-12:
+    if not on_unit_circle(z):
         raise ValueError("witness labels must lie on the unit circle")
     if abs(z - 1.0) <= 1e-12:
         raise DegenerateDirectionError(

@@ -69,6 +69,17 @@ def _exp_cell_integral(rate: complex, a: float, b: float) -> complex:
 DEFAULT_EDGES = (0.0, 0.25, 0.5, 2.0)
 
 
+def cut_edge(t: float) -> float:
+    """The cell edge below the top edge that cut level t names, else
+    ValueError: a cut at the top edge keeps no cell, so every boundary
+    representation there is the zero map and passes any CP check."""
+    for edge in DEFAULT_EDGES[:-1]:
+        if abs(t - edge) < 1e-12:
+            return edge
+    raise ValueError("cut levels must be cell edges below the top edge "
+                     "%g, got %g" % (DEFAULT_EDGES[-1], t))
+
+
 @dataclass(frozen=True)
 class MatrixModel:
     """Truncated model with n_factors tensor slots of dimension factor_dim.
@@ -153,33 +164,20 @@ class MatrixModel:
         moves up, and the last slot is contracted against the reference
         coordinates.
         """
-        m, n, mh = self.factor_dim, self.n_factors, self.h_dim
         kappa, _ = self.reference_coords
-        cross = self.cross_overlap
-        s0 = np.zeros((self.dim_k, self.dim_h),
-                      dtype=np.result_type(kappa, cross))
-        shape = (m,) * n + (mh,)
-        for col in range(self.dim_h):
-            idx = np.unravel_index(col, shape)  # (i1 .. iN, i0)
-            v = np.zeros((m,) * n, dtype=s0.dtype)
-            coeff = np.conj(kappa[idx[-2]])
-            for j in range(m):
-                out_idx = (j,) + idx[:-2]
-                v[out_idx] = coeff * cross[j, idx[-1]]
-            s0[:, col] = v.reshape(-1)
-        return s0
+        rest = np.eye(self.factor_dim ** (self.n_factors - 1))
+        # rows (j, i1 .. i_{N-1}), columns (i1 .. i_{N-1}, i_N, i0)
+        return np.einsum("jc,ab,k->jabkc", self.cross_overlap, rest,
+                         np.conj(kappa)).reshape(self.dim_k, self.dim_h)
 
     def cut(self, t: float) -> np.ndarray:
         """The spectral tail cut U(t)U(t)* on the half-line slot.
 
-        t must coincide with a cell edge; the cut is then an exact
-        diagonal projection.
+        t must name a cell edge below the top one (cut_edge); the cut is
+        then the exact diagonal projection onto the cells at or above it.
         """
-        e = DEFAULT_EDGES
-        if not any(abs(t - edge) < 1e-12 for edge in e):
-            raise ValueError("cut level %g is not a cell edge of %r" % (t, e))
-        return np.diag([1.0 if e[j] >= t - 1e-12 else 0.0
-                        for j in range(self.h_dim)])
+        edge = cut_edge(t)
+        return np.diag([float(e >= edge) for e in DEFAULT_EDGES[:-1]])
 
     # -- superoperator matrices --------------------------------------------
 
@@ -318,8 +316,12 @@ def choi_matrix(superop: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
 
 
 CP_TOLERANCE = 1e-8
-"""How far below zero a minimum Choi eigenvalue may lie for a CP verdict.
-ChoiVerdict scales it by max(|trace|, 1); the corner's verdicts do not."""
+"""How far below zero a minimum Choi eigenvalue may lie for a CP verdict."""
+
+
+def is_cp(min_eigenvalue: float) -> bool:
+    """The CP verdict on a minimum Choi eigenvalue: >= -CP_TOLERANCE."""
+    return min_eigenvalue >= -CP_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -330,8 +332,7 @@ class ChoiVerdict:
 
     @property
     def completely_positive(self) -> bool:
-        scale = max(abs(self.trace), 1.0)
-        return self.min_eigenvalue >= -CP_TOLERANCE * scale
+        return is_cp(self.min_eigenvalue)
 
 
 def choi_min_eig(superop: np.ndarray, dim_in: int,

@@ -320,7 +320,6 @@ def pi_apply(h_op: HalfLineOperator, k_op: TensorOperator,
 class DeltaPairingResult:
     value: complex
     curve: np.ndarray
-    tail_factor: float
 
 
 def delta_pairing(f: ProductVector, g: ProductVector) -> DeltaPairingResult:
@@ -333,6 +332,5 @@ def delta_pairing(f: ProductVector, g: ProductVector) -> DeltaPairingResult:
     ident = identity_operator()
     curve = np.array([pairing(f, pi_lambda_power(ident, k, n), g)
                       for k in range(n + 1)])
-    tail = tail_weight_product(f.seq, f.tail_start)
     value = pairing(f, delta_operator(), g)
-    return DeltaPairingResult(value, curve, tail)
+    return DeltaPairingResult(value, curve)

@@ -169,6 +169,8 @@ class TestCommands:
         ({"lambda": {"kind": "custom",
                      "values": [1, 2, 3, 4, 5, 6, 7, 8, 1.0e+300]}},
          "lambda.values"),
+        ({"corner": {"witness_label": "nan"}}, "corner.witness_label"),
+        ({"grid": {"points": 0}}, "grid.points must be > 0"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, override, message):
         path = tmp_path / "bad.yaml"

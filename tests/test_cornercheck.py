@@ -241,6 +241,8 @@ class TestHypermaxWitness:
     def test_off_circle_rejected(self, model, inputs):
         with pytest.raises(ValueError):
             hypermax_witness(0.5, model, *inputs)
+        with pytest.raises(ValueError, match="unit circle"):
+            hypermax_witness(complex("nan"), model, *inputs)
 
     @pytest.mark.parametrize("n_factors", [2, 3])
     def test_matches_dense_doubled_reference(self, n_factors):

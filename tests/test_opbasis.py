@@ -6,6 +6,7 @@ import pytest
 from cpflow.cornercheck import WeightMatrix, fold_doubled
 from cpflow.halfline import inner_product
 from cpflow.opbasis import (
+    ChoiVerdict,
     MatrixModel,
     NonInvertibleSystemError,
     choi_matrix,
@@ -87,6 +88,9 @@ class TestBases:
     def test_cut_rejects_non_edges(self, model):
         with pytest.raises(ValueError):
             model.cut(0.3)
+        # the top edge keeps no cell: every representation there is zero
+        with pytest.raises(ValueError, match="cut levels"):
+            MatrixModel(2, 2).cut(2.0)
 
     def test_cut_commutes_with_damping(self, model):
         p = model.cut(0.25)
@@ -264,6 +268,11 @@ class TestChoi:
         superop = np.kron(k, k.conj())
         v = choi_min_eig(superop, 2, 2)
         assert v.completely_positive
+
+    def test_one_unscaled_rule(self):
+        # the trace does not widen the tolerance: -2e-8 fails at trace 3
+        assert not ChoiVerdict(-2e-8, 3.0, 0.0).completely_positive
+        assert ChoiVerdict(-1e-8, 3.0, 0.0).completely_positive
 
 
 def random_kraus_superop(rng, dim_in, dim_out, rank, cut_rows=()):
