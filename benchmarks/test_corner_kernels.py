@@ -82,8 +82,7 @@ def test_boundary_rep(benchmark, model, weights):
 def test_choi_min_eig_folded_corner(benchmark, model, weights):
     z = complex(CORNER["witness_label"])
     diag_rep = model.boundary_rep(weights[0], CUTS[0])[0]
-    folded = _folded_rep(model, diag_rep, model.weight_superop(z),
-                         model.weight_superop(z.conjugate()), CUTS[0])
+    folded = _folded_rep(model, diag_rep, model.weight_superop(z), CUTS[0])
     verdict = benchmark(choi_min_eig, folded, 2 * model.dim_k, model.dim_h)
     assert verdict.completely_positive
 

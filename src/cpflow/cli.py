@@ -382,6 +382,10 @@ def run_covariance(cfg, rep: Reporter, rng):
         g = bump_state(grid, 3.5, 0.5)
         max_residuals.append(
             float(covariance_residuals(labels, labels, t, f, g).max()))
+    if not any(max_residuals):  # the order inf: a pass that tests nothing
+        raise ConfigError("invalid config: covariance.labels %r leave every "
+                          "residual exactly 0 at every refinement level"
+                          % (block["labels"],))
     orders = refinement_orders(max_residuals)
     rep.bound("min-refinement-order", min(orders), 0.8, "ge",
               "derived-oracle")

@@ -67,21 +67,19 @@ def fold_doubled(blocks, dim_in: int, dim_out: int) -> np.ndarray:
                                                4 * dim_in * dim_in)
 
 
-def _folded_rep(model: MatrixModel, diag_rep: np.ndarray, upper, lower,
+def _folded_rep(model: MatrixModel, diag_rep: np.ndarray, offdiag,
                 t: float) -> np.ndarray:
     """Folded boundary representation of a 2x2 weight matrix at level t.
 
-    The matrix is [[diagonal, upper], [lower, diagonal]], and diag_rep is
-    the diagonal weight's representation at t, solved once by the caller
-    for both diagonal entries.  The cut and lambdahat act entrywise on
-    doubled densities, so the resolvent system of the doubled weight is
-    block diagonal and its boundary representation is the 2x2 matrix of
-    the entries' representations.  Each entry's system goes through the
-    singularity gate of MatrixModel.boundary_rep.
+    The matrix is [[diagonal, offdiag], [conj(offdiag), diagonal]].  The
+    cut and lambdahat act entrywise on doubled densities, so its boundary
+    representation is the 2x2 matrix of the entries' ones.  diag_rep is
+    the diagonal's, solved by the caller.  The model is real, so the lower
+    entry's is the conjugate of the upper entry's, the one system solved
+    here (through the singularity gate of MatrixModel.boundary_rep).
     """
-    upper_rep, lower_rep = (model.boundary_rep(w, t)[0]
-                            for w in (upper, lower))
-    return fold_doubled([[diag_rep, upper_rep], [lower_rep, diag_rep]],
+    rep = model.boundary_rep(offdiag, t)[0]
+    return fold_doubled([[diag_rep, rep], [rep.conj(), diag_rep]],
                         model.dim_k, model.dim_h)
 
 
@@ -92,7 +90,7 @@ class WeightMatrix:
     diagonal: the weight used on both diagonal entries; offdiag_label:
     the unit label z of the off-diagonal series weights (upper gets z,
     lower gets conj(z) so Hermiticity of doubled densities is preserved).
-    The off-diagonal series weights are solved once per matrix.
+    Only the weight at z is solved, once per matrix (the model is real).
     """
 
     model: MatrixModel
@@ -103,14 +101,13 @@ class WeightMatrix:
     def blocks(self) -> list:
         z = complex(self.offdiag_label)
         upper = self.model.weight_superop(z)
-        lower = self.model.weight_superop(np.conj(z))
-        return [[self.diagonal, upper], [lower, self.diagonal]]
+        return [[self.diagonal, upper], [upper.conj(), self.diagonal]]
 
     def boundary_rep(self, t: float) -> np.ndarray:
         """Fold of the doubled boundary representation at cut level t."""
-        (diagonal, upper), (lower, _) = self.blocks
+        diagonal, upper = self.blocks[0]
         return _folded_rep(self.model, self.model.boundary_rep(diagonal, t)[0],
-                           upper, lower, t)
+                           upper, t)
 
 
 @dataclass(frozen=True)
@@ -214,8 +211,8 @@ def hypermax_witness(z: complex, model: MatrixModel, eta: np.ndarray,
     which sets the diagonal gap, and dominance the subordination_check of
     the unital weight over the minimal one (see the module docstring);
     its cut levels are the witness's, and its lower representations are
-    the corner's diagonal ones.  Only the off-diagonal entries at z and
-    conj(z) are solved here.
+    the corner's diagonal ones.  Only the off-diagonal entry at z is
+    solved here; the one at conj(z) is its conjugate.
     """
     z = complex(z)
     if not on_unit_circle(z):
@@ -227,9 +224,8 @@ def hypermax_witness(z: complex, model: MatrixModel, eta: np.ndarray,
     gap_norm = float(np.linalg.norm(eta)) * float(
         np.linalg.norm(model.delta_matrix))
     upper = model.weight_superop(z)
-    lower = model.weight_superop(z.conjugate())
     minimal_eigs = tuple(
-        choi_min_eig(_folded_rep(model, diag_rep, upper, lower, t),
+        choi_min_eig(_folded_rep(model, diag_rep, upper, t),
                      2 * model.dim_k, model.dim_h).min_eigenvalue
         for t, diag_rep in zip(dominance.cut_levels, dominance.lower_reps))
     return HypermaxReport(z, minimal_eigs, gap_norm, dominance)
@@ -261,7 +257,9 @@ def offdiag_perturbation_min_eig(model: MatrixModel, z: complex,
     """
     eta, _ = model.xi_eta(nu_density)
     gap = model.gap_superop(eps * eta)
-    diag_rep = model.boundary_rep(model.weight_superop(), t)[0]
-    rep = _folded_rep(model, diag_rep, model.weight_superop(complex(z)) + gap,
-                      model.weight_superop(np.conj(complex(z))), t)
+    diag, upper, lower = (model.boundary_rep(w, t)[0] for w in (
+        model.weight_superop(), model.weight_superop(complex(z)) + gap,
+        model.weight_superop(np.conj(complex(z)))))
+    rep = fold_doubled([[diag, upper], [lower, diag]], model.dim_k,
+                       model.dim_h)
     return choi_min_eig(rep, 2 * model.dim_k, model.dim_h).min_eigenvalue

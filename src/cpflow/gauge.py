@@ -20,7 +20,6 @@ which the symbolic tests prove and formula_discrepancy_report states.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -397,34 +396,11 @@ _SWEEP_BLOCK = 1024  # pairs or triples per r_sweep or associativity block
 _PAIR_ENTRIES = 2 * _SWEEP_BLOCK
 
 
-def _draw(rng: np.random.Generator, klass: str) -> tuple:
-    """Plain (a, b, c, y) of a random parameter of the given class.
-
-    rng.uniform(0, s) is s * rng.random() and rng.normal() is
-    rng.standard_normal() bit for bit, and rng.standard_normal(4) is four
-    such calls in order, so the bound methods consume the generator
-    exactly as those calls would; cmath.exp and the plain complex products
-    stand for numpy's scalar exp and conj.  The tests compare every class
-    with the keyword-call numpy form, value for value.
-    """
-    uniform, normal = rng.random, rng.standard_normal
-    if klass == FLOW:
-        return uniform() * cmath.exp(_TWO_PI_I * uniform()), 0j, 0j, 0j
-    if klass == UNITARY:
-        a = cmath.exp(_TWO_PI_I * uniform())
-        b = complex(normal(), normal())
-        return a, b, -a.conjugate() * b, 1j * normal()
-    a = 0.95 * uniform() * cmath.exp(_TWO_PI_I * uniform())
-    b_re, b_im, c_re, c_im = normal(4).tolist()  # one call for b and c
-    return (a, complex(b_re, b_im), complex(c_re, c_im),
-            complex(2.0 * uniform(), normal()))
-
-
 def _draw_block(rng: np.random.Generator, klass: str, k: int) -> tuple:
     """(a, b, c, y) of k random parameters of the class, as complex arrays.
 
-    Entry j is distributed as _draw(rng, klass), from the uniform rows u
-    and the normal rows N of one block draw each:
+    Entry j is built from column j of the uniform rows u and the normal
+    rows N of one block draw each:
         flow:     a = u0 exp(2 pi i u1), b = c = y = 0;
         unitary:  a = exp(2 pi i u0), b = N0 + i N1, c = -conj(a) b,
                   y = i N2;
@@ -465,7 +441,11 @@ def _param_blocks(rng: np.random.Generator, klass: str, n: int, group: int,
 
 
 def random_param(rng: np.random.Generator, klass: str = GENERAL) -> GaugeParam:
-    """A random parameter of the class; an unknown class draws nothing."""
+    """A random parameter of the class: the one member of a block draw.
+
+    An unknown class draws nothing.
+    """
     if klass not in (FLOW, UNITARY, GENERAL):
         raise InvalidParameterError("unknown class %r" % (klass,))
-    return GaugeParam(*_draw(rng, klass), klass=klass)
+    return GaugeParam(*(v[0] for v in _draw_block(rng, klass, 1)),
+                      klass=klass)

@@ -109,7 +109,8 @@ class FlowState:
 def bump_state(grid: Grid, center: float, width: float) -> FlowState:
     """A normalized Gaussian bump in one K-coordinate channel."""
     x = grid.midpoints
-    profile = np.exp(-0.5 * ((x - center) / width) ** 2)
+    with np.errstate(over="ignore"):  # an overflowing offset is a zero
+        profile = np.exp(-0.5 * ((x - center) / width) ** 2)
     norm = np.sqrt(grid.spacing) * np.linalg.norm(profile)
     if not norm > 0.0:
         raise CoarseGridError(
@@ -269,8 +270,11 @@ def flow_inner(f: FlowState, g: FlowState) -> complex:
     return _pairer(f, g, 0)(f.z, g.z)
 
 
-def covariance_residuals(ws, zs, t: float, f: FlowState, g: FlowState,
-                         outflow_tolerance: float = 1e-8) -> np.ndarray:
+OUTFLOW_TOLERANCE = 1e-8  # the mass allowed past the grid's right edge
+
+
+def covariance_residuals(ws, zs, t: float, f: FlowState,
+                         g: FlowState) -> np.ndarray:
     """[|(U_w(t) f, U_z(t) g) - exp(c(w,z) t) (f, g)|] over w in ws, z in zs.
 
     Each residual is expected O(h).  The pairings read only the sources
@@ -295,7 +299,7 @@ def covariance_residuals(ws, zs, t: float, f: FlowState, g: FlowState,
     outflow = max(evolve(s, max(labels, key=lambda z: _step_damping(z, h)),
                          t).state.outflow_mass
                   for s, labels in ((f, ws), (g, zs)) if labels)
-    if outflow > outflow_tolerance:
+    if outflow > OUTFLOW_TOLERANCE:
         raise InvalidExperimentError(
             "outflow mass %.3e exceeds the experiment tolerance; enlarge "
             "the grid" % outflow)

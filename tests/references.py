@@ -9,11 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from cpflow.gauge import (
-    FLOW,
     GENERAL,
-    UNITARY,
     GaugeParam,
-    InvalidParameterError,
     UnitAction,
     r_term,
 )
@@ -145,31 +142,6 @@ def omega_full(rho, element, xi, cfg=None, n_factors=None) -> complex:
     """The full weight omega(rho) = omega1(rho) + rho(Delta) xi."""
     base = omega1(rho, element, cfg, n_factors)
     return base.value + rho.delta_value() * xi.value(element)
-
-
-def random_param_reference(rng: np.random.Generator,
-                           klass: str = GENERAL) -> GaugeParam:
-    """A random gauge parameter drawn with keyword-parsed generator calls.
-
-    gauge.random_param draws the same stream through bound methods.
-    """
-    if klass not in (FLOW, UNITARY, GENERAL):
-        raise InvalidParameterError("unknown class %r" % (klass,))
-
-    def cplx(scale=1.0):
-        return complex(rng.normal(scale=scale), rng.normal(scale=scale))
-
-    if klass == FLOW:
-        return GaugeParam(rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform()),
-                          klass=FLOW)
-    if klass == UNITARY:
-        a = np.exp(2j * np.pi * rng.uniform())
-        b = cplx()
-        return GaugeParam(a, b, -np.conj(a) * b, 1j * rng.normal(),
-                          klass=UNITARY)
-    a = rng.uniform(0, 0.95) * np.exp(2j * np.pi * rng.uniform())
-    return GaugeParam(a, cplx(), cplx(), complex(rng.uniform(0, 2),
-                                                 rng.normal()))
 
 
 def identity_param(klass: str = GENERAL) -> GaugeParam:

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from cpflow import cornercheck, opbasis, semigroups
 from cpflow.cli import (
@@ -447,12 +450,13 @@ class TestCornerPipeline:
                 assert abs(record["value"] - value) <= 1e-12
 
     def test_each_result_computed_once(self, monkeypatch, tmp_path):
-        # 4 weights (minimal, z, conj(z), the derivation label; the unital
-        # weight is the minimal one plus the rank-one gap);
+        # 3 weights (minimal, z, the derivation label; the unital weight
+        # is the minimal one plus the rank-one gap, and the corner's lower
+        # entry at conj(z) is the conjugate of its upper one);
         # boundary representations: unital and minimal at each cut, then
-        # the corner's upper and lower (its diagonal is the minimal
-        # weight's, handed on by the subordination verdict); Choi: unital,
-        # minimal and their difference at each cut, then the corner
+        # the corner's single off-diagonal solve (its diagonal is the
+        # minimal weight's, handed on by the subordination verdict); Choi:
+        # unital, minimal and their difference at each cut, then the corner
         calls = {"boundary_rep": 0, "choi_min_eig": 0, "weight_superop": 0}
 
         def counted(name, fn):
@@ -468,9 +472,9 @@ class TestCornerPipeline:
         for module in (opbasis, cornercheck):
             monkeypatch.setattr(module, "choi_min_eig", choi)
         corner_records(3, tmp_path)
-        assert calls["boundary_rep"] <= 8
+        assert calls["boundary_rep"] <= 6
         assert calls["choi_min_eig"] <= 8
-        assert calls["weight_superop"] <= 4
+        assert calls["weight_superop"] <= 3
 
 
 # the default delta report, linear lambda: (name, value, expected)
@@ -579,19 +583,44 @@ class TestOutflowGate:
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
 
-    # every cell midpoint lies where the bump underflows to zero
-    def test_coarse_grid_is_config_error(self, tmp_path):
+    # labels that move nothing within a step: 0 is pure translation, and
+    # |z|^2 h underflows for the others, so every residual is exactly 0
+    # and the refinement order inf would pass without testing anything
+    @pytest.mark.parametrize("labels", [["0"], [0.0, "1e-200"],
+                                        ["1e-160j"]])
+    def test_unmeasured_labels_are_config_error(self, tmp_path, labels):
+        path = tmp_path / "labels.yaml"
+        path.write_text(yaml.safe_dump({"covariance": {"labels": labels}}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(
+                main, ["covariance", "--config", str(path), "--out",
+                       str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "invalid config: covariance.labels" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
+    # every cell midpoint lies where the bump underflows to zero, or where
+    # its offset overflows when squared
+    @pytest.mark.parametrize("grid", [{"length": 1.0e8, "points": 2},
+                                      {"length": 1.0e300}])
+    def test_coarse_grid_is_config_error(self, tmp_path, grid):
         path = tmp_path / "coarse.yaml"
-        path.write_text(yaml.safe_dump(
-            {"grid": {"length": 1.0e8, "points": 2}}))
-        result = CliRunner().invoke(
-            main, ["covariance", "--config", str(path), "--out",
-                   str(tmp_path / "o")])
+        path.write_text(yaml.safe_dump({"grid": grid}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(
+                main, ["covariance", "--config", str(path), "--out",
+                       str(tmp_path / "o")])
         assert result.exit_code == 2, result.output
         assert ("invalid config: grid.points is too few for grid.length"
                 in result.output)
         assert "covariance.t" not in result.output
         assert isinstance(result.exception, SystemExit)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
 
     def test_largest_overflow_free_labels_run(self, tmp_path):
         # every c(w, z) is finite, but the grid cannot resolve |z|^2 h:
@@ -733,3 +762,99 @@ class TestShortLambdaSequence:
         rep = Reporter("delta", cfg, tmp_path / "o")
         with pytest.raises(TruncationExceededError, match=message):
             run_delta(cfg, rep, np.random.default_rng(0))
+
+
+# Edge values for the config contract: numbers at and past the ends of
+# float64, non-finite ones, and values of the wrong type for any key.
+EDGES = st.sampled_from([0, -1, 0.0, -1.0, 1e-300, 1e300, -1e300, math.inf,
+                         -math.inf, math.nan, "x", [1.0], {"x": 1}, None,
+                         True])
+# labels near zero, near the overflow of |z|^2, and not numbers at all
+LABELS = st.sampled_from([0, 0.0, "0", "1", "-1", "1j", "1+1j", "-3+2j",
+                          "1e-200", "1e-160j", "1e-300", "1e153", "1e300",
+                          "nan", "inf", "x", None, True])
+
+
+def edgy(valid):
+    """A usable value half the time, an edge value the other half."""
+    return st.one_of(valid, EDGES)
+
+
+def counts(high):
+    """Counts up to a cap that keeps every run small."""
+    return edgy(st.integers(1, high))
+
+
+OVERRIDES = {
+    "grid.length": edgy(st.floats(4.0, 50.0)),
+    "grid.points": counts(400),
+    "tensor.factors": counts(6),
+    "tensor.factor_dim": counts(3),
+    "lambda.kind": st.sampled_from(["linear", "geometric", "custom", "x",
+                                    None]),
+    "lambda.values": edgy(st.lists(edgy(st.floats(0.5, 20.0)),
+                                   max_size=12)),
+    "series.tail_tolerance": edgy(st.floats(1e-14, 1e-2)),
+    "series.max_terms": counts(200),
+    "seeds.rng": counts(2 ** 40),
+    "delta.levels": counts(12),
+    "decay.n_max": counts(12),
+    "decay.head_level": counts(12),
+    "covariance.labels": edgy(st.lists(LABELS, max_size=3)),
+    "covariance.t": edgy(st.floats(0.01, 2.0)),
+    "covariance.refinements": counts(3),
+    "gauge.triples": counts(50),
+    "gauge.r_samples": counts(200),
+    "gauge.z_samples": counts(10),
+    "gauge.pairs": counts(20),
+    "transitivity.pairs": counts(10),
+    "corner.factors": counts(2),
+    "corner.cut_levels": edgy(st.lists(edgy(st.sampled_from(
+        [0.5, 0.25, 0.125, 0.3, 1.0])), max_size=3)),
+    "corner.witness_label": LABELS,
+    "weights.samples": counts(3),
+    "weights.factor_dim": counts(3),
+}
+OVERRIDE = st.sampled_from(sorted(OVERRIDES)).flatmap(
+    lambda key: st.tuples(st.just(key), OVERRIDES[key]))
+
+
+def reject_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
+class TestConfigContract:
+    """Any config either runs, fails a check, or is a config error."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(command=st.sampled_from(ALL_COMMANDS),
+           overrides=st.lists(OVERRIDE, min_size=1, max_size=3,
+                              unique_by=lambda kv: kv[0]))
+    # a check that measured nothing wrote "value": Infinity
+    @example(command="covariance", overrides=[("covariance.labels", ["0"])])
+    # the bump warned on an overflowing offset before its config error
+    @example(command="covariance", overrides=[("grid.length", 1e300)])
+    def test_exit_codes_and_reports(self, command, overrides):
+        # the fast sizes under the drawn keys: every count stays capped
+        config = json.loads(json.dumps(FAST_CONFIG))
+        for name, value in overrides:
+            section, key = name.split(".")
+            config.setdefault(section, {})[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.yaml")
+            with open(path, "w") as fh:
+                fh.write(yaml.safe_dump(config))
+            out = os.path.join(tmp, "o")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = CliRunner().invoke(
+                    main, [command, "--config", path, "--out", out])
+            assert result.exit_code in (0, 1, 2), result.output
+            assert result.exception is None \
+                or isinstance(result.exception, SystemExit), result.output
+            assert not [w for w in caught
+                        if issubclass(w.category, RuntimeWarning)]
+            for name in os.listdir(out) if os.path.isdir(out) else ():
+                if name.endswith(".json"):
+                    with open(os.path.join(out, name)) as fh:
+                        json.loads(fh.read(), parse_constant=reject_constant)

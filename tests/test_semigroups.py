@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cpflow import semigroups
 from cpflow.halfline import Grid
 from cpflow.semigroups import (
     EvolveResult,
@@ -358,11 +359,12 @@ class TestMatchesPerLabelReference:
     @pytest.mark.parametrize("points, t", [(50, 1.0), (50, 12.0),
                                            (1600, 1.0)])
     @pytest.mark.parametrize("dim_k", [1, 2, 3])
-    def test_tables_bit_identical(self, points, t, dim_k):
+    def test_tables_bit_identical(self, points, t, dim_k, monkeypatch):
         f, g = random_states(points, dim_k, points + dim_k)
         ws = ORACLE_LABELS[::-1]
         # the outflow of random states is O(1): no gate here
-        table = covariance_residuals(ws, ORACLE_LABELS, t, f, g, np.inf)
+        monkeypatch.setattr(semigroups, "OUTFLOW_TOLERANCE", np.inf)
+        table = covariance_residuals(ws, ORACLE_LABELS, t, f, g)
         assert np.array_equal(table, covariance_residuals_by_label(
             ws, ORACLE_LABELS, t, f, g, np.inf))
         assert np.array_equal(numeric_gram(ORACLE_LABELS, t, f),
@@ -371,7 +373,9 @@ class TestMatchesPerLabelReference:
     @pytest.mark.parametrize("dim_k", [1, 2, 3])
     @pytest.mark.parametrize("w, z", [(0.0, -0.0j), (1j, 1j),
                                       (1 + 1j, 0.0)])
-    def test_continued_states_bit_identical(self, dim_k, w, z):
+    def test_continued_states_bit_identical(self, dim_k, w, z,
+                                            monkeypatch):
+        monkeypatch.setattr(semigroups, "OUTFLOW_TOLERANCE", np.inf)
         f, g = random_states(50, dim_k, 7 * dim_k)
         f, g = evolve(f, w, 2.5).state, evolve(g, z, 2.5).state
         assert f.steps > 0
@@ -380,7 +384,7 @@ class TestMatchesPerLabelReference:
         zs = [z, z, -z if z == 0 else z]
         for t in (0.0, 1.0, 12.0):
             assert np.array_equal(
-                covariance_residuals(ws, zs, t, f, g, np.inf),
+                covariance_residuals(ws, zs, t, f, g),
                 covariance_residuals_by_label(ws, zs, t, f, g, np.inf))
             assert np.array_equal(numeric_gram(ws, t, f),
                                   numeric_gram_by_label(ws, t, f))
@@ -425,7 +429,8 @@ class TestOutflowGateParity:
 
     @pytest.mark.parametrize("continued", [False, True])
     @pytest.mark.parametrize("leaking", ["f", "g"])
-    def test_gate_fires_with_reference(self, continued, leaking):
+    def test_gate_fires_with_reference(self, continued, leaking,
+                                       monkeypatch):
         grid = Grid(8.0, 200)
         near, edge = bump_state(grid, 3.0, 0.4), bump_state(grid, 6.5, 0.3)
         f, g = (edge, near) if leaking == "f" else (near, edge)
@@ -439,14 +444,15 @@ class TestOutflowGateParity:
         worst = max(evolve(s, z, 1.0).state.outflow_mass
                     for s, labels in ((f, ws), (g, zs)) for z in labels)
         assert worst > 1e-6
+        args = (ws, zs, 1.0, f, g)
         for tol in (np.nextafter(worst, 0.0), worst):
-            args = (ws, zs, 1.0, f, g, tol)
+            monkeypatch.setattr(semigroups, "OUTFLOW_TOLERANCE", tol)
             message = gate_message(covariance_residuals, *args)
             assert message == gate_message(covariance_residuals_by_label,
-                                           *args)
+                                           *args, tol)
             assert (message is None) == (tol == worst)
         assert np.array_equal(covariance_residuals(*args),
-                              covariance_residuals_by_label(*args))
+                              covariance_residuals_by_label(*args, tol))
 
 
 class TestHugeTime:
