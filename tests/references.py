@@ -9,8 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from cpflow.gauge import (
+    FLOW,
     GENERAL,
+    UNITARY,
     GaugeParam,
+    InvalidParameterError,
     UnitAction,
     r_term,
 )
@@ -142,6 +145,34 @@ def omega_full(rho, element, xi, cfg=None, n_factors=None) -> complex:
     """The full weight omega(rho) = omega1(rho) + rho(Delta) xi."""
     base = omega1(rho, element, cfg, n_factors)
     return base.value + rho.delta_value() * xi.value(element)
+
+
+def random_param_reference(rng: np.random.Generator,
+                           klass: str = GENERAL) -> GaugeParam:
+    """A random gauge parameter drawn one keyword-parsed call at a time.
+
+    gauge.random_param takes the one member of a block draw; it consumes
+    the generator in the same order, all uniforms of the class first, then
+    all normals.
+    """
+    if klass not in (FLOW, UNITARY, GENERAL):
+        raise InvalidParameterError("unknown class %r" % (klass,))
+    if klass == FLOW:
+        r = rng.uniform(0, 1)
+        return GaugeParam(r * np.exp(2j * np.pi * rng.uniform()), klass=FLOW)
+    if klass == UNITARY:
+        a = np.exp(2j * np.pi * rng.uniform())
+        b = complex(rng.normal(), rng.normal())
+        # numpy's array complex product may round differently in the last
+        # place from its scalar one; the package multiplies arrays
+        c = (-np.conj([a]) * np.array([b]))[0]
+        return GaugeParam(a, b, c, 1j * rng.normal(), klass=UNITARY)
+    r = rng.uniform(0, 0.95)
+    a = r * np.exp(2j * np.pi * rng.uniform())
+    y_re = rng.uniform(0, 2)
+    b = complex(rng.normal(), rng.normal())
+    c = complex(rng.normal(), rng.normal())
+    return GaugeParam(a, b, c, complex(y_re, rng.normal()))
 
 
 def identity_param(klass: str = GENERAL) -> GaugeParam:

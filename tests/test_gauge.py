@@ -33,6 +33,7 @@ from references import (
     act_reference,
     composed_reference,
     identity_param,
+    random_param_reference,
 )
 
 RNG = np.random.default_rng(20240823)
@@ -198,6 +199,16 @@ class TamperedGenerator:
 
 
 class TestDraws:
+    @pytest.mark.parametrize("klass", [GENERAL, UNITARY, FLOW])
+    @pytest.mark.parametrize("seed", [2024, 7])
+    def test_same_stream_as_reference(self, klass, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2000):
+            g, h = random_param(rng, klass), random_param_reference(ref, klass)
+            assert (g.a, g.b, g.c, g.y, g.klass) == (h.a, h.b, h.c, h.y,
+                                                     h.klass)
+        assert rng.random() == ref.random()
+
     # the third draw at seed 2024 and the next rng.random() after it; a
     # general draw takes three uniforms, then five normals
     PINNED = {
@@ -214,19 +225,21 @@ class TestDraws:
                0.07872553376199898),
     }
 
+    @pytest.mark.parametrize("draw", [random_param, random_param_reference])
     @pytest.mark.parametrize("klass", [GENERAL, UNITARY, FLOW])
-    def test_known_class_stream_pinned(self, klass):
+    def test_known_class_stream_pinned(self, draw, klass):
         rng = np.random.default_rng(2024)
-        g = [random_param(rng, klass) for _ in range(3)][-1]
+        g = [draw(rng, klass) for _ in range(3)][-1]
         assert g.klass == klass
         assert (repr((g.a, g.b, g.c, g.y)), rng.random()) == self.PINNED[klass]
 
+    @pytest.mark.parametrize("draw", [random_param, random_param_reference])
     @pytest.mark.parametrize("klass", ["unitray", "general", "", None])
-    def test_unknown_class_raises_before_drawing(self, klass):
+    def test_unknown_class_raises_before_drawing(self, draw, klass):
         rng = np.random.default_rng(2024)
         state = rng.bit_generator.state
         with pytest.raises(InvalidParameterError, match="unknown class"):
-            random_param(rng, klass)
+            draw(rng, klass)
         assert rng.bit_generator.state == state
         assert rng.random() == np.random.default_rng(2024).random()
 
