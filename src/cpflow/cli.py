@@ -199,6 +199,8 @@ def _validate(cfg: dict) -> list[str]:
     values = cfg["lambda"]["values"]
     if cfg["lambda"]["kind"] == "custom" and not values:
         errors.append("lambda.kind=custom requires lambda.values")
+    if cfg["lambda"]["kind"] != "custom" and values is not None:
+        errors.append("lambda.values is read only with lambda.kind=custom")
     # the reference rate lambda^2 / 2 must neither overflow nor underflow
     if values is not None and not (isinstance(values, list) and all(
             isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -251,8 +253,9 @@ def load_config(path: str | None) -> dict:
 
 def _seq(cfg: dict) -> LambdaSequence:
     lam = cfg["lambda"]
-    vals = tuple(lam["values"]) if lam["values"] else None
-    return LambdaSequence(lam["kind"], vals)
+    if lam["kind"] == "custom":
+        return LambdaSequence("custom", tuple(lam["values"]))
+    return LambdaSequence(lam["kind"])
 
 
 def _label(value) -> complex:

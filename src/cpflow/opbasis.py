@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .halfline import ExpKernelVector, inner_product
+from .halfline import ExpKernelVector, ExpMultiplier, inner_product
 from .tensorspace import LambdaSequence, tail_weight_product
 
 
@@ -111,7 +111,8 @@ class MatrixModel:
     @cached_property
     def damping(self) -> np.ndarray:
         """Compression of multiplication by exp(-x) to the tensor-slot span."""
-        out = _real_if_exact([[inner_product(u, v.shifted(1.0))
+        damp = ExpMultiplier()
+        out = _real_if_exact([[damp.matrix_element(u, v)
                                for v in self.basis] for u in self.basis])
         return 0.5 * (out + out.conj().T)
 

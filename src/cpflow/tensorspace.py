@@ -6,6 +6,11 @@ finite sums of elementary tensors with a declared behaviour (identity or
 damping by exp(-x)) on all slots past their explicit factors.  The
 down-shift of states, the induced endomorphism pi, and the limit
 operator Delta are realised on this truncation.
+
+TensorOperator.slots states the one slot rule: on a state of width n a
+term meets its explicit factors, then its tail operator on the other
+slots, and a damping tail adds the closed-form tail weight.  pairing and
+the weight series' orbit (weights._OrbitTerm) both read it.
 """
 
 from __future__ import annotations
@@ -43,13 +48,19 @@ class LambdaSequence:
     """The per-factor scale sequence lambda_1, lambda_2, ...
 
     kind "linear" is lambda_n = n, "geometric" is lambda_n = 2^n, and
-    "custom" takes an explicit finite list.
+    "custom" takes an explicit finite list, the only kind that takes one.
     """
 
     kind: Literal["linear", "geometric", "custom"] = "linear"
     custom_values: tuple[float, ...] = ()
 
     def __post_init__(self):
+        if self.kind not in ("linear", "geometric", "custom"):
+            raise InvalidSequenceError("unknown sequence kind %r"
+                                       % (self.kind,))
+        if self.kind != "custom" and self.custom_values:
+            raise InvalidSequenceError(
+                "a %s sequence takes no values" % self.kind)
         if self.kind == "custom":
             vals = tuple(float(v) for v in self.custom_values)
             if not vals:
@@ -196,7 +207,7 @@ def reference_state(seq: LambdaSequence, n_factors: int) -> ProductVector:
     return ProductVector(seq, [seq.reference(i) for i in range(1, n_factors + 1)])
 
 
-def _check_aligned(f: ProductVector, g: ProductVector) -> None:
+def check_aligned(f: ProductVector, g: ProductVector) -> None:
     """Width, tail start and lambda sequence: tails are resolved as one."""
     if f.width != g.width or f.tail_start != g.tail_start:
         raise ValueError("states must share truncation and tail alignment")
@@ -206,7 +217,7 @@ def _check_aligned(f: ProductVector, g: ProductVector) -> None:
 
 def product_inner(f: ProductVector, g: ProductVector) -> complex:
     """(f, g) as the product of factor inner products; tails must align."""
-    _check_aligned(f, g)
+    check_aligned(f, g)
     total = 1.0 + 0.0j
     for a, b in zip(f.factors, g.factors):
         total *= inner_product(a, b)
@@ -251,6 +262,22 @@ class TensorOperator:
     def width(self) -> int:
         return max((len(f) for _, f, _ in self.terms), default=0)
 
+    def slots(self, n: int) -> tuple[list[tuple[complex, tuple, bool]],
+                                     TruncationExceededError | None]:
+        """Per term up to the first one wider than n: its coefficient, its
+        n slot operators (explicit factors, then the tail operator) and
+        whether its tail damps; then that wider term's error, or None,
+        for the caller to raise after evaluating the terms before it."""
+        out = []
+        for c, factors, tail in self.terms:
+            if len(factors) > n:
+                return out, TruncationExceededError(
+                    "operator touches %d slots, state has %d"
+                    % (len(factors), n))
+            out.append((c, factors + (_TAIL_OPS[tail],) * (n - len(factors)),
+                        tail == "damping"))
+        return out, None
+
     def scaled(self, c: complex) -> "TensorOperator":
         return TensorOperator([(c * w, f, t) for w, f, t in self.terms])
 
@@ -269,21 +296,18 @@ def delta_operator() -> TensorOperator:
 
 def pairing(g: ProductVector, a: TensorOperator, f: ProductVector) -> complex:
     """(g, A f) on the truncated space, tails resolved in closed form."""
-    _check_aligned(f, g)
-    n = f.width
+    check_aligned(f, g)
+    slots, overwide = a.slots(f.width)
     total = 0.0 + 0.0j
-    for c, factors, tail in a.terms:
-        if len(factors) > n:
-            raise TruncationExceededError(
-                "operator touches %d slots, state has %d" % (len(factors), n))
-        tail_op = _TAIL_OPS[tail]
+    for c, ops, damps in slots:
         val = c
-        for i in range(n):
-            op = factors[i] if i < len(factors) else tail_op
-            val *= op.matrix_element(g.factors[i], f.factors[i])
-        if tail == "damping":
+        for op, u, v in zip(ops, g.factors, f.factors):
+            val *= op.matrix_element(u, v)
+        if damps:
             val *= tail_weight_product(f.seq, f.tail_start)
         total += val
+    if overwide is not None:
+        raise overwide
     return total
 
 
@@ -295,8 +319,9 @@ def pi_lambda_power(a: TensorOperator, n: int, n_factors: int) -> TensorOperator
         raise TruncationExceededError(
             "shifting by %d pushes the operator past %d factors"
             % (n, n_factors))
-    damp = tuple(ExpMultiplier() for _ in range(n))
-    return TensorOperator([(c, damp + f, t) for c, f, t in a.terms])
+    for _ in range(n):
+        a = pi_apply(ExpMultiplier(), a, n_factors)
+    return a
 
 
 def pi_apply(h_op: HalfLineOperator, k_op: TensorOperator,

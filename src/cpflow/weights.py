@@ -12,11 +12,13 @@ The series reads the orbit from a table per rank-one term: for each
 distinct slot operator (identity, damping, and those of the target) one
 list of matrix elements (bra_s, op ket_s) per absolute slot s, filled
 for the explicit slots when the term is built and grown by one reference
-slot per shift; the damping list gives the shift weights.  Every value
-multiplies the entries in the order tensorspace.pairing does, so it
-equals the pairing of the shifted functional bit for bit
-(tests/references.py keeps that loop as series_by_shifting), and a
-custom sequence that runs out raises at the same shift.
+slot per shift; the damping list gives the shift weights.  I, Delta and
+the target meet the slots by tensorspace's one slot rule,
+TensorOperator.slots, which pairing reads too, and one loop multiplies
+the entries in the order pairing does, so every value equals the
+pairing of the shifted functional bit for bit (tests/references.py
+keeps that loop as series_by_shifting), and a custom sequence that runs
+out raises at the same shift.
 Functional.__call__, delta_value and shifted stay on pairing:
 they give the independent side of the checked identities (rho(I) and
 rho(Delta) in weights-unitality) and the decay curve.
@@ -43,14 +45,11 @@ from .halfline import (
     ExpMultiplier,
     HalfLineOperator,
     IdentityOperator,
-    inner_product,
 )
 from .tensorspace import (
-    _TAIL_OPS,
-    _check_aligned,
     ProductVector,
     TensorOperator,
-    TruncationExceededError,
+    check_aligned,
     delta_operator,
     identity_operator,
     pairing,
@@ -58,6 +57,10 @@ from .tensorspace import (
     product_inner,
     tail_weight_product,
 )
+
+
+_DAMPING = ExpMultiplier()
+"""Multiplication by exp(-x): the shift weight (bra_1, exp(-x) ket_1)."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -118,7 +121,7 @@ class Functional:
         """
         out = []
         for w, ket, bra in self.terms:
-            mult = inner_product(bra.factors[0], ket.factors[0].shifted(1.0))
+            mult = _DAMPING.matrix_element(bra.factors[0], ket.factors[0])
             out.append((w * mult, ket.shifted_down(), bra.shifted_down()))
         return Functional(out)
 
@@ -209,86 +212,56 @@ class _OrbitTerm:
     Absolute slot s holds the explicit factors for s < width and the
     reference vectors k_{tail_start + s - width} past them.  After k
     shifts the weight is w times the damping entries of slots 0..k-1, and
-    position i of the truncated state reads slot k + i.  Products are
-    taken in the order tensorspace.pairing takes them, so every value is
-    the one pairing gives on the shifted functional.
+    position i of the truncated state reads slot k + i.
 
-    vals keeps one list of matrix elements (bra_s, op ket_s) per distinct
-    slot operator, keyed by operator value, from slot 0: identity
-    (rho(I)), damping (rho(Delta), the shift weights) and each operator
-    of the target.  The explicit slots are filled here, and each shift
-    appends one reference slot to every list.
+    I, Delta and the target are resolved by TensorOperator.slots, as in
+    tensorspace.pairing, and value multiplies in pairing's order, so each
+    value is the one pairing gives on the shifted functional.  vals keeps
+    one list of matrix elements (bra_s, op ket_s) per distinct slot
+    operator, from slot 0, filled here for the explicit slots and grown
+    by one reference slot per shift; the damping list gives the shift
+    weights.
     """
 
     def __init__(self, w: complex, ket: ProductVector, bra: ProductVector,
                  target: TensorOperator):
-        _check_aligned(ket, bra)
+        check_aligned(ket, bra)
         self.w = w
         self.ket = ket
-        self.bra = bra
-        self.width = n = ket.width
-        # the slot operator at each position of each target term, up to the
-        # first term wider than the state (pairing raises there)
-        resolved = []
-        self.overwide: int | None = None
-        for c, factors, tail in target.terms:
-            if len(factors) > n:
-                self.overwide = len(factors)
-                break
-            tail_op = _TAIL_OPS[tail]
-            ops = [factors[i] if i < len(factors) else tail_op
-                   for i in range(n)]
-            resolved.append((c, ops, tail == "damping"))
-        distinct = dict.fromkeys([_IDENTITY, _DAMPING] + [
-            op for _, ops, _ in resolved for op in ops])
+        n = ket.width
+        slots = [op.slots(n) for op in (identity_operator(), delta_operator(),
+                                        target)]
+        distinct = dict.fromkeys([_DAMPING] + [
+            op for terms, _ in slots for _, ops, _ in terms for op in ops])
         self.vals = {op: [op.matrix_element(bra.factors[s], ket.factors[s])
                           for s in range(n)] for op in distinct}
-        self.identity = self.vals[_IDENTITY]
         self.damping = self.vals[_DAMPING]
-        self.target = [(c, [self.vals[op] for op in ops], damping)
-                       for c, ops, damping in resolved]
+        self.identity, self.delta, self.target = (
+            ([(c, [self.vals[op] for op in ops], damps)
+              for c, ops, damps in terms], overwide)
+            for terms, overwide in slots)
 
-    def delta_value(self) -> complex:
-        """rho_0(Delta): damping on every slot and on the implicit tail."""
-        val = _ONE
-        for m in self.damping:
-            val *= m
-        val *= tail_weight_product(self.ket.seq, self.ket.tail_start)
+    def value(self, operator, k: int) -> complex:
+        """rho_k(operator) after k shifts; operator is self.identity,
+        self.delta or self.target."""
+        terms, overwide = operator
         total = 0.0 + 0.0j
-        total += val
-        return self.w * total
-
-    def identity_value(self, k: int) -> complex:
-        """rho_k(I) after k shifts."""
-        vals = self.identity
-        val = _ONE
-        for i in range(k, k + self.width):
-            val *= vals[i]
-        total = 0.0 + 0.0j
-        total += val
-        return self.w * total
-
-    def target_value(self, k: int) -> complex:
-        """rho_k(target) after k shifts."""
-        total = 0.0 + 0.0j
-        for c, factors, damping in self.target:
+        for c, factors, damps in terms:
             val = c
             for i, vals in enumerate(factors):
                 val *= vals[k + i]
-            if damping:
+            if damps:
                 val *= tail_weight_product(self.ket.seq,
                                            self.ket.tail_start + k)
             total += val
-        if self.overwide is not None:
-            raise TruncationExceededError(
-                "operator touches %d slots, state has %d"
-                % (self.overwide, self.width))
+        if overwide is not None:
+            raise overwide
         return self.w * total
 
     def shift(self, k: int) -> None:
         """rho_k -> rho_{k+1}: damp slot k, append slot k + width.
 
-        Bra and ket share their sequence and tail start (_check_aligned),
+        Bra and ket share their sequence and tail start (check_aligned),
         so one reference vector fills the new slot on both sides.  It is
         fetched here, so a custom sequence too short for it raises at the
         shift where ProductVector.shifted_down would.
@@ -297,11 +270,6 @@ class _OrbitTerm:
         ref = self.ket.seq.reference(self.ket.tail_start + k)
         for op, vals in self.vals.items():
             vals.append(op.matrix_element(ref, ref))
-
-
-_ONE = complex(1.0)
-_IDENTITY = _TAIL_OPS["identity"]
-_DAMPING = _TAIL_OPS["damping"]
 
 
 def _series(rho: Functional, element: HElement, cfg: WeightSeriesConfig,
@@ -318,7 +286,7 @@ def _series(rho: Functional, element: HElement, cfg: WeightSeriesConfig,
     parts = []
     for w, ket, bra in rho.terms:
         term = _OrbitTerm(w, ket, bra, target)
-        parts.append(term.delta_value())
+        parts.append(term.value(term.delta, 0))
         orbit.append(term)
     delta_limit = sum(parts, 0.0 + 0.0j)
     telescopes = element.telescoping and z == 1.0
@@ -331,7 +299,7 @@ def _series(rho: Functional, element: HElement, cfg: WeightSeriesConfig,
     terms = []
     zpow = z
     for k in range(explicit):
-        terms.append(zpow * sum((t.target_value(k) for t in orbit),
+        terms.append(zpow * sum((t.value(t.target, k) for t in orbit),
                                 0.0 + 0.0j))
         for t in orbit:
             t.shift(k)
@@ -373,7 +341,7 @@ def _series(rho: Functional, element: HElement, cfg: WeightSeriesConfig,
 
 
 def _identity_value(orbit: list[_OrbitTerm], k: int) -> complex:
-    return sum((t.identity_value(k) for t in orbit), 0.0 + 0.0j)
+    return sum((t.value(t.identity, k) for t in orbit), 0.0 + 0.0j)
 
 
 def omega1(rho: Functional, element: HElement,
@@ -398,8 +366,6 @@ def omega_z(z: complex, rho: Functional, element: HElement,
     cfg = cfg or WeightSeriesConfig()
     if n_factors is None:
         n_factors = _infer_width(rho)
-    if z == 0:
-        return SeriesValue(0.0 + 0.0j, np.zeros(0), 0.0, True)
     return _series(rho, element, cfg, n_factors, z=z)
 
 
@@ -435,7 +401,7 @@ class HFunctional:
         """The tensor-space functional C -> nu(C tensor exp(-x))."""
         out = []
         for w, (ket_k, ket_h), (bra_k, bra_h) in self.terms:
-            out.append((w * inner_product(bra_h, ket_h.shifted(1.0)),
+            out.append((w * _DAMPING.matrix_element(bra_h, ket_h),
                         ket_k, bra_k))
         return Functional(out)
 

@@ -174,6 +174,13 @@ class TestCommands:
          "lambda.values"),
         ({"corner": {"witness_label": "nan"}}, "corner.witness_label"),
         ({"grid": {"points": 0}}, "grid.points must be > 0"),
+        # values only a custom sequence reads
+        ({"lambda": {"kind": "linear", "values": [0.5, 0.7]}},
+         "lambda.values is read only with lambda.kind=custom"),
+        ({"lambda": {"kind": "geometric", "values": [1.0]}},
+         "lambda.values is read only with lambda.kind=custom"),
+        ({"lambda": {"values": [2.0]}},
+         "lambda.values is read only with lambda.kind=custom"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, override, message):
         path = tmp_path / "bad.yaml"
@@ -283,14 +290,42 @@ class RecordingConfig(dict):
         return value
 
 
+# the settings each runner reads at the default lambda.kind, as README
+# "Command line" tables them; main reads seeds.rng for every command, and
+# a runner that reads lambda.kind reads lambda.values under kind custom
+COMMAND_KEYS = {
+    "delta": {"delta.levels", "lambda.kind"},
+    "decay": {"decay.head_level", "decay.n_max", "lambda.kind"},
+    "covariance": {"covariance.labels", "covariance.refinements",
+                   "covariance.t", "grid.length", "grid.points"},
+    "gauge-check": {"gauge.pairs", "gauge.r_samples", "gauge.triples",
+                    "gauge.z_samples"},
+    "transitivity": {"transitivity.pairs"},
+    "corner": {"corner.cut_levels", "corner.factors",
+               "corner.witness_label", "lambda.kind", "tensor.factor_dim"},
+    "weights-unitality": {"lambda.kind", "series.max_terms",
+                          "series.tail_tolerance", "tensor.factors",
+                          "weights.factor_dim", "weights.samples"},
+}
+
+
 class TestConfigKeysRead:
     def test_every_setting_is_read_by_a_runner(self, tmp_path, fast_config):
-        # seeds.rng is read by main, which seeds the runner's generator
-        read = set()
+        reads = {}
         for command, runner in COMMANDS.items():
+            read = reads[command] = set()
             cfg = RecordingConfig(load_config(fast_config), read)
             runner(cfg, Reporter(command, cfg, tmp_path / command),
                    np.random.default_rng(0))
+        assert {command: {name for name in read if "." in name}
+                for command, read in reads.items()} == COMMAND_KEYS
+        read = set().union(*reads.values())
+        custom = load_config(fast_config)
+        custom["lambda"] = {"kind": "custom", "values": [1.0e9] + [
+            float(i) for i in range(2, 21)] + [1.0e9]}
+        cfg = RecordingConfig(custom, read)
+        run_delta(cfg, Reporter("delta", cfg, tmp_path / "custom"),
+                  np.random.default_rng(0))
         settings = {"%s.%s" % (section, key)
                     for section, block in DEFAULT_CONFIG.items()
                     for key in block}
@@ -378,7 +413,8 @@ class TestDeterminism:
 
 
 # record values at the default config, as computed when each shifted
-# functional was built and paired; the slot-table series must keep them
+# functional was built and paired; the slot-table series must keep them,
+# and delta, pairing's direct consumer, holds pairing's products
 GOLDEN_RECORDS = {
     ("weights-unitality", 2024): {
         "minimal-weight-identity-residual": "2.842170943040401e-14",
@@ -393,8 +429,21 @@ GOLDEN_RECORDS = {
 for _seed in (2024, 7, 11):
     GOLDEN_RECORDS[("decay", _seed)] = {"delta-value": "0.0",
                                         "max-norm-from-level-3": "0.0"}
-GOLDEN_DECAY_CURVE = ["0.95584308492520298", "0.10790507654127174",
-                      "0.060773472717787533"] + ["0"] * 6
+    GOLDEN_RECORDS[("delta", _seed)] = {
+        "pairing-at-level-8": "0.30586775289037743",
+        "limit-reference": "0.27202905498213314",
+        "curve-monotone-nonincreasing": "True"}
+# the value column of each command's curve sidecar, as the records above
+GOLDEN_CURVES = {
+    "decay": ("decay-decay.csv",
+              ["0.95584308492520298", "0.10790507654127174",
+               "0.060773472717787533"] + ["0"] * 6),
+    "delta": ("delta-pairing.csv",
+              ["1", "0.5", "0.40000000000000002", "0.36000000000000004",
+               "0.33882352941176475", "0.32579185520361997",
+               "0.31698666992784647", "0.31064693652928954",
+               "0.30586775289037743"]),
+}
 
 
 class TestGoldenRecords:
@@ -406,9 +455,10 @@ class TestGoldenRecords:
         values = {r["name"]: repr(r["value"])
                   for r in load_report(out, command)["records"]}
         assert values == GOLDEN_RECORDS[(command, seed)]
-        if command == "decay":
-            rows = (out / "decay-decay.csv").read_text().split()[1:]
-            assert [row.split(",")[1] for row in rows] == GOLDEN_DECAY_CURVE
+        if command in GOLDEN_CURVES:
+            name, column = GOLDEN_CURVES[command]
+            rows = (out / name).read_text().split()[1:]
+            assert [row.split(",")[1] for row in rows] == column
 
 
 # corner records (name, value, pass) at the default config (3 factors)

@@ -1,0 +1,52 @@
+"""tools/compare_reports.py: what counts as a difference between two runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
+_spec = importlib.util.spec_from_file_location("compare_reports", TOOL)
+compare_reports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_reports)
+
+REPORT = {"experiment": "delta", "all_pass": True,
+          "records": [{"name": "limit-reference", "value": 0.27202905498213314,
+                       "pass": True}],
+          "timing": {"total_s": 0.01}}
+CSV = "index,value,bound\n0,1,0.2720290549821332\n"
+
+
+def write_run(directory: Path, report: dict, csv: str = CSV) -> Path:
+    directory.mkdir()
+    (directory / "delta-report.json").write_text(json.dumps(report))
+    (directory / "delta-pairing.csv").write_text(csv)
+    return directory
+
+
+@pytest.fixture
+def parent(tmp_path):
+    return write_run(tmp_path / "parent", REPORT)
+
+
+def test_timing_only_difference_passes(parent, tmp_path):
+    change = write_run(tmp_path / "change",
+                       dict(REPORT, timing={"total_s": 9.5}))
+    assert compare_reports.compare_dirs(parent, change) == []
+
+
+def test_changed_record_is_reported(parent, tmp_path):
+    record = dict(REPORT["records"][0], value=0.2720290549821332)
+    change = write_run(tmp_path / "change", dict(REPORT, records=[record]))
+    assert compare_reports.compare_dirs(parent, change) \
+        == ["delta-report.json: differs outside timing"]
+
+
+def test_csv_compared_byte_for_byte(parent, tmp_path):
+    change = write_run(tmp_path / "change", REPORT,
+                       CSV.replace("0.2720290549821332", "0.27202905498213320"))
+    (change / "extra.csv").write_text(CSV)
+    assert compare_reports.compare_dirs(parent, change) \
+        == ["delta-pairing.csv: bytes differ",
+            "extra.csv: written by one side only"]

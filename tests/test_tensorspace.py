@@ -41,6 +41,16 @@ class TestLambdaSequence:
         with pytest.raises(InvalidSequenceError):
             LambdaSequence("custom")
 
+    # an unknown kind, and values a closed-form kind would ignore
+    @pytest.mark.parametrize("kind, values, message", [
+        ("weird", (), "unknown sequence kind 'weird'"),
+        ("linear", (3.0,), "a linear sequence takes no values"),
+        ("geometric", (1.0, 2.0), "a geometric sequence takes no values"),
+    ])
+    def test_unread_setting_rejected(self, kind, values, message):
+        with pytest.raises(InvalidSequenceError, match=message):
+            LambdaSequence(kind, values)
+
     # lambda^2 underflows to a zero rate, or overflows
     @pytest.mark.parametrize("values", [(1.0e-12, 1.0e-300), (1.0, 1.0e300),
                                         (float("nan"),)])

@@ -1,0 +1,92 @@
+"""Compare what two checkouts of cpflow write, command by command.
+
+    python3 tools/compare_reports.py PARENT CHANGE
+
+Runs each of the seven commands at its default config and at seeds 2024,
+7 and 11 in both checkouts (the package is imported from each checkout's
+``src``), every run in its own temporary output directory.  A report must
+be equal once its ``timing`` block is dropped; every other file (the CSV
+curves and ``gauge-check-formula-discrepancy.json``) must match byte for
+byte, and so must each run's exit code.  Prints one line per difference,
+naming the file, and exits 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = ("delta", "decay", "covariance", "gauge-check", "transitivity",
+            "corner", "weights-unitality")
+SEEDS = (2024, 7, 11)
+
+
+def run(checkout: Path, command: str, seed: int, out: Path) -> int:
+    """Run one command of the checkout; return its exit code."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "cpflow.cli", command, "--seed", str(seed),
+         "--out", str(out)],
+        cwd=checkout, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
+
+
+def _report(path: Path) -> dict:
+    report = json.loads(path.read_text())
+    report.pop("timing", None)
+    return report
+
+
+def compare_dirs(old: Path, new: Path) -> list[str]:
+    """The files of two output directories that differ, one line each."""
+    differences = []
+    names = {p.name for p in old.iterdir()} | {p.name for p in new.iterdir()}
+    for name in sorted(names):
+        a, b = old / name, new / name
+        if not (a.is_file() and b.is_file()):
+            differences.append("%s: written by one side only" % name)
+        elif name.endswith("-report.json"):
+            if _report(a) != _report(b):
+                differences.append("%s: differs outside timing" % name)
+        elif a.read_bytes() != b.read_bytes():
+            differences.append("%s: bytes differ" % name)
+    return differences
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/compare_reports.py PARENT CHANGE",
+              file=sys.stderr)
+        return 2
+    parent, change = (Path(arg).resolve() for arg in argv)
+    differences = []
+    files = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            for command in COMMANDS:
+                outs = [Path(tmp, side, "%s-%d" % (command, seed))
+                        for side in ("parent", "change")]
+                codes = [run(checkout, command, seed, out)
+                         for checkout, out in zip((parent, change), outs)]
+                label = "seed %d %s" % (seed, command)
+                if codes[0] != codes[1]:
+                    differences.append("%s: exit code %d, was %d"
+                                       % (label, codes[1], codes[0]))
+                if not all(out.is_dir() for out in outs):
+                    differences.append("%s: no output directory" % label)
+                    continue
+                files += len(list(outs[1].iterdir()))
+                differences += ["%s: %s" % (label, line)
+                                for line in compare_dirs(*outs)]
+    for line in differences:
+        print(line)
+    print("%d files compared, %d differences" % (files, len(differences)))
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
