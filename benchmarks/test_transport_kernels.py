@@ -8,13 +8,17 @@ pytest-benchmark prints min/median/max per kernel; add
 ``--benchmark-autosave`` to keep a run under ``.benchmarks/`` and
 ``--benchmark-compare`` to set a later run against it.  The inputs are
 those of the ``covariance`` command at ``covariance.refinements: 6``
-(the benchmark's transport workload).
+(the benchmark's transport workload), plus the slowly contracting
+pairing tail of ``covariance: {labels: ["2.5"], t: 1.0e+5}`` at 6400
+cells and ``gamma_grid`` of the identity on 600 cells (the largest Γ grid
+of the transport workload).
 """
 
+import numpy as np
 import pytest
 
 from cpflow.cli import DEFAULT_CONFIG
-from cpflow.halfline import Grid
+from cpflow.halfline import Grid, gamma_grid
 from cpflow.semigroups import (
     bump_state,
     covariance_residuals,
@@ -65,3 +69,17 @@ def test_covariance_sweep(benchmark):
     assert residuals == sorted(residuals, reverse=True)
     assert residuals[-1] == pytest.approx(residuals[0] / 2 ** (LEVELS - 1),
                                           rel=0.5)
+
+
+def test_pairing_tail(benchmark):
+    # for w = z each outflow-free step contracts by about
+    # 1 - (|z|^2 h)^2 / 2: a step loop would run ~10^8 steps here
+    f, _ = bumps(6400)
+    gram = benchmark(numeric_gram, [2.5], 1.0e5, f)
+    assert abs(gram[0, 0]) < 1e-300  # |A|^N is about exp(-2429)
+
+
+def test_gamma_grid(benchmark):
+    grid = Grid(15.0, 600)
+    out = benchmark(gamma_grid, np.eye(grid.points), grid)
+    assert out.shape == (600, 600)

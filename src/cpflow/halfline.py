@@ -335,12 +335,14 @@ def gamma_grid(a: np.ndarray, grid: "Grid") -> np.ndarray:
 
     which is O(n^2) instead of one n x n block per step, O(n^3).  It
     agrees with the blockwise sum to 1e-13 relative (tests/test_halfline).
+    The sum runs in np.result_type(a, float): a real matrix stays real,
+    with the values of the real part of the complex sum, bit for bit.
     """
     n = grid.points
     if a.shape != (n, n):
         raise UnsupportedRepresentationError("matrix does not match the grid")
     h = grid.spacing
-    out = h * np.asarray(a, dtype=complex)
+    out = h * np.asarray(a, dtype=np.result_type(a, float))
     decay = np.exp(-h)
     for i in range(1, n):
         out[i, 1:] += decay * out[i - 1, :-1]

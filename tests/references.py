@@ -7,6 +7,7 @@ does in a cheaper shape; the tests compare the two.
 from dataclasses import dataclass
 
 import numpy as np
+from mpmath import mp
 
 from cpflow.gauge import (
     FLOW,
@@ -215,8 +216,8 @@ def padded_pairing(f, g, steps: int, w: complex, z: complex) -> complex:
     """The pairing of f and g under (w, z) after steps more steps, by the
     recursion over a list of steps outflows, zero past the P cells.
 
-    semigroups._pairer keeps only the outflows of the P cells and stops at
-    the first step that leaves the value unchanged.
+    This is the step loop that semigroups._pairer evaluates in closed form
+    from the outflows of the P cells.
     """
     h = f.grid.spacing
     a, b = f.source_cells, g.source_cells
@@ -230,6 +231,74 @@ def padded_pairing(f, g, steps: int, w: complex, z: complex) -> complex:
     for ov in outflows:
         value = d * ((value - ov) + feed * value)
     return value
+
+
+def _exact_vdot(a, b):
+    """np.vdot(a, b) of float cells, exact to the working precision."""
+    return mp.fdot(np.ravel(b).tolist(), np.ravel(a).tolist(),
+                   conjugate=True)
+
+
+def reference_pairer(f, g, extra: int = 0):
+    """semigroups._pairer's recursion at mp.dps = 50, from the same floats.
+
+    d = exp(-(|w|^2 + |z|^2) h / 2) and feed = h conj(w) z are taken in
+    mpmath from the float labels and h, and start and the outflows are the
+    exact pairings of the float source cells; the steps that push a cell
+    out run as the recursion (padded_pairing's loop), and the outflow-free
+    tail is one power of d (1 + feed), so a pair costs O(P) whatever the
+    step count (start costs O(P dim_k) once).  Returns (pair, scale):
+    pair(w, z) is the mpmath value, and scale = |start| + sum |ov_k| is
+    the size against which a float evaluation's error is bounded.
+    """
+    with mp.workdps(50):
+        h = mp.mpf(f.grid.spacing)
+        steps = f.steps + extra
+        a, b = f.source_cells, g.source_cells
+        points = len(a)
+        start = h * _exact_vdot(a, b)
+        outflows = [h * _exact_vdot(a[points - 1 - k], b[points - 1 - k])
+                    for k in range(min(steps, points))]
+        scale = float(abs(start) + sum(abs(ov) for ov in outflows))
+
+    def pair(w: complex, z: complex):
+        with mp.workdps(50):
+            w, z = mp.mpc(complex(w)), mp.mpc(complex(z))
+            d = mp.exp(-(abs(w) ** 2 + abs(z) ** 2) * h / 2)
+            feed = h * mp.conj(w) * z
+            value = start
+            for ov in outflows:
+                value = d * ((value - ov) + feed * value)
+            return value * (d * (1 + feed)) ** (steps - len(outflows))
+
+    return pair, scale
+
+
+def reference_evolve(state, z: complex, t: float):
+    """(cells, outflow_mass) of semigroups.evolve at mp.dps = 50.
+
+    The step damping exp(-|z|^2 h / 2) is taken in mpmath from the float
+    label and h; a surviving cell is its float source cell times the
+    damping to the power of the step count, and a cell pushed out at step
+    k adds h |cell|^2 times the damping to the power 2k to the float
+    outflow_mass of the state.  Returns mpmath matrices and numbers.
+    """
+    h = state.grid.spacing
+    steps = int(round(t / h))
+    src = state.cells
+    points, dim_k = src.shape
+    with mp.workdps(50):
+        damping = mp.exp(-abs(mp.mpc(complex(z))) ** 2 * mp.mpf(h) / 2)
+        power = damping ** steps
+        cells = mp.matrix(points, dim_k)
+        for j in range(points - steps):
+            for c in range(dim_k):
+                cells[j + steps, c] = mp.mpc(complex(src[j, c])) * power
+        outflow = mp.mpf(state.outflow_mass)
+        for k in range(min(steps, points)):
+            mass = _exact_vdot(src[points - 1 - k], src[points - 1 - k])
+            outflow += mp.mpf(h) * mass.real * damping ** (2 * k)
+    return cells, outflow
 
 
 def covariance_residuals_by_label(ws, zs, t: float, f, g,

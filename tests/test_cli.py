@@ -873,6 +873,21 @@ def reject_constant(name):
     raise ValueError("%s is not JSON" % name)
 
 
+# The largest label the config check accepts (2 |z|^2 is the largest
+# float), and a t whose step count is near the largest index: the
+# closed-form pairing's overflow and underflow paths.  Each config runs;
+# the refinement order FAILs, its verdict on an unresolvable grid.
+LARGEST_LABEL = "9.480751908109176e+153"
+RUNNING_EDGES = [
+    [("covariance.labels", [LARGEST_LABEL, "-%sj" % LARGEST_LABEL, "1"])],
+    [("covariance.labels", ["2.5", "2.5j"]), ("covariance.t", 1.0e17)],
+    [("covariance.labels", [LARGEST_LABEL, "2.5"]),
+     ("covariance.t", 1.0e17)],
+    # h conj(w) z = -1 exactly at h = 0.04: the pairing step's A is 0
+    [("covariance.labels", ["5", "-5"])],
+]
+
+
 class TestConfigContract:
     """Any config either runs, fails a check, or is a config error."""
 
@@ -884,6 +899,10 @@ class TestConfigContract:
     @example(command="covariance", overrides=[("covariance.labels", ["0"])])
     # the bump warned on an overflowing offset before its config error
     @example(command="covariance", overrides=[("grid.length", 1e300)])
+    @example(command="covariance", overrides=RUNNING_EDGES[0])
+    @example(command="covariance", overrides=RUNNING_EDGES[1])
+    @example(command="covariance", overrides=RUNNING_EDGES[2])
+    @example(command="covariance", overrides=RUNNING_EDGES[3])
     def test_exit_codes_and_reports(self, command, overrides):
         # the fast sizes under the drawn keys: every count stays capped
         config = json.loads(json.dumps(FAST_CONFIG))
@@ -900,6 +919,8 @@ class TestConfigContract:
                 result = CliRunner().invoke(
                     main, [command, "--config", path, "--out", out])
             assert result.exit_code in (0, 1, 2), result.output
+            if overrides in RUNNING_EDGES:
+                assert result.exit_code in (0, 1), result.output
             assert result.exception is None \
                 or isinstance(result.exception, SystemExit), result.output
             assert not [w for w in caught

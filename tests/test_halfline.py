@@ -236,6 +236,24 @@ class TestGammaGridRecursion:
         scale = np.max(np.abs(ref))
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13 * scale)
 
+    # a real input stays real, with the real part of the complex path's
+    # values bit for bit; that path's imaginary part is all zero
+    @pytest.mark.parametrize("n", [1, 2, 150, 301])
+    @pytest.mark.parametrize("source", ["identity", "random", "integer"])
+    def test_real_input_stays_real(self, n, source):
+        grid = Grid(15.0, n)
+        if source == "identity":
+            a = np.eye(n)
+        elif source == "random":
+            a = np.random.default_rng(n).normal(size=(n, n))
+        else:
+            a = np.arange(n * n).reshape(n, n)
+        out = gamma_grid(a, grid)
+        assert out.dtype == np.float64
+        promoted = gamma_grid(a.astype(complex), grid)
+        assert np.array_equal(out, promoted.real)
+        assert not np.any(promoted.imag)
+
     @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (4,)])
     def test_mismatched_shape_rejected(self, shape):
         with pytest.raises(UnsupportedRepresentationError):

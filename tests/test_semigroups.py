@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mpc
 
 from cpflow import semigroups
 from cpflow.halfline import Grid
@@ -33,9 +34,39 @@ from references import (
     isometry_residual,
     numeric_gram_by_label,
     padded_pairing,
+    reference_evolve,
+    reference_pairer,
 )
 
 LABELS = [0.0, 1.0, 1j, 1 + 1j]
+EPS = np.finfo(float).eps
+
+# The closed-form pairing's error bound, in units of eps (|start| +
+# sum |ov_k|) against references.reference_pairer.
+PAIRING_EPS = 2.0
+# Both evaluations read the same rounded start and outflows, whose own
+# rounding is about eps (|start| + sum |ov_k|): below that size the two
+# errors compare rounding noise, not the recursions.
+NOISE_EPS = 1.0
+
+
+def pairing_errors(cases):
+    """The errors of the closed form and of the step loop in cases of
+    (closed, loop, reference value, scale), in units of eps * scale."""
+    closed = [float(abs(mpc(c) - exact)) / (EPS * scale)
+              for c, _, exact, scale in cases]
+    loop = [float(abs(mpc(v) - exact)) / (EPS * scale)
+            for _, v, exact, scale in cases]
+    return closed, loop
+
+
+def assert_pairings_accurate(cases):
+    """Every closed-form pairing is within PAIRING_EPS of the reference,
+    and its worst error is no larger than the step loop's (up to the
+    rounding of the inputs, NOISE_EPS)."""
+    closed, loop = pairing_errors(cases)
+    assert max(closed) <= PAIRING_EPS, closed
+    assert max(closed) <= max(max(loop), NOISE_EPS), (closed, loop)
 
 
 class TestCovarianceFormula:
@@ -183,13 +214,17 @@ class TestEvolveMatchesPerStepLoop:
         f = FlowState(grid, cells, z, 7, 0.25, source)
         assert f.cells is cells and not f.cells.flags.c_contiguous
         kept = cells.tobytes(), source.tobytes()
+        cases = []
         for t in (0.0, 1.0, 12.0):
             res = evolve(f, z, t)
             assert_same_evolution(res, per_step_evolve(f, z, t))
             assert res.state.source_cells is source
-            assert flow_inner(res.state, res.state) == replayed_flow_inner(
-                res.state, res.state)
+            pair, scale = reference_pairer(res.state, res.state)
+            cases.append((flow_inner(res.state, res.state),
+                          replayed_flow_inner(res.state, res.state),
+                          pair(z, z), scale))
             assert (cells.tobytes(), source.tobytes()) == kept
+        assert_pairings_accurate(cases)
 
 
 def replayed_flow_inner(f, g):
@@ -210,39 +245,96 @@ def replayed_flow_inner(f, g):
     return value
 
 
+# (50, 12.0): more steps than cells
+REPLAY_GRIDS = [(200, 1.0), (1600, 1.0), (50, 12.0)]
+# label 0 damps by exactly 1.0
+CONTINUED_LABELS = [(0.0, 1 + 1j), (-0.5j, 0.0)]
+
+
+def replay_cases(points, t, dim_k):
+    """(closed, loop, reference, scale) of every label pair of two random
+    states evolved by t."""
+    grid = Grid(8.0, points)
+    rng = np.random.default_rng(points)
+    f, g = (FlowState(grid, rng.normal(size=(points, dim_k))
+                      + 1j * rng.normal(size=(points, dim_k)))
+            for _ in range(2))
+    pair, scale = reference_pairer(f, g, int(round(t / grid.spacing)))
+    cases = []
+    for w in LABELS:
+        for z in LABELS:
+            ef, eg = evolve(f, w, t).state, evolve(g, z, t).state
+            assert ef.steps > 0
+            cases.append((flow_inner(ef, eg), replayed_flow_inner(ef, eg),
+                          pair(w, z), scale))
+    return cases
+
+
+def continued_cases(dim_k, w, z):
+    """The cases of two random states continued by 2.5, 1.0 and 9.0, each
+    paired both ways; 2.5 + 9.0 runs past the 50 cells, so the
+    outflow-free tail runs too."""
+    points = 50
+    grid = Grid(8.0, points)
+    rng = np.random.default_rng(5 * dim_k)
+    f, g = (FlowState(grid, rng.normal(size=(points, dim_k))
+                      + 1j * rng.normal(size=(points, dim_k)))
+            for _ in range(2))
+    cases = []
+    for t in (2.5, 1.0, 9.0):
+        f, g = evolve(f, w, t).state, evolve(g, z, t).state
+        for (u, x), (v, y) in (((f, w), (g, z)), ((g, z), (f, w))):
+            pair, scale = reference_pairer(u, v)
+            cases.append((flow_inner(u, v), replayed_flow_inner(u, v),
+                          pair(x, y), scale))
+    assert f.steps > points
+    return cases
+
+
+# evolve's worst relative cell error against the 50-digit reference, in
+# units of steps * eps: each step multiplies by the rounded damping
+EVOLVE_EPS = 2.0
+
+
+class TestEvolveAgainstReference:
+    """evolve against references.reference_evolve on 50 cells: a cell
+    damped n times is off by at most EVOLVE_EPS n eps relative, and so is
+    each pushed cell's share of the outflow (squared: 2 n)."""
+
+    @pytest.mark.parametrize("dim_k", [1, 3])
+    @pytest.mark.parametrize("z", [0.0, 1 + 1j, -0.5j, 2.0])
+    @pytest.mark.parametrize("continued", [False, True])
+    def test_error_grows_at_most_linearly(self, dim_k, z, continued):
+        f, _ = random_states(50, dim_k, 23 + dim_k)
+        if continued:
+            f = evolve(f, z, 0.5).state
+        h = f.grid.spacing
+        for steps in (1, 10, 25, 49, 50, 10 ** 4):
+            state = evolve(f, z, steps * h).state
+            cells, outflow = reference_evolve(f, z, steps * h)
+            for j in range(50):
+                for c in range(dim_k):
+                    exact = cells[j, c]
+                    error = abs(mpc(state.cells[j, c]) - exact)
+                    assert error <= EVOLVE_EPS * steps * EPS * abs(exact)
+            pushed = min(steps, 50)
+            assert abs(state.outflow_mass - outflow) \
+                <= 2 * EVOLVE_EPS * pushed * EPS * outflow
+
+
 class TestPairings:
-    # (50, 12.0): more steps than cells
-    @pytest.mark.parametrize("points, t", [(200, 1.0), (1600, 1.0),
-                                           (50, 12.0)])
+    """flow_inner pairs in closed form; the step loop (the replayed
+    transport) and the 50-digit reference of the recursion judge it."""
+
+    @pytest.mark.parametrize("points, t", REPLAY_GRIDS)
     @pytest.mark.parametrize("dim_k", [1, 2, 3])
     def test_matches_replayed_transport(self, points, t, dim_k):
-        grid = Grid(8.0, points)
-        rng = np.random.default_rng(points)
-        f, g = (FlowState(grid, rng.normal(size=(points, dim_k))
-                          + 1j * rng.normal(size=(points, dim_k)))
-                for _ in range(2))
-        for w in LABELS:
-            for z in LABELS:
-                ef, eg = evolve(f, w, t).state, evolve(g, z, t).state
-                assert ef.steps > 0
-                assert flow_inner(ef, eg) == replayed_flow_inner(ef, eg)
+        assert_pairings_accurate(replay_cases(points, t, dim_k))
 
-    # label 0 damps by exactly 1.0; continuing to 2.5 + 9.0 runs past the
-    # 50 cells, so the zero-overlap steps of the recursion run too
     @pytest.mark.parametrize("dim_k", [1, 2, 3])
-    @pytest.mark.parametrize("w, z", [(0.0, 1 + 1j), (-0.5j, 0.0)])
+    @pytest.mark.parametrize("w, z", CONTINUED_LABELS)
     def test_continued_states_match_replay(self, dim_k, w, z):
-        points = 50
-        grid = Grid(8.0, points)
-        rng = np.random.default_rng(5 * dim_k)
-        f, g = (FlowState(grid, rng.normal(size=(points, dim_k))
-                          + 1j * rng.normal(size=(points, dim_k)))
-                for _ in range(2))
-        for t in (2.5, 1.0, 9.0):
-            f, g = evolve(f, w, t).state, evolve(g, z, t).state
-            assert flow_inner(f, g) == replayed_flow_inner(f, g)
-            assert flow_inner(g, f) == replayed_flow_inner(g, f)
-        assert f.steps > points
+        assert_pairings_accurate(continued_cases(dim_k, w, z))
 
     def test_flow_inner_at_rest(self):
         g = Grid(8.0, 100)
@@ -271,20 +363,33 @@ def pairwise_residual(w, z, t, f, g):
     return float(abs(flow_inner(ef, eg) - expected))
 
 
+TAIL_MULTIPLES = [1, "P+1", 5, 50]
+# h conj(w) z rounds to -1 for (2.5, -2.5) at h = 0.16: A is exactly 0
+TAIL_LABELS = [(0.0, 0.0), (1 + 1j, 1 + 1j), (1 + 1j, -1 - 1j), (0.0, 2j),
+               (2.5, -2.5)]
+
+
+def padded_case(multiple, w, z):
+    """(closed, loop, reference, scale) of two random states on 50 cells
+    evolved by a multiple of the cells (or P + 1) steps."""
+    points = 50
+    f, g = random_states(points, 2, 19)
+    steps = points + 1 if multiple == "P+1" else multiple * points
+    t = steps * f.grid.spacing
+    ef, eg = evolve(f, w, t).state, evolve(g, z, t).state
+    assert ef.steps == steps
+    pair, scale = reference_pairer(f, g, steps)
+    return (flow_inner(ef, eg), padded_pairing(f, g, steps, w, z),
+            pair(w, z), scale)
+
+
 class TestOutflowFreeTail:
-    # past the P cells nothing flows out; w = z = 0 is a fixed point at
-    # once, w = -z underflows to 0 within 50 P steps, w = z does not
-    @pytest.mark.parametrize("multiple", [1, "P+1", 5, 50])
-    @pytest.mark.parametrize("w, z", [(0.0, 0.0), (1 + 1j, 1 + 1j),
-                                      (1 + 1j, -1 - 1j), (0.0, 2j)])
+    # past the P cells nothing flows out; w = z = 0 keeps its value,
+    # w = -z decays to 0 within 50 P steps, w = z decays slowly
+    @pytest.mark.parametrize("multiple", TAIL_MULTIPLES)
+    @pytest.mark.parametrize("w, z", TAIL_LABELS)
     def test_matches_padded_recursion(self, multiple, w, z):
-        points = 50
-        f, g = random_states(points, 2, 19)
-        steps = points + 1 if multiple == "P+1" else multiple * points
-        t = steps * f.grid.spacing
-        ef, eg = evolve(f, w, t).state, evolve(g, z, t).state
-        assert ef.steps == steps
-        assert flow_inner(ef, eg) == padded_pairing(f, g, steps, w, z)
+        assert_pairings_accurate([padded_case(multiple, w, z)])
 
     def test_huge_step_count_is_cheap(self):
         f = bump_state(Grid(8.0, 200), 3.0, 0.4)
@@ -301,9 +406,74 @@ class TestOutflowFreeTail:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
-        # every pairing sits at its fixed point well before 10^6 steps
+        # every pairing sits at its limit well before 10^6 steps: the
+        # powers of A are 1 (label 0) or have underflowed to 0
         np.testing.assert_array_equal(
             gram, numeric_gram(labels, 10 ** 6 * f.grid.spacing, f))
+
+    # For w = z each outflow-free step contracts by about
+    # 1 - (|z|^2 h)^2 / 2, so a step loop runs ~10^8 steps to its fixed
+    # point here (31 s for `covariance: {labels: ["2.5"], t: 1.0e+5,
+    # refinements: 5}`); the closed form is O(P) in the steps.
+    def test_slowly_contracting_tail_is_cheap(self):
+        grid = Grid(8.0, 6400)
+        f, g = bump_state(grid, 3.0, 0.4), bump_state(grid, 3.5, 0.5)
+        labels, t = [2.5], 1.0e5
+
+        def run():
+            return (numeric_gram(labels, t, f),
+                    covariance_residuals(labels, labels, t, f, g))
+
+        start = time.perf_counter()
+        gram, residuals = run()
+        assert time.perf_counter() - start < 1.0
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        # |A|^N is about exp(-2429): the pairing underflows to 0, and the
+        # residual is the whole of |(f, g)|
+        assert gram[0, 0] == 0.0
+        assert residuals[0, 0] == abs(flow_inner(f, g))
+
+
+class TestClosedFormAgainstLoop:
+    """The closed form against the step loop, both judged by the 50-digit
+    reference, with no allowance for rounding noise."""
+
+    def test_pooled_reference_cases(self):
+        cases = [case for points, t in REPLAY_GRIDS for dim_k in (1, 2, 3)
+                 for case in replay_cases(points, t, dim_k)]
+        cases += [case for dim_k in (1, 2, 3) for w, z in CONTINUED_LABELS
+                  for case in continued_cases(dim_k, w, z)]
+        cases += [padded_case(multiple, w, z) for multiple in TAIL_MULTIPLES
+                  for w, z in TAIL_LABELS]
+        closed, loop = pairing_errors(cases)
+        assert max(closed) <= max(loop)
+
+    # the covariance command's six grids, bumps and labels at t = 1: the
+    # loop multiplies by the rounded d once per step, so its relative
+    # error grows with the step count; the closed form's does not
+    def test_default_covariance_grids(self):
+        for level in range(6):
+            grid = Grid(8.0, 200 * 2 ** level)
+            f, g = bump_state(grid, 3.0, 0.4), bump_state(grid, 3.5, 0.5)
+            steps = int(round(1.0 / grid.spacing))
+            exact, _ = reference_pairer(f, g, steps)
+            pair = semigroups._pairer(f, g, steps)
+            cases = []
+            for w in LABELS:
+                for z in LABELS:
+                    value = exact(w, z)
+                    cases.append((pair(w, z), padded_pairing(
+                        f, g, steps, w, z), value, float(abs(value))))
+            # relative errors, in units of eps
+            closed, loop = pairing_errors(cases)
+            assert max(closed) <= max(loop)
+            assert max(closed) <= 8
 
 
 class TestCovarianceResiduals:
