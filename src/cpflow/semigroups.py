@@ -19,12 +19,13 @@ boundary vectors.
 With the feed symbolic, a pairing depends only on its two sources, its
 step count and the two labels.  A step of its recursion is linear,
 value -> A value - d outflow, so it is summed in closed form (_pairer):
-O(P) per label pair whatever t / h, and within 2 eps (|start| +
-sum |outflow|) of a 50-digit reference of the recursion, while the error
-of a step loop grows with the step count.  A covariance table or Gram
-matrix therefore pairs straight from the sources, with one outflow
-sequence and one sum per distinct (d, log A), bit-identical to evolving
-and pairing label by label; only the outflow gate evolves.
+O(P) per label pair whatever t / h, and on every tested case within
+2 eps (|start| + sum |outflow|) of a 50-digit reference of the
+recursion, while the error of a step loop grows with the step count.  A
+covariance table or Gram matrix therefore pairs straight from the
+sources, with one outflow sequence and one closed-form sum per label
+pair, bit-identical to evolving and pairing label by label; only the
+outflow gate evolves.
 """
 
 from __future__ import annotations
@@ -221,9 +222,11 @@ def _log_growth(w: complex, z: complex, h: float) -> tuple[float, complex]:
 
     Both come from the labels and h, not from the rounded d: log(1 + feed)
     is 0.5 log1p(2a + a^2 + b^2) + i atan2(b, 1 + a) for feed = a + ib
-    (numpy's complex log1p is not accurate near 0), and log |1 + feed|
-    once |feed| >= 1, where the log1p argument may overflow.  |A| <= 1 for
-    all labels; a real part at or below _LOG_FLOOR is clamped to it, with
+    with |feed| < 1/2 (numpy's complex log1p is not accurate near 0), and
+    log |1 + feed| + i atan2(b, 1 + a) otherwise: there 1 + a is exact
+    (Sterbenz) wherever it cancels, while the log1p argument would cancel
+    to rounding noise, or to -1, as feed nears -1.  |A| <= 1 for all
+    labels; a real part at or below _LOG_FLOOR is clamped to it, with
     phase 0, so every power of A is 0 or (for k = 0) 1, and none is nan.
     """
     w, z = complex(w), complex(z)
@@ -231,7 +234,7 @@ def _log_growth(w: complex, z: complex, h: float) -> tuple[float, complex]:
     a, b = feed.real, feed.imag
     log_d = -0.5 * (w.real * w.real + w.imag * w.imag
                     + z.real * z.real + z.imag * z.imag) * h
-    if abs(feed) < 1.0:
+    if abs(feed) < 0.5:
         re = 0.5 * math.log1p(2.0 * a + (a * a + b * b))
     else:
         modulus = abs(1.0 + feed)
@@ -253,19 +256,26 @@ def _pairer(f: FlowState, g: FlowState, extra: int):
 
     one exp over the ramp K, K-1, .., 0 of log A (_log_growth), one dot
     product with the outflows, and one exp for the outflow-free tail of
-    N - K steps.  Time and memory are O(P), whatever t / h; N = 0
-    returns start itself.  The outflows are built once per pairer; each
-    distinct (d, log A), keyed on their exact bits, is evaluated once.
+    N - K steps.  Time and memory are O(P), whatever t / h; at N = 0 the
+    one power is exp(0) = 1 and the value is start.  The outflows are
+    built once per pairer, and each call sums them afresh.
 
     Against the 50-digit reference of the recursion
-    (tests/references.py::reference_pairer) the error stays within
-    2 eps (|start| + sum |ov_k|) and does not grow with N, while the step
-    loop multiplies by the rounded d once per step.  On the covariance
-    command's six default grids the closed form is within 8.0e-16
-    relative (the rounding of start, which the loop shares), the loop
-    within 4.1e-15 at 200 cells and 1.1e-13 at 6400.  tests/
-    test_semigroups pins both: TestPairings and TestOutflowFreeTail per
-    case, TestClosedFormAgainstLoop on the pooled cases and those grids.
+    (tests/references.py::reference_pairer) the sum itself adds about
+    eps (|start| + sum |ov_k|).  The powers of A add a relative error of
+    about N eps (|log d| + |log(1 + feed)|), at most about
+    eps t (|w|^2 + |z|^2) for small h, from the rounding of log A; this
+    weighs only where the pairing is not small against |start| +
+    sum |ov_k|.  Every tested case stays within 2 eps (|start| +
+    sum |ov_k|): up to 2500 steps against the step loop, and up to 5e11
+    steps with phases N arg A up to 1e3 radians and |A|^N >= 0.2
+    against the reference alone (TestLongPhase).  The step loop
+    multiplies by the rounded d once per step instead.  On the covariance command's six default grids the
+    closed form is within 8.0e-16 relative (the rounding of start, which
+    the loop shares), the loop within 4.1e-15 at 200 cells and 1.1e-13
+    at 6400.  tests/test_semigroups pins both: TestPairings and
+    TestOutflowFreeTail per case, TestClosedFormAgainstLoop on the
+    pooled cases and those grids.
     """
     if f.grid != g.grid:
         raise IncompatibleStatesError("grid mismatch")
@@ -275,24 +285,15 @@ def _pairer(f: FlowState, g: FlowState, extra: int):
     steps = f.steps + extra
     a, b = f.source_cells, g.source_cells
     start = h * complex(np.vdot(a, b))
-    if not steps:
-        return lambda w, z: start
     outflows = _outflows(a, b, steps, h)
     ramp = np.arange(len(outflows), -1.0, -1.0)
     rest = steps - len(outflows)
-    done = {}
 
     def pair(w: complex, z: complex) -> complex:
         log_d, log_a = _log_growth(w, z, h)
-        d = math.exp(log_d)
-        key = d.hex(), log_a.real.hex(), log_a.imag.hex()
-        if key not in done:
-            powers = np.exp(ramp * log_a)
-            value = powers[0] * start - d * (powers[1:] @ outflows)
-            if rest:
-                value *= np.exp(rest * log_a)
-            done[key] = complex(value)
-        return done[key]
+        powers = np.exp(ramp * log_a)
+        value = powers[0] * start - math.exp(log_d) * (powers[1:] @ outflows)
+        return complex(value * np.exp(rest * log_a))
 
     return pair
 
@@ -325,7 +326,7 @@ def covariance_residuals(ws, zs, t: float, f: FlowState,
 
     Each residual is expected O(h).  The pairings read only the sources
     and the step count, so the table builds one outflow sequence and sums
-    the recursion once per distinct (d, log A); (f, g) is paired once.
+    the recursion in closed form once per (w, z); (f, g) is paired once.
     The values are bit-identical to pairing each (w, z) from its own pair
     of evolutions.
 

@@ -307,7 +307,7 @@ def covariance_residuals_by_label(ws, zs, t: float, f, g,
     z, and pairing each (w, z) with its own flow_inner call.
 
     semigroups.covariance_residuals evolves once per distinct step
-    damping and runs the pairing recursion once per distinct (d, feed).
+    damping and pairs every (w, z) from the sources.
     """
     base = flow_inner(f, g)
     efs = [evolve(f, w, t).state for w in ws]

@@ -885,6 +885,9 @@ RUNNING_EDGES = [
      ("covariance.t", 1.0e17)],
     # h conj(w) z = -1 exactly at h = 0.04: the pairing step's A is 0
     [("covariance.labels", ["5", "-5"])],
+    # h conj(w) z = -(1 - 2^-52) at h = 0.0625, where the log1p argument
+    # of log |A| cancels to exactly -1
+    [("grid.points", 128), ("covariance.labels", ["4", "-3.999999999999999"])],
 ]
 
 
@@ -903,6 +906,7 @@ class TestConfigContract:
     @example(command="covariance", overrides=RUNNING_EDGES[1])
     @example(command="covariance", overrides=RUNNING_EDGES[2])
     @example(command="covariance", overrides=RUNNING_EDGES[3])
+    @example(command="covariance", overrides=RUNNING_EDGES[4])
     def test_exit_codes_and_reports(self, command, overrides):
         # the fast sizes under the drawn keys: every count stays capped
         config = json.loads(json.dumps(FAST_CONFIG))

@@ -364,9 +364,14 @@ def pairwise_residual(w, z, t, f, g):
 
 
 TAIL_MULTIPLES = [1, "P+1", 5, 50]
-# h conj(w) z rounds to -1 for (2.5, -2.5) at h = 0.16: A is exactly 0
+# h conj(w) z rounds to -1 for (2.5, -2.5) at h = 0.16: A is exactly 0;
+# for (1, -6.249999999999999) it is nextafter(-1, 0), for
+# (1, -6.2499999993749995) about -(1 - 1e-10) and for
+# (1, -6.249999937499999) about -(1 - 1e-8), where log1p(2a + a^2 + b^2)
+# cancels to -1 or to rounding noise: A comes from log |1 + feed|
 TAIL_LABELS = [(0.0, 0.0), (1 + 1j, 1 + 1j), (1 + 1j, -1 - 1j), (0.0, 2j),
-               (2.5, -2.5)]
+               (2.5, -2.5), (1.0, -6.249999999999999),
+               (1.0, -6.2499999993749995), (1.0, -6.249999937499999)]
 
 
 def padded_case(multiple, w, z):
@@ -438,6 +443,33 @@ class TestOutflowFreeTail:
         # residual is the whole of |(f, g)|
         assert gram[0, 0] == 0.0
         assert residuals[0, 0] == abs(flow_inner(f, g))
+
+
+# Outflow-free tails far past any step loop's reach, on 50-cell grids of
+# length L: (L, t, w, z) with a phase N arg A of 50 to 1000 radians and
+# |A|^N between 0.2 and 0.5, so the rounding of log A, multiplied by N,
+# is not hidden by an underflowing power
+LONG_PHASES = [(1e-4, 1.0e6, 1.0, 1 + 1e-3j),
+               (1e-3, 1.0e5, 1j, -1e-3 + 1j),
+               (1e-4, 60.0, 10.0, 10 + 0.1j)]
+
+
+class TestLongPhase:
+    """The closed form at up to 5e11 steps, judged by the reference alone."""
+
+    @pytest.mark.parametrize("length, t, w, z", LONG_PHASES)
+    def test_long_phase_within_bound(self, length, t, w, z):
+        grid = Grid(length, 50)
+        f, g = random_states(50, 2, 23)
+        f, g = FlowState(grid, f.cells), FlowState(grid, g.cells)
+        steps = int(round(t / grid.spacing))
+        exact, scale = reference_pairer(f, g, steps)
+        _, log_a = semigroups._log_growth(w, z, grid.spacing)
+        assert abs(steps * log_a.imag) >= 50
+        assert np.exp(steps * log_a.real) >= 0.2
+        value = semigroups._pairer(f, g, steps)(w, z)
+        closed, _ = pairing_errors([(value, value, exact(w, z), scale)])
+        assert closed[0] <= PAIRING_EPS
 
 
 class TestClosedFormAgainstLoop:
@@ -521,8 +553,8 @@ def random_states(points, dim_k, seed):
 
 
 class TestMatchesPerLabelReference:
-    """covariance_residuals and numeric_gram pair from the sources and
-    recurse once per (d, feed); the per-label bodies in references evolve
+    """covariance_residuals and numeric_gram pair from the sources, one
+    closed-form sum per (w, z); the per-label bodies in references evolve
     and pair label by label, and the tables must agree bit for bit."""
 
     # (50, 12.0): more steps than cells
