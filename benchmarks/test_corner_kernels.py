@@ -12,16 +12,22 @@ and the three half-line cells (dim_h = 24 and 48), linear lambda, cuts
 0.5 and 0.25, witness label -1.  The kernels are the model's construction
 with its cached constants, the series weight at labels 1 and -1, the cut
 and the boundary representation of the minimal weight at cut 0.5, the
-Choi spectrum of the folded 2x2 corner (a 384 x 384 Choi matrix at N = 3,
-1536 x 1536 at N = 4) and the subordination check of the unital weight
-over the minimal one.
+Choi spectrum of the folded 2x2 corner at cut 0.5 on the outputs the cut
+keeps (one cell of three: a 128 x 128 Choi matrix at N = 3, 512 x 512 at
+N = 4), the subordination check of the unital weight over the minimal
+one, and the hypermaximality witness that follows it.
 """
 
 import numpy as np
 import pytest
 
 from cpflow.cli import DEFAULT_CONFIG
-from cpflow.cornercheck import _folded_rep, subordination_check
+from cpflow.cornercheck import (
+    _folded_rep,
+    _kept_rep,
+    hypermax_witness,
+    subordination_check,
+)
 from cpflow.opbasis import DEFAULT_EDGES, MatrixModel, choi_min_eig
 from cpflow.tensorspace import LambdaSequence
 
@@ -47,12 +53,17 @@ def model(request):
 
 
 @pytest.fixture(scope="module")
-def weights(model):
-    """The minimal and the unital weight superoperators, as run_corner."""
+def eta(model):
+    """The density of the normalized weight, as run_corner."""
     nu = np.zeros((model.dim_h, model.dim_h))
     nu[0, 0] = 1.0
+    return model.xi_eta(nu)[0]
+
+
+@pytest.fixture(scope="module")
+def weights(model, eta):
+    """The minimal and the unital weight superoperators, as run_corner."""
     minimal = model.weight_superop()
-    eta, _ = model.xi_eta(nu)
     return minimal, minimal + model.gap_superop(eta)
 
 
@@ -81,9 +92,12 @@ def test_boundary_rep(benchmark, model, weights):
 
 def test_choi_min_eig_folded_corner(benchmark, model, weights):
     z = complex(CORNER["witness_label"])
-    diag_rep = model.boundary_rep(weights[0], CUTS[0])[0]
-    folded = _folded_rep(model, diag_rep, model.weight_superop(z), CUTS[0])
-    verdict = benchmark(choi_min_eig, folded, 2 * model.dim_k, model.dim_h)
+    keep = model.kept_outputs(CUTS[0])
+    diag_rep = _kept_rep(model, weights[0], CUTS[0], keep)
+    folded = _folded_rep(model, diag_rep, model.weight_superop(z), CUTS[0],
+                         keep)
+    verdict = benchmark(choi_min_eig, folded, 2 * model.dim_k,
+                        int(np.count_nonzero(keep)))
     assert verdict.completely_positive
 
 
@@ -91,3 +105,11 @@ def test_subordination_check(benchmark, model, weights):
     minimal, full = weights
     verdict = benchmark(subordination_check, model, full, minimal, CUTS)
     assert verdict.subordinate
+
+
+def test_hypermax_witness(benchmark, model, eta, weights):
+    minimal, full = weights
+    dominance = subordination_check(model, full, minimal, CUTS)
+    report = benchmark(hypermax_witness, complex(CORNER["witness_label"]),
+                       model, eta, dominance)
+    assert report.witnessed

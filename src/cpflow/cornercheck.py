@@ -13,13 +13,20 @@ along a decreasing sequence of cut levels.
 The doubled space is never built.  A 2x2 map is CP iff its fold
 psi(X) = sum_ab phi_ab(X_ab) = V* Phi(X) V, V = [I; I], is CP: up to a
 permutation Choi(Phi) is Choi(psi) plus an identically zero block (see
-fold_doubled), so its Choi spectrum is taken on 2 dim_k dim_h rows
-instead of 4 dim_k dim_h.  The unital and the minimal matrix at a label
-share their off-diagonal entries, and boundary representations of 2x2
-matrices are taken entry by entry, so the difference of theirs is
-diag(D, D), with D the difference of the diagonal entries'
-representations.  Dominance of the minimal matrix by the unital one is
-therefore the subordination of the minimal weight to the unital weight.
+fold_doubled).  Nor are the output cells that a cut drops: a boundary
+representation at level t has its outputs on the basis vectors the cut
+keeps (MatrixModel.kept_outputs), so its Choi matrix is the principal
+block on those rows plus an identically zero block, and its minimum
+eigenvalue is the block's, or min(that, 0) when the cut drops a cell.
+Each representation is compressed to its kept rows once per cut, and
+the Choi spectrum of a folded corner is taken on 2 dim_k n rows, n the
+number of kept vectors, instead of 4 dim_k dim_h.  The unital and the
+minimal matrix at a label share their off-diagonal entries, and
+boundary representations of 2x2 matrices are taken entry by entry, so
+the difference of theirs is diag(D, D), with D the difference of the
+diagonal entries' representations.  Dominance of the minimal matrix by
+the unital one is therefore the subordination of the minimal weight to
+the unital weight.
 """
 
 from __future__ import annotations
@@ -67,20 +74,49 @@ def fold_doubled(blocks, dim_in: int, dim_out: int) -> np.ndarray:
                                                4 * dim_in * dim_in)
 
 
+def _kept_rep(model: MatrixModel, weight: np.ndarray, t: float,
+              keep: np.ndarray) -> np.ndarray:
+    """Boundary representation of a weight at level t on the kept outputs.
+
+    keep is model.kept_outputs(t).  The rows of MatrixModel.boundary_rep
+    whose two output indices are both kept, in their order: a
+    superoperator into n-densities, n the number of kept basis vectors.
+    The rows left out are exact zeros.
+    """
+    dh = model.dim_h
+    rep = model.boundary_rep(weight, t)[0].reshape(dh, dh, -1)
+    return rep[np.ix_(keep, keep)].reshape(-1, rep.shape[-1])
+
+
+def _kept_min_eig(rep: np.ndarray, dim_in: int, keep: np.ndarray) -> float:
+    """Minimum Choi eigenvalue of a map from its rows on the kept outputs.
+
+    rep is the map on the outputs that the mask keep keeps (_kept_rep,
+    or a fold or difference of such).  The whole map's Choi matrix is
+    rep's as a principal submatrix plus identically zero rows and
+    columns, as in choi_min_eig's zero-row rule: its minimum eigenvalue
+    is rep's, or min(rep's, 0) when keep drops an output.
+    """
+    kept = int(np.count_nonzero(keep))
+    low = choi_min_eig(rep, dim_in, kept).min_eigenvalue
+    return low if kept == keep.size else min(low, 0.0)
+
+
 def _folded_rep(model: MatrixModel, diag_rep: np.ndarray, offdiag,
-                t: float) -> np.ndarray:
+                t: float, keep: np.ndarray) -> np.ndarray:
     """Folded boundary representation of a 2x2 weight matrix at level t.
 
     The matrix is [[diagonal, offdiag], [conj(offdiag), diagonal]].  The
     cut and lambdahat act entrywise on doubled densities, so its boundary
     representation is the 2x2 matrix of the entries' ones.  diag_rep is
-    the diagonal's, solved by the caller.  The model is real, so the lower
-    entry's is the conjugate of the upper entry's, the one system solved
-    here (through the singularity gate of MatrixModel.boundary_rep).
+    the diagonal's on the kept outputs keep (_kept_rep), solved by the
+    caller, and so is the fold.  The model is real, so the lower entry's
+    is the conjugate of the upper entry's, the one system solved here
+    (through the singularity gate of MatrixModel.boundary_rep).
     """
-    rep = model.boundary_rep(offdiag, t)[0]
+    rep = _kept_rep(model, offdiag, t, keep)
     return fold_doubled([[diag_rep, rep], [rep.conj(), diag_rep]],
-                        model.dim_k, model.dim_h)
+                        model.dim_k, int(np.count_nonzero(keep)))
 
 
 @dataclass(frozen=True)
@@ -104,10 +140,12 @@ class WeightMatrix:
         return [[self.diagonal, upper], [upper.conj(), self.diagonal]]
 
     def boundary_rep(self, t: float) -> np.ndarray:
-        """Fold of the doubled boundary representation at cut level t."""
-        diagonal, upper = self.blocks[0]
-        return _folded_rep(self.model, self.model.boundary_rep(diagonal, t)[0],
-                           upper, t)
+        """Fold of the doubled boundary representation at cut level t,
+        over all dim_h output vectors."""
+        m = self.model
+        diag_rep, rep = (m.boundary_rep(w, t)[0] for w in self.blocks[0])
+        return fold_doubled([[diag_rep, rep], [rep.conj(), diag_rep]],
+                            m.dim_k, m.dim_h)
 
 
 @dataclass(frozen=True)
@@ -115,7 +153,8 @@ class SubordinationVerdict:
     """Minimum Choi eigenvalues per cut: upper, lower, upper - lower.
 
     lower_reps keeps the lower weight's boundary representation at each
-    cut, for a corner with that weight on its diagonal (hypermax_witness).
+    cut on the outputs the cut keeps (_kept_rep), for a corner with that
+    weight on its diagonal (hypermax_witness).
     """
 
     subordinate: bool
@@ -145,18 +184,18 @@ def subordination_check(model: MatrixModel, upper, lower,
     mins = {"upper": [], "lower": [], "difference": []}
     lower_reps = []
     for t in cut_levels:
-        rep_up = model.boundary_rep(upper, t)[0]
-        rep_low = model.boundary_rep(lower, t)[0]
+        keep = model.kept_outputs(t)
+        rep_up = _kept_rep(model, upper, t, keep)
+        rep_low = _kept_rep(model, lower, t, keep)
         lower_reps.append(rep_low)
         for name, rep in (("upper", rep_up), ("lower", rep_low)):
-            v = choi_min_eig(rep, model.dim_k, model.dim_h)
-            if not v.completely_positive:
+            low = _kept_min_eig(rep, model.dim_k, keep)
+            if not is_cp(low):
                 raise NonCompletelyPositiveInputError(
-                    "%s weight is not CP at cut level %g" % (name, t),
-                    v.min_eigenvalue)
-            mins[name].append(v.min_eigenvalue)
-        mins["difference"].append(choi_min_eig(
-            rep_up - rep_low, model.dim_k, model.dim_h).min_eigenvalue)
+                    "%s weight is not CP at cut level %g" % (name, t), low)
+            mins[name].append(low)
+        mins["difference"].append(
+            _kept_min_eig(rep_up - rep_low, model.dim_k, keep))
     sub = all(map(is_cp, mins["difference"]))
     return SubordinationVerdict(sub, tuple(cut_levels), tuple(mins["upper"]),
                                 tuple(mins["lower"]),
@@ -224,11 +263,13 @@ def hypermax_witness(z: complex, model: MatrixModel, eta: np.ndarray,
     gap_norm = float(np.linalg.norm(eta)) * float(
         np.linalg.norm(model.delta_matrix))
     upper = model.weight_superop(z)
-    minimal_eigs = tuple(
-        choi_min_eig(_folded_rep(model, diag_rep, upper, t),
-                     2 * model.dim_k, model.dim_h).min_eigenvalue
-        for t, diag_rep in zip(dominance.cut_levels, dominance.lower_reps))
-    return HypermaxReport(z, minimal_eigs, gap_norm, dominance)
+    minimal_eigs = []
+    for t, diag_rep in zip(dominance.cut_levels, dominance.lower_reps):
+        keep = model.kept_outputs(t)
+        minimal_eigs.append(_kept_min_eig(
+            _folded_rep(model, diag_rep, upper, t, keep), 2 * model.dim_k,
+            keep))
+    return HypermaxReport(z, tuple(minimal_eigs), gap_norm, dominance)
 
 
 def derivation_residual(model: MatrixModel, z: complex) -> float:
@@ -257,9 +298,10 @@ def offdiag_perturbation_min_eig(model: MatrixModel, z: complex,
     """
     eta, _ = model.xi_eta(nu_density)
     gap = model.gap_superop(eps * eta)
-    diag, upper, lower = (model.boundary_rep(w, t)[0] for w in (
+    keep = model.kept_outputs(t)
+    diag, upper, lower = (_kept_rep(model, w, t, keep) for w in (
         model.weight_superop(), model.weight_superop(complex(z)) + gap,
         model.weight_superop(np.conj(complex(z)))))
     rep = fold_doubled([[diag, upper], [lower, diag]], model.dim_k,
-                       model.dim_h)
-    return choi_min_eig(rep, 2 * model.dim_k, model.dim_h).min_eigenvalue
+                       int(np.count_nonzero(keep)))
+    return _kept_min_eig(rep, 2 * model.dim_k, keep)

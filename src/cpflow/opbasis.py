@@ -180,6 +180,15 @@ class MatrixModel:
         edge = cut_edge(t)
         return np.diag([float(e >= edge) for e in DEFAULT_EDGES[:-1]])
 
+    def kept_outputs(self, t: float) -> np.ndarray:
+        """Mask of the big-space basis vectors that the cut at level t keeps.
+
+        The diagonal of the cut tiled over the tensor slots: index
+        k * h_dim + j is kept when cell j is at or above t.  Every map
+        composed after the cut has its outputs on these vectors only.
+        """
+        return np.tile(np.diag(self.cut(t)) != 0, self.dim_k)
+
     # -- superoperator matrices --------------------------------------------
 
     @cached_property
@@ -274,7 +283,7 @@ class MatrixModel:
         for bit.
         """
         dh = self.dim_h
-        keep = np.tile(np.diag(self.cut(t)), self.dim_k)
+        keep = self.kept_outputs(t)
         om3 = superop.reshape(dh, dh, -1)
         out = om3 * np.outer(keep, keep)[:, :, None]
         return out.reshape(dh * dh, -1)

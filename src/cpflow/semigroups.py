@@ -56,6 +56,16 @@ class IncompatibleStatesError(ValueError):
     """Two flow states cannot be combined (grid, label or step mismatch)."""
 
 
+def _abs_squared(z: complex) -> float:
+    """|z|^2 as abs(z) ** 2, or InvalidExperimentError naming the label
+    where the square overflows (|z| above about 1.34e154)."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        raise InvalidExperimentError(
+            "label %r is too large: |z|^2 overflows" % (z,)) from None
+
+
 def covariance(w: complex, z: complex) -> complex:
     """The covariance exponent c(w, z) with U_w(t)* U_z(t) = exp(c(w,z) t).
 
@@ -63,12 +73,12 @@ def covariance(w: complex, z: complex) -> complex:
     """
     w = complex(w)
     z = complex(z)
-    return 0.5 * (2.0 * np.conj(w) * z - abs(w) ** 2 - abs(z) ** 2)
+    return 0.5 * (2.0 * np.conj(w) * z - _abs_squared(w) - _abs_squared(z))
 
 
 def _step_damping(z: complex, h: float) -> float:
     """The damping exp(-|z|^2 h / 2) of one U_z step of length h."""
-    return float(np.exp(-0.5 * abs(z) ** 2 * h))
+    return float(np.exp(-0.5 * _abs_squared(z) * h))
 
 
 @dataclass(frozen=True)

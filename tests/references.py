@@ -19,6 +19,7 @@ from cpflow.gauge import (
     r_term,
 )
 from cpflow.cli import _seq
+from cpflow.cornercheck import fold_doubled
 from cpflow.halfline import ExpKernelVector, ExpMultiplier, Grid
 from cpflow.opbasis import ChoiVerdict, MatrixModel, choi_min_eig
 from cpflow.semigroups import (
@@ -140,6 +141,36 @@ def permuted_choi_min_eig(superop: np.ndarray, dim_in: int, dim_out: int,
     left = np.kron(p_out.T, p_out.T)
     right = np.kron(p_in, p_in)
     return choi_min_eig(left @ superop @ right, dim_in, dim_out)
+
+
+def full_size_corner_minima(model: MatrixModel, upper, lower, cut_levels,
+                            labels) -> tuple:
+    """Every Choi minimum of a corner run, on full-size representations.
+
+    cornercheck compresses each boundary representation to the outputs
+    its cut keeps; this is the path over all dim_h^2 output rows: the
+    whole MatrixModel.boundary_rep, folded by fold_doubled(..., dim_h),
+    and choi_min_eig on the whole.  Returns the minima of
+    subordination_check (upper, lower and difference, per cut) and of
+    hypermax_witness (per label, per cut) with lower on the diagonal.
+    """
+    dims = (model.dim_k, model.dim_h)
+    doubled = (2 * model.dim_k, model.dim_h)
+    mins = {"upper": [], "lower": [], "difference": []}
+    witness = {z: [] for z in labels}
+    for t in cut_levels:
+        rep_up, rep_low = (model.boundary_rep(w, t)[0]
+                           for w in (upper, lower))
+        for name, rep in (("upper", rep_up), ("lower", rep_low),
+                          ("difference", rep_up - rep_low)):
+            mins[name].append(choi_min_eig(rep, *dims).min_eigenvalue)
+        for z in labels:
+            off = model.boundary_rep(model.weight_superop(z), t)[0]
+            fold = fold_doubled([[rep_low, off], [off.conj(), rep_low]],
+                                *dims)
+            witness[z].append(choi_min_eig(fold, *doubled).min_eigenvalue)
+    return ({name: tuple(v) for name, v in mins.items()},
+            {z: tuple(v) for z, v in witness.items()})
 
 
 def omega_full(rho, element, xi, cfg=None, n_factors=None) -> complex:

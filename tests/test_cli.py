@@ -499,6 +499,22 @@ class TestCornerPipeline:
             else:
                 assert abs(record["value"] - value) <= 1e-12
 
+    def test_uncut_level_pinned(self, tmp_path):
+        # cut 0.0 keeps every cell, so no dropped block enters its minimum;
+        # the values are those of the full-size Choi matrices
+        path = tmp_path / "cuts.yaml"
+        path.write_text(yaml.safe_dump({"corner": {"cut_levels": [0.0,
+                                                                  0.5]}}))
+        out = tmp_path / "out"
+        result = run_cli(["corner", "--config", str(path), "--seed", "2024",
+                          "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        values = {r["name"]: repr(r["value"])
+                  for r in load_report(out, "corner")["records"]}
+        assert values["boundary-rep-choi-min-t-0"] == "-1.3538889664883646e-15"
+        assert values["boundary-rep-choi-min-t-0.5"] \
+            == "-3.393076895290073e-16"
+
     def test_each_result_computed_once(self, monkeypatch, tmp_path):
         # 3 weights (minimal, z, the derivation label; the unital weight
         # is the minimal one plus the rank-one gap, and the corner's lower

@@ -15,6 +15,7 @@ from cpflow.cornercheck import (
 from cpflow.opbasis import MatrixModel, choi_min_eig
 from references import (
     assemble_doubled,
+    full_size_corner_minima,
     identity_superop,
     permuted_choi_min_eig,
     transpose_superop,
@@ -280,6 +281,82 @@ class TestHypermaxWitness:
         rep = hypermax_witness(-1.0, model, 0.0 * eta, dominance)
         assert not rep.gap_nonzero
         assert not rep.witnessed
+
+
+def kept_outputs_cases():
+    """Weights (upper, lower) on a model, by name.
+
+    Besides the unital weight over the minimal one, the weights
+    rho -> c tr(rho Delta) B with c = 2 over c = 1, whose boundary
+    representations are positive multiples of the same map (so CP and
+    subordinate).  With B = |e><e|, e the top cell of the first tensor
+    index, the compressed Choi matrices still have identically zero
+    rows; with B = I they are positive definite, so the minimum at a cut
+    that drops a cell is the 0 of the dropped block.
+    """
+    def unital_over_minimal(model):
+        nu = np.zeros((model.dim_h, model.dim_h))
+        nu[0, 0] = 1.0
+        eta, _ = model.xi_eta(nu)
+        minimal = model.weight_superop()
+        return minimal + model.gap_superop(eta), minimal
+
+    def onto(model, b):
+        return model.gap_superop(2.0 * b), model.gap_superop(b)
+
+    def top_cell(model):
+        b = np.zeros((model.dim_h, model.dim_h))
+        b[model.h_dim - 1, model.h_dim - 1] = 1.0
+        return onto(model, b)
+
+    return {"unital-over-minimal": unital_over_minimal,
+            "onto-top-cell": top_cell,
+            "onto-identity": lambda model: onto(model, np.eye(model.dim_h))}
+
+
+class TestKeptOutputsOracle:
+    """Compressed to the kept outputs, every minimum is the full-size one.
+
+    Cut 0.0 keeps every cell, 0.25 and 0.5 drop one and two of three.
+    """
+
+    CUTS = (0.0, 0.25, 0.5)
+    LABELS = (-1.0, 1j, complex(np.exp(0.01j)))
+
+    @pytest.mark.parametrize("weights", sorted(kept_outputs_cases()))
+    @pytest.mark.parametrize("n_factors", [1, 2, 3])
+    def test_minima_equal_full_size_path(self, n_factors, weights):
+        m = MatrixModel(n_factors=n_factors, factor_dim=2)
+        upper, lower = kept_outputs_cases()[weights](m)
+        verdict = subordination_check(m, upper, lower, self.CUTS)
+        assert verdict.subordinate
+        want, want_witness = full_size_corner_minima(
+            m, upper, lower, self.CUTS, self.LABELS)
+        assert verdict.upper_min_eigs == want["upper"]
+        assert verdict.lower_min_eigs == want["lower"]
+        assert verdict.difference_min_eigs == want["difference"]
+        for z in self.LABELS:
+            report = hypermax_witness(z, m, np.eye(m.dim_h), verdict)
+            assert report.minimal_min_eigs == want_witness[z]
+
+    def test_top_cell_kept_block_has_zero_rows(self):
+        m = MatrixModel(n_factors=1, factor_dim=2)
+        upper, lower = kept_outputs_cases()["onto-top-cell"](m)
+        verdict = subordination_check(m, upper, lower, self.CUTS)
+        for t, rep in zip(self.CUTS, verdict.lower_reps):
+            kept = int(np.count_nonzero(m.kept_outputs(t)))
+            assert rep.shape == (kept * kept, m.dim_k ** 2)
+            rows = rep.reshape(kept, kept, -1)
+            assert not rows.any(axis=(1, 2)).all()
+            assert rows.any()
+
+    def test_identity_minimum_is_positive_only_without_a_drop(self):
+        m = MatrixModel(n_factors=1, factor_dim=2)
+        upper, lower = kept_outputs_cases()["onto-identity"](m)
+        verdict = subordination_check(m, upper, lower, self.CUTS)
+        for mins in (verdict.upper_min_eigs, verdict.lower_min_eigs,
+                     verdict.difference_min_eigs):
+            assert mins[0] > 0.0 and mins[1:] == (0.0, 0.0)
 
 
 class TestCornerIdentity:

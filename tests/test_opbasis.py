@@ -92,6 +92,13 @@ class TestBases:
         with pytest.raises(ValueError, match="cut levels"):
             MatrixModel(2, 2).cut(2.0)
 
+    def test_kept_outputs_are_the_cut_diagonal(self, model):
+        # the tiled cut: basis vector k * h_dim + j carries cell j
+        for t in (0.0, 0.25, 0.5):
+            big_cut = np.kron(np.eye(model.dim_k), model.cut(t))
+            assert np.array_equal(model.kept_outputs(t),
+                                  np.diag(big_cut) == 1.0)
+
     def test_cut_commutes_with_damping(self, model):
         p = model.cut(0.25)
         e = model.h_damping

@@ -669,6 +669,27 @@ class TestHugeTime:
             numeric_gram(LABELS, 1e308, f)
 
 
+class TestHugeLabel:
+    # |z|^2 overflows a float above |z| of about 1.34e154
+    LABEL = 1e200
+
+    @pytest.fixture()
+    def f(self):
+        return bump_state(Grid(8.0, 50), 3.0, 0.4)
+
+    def test_evolve_raises(self, f):
+        with pytest.raises(InvalidExperimentError, match=r"label .*1e\+200"):
+            evolve(f, self.LABEL, 1.0)
+
+    def test_covariance_residuals_raises(self, f):
+        with pytest.raises(InvalidExperimentError, match=r"label .*1e\+200"):
+            covariance_residuals([self.LABEL], [1.0], 1.0, f, f)
+
+    def test_covariance_raises(self):
+        with pytest.raises(InvalidExperimentError, match=r"label .*1e\+200"):
+            covariance(self.LABEL, 1)
+
+
 class TestCovarianceResidual:
     def residuals(self, points):
         grid = Grid(8.0, points)
