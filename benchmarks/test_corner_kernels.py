@@ -11,11 +11,12 @@ N = 3 factors (the default) and N = 4 of dimension 2 (dim_k = 8 and 16)
 and the three half-line cells (dim_h = 24 and 48), linear lambda, cuts
 0.5 and 0.25, witness label -1.  The kernels are the model's construction
 with its cached constants, the series weight at labels 1 and -1, the cut
-and the boundary representation of the minimal weight at cut 0.5, the
-Choi spectrum of the folded 2x2 corner at cut 0.5 on the outputs the cut
-keeps (one cell of three: a 128 x 128 Choi matrix at N = 3, 512 x 512 at
-N = 4), the subordination check of the unital weight over the minimal
-one, and the hypermaximality witness that follows it.
+and the boundary representation of the minimal weight at cut 0.5 (both
+on the one cell of three that the cut keeps: 64 x 64 and 256 x 256
+output rows), the Choi spectrum of the folded 2x2 corner there (a
+128 x 128 Choi matrix at N = 3, 512 x 512 at N = 4), the subordination
+check of the unital weight over the minimal one, and the
+hypermaximality witness that follows it.
 """
 
 import numpy as np
@@ -24,7 +25,6 @@ import pytest
 from cpflow.cli import DEFAULT_CONFIG
 from cpflow.cornercheck import (
     _folded_rep,
-    _kept_rep,
     hypermax_witness,
     subordination_check,
 )
@@ -79,25 +79,28 @@ def test_weight_superop(benchmark, model, z):
     assert out.shape == (model.dim_h ** 2, model.dim_k ** 2)
 
 
+def kept_dim(model) -> int:
+    """Output dimension of a map after the cut CUTS[0]."""
+    return model.dim_k * model.kept_cells(CUTS[0])
+
+
 def test_apply_truncation(benchmark, model, weights):
     out = benchmark(model.apply_truncation, CUTS[0], weights[0])
-    assert out.shape == weights[0].shape
+    assert out.shape == (kept_dim(model) ** 2, model.dim_k ** 2)
 
 
 def test_boundary_rep(benchmark, model, weights):
     rep, condition = benchmark(model.boundary_rep, weights[0], CUTS[0])
-    assert rep.shape == (model.dim_h ** 2, model.dim_k ** 2)
+    assert rep.shape == (kept_dim(model) ** 2, model.dim_k ** 2)
     assert condition < 1e12
 
 
 def test_choi_min_eig_folded_corner(benchmark, model, weights):
     z = complex(CORNER["witness_label"])
-    keep = model.kept_outputs(CUTS[0])
-    diag_rep = _kept_rep(model, weights[0], CUTS[0], keep)
-    folded = _folded_rep(model, diag_rep, model.weight_superop(z), CUTS[0],
-                         keep)
+    diag_rep = model.boundary_rep(weights[0], CUTS[0])[0]
+    folded = _folded_rep(model, diag_rep, model.weight_superop(z), CUTS[0])
     verdict = benchmark(choi_min_eig, folded, 2 * model.dim_k,
-                        int(np.count_nonzero(keep)))
+                        kept_dim(model))
     assert verdict.completely_positive
 
 

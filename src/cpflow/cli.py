@@ -225,9 +225,10 @@ def _validate(cfg: dict) -> list[str]:
                               "covariance c(w, z) for every pair")
     cuts = cfg["corner"]["cut_levels"]
     if not isinstance(cuts, list) or not cuts \
-            or not _parses(lambda t: cut_edge(float(t)), cuts):
-        errors.append("corner.cut_levels must be a non-empty list of the "
-                      "cell edges below the top edge %s"
+            or not _parses(lambda t: cut_edge(float(t)), cuts) \
+            or len({cut_edge(float(t)) for t in cuts}) < len(cuts):
+        errors.append("corner.cut_levels must be a non-empty list of "
+                      "distinct cell edges below the top edge %s"
                       % (DEFAULT_EDGES[:-1],))
     witness = cfg["corner"]["witness_label"]
     if not _parses(_label, [witness]) or not on_unit_circle(_label(witness)):

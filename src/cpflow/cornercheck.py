@@ -13,20 +13,15 @@ along a decreasing sequence of cut levels.
 The doubled space is never built.  A 2x2 map is CP iff its fold
 psi(X) = sum_ab phi_ab(X_ab) = V* Phi(X) V, V = [I; I], is CP: up to a
 permutation Choi(Phi) is Choi(psi) plus an identically zero block (see
-fold_doubled).  Nor are the output cells that a cut drops: a boundary
-representation at level t has its outputs on the basis vectors the cut
-keeps (MatrixModel.kept_outputs), so its Choi matrix is the principal
-block on those rows plus an identically zero block, and its minimum
-eigenvalue is the block's, or min(that, 0) when the cut drops a cell.
-Each representation is compressed to its kept rows once per cut, and
-the Choi spectrum of a folded corner is taken on 2 dim_k n rows, n the
-number of kept vectors, instead of 4 dim_k dim_h.  The unital and the
-minimal matrix at a label share their off-diagonal entries, and
-boundary representations of 2x2 matrices are taken entry by entry, so
-the difference of theirs is diag(D, D), with D the difference of the
-diagonal entries' representations.  Dominance of the minimal matrix by
-the unital one is therefore the subordination of the minimal weight to
-the unital weight.
+fold_doubled).  Nor are the output cells that a cut drops: boundary
+representations, their folds and differences live on the cells the cut
+keeps (MatrixModel.apply_truncation), and _kept_min_eig restores the
+dropped zero block.  The unital and the minimal matrix at a label share
+their off-diagonal entries, and boundary representations of 2x2
+matrices are taken entry by entry, so the difference of theirs is
+diag(D, D), with D the difference of the diagonal entries'
+representations.  Dominance of the minimal matrix by the unital one is
+therefore the subordination of the minimal weight to the unital weight.
 """
 
 from __future__ import annotations
@@ -74,49 +69,34 @@ def fold_doubled(blocks, dim_in: int, dim_out: int) -> np.ndarray:
                                                4 * dim_in * dim_in)
 
 
-def _kept_rep(model: MatrixModel, weight: np.ndarray, t: float,
-              keep: np.ndarray) -> np.ndarray:
-    """Boundary representation of a weight at level t on the kept outputs.
+def _kept_min_eig(model: MatrixModel, rep: np.ndarray, dim_in: int,
+                  t: float) -> float:
+    """Minimum Choi eigenvalue of a map given on the outputs that the cut
+    at level t keeps (a boundary_rep, or a fold or difference of such).
 
-    keep is model.kept_outputs(t).  The rows of MatrixModel.boundary_rep
-    whose two output indices are both kept, in their order: a
-    superoperator into n-densities, n the number of kept basis vectors.
-    The rows left out are exact zeros.
-    """
-    dh = model.dim_h
-    rep = model.boundary_rep(weight, t)[0].reshape(dh, dh, -1)
-    return rep[np.ix_(keep, keep)].reshape(-1, rep.shape[-1])
-
-
-def _kept_min_eig(rep: np.ndarray, dim_in: int, keep: np.ndarray) -> float:
-    """Minimum Choi eigenvalue of a map from its rows on the kept outputs.
-
-    rep is the map on the outputs that the mask keep keeps (_kept_rep,
-    or a fold or difference of such).  The whole map's Choi matrix is
-    rep's as a principal submatrix plus identically zero rows and
+    The whole map's Choi matrix is rep's plus identically zero rows and
     columns, as in choi_min_eig's zero-row rule: its minimum eigenvalue
-    is rep's, or min(rep's, 0) when keep drops an output.
+    is rep's, or min(rep's, 0) when the cut drops a cell.
     """
-    kept = int(np.count_nonzero(keep))
-    low = choi_min_eig(rep, dim_in, kept).min_eigenvalue
-    return low if kept == keep.size else min(low, 0.0)
+    kept = model.kept_cells(t)
+    low = choi_min_eig(rep, dim_in, model.dim_k * kept).min_eigenvalue
+    return low if kept == model.h_dim else min(low, 0.0)
 
 
 def _folded_rep(model: MatrixModel, diag_rep: np.ndarray, offdiag,
-                t: float, keep: np.ndarray) -> np.ndarray:
+                t: float) -> np.ndarray:
     """Folded boundary representation of a 2x2 weight matrix at level t.
 
     The matrix is [[diagonal, offdiag], [conj(offdiag), diagonal]].  The
     cut and lambdahat act entrywise on doubled densities, so its boundary
-    representation is the 2x2 matrix of the entries' ones.  diag_rep is
-    the diagonal's on the kept outputs keep (_kept_rep), solved by the
-    caller, and so is the fold.  The model is real, so the lower entry's
-    is the conjugate of the upper entry's, the one system solved here
-    (through the singularity gate of MatrixModel.boundary_rep).
+    representation is the 2x2 matrix of the entries' ones, all on the
+    outputs the cut keeps.  diag_rep is the diagonal's, solved by the
+    caller.  The model is real, so the lower entry's is the conjugate of
+    the upper entry's, the one system solved here.
     """
-    rep = _kept_rep(model, offdiag, t, keep)
+    rep = model.boundary_rep(offdiag, t)[0]
     return fold_doubled([[diag_rep, rep], [rep.conj(), diag_rep]],
-                        model.dim_k, int(np.count_nonzero(keep)))
+                        model.dim_k, model.dim_k * model.kept_cells(t))
 
 
 @dataclass(frozen=True)
@@ -140,12 +120,10 @@ class WeightMatrix:
         return [[self.diagonal, upper], [upper.conj(), self.diagonal]]
 
     def boundary_rep(self, t: float) -> np.ndarray:
-        """Fold of the doubled boundary representation at cut level t,
-        over all dim_h output vectors."""
-        m = self.model
-        diag_rep, rep = (m.boundary_rep(w, t)[0] for w in self.blocks[0])
-        return fold_doubled([[diag_rep, rep], [rep.conj(), diag_rep]],
-                            m.dim_k, m.dim_h)
+        """Fold of the doubled boundary representation at cut level t, on
+        the outputs the cut keeps (_folded_rep)."""
+        diag_rep = self.model.boundary_rep(self.diagonal, t)[0]
+        return _folded_rep(self.model, diag_rep, self.blocks[0][1], t)
 
 
 @dataclass(frozen=True)
@@ -153,8 +131,8 @@ class SubordinationVerdict:
     """Minimum Choi eigenvalues per cut: upper, lower, upper - lower.
 
     lower_reps keeps the lower weight's boundary representation at each
-    cut on the outputs the cut keeps (_kept_rep), for a corner with that
-    weight on its diagonal (hypermax_witness).
+    cut (MatrixModel.boundary_rep), for a corner with that weight on its
+    diagonal (hypermax_witness).
     """
 
     subordinate: bool
@@ -173,29 +151,28 @@ def subordination_check(model: MatrixModel, upper, lower,
     compares their generalized boundary representations: the difference
     must be CP at every sampled level.  Inputs whose own boundary
     representations are not CP are rejected with the offending eigenvalue.
-    An empty list of cut levels samples nothing, and every level must
-    name a cell edge below the top one (opbasis.cut_edge): both are
-    rejected with ValueError before any representation is solved.
+    The cut levels must be one or more distinct cell edges below the top
+    one (opbasis.cut_edge), else ValueError is raised before any
+    representation is solved.
     """
-    for t in cut_levels:
-        cut_edge(t)
-    if len(cut_levels) == 0:
-        raise ValueError("subordination needs cut levels, got none")
+    edges = [cut_edge(t) for t in cut_levels]
+    if not edges or len(set(edges)) < len(edges):
+        raise ValueError("subordination needs cut levels that name distinct "
+                         "cell edges, got %s" % (list(cut_levels),))
     mins = {"upper": [], "lower": [], "difference": []}
     lower_reps = []
     for t in cut_levels:
-        keep = model.kept_outputs(t)
-        rep_up = _kept_rep(model, upper, t, keep)
-        rep_low = _kept_rep(model, lower, t, keep)
+        rep_up, rep_low = (model.boundary_rep(w, t)[0]
+                           for w in (upper, lower))
         lower_reps.append(rep_low)
         for name, rep in (("upper", rep_up), ("lower", rep_low)):
-            low = _kept_min_eig(rep, model.dim_k, keep)
+            low = _kept_min_eig(model, rep, model.dim_k, t)
             if not is_cp(low):
                 raise NonCompletelyPositiveInputError(
                     "%s weight is not CP at cut level %g" % (name, t), low)
             mins[name].append(low)
         mins["difference"].append(
-            _kept_min_eig(rep_up - rep_low, model.dim_k, keep))
+            _kept_min_eig(model, rep_up - rep_low, model.dim_k, t))
     sub = all(map(is_cp, mins["difference"]))
     return SubordinationVerdict(sub, tuple(cut_levels), tuple(mins["upper"]),
                                 tuple(mins["lower"]),
@@ -263,12 +240,10 @@ def hypermax_witness(z: complex, model: MatrixModel, eta: np.ndarray,
     gap_norm = float(np.linalg.norm(eta)) * float(
         np.linalg.norm(model.delta_matrix))
     upper = model.weight_superop(z)
-    minimal_eigs = []
-    for t, diag_rep in zip(dominance.cut_levels, dominance.lower_reps):
-        keep = model.kept_outputs(t)
-        minimal_eigs.append(_kept_min_eig(
-            _folded_rep(model, diag_rep, upper, t, keep), 2 * model.dim_k,
-            keep))
+    minimal_eigs = [
+        _kept_min_eig(model, _folded_rep(model, diag_rep, upper, t),
+                      2 * model.dim_k, t)
+        for t, diag_rep in zip(dominance.cut_levels, dominance.lower_reps)]
     return HypermaxReport(z, tuple(minimal_eigs), gap_norm, dominance)
 
 
@@ -298,10 +273,9 @@ def offdiag_perturbation_min_eig(model: MatrixModel, z: complex,
     """
     eta, _ = model.xi_eta(nu_density)
     gap = model.gap_superop(eps * eta)
-    keep = model.kept_outputs(t)
-    diag, upper, lower = (_kept_rep(model, w, t, keep) for w in (
+    diag, upper, lower = (model.boundary_rep(w, t)[0] for w in (
         model.weight_superop(), model.weight_superop(complex(z)) + gap,
         model.weight_superop(np.conj(complex(z)))))
     rep = fold_doubled([[diag, upper], [lower, diag]], model.dim_k,
-                       int(np.count_nonzero(keep)))
-    return _kept_min_eig(rep, 2 * model.dim_k, keep)
+                       model.dim_k * model.kept_cells(t))
+    return _kept_min_eig(model, rep, 2 * model.dim_k, t)

@@ -180,14 +180,10 @@ class MatrixModel:
         edge = cut_edge(t)
         return np.diag([float(e >= edge) for e in DEFAULT_EDGES[:-1]])
 
-    def kept_outputs(self, t: float) -> np.ndarray:
-        """Mask of the big-space basis vectors that the cut at level t keeps.
-
-        The diagonal of the cut tiled over the tensor slots: index
-        k * h_dim + j is kept when cell j is at or above t.  Every map
-        composed after the cut has its outputs on these vectors only.
-        """
-        return np.tile(np.diag(self.cut(t)) != 0, self.dim_k)
+    def kept_cells(self, t: float) -> int:
+        """How many cells the cut at level t keeps: the top ones, from the
+        cell at cut_edge(t) up, where every map after the cut lives."""
+        return self.h_dim - DEFAULT_EDGES.index(cut_edge(t))
 
     # -- superoperator matrices --------------------------------------------
 
@@ -197,16 +193,19 @@ class MatrixModel:
         s0 = self.shift
         return np.kron(s0.conj().T, s0.T)
 
-    def lambda_superop(self, mu: np.ndarray) -> np.ndarray:
+    def lambda_superop(self, mu: np.ndarray,
+                       cells: int | None = None) -> np.ndarray:
         """lambdahat: the density of mu composed with the damping embedding.
 
         mu is a superoperator whose columns are vectorized densities (one
-        column for a single density); it is mapped column by column, so
+        column for a single density) on the top cells of the half-line
+        slot, all of them by default; it is mapped column by column, so
         the result is lambdahat @ mu without building the dense lambdahat.
         """
         d = self.dim_k
-        mu5 = mu.reshape(d, self.h_dim, d, self.h_dim, -1)
-        out = np.einsum("bqap...,pq->ba...", mu5, self.h_damping)
+        n = self.h_dim if cells is None else cells
+        mu5 = mu.reshape(d, n, d, n, -1)
+        out = np.einsum("bqap...,pq->ba...", mu5, self.h_damping[-n:, -n:])
         return out.reshape(d * d, -1)
 
     @cached_property
@@ -276,38 +275,35 @@ class MatrixModel:
     def apply_truncation(self, t: float, superop: np.ndarray) -> np.ndarray:
         """Compose mu -> P mu P after the given superoperator.
 
-        The cut P is an exact 0/1 diagonal, so P mu P keeps the rows and
-        columns of mu on the cells at or above t and zeroes the rest.  The
-        result is a mask over the output axes of the superoperator and
-        equals the dense superoperator of mu -> P mu P times superop, bit
-        for bit.
+        The cut P is the exact 0/1 diagonal on the top n = kept_cells(t)
+        cells, so P mu P is zero outside mu's block on them.  The result
+        is superop's rows on that block, indexed (k, j, k', j') over the
+        kept cells j, j': a map into (dim_k n)-densities.
         """
-        dh = self.dim_h
-        keep = self.kept_outputs(t)
-        om3 = superop.reshape(dh, dh, -1)
-        out = om3 * np.outer(keep, keep)[:, :, None]
-        return out.reshape(dh * dh, -1)
+        d, h, n = self.dim_k, self.h_dim, self.kept_cells(t)
+        kept = superop.reshape(d, h, d, h, -1)[:, h - n:, :, h - n:]
+        return kept.reshape(d * n * d * n, -1)
 
     def boundary_rep(self, omega_superop: np.ndarray,
                      t: float) -> tuple[np.ndarray, float]:
         """Generalized boundary representation at cut level t.
 
         Solves (I + lambdahat omegahat|_t) sigma = rho and returns the
-        superoperator rho -> omegahat|_t(sigma) together with the condition
-        number of the solved system.  No inverse is formed: the rows of
-        omegahat|_t that are not identically zero are solved against the
-        transposed system, and the rows the cut removed stay exact zeros.
+        superoperator rho -> omegahat|_t(sigma) on the outputs the cut
+        keeps (apply_truncation's rows), with the condition number of the
+        solved system.  No inverse is formed: the nonzero rows are solved
+        against the transposed system and the zero rows stay exact zeros,
+        so no row's bits depend on how many zero rows the block holds.
         """
         w_t = self.apply_truncation(t, omega_superop)
-        k_mat = self.lambda_superop(w_t)
-        d2 = k_mat.shape[0]
-        system = np.eye(d2) + k_mat
+        k_mat = self.lambda_superop(w_t, self.kept_cells(t))
+        system = np.eye(len(k_mat)) + k_mat
         condition = float(np.linalg.cond(system))
         if not np.isfinite(condition) or condition > 1e12:
             raise NonInvertibleSystemError(
                 "resolvent system is numerically singular", condition)
         live = np.flatnonzero(np.any(w_t != 0, axis=1))
-        rep = np.zeros((w_t.shape[0], d2), dtype=system.dtype)
+        rep = np.zeros((len(w_t), len(system)), dtype=system.dtype)
         rep[live] = np.linalg.solve(system.T, w_t[live].T).T
         return rep, condition
 

@@ -21,7 +21,12 @@ from cpflow.gauge import (
 from cpflow.cli import _seq
 from cpflow.cornercheck import fold_doubled
 from cpflow.halfline import ExpKernelVector, ExpMultiplier, Grid
-from cpflow.opbasis import ChoiVerdict, MatrixModel, choi_min_eig
+from cpflow.opbasis import (
+    ChoiVerdict,
+    MatrixModel,
+    NonInvertibleSystemError,
+    choi_min_eig,
+)
 from cpflow.semigroups import (
     InvalidExperimentError,
     _step_damping,
@@ -112,10 +117,58 @@ def complex_model(model: MatrixModel) -> MatrixModel:
 def truncation_superop(model, t: float) -> np.ndarray:
     """Superoperator of mu -> P mu P for the spectral cut at level t.
 
-    MatrixModel.apply_truncation is the masked form.
+    MatrixModel.apply_truncation keeps the block on the kept cells.
     """
     p_tilde = np.kron(np.eye(model.dim_k), model.cut(t))
     return np.kron(p_tilde, p_tilde.T)
+
+
+def full_size(model, t: float, kept: np.ndarray) -> np.ndarray:
+    """A map given on the outputs the cut at t keeps, over all outputs.
+
+    kept has the rows of MatrixModel.apply_truncation (as boundary_rep
+    and its folds do); they are scattered back into zeros of shape
+    (dim_h^2, columns).
+    """
+    d, h, n = model.dim_k, model.h_dim, model.kept_cells(t)
+    out = np.zeros((d, h, d, h, kept.shape[-1]), dtype=kept.dtype)
+    out[:, h - n:, :, h - n:] = kept.reshape(d, n, d, n, -1)
+    return out.reshape(d * h * d * h, -1)
+
+
+def masked_truncation(model, t: float, superop: np.ndarray) -> np.ndarray:
+    """mu -> P mu P after superop as a mask over all dim_h^2 output rows.
+
+    The tiled diagonal of the cut marks the kept basis vectors; the
+    result equals truncation_superop(model, t) @ superop bit for bit.
+    """
+    dh = model.dim_h
+    keep = np.tile(np.diag(model.cut(t)) != 0, model.dim_k)
+    om3 = superop.reshape(dh, dh, -1)
+    out = om3 * np.outer(keep, keep)[:, :, None]
+    return out.reshape(dh * dh, -1)
+
+
+def full_size_boundary_rep(model, omega_superop: np.ndarray,
+                           t: float) -> tuple[np.ndarray, float]:
+    """MatrixModel.boundary_rep over all dim_h^2 output rows.
+
+    The masked truncation, lambdahat over every cell, and a solve of the
+    rows that are not identically zero; the rows the cut removed stay
+    exact zeros.  boundary_rep solves the kept rows only.
+    """
+    w_t = masked_truncation(model, t, omega_superop)
+    k_mat = model.lambda_superop(w_t)
+    d2 = k_mat.shape[0]
+    system = np.eye(d2) + k_mat
+    condition = float(np.linalg.cond(system))
+    if not np.isfinite(condition) or condition > 1e12:
+        raise NonInvertibleSystemError(
+            "resolvent system is numerically singular", condition)
+    live = np.flatnonzero(np.any(w_t != 0, axis=1))
+    rep = np.zeros((w_t.shape[0], d2), dtype=system.dtype)
+    rep[live] = np.linalg.solve(system.T, w_t[live].T).T
+    return rep, condition
 
 
 def dense_lambda_superop(model, blocks: int = 1) -> np.ndarray:
@@ -147,25 +200,25 @@ def full_size_corner_minima(model: MatrixModel, upper, lower, cut_levels,
                             labels) -> tuple:
     """Every Choi minimum of a corner run, on full-size representations.
 
-    cornercheck compresses each boundary representation to the outputs
-    its cut keeps; this is the path over all dim_h^2 output rows: the
-    whole MatrixModel.boundary_rep, folded by fold_doubled(..., dim_h),
-    and choi_min_eig on the whole.  Returns the minima of
-    subordination_check (upper, lower and difference, per cut) and of
-    hypermax_witness (per label, per cut) with lower on the diagonal.
+    cornercheck works on the outputs each cut keeps; this is the path
+    over all dim_h^2 output rows: full_size_boundary_rep, folded by
+    fold_doubled(..., dim_h), and choi_min_eig on the whole.  Returns the
+    minima of subordination_check (upper, lower and difference, per cut)
+    and of hypermax_witness (per label, per cut) with lower on the diagonal.
     """
     dims = (model.dim_k, model.dim_h)
     doubled = (2 * model.dim_k, model.dim_h)
     mins = {"upper": [], "lower": [], "difference": []}
     witness = {z: [] for z in labels}
     for t in cut_levels:
-        rep_up, rep_low = (model.boundary_rep(w, t)[0]
+        rep_up, rep_low = (full_size_boundary_rep(model, w, t)[0]
                            for w in (upper, lower))
         for name, rep in (("upper", rep_up), ("lower", rep_low),
                           ("difference", rep_up - rep_low)):
             mins[name].append(choi_min_eig(rep, *dims).min_eigenvalue)
         for z in labels:
-            off = model.boundary_rep(model.weight_superop(z), t)[0]
+            off = full_size_boundary_rep(model, model.weight_superop(z),
+                                         t)[0]
             fold = fold_doubled([[rep_low, off], [off.conj(), rep_low]],
                                 *dims)
             witness[z].append(choi_min_eig(fold, *doubled).min_eigenvalue)

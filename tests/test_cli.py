@@ -181,6 +181,12 @@ class TestCommands:
          "lambda.values is read only with lambda.kind=custom"),
         ({"lambda": {"values": [2.0]}},
          "lambda.values is read only with lambda.kind=custom"),
+        # levels that name one edge: the check would run, and be reported
+        # under one record name, twice
+        ({"corner": {"cut_levels": [0.5, 0.5000000000001, 0.25]}},
+         "corner.cut_levels must be a non-empty list of distinct"),
+        ({"corner": {"cut_levels": [0.25, 0.0, 0.25]}},
+         "corner.cut_levels must be a non-empty list of distinct"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, override, message):
         path = tmp_path / "bad.yaml"
@@ -522,8 +528,11 @@ class TestCornerPipeline:
         # boundary representations: unital and minimal at each cut, then
         # the corner's single off-diagonal solve (its diagonal is the
         # minimal weight's, handed on by the subordination verdict); Choi:
-        # unital, minimal and their difference at each cut, then the corner
-        calls = {"boundary_rep": 0, "choi_min_eig": 0, "weight_superop": 0}
+        # unital, minimal and their difference at each cut, then the corner;
+        # one cut per boundary representation, and lambdahat once in each
+        # and in the series kernel and eta
+        calls = {"boundary_rep": 0, "choi_min_eig": 0, "weight_superop": 0,
+                 "apply_truncation": 0, "lambda_superop": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -531,7 +540,8 @@ class TestCornerPipeline:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("boundary_rep", "weight_superop"):
+        for name in ("boundary_rep", "weight_superop", "apply_truncation",
+                     "lambda_superop"):
             monkeypatch.setattr(MatrixModel, name,
                                 counted(name, getattr(MatrixModel, name)))
         choi = counted("choi_min_eig", opbasis.choi_min_eig)
@@ -541,6 +551,8 @@ class TestCornerPipeline:
         assert calls["boundary_rep"] <= 6
         assert calls["choi_min_eig"] <= 8
         assert calls["weight_superop"] <= 3
+        assert 1 <= calls["apply_truncation"] <= 6
+        assert 1 <= calls["lambda_superop"] <= 8
 
 
 # the default delta report, linear lambda: (name, value, expected)

@@ -15,6 +15,7 @@ from cpflow.cornercheck import (
 from cpflow.opbasis import MatrixModel, choi_min_eig
 from references import (
     assemble_doubled,
+    full_size,
     full_size_corner_minima,
     identity_superop,
     permuted_choi_min_eig,
@@ -160,7 +161,7 @@ class TestFold:
 class TestBasisInvariance:
     def test_permutation_leaves_min_eig(self, model):
         omega = model.weight_superop()
-        rep, _ = model.boundary_rep(omega, 0.5)
+        rep = full_size(model, 0.5, model.boundary_rep(omega, 0.5)[0])
         base = choi_min_eig(rep, model.dim_k, model.dim_h).min_eigenvalue
         rng = np.random.default_rng(1)
         permuted = permuted_choi_min_eig(
@@ -186,7 +187,7 @@ class TestSubordination:
         for t, up, low in zip((0.5, 0.25), v.upper_min_eigs,
                               v.lower_min_eigs):
             for weight, got in ((full, up), (minimal, low)):
-                rep, _ = model.boundary_rep(weight, t)
+                rep = full_size(model, t, model.boundary_rep(weight, t)[0])
                 assert got == choi_min_eig(rep, model.dim_k,
                                            model.dim_h).min_eigenvalue
 
@@ -204,6 +205,14 @@ class TestSubordination:
         with pytest.raises(NonCompletelyPositiveInputError) as err:
             subordination_check(model, omega, bad, (0.5,))
         assert err.value.eigenvalue < 0
+
+    @pytest.mark.parametrize("cuts", [(0.5, 0.5), (0.5, 0.5000000000001),
+                                      (0.25, 0.0, 0.25)])
+    def test_repeated_cut_edges_rejected(self, model, cuts):
+        # one edge named twice would be checked, and reported, twice
+        omega = model.weight_superop()
+        with pytest.raises(ValueError, match="distinct cell edges"):
+            subordination_check(model, omega, omega, cuts)
 
     @pytest.mark.parametrize("cuts", [(), (2.0,), (0.5, 2.0)])
     def test_vacuous_cut_levels_rejected(self, model, cuts):
@@ -268,7 +277,8 @@ class TestHypermaxWitness:
                     rep.dominance.difference_min_eigs):
                 def dense(diag):
                     return assemble_doubled(
-                        [[m.boundary_rep(w, t)[0] for w in row]
+                        [[full_size(m, t, m.boundary_rep(w, t)[0])
+                          for w in row]
                          for row in ((diag, upper), (lower, diag))], *dims)
                 ref_min = choi_min_eig(dense(minimal), *doubled)
                 ref_diff = choi_min_eig(dense(full) - dense(minimal),
@@ -344,7 +354,7 @@ class TestKeptOutputsOracle:
         upper, lower = kept_outputs_cases()["onto-top-cell"](m)
         verdict = subordination_check(m, upper, lower, self.CUTS)
         for t, rep in zip(self.CUTS, verdict.lower_reps):
-            kept = int(np.count_nonzero(m.kept_outputs(t)))
+            kept = m.dim_k * m.kept_cells(t)
             assert rep.shape == (kept * kept, m.dim_k ** 2)
             rows = rep.reshape(kept, kept, -1)
             assert not rows.any(axis=(1, 2)).all()
@@ -375,7 +385,8 @@ class TestCornerIdentity:
         diag = model.weight_superop()
         entries = ((diag, model.weight_superop(1j) + gap),
                    (model.weight_superop(-1j), diag))
-        dense = assemble_doubled([[model.boundary_rep(w, 0.25)[0]
+        dense = assemble_doubled([[full_size(model, 0.25,
+                                             model.boundary_rep(w, 0.25)[0])
                                    for w in row] for row in entries],
                                  model.dim_k, model.dim_h)
         ref = choi_min_eig(dense, 2 * model.dim_k, 2 * model.dim_h)

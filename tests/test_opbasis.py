@@ -18,6 +18,8 @@ from references import (
     assemble_doubled,
     dense_lambda_superop,
     doubled_entries,
+    full_size,
+    full_size_boundary_rep,
     identity_superop,
     transpose_superop,
     truncation_superop,
@@ -92,12 +94,14 @@ class TestBases:
         with pytest.raises(ValueError, match="cut levels"):
             MatrixModel(2, 2).cut(2.0)
 
-    def test_kept_outputs_are_the_cut_diagonal(self, model):
-        # the tiled cut: basis vector k * h_dim + j carries cell j
+    def test_kept_cells_are_a_top_suffix_of_the_cut(self, model):
+        # the cut's rank, and its diagonal is 0 below the kept cells and 1
+        # on them
         for t in (0.0, 0.25, 0.5):
-            big_cut = np.kron(np.eye(model.dim_k), model.cut(t))
-            assert np.array_equal(model.kept_outputs(t),
-                                  np.diag(big_cut) == 1.0)
+            n, cut = model.kept_cells(t), model.cut(t)
+            assert n == np.linalg.matrix_rank(cut)
+            assert np.array_equal(np.diag(cut),
+                                  [0.0] * (model.h_dim - n) + [1.0] * n)
 
     def test_cut_commutes_with_damping(self, model):
         p = model.cut(0.25)
@@ -143,6 +147,23 @@ class TestPredualMaps:
         direct = model.lambda_superop(mu.reshape(-1, 1))
         via = (dense_lambda_superop(model) @ mu.reshape(-1)).reshape(-1, 1)
         np.testing.assert_allclose(direct, via, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [0.0, 0.25, 0.5])
+    def test_lambda_superop_on_kept_cells(self, model, t):
+        # lambdahat of the cut map's kept block against lambdahat of the
+        # whole masked map: bit for bit on the same kernel, since the
+        # dropped cells add exact zeros; the dense product agrees to
+        # roundoff only, since BLAS may fuse a product into the sum of two
+        # kept cells
+        rng = np.random.default_rng(10)
+        dh = model.dim_h
+        mu = rng.normal(size=(dh * dh, 5)) + 1j * rng.normal(size=(dh * dh, 5))
+        kept = model.lambda_superop(model.apply_truncation(t, mu),
+                                    model.kept_cells(t))
+        masked = truncation_superop(model, t) @ mu
+        assert np.array_equal(kept, model.lambda_superop(masked))
+        np.testing.assert_allclose(kept, dense_lambda_superop(model) @ masked,
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_lambda_superop_maps_superop_columns(self, model, blocks):
@@ -228,7 +249,8 @@ class TestWeightSuperop:
         omega = model.weight_superop()
         for t in (0.5, 0.25):
             rep, cond = model.boundary_rep(omega, t)
-            verdict = choi_min_eig(rep, model.dim_k, model.dim_h)
+            verdict = choi_min_eig(full_size(model, t, rep), model.dim_k,
+                                   model.dim_h)
             assert verdict.completely_positive
             assert cond < 1e6
 
@@ -307,8 +329,9 @@ class TestCutAwareKernels:
         entries = [[rng.normal(size=(dh * dh, din * din))
                     + 1j * rng.normal(size=(dh * dh, din * din))
                     for _ in range(blocks)] for _ in range(blocks)]
-        masked = corner(small, [[small.apply_truncation(t, e) for e in row]
-                                for row in entries], dh)
+        masked = corner(small, [[full_size(small, t,
+                                           small.apply_truncation(t, e))
+                                 for e in row] for row in entries], dh)
         dense = reference_truncation(small, t, blocks) \
             @ corner(small, entries, dh)
         assert np.array_equal(masked, dense)
@@ -338,7 +361,23 @@ class TestCutAwareKernels:
                 reference = fold_doubled(
                     doubled_entries(reference, m.dim_k, m.dim_h),
                     m.dim_k, m.dim_h)
+            rep = full_size(m, t, rep)
             np.testing.assert_allclose(rep, reference, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_factors", [2, 3])
+    @pytest.mark.parametrize("t", [0.0, 0.25, 0.5])
+    def test_boundary_rep_equals_full_size_oracle(self, n_factors, t):
+        # the kept rows, C-contiguous, are the full-size solve's rows bit
+        # for bit, and the condition number is the same
+        m = MatrixModel(n_factors=n_factors, factor_dim=2)
+        for omega in (m.weight_superop(), m.weight_superop(1j)):
+            rep, cond = m.boundary_rep(omega, t)
+            want, want_cond = full_size_boundary_rep(m, omega, t)
+            assert rep.flags.c_contiguous
+            assert rep.shape == ((m.dim_k * m.kept_cells(t)) ** 2,
+                                 m.dim_k ** 2)
+            assert np.array_equal(full_size(m, t, rep), want)
+            assert cond == want_cond
 
     @pytest.mark.parametrize("cut_rows", [(), (0, 2), (1, 3, 4)])
     def test_choi_min_eig_matches_full_spectrum(self, cut_rows):

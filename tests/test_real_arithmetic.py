@@ -8,7 +8,7 @@ from cpflow import cli, cornercheck, opbasis
 from cpflow.cli import COMMANDS, Reporter, load_config
 from cpflow.cornercheck import WeightMatrix
 from cpflow.opbasis import MatrixModel, choi_min_eig
-from references import complex_model
+from references import complex_model, full_size
 
 LABELS = (-1.0 + 0j, 1j, complex(np.exp(1j * np.pi / 4)))
 CUTS = (0.5, 0.25)
@@ -121,14 +121,16 @@ class TestComplexOracle:
                     real.boundary_rep(got, t), ref.boundary_rep(want, t)
                 assert_close(rep, ref_rep)
                 assert_close(cond, ref_cond)
-                reps.append((rep, ref_rep, 1))
+                reps.append((full_size(real, t, rep),
+                             full_size(real, t, ref_rep), 1))
         for z in LABELS:
             corners = (WeightMatrix(real, weights[0][0], z),
                        WeightMatrix(ref, weights[0][1], z))
             for t in CUTS:
                 fold, ref_fold = (c.boundary_rep(t) for c in corners)
                 assert_close(fold, ref_fold)
-                reps.append((fold, ref_fold, 2))
+                reps.append((full_size(real, t, fold),
+                             full_size(real, t, ref_fold), 2))
         for rep, ref_rep, blocks in reps:
             dims = (blocks * real.dim_k, real.dim_h)
             v, ref_v = choi_min_eig(rep, *dims), choi_min_eig(ref_rep, *dims)
