@@ -22,6 +22,7 @@ import yaml
 from . import __version__
 from .halfline import ExpKernelVector, Grid
 from .tensorspace import (
+    LAMBDA_KINDS,
     LambdaSequence,
     TruncationExceededError,
     delta_pairing,
@@ -194,8 +195,10 @@ def _validate(cfg: dict) -> list[str]:
                               % (name, least, cfg[section][key]))
         if cfg["decay"]["n_max"] < cfg["decay"]["head_level"]:
             errors.append("decay.n_max must be >= decay.head_level")
-    if cfg["lambda"]["kind"] not in ("linear", "geometric", "custom"):
-        errors.append("lambda.kind must be linear, geometric or custom")
+    if cfg["lambda"]["kind"] not in LAMBDA_KINDS:
+        errors.append("lambda.kind must be %s (a finite list such as "
+                      "lambda_n = 2^n is kind custom with lambda.values)"
+                      % " or ".join(LAMBDA_KINDS))
     values = cfg["lambda"]["values"]
     if cfg["lambda"]["kind"] == "custom" and not values:
         errors.append("lambda.kind=custom requires lambda.values")
@@ -569,13 +572,10 @@ def main(command, config_path, out_dir, seed):
         COMMANDS[command](cfg, rep, rng)
     except TruncationExceededError as exc:
         # how many values a command reads is known only once it runs
-        kind = cfg["lambda"]["kind"]
-        if kind == "linear":
+        if cfg["lambda"]["kind"] != "custom":
             raise
-        setting = ("lambda.values is too short" if kind == "custom"
-                   else "lambda.kind=geometric overflows")
-        raise ConfigError("invalid config: %s for %s: %s"
-                          % (setting, command, exc)) from exc
+        raise ConfigError("invalid config: lambda.values is too short for "
+                          "%s: %s" % (command, exc)) from exc
     except InvalidExperimentError as exc:
         # the outflow gate: whether the bumps leave the grid within t is
         # known only once they are evolved (so is a t / h that overflows,

@@ -259,23 +259,3 @@ def derivation_residual(model: MatrixModel, z: complex) -> float:
     d2 = k_hat.shape[0]
     lhs = sigma @ (np.eye(d2) - z * k_hat)
     return float(np.linalg.norm(lhs - z * model.pi_superop))
-
-
-def offdiag_perturbation_min_eig(model: MatrixModel, z: complex,
-                                 nu_density: np.ndarray, eps: float,
-                                 t: float) -> float:
-    """Minimum Choi eigenvalue after shifting the off-diagonal weight.
-
-    Adds eps times the normalized weight (the gap direction) to the upper
-    off-diagonal entry.  For z != 1 this has no consistent counterpart in
-    the corner equations and the Choi spectrum of the boundary
-    representation is expected to go negative.
-    """
-    eta, _ = model.xi_eta(nu_density)
-    gap = model.gap_superop(eps * eta)
-    diag, upper, lower = (model.boundary_rep(w, t)[0] for w in (
-        model.weight_superop(), model.weight_superop(complex(z)) + gap,
-        model.weight_superop(np.conj(complex(z)))))
-    rep = fold_doubled([[diag, upper], [lower, diag]], model.dim_k,
-                       model.dim_k * model.kept_cells(t))
-    return _kept_min_eig(model, rep, 2 * model.dim_k, t)

@@ -43,19 +43,33 @@ class TruncationExceededError(ValueError):
 # factor-scale sequences
 # ---------------------------------------------------------------------------
 
+LAMBDA_KINDS = ("linear", "custom")
+"""The sequence kinds: the one infinite sequence and a finite list."""
+
+
 @dataclass(frozen=True)
 class LambdaSequence:
     """The per-factor scale sequence lambda_1, lambda_2, ...
 
-    kind "linear" is lambda_n = n, "geometric" is lambda_n = 2^n, and
-    "custom" takes an explicit finite list, the only kind that takes one.
+    kind "linear" is lambda_n = n; "custom" takes an explicit finite list,
+    the only kind that takes one, and is a truncation, not a sequence.
+
+    The infinite product needs two conditions on the scales:
+    sum 1/lambda_n^2 < inf, so that Delta != 0, and
+    sum (lambda_n - lambda_{n+1})^2 / (lambda_n^2 + lambda_{n+1}^2) < inf,
+    whose n-th term is exactly 1 - (k_n, k_{n+1}), so that the shift keeps
+    the reference vector in its incomplete tensor product (von Neumann,
+    Compositio Math. 6, 1939).  The linear sequence meets
+    both: the sums are pi^2/6 and (pi/2) tanh(pi/2) - 1.  lambda_n = 2^n
+    meets the first and fails the second (every term is 1/5); a custom
+    list of its first values is still a valid truncation.
     """
 
-    kind: Literal["linear", "geometric", "custom"] = "linear"
+    kind: Literal["linear", "custom"] = "linear"
     custom_values: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("linear", "geometric", "custom"):
+        if self.kind not in LAMBDA_KINDS:
             raise InvalidSequenceError("unknown sequence kind %r"
                                        % (self.kind,))
         if self.kind != "custom" and self.custom_values:
@@ -78,11 +92,6 @@ class LambdaSequence:
             raise IndexError("sequence index starts at 1")
         if self.kind == "linear":
             return float(i)
-        if self.kind == "geometric":
-            if i >= 512:  # 2^(2i) overflows a float
-                raise TruncationExceededError(
-                    "geometric sequence value 2^%d has no finite square" % i)
-            return float(2.0 ** i)
         if i > len(self.custom_values):
             raise TruncationExceededError(
                 "custom sequence has no value at index %d" % i)
@@ -98,55 +107,13 @@ def has_rate(lam: float) -> bool:
     return 0.0 < lam * lam < math.inf and 0.5 * lam * lam > 0.0
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    inverse_square_sums: np.ndarray
-    increment_sums: np.ndarray
-    inverse_square_ok: bool
-    increment_ok: bool
-
-    @property
-    def admissible(self) -> bool:
-        return self.inverse_square_ok and self.increment_ok
-
-
-def check_lambda_sequence(seq: LambdaSequence,
-                          horizon: int) -> AdmissibilityReport:
-    """Partial sums of the two convergence conditions with a Cauchy verdict.
-
-    Condition one is sum(1/lambda_n^2); condition two is
-    sum(|lambda_n - lambda_{n+1}|^2 / (lambda_n^2 + lambda_{n+1}^2)).
-    A series looks convergent when its late increments (the last tenth of
-    the horizon) stay below 1e-4 on average.
-    """
-    if horizon < 2:
-        raise ValueError("horizon must be at least 2")
-    lam = np.array([seq.value(i) for i in range(1, horizon + 2)])
-    if np.any(lam <= 0):
-        raise InvalidSequenceError("scales must be strictly positive")
-    terms1 = 1.0 / lam[:horizon] ** 2
-    terms2 = (np.abs(lam[:horizon] - lam[1:horizon + 1]) ** 2
-              / (lam[:horizon] ** 2 + lam[1:horizon + 1] ** 2))
-    sums1 = np.cumsum(terms1)
-    sums2 = np.cumsum(terms2)
-    window = max(1, horizon // 10)
-
-    def looks_convergent(terms):
-        return bool(np.mean(terms[-window:]) < 1e-4)
-
-    return AdmissibilityReport(sums1, sums2,
-                               looks_convergent(terms1),
-                               looks_convergent(terms2))
-
-
 def tail_weight_product(seq: LambdaSequence, start: int) -> float:
     """prod_{i >= start} lambda_i^2 / (1 + lambda_i^2).
 
     For the linear sequence the full product is pi/sinh(pi) and tails are
-    obtained by dividing out the leading factors.  The geometric sequence
-    is summed numerically until the terms are indistinguishable from 1.
-    A custom list need not be monotone, so every listed term counts, and
-    the implicit tail behind it is taken as 1 only if its last term is.
+    obtained by dividing out the leading factors.  A custom list need not
+    be monotone, so every listed term from start on counts, and the
+    implicit tail behind it is taken as 1 only if its last term is.
     """
     if seq.kind == "linear":
         full = math.pi / math.sinh(math.pi)
@@ -155,20 +122,15 @@ def tail_weight_product(seq: LambdaSequence, start: int) -> float:
             head *= i * i / (1.0 + i * i)
         return full / head
     log_total = 0.0
-    i = start
-    while True:
+    # a start past the list reads value(start) alone, which raises
+    for i in range(start, max(start, len(seq.custom_values)) + 1):
         lam2 = seq.value(i) ** 2
         term = lam2 / (1.0 + lam2)
         log_total += math.log(term)
-        if 1.0 - term < 1e-17 and (seq.kind != "custom"
-                                   or i == len(seq.custom_values)):
-            return math.exp(log_total)
-        i += 1
-        if seq.kind == "custom" and i > len(seq.custom_values):
-            raise TruncationExceededError(
-                "custom sequence ends before its tail product settles")
-        if i - start > 10 ** 6:
-            raise InvalidSequenceError("tail product did not settle")
+    if 1.0 - term < 1e-17:
+        return math.exp(log_total)
+    raise TruncationExceededError(
+        "custom sequence ends before its tail product settles")
 
 
 # ---------------------------------------------------------------------------

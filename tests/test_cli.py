@@ -187,6 +187,10 @@ class TestCommands:
          "corner.cut_levels must be a non-empty list of distinct"),
         ({"corner": {"cut_levels": [0.25, 0.0, 0.25]}},
          "corner.cut_levels must be a non-empty list of distinct"),
+        # lambda_n = 2^n fails the second condition on the scales; its
+        # first values are a custom list
+        ({"lambda": {"kind": "geometric"}},
+         "lambda.kind must be linear or custom"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, override, message):
         path = tmp_path / "bad.yaml"
@@ -746,10 +750,11 @@ class TestDeltaOracle:
             == {"%.17g" % 0.2720290549821332}
 
     def test_geometric_sequence_passes(self, tmp_path):
-        # lambda_n = 2^n: the level product and the limit follow the
-        # sequence instead of the linear closed forms
+        # lambda_n = 2^n, n <= 60: the level product and the limit follow
+        # the list instead of the linear closed forms
         path = tmp_path / "geometric.yaml"
-        path.write_text(yaml.safe_dump({"lambda": {"kind": "geometric"}}))
+        path.write_text(yaml.safe_dump({"lambda": {
+            "kind": "custom", "values": [2.0 ** i for i in range(1, 61)]}}))
         out = tmp_path / "out"
         result = run_cli(["delta", "--config", str(path), "--out", str(out)])
         assert result.exit_code == 0, result.output
@@ -778,35 +783,6 @@ class TestDeltaOracle:
         assert limit == pytest.approx(math.prod(
             v * v / (1.0 + v * v) for v in values), rel=1e-14)
         assert limit == pytest.approx(0.5712, abs=1e-4)
-
-
-class TestGeometricOverflow:
-    """lambda_i = 2^i squared overflows a float from i = 512 on."""
-
-    @pytest.mark.parametrize("command, override", [
-        ("delta", {"delta": {"levels": 511}}),
-        ("weights-unitality", {"tensor": {"factors": 600}}),
-    ])
-    def test_cli_reports_config_error(self, tmp_path, command, override):
-        path = tmp_path / "geometric.yaml"
-        path.write_text(yaml.safe_dump(
-            dict(override, **{"lambda": {"kind": "geometric"}})))
-        result = CliRunner().invoke(
-            main, [command, "--config", str(path), "--out",
-                   str(tmp_path / "o")])
-        assert result.exit_code == 2, result.output
-        assert "invalid config: lambda.kind" in result.output
-        assert "2^512" in result.output
-        assert isinstance(result.exception, SystemExit)
-
-    def test_last_overflow_free_level_runs(self, tmp_path):
-        path = tmp_path / "geometric.yaml"
-        path.write_text(yaml.safe_dump(
-            {"delta": {"levels": 510}, "lambda": {"kind": "geometric"}}))
-        out = tmp_path / "o"
-        result = run_cli(["delta", "--config", str(path), "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        assert load_report(out, "delta")["all_pass"]
 
 
 # custom lambda sequences that parse but are too short for delta

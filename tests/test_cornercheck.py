@@ -9,7 +9,6 @@ from cpflow.cornercheck import (
     derivation_residual,
     fold_doubled,
     hypermax_witness,
-    offdiag_perturbation_min_eig,
     subordination_check,
 )
 from cpflow.opbasis import MatrixModel, choi_min_eig
@@ -373,22 +372,3 @@ class TestCornerIdentity:
     def test_derivation_residual_small(self, model):
         for z in (0.3, 0.4 + 0.3j, -0.7j):
             assert derivation_residual(model, z) < 1e-10
-
-    def test_offdiag_shift_breaks_cp(self, model, nu):
-        val = offdiag_perturbation_min_eig(model, -1.0, nu, 0.05, 0.5)
-        assert val < -1e-8
-
-    def test_offdiag_shift_matches_dense_doubled_reference(self, model, nu):
-        eta, _ = model.xi_eta(nu)
-        gap = 0.05 * eta.reshape(-1, 1) \
-            @ model.delta_matrix.T.reshape(1, -1)
-        diag = model.weight_superop()
-        entries = ((diag, model.weight_superop(1j) + gap),
-                   (model.weight_superop(-1j), diag))
-        dense = assemble_doubled([[full_size(model, 0.25,
-                                             model.boundary_rep(w, 0.25)[0])
-                                   for w in row] for row in entries],
-                                 model.dim_k, model.dim_h)
-        ref = choi_min_eig(dense, 2 * model.dim_k, 2 * model.dim_h)
-        val = offdiag_perturbation_min_eig(model, 1j, nu, 0.05, 0.25)
-        assert min(val, 0.0) == ref.min_eigenvalue

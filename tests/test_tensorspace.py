@@ -1,9 +1,9 @@
 """Truncated tensor products, shifts and the limit-operator pairing."""
 
-import math
-
+import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from cpflow.halfline import ExpMultiplier, inner_product
@@ -13,7 +13,6 @@ from cpflow.tensorspace import (
     ProductVector,
     TensorOperator,
     TruncationExceededError,
-    check_lambda_sequence,
     delta_operator,
     delta_pairing,
     identity_operator,
@@ -45,7 +44,7 @@ class TestLambdaSequence:
     @pytest.mark.parametrize("kind, values, message", [
         ("weird", (), "unknown sequence kind 'weird'"),
         ("linear", (3.0,), "a linear sequence takes no values"),
-        ("geometric", (1.0, 2.0), "a geometric sequence takes no values"),
+        ("geometric", (), "unknown sequence kind 'geometric'"),
     ])
     def test_unread_setting_rejected(self, kind, values, message):
         with pytest.raises(InvalidSequenceError, match=message):
@@ -58,15 +57,54 @@ class TestLambdaSequence:
         with pytest.raises(InvalidSequenceError, match="rate"):
             LambdaSequence("custom", values)
 
-    def test_admissibility_linear(self):
-        report = check_lambda_sequence(LINEAR, 200)
-        assert report.admissible
 
-    def test_admissibility_fails_for_slow_sequence(self):
-        slow = LambdaSequence("custom",
-                             tuple(1.0 + 0.001 * i for i in range(220)))
-        report = check_lambda_sequence(slow, 200)
-        assert not report.admissible
+# lambda_n = 2^n, n <= 60: no kind, since it fails condition two
+POWERS_OF_TWO = LambdaSequence("custom", tuple(2.0 ** i for i in range(1, 61)))
+
+
+class TestLambdaConditions:
+    """The two conditions of LambdaSequence's docstring, as exact sums."""
+
+    @staticmethod
+    def increment(seq, n):
+        a, b = seq.value(n), seq.value(n + 1)
+        return (a - b) ** 2 / (a * a + b * b)
+
+    def test_linear_sums_in_closed_form(self):
+        with mpmath.workdps(30):
+            first = mpmath.nsum(lambda n: 1 / n ** 2, [1, mpmath.inf])
+            second = mpmath.nsum(lambda n: 1 / (n ** 2 + (n + 1) ** 2),
+                                 [1, mpmath.inf])
+            closed = mpmath.pi / 2 * mpmath.tanh(mpmath.pi / 2) - 1
+            assert abs(first - mpmath.pi ** 2 / 6) < 1e-15
+            assert abs(second - closed) < 1e-15
+        assert float(closed) == pytest.approx(0.4406595199775146, abs=1e-16)
+        n = sympy.symbols("n", integer=True, positive=True)
+        assert sympy.summation(1 / n ** 2, (n, 1, sympy.oo)) \
+            == sympy.pi ** 2 / 6
+        # the summands above are the sequence's own terms
+        for i in range(1, 30):
+            assert self.increment(LINEAR, i) == 1.0 / (i * i + (i + 1) ** 2)
+
+    @pytest.mark.parametrize("seq", [LINEAR, POWERS_OF_TWO],
+                             ids=["linear", "powers-of-two"])
+    def test_increment_term_is_reference_defect(self, seq):
+        # 1 - (k_n, k_{n+1}): how far the shifted reference vector moves
+        for n in (1, 2, 5, 20, 40):
+            overlap = inner_product(seq.reference(n), seq.reference(n + 1))
+            assert overlap.imag == 0.0
+            assert 1.0 - overlap.real == pytest.approx(
+                self.increment(seq, n), abs=1e-15)
+
+    def test_powers_of_two_fail_condition_two(self):
+        # every term is 1/5, so the sum diverges; condition one holds (1/3)
+        n = sympy.symbols("n", integer=True, positive=True)
+        term = (2 ** n - 2 ** (n + 1)) ** 2 / (4 ** n + 4 ** (n + 1))
+        assert sympy.simplify(term) == sympy.Rational(1, 5)
+        assert sympy.summation(sympy.Rational(1, 4) ** n, (n, 1, sympy.oo)) \
+            == sympy.Rational(1, 3)
+        for i in (1, 5, 20, 59):
+            assert self.increment(POWERS_OF_TWO, i) == 0.2
 
 
 class TestTailWeight:
@@ -79,18 +117,6 @@ class TestTailWeight:
         full = tail_weight_product(LINEAR, 1)
         head = np.prod([i * i / (1.0 + i * i) for i in range(1, 5)])
         assert tail_weight_product(LINEAR, 5) == pytest.approx(full / head)
-
-    def test_numeric_matches_closed_form(self):
-        geom = LambdaSequence("geometric")
-        val = tail_weight_product(geom, 1)
-        assert 0.0 < val < 1.0
-
-    def test_geometric_ends_where_its_square_overflows(self):
-        geom = LambdaSequence("geometric")
-        assert geom.value(511) == 2.0 ** 511
-        assert math.isfinite(geom.value(511) ** 2)
-        with pytest.raises(TruncationExceededError, match="2\\^512"):
-            geom.value(512)
 
     def test_custom_takes_every_listed_value(self):
         # a settled term before unsettled ones does not end the product
@@ -130,7 +156,7 @@ class TestProductVector:
     def test_mixed_sequences_rejected(self):
         # the implicit tails would be resolved with the ket's sequence alone
         f = reference_state(LINEAR, 2)
-        g = reference_state(LambdaSequence("geometric"), 2)
+        g = reference_state(POWERS_OF_TWO, 2)
         with pytest.raises(ValueError, match="lambda sequence"):
             product_inner(f, g)
         for op in (identity_operator(), delta_operator()):

@@ -273,9 +273,10 @@ class TestSeriesTable:
         assert isinstance(exc, ValueError)
 
     def test_mixed_sequences(self):
-        # a linear ket against a geometric bra: their tails differ
+        # a linear ket against a custom bra: their tails differ
         rho = rank_one(reference_state(LINEAR, 2),
-                       reference_state(LambdaSequence("geometric"), 2))
+                       reference_state(LambdaSequence("custom", (2.0, 4.0)),
+                                       2))
         for element in ELEMENTS.values():
             exc = assert_same_series(rho, element(), SHORT_CFG, 2, 1.0)
             assert isinstance(exc, ValueError)
