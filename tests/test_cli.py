@@ -785,6 +785,39 @@ class TestDeltaOracle:
         assert limit == pytest.approx(0.5712, abs=1e-4)
 
 
+class TestGeometricOverflow:
+    """lambda_i = 2^i as a custom list ends at 2^511: its square overflows
+    from i = 512 on, so a run that reads further is a config error."""
+
+    POWERS = [2.0 ** i for i in range(1, 512)]
+
+    @pytest.mark.parametrize("command, override", [
+        ("delta", {"delta": {"levels": 511}}),
+        ("weights-unitality", {"tensor": {"factors": 600}}),
+    ])
+    def test_cli_reports_config_error(self, tmp_path, command, override):
+        path = tmp_path / "geometric.yaml"
+        path.write_text(yaml.safe_dump(dict(override, **{
+            "lambda": {"kind": "custom", "values": self.POWERS}})))
+        result = CliRunner().invoke(
+            main, [command, "--config", str(path), "--out",
+                   str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "invalid config: lambda.values is too short" in result.output
+        assert "index 512" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_last_overflow_free_level_runs(self, tmp_path):
+        path = tmp_path / "geometric.yaml"
+        path.write_text(yaml.safe_dump({
+            "delta": {"levels": 510},
+            "lambda": {"kind": "custom", "values": self.POWERS}}))
+        out = tmp_path / "o"
+        result = run_cli(["delta", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert load_report(out, "delta")["all_pass"]
+
+
 # custom lambda sequences that parse but are too short for delta
 SHORT_LAMBDAS = [
     ([1.0, 2.0], "custom sequence has no value at index 3"),

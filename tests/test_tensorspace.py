@@ -1,5 +1,7 @@
 """Truncated tensor products, shifts and the limit-operator pairing."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -117,6 +119,27 @@ class TestTailWeight:
         full = tail_weight_product(LINEAR, 1)
         head = np.prod([i * i / (1.0 + i * i) for i in range(1, 5)])
         assert tail_weight_product(LINEAR, 5) == pytest.approx(full / head)
+
+    def test_numeric_matches_closed_form(self):
+        # the list's loop against prod_{i >= s} 1 / (1 + 4^-i), a
+        # q-Pochhammer symbol; the terms past 2^60 are below an ulp
+        quarter = mpmath.mpf(1) / 4
+        for start in (1, 2, 5):
+            closed = 1 / mpmath.qp(-quarter ** start, quarter)
+            assert tail_weight_product(POWERS_OF_TWO, start) \
+                == pytest.approx(float(closed), rel=1e-15)
+
+    def test_geometric_ends_where_its_square_overflows(self):
+        # a custom list of 2^n ends at 2^511: from 2^512 on the square
+        # overflows, so no list takes that value
+        powers = tuple(2.0 ** i for i in range(1, 512))
+        geom = LambdaSequence("custom", powers)
+        assert geom.value(511) == 2.0 ** 511
+        assert math.isfinite(geom.value(511) ** 2)
+        with pytest.raises(TruncationExceededError, match="index 512"):
+            geom.value(512)
+        with pytest.raises(InvalidSequenceError, match="finite square"):
+            LambdaSequence("custom", powers + (2.0 ** 512,))
 
     def test_custom_takes_every_listed_value(self):
         # a settled term before unsettled ones does not end the product
