@@ -10,13 +10,18 @@ The inputs are those of the ``corner`` command at its default config, at
 N = 3 factors (the default) and N = 4 of dimension 2 (dim_k = 8 and 16)
 and the three half-line cells (dim_h = 24 and 48), linear lambda, cuts
 0.5 and 0.25, witness label -1.  The kernels are the model's construction
-with its cached constants, the series weight at labels 1 and -1, the cut
-and the boundary representation of the minimal weight at cut 0.5 (both
-on the one cell of three that the cut keeps: 64 x 64 and 256 x 256
-output rows), the Choi spectrum of the folded 2x2 corner there (a
-128 x 128 Choi matrix at N = 3, 512 x 512 at N = 4), the subordination
-check of the unital weight over the minimal one, and the
-hypermaximality witness that follows it.
+with its cached constants, the series weight superoperator at labels 1
+and -1, the cut of the minimal weight at cut 0.5 (on the one cell of
+three that the cut keeps: 64 x 64 and 256 x 256 output rows), the
+boundary representation of the minimal weight there in word form (15
+and 31 words), the Choi spectrum of the folded 2x2 corner there (a
+128 x 128 Choi matrix at N = 3, 512 x 512 at N = 4, taken on the range
+of its 30 and 62 Choi vectors), the subordination check of the unital
+weight over the minimal one, and the hypermaximality witness that
+follows it.  The last two also run at N = 5 (dim_k = 32).
+
+The largest sizes of the solve-path oracle of tests/test_wordform.py,
+(N, m) = (4, 2) and (3, 3), run here too: they take 7 s and 2 min.
 """
 
 import numpy as np
@@ -30,12 +35,14 @@ from cpflow.cornercheck import (
 )
 from cpflow.opbasis import DEFAULT_EDGES, MatrixModel, choi_min_eig
 from cpflow.tensorspace import LambdaSequence
+from test_wordform import LARGE_SIZES, check_against_solve_path
 
 CORNER = DEFAULT_CONFIG["corner"]
 CUTS = tuple(CORNER["cut_levels"])
+LABEL = complex(CORNER["witness_label"])
 FACTOR_DIM = DEFAULT_CONFIG["tensor"]["factor_dim"]
 CONSTANTS = ("basis", "damping", "cross_overlap", "reference_coords",
-             "delta_matrix", "shift", "pi_superop", "series_kernel")
+             "delta_matrix", "shift", "letters", "tail_ratio")
 
 
 def build_model(n_factors: int) -> MatrixModel:
@@ -46,25 +53,23 @@ def build_model(n_factors: int) -> MatrixModel:
     return model
 
 
+def point_mass(model) -> np.ndarray:
+    """The nu of run_corner."""
+    nu = np.zeros((model.dim_h, model.dim_h))
+    nu[0, 0] = 1.0
+    return nu
+
+
 @pytest.fixture(scope="module", params=[CORNER["factors"], 4],
                 ids=lambda n: "N%d" % n)
 def model(request):
     return build_model(request.param)
 
 
-@pytest.fixture(scope="module")
-def eta(model):
-    """The density of the normalized weight, as run_corner."""
-    nu = np.zeros((model.dim_h, model.dim_h))
-    nu[0, 0] = 1.0
-    return model.xi_eta(nu)[0]
-
-
-@pytest.fixture(scope="module")
-def weights(model, eta):
-    """The minimal and the unital weight superoperators, as run_corner."""
-    minimal = model.weight_superop()
-    return minimal, minimal + model.gap_superop(eta)
+@pytest.fixture(scope="module", params=[CORNER["factors"], 4, 5],
+                ids=lambda n: "N%d" % n)
+def corner_model(request):
+    return build_model(request.param)
 
 
 def test_model_construction(benchmark, model):
@@ -84,35 +89,39 @@ def kept_dim(model) -> int:
     return model.dim_k * model.kept_cells(CUTS[0])
 
 
-def test_apply_truncation(benchmark, model, weights):
-    out = benchmark(model.apply_truncation, CUTS[0], weights[0])
+def test_apply_truncation(benchmark, model):
+    out = benchmark(model.apply_truncation, CUTS[0], model.weight_superop())
     assert out.shape == (kept_dim(model) ** 2, model.dim_k ** 2)
 
 
-def test_boundary_rep(benchmark, model, weights):
-    rep, condition = benchmark(model.boundary_rep, weights[0], CUTS[0])
-    assert rep.shape == (kept_dim(model) ** 2, model.dim_k ** 2)
-    assert condition < 1e12
+def test_boundary_rep(benchmark, model):
+    rep = benchmark(model.boundary_rep, CUTS[0])
+    assert rep.words.shape == (model.dim_k * kept_dim(model),
+                               2 ** (model.n_factors + 1) - 1)
 
 
-def test_choi_min_eig_folded_corner(benchmark, model, weights):
-    z = complex(CORNER["witness_label"])
-    diag_rep = model.boundary_rep(weights[0], CUTS[0])[0]
-    folded = _folded_rep(model, diag_rep, model.weight_superop(z), CUTS[0])
+def test_choi_min_eig_folded_corner(benchmark, model):
+    folded = _folded_rep(model, model.boundary_rep(CUTS[0]), LABEL, CUTS[0])
     verdict = benchmark(choi_min_eig, folded, 2 * model.dim_k,
                         kept_dim(model))
     assert verdict.completely_positive
 
 
-def test_subordination_check(benchmark, model, weights):
-    minimal, full = weights
-    verdict = benchmark(subordination_check, model, full, minimal, CUTS)
+def test_subordination_check(benchmark, corner_model):
+    verdict = benchmark(subordination_check, corner_model,
+                        point_mass(corner_model), None, CUTS)
     assert verdict.subordinate
 
 
-def test_hypermax_witness(benchmark, model, eta, weights):
-    minimal, full = weights
-    dominance = subordination_check(model, full, minimal, CUTS)
-    report = benchmark(hypermax_witness, complex(CORNER["witness_label"]),
-                       model, eta, dominance)
+def test_hypermax_witness(benchmark, corner_model):
+    nu = point_mass(corner_model)
+    eta, _ = corner_model.xi_eta(nu)
+    dominance = subordination_check(corner_model, nu, None, CUTS)
+    report = benchmark(hypermax_witness, LABEL, corner_model, eta,
+                       dominance)
     assert report.witnessed
+
+
+@pytest.mark.parametrize("n_factors, factor_dim", LARGE_SIZES)
+def test_word_form_equals_solve_path(n_factors, factor_dim):
+    check_against_solve_path(n_factors, factor_dim)

@@ -2,36 +2,45 @@
 
 A corner is the off-diagonal entry of a 2x2 matrix of maps Phi = [phi_ab]
 acting entrywise on a doubled space: Phi(X) has the blocks phi_ab(X_ab).
-Here the diagonal entries are weight superoperators (the minimal series
-weight or its unital extension) and the off-diagonal entries are the
-series weights with label z on the unit circle.  Complete positivity of
-the induced generalized boundary representations is decided through
-Choi spectra, and the subordination order between two weights is the
-complete positivity of the difference of their boundary representations
-along a decreasing sequence of cut levels.
+Here the diagonal entries are weights of the model (the minimal series
+weight or a unital extension, named by the density nu it is built from)
+and the off-diagonal entries are the series weights with label z on the
+unit circle.  Complete positivity of the induced generalized boundary
+representations is decided through Choi spectra, and the subordination
+order between two weights is the complete positivity of the difference
+of their boundary representations along a decreasing sequence of cut
+levels.
 
 The doubled space is never built.  A 2x2 map is CP iff its fold
 psi(X) = sum_ab phi_ab(X_ab) = V* Phi(X) V, V = [I; I], is CP: up to a
-permutation Choi(Phi) is Choi(psi) plus an identically zero block (see
-fold_doubled).  Nor are the output cells that a cut drops: boundary
-representations, their folds and differences live on the cells the cut
-keeps (MatrixModel.apply_truncation), and _kept_min_eig restores the
-dropped zero block.  The unital and the minimal matrix at a label share
-their off-diagonal entries, and boundary representations of 2x2
+permutation Choi(Phi) is Choi(psi) plus an identically zero block, and
+Choi(psi) is the 2x2 block matrix of the entries' Choi matrices.  Nor is
+any representation dense: boundary representations are word sums
+(MatrixModel.boundary_rep) on the cells a cut keeps, their folds and
+differences are Choi factors, and _kept_min_eig restores the zero block
+of the dropped cells.  The unital and the minimal matrix at a label
+share their off-diagonal entries, and boundary representations of 2x2
 matrices are taken entry by entry, so the difference of theirs is
 diag(D, D), with D the difference of the diagonal entries'
 representations.  Dominance of the minimal matrix by the unital one is
-therefore the subordination of the minimal weight to the unital weight.
+therefore the subordination of the minimal weight to the unital weight;
+D is the unital weight's rank-one term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .opbasis import MatrixModel, choi_min_eig, cut_edge, is_cp
+from .opbasis import (
+    BoundaryRep,
+    ChoiFactors,
+    MatrixModel,
+    choi_min_eig,
+    cut_edge,
+    is_cp,
+)
 
 
 class NonCompletelyPositiveInputError(ValueError):
@@ -46,84 +55,62 @@ class DegenerateDirectionError(ValueError):
     """The requested witness direction is degenerate (label z = 1)."""
 
 
-def fold_doubled(blocks, dim_in: int, dim_out: int) -> np.ndarray:
-    """Superoperator of the fold psi(X) = sum_ab phi_ab(X_ab) of a 2x2 map.
-
-    blocks is a 2x2 nested sequence of superoperators phi_ab, each of
-    shape (dim_out^2, dim_in^2); the entrywise map Phi = [phi_ab] sends a
-    doubled density X to the doubled density with blocks phi_ab(X_ab).
-    Its fold is psi(X) = V* Phi(X) V with V = [I; I], a map from
-    2*dim_in- to dim_out-densities.  Phi(E_ij) lives in the output block
-    of the input block of i, so up to a permutation Choi(Phi) is
-    Choi(psi) plus an identically zero block: Phi is CP iff psi is, and
-    the minimum Choi eigenvalue of Phi is min(that of psi, 0).  The fold
-    places each entry on its input block and adds nothing up, so its
-    Choi matrix has the very entries of the nonzero part of Choi(Phi).
-    The fold has the dtype numpy promotes the blocks to: it is real when
-    every block is.
-    """
-    s5 = np.array([[np.reshape(blocks[a][b], (dim_out * dim_out, dim_in,
-                                              dim_in))
-                    for b in range(2)] for a in range(2)])
-    return s5.transpose(2, 0, 3, 1, 4).reshape(dim_out * dim_out,
-                                               4 * dim_in * dim_in)
-
-
-def _kept_min_eig(model: MatrixModel, rep: np.ndarray, dim_in: int,
+def _kept_min_eig(model: MatrixModel, factors: ChoiFactors, dim_in: int,
                   t: float) -> float:
     """Minimum Choi eigenvalue of a map given on the outputs that the cut
-    at level t keeps (a boundary_rep, or a fold or difference of such).
+    at level t keeps (a boundary representation, or a fold or difference
+    of such).
 
-    The whole map's Choi matrix is rep's plus identically zero rows and
-    columns, as in choi_min_eig's zero-row rule: its minimum eigenvalue
-    is rep's, or min(rep's, 0) when the cut drops a cell.
+    The whole map's Choi matrix is the kept one plus identically zero
+    rows and columns: its minimum eigenvalue is the kept one's, or
+    min(that, 0) when the cut drops a cell.
     """
     kept = model.kept_cells(t)
-    low = choi_min_eig(rep, dim_in, model.dim_k * kept).min_eigenvalue
+    low = choi_min_eig(factors, dim_in, model.dim_k * kept).min_eigenvalue
     return low if kept == model.h_dim else min(low, 0.0)
 
 
-def _folded_rep(model: MatrixModel, diag_rep: np.ndarray, offdiag,
-                t: float) -> np.ndarray:
-    """Folded boundary representation of a 2x2 weight matrix at level t.
+def _folded_rep(model: MatrixModel, diag_rep: BoundaryRep, z: complex,
+                t: float) -> ChoiFactors:
+    """Choi factors of the folded boundary representation of the 2x2
+    weight matrix [[diagonal, omega_z], [omega_conj(z), diagonal]] at
+    cut level t.
 
-    The matrix is [[diagonal, offdiag], [conj(offdiag), diagonal]].  The
-    cut and lambdahat act entrywise on doubled densities, so its boundary
-    representation is the 2x2 matrix of the entries' ones, all on the
-    outputs the cut keeps.  diag_rep is the diagonal's, solved by the
-    caller.  The model is real, so the lower entry's is the conjugate of
-    the upper entry's, the one system solved here.
+    diag_rep is the diagonal's representation at t.  The series weight
+    at z has the diagonal's words, with coefficients z^{|w|+1} and
+    z^{N+1} / (1 - z mu_c) and no rank-one term; the model is real, so
+    the lower entry's coefficients are their conjugates.  The fold's
+    Choi matrix is the 2x2 block matrix of the entries' Choi matrices.
     """
-    rep = model.boundary_rep(offdiag, t)[0]
-    return fold_doubled([[diag_rep, rep], [rep.conj(), diag_rep]],
-                        model.dim_k, model.dim_k * model.kept_cells(t))
+    diag = diag_rep.choi
+    off = model.boundary_rep(t, z).coeffs
+    upper = np.zeros(diag.weights.shape, np.result_type(diag.weights, off))
+    upper[:len(off), :len(off)] = np.diag(off)
+    weights = np.block([[diag.weights, upper], [upper.conj().T,
+                                                diag.weights]])
+    return ChoiFactors(np.kron(np.eye(2), diag.vectors), weights)
 
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """2x2 matrix of weight superoperators over a shared model.
+    """2x2 matrix of weights over a shared model.
 
-    diagonal: the weight used on both diagonal entries; offdiag_label:
-    the unit label z of the off-diagonal series weights (upper gets z,
-    lower gets conj(z) so Hermiticity of doubled densities is preserved).
-    Only the weight at z is solved, once per matrix (the model is real).
+    The diagonal entries are the weight built from nu (MatrixModel.xi_eta;
+    None for the minimal weight); the off-diagonal ones are the series
+    weights at the unit label z (upper) and conj(z) (lower, so
+    Hermiticity of doubled densities is preserved).
     """
 
     model: MatrixModel
-    diagonal: np.ndarray
+    nu: np.ndarray | None
     offdiag_label: complex
 
-    @cached_property
-    def blocks(self) -> list:
-        z = complex(self.offdiag_label)
-        upper = self.model.weight_superop(z)
-        return [[self.diagonal, upper], [upper.conj(), self.diagonal]]
-
-    def boundary_rep(self, t: float) -> np.ndarray:
-        """Fold of the doubled boundary representation at cut level t, on
-        the outputs the cut keeps (_folded_rep)."""
-        diag_rep = self.model.boundary_rep(self.diagonal, t)[0]
-        return _folded_rep(self.model, diag_rep, self.blocks[0][1], t)
+    def boundary_rep(self, t: float) -> ChoiFactors:
+        """Choi factors of the folded boundary representation at cut
+        level t, on the outputs the cut keeps (_folded_rep)."""
+        return _folded_rep(self.model,
+                           self.model.boundary_rep(t, nu=self.nu),
+                           self.offdiag_label, t)
 
 
 @dataclass(frozen=True)
@@ -140,20 +127,23 @@ class SubordinationVerdict:
     upper_min_eigs: tuple[float, ...]
     lower_min_eigs: tuple[float, ...]
     difference_min_eigs: tuple[float, ...]
-    lower_reps: tuple[np.ndarray, ...] = field(compare=False, repr=False)
+    lower_reps: tuple[BoundaryRep, ...] = field(compare=False, repr=False)
 
 
 def subordination_check(model: MatrixModel, upper, lower,
                         cut_levels) -> SubordinationVerdict:
     """Is lower subordinate to upper at the sampled cut levels?
 
-    upper and lower are weight superoperators over the model; the check
-    compares their generalized boundary representations: the difference
-    must be CP at every sampled level.  Inputs whose own boundary
-    representations are not CP are rejected with the offending eigenvalue.
-    The cut levels must be one or more distinct cell edges below the top
-    one (opbasis.cut_edge), else ValueError is raised before any
-    representation is solved.
+    upper and lower name weights of the model by the density nu that
+    MatrixModel.xi_eta builds their unital extension from, None for the
+    minimal weight.  The check compares their generalized boundary
+    representations: the difference must be CP at every sampled level.
+    Both share the minimal weight's words, so the difference is that of
+    their rank-one terms.  Inputs whose own boundary representations are
+    not CP are rejected with the offending eigenvalue.  The cut levels
+    must be one or more distinct cell edges below the top one
+    (opbasis.cut_edge), else ValueError is raised before any
+    representation is built.
     """
     edges = [cut_edge(t) for t in cut_levels]
     if not edges or len(set(edges)) < len(edges):
@@ -162,17 +152,19 @@ def subordination_check(model: MatrixModel, upper, lower,
     mins = {"upper": [], "lower": [], "difference": []}
     lower_reps = []
     for t in cut_levels:
-        rep_up, rep_low = (model.boundary_rep(w, t)[0]
-                           for w in (upper, lower))
+        rep_up, rep_low = (model.boundary_rep(t, nu=nu)
+                           for nu in (upper, lower))
         lower_reps.append(rep_low)
         for name, rep in (("upper", rep_up), ("lower", rep_low)):
-            low = _kept_min_eig(model, rep, model.dim_k, t)
+            low = _kept_min_eig(model, rep.choi, model.dim_k, t)
             if not is_cp(low):
                 raise NonCompletelyPositiveInputError(
                     "%s weight is not CP at cut level %g" % (name, t), low)
             mins[name].append(low)
+        none = ChoiFactors(rep_up.words[:, :0], np.zeros((0, 0)))
+        difference = (rep_up.gap or none) - (rep_low.gap or none)
         mins["difference"].append(
-            _kept_min_eig(model, rep_up - rep_low, model.dim_k, t))
+            _kept_min_eig(model, difference, model.dim_k, t))
     sub = all(map(is_cp, mins["difference"]))
     return SubordinationVerdict(sub, tuple(cut_levels), tuple(mins["upper"]),
                                 tuple(mins["lower"]),
@@ -227,8 +219,21 @@ def hypermax_witness(z: complex, model: MatrixModel, eta: np.ndarray,
     which sets the diagonal gap, and dominance the subordination_check of
     the unital weight over the minimal one (see the module docstring);
     its cut levels are the witness's, and its lower representations are
-    the corner's diagonal ones.  Only the off-diagonal entry at z is
-    solved here; the one at conj(z) is its conjugate.
+    the corner's diagonal ones.  Only the off-diagonal coefficients at z
+    are computed here; the ones at conj(z) are their conjugates.
+
+    With the minimal weight on the diagonal, minimal_cp holds at every
+    |z| <= 1, so the witness does not tell one label on the circle from
+    another.  The folded corner is the sum over the words w of the
+    dropped-cell series of the 2x2 coefficient block
+    [[c_1, c_z], [conj(c_z), c_1]] times vec(K_w) vec(K_w)^* on each
+    input block.  For |w| < N the block is [[1, z^{n+1}],
+    [conj(z)^{n+1}, 1]], positive semidefinite because |z^{n+1}| <= 1.
+    On the words of length N it is [[a, b], [conj(b), a]] with
+    a = 1 / (1 - mu_c) and b = z^{N+1} / (1 - z mu_c), positive
+    semidefinite because |1 - z mu_c| >= 1 - mu_c.  A sum of positive
+    semidefinite blocks is positive semidefinite, so the recorded minima
+    are zeros or rounding on the corner's range.
     """
     z = complex(z)
     if not on_unit_circle(z):
@@ -239,9 +244,8 @@ def hypermax_witness(z: complex, model: MatrixModel, eta: np.ndarray,
             "direction is degenerate")
     gap_norm = float(np.linalg.norm(eta)) * float(
         np.linalg.norm(model.delta_matrix))
-    upper = model.weight_superop(z)
     minimal_eigs = [
-        _kept_min_eig(model, _folded_rep(model, diag_rep, upper, t),
+        _kept_min_eig(model, _folded_rep(model, diag_rep, z, t),
                       2 * model.dim_k, t)
         for t, diag_rep in zip(dominance.cut_levels, dominance.lower_reps)]
     return HypermaxReport(z, tuple(minimal_eigs), gap_norm, dominance)

@@ -4,23 +4,40 @@ The truncated tensor space is modelled as N factors of an m-dimensional
 span of decaying exponentials, orthonormalized exactly.  The extra
 half-line slot of the big space carries the orthonormal indicators of the
 cells between DEFAULT_EDGES.  On these cells multiplication by exp(-x) and
-the spectral tail cuts are exact commuting diagonal matrices, which is
-what makes the generalized boundary representation of a series weight
-manifestly completely positive: the resolvent rearranges into the
-positive series
+the spectral tail cuts are exact commuting diagonal matrices.
 
-    cut o sum_n (pihat lambdahat_complement)^n pihat.
+The series kernel khat = lambdahat pihat is the Kraus map
+rho -> sum_p A_p rho A_p^*, one letter A_p = sqrt(h_p) (I (x) <p|) s0^*
+per cell p, h_p the cell's damping (MatrixModel.letters).  N letters
+contract every tensor slot against the reference coordinates, so khat^N
+has rank one and khat^{N+1} = mu khat^N: every resolvent is the finite
+sum
+
+    (I - z khat)^{-1} = sum_{n<N} (z khat)^n + z^N khat^N / (1 - z mu).
+
+A cut drops the cells below its level.  With khat_c the Kraus map of
+the dropped cells' letters, the generalized boundary representation of
+the series weight at label z is cut o z pihat (I - z khat_c)^{-1}: the
+sum over the words w of dropped letters of rho -> K_w rho K_w^*,
+K_w = P s0^* A_w, with coefficient z^{|w|+1} for |w| < N and
+z^{N+1} / (1 - z mu_c) on the words of length N.  mu and mu_c are read
+from the identity khat^{N+1} = mu khat^N, which is checked on every use
+(TailIdentityError).  The unital weight's representation adds one
+rank-one term (MatrixModel.boundary_rep).  A map's Choi matrix is kept as
+factors V W V^* (ChoiFactors), and its spectrum is taken on the range of
+V (choi_min_eig): nothing here solves a system or builds a Choi matrix.
 
 Functionals are identified with density matrices: rho(A) = tr(rho_d A).
-Maps between functional spaces are superoperator matrices over row-major
-vectorized densities; lambdahat alone is applied without its matrix.
+Dense maps between functional spaces are superoperator matrices over
+row-major vectorized densities; lambdahat alone is applied without its
+matrix.
 
 The model is real: its rates, lambda sequence, cells and cuts are real, so
 every constant matrix (damping, cross overlap, reference coordinates,
-Delta, shift, cut, pihat and the series kernel) is float64, and so are the
-minimal and unital weights and their boundary representations.  Complex
-numbers enter only through a label z with nonzero imaginary part, from
-which numpy promotes.  A closed form that returns complex numbers is
+Delta, shift, letters, cut, pihat and the series kernel) is float64, and
+so are the minimal and unital weights and their boundary representations.
+Complex numbers enter only through a label z with nonzero imaginary part,
+from which numpy promotes.  A closed form that returns complex numbers is
 taken real only when its imaginary part is exactly zero (_real_if_exact).
 """
 
@@ -36,11 +53,18 @@ from .tensorspace import LambdaSequence, tail_weight_product
 
 
 class NonInvertibleSystemError(np.linalg.LinAlgError):
-    """The resolvent system of a boundary representation is singular."""
+    """A weight series of the model diverges (|z| mu >= 1), or the
+    normalization 1 - nu(Lambda(Delta)) of xi_eta is singular; condition
+    is |z| mu or nu(Lambda(Delta))."""
 
     def __init__(self, message: str, condition: float):
         super().__init__(message)
         self.condition = condition
+
+
+class TailIdentityError(ArithmeticError):
+    """khat^{N+1} = mu khat^N fails, so the finite sum of a resolvent
+    would be wrong."""
 
 
 def orthonormal_span(rates) -> list[ExpKernelVector]:
@@ -59,6 +83,57 @@ def _real_if_exact(a) -> np.ndarray:
     """a as float64 if its imaginary part is exactly zero, else as it is."""
     a = np.asarray(a)
     return a if a.imag.any() else a.real.copy()
+
+
+def _label(z: complex) -> complex:
+    """z as a complex number, or as a float when its imaginary part is
+    zero, so that a real label keeps the model's arithmetic real."""
+    z = complex(z)
+    return z.real if not z.imag else z
+
+
+def _kraus(letters: np.ndarray, x: np.ndarray,
+           adjoint: bool = False) -> np.ndarray:
+    """sum_p A_p x A_p^* over a stack of letters, or with adjoint its
+    dual sum_p A_p^* x A_p (tr(y k(x)) = tr(k*(y) x))."""
+    herm = letters.conj().swapaxes(1, 2)
+    if adjoint:
+        return (herm @ x @ letters).sum(axis=0)
+    return (letters @ x @ herm).sum(axis=0)
+
+
+def _words(letters: np.ndarray, length: int) -> list[np.ndarray]:
+    """The products A_w of the letters over every word w of length
+    0 .. length, one stack (count, d, d) per length."""
+    stacks = [np.eye(letters.shape[-1], dtype=letters.dtype)[None]]
+    for _ in range(length):
+        grown = np.einsum("pij,wjk->pwik", letters, stacks[-1])
+        stacks.append(grown.reshape(-1, *grown.shape[2:]))
+    return stacks
+
+
+def _tail_ratio(last: np.ndarray, after: np.ndarray) -> float:
+    """mu with k^{N+1} = mu k^N, k^N and k^{N+1} the Kraus maps of the
+    stacks last and after (_words of length N and N + 1).
+
+    The identity is checked on their Choi matrices sum_w vec(A_w)
+    vec(A_w)^*, which determine the maps, to 1e-12 of their norms, and
+    TailIdentityError is raised when it fails.  No letter gives no words
+    and mu = 0.
+    """
+    def choi(stack):
+        vecs = stack.reshape(len(stack), stack.shape[-1] ** 2)
+        return vecs.T @ vecs.conj()
+
+    c_last, c_after = choi(last), choi(after)
+    norm_last = np.linalg.norm(c_last)
+    mu = np.vdot(c_last, c_after).real / norm_last ** 2 if norm_last else 0.0
+    residual = np.linalg.norm(c_after - mu * c_last)
+    if residual > 1e-12 * (np.linalg.norm(c_after) + mu * norm_last):
+        raise TailIdentityError(
+            "khat^(N+1) = mu khat^N fails by %.3g at mu = %.6g"
+            % (residual, mu))
+    return float(mu)
 
 
 def _exp_cell_integral(rate: complex, a: float, b: float) -> complex:
@@ -185,6 +260,32 @@ class MatrixModel:
         cell at cut_edge(t) up, where every map after the cut lives."""
         return self.h_dim - DEFAULT_EDGES.index(cut_edge(t))
 
+    # -- the series kernel as letters ---------------------------------------
+
+    @cached_property
+    def letters(self) -> np.ndarray:
+        """A_p = sqrt(h_p) (I (x) <p|) s0^*, one dim_k x dim_k letter per
+        cell p, lowest cell first: khat = lambdahat pihat is
+        rho -> sum_p A_p rho A_p^*."""
+        d, h = self.dim_k, self.h_dim
+        rows = self.shift.conj().T.reshape(d, h, d).transpose(1, 0, 2)
+        return np.sqrt(np.diag(self.h_damping))[:, None, None] * rows
+
+    @cached_property
+    def tail_ratio(self) -> float:
+        """mu with khat^{N+1} = mu khat^N (checked): khat^N has rank one,
+        so mu is the spectral radius of khat."""
+        stacks = _words(self.letters, self.n_factors + 1)
+        return _tail_ratio(stacks[-2], stacks[-1])
+
+    def _converging(self, z: complex) -> float:
+        """mu, once the weight series at label z converges (|z| mu < 1)."""
+        mu = self.tail_ratio
+        if abs(z) * mu >= 1.0 - 1e-9:
+            raise NonInvertibleSystemError(
+                "weight series does not converge in this model", abs(z) * mu)
+        return mu
+
     # -- superoperator matrices --------------------------------------------
 
     @cached_property
@@ -210,41 +311,34 @@ class MatrixModel:
 
     @cached_property
     def series_kernel(self) -> tuple[np.ndarray, float]:
-        """lambdahat pihat on K-densities, and its spectral radius.
+        """lambdahat pihat on K-densities, sum_p A_p (x) conj(A_p), and its
+        spectral radius mu.
 
         Every series resolvent of the model is (I - z lambdahat pihat)^{-1}
         on dim_k^2 coordinates; the weight series converges for
-        |z| radius < 1.
+        |z| mu < 1.
         """
-        k_hat = self.lambda_superop(self.pi_superop)
-        return k_hat, float(np.max(np.abs(np.linalg.eigvals(k_hat))))
+        d = self.dim_k
+        k_hat = np.einsum("pij,pkl->ikjl", self.letters, self.letters.conj())
+        return k_hat.reshape(d * d, d * d), self.tail_ratio
 
     def weight_superop(self, z: complex = 1.0) -> np.ndarray:
         """Matrix of rho -> series weight density on the big space.
 
-        The geometric series z pihat (I - z lambdahat pihat)^{-1} is summed
-        by an exact resolvent solve.  At z = 1 this is the minimal weight;
-        the unital weight adds gap_superop.  A label with zero imaginary
-        part is real, so the weight is real.
+        The geometric series z pihat (I - z khat)^{-1} is summed in its
+        finite form sum_{n<N} (z khat)^n + z^N khat^N / (1 - z mu), by
+        Horner's rule.  At z = 1 this is the minimal weight; the unital
+        weight adds the rank-one gap rho -> tr(rho Delta) eta.  A label
+        with zero imaginary part is real, so the weight is real.
         """
-        z = complex(z)
-        if not z.imag:
-            z = z.real
-        d = self.dim_k
-        k_hat, radius = self.series_kernel
-        if abs(z) * radius >= 1.0 - 1e-9:
-            raise NonInvertibleSystemError(
-                "weight series does not converge in this model", radius)
-        core = np.linalg.solve(np.eye(d * d) - z * k_hat, np.eye(d * d))
+        z = _label(z)
+        mu = self._converging(z)
+        k_hat, _ = self.series_kernel
+        eye = np.eye(len(k_hat))
+        core = eye / (1.0 - z * mu)
+        for _ in range(self.n_factors):
+            core = eye + z * (k_hat @ core)
         return z * (self.pi_superop @ core)
-
-    def gap_superop(self, eta: np.ndarray) -> np.ndarray:
-        """The rank-one gap G = eta (x) Delta, rho -> tr(rho Delta) eta.
-
-        eta is the density of the normalized weight (xi_eta), and the
-        unital weight is weight_superop() + gap_superop(eta).
-        """
-        return eta.reshape(-1, 1) @ self.delta_matrix.T.reshape(1, -1)
 
     def xi_eta(self, nu_density: np.ndarray) -> tuple[np.ndarray, float]:
         """Density of the normalized weight built from nu, plus nu(Lambda Delta).
@@ -258,18 +352,22 @@ class MatrixModel:
 
         so eta = (nu + omega1(nu o Lambda)) / (1 - d) with omega1 the
         minimal weight.  This is the formula of weights.BoundaryWeight.value
-        for the weight that weights.xi_from_nu builds from nu.
+        for the weight that weights.xi_from_nu builds from nu.  The
+        resolvent is the finite sum of weight_superop, applied through the
+        letters.
         """
-        dk, dh = self.dim_k, self.dim_h
-        lam_nu = self.lambda_superop(nu_density.reshape(-1, 1))
-        d_val = np.trace(lam_nu.reshape(dk, dk) @ self.delta_matrix).real
+        dk = self.dim_k
+        lam_nu = self.lambda_superop(nu_density.reshape(-1, 1)).reshape(dk,
+                                                                        dk)
+        d_val = np.trace(lam_nu @ self.delta_matrix).real
         if d_val >= 1.0 - 1e-8:
             raise NonInvertibleSystemError(
                 "normalization 1 - nu(Lambda(Delta)) is singular", d_val)
-        k_hat, _ = self.series_kernel
-        core = np.linalg.solve(np.eye(dk * dk) - k_hat, lam_nu.reshape(-1))
-        tail = (self.pi_superop @ core).reshape(dh, dh)
-        eta = (nu_density + tail) / (1.0 - d_val)
+        core = lam_nu / (1.0 - self._converging(1.0))
+        for _ in range(self.n_factors):
+            core = lam_nu + _kraus(self.letters, core)
+        s0 = self.shift
+        eta = (nu_density + s0.conj().T @ core @ s0) / (1.0 - d_val)
         return 0.5 * (eta + eta.conj().T), d_val
 
     def apply_truncation(self, t: float, superop: np.ndarray) -> np.ndarray:
@@ -282,44 +380,155 @@ class MatrixModel:
         """
         d, h, n = self.dim_k, self.h_dim, self.kept_cells(t)
         kept = superop.reshape(d, h, d, h, -1)[:, h - n:, :, h - n:]
-        return kept.reshape(d * n * d * n, -1)
+        return kept.reshape(d * d * n * n, -1)
 
-    def boundary_rep(self, omega_superop: np.ndarray,
-                     t: float) -> tuple[np.ndarray, float]:
-        """Generalized boundary representation at cut level t.
+    # -- boundary representations in word form -----------------------------
 
-        Solves (I + lambdahat omegahat|_t) sigma = rho and returns the
-        superoperator rho -> omegahat|_t(sigma) on the outputs the cut
-        keeps (apply_truncation's rows), with the condition number of the
-        solved system.  No inverse is formed: the nonzero rows are solved
-        against the transposed system and the zero rows stay exact zeros,
-        so no row's bits depend on how many zero rows the block holds.
+    @cached_property
+    def _words_by_edge(self) -> dict:
+        return {}
+
+    def _dropped_words(self, t: float) -> tuple[np.ndarray, np.ndarray,
+                                                 float]:
+        """The words of the cells the cut at level t drops, computed once
+        per cut edge.
+
+        Returns the Choi vectors vec(K_w^T) of K_w = P s0^* A_w, one
+        column per word w of length 0 .. N over the dropped cells' letters
+        (the empty word first), indexed (input, kept output) like
+        choi_min_eig's Choi matrix; the word lengths; and mu_c with
+        khat_c^{N+1} = mu_c khat_c^N (checked; 0 when no cell is dropped).
         """
-        w_t = self.apply_truncation(t, omega_superop)
-        k_mat = self.lambda_superop(w_t, self.kept_cells(t))
-        system = np.eye(len(k_mat)) + k_mat
-        condition = float(np.linalg.cond(system))
-        if not np.isfinite(condition) or condition > 1e12:
-            raise NonInvertibleSystemError(
-                "resolvent system is numerically singular", condition)
-        live = np.flatnonzero(np.any(w_t != 0, axis=1))
-        rep = np.zeros((len(w_t), len(system)), dtype=system.dtype)
-        rep[live] = np.linalg.solve(system.T, w_t[live].T).T
-        return rep, condition
+        edge = cut_edge(t)
+        if edge not in self._words_by_edge:
+            d, h, n = self.dim_k, self.h_dim, self.kept_cells(t)
+            stacks = _words(self.letters[:h - n], self.n_factors + 1)
+            mu_c = _tail_ratio(stacks[-2], stacks[-1])
+            words = np.concatenate(stacks[:-1])
+            head = self.shift.conj().T.reshape(d, h, d)[:, h - n:]
+            vectors = np.einsum("icj,wjk->kicw", head, words)
+            lengths = np.repeat(np.arange(self.n_factors + 1),
+                                [len(s) for s in stacks[:-1]])
+            self._words_by_edge[edge] = (
+                vectors.reshape(d * d * n, len(words)), lengths, mu_c)
+        return self._words_by_edge[edge]
+
+    def boundary_rep(self, t: float, z: complex = 1.0,
+                     nu: np.ndarray | None = None) -> BoundaryRep:
+        """Generalized boundary representation at cut level t, in word form.
+
+        Of the series weight at label z: cut o z pihat (I - z khat_c)^{-1},
+        the word sum of the module docstring, on the outputs the cut
+        keeps (apply_truncation's rows).
+
+        With nu, of the unital weight omega^1 + G(eta) that xi_eta builds
+        from nu (label 1).  With B0 the minimal weight's representation,
+        lambdahat_k and lambdahat_c lambdahat on the kept and the dropped
+        cells, and v = vec(Delta), so that v^T rho = tr(rho Delta),
+        Sherman-Morrison splits it into B0 + E f^T:
+
+            E = (I - B0 lambdahat_k) cut(eta),
+            f^T = v^T (I - khat)(I - khat_c)^{-1} / (1 + beta),
+            beta = v^T (I - khat)(I - khat_c)^{-1} lambdahat_k cut(eta).
+
+        Since (1 - d) eta = sum_n (pihat lambdahat)^n nu, E is also
+        (cut(nu) + B0(lambdahat_c nu)) / (1 - d), the words applied to
+        nu; E is factored that way on the rows where cut(nu) and
+        lambdahat_c nu are not identically zero, or as itself when that
+        takes no fewer columns than E has.
+        """
+        z = _label(z)
+        if nu is not None and z != 1.0:
+            raise ValueError("the unital weight has label 1, got %r" % z)
+        self._converging(z)
+        vectors, lengths, mu_c = self._dropped_words(t)
+        n_f = self.n_factors
+        coeffs = np.where(lengths < n_f, z ** (lengths + 1),
+                          z ** (n_f + 1) / (1.0 - z * mu_c))
+        if nu is None:
+            return BoundaryRep(vectors, coeffs)
+        eta, d_val = self.xi_eta(nu)
+        d, h, n = self.dim_k, self.h_dim, self.kept_cells(t)
+        dn = d * n
+        # E = G M G^*, the Choi factors of c -> c E, on the supports of
+        # cut(nu) and lambdahat_c nu
+        kept_nu = self.apply_truncation(t, nu.reshape(-1, 1)).reshape(dn, dn)
+        low_nu = np.einsum("apbp,p->ab", nu.reshape(d, h, d, h)[:, :h - n,
+                                                                :, :h - n],
+                           np.diag(self.h_damping)[:h - n])
+        on_kept, on_low = (np.flatnonzero(np.any(m != 0, axis=1))
+                           for m in (kept_nu, low_nu))
+        cols = vectors.reshape(d, dn, -1)[on_low].transpose(1, 2, 0)
+        e_choi = (ChoiFactors(np.eye(dn)[:, on_kept],
+                              kept_nu[np.ix_(on_kept, on_kept)])
+                  + ChoiFactors(cols.reshape(dn, -1),
+                                np.kron(np.diag(coeffs),
+                                        low_nu[np.ix_(on_low, on_low)])))
+        factor, middle = e_choi.vectors, e_choi.weights / (1.0 - d_val)
+        if factor.shape[1] >= dn:
+            factor, middle = np.eye(dn), factor @ middle @ factor.conj().T
+        # f^T as the matrix x of the functional rho -> tr(x rho)
+        delta = self.delta_matrix
+        dropped = self.letters[:h - n]
+        dual = delta - _kraus(self.letters, delta, adjoint=True)
+        x = dual / (1.0 - mu_c)
+        for _ in range(n_f):
+            x = dual + _kraus(dropped, x, adjoint=True)
+        lam_eta = self.lambda_superop(
+            self.apply_truncation(t, eta.reshape(-1, 1)), n).reshape(d, d)
+        beta = np.sum(x.T * lam_eta)
+        gap = ChoiFactors(np.kron(np.eye(d), factor),
+                          np.kron(x.T / (1.0 + beta), middle))
+        return BoundaryRep(vectors, coeffs, gap)
+
+
+@dataclass(frozen=True)
+class ChoiFactors:
+    """A map between density spaces by factors of its Choi matrix.
+
+    The Choi matrix is vectors @ weights @ vectors^*, with vectors of
+    shape (dim_in * dim_out, m), indexed (input, output) like the rows of
+    the Choi matrix of choi_min_eig, and weights (m, m).  Adding two maps
+    stacks their factors.
+    """
+
+    vectors: np.ndarray
+    weights: np.ndarray
+
+    def __add__(self, other: ChoiFactors) -> ChoiFactors:
+        a, b = self.weights, other.weights
+        weights = np.zeros((len(a) + len(b),) * 2, np.result_type(a, b))
+        weights[:len(a), :len(a)], weights[len(a):, len(a):] = a, b
+        return ChoiFactors(np.hstack([self.vectors, other.vectors]), weights)
+
+    def __sub__(self, other: ChoiFactors) -> ChoiFactors:
+        return self + ChoiFactors(other.vectors, -other.weights)
+
+
+@dataclass(frozen=True)
+class BoundaryRep:
+    """A generalized boundary representation in word form.
+
+    The map rho -> sum_w coeffs[w] K_w rho K_w^* from K-densities to the
+    densities on the cells a cut keeps, plus the unital weight's rank-one
+    term: words holds the Choi vectors of the K_w, one column each
+    (MatrixModel.boundary_rep), and gap the Choi factors of the rank-one
+    term, or None.
+    """
+
+    words: np.ndarray
+    coeffs: np.ndarray
+    gap: ChoiFactors | None = None
+
+    @property
+    def choi(self) -> ChoiFactors:
+        out = ChoiFactors(self.words, np.diag(self.coeffs))
+        return out if self.gap is None else out + self.gap
 
 
 # ---------------------------------------------------------------------------
 # Choi spectra
 # ---------------------------------------------------------------------------
-
-def choi_matrix(superop: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
-    """Choi matrix of a map given as a superoperator over matrix units."""
-    if superop.shape != (dim_out * dim_out, dim_in * dim_in):
-        raise ValueError("superoperator shape does not match the dimensions")
-    t4 = superop.reshape(dim_out, dim_out, dim_in, dim_in)
-    return (t4.transpose(2, 0, 3, 1)
-            .reshape(dim_in * dim_out, dim_in * dim_out))
-
 
 CP_TOLERANCE = 1e-8
 """How far below zero a minimum Choi eigenvalue may lie for a CP verdict."""
@@ -341,37 +550,27 @@ class ChoiVerdict:
         return is_cp(self.min_eigenvalue)
 
 
-def choi_min_eig(superop: np.ndarray, dim_in: int,
+def choi_min_eig(factors: ChoiFactors, dim_in: int,
                  dim_out: int) -> ChoiVerdict:
-    """Minimum Choi eigenvalue; the map is CP when it is not negative.
+    """Minimum Choi eigenvalue of a map; it is CP when that is not negative.
 
-    The spectrum is taken on the Hermitian part of the Choi matrix.  A row
-    of a Hermitian matrix that is identically zero (exact test, no
-    tolerance) has a zero column too, so the matrix is the principal
-    submatrix on the other rows plus a zero block: the minimum eigenvalue
-    is min(lambda_sub, 0) when rows were dropped, and 0 for the zero map.
-    Trace and hermiticity defect are those of the whole Choi matrix.
+    With the thin QR V = QR of the Choi vectors, the Choi matrix
+    V W V^* = Q (R W R^*) Q^* has the spectrum of R W R^* on the range
+    of V and zeros on its orthogonal complement, which is not empty when
+    V has fewer columns than the Choi dimension: the minimum is then
+    min(that of R W R^*, 0), with no rank threshold, and 0 for a map
+    without factors.  The spectrum is that of the Hermitian part of W;
+    trace and hermiticity defect are those of the whole Choi matrix.
     """
-    choi = choi_matrix(superop, dim_in, dim_out)
-    # two Choi-sized arrays at most: herm is built in place on a new array,
-    # the defect in place on choi unless choi views superop, and choi is
-    # freed before eigvalsh copies herm.  np.conjugate always allocates;
-    # choi.conj() would not do here, since for real input (the model's
-    # usual case) it returns choi itself and herm += choi would double it
-    herm = np.conjugate(choi).T
-    herm += choi
-    herm *= 0.5
-    if np.may_share_memory(choi, superop):
-        choi = choi.copy()
-    choi -= herm
-    defect = float(np.linalg.norm(choi))
-    del choi
-    live = np.flatnonzero(np.any(herm != 0, axis=1))
-    low = 0.0
-    if live.size == herm.shape[0]:
-        low = float(np.linalg.eigvalsh(herm)[0])
-    elif live.size:
-        low = min(float(np.linalg.eigvalsh(herm[np.ix_(live, live)])[0]),
-                  0.0)
-    return ChoiVerdict(low, float(np.trace(herm).real), defect)
-
+    vectors, weights = factors.vectors, factors.weights
+    dim = dim_in * dim_out
+    if vectors.shape[0] != dim:
+        raise ValueError("Choi vectors do not match the dimensions")
+    r = np.linalg.qr(vectors, mode="r")
+    herm = 0.5 * (weights + weights.conj().T)
+    core = r @ herm @ r.conj().T
+    defect = float(np.linalg.norm(r @ (weights - herm) @ r.conj().T))
+    low = float(np.linalg.eigvalsh(core)[0]) if len(core) else 0.0
+    if len(core) < dim:
+        low = min(low, 0.0)
+    return ChoiVerdict(low, float(np.trace(core).real), defect)

@@ -19,13 +19,12 @@ from cpflow.gauge import (
     r_term,
 )
 from cpflow.cli import _seq
-from cpflow.cornercheck import fold_doubled
 from cpflow.halfline import ExpKernelVector, ExpMultiplier, Grid
 from cpflow.opbasis import (
+    ChoiFactors,
     ChoiVerdict,
     MatrixModel,
     NonInvertibleSystemError,
-    choi_min_eig,
 )
 from cpflow.semigroups import (
     InvalidExperimentError,
@@ -48,6 +47,29 @@ from cpflow.weights import (
     rank_one,
     xi_from_nu,
 )
+
+
+def fold_doubled(blocks, dim_in: int, dim_out: int) -> np.ndarray:
+    """Superoperator of the fold psi(X) = sum_ab phi_ab(X_ab) of a 2x2 map.
+
+    blocks is a 2x2 nested sequence of superoperators phi_ab, each of
+    shape (dim_out^2, dim_in^2); the entrywise map Phi = [phi_ab] sends a
+    doubled density X to the doubled density with blocks phi_ab(X_ab).
+    Its fold is psi(X) = V* Phi(X) V with V = [I; I], a map from
+    2*dim_in- to dim_out-densities.  Phi(E_ij) lives in the output block
+    of the input block of i, so up to a permutation Choi(Phi) is
+    Choi(psi) plus an identically zero block: Phi is CP iff psi is, and
+    the minimum Choi eigenvalue of Phi is min(that of psi, 0).  The fold
+    places each entry on its input block and adds nothing up, so its
+    Choi matrix has the very entries of the nonzero part of Choi(Phi).
+    The fold has the dtype numpy promotes the blocks to: it is real when
+    every block is.  cornercheck folds Choi factors instead.
+    """
+    s5 = np.array([[np.reshape(blocks[a][b], (dim_out * dim_out, dim_in,
+                                              dim_in))
+                    for b in range(2)] for a in range(2)])
+    return s5.transpose(2, 0, 3, 1, 4).reshape(dim_out * dim_out,
+                                               4 * dim_in * dim_in)
 
 
 def assemble_doubled(blocks, dim_in: int, dim_out: int) -> np.ndarray:
@@ -149,6 +171,137 @@ def masked_truncation(model, t: float, superop: np.ndarray) -> np.ndarray:
     return out.reshape(dh * dh, -1)
 
 
+def solve_weight_superop(model, z: complex = 1.0) -> np.ndarray:
+    """MatrixModel.weight_superop by an exact resolvent solve.
+
+    z pihat (I - z khat)^{-1} with khat = lambdahat pihat, gated on the
+    spectral radius of khat from its eigenvalues; the model sums the
+    finite form over its letters instead.
+    """
+    z = complex(z)
+    if not z.imag:
+        z = z.real
+    d = model.dim_k
+    k_hat = model.lambda_superop(model.pi_superop)
+    radius = float(np.max(np.abs(np.linalg.eigvals(k_hat))))
+    if abs(z) * radius >= 1.0 - 1e-9:
+        raise NonInvertibleSystemError(
+            "weight series does not converge in this model", radius)
+    core = np.linalg.solve(np.eye(d * d) - z * k_hat, np.eye(d * d))
+    return z * (model.pi_superop @ core)
+
+
+def solve_xi_eta(model, nu_density: np.ndarray) -> tuple[np.ndarray, float]:
+    """MatrixModel.xi_eta with its resolvent solved on K-densities."""
+    dk, dh = model.dim_k, model.dim_h
+    lam_nu = model.lambda_superop(nu_density.reshape(-1, 1))
+    d_val = np.trace(lam_nu.reshape(dk, dk) @ model.delta_matrix).real
+    k_hat = model.lambda_superop(model.pi_superop)
+    core = np.linalg.solve(np.eye(dk * dk) - k_hat, lam_nu.reshape(-1))
+    tail = (model.pi_superop @ core).reshape(dh, dh)
+    eta = (nu_density + tail) / (1.0 - d_val)
+    return 0.5 * (eta + eta.conj().T), d_val
+
+
+def gap_superop(model, eta: np.ndarray) -> np.ndarray:
+    """The rank-one gap G = eta (x) Delta, rho -> tr(rho Delta) eta.
+
+    The unital weight built from nu is the minimal weight plus the gap
+    of eta = xi_eta(nu)[0].
+    """
+    return eta.reshape(-1, 1) @ model.delta_matrix.T.reshape(1, -1)
+
+
+def solve_unital_weight(model, nu: np.ndarray | None) -> np.ndarray:
+    """The weight built from nu (None: the minimal one) on the solve path."""
+    minimal = solve_weight_superop(model)
+    if nu is None:
+        return minimal
+    return minimal + gap_superop(model, solve_xi_eta(model, nu)[0])
+
+
+def solve_boundary_rep(model, omega_superop: np.ndarray,
+                       t: float) -> tuple[np.ndarray, float]:
+    """MatrixModel.boundary_rep of a weight superoperator, by a solve.
+
+    Solves (I + lambdahat omegahat|_t) sigma = rho and returns the
+    superoperator rho -> omegahat|_t(sigma) on the outputs the cut
+    keeps (apply_truncation's rows), with the condition number of the
+    solved system.  No inverse is formed: the nonzero rows are solved
+    against the transposed system and the zero rows stay exact zeros.
+    """
+    w_t = model.apply_truncation(t, omega_superop)
+    k_mat = model.lambda_superop(w_t, model.kept_cells(t))
+    system = np.eye(len(k_mat)) + k_mat
+    condition = float(np.linalg.cond(system))
+    if not np.isfinite(condition) or condition > 1e12:
+        raise NonInvertibleSystemError(
+            "resolvent system is numerically singular", condition)
+    live = np.flatnonzero(np.any(w_t != 0, axis=1))
+    rep = np.zeros((len(w_t), len(system)), dtype=system.dtype)
+    rep[live] = np.linalg.solve(system.T, w_t[live].T).T
+    return rep, condition
+
+
+def choi_matrix(superop: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
+    """Choi matrix of a map given as a superoperator over matrix units."""
+    if superop.shape != (dim_out * dim_out, dim_in * dim_in):
+        raise ValueError("superoperator shape does not match the dimensions")
+    t4 = superop.reshape(dim_out, dim_out, dim_in, dim_in)
+    return (t4.transpose(2, 0, 3, 1)
+            .reshape(dim_in * dim_out, dim_in * dim_out))
+
+
+def dense_choi_min_eig(superop: np.ndarray, dim_in: int,
+                       dim_out: int) -> ChoiVerdict:
+    """opbasis.choi_min_eig on the dense Choi matrix of a superoperator.
+
+    The spectrum is taken on the Hermitian part of the Choi matrix.  A row
+    of a Hermitian matrix that is identically zero (exact test, no
+    tolerance) has a zero column too, so the matrix is the principal
+    submatrix on the other rows plus a zero block: the minimum eigenvalue
+    is min(lambda_sub, 0) when rows were dropped, and 0 for the zero map.
+    Trace and hermiticity defect are those of the whole Choi matrix.
+    """
+    choi = choi_matrix(superop, dim_in, dim_out)
+    # two Choi-sized arrays at most: herm is built in place on a new array,
+    # the defect in place on choi unless choi views superop, and choi is
+    # freed before eigvalsh copies herm.  np.conjugate always allocates;
+    # choi.conj() would not do here, since for real input it returns choi
+    # itself and herm += choi would double it
+    herm = np.conjugate(choi).T
+    herm += choi
+    herm *= 0.5
+    if np.may_share_memory(choi, superop):
+        choi = choi.copy()
+    choi -= herm
+    defect = float(np.linalg.norm(choi))
+    del choi
+    live = np.flatnonzero(np.any(herm != 0, axis=1))
+    low = 0.0
+    if live.size == herm.shape[0]:
+        low = float(np.linalg.eigvalsh(herm)[0])
+    elif live.size:
+        low = min(float(np.linalg.eigvalsh(herm[np.ix_(live, live)])[0]),
+                  0.0)
+    return ChoiVerdict(low, float(np.trace(herm).real), defect)
+
+
+def dense_superop(factors: ChoiFactors, dim_in: int,
+                  dim_out: int) -> np.ndarray:
+    """The superoperator of a map given by its Choi factors."""
+    choi = factors.vectors @ factors.weights @ factors.vectors.conj().T
+    return (choi.reshape(dim_in, dim_out, dim_in, dim_out)
+            .transpose(1, 3, 0, 2).reshape(dim_out ** 2, dim_in ** 2))
+
+
+def dense_rep(model, t: float, rep) -> np.ndarray:
+    """A BoundaryRep as the superoperator on the outputs the cut keeps
+    (the rows of solve_boundary_rep)."""
+    return dense_superop(rep.choi, model.dim_k,
+                         model.dim_k * model.kept_cells(t))
+
+
 def full_size_boundary_rep(model, omega_superop: np.ndarray,
                            t: float) -> tuple[np.ndarray, float]:
     """MatrixModel.boundary_rep over all dim_h^2 output rows.
@@ -193,35 +346,40 @@ def permuted_choi_min_eig(superop: np.ndarray, dim_in: int, dim_out: int,
     p_out = np.eye(dim_out)[:, list(perm_out)]
     left = np.kron(p_out.T, p_out.T)
     right = np.kron(p_in, p_in)
-    return choi_min_eig(left @ superop @ right, dim_in, dim_out)
+    return dense_choi_min_eig(left @ superop @ right, dim_in, dim_out)
 
 
 def full_size_corner_minima(model: MatrixModel, upper, lower, cut_levels,
                             labels) -> tuple:
-    """Every Choi minimum of a corner run, on full-size representations.
+    """Every Choi minimum of a corner run, on the dense solve path.
 
-    cornercheck works on the outputs each cut keeps; this is the path
-    over all dim_h^2 output rows: full_size_boundary_rep, folded by
-    fold_doubled(..., dim_h), and choi_min_eig on the whole.  Returns the
-    minima of subordination_check (upper, lower and difference, per cut)
-    and of hypermax_witness (per label, per cut) with lower on the diagonal.
+    upper and lower name weights as subordination_check does (the nu of
+    their unital extension, or None for the minimal weight).  cornercheck
+    works on word sums over the outputs each cut keeps; this is the path
+    over all dim_h^2 output rows: solved weights, full_size_boundary_rep,
+    folded by fold_doubled(..., dim_h), and dense_choi_min_eig on the
+    whole.  Returns the minima of subordination_check (upper, lower and
+    difference, per cut) and of hypermax_witness (per label, per cut)
+    with lower on the diagonal.
     """
     dims = (model.dim_k, model.dim_h)
     doubled = (2 * model.dim_k, model.dim_h)
     mins = {"upper": [], "lower": [], "difference": []}
     witness = {z: [] for z in labels}
+    weights = [solve_unital_weight(model, nu) for nu in (upper, lower)]
     for t in cut_levels:
         rep_up, rep_low = (full_size_boundary_rep(model, w, t)[0]
-                           for w in (upper, lower))
+                           for w in weights)
         for name, rep in (("upper", rep_up), ("lower", rep_low),
                           ("difference", rep_up - rep_low)):
-            mins[name].append(choi_min_eig(rep, *dims).min_eigenvalue)
+            mins[name].append(dense_choi_min_eig(rep, *dims).min_eigenvalue)
         for z in labels:
-            off = full_size_boundary_rep(model, model.weight_superop(z),
+            off = full_size_boundary_rep(model, solve_weight_superop(model, z),
                                          t)[0]
             fold = fold_doubled([[rep_low, off], [off.conj(), rep_low]],
                                 *dims)
-            witness[z].append(choi_min_eig(fold, *doubled).min_eigenvalue)
+            witness[z].append(
+                dense_choi_min_eig(fold, *doubled).min_eigenvalue)
     return ({name: tuple(v) for name, v in mins.items()},
             {z: tuple(v) for z, v in witness.items()})
 

@@ -210,10 +210,8 @@ def test_criterion_7_cp_subordination():
     dh = model.dim_h
     nu = np.zeros((dh, dh), dtype=complex)
     nu[0, 0] = 1.0
-    minimal = model.weight_superop()
     eta, _ = model.xi_eta(nu)
-    full = minimal + model.gap_superop(eta)
-    verdict = subordination_check(model, full, minimal, (0.5, 0.25))
+    verdict = subordination_check(model, nu, None, (0.5, 0.25))
     eigs = dict(zip(verdict.cut_levels, verdict.lower_min_eigs))
     for t in (0.5, 0.25):
         assert eigs[t] >= -1e-8

@@ -7,17 +7,22 @@ from cpflow.cornercheck import (
     DegenerateDirectionError,
     NonCompletelyPositiveInputError,
     derivation_residual,
-    fold_doubled,
     hypermax_witness,
     subordination_check,
 )
-from cpflow.opbasis import MatrixModel, choi_min_eig
+from cpflow.opbasis import MatrixModel
 from references import (
     assemble_doubled,
+    dense_choi_min_eig,
+    dense_rep,
+    fold_doubled,
     full_size,
     full_size_corner_minima,
     identity_superop,
     permuted_choi_min_eig,
+    solve_boundary_rep,
+    solve_unital_weight,
+    solve_weight_superop,
     transpose_superop,
 )
 
@@ -37,10 +42,7 @@ def nu(model):
 def witness_inputs(model, nu, cuts=(0.5, 0.25)):
     """eta and the dominance verdict of the unital over the minimal weight."""
     eta, _ = model.xi_eta(nu)
-    minimal = model.weight_superop()
-    dominance = subordination_check(model, minimal + model.gap_superop(eta),
-                                    minimal, cuts)
-    return eta, dominance
+    return eta, subordination_check(model, nu, None, cuts)
 
 
 @pytest.fixture(scope="module")
@@ -72,14 +74,15 @@ class TestDoubledAssembly:
         doubled = assemble_doubled(
             [[identity_superop(d), zero], [zero, identity_superop(d)]],
             d, d)
-        assert choi_min_eig(doubled, 2 * d, 2 * d).completely_positive
+        assert dense_choi_min_eig(doubled, 2 * d, 2 * d).completely_positive
 
     def test_transpose_block_breaks_cp(self):
         d = 2
         doubled = assemble_doubled(
             [[identity_superop(d), transpose_superop(d)],
              [transpose_superop(d), identity_superop(d)]], d, d)
-        assert not choi_min_eig(doubled, 2 * d, 2 * d).completely_positive
+        assert not dense_choi_min_eig(doubled, 2 * d,
+                                      2 * d).completely_positive
 
 
 def random_entrywise_cp(rng, din, dout, rank, cut_rows=()):
@@ -131,10 +134,10 @@ class TestFold:
                                   "identity", "transpose"])
     def test_choi_min_eig_equals_assembled(self, name, blocks, din, dout,
                                            cp):
-        folded = choi_min_eig(fold_doubled(blocks, din, dout), 2 * din,
-                              dout)
-        assembled = choi_min_eig(assemble_doubled(blocks, din, dout),
-                                 2 * din, 2 * dout)
+        folded = dense_choi_min_eig(fold_doubled(blocks, din, dout),
+                                    2 * din, dout)
+        assembled = dense_choi_min_eig(assemble_doubled(blocks, din, dout),
+                                       2 * din, 2 * dout)
         assert min(folded.min_eigenvalue, 0.0) == assembled.min_eigenvalue
         assert folded.completely_positive == assembled.completely_positive
         assert folded.completely_positive == cp
@@ -159,9 +162,10 @@ class TestFold:
 
 class TestBasisInvariance:
     def test_permutation_leaves_min_eig(self, model):
-        omega = model.weight_superop()
-        rep = full_size(model, 0.5, model.boundary_rep(omega, 0.5)[0])
-        base = choi_min_eig(rep, model.dim_k, model.dim_h).min_eigenvalue
+        rep = full_size(model, 0.5,
+                        dense_rep(model, 0.5, model.boundary_rep(0.5)))
+        base = dense_choi_min_eig(rep, model.dim_k,
+                                  model.dim_h).min_eigenvalue
         rng = np.random.default_rng(1)
         permuted = permuted_choi_min_eig(
             rep, model.dim_k, model.dim_h,
@@ -171,63 +175,60 @@ class TestBasisInvariance:
 
 
 class TestSubordination:
-    def test_reflexive(self, model):
-        omega = model.weight_superop()
-        v = subordination_check(model, omega, omega, (0.5, 0.25))
+    def test_reflexive(self, model, nu):
+        # the minimal weight has no rank-one term, so its difference has no
+        # factors; a unital weight's cancels to rounding
+        v = subordination_check(model, None, None, (0.5, 0.25))
+        assert v.subordinate and v.difference_min_eigs == (0.0, 0.0)
+        v = subordination_check(model, nu, nu, (0.5, 0.25))
         assert v.subordinate
+        np.testing.assert_allclose(v.difference_min_eigs, 0.0, rtol=0,
+                                   atol=1e-15)
 
     def test_unital_dominates_minimal(self, model, nu):
-        eta, _ = model.xi_eta(nu)
-        minimal = model.weight_superop()
-        full = minimal + model.gap_superop(eta)
-        v = subordination_check(model, full, minimal, (0.5, 0.25))
+        v = subordination_check(model, nu, None, (0.5, 0.25))
         assert v.subordinate
-        # the verdict keeps the Choi minima of both representations
+        # the verdict keeps the Choi minima of both representations; the
+        # dense solve path agrees to rounding
         for t, up, low in zip((0.5, 0.25), v.upper_min_eigs,
                               v.lower_min_eigs):
-            for weight, got in ((full, up), (minimal, low)):
-                rep = full_size(model, t, model.boundary_rep(weight, t)[0])
-                assert got == choi_min_eig(rep, model.dim_k,
-                                           model.dim_h).min_eigenvalue
+            for weight, got in ((nu, up), (None, low)):
+                rep, _ = solve_boundary_rep(
+                    model, solve_unital_weight(model, weight), t)
+                want = dense_choi_min_eig(full_size(model, t, rep),
+                                          model.dim_k, model.dim_h)
+                assert abs(got - want.min_eigenvalue) <= 1e-12
 
     def test_strict_order(self, model, nu):
-        eta, _ = model.xi_eta(nu)
-        minimal = model.weight_superop()
-        full = minimal + model.gap_superop(eta)
-        v = subordination_check(model, minimal, full, (0.5,))
+        v = subordination_check(model, None, nu, (0.5,))
         assert not v.subordinate
         assert v.difference_min_eigs[0] < -1e-4
 
-    def test_non_cp_input_rejected(self, model):
-        omega = model.weight_superop()
-        bad = -omega
-        with pytest.raises(NonCompletelyPositiveInputError) as err:
-            subordination_check(model, omega, bad, (0.5,))
+    def test_non_cp_input_rejected(self, model, nu):
+        # a negative nu makes the lower weight non-CP
+        with pytest.raises(NonCompletelyPositiveInputError,
+                           match="lower") as err:
+            subordination_check(model, None, -nu, (0.5,))
         assert err.value.eigenvalue < 0
 
     @pytest.mark.parametrize("cuts", [(0.5, 0.5), (0.5, 0.5000000000001),
                                       (0.25, 0.0, 0.25)])
     def test_repeated_cut_edges_rejected(self, model, cuts):
         # one edge named twice would be checked, and reported, twice
-        omega = model.weight_superop()
         with pytest.raises(ValueError, match="distinct cell edges"):
-            subordination_check(model, omega, omega, cuts)
+            subordination_check(model, None, None, cuts)
 
     @pytest.mark.parametrize("cuts", [(), (2.0,), (0.5, 2.0)])
-    def test_vacuous_cut_levels_rejected(self, model, cuts):
+    def test_vacuous_cut_levels_rejected(self, model, nu, cuts):
         # at the top edge every representation is the zero map, so even a
         # non-CP upper weight would pass
-        omega = model.weight_superop()
         with pytest.raises(ValueError, match="cut levels"):
-            subordination_check(model, -omega, omega, cuts)
+            subordination_check(model, -nu, None, cuts)
 
     def test_non_cp_unital_weight_rejected(self, model, nu):
         # a negative nu makes the unital weight non-CP
-        eta, _ = model.xi_eta(-nu)
-        minimal = model.weight_superop()
         with pytest.raises(NonCompletelyPositiveInputError) as err:
-            subordination_check(model, minimal + model.gap_superop(eta),
-                                minimal, (0.5, 0.25))
+            subordination_check(model, -nu, None, (0.5, 0.25))
         assert err.value.eigenvalue < 0
 
 
@@ -255,13 +256,14 @@ class TestHypermaxWitness:
 
     @pytest.mark.parametrize("n_factors", [2, 3])
     def test_matches_dense_doubled_reference(self, n_factors):
-        # the parent form: both 2x2 matrices assembled on the doubled space
+        # the parent form: both 2x2 matrices assembled on the doubled
+        # space from solved weights and solved representations
         m = MatrixModel(n_factors=n_factors, factor_dim=2)
         nu = np.zeros((m.dim_h, m.dim_h), dtype=complex)
         nu[0, 0] = 1.0
         eta, dominance = witness_inputs(m, nu)
-        minimal = m.weight_superop()
-        full = minimal + m.gap_superop(eta)
+        minimal = solve_weight_superop(m)
+        full = solve_unital_weight(m, nu)
         cuts = (0.5, 0.25)
         dims = (m.dim_k, m.dim_h)
         doubled = (2 * m.dim_k, 2 * m.dim_h)
@@ -270,20 +272,21 @@ class TestHypermaxWitness:
                    for z in labels]
         for z, rep in zip(labels, reports):
             assert rep.witnessed
-            upper, lower = m.weight_superop(z), m.weight_superop(np.conj(z))
+            upper = solve_weight_superop(m, z)
+            lower = solve_weight_superop(m, np.conj(z))
             for t, got_min, got_diff in zip(
                     cuts, rep.minimal_min_eigs,
                     rep.dominance.difference_min_eigs):
                 def dense(diag):
                     return assemble_doubled(
-                        [[full_size(m, t, m.boundary_rep(w, t)[0])
+                        [[full_size(m, t, solve_boundary_rep(m, w, t)[0])
                           for w in row]
                          for row in ((diag, upper), (lower, diag))], *dims)
-                ref_min = choi_min_eig(dense(minimal), *doubled)
-                ref_diff = choi_min_eig(dense(full) - dense(minimal),
-                                        *doubled)
-                assert min(got_min, 0.0) == ref_min.min_eigenvalue
-                assert abs(got_diff - ref_diff.min_eigenvalue) <= 1e-15
+                ref_min = dense_choi_min_eig(dense(minimal), *doubled)
+                ref_diff = dense_choi_min_eig(dense(full) - dense(minimal),
+                                              *doubled)
+                assert abs(got_min - ref_min.min_eigenvalue) <= 1e-12
+                assert abs(got_diff - ref_diff.min_eigenvalue) <= 1e-12
 
     def test_zero_gap_reported(self, model, inputs):
         eta, dominance = inputs
@@ -292,39 +295,33 @@ class TestHypermaxWitness:
         assert not rep.witnessed
 
 
+def point_mass(model, row: int) -> np.ndarray:
+    out = np.zeros((model.dim_h, model.dim_h))
+    out[row, row] = 1.0
+    return out
+
+
 def kept_outputs_cases():
-    """Weights (upper, lower) on a model, by name.
+    """Weights (upper, lower) on a model, by name, as the densities nu
+    of their unital extensions (None: the minimal weight).
 
-    Besides the unital weight over the minimal one, the weights
-    rho -> c tr(rho Delta) B with c = 2 over c = 1, whose boundary
-    representations are positive multiples of the same map (so CP and
-    subordinate).  With B = |e><e|, e the top cell of the first tensor
-    index, the compressed Choi matrices still have identically zero
-    rows; with B = I they are positive definite, so the minimum at a cut
-    that drops a cell is the 0 of the dropped block.
+    Besides the unital weight over the minimal one, the unital weights
+    of twice and once the point mass on the top cell of the first tensor
+    index, whose kept blocks of nu have identically zero rows; and the
+    unital weight of the normalized identity over the minimal one,
+    whose rank-one term is positive definite when no cell is dropped.
     """
-    def unital_over_minimal(model):
-        nu = np.zeros((model.dim_h, model.dim_h))
-        nu[0, 0] = 1.0
-        eta, _ = model.xi_eta(nu)
-        minimal = model.weight_superop()
-        return minimal + model.gap_superop(eta), minimal
-
-    def onto(model, b):
-        return model.gap_superop(2.0 * b), model.gap_superop(b)
-
-    def top_cell(model):
-        b = np.zeros((model.dim_h, model.dim_h))
-        b[model.h_dim - 1, model.h_dim - 1] = 1.0
-        return onto(model, b)
-
-    return {"unital-over-minimal": unital_over_minimal,
-            "onto-top-cell": top_cell,
-            "onto-identity": lambda model: onto(model, np.eye(model.dim_h))}
+    return {"unital-over-minimal": lambda model: (point_mass(model, 0),
+                                                  None),
+            "onto-top-cell": lambda model: (
+                2.0 * point_mass(model, model.h_dim - 1),
+                point_mass(model, model.h_dim - 1)),
+            "onto-identity": lambda model: (
+                np.eye(model.dim_h) / model.dim_h, None)}
 
 
 class TestKeptOutputsOracle:
-    """Compressed to the kept outputs, every minimum is the full-size one.
+    """On the kept outputs, every minimum is the full-size solve path's.
 
     Cut 0.0 keeps every cell, 0.25 and 0.5 drop one and two of three.
     """
@@ -341,31 +338,33 @@ class TestKeptOutputsOracle:
         assert verdict.subordinate
         want, want_witness = full_size_corner_minima(
             m, upper, lower, self.CUTS, self.LABELS)
-        assert verdict.upper_min_eigs == want["upper"]
-        assert verdict.lower_min_eigs == want["lower"]
-        assert verdict.difference_min_eigs == want["difference"]
+        for name in ("upper", "lower", "difference"):
+            got = getattr(verdict, "%s_min_eigs" % name)
+            np.testing.assert_allclose(got, want[name], rtol=0, atol=1e-12)
         for z in self.LABELS:
             report = hypermax_witness(z, m, np.eye(m.dim_h), verdict)
-            assert report.minimal_min_eigs == want_witness[z]
+            np.testing.assert_allclose(report.minimal_min_eigs,
+                                       want_witness[z], rtol=0, atol=1e-12)
 
     def test_top_cell_kept_block_has_zero_rows(self):
+        # the kept block of nu has one live row, and lambdahat_c nu is zero
+        # at the cuts that drop the lower cells: the rank-one term's
+        # factor has one column per input, dim_k of them
         m = MatrixModel(n_factors=1, factor_dim=2)
         upper, lower = kept_outputs_cases()["onto-top-cell"](m)
         verdict = subordination_check(m, upper, lower, self.CUTS)
         for t, rep in zip(self.CUTS, verdict.lower_reps):
             kept = m.dim_k * m.kept_cells(t)
-            assert rep.shape == (kept * kept, m.dim_k ** 2)
-            rows = rep.reshape(kept, kept, -1)
-            assert not rows.any(axis=(1, 2)).all()
-            assert rows.any()
+            assert rep.words.shape[0] == m.dim_k * kept
+            assert rep.gap.vectors.shape == (m.dim_k * kept, m.dim_k)
 
     def test_identity_minimum_is_positive_only_without_a_drop(self):
-        m = MatrixModel(n_factors=1, factor_dim=2)
+        m = MatrixModel(n_factors=1, factor_dim=1)
         upper, lower = kept_outputs_cases()["onto-identity"](m)
         verdict = subordination_check(m, upper, lower, self.CUTS)
-        for mins in (verdict.upper_min_eigs, verdict.lower_min_eigs,
-                     verdict.difference_min_eigs):
+        for mins in (verdict.upper_min_eigs, verdict.difference_min_eigs):
             assert mins[0] > 0.0 and mins[1:] == (0.0, 0.0)
+        assert verdict.lower_min_eigs == (0.0, 0.0, 0.0)
 
 
 class TestCornerIdentity:

@@ -3,24 +3,30 @@
 import numpy as np
 import pytest
 
-from cpflow.cornercheck import WeightMatrix, fold_doubled
+from cpflow.cornercheck import WeightMatrix
 from cpflow.halfline import inner_product
 from cpflow.opbasis import (
+    ChoiFactors,
     ChoiVerdict,
     MatrixModel,
     NonInvertibleSystemError,
-    choi_matrix,
     choi_min_eig,
     orthonormal_span,
 )
 from cpflow.tensorspace import tail_weight_product
 from references import (
     assemble_doubled,
+    choi_matrix,
+    dense_choi_min_eig,
     dense_lambda_superop,
+    dense_rep,
+    dense_superop,
     doubled_entries,
+    fold_doubled,
     full_size,
-    full_size_boundary_rep,
     identity_superop,
+    solve_boundary_rep,
+    solve_weight_superop,
     transpose_superop,
     truncation_superop,
 )
@@ -246,29 +252,49 @@ class TestWeightSuperop:
                                    rtol=0, atol=1e-12)
 
     def test_boundary_rep_cp_at_cell_edges(self, model):
-        omega = model.weight_superop()
         for t in (0.5, 0.25):
-            rep, cond = model.boundary_rep(omega, t)
-            verdict = choi_min_eig(full_size(model, t, rep), model.dim_k,
-                                   model.dim_h)
+            rep = model.boundary_rep(t)
+            verdict = dense_choi_min_eig(
+                full_size(model, t, dense_rep(model, t, rep)), model.dim_k,
+                model.dim_h)
             assert verdict.completely_positive
-            assert cond < 1e6
+            assert choi_min_eig(rep.choi, model.dim_k, model.dim_k
+                                * model.kept_cells(t)).completely_positive
+
+
+def whole(superop, dim_in, dim_out):
+    """A superoperator as Choi factors: the identity and its Choi matrix."""
+    return ChoiFactors(np.eye(dim_in * dim_out),
+                       choi_matrix(superop, dim_in, dim_out))
+
+
+def kraus_factors(kraus):
+    """Choi factors of rho -> sum_k K_k rho K_k^*: the vectors vec(K_k^T)."""
+    return ChoiFactors(np.array([k.T.reshape(-1) for k in kraus]).T,
+                       np.eye(len(kraus)))
 
 
 class TestChoi:
+    """The dense oracle and the factor form on the same maps."""
+
     def test_identity_map(self):
-        v = choi_min_eig(identity_superop(3), 3, 3)
-        assert v.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
-        assert v.completely_positive
+        for v in (dense_choi_min_eig(identity_superop(3), 3, 3),
+                  choi_min_eig(whole(identity_superop(3), 3, 3), 3, 3),
+                  choi_min_eig(kraus_factors([np.eye(3)]), 3, 3)):
+            assert v.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
+            assert v.completely_positive
 
     def test_transpose_map(self):
-        v = choi_min_eig(transpose_superop(2), 2, 2)
-        assert v.min_eigenvalue == pytest.approx(-1.0)
-        assert not v.completely_positive
+        for v in (dense_choi_min_eig(transpose_superop(2), 2, 2),
+                  choi_min_eig(whole(transpose_superop(2), 2, 2), 2, 2)):
+            assert v.min_eigenvalue == pytest.approx(-1.0)
+            assert not v.completely_positive
 
     def test_shape_guard(self):
         with pytest.raises(ValueError):
             choi_matrix(np.eye(4), 3, 3)
+        with pytest.raises(ValueError, match="Choi vectors"):
+            choi_min_eig(ChoiFactors(np.eye(4), np.eye(4)), 3, 3)
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 1), (1, 3), (1, 1)])
     @pytest.mark.parametrize("real", [True, False])
@@ -281,22 +307,35 @@ class TestChoi:
         if not real:
             superop = superop + 1j * rng.normal(size=superop.shape)
         kept = superop.copy()
-        v = choi_min_eig(superop, din, dout)
+        v = dense_choi_min_eig(superop, din, dout)
         assert np.array_equal(superop, kept)
         assert v.hermiticity_defect > 0 or din * dout == 1
+        w = choi_min_eig(whole(superop, din, dout), din, dout)
+        assert w.min_eigenvalue == pytest.approx(v.min_eigenvalue,
+                                                 abs=1e-12)
+        assert w.trace == pytest.approx(v.trace, abs=1e-12)
+        assert w.hermiticity_defect == pytest.approx(v.hermiticity_defect,
+                                                     abs=1e-12)
 
     def test_transpose_map_unchanged(self):
         superop = transpose_superop(3)
         kept = superop.copy()
-        choi_min_eig(superop, 3, 3)
+        dense_choi_min_eig(superop, 3, 3)
         assert np.array_equal(superop, kept)
 
     def test_conjugation_choi_rank_one(self):
         rng = np.random.default_rng(5)
         k = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         superop = np.kron(k, k.conj())
-        v = choi_min_eig(superop, 2, 2)
-        assert v.completely_positive
+        assert dense_choi_min_eig(superop, 2, 2).completely_positive
+        factors = kraus_factors([k])
+        np.testing.assert_allclose(dense_superop(factors, 2, 2), superop,
+                                   rtol=0, atol=1e-12)
+        v = choi_min_eig(factors, 2, 2)
+        # one vector in a 4-dimensional Choi space: the minimum is the 0
+        # of its orthogonal complement
+        assert v.min_eigenvalue == 0.0
+        assert v.trace == pytest.approx(np.linalg.norm(k) ** 2)
 
     def test_one_unscaled_rule(self):
         # the trace does not widen the tolerance: -2e-8 fails at trace 3
@@ -339,25 +378,26 @@ class TestCutAwareKernels:
     @pytest.mark.parametrize("n_factors", [2, 3])
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_boundary_rep_matches_explicit_inverse(self, n_factors, blocks):
-        # two blocks: the corner at z = 1j (upper != lower), solved entry
-        # by entry and folded, against the fold of the four entries of the
+        # two blocks: the corner at z = 1j (upper != lower), folded from
+        # its entries' words, against the fold of the four entries of the
         # inverse of the whole doubled system
         m = MatrixModel(n_factors=n_factors, factor_dim=2)
-        omega = m.weight_superop()
-        corner_matrix = WeightMatrix(m, omega, 1j)
-        entries = [[omega]] if blocks == 1 else corner_matrix.blocks
+        omega = solve_weight_superop(m)
+        upper = solve_weight_superop(m, 1j)
+        entries = [[omega]] if blocks == 1 else [[omega, upper],
+                                                 [upper.conj(), omega]]
         for t in (0.5, 0.25):
             w_t = reference_truncation(m, t, blocks) \
                 @ corner(m, entries, m.dim_h)
             system = np.eye(w_t.shape[1]) \
                 + dense_lambda_superop(m, blocks) @ w_t
             reference = w_t @ np.linalg.inv(system)
+            kept = m.dim_k * m.kept_cells(t)
             if blocks == 1:
-                rep, cond = m.boundary_rep(omega, t)
-                assert cond == pytest.approx(np.linalg.cond(system),
-                                             rel=1e-12)
+                rep = dense_rep(m, t, m.boundary_rep(t))
             else:
-                rep = corner_matrix.boundary_rep(t)
+                rep = dense_superop(WeightMatrix(m, None, 1j).boundary_rep(t),
+                                    2 * m.dim_k, kept)
                 reference = fold_doubled(
                     doubled_entries(reference, m.dim_k, m.dim_h),
                     m.dim_k, m.dim_h)
@@ -367,17 +407,15 @@ class TestCutAwareKernels:
     @pytest.mark.parametrize("n_factors", [2, 3])
     @pytest.mark.parametrize("t", [0.0, 0.25, 0.5])
     def test_boundary_rep_equals_full_size_oracle(self, n_factors, t):
-        # the kept rows, C-contiguous, are the full-size solve's rows bit
-        # for bit, and the condition number is the same
+        # the word sum, densified on the kept rows, is the solve path's
+        # representation to 1e-13 relative
         m = MatrixModel(n_factors=n_factors, factor_dim=2)
-        for omega in (m.weight_superop(), m.weight_superop(1j)):
-            rep, cond = m.boundary_rep(omega, t)
-            want, want_cond = full_size_boundary_rep(m, omega, t)
-            assert rep.flags.c_contiguous
-            assert rep.shape == ((m.dim_k * m.kept_cells(t)) ** 2,
+        for z in (1.0, 1j):
+            got = dense_rep(m, t, m.boundary_rep(t, z))
+            want, _ = solve_boundary_rep(m, solve_weight_superop(m, z), t)
+            assert got.shape == ((m.dim_k * m.kept_cells(t)) ** 2,
                                  m.dim_k ** 2)
-            assert np.array_equal(full_size(m, t, rep), want)
-            assert cond == want_cond
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("cut_rows", [(), (0, 2), (1, 3, 4)])
     def test_choi_min_eig_matches_full_spectrum(self, cut_rows):
@@ -390,16 +428,22 @@ class TestCutAwareKernels:
         for superop in (cp_map, cp_map - other):
             choi = choi_matrix(superop, din, dout)
             herm = 0.5 * (choi + choi.conj().T)
-            v = choi_min_eig(superop, din, dout)
+            v = dense_choi_min_eig(superop, din, dout)
             assert v.min_eigenvalue == pytest.approx(
                 np.linalg.eigvalsh(herm)[0], abs=1e-12)
             assert v.trace == np.trace(herm).real
             assert v.hermiticity_defect == np.linalg.norm(choi - herm)
-        assert choi_min_eig(cp_map, din, dout).completely_positive
+            w = choi_min_eig(whole(superop, din, dout), din, dout)
+            assert w.min_eigenvalue == pytest.approx(v.min_eigenvalue,
+                                                     abs=1e-12)
+        assert dense_choi_min_eig(cp_map, din, dout).completely_positive
 
     def test_choi_min_eig_of_zero_map(self):
-        v = choi_min_eig(np.zeros((16, 9)), 3, 4)
+        v = dense_choi_min_eig(np.zeros((16, 9)), 3, 4)
         assert v.min_eigenvalue == 0.0
         assert v.trace == 0.0
         assert v.completely_positive
-
+        w = choi_min_eig(ChoiFactors(np.zeros((12, 0)), np.zeros((0, 0))),
+                         3, 4)
+        assert (w.min_eigenvalue, w.trace, w.completely_positive) \
+            == (0.0, 0.0, True)

@@ -8,7 +8,7 @@ from cpflow import cli, cornercheck, opbasis
 from cpflow.cli import COMMANDS, Reporter, load_config
 from cpflow.cornercheck import WeightMatrix
 from cpflow.opbasis import MatrixModel, choi_min_eig
-from references import complex_model, full_size
+from references import complex_model, dense_rep, dense_superop
 
 LABELS = (-1.0 + 0j, 1j, complex(np.exp(1j * np.pi / 4)))
 CUTS = (0.5, 0.25)
@@ -63,9 +63,9 @@ class TestDtypeContract:
                                                   tmp_path):
         dtypes = []
 
-        def recorded(superop, *args, **kwargs):
-            dtypes.append(superop.dtype)
-            return choi_min_eig(superop, *args, **kwargs)
+        def recorded(factors, *args, **kwargs):
+            dtypes.extend((factors.vectors.dtype, factors.weights.dtype))
+            return choi_min_eig(factors, *args, **kwargs)
 
         for module in (opbasis, cornercheck, cli):
             monkeypatch.setattr(module, "choi_min_eig", recorded)
@@ -77,17 +77,23 @@ class TestDtypeContract:
         assert dtypes and all(d == np.float64 for d in dtypes)
 
     def test_nonreal_label_promotes(self):
+        # the words stay real; only the coefficients take the label's type
         model = default_model()
-        corner = WeightMatrix(model, model.weight_superop(), 1j)
-        (_, upper), (lower, _) = corner.blocks
-        assert upper.dtype == lower.dtype == np.complex128
+        assert model.weight_superop(1j).dtype == np.complex128
+        corner = WeightMatrix(model, None, 1j)
         for t in CUTS:
-            assert corner.boundary_rep(t).dtype == np.complex128
+            rep = model.boundary_rep(t, 1j)
+            assert rep.words.dtype == np.float64
+            assert rep.coeffs.dtype == np.complex128
+            fold = corner.boundary_rep(t)
+            assert fold.vectors.dtype == np.float64
+            assert fold.weights.dtype == np.complex128
 
     def test_real_label_stays_real(self):
         model = MatrixModel(n_factors=2)
         for z in (1.0, -1.0 + 0j, np.conj(-1.0 + 0j), -1):
             assert model.weight_superop(z).dtype == np.float64
+            assert model.boundary_rep(0.5, z).coeffs.dtype == np.float64
 
     def test_real_part_taken_without_tolerance(self):
         assert opbasis._real_if_exact([1.0 + 0j, -0.0j]).dtype == np.float64
@@ -106,34 +112,31 @@ class TestComplexOracle:
             ref.xi_eta(nu.astype(complex))
         assert_close(eta, ref_eta)
         assert_close(d_val, ref_d)
-        minimal, ref_minimal = real.weight_superop(), ref.weight_superop()
-        weights = [(minimal, ref_minimal),
-                   (minimal + real.gap_superop(eta),
-                    ref_minimal + ref.gap_superop(ref_eta))]
-        for z in LABELS:
-            weights += [(real.weight_superop(w), ref.weight_superop(w))
-                        for w in (z, np.conj(z))]
-        reps = []
-        for got, want in weights:
-            assert_close(got, want)
-            for t in CUTS:
-                (rep, cond), (ref_rep, ref_cond) = \
-                    real.boundary_rep(got, t), ref.boundary_rep(want, t)
-                assert_close(rep, ref_rep)
-                assert_close(cond, ref_cond)
-                reps.append((full_size(real, t, rep),
-                             full_size(real, t, ref_rep), 1))
-        for z in LABELS:
-            corners = (WeightMatrix(real, weights[0][0], z),
-                       WeightMatrix(ref, weights[0][1], z))
-            for t in CUTS:
-                fold, ref_fold = (c.boundary_rep(t) for c in corners)
-                assert_close(fold, ref_fold)
-                reps.append((full_size(real, t, fold),
-                             full_size(real, t, ref_fold), 2))
-        for rep, ref_rep, blocks in reps:
-            dims = (blocks * real.dim_k, real.dim_h)
-            v, ref_v = choi_min_eig(rep, *dims), choi_min_eig(ref_rep, *dims)
+        assert_close(real.tail_ratio, ref.tail_ratio)
+        labels = [1.0] + [w for z in LABELS for w in (z, np.conj(z))]
+        for z in labels:
+            assert_close(real.weight_superop(z), ref.weight_superop(z))
+        checks = []
+        for t in CUTS:
+            kept = real.dim_k * real.kept_cells(t)
+            pairs = [(real.boundary_rep(t, z), ref.boundary_rep(t, z))
+                     for z in labels]
+            pairs.append((real.boundary_rep(t, nu=nu),
+                          ref.boundary_rep(t, nu=nu.astype(complex))))
+            for rep, ref_rep in pairs:
+                assert_close(dense_rep(real, t, rep),
+                             dense_rep(ref, t, ref_rep))
+                checks.append((rep.choi, ref_rep.choi, real.dim_k, kept))
+            for z in LABELS:
+                fold, ref_fold = (WeightMatrix(m, None, z).boundary_rep(t)
+                                  for m in (real, ref))
+                dims = (2 * real.dim_k, kept)
+                assert_close(dense_superop(fold, *dims),
+                             dense_superop(ref_fold, *dims))
+                checks.append((fold, ref_fold) + dims)
+        for factors, ref_factors, din, dout in checks:
+            v = choi_min_eig(factors, din, dout)
+            ref_v = choi_min_eig(ref_factors, din, dout)
             assert_close(v.min_eigenvalue, ref_v.min_eigenvalue)
             assert_close(v.trace, ref_v.trace)
             assert_close(v.hermiticity_defect, ref_v.hermiticity_defect)
