@@ -161,10 +161,8 @@ def subordination_check(model: MatrixModel, upper, lower,
                 raise NonCompletelyPositiveInputError(
                     "%s weight is not CP at cut level %g" % (name, t), low)
             mins[name].append(low)
-        none = ChoiFactors(rep_up.words[:, :0], np.zeros((0, 0)))
-        difference = (rep_up.gap or none) - (rep_low.gap or none)
         mins["difference"].append(
-            _kept_min_eig(model, difference, model.dim_k, t))
+            _kept_min_eig(model, rep_up.gap - rep_low.gap, model.dim_k, t))
     sub = all(map(is_cp, mins["difference"]))
     return SubordinationVerdict(sub, tuple(cut_levels), tuple(mins["upper"]),
                                 tuple(mins["lower"]),

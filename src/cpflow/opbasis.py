@@ -43,7 +43,7 @@ taken real only when its imaginary part is exactly zero (_real_if_exact).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -100,6 +100,16 @@ def _kraus(letters: np.ndarray, x: np.ndarray,
     if adjoint:
         return (herm @ x @ letters).sum(axis=0)
     return (letters @ x @ herm).sum(axis=0)
+
+
+def _finite_resolvent(step, seed, mu_scale, n: int):
+    """sum_{k<n} step^k(seed) + step^n(seed) / (1 - mu_scale), by Horner's
+    rule: the resolvent (I - step)^{-1} applied to seed when
+    step^{n+1} = mu_scale step^n."""
+    out = seed / (1.0 - mu_scale)
+    for _ in range(n):
+        out = seed + step(out)
+    return out
 
 
 def _words(letters: np.ndarray, length: int) -> list[np.ndarray]:
@@ -165,6 +175,9 @@ class MatrixModel:
     n_factors: int = 4
     factor_dim: int = 2
     seq: LambdaSequence = LambdaSequence("linear")
+    # _dropped_words by cut edge
+    _words_by_edge: dict = field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
 
     @property
     def dim_k(self) -> int:
@@ -334,10 +347,8 @@ class MatrixModel:
         z = _label(z)
         mu = self._converging(z)
         k_hat, _ = self.series_kernel
-        eye = np.eye(len(k_hat))
-        core = eye / (1.0 - z * mu)
-        for _ in range(self.n_factors):
-            core = eye + z * (k_hat @ core)
+        core = _finite_resolvent(lambda c: z * (k_hat @ c),
+                                 np.eye(len(k_hat)), z * mu, self.n_factors)
         return z * (self.pi_superop @ core)
 
     def xi_eta(self, nu_density: np.ndarray) -> tuple[np.ndarray, float]:
@@ -363,9 +374,8 @@ class MatrixModel:
         if d_val >= 1.0 - 1e-8:
             raise NonInvertibleSystemError(
                 "normalization 1 - nu(Lambda(Delta)) is singular", d_val)
-        core = lam_nu / (1.0 - self._converging(1.0))
-        for _ in range(self.n_factors):
-            core = lam_nu + _kraus(self.letters, core)
+        core = _finite_resolvent(lambda c: _kraus(self.letters, c), lam_nu,
+                                 self._converging(1.0), self.n_factors)
         s0 = self.shift
         eta = (nu_density + s0.conj().T @ core @ s0) / (1.0 - d_val)
         return 0.5 * (eta + eta.conj().T), d_val
@@ -383,10 +393,6 @@ class MatrixModel:
         return kept.reshape(d * d * n * n, -1)
 
     # -- boundary representations in word form -----------------------------
-
-    @cached_property
-    def _words_by_edge(self) -> dict:
-        return {}
 
     def _dropped_words(self, t: float) -> tuple[np.ndarray, np.ndarray,
                                                  float]:
@@ -446,7 +452,8 @@ class MatrixModel:
         coeffs = np.where(lengths < n_f, z ** (lengths + 1),
                           z ** (n_f + 1) / (1.0 - z * mu_c))
         if nu is None:
-            return BoundaryRep(vectors, coeffs)
+            return BoundaryRep(vectors, coeffs,
+                               ChoiFactors(vectors[:, :0], np.zeros((0, 0))))
         eta, d_val = self.xi_eta(nu)
         d, h, n = self.dim_k, self.h_dim, self.kept_cells(t)
         dn = d * n
@@ -471,9 +478,8 @@ class MatrixModel:
         delta = self.delta_matrix
         dropped = self.letters[:h - n]
         dual = delta - _kraus(self.letters, delta, adjoint=True)
-        x = dual / (1.0 - mu_c)
-        for _ in range(n_f):
-            x = dual + _kraus(dropped, x, adjoint=True)
+        x = _finite_resolvent(lambda y: _kraus(dropped, y, adjoint=True),
+                              dual, mu_c, n_f)
         lam_eta = self.lambda_superop(
             self.apply_truncation(t, eta.reshape(-1, 1)), n).reshape(d, d)
         beta = np.sum(x.T * lam_eta)
@@ -513,17 +519,16 @@ class BoundaryRep:
     densities on the cells a cut keeps, plus the unital weight's rank-one
     term: words holds the Choi vectors of the K_w, one column each
     (MatrixModel.boundary_rep), and gap the Choi factors of the rank-one
-    term, or None.
+    term (without columns for a weight that has none).
     """
 
     words: np.ndarray
     coeffs: np.ndarray
-    gap: ChoiFactors | None = None
+    gap: ChoiFactors
 
     @property
     def choi(self) -> ChoiFactors:
-        out = ChoiFactors(self.words, np.diag(self.coeffs))
-        return out if self.gap is None else out + self.gap
+        return ChoiFactors(self.words, np.diag(self.coeffs)) + self.gap
 
 
 # ---------------------------------------------------------------------------

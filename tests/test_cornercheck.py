@@ -15,6 +15,7 @@ from references import (
     assemble_doubled,
     dense_choi_min_eig,
     dense_rep,
+    dense_superop,
     fold_doubled,
     full_size,
     full_size_corner_minima,
@@ -197,7 +198,7 @@ class TestSubordination:
                     model, solve_unital_weight(model, weight), t)
                 want = dense_choi_min_eig(full_size(model, t, rep),
                                           model.dim_k, model.dim_h)
-                assert abs(got - want.min_eigenvalue) <= 1e-12
+                assert abs(got - want.min_eigenvalue) <= 1e-13
 
     def test_strict_order(self, model, nu):
         v = subordination_check(model, None, nu, (0.5,))
@@ -285,8 +286,10 @@ class TestHypermaxWitness:
                 ref_min = dense_choi_min_eig(dense(minimal), *doubled)
                 ref_diff = dense_choi_min_eig(dense(full) - dense(minimal),
                                               *doubled)
-                assert abs(got_min - ref_min.min_eigenvalue) <= 1e-12
-                assert abs(got_diff - ref_diff.min_eigenvalue) <= 1e-12
+                # different algorithms: the minima agree to rounding
+                # (at most 5.3e-15 apart here), the difference's to 2.3e-16
+                assert abs(got_min - ref_min.min_eigenvalue) <= 1e-13
+                assert abs(got_diff - ref_diff.min_eigenvalue) <= 1e-15
 
     def test_zero_gap_reported(self, model, inputs):
         eta, dominance = inputs
@@ -306,10 +309,12 @@ def kept_outputs_cases():
     of their unital extensions (None: the minimal weight).
 
     Besides the unital weight over the minimal one, the unital weights
-    of twice and once the point mass on the top cell of the first tensor
-    index, whose kept blocks of nu have identically zero rows; and the
-    unital weight of the normalized identity over the minimal one,
-    whose rank-one term is positive definite when no cell is dropped.
+    of twice and once a density: with the point mass on the top cell of
+    the first tensor index, the rank-one terms of their representations
+    still have identically zero rows; with the normalized identity,
+    both representations and their difference are positive definite
+    when no cell is dropped, so the minimum at a cut that drops a cell
+    is the 0 of the dropped block.
     """
     return {"unital-over-minimal": lambda model: (point_mass(model, 0),
                                                   None),
@@ -317,7 +322,8 @@ def kept_outputs_cases():
                 2.0 * point_mass(model, model.h_dim - 1),
                 point_mass(model, model.h_dim - 1)),
             "onto-identity": lambda model: (
-                np.eye(model.dim_h) / model.dim_h, None)}
+                2.0 * np.eye(model.dim_h) / model.dim_h,
+                np.eye(model.dim_h) / model.dim_h)}
 
 
 class TestKeptOutputsOracle:
@@ -340,31 +346,33 @@ class TestKeptOutputsOracle:
             m, upper, lower, self.CUTS, self.LABELS)
         for name in ("upper", "lower", "difference"):
             got = getattr(verdict, "%s_min_eigs" % name)
-            np.testing.assert_allclose(got, want[name], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got, want[name], rtol=0, atol=1e-13)
         for z in self.LABELS:
             report = hypermax_witness(z, m, np.eye(m.dim_h), verdict)
             np.testing.assert_allclose(report.minimal_min_eigs,
-                                       want_witness[z], rtol=0, atol=1e-12)
+                                       want_witness[z], rtol=0, atol=1e-13)
 
     def test_top_cell_kept_block_has_zero_rows(self):
-        # the kept block of nu has one live row, and lambdahat_c nu is zero
-        # at the cuts that drop the lower cells: the rank-one term's
-        # factor has one column per input, dim_k of them
+        # the minimal weight's words reach every kept row; the rank-one
+        # term, densified on the kept rows, has identically zero rows
         m = MatrixModel(n_factors=1, factor_dim=2)
         upper, lower = kept_outputs_cases()["onto-top-cell"](m)
         verdict = subordination_check(m, upper, lower, self.CUTS)
         for t, rep in zip(self.CUTS, verdict.lower_reps):
             kept = m.dim_k * m.kept_cells(t)
-            assert rep.words.shape[0] == m.dim_k * kept
-            assert rep.gap.vectors.shape == (m.dim_k * kept, m.dim_k)
+            gap = dense_superop(rep.gap, m.dim_k, kept)
+            assert gap.shape == (kept * kept, m.dim_k ** 2)
+            rows = gap.reshape(kept, kept, -1)
+            assert not rows.any(axis=(1, 2)).all()
+            assert rows.any()
 
     def test_identity_minimum_is_positive_only_without_a_drop(self):
-        m = MatrixModel(n_factors=1, factor_dim=1)
+        m = MatrixModel(n_factors=1, factor_dim=2)
         upper, lower = kept_outputs_cases()["onto-identity"](m)
         verdict = subordination_check(m, upper, lower, self.CUTS)
-        for mins in (verdict.upper_min_eigs, verdict.difference_min_eigs):
+        for mins in (verdict.upper_min_eigs, verdict.lower_min_eigs,
+                     verdict.difference_min_eigs):
             assert mins[0] > 0.0 and mins[1:] == (0.0, 0.0)
-        assert verdict.lower_min_eigs == (0.0, 0.0, 0.0)
 
 
 class TestCornerIdentity:

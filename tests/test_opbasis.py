@@ -24,6 +24,7 @@ from references import (
     doubled_entries,
     fold_doubled,
     full_size,
+    full_size_boundary_rep,
     identity_superop,
     solve_boundary_rep,
     solve_weight_superop,
@@ -407,15 +408,23 @@ class TestCutAwareKernels:
     @pytest.mark.parametrize("n_factors", [2, 3])
     @pytest.mark.parametrize("t", [0.0, 0.25, 0.5])
     def test_boundary_rep_equals_full_size_oracle(self, n_factors, t):
-        # the word sum, densified on the kept rows, is the solve path's
+        # on the solve path, the kept rows, C-contiguous, are the
+        # full-size solve's rows bit for bit, and the condition number is
+        # the same; the word sum, densified on the kept rows, is that
         # representation to 1e-13 relative
         m = MatrixModel(n_factors=n_factors, factor_dim=2)
         for z in (1.0, 1j):
-            got = dense_rep(m, t, m.boundary_rep(t, z))
-            want, _ = solve_boundary_rep(m, solve_weight_superop(m, z), t)
-            assert got.shape == ((m.dim_k * m.kept_cells(t)) ** 2,
+            omega = solve_weight_superop(m, z)
+            rep, cond = solve_boundary_rep(m, omega, t)
+            want, want_cond = full_size_boundary_rep(m, omega, t)
+            assert rep.flags.c_contiguous
+            assert rep.shape == ((m.dim_k * m.kept_cells(t)) ** 2,
                                  m.dim_k ** 2)
-            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+            assert np.array_equal(full_size(m, t, rep), want)
+            assert cond == want_cond
+            got = dense_rep(m, t, m.boundary_rep(t, z))
+            assert got.shape == rep.shape
+            assert np.linalg.norm(got - rep) <= 1e-13 * np.linalg.norm(rep)
 
     @pytest.mark.parametrize("cut_rows", [(), (0, 2), (1, 3, 4)])
     def test_choi_min_eig_matches_full_spectrum(self, cut_rows):

@@ -25,8 +25,9 @@ from references import (
 
 LABELS = (1.0, -1.0, 1j, complex(np.exp(0.1j)), 0.4 + 0.3j)
 CUTS = (0.0, 0.25, 0.5)
-# (N, m) = (4, 2) and (3, 3) run in benchmarks/test_corner_kernels.py
-# (7 s and 2 min: dense Choi spectra of folds up to 4374 x 4374); (4, 3)
+# (N, m) = (4, 2) and (3, 3) run in full in benchmarks/test_corner_kernels.py
+# (7 s and 2 min: dense Choi spectra of folds up to 4374 x 4374), and
+# (4, 2) at one cut and the labels 1 and -1 without the folds here; (4, 3)
 # is left out, since its solve path needs a dense 59049 x 6561 weight
 # superoperator at a complex label, 6.2 GB
 LARGE_SIZES = [(4, 2), (3, 3)]
@@ -53,28 +54,30 @@ def dense_kept_min(model, superop, dim_in, t):
     return low if kept == model.h_dim else min(low, 0.0)
 
 
-def check_against_solve_path(n_factors: int, factor_dim: int) -> None:
+def check_against_solve_path(n_factors: int, factor_dim: int,
+                             labels=LABELS, cuts=CUTS,
+                             folds: bool = True) -> None:
     """Every weight, eta and boundary representation of the model at the
-    labels LABELS and cuts CUTS against the solve path to 1e-13 relative,
-    and the Choi minima of the corner run (unital, minimal, difference,
-    and the minimal fold at each label) against dense spectra to 1e-12,
-    with the same CP verdicts."""
+    labels and cuts against the solve path to 1e-13 relative, and the
+    Choi minima of the corner run (unital, minimal, difference, and with
+    folds the minimal fold at each label) against dense spectra to
+    1e-12, with the same CP verdicts.  labels must hold 1."""
     m = MatrixModel(n_factors=n_factors, factor_dim=factor_dim)
     nu = point_mass(m)
     eta, d_val = m.xi_eta(nu)
     want_eta, want_d = solve_xi_eta(m, nu)
     assert_rel(eta, want_eta)
     assert d_val == pytest.approx(want_d, rel=1e-13)
-    weights = {z: solve_weight_superop(m, z) for z in LABELS}
+    weights = {z: solve_weight_superop(m, z) for z in labels}
     for z, want in weights.items():
         assert_rel(m.weight_superop(z), want)
     unital = solve_unital_weight(m, nu)
     dk = m.dim_k
-    for t in CUTS:
-        reps = {z: m.boundary_rep(t, z) for z in LABELS}
+    for t in cuts:
+        reps = {z: m.boundary_rep(t, z) for z in labels}
         dense = {z: solve_boundary_rep(m, w, t)[0]
                  for z, w in weights.items()}
-        for z in LABELS:
+        for z in labels:
             assert_rel(dense_rep(m, t, reps[z]), dense[z])
         rep_u = m.boundary_rep(t, nu=nu)
         dense_u = solve_boundary_rep(m, unital, t)[0]
@@ -84,7 +87,7 @@ def check_against_solve_path(n_factors: int, factor_dim: int) -> None:
         minima = [(_kept_min_eig(m, f, dk, t), dense_kept_min(m, d, dk, t))
                   for f, d in pairs]
         kept = dk * m.kept_cells(t)
-        for z in LABELS:
+        for z in labels if folds else ():
             fold = fold_doubled([[dense[1.0], dense[z]],
                                  [dense[z].conj(), dense[1.0]]], dk, kept)
             minima.append((
@@ -100,6 +103,12 @@ class TestSolvePathOracle:
     @pytest.mark.parametrize("n_factors, factor_dim", SIZES)
     def test_word_form_equals_solve_path(self, n_factors, factor_dim):
         check_against_solve_path(n_factors, factor_dim)
+
+    def test_word_form_equals_solve_path_at_four_factors(self):
+        # the cheap part of (4, 2): one cut that drops a cell, labels 1
+        # and -1, no folds
+        check_against_solve_path(4, 2, labels=(1.0, -1.0), cuts=(0.25,),
+                                 folds=False)
 
     def test_unital_gap_is_the_sherman_morrison_term(self):
         # E = (I - B0 lambdahat_k) cut(eta), the form the word factors are
