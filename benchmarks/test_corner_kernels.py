@@ -10,15 +10,17 @@ The inputs are those of the ``corner`` command at its default config, at
 N = 3 factors (the default) and N = 4 of dimension 2 (dim_k = 8 and 16)
 and the three half-line cells (dim_h = 24 and 48), linear lambda, cuts
 0.5 and 0.25, witness label -1.  The kernels are the model's construction
-with its cached constants, the series weight superoperator at labels 1
-and -1, the cut of the minimal weight at cut 0.5 (on the one cell of
-three that the cut keeps: 64 x 64 and 256 x 256 output rows), the
-boundary representation of the minimal weight there in word form (15
-and 31 words), the Choi spectrum of the folded 2x2 corner there (a
-128 x 128 Choi matrix at N = 3, 512 x 512 at N = 4, taken on the range
-of its 30 and 62 Choi vectors), the subordination check of the unital
-weight over the minimal one, and the hypermaximality witness that
-follows it.  The last two also run at N = 5 (dim_k = 32).
+with its cached constants, the series weight of the dim_k^2 unit
+densities at labels 1 and -1, the cut of those minimal weight densities
+at cut 0.5 (to their blocks on the one cell of three that the cut keeps:
+8 x 8 and 16 x 16), the boundary representation of the minimal weight
+there in word form (15 and 31 words), the Choi spectrum of the folded
+2x2 corner there (a 128 x 128 Choi matrix at N = 3, 512 x 512 at N = 4,
+taken on the range of its 30 and 62 Choi vectors), the subordination
+check of the unital weight over the minimal one, and the hypermaximality
+witness that follows it.  The last two also run at N = 5 (dim_k = 32),
+and the whole ``corner`` runner (model, weights, every check and the
+derivation residual) runs at N = 4 and 5.
 
 The largest sizes of the solve-path oracle of tests/test_wordform.py,
 (N, m) = (4, 2) and (3, 3), run here too: they take 7 s and 2 min.
@@ -27,7 +29,7 @@ The largest sizes of the solve-path oracle of tests/test_wordform.py,
 import numpy as np
 import pytest
 
-from cpflow.cli import DEFAULT_CONFIG
+from cpflow.cli import DEFAULT_CONFIG, Reporter, load_config, run_corner
 from cpflow.cornercheck import (
     _folded_rep,
     hypermax_witness,
@@ -35,6 +37,7 @@ from cpflow.cornercheck import (
 )
 from cpflow.opbasis import DEFAULT_EDGES, MatrixModel, choi_min_eig
 from cpflow.tensorspace import LambdaSequence
+from references import unit_densities
 from test_wordform import LARGE_SIZES, check_against_solve_path
 
 CORNER = DEFAULT_CONFIG["corner"]
@@ -80,8 +83,8 @@ def test_model_construction(benchmark, model):
 
 @pytest.mark.parametrize("z", [1.0, -1.0])
 def test_weight_superop(benchmark, model, z):
-    out = benchmark(model.weight_superop, z)
-    assert out.shape == (model.dim_h ** 2, model.dim_k ** 2)
+    out = benchmark(model.weight_superop, unit_densities(model.dim_k), z)
+    assert out.shape == (model.dim_k ** 2, model.dim_h, model.dim_h)
 
 
 def kept_dim(model) -> int:
@@ -90,8 +93,9 @@ def kept_dim(model) -> int:
 
 
 def test_apply_truncation(benchmark, model):
-    out = benchmark(model.apply_truncation, CUTS[0], model.weight_superop())
-    assert out.shape == (kept_dim(model) ** 2, model.dim_k ** 2)
+    weights = model.weight_superop(unit_densities(model.dim_k))
+    out = benchmark(model.apply_truncation, CUTS[0], weights)
+    assert out.shape == (model.dim_k ** 2, kept_dim(model), kept_dim(model))
 
 
 def test_boundary_rep(benchmark, model):
@@ -120,6 +124,25 @@ def test_hypermax_witness(benchmark, corner_model):
     report = benchmark(hypermax_witness, LABEL, corner_model, eta,
                        dominance)
     assert report.witnessed
+
+
+@pytest.mark.parametrize("n_factors", [4, 5], ids=lambda n: "N%d" % n)
+def test_run_corner(benchmark, n_factors, tmp_path):
+    cfg = load_config(None)
+    cfg["corner"]["factors"] = n_factors
+
+    def fresh_run():
+        rng = np.random.default_rng(cfg["seeds"]["rng"])
+        return (cfg, Reporter("corner", cfg, tmp_path), rng), {}
+
+    reps = []
+
+    def run(c, rep, rng):
+        reps.append(rep)
+        run_corner(c, rep, rng)
+
+    benchmark.pedantic(run, setup=fresh_run, rounds=3)
+    assert reps and all(rep.records and rep.all_pass for rep in reps)
 
 
 @pytest.mark.parametrize("n_factors, factor_dim", LARGE_SIZES)

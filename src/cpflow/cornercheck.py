@@ -250,14 +250,16 @@ def hypermax_witness(z: complex, model: MatrixModel, eta: np.ndarray,
 
 
 def derivation_residual(model: MatrixModel, z: complex) -> float:
-    """Residual of the corner identity sigma(rho - z L pi rho) = z pi rho.
+    """Residual of the corner identity sigma(rho - z L pi rho) = z pi rho
+    on the dim_k^2 unit densities.
 
-    sigma is the series weight at label z with |z| < 1; the identity pins
-    the off-diagonal of a corner matrix to the series weight.
+    sigma is the series weight at label z with |z| < 1, summed through the
+    letters, and L pi goes through the shift and the cell damping; the
+    identity pins the off-diagonal of a corner matrix to the series weight.
     """
-    z = complex(z)
-    sigma = model.weight_superop(z)
-    k_hat, _ = model.series_kernel
-    d2 = k_hat.shape[0]
-    lhs = sigma @ (np.eye(d2) - z * k_hat)
-    return float(np.linalg.norm(lhs - z * model.pi_superop))
+    d = model.dim_k
+    units = np.eye(d * d).reshape(d * d, d, d)
+    pi_rho = model.pi_superop(units)
+    lhs = model.weight_superop(units - z * model.lambda_superop(pi_rho), z)
+    lhs -= z * pi_rho
+    return float(np.linalg.norm(lhs))

@@ -28,14 +28,13 @@ factors V W V^* (ChoiFactors), and its spectrum is taken on the range of
 V (choi_min_eig): nothing here solves a system or builds a Choi matrix.
 
 Functionals are identified with density matrices: rho(A) = tr(rho_d A).
-Dense maps between functional spaces are superoperator matrices over
-row-major vectorized densities; lambdahat alone is applied without its
-matrix.
+Every map of the model acts on a density, or on a stack of densities
+along leading axes; none is built as a matrix over vectorized densities.
 
 The model is real: its rates, lambda sequence, cells and cuts are real, so
 every constant matrix (damping, cross overlap, reference coordinates,
-Delta, shift, letters, cut, pihat and the series kernel) is float64, and
-so are the minimal and unital weights and their boundary representations.
+Delta, shift and letters) is float64, and so are the minimal and unital
+weights of a real density and their boundary representations.
 Complex numbers enter only through a label z with nonzero imaginary part,
 from which numpy promotes.  A closed form that returns complex numbers is
 taken real only when its imaginary part is exactly zero (_real_if_exact).
@@ -92,14 +91,12 @@ def _label(z: complex) -> complex:
     return z.real if not z.imag else z
 
 
-def _kraus(letters: np.ndarray, x: np.ndarray,
-           adjoint: bool = False) -> np.ndarray:
-    """sum_p A_p x A_p^* over a stack of letters, or with adjoint its
-    dual sum_p A_p^* x A_p (tr(y k(x)) = tr(k*(y) x))."""
+def _kraus(letters: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_p A_p x A_p^* over a stack of letters, x a matrix or a stack of
+    them along leading axes.  The letters' adjoints give the dual map
+    (tr(y k(x)) = tr(k*(y) x))."""
     herm = letters.conj().swapaxes(1, 2)
-    if adjoint:
-        return (herm @ x @ letters).sum(axis=0)
-    return (letters @ x @ herm).sum(axis=0)
+    return (letters @ x[..., None, :, :] @ herm).sum(axis=-3)
 
 
 def _finite_resolvent(step, seed, mu_scale, n: int):
@@ -112,19 +109,24 @@ def _finite_resolvent(step, seed, mu_scale, n: int):
     return out
 
 
-def _words(letters: np.ndarray, length: int) -> list[np.ndarray]:
+def _words(letters: np.ndarray,
+           length: int) -> tuple[np.ndarray, np.ndarray, float]:
     """The products A_w of the letters over every word w of length
-    0 .. length, one stack (count, d, d) per length."""
+    0 .. length, as one stack (count, d, d) in order of length, the word
+    lengths, and mu with k^{length+1} = mu k^length for the Kraus map k
+    of the letters (checked, _tail_ratio)."""
     stacks = [np.eye(letters.shape[-1], dtype=letters.dtype)[None]]
-    for _ in range(length):
+    for _ in range(length + 1):
         grown = np.einsum("pij,wjk->pwik", letters, stacks[-1])
         stacks.append(grown.reshape(-1, *grown.shape[2:]))
-    return stacks
+    lengths = np.repeat(np.arange(length + 1), [len(s) for s in stacks[:-1]])
+    return (np.concatenate(stacks[:-1]), lengths,
+            _tail_ratio(stacks[-2], stacks[-1]))
 
 
 def _tail_ratio(last: np.ndarray, after: np.ndarray) -> float:
     """mu with k^{N+1} = mu k^N, k^N and k^{N+1} the Kraus maps of the
-    stacks last and after (_words of length N and N + 1).
+    stacks last and after (the words of length N and N + 1).
 
     The identity is checked on their Choi matrices sum_w vec(A_w)
     vec(A_w)^*, which determine the maps, to 1e-12 of their norms, and
@@ -259,19 +261,16 @@ class MatrixModel:
         return np.einsum("jc,ab,k->jabkc", self.cross_overlap, rest,
                          np.conj(kappa)).reshape(self.dim_k, self.dim_h)
 
-    def cut(self, t: float) -> np.ndarray:
-        """The spectral tail cut U(t)U(t)* on the half-line slot.
-
-        t must name a cell edge below the top one (cut_edge); the cut is
-        then the exact diagonal projection onto the cells at or above it.
-        """
-        edge = cut_edge(t)
-        return np.diag([float(e >= edge) for e in DEFAULT_EDGES[:-1]])
+    def _cut_cells(self, t: float) -> tuple[slice, slice]:
+        """The cells the cut at level t drops and keeps: those below
+        cut_edge(t), and the top ones from it up, where every map after
+        the cut lives."""
+        low = DEFAULT_EDGES.index(cut_edge(t))
+        return slice(0, low), slice(low, self.h_dim)
 
     def kept_cells(self, t: float) -> int:
-        """How many cells the cut at level t keeps: the top ones, from the
-        cell at cut_edge(t) up, where every map after the cut lives."""
-        return self.h_dim - DEFAULT_EDGES.index(cut_edge(t))
+        """How many cells the cut at level t keeps (_cut_cells)."""
+        return self.h_dim - self._cut_cells(t)[1].start
 
     # -- the series kernel as letters ---------------------------------------
 
@@ -288,8 +287,7 @@ class MatrixModel:
     def tail_ratio(self) -> float:
         """mu with khat^{N+1} = mu khat^N (checked): khat^N has rank one,
         so mu is the spectral radius of khat."""
-        stacks = _words(self.letters, self.n_factors + 1)
-        return _tail_ratio(stacks[-2], stacks[-1])
+        return _words(self.letters, self.n_factors)[2]
 
     def _converging(self, z: complex) -> float:
         """mu, once the weight series at label z converges (|z| mu < 1)."""
@@ -299,57 +297,36 @@ class MatrixModel:
                 "weight series does not converge in this model", abs(z) * mu)
         return mu
 
-    # -- superoperator matrices --------------------------------------------
+    # -- maps on densities -------------------------------------------------
 
-    @cached_property
-    def pi_superop(self) -> np.ndarray:
+    def pi_superop(self, rho: np.ndarray) -> np.ndarray:
         """pihat: the density of rho composed with the shift, s0* rho s0."""
-        s0 = self.shift
-        return np.kron(s0.conj().T, s0.T)
+        return self.shift.conj().T @ rho @ self.shift
 
-    def lambda_superop(self, mu: np.ndarray,
-                       cells: int | None = None) -> np.ndarray:
-        """lambdahat: the density of mu composed with the damping embedding.
+    def lambda_superop(self, rho: np.ndarray,
+                       cells: slice = slice(None)) -> np.ndarray:
+        """lambdahat on the given cells: the density of rho composed with
+        the damping embedding, sum_p h_p (I (x) <p|) rho (I (x) |p>) over
+        the cells p in the slice, all of them by default."""
+        d, h = self.dim_k, self.h_dim
+        blocks = rho.reshape(*rho.shape[:-2], d, h, d, h)
+        return np.einsum("...apbp,p->...ab", blocks[..., cells, :, cells],
+                         np.diag(self.h_damping)[cells])
 
-        mu is a superoperator whose columns are vectorized densities (one
-        column for a single density) on the top cells of the half-line
-        slot, all of them by default; it is mapped column by column, so
-        the result is lambdahat @ mu without building the dense lambdahat.
-        """
-        d = self.dim_k
-        n = self.h_dim if cells is None else cells
-        mu5 = mu.reshape(d, n, d, n, -1)
-        out = np.einsum("bqap...,pq->ba...", mu5, self.h_damping[-n:, -n:])
-        return out.reshape(d * d, -1)
+    def weight_superop(self, rho: np.ndarray, z: complex = 1.0) -> np.ndarray:
+        """The series weight density z pihat (I - z khat)^{-1} rho.
 
-    @cached_property
-    def series_kernel(self) -> tuple[np.ndarray, float]:
-        """lambdahat pihat on K-densities, sum_p A_p (x) conj(A_p), and its
-        spectral radius mu.
-
-        Every series resolvent of the model is (I - z lambdahat pihat)^{-1}
-        on dim_k^2 coordinates; the weight series converges for
-        |z| mu < 1.
-        """
-        d = self.dim_k
-        k_hat = np.einsum("pij,pkl->ikjl", self.letters, self.letters.conj())
-        return k_hat.reshape(d * d, d * d), self.tail_ratio
-
-    def weight_superop(self, z: complex = 1.0) -> np.ndarray:
-        """Matrix of rho -> series weight density on the big space.
-
-        The geometric series z pihat (I - z khat)^{-1} is summed in its
-        finite form sum_{n<N} (z khat)^n + z^N khat^N / (1 - z mu), by
-        Horner's rule.  At z = 1 this is the minimal weight; the unital
-        weight adds the rank-one gap rho -> tr(rho Delta) eta.  A label
-        with zero imaginary part is real, so the weight is real.
+        The resolvent is summed in its finite form sum_{n<N} (z khat)^n +
+        z^N khat^N / (1 - z mu), by Horner's rule through the letters.  At
+        z = 1 this is the minimal weight; the unital weight adds the
+        rank-one gap rho -> tr(rho Delta) eta.  A label with zero
+        imaginary part is real, so the weight of a real density is real.
         """
         z = _label(z)
         mu = self._converging(z)
-        k_hat, _ = self.series_kernel
-        core = _finite_resolvent(lambda c: z * (k_hat @ c),
-                                 np.eye(len(k_hat)), z * mu, self.n_factors)
-        return z * (self.pi_superop @ core)
+        core = _finite_resolvent(lambda c: z * _kraus(self.letters, c), rho,
+                                 z * mu, self.n_factors)
+        return z * self.pi_superop(core)
 
     def xi_eta(self, nu_density: np.ndarray) -> tuple[np.ndarray, float]:
         """Density of the normalized weight built from nu, plus nu(Lambda Delta).
@@ -363,34 +340,27 @@ class MatrixModel:
 
         so eta = (nu + omega1(nu o Lambda)) / (1 - d) with omega1 the
         minimal weight.  This is the formula of weights.BoundaryWeight.value
-        for the weight that weights.xi_from_nu builds from nu.  The
-        resolvent is the finite sum of weight_superop, applied through the
-        letters.
+        for the weight that weights.xi_from_nu builds from nu.
         """
-        dk = self.dim_k
-        lam_nu = self.lambda_superop(nu_density.reshape(-1, 1)).reshape(dk,
-                                                                        dk)
+        lam_nu = self.lambda_superop(nu_density)
         d_val = np.trace(lam_nu @ self.delta_matrix).real
         if d_val >= 1.0 - 1e-8:
             raise NonInvertibleSystemError(
                 "normalization 1 - nu(Lambda(Delta)) is singular", d_val)
-        core = _finite_resolvent(lambda c: _kraus(self.letters, c), lam_nu,
-                                 self._converging(1.0), self.n_factors)
-        s0 = self.shift
-        eta = (nu_density + s0.conj().T @ core @ s0) / (1.0 - d_val)
+        eta = (nu_density + self.weight_superop(lam_nu)) / (1.0 - d_val)
         return 0.5 * (eta + eta.conj().T), d_val
 
-    def apply_truncation(self, t: float, superop: np.ndarray) -> np.ndarray:
-        """Compose mu -> P mu P after the given superoperator.
+    def apply_truncation(self, t: float, rho: np.ndarray) -> np.ndarray:
+        """The cut P rho P at level t, on the cells it keeps.
 
-        The cut P is the exact 0/1 diagonal on the top n = kept_cells(t)
-        cells, so P mu P is zero outside mu's block on them.  The result
-        is superop's rows on that block, indexed (k, j, k', j') over the
-        kept cells j, j': a map into (dim_k n)-densities.
+        P is the exact 0/1 diagonal on the kept cells (_cut_cells), so
+        P rho P is zero outside rho's block on them; the result is that
+        block, a (dim_k n)-density for n = kept_cells(t).
         """
-        d, h, n = self.dim_k, self.h_dim, self.kept_cells(t)
-        kept = superop.reshape(d, h, d, h, -1)[:, h - n:, :, h - n:]
-        return kept.reshape(d * d * n * n, -1)
+        d, h = self.dim_k, self.h_dim
+        kept = self._cut_cells(t)[1]
+        block = rho.reshape(*rho.shape[:-2], d, h, d, h)[..., kept, :, kept]
+        return block.reshape(*rho.shape[:-2], d * block.shape[-3], -1)
 
     # -- boundary representations in word form -----------------------------
 
@@ -407,16 +377,14 @@ class MatrixModel:
         """
         edge = cut_edge(t)
         if edge not in self._words_by_edge:
-            d, h, n = self.dim_k, self.h_dim, self.kept_cells(t)
-            stacks = _words(self.letters[:h - n], self.n_factors + 1)
-            mu_c = _tail_ratio(stacks[-2], stacks[-1])
-            words = np.concatenate(stacks[:-1])
-            head = self.shift.conj().T.reshape(d, h, d)[:, h - n:]
+            d, h = self.dim_k, self.h_dim
+            dropped, kept = self._cut_cells(t)
+            words, lengths, mu_c = _words(self.letters[dropped],
+                                          self.n_factors)
+            head = self.shift.conj().T.reshape(d, h, d)[:, kept]
             vectors = np.einsum("icj,wjk->kicw", head, words)
-            lengths = np.repeat(np.arange(self.n_factors + 1),
-                                [len(s) for s in stacks[:-1]])
             self._words_by_edge[edge] = (
-                vectors.reshape(d * d * n, len(words)), lengths, mu_c)
+                vectors.reshape(-1, len(words)), lengths, mu_c)
         return self._words_by_edge[edge]
 
     def boundary_rep(self, t: float, z: complex = 1.0,
@@ -425,7 +393,7 @@ class MatrixModel:
 
         Of the series weight at label z: cut o z pihat (I - z khat_c)^{-1},
         the word sum of the module docstring, on the outputs the cut
-        keeps (apply_truncation's rows).
+        keeps (apply_truncation).
 
         With nu, of the unital weight omega^1 + G(eta) that xi_eta builds
         from nu (label 1).  With B0 the minimal weight's representation,
@@ -455,14 +423,12 @@ class MatrixModel:
             return BoundaryRep(vectors, coeffs,
                                ChoiFactors(vectors[:, :0], np.zeros((0, 0))))
         eta, d_val = self.xi_eta(nu)
-        d, h, n = self.dim_k, self.h_dim, self.kept_cells(t)
-        dn = d * n
+        dropped, kept = self._cut_cells(t)
         # E = G M G^*, the Choi factors of c -> c E, on the supports of
         # cut(nu) and lambdahat_c nu
-        kept_nu = self.apply_truncation(t, nu.reshape(-1, 1)).reshape(dn, dn)
-        low_nu = np.einsum("apbp,p->ab", nu.reshape(d, h, d, h)[:, :h - n,
-                                                                :, :h - n],
-                           np.diag(self.h_damping)[:h - n])
+        kept_nu = self.apply_truncation(t, nu)
+        low_nu = self.lambda_superop(nu, dropped)
+        d, dn = self.dim_k, len(kept_nu)
         on_kept, on_low = (np.flatnonzero(np.any(m != 0, axis=1))
                            for m in (kept_nu, low_nu))
         cols = vectors.reshape(d, dn, -1)[on_low].transpose(1, 2, 0)
@@ -475,14 +441,10 @@ class MatrixModel:
         if factor.shape[1] >= dn:
             factor, middle = np.eye(dn), factor @ middle @ factor.conj().T
         # f^T as the matrix x of the functional rho -> tr(x rho)
-        delta = self.delta_matrix
-        dropped = self.letters[:h - n]
-        dual = delta - _kraus(self.letters, delta, adjoint=True)
-        x = _finite_resolvent(lambda y: _kraus(dropped, y, adjoint=True),
-                              dual, mu_c, n_f)
-        lam_eta = self.lambda_superop(
-            self.apply_truncation(t, eta.reshape(-1, 1)), n).reshape(d, d)
-        beta = np.sum(x.T * lam_eta)
+        delta, adjoints = self.delta_matrix, self.letters.conj().swapaxes(1, 2)
+        x = _finite_resolvent(lambda y: _kraus(adjoints[dropped], y),
+                              delta - _kraus(adjoints, delta), mu_c, n_f)
+        beta = np.sum(x.T * self.lambda_superop(eta, kept))
         gap = ChoiFactors(np.kron(np.eye(d), factor),
                           np.kron(x.T / (1.0 + beta), middle))
         return BoundaryRep(vectors, coeffs, gap)

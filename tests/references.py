@@ -21,10 +21,12 @@ from cpflow.gauge import (
 from cpflow.cli import _seq
 from cpflow.halfline import ExpKernelVector, ExpMultiplier, Grid
 from cpflow.opbasis import (
+    DEFAULT_EDGES,
     ChoiFactors,
     ChoiVerdict,
     MatrixModel,
     NonInvertibleSystemError,
+    cut_edge,
 )
 from cpflow.semigroups import (
     InvalidExperimentError,
@@ -125,8 +127,8 @@ def complex_model(model: MatrixModel) -> MatrixModel:
     MatrixModel keeps real data real; this is its complex form, in which
     every product, solve, condition number and Choi spectrum runs in
     complex arithmetic on data whose imaginary part is zero.  The leaf
-    constants are model's, promoted; the shift, pihat and the series
-    kernel are then built from them in complex arithmetic.
+    constants are model's, promoted; the shift and the letters are then
+    built from them in complex arithmetic.
     """
     out = MatrixModel(model.n_factors, model.factor_dim, model.seq)
     for name in ("damping", "h_damping", "cross_overlap", "delta_matrix"):
@@ -136,20 +138,79 @@ def complex_model(model: MatrixModel) -> MatrixModel:
     return out
 
 
+def unit_densities(dim: int) -> np.ndarray:
+    """The dim^2 matrix units E_ij as a stack, in row-major order."""
+    return np.eye(dim * dim).reshape(dim * dim, dim, dim)
+
+
+def on_columns(fn, superop: np.ndarray, dim: int) -> np.ndarray:
+    """A map on dim-densities applied to each column of a superoperator,
+    read as a vectorized density; the images, vectorized, as columns."""
+    cols = superop.shape[1]
+    return fn(superop.T.reshape(cols, dim, dim)).reshape(cols, -1).T
+
+
+def map_superop(fn, dim: int) -> np.ndarray:
+    """The superoperator of a map on dim-densities (a map of the model):
+    its images of the unit densities, vectorized, as columns."""
+    return on_columns(fn, np.eye(dim * dim), dim)
+
+
+def cut_projection(model, t: float) -> np.ndarray:
+    """The spectral tail cut U(t)U(t)* on the half-line slot.
+
+    t must name a cell edge below the top one (cut_edge); the cut is then
+    the exact diagonal projection onto the cells at or above it, which
+    MatrixModel._cut_cells names as slices.
+    """
+    edge = cut_edge(t)
+    return np.diag([float(e >= edge) for e in DEFAULT_EDGES[:-1]])
+
+
 def truncation_superop(model, t: float) -> np.ndarray:
     """Superoperator of mu -> P mu P for the spectral cut at level t.
 
     MatrixModel.apply_truncation keeps the block on the kept cells.
     """
-    p_tilde = np.kron(np.eye(model.dim_k), model.cut(t))
+    p_tilde = np.kron(np.eye(model.dim_k), cut_projection(model, t))
     return np.kron(p_tilde, p_tilde.T)
+
+
+def dense_pi_superop(model) -> np.ndarray:
+    """pihat over row-major vectorized densities, from the shift:
+    rho -> s0* rho s0 (MatrixModel.pi_superop)."""
+    s0 = model.shift
+    return np.kron(s0.conj().T, s0.T)
+
+
+def superop_lambda(model, mu: np.ndarray, cells: int | None = None):
+    """lambdahat applied column by column to a superoperator from the
+    cell damping, without its matrix.
+
+    The columns of mu are vectorized densities on the top cells of the
+    half-line slot, all of them by default (MatrixModel.lambda_superop
+    on the densities).
+    """
+    d = model.dim_k
+    n = model.h_dim if cells is None else cells
+    mu5 = mu.reshape(d, n, d, n, -1)
+    out = np.einsum("bqap...,pq->ba...", mu5, model.h_damping[-n:, -n:])
+    return out.reshape(d * d, -1)
+
+
+def superop_truncation(model, t: float, superop: np.ndarray) -> np.ndarray:
+    """mu -> P mu P after a superoperator, on the rows of the kept cells
+    (MatrixModel.apply_truncation on the densities)."""
+    d, h, n = model.dim_k, model.h_dim, model.kept_cells(t)
+    kept = superop.reshape(d, h, d, h, -1)[:, h - n:, :, h - n:]
+    return kept.reshape(d * d * n * n, -1)
 
 
 def full_size(model, t: float, kept: np.ndarray) -> np.ndarray:
     """A map given on the outputs the cut at t keeps, over all outputs.
 
-    kept has the rows of MatrixModel.apply_truncation (as boundary_rep
-    and its folds do); they are scattered back into zeros of shape
+    kept has the rows of superop_truncation (as boundary_rep and its
+    folds do); they are scattered back into zeros of shape
     (dim_h^2, columns).
     """
     d, h, n = model.dim_k, model.h_dim, model.kept_cells(t)
@@ -165,7 +226,7 @@ def masked_truncation(model, t: float, superop: np.ndarray) -> np.ndarray:
     result equals truncation_superop(model, t) @ superop bit for bit.
     """
     dh = model.dim_h
-    keep = np.tile(np.diag(model.cut(t)) != 0, model.dim_k)
+    keep = np.tile(np.diag(cut_projection(model, t)) != 0, model.dim_k)
     om3 = superop.reshape(dh, dh, -1)
     out = om3 * np.outer(keep, keep)[:, :, None]
     return out.reshape(dh * dh, -1)
@@ -174,31 +235,34 @@ def masked_truncation(model, t: float, superop: np.ndarray) -> np.ndarray:
 def solve_weight_superop(model, z: complex = 1.0) -> np.ndarray:
     """MatrixModel.weight_superop by an exact resolvent solve.
 
-    z pihat (I - z khat)^{-1} with khat = lambdahat pihat, gated on the
-    spectral radius of khat from its eigenvalues; the model sums the
-    finite form over its letters instead.
+    z pihat (I - z khat)^{-1} with khat = lambdahat pihat built from the
+    shift and the cell damping, gated on the spectral radius of khat from
+    its eigenvalues; the model sums the finite form over its letters
+    instead.
     """
     z = complex(z)
     if not z.imag:
         z = z.real
     d = model.dim_k
-    k_hat = model.lambda_superop(model.pi_superop)
+    pi_hat = dense_pi_superop(model)
+    k_hat = superop_lambda(model, pi_hat)
     radius = float(np.max(np.abs(np.linalg.eigvals(k_hat))))
     if abs(z) * radius >= 1.0 - 1e-9:
         raise NonInvertibleSystemError(
             "weight series does not converge in this model", radius)
     core = np.linalg.solve(np.eye(d * d) - z * k_hat, np.eye(d * d))
-    return z * (model.pi_superop @ core)
+    return z * (pi_hat @ core)
 
 
 def solve_xi_eta(model, nu_density: np.ndarray) -> tuple[np.ndarray, float]:
     """MatrixModel.xi_eta with its resolvent solved on K-densities."""
     dk, dh = model.dim_k, model.dim_h
-    lam_nu = model.lambda_superop(nu_density.reshape(-1, 1))
+    lam_nu = superop_lambda(model, nu_density.reshape(-1, 1))
     d_val = np.trace(lam_nu.reshape(dk, dk) @ model.delta_matrix).real
-    k_hat = model.lambda_superop(model.pi_superop)
+    pi_hat = dense_pi_superop(model)
+    k_hat = superop_lambda(model, pi_hat)
     core = np.linalg.solve(np.eye(dk * dk) - k_hat, lam_nu.reshape(-1))
-    tail = (model.pi_superop @ core).reshape(dh, dh)
+    tail = (pi_hat @ core).reshape(dh, dh)
     eta = (nu_density + tail) / (1.0 - d_val)
     return 0.5 * (eta + eta.conj().T), d_val
 
@@ -226,12 +290,12 @@ def solve_boundary_rep(model, omega_superop: np.ndarray,
 
     Solves (I + lambdahat omegahat|_t) sigma = rho and returns the
     superoperator rho -> omegahat|_t(sigma) on the outputs the cut
-    keeps (apply_truncation's rows), with the condition number of the
+    keeps (superop_truncation's rows), with the condition number of the
     solved system.  No inverse is formed: the nonzero rows are solved
     against the transposed system and the zero rows stay exact zeros.
     """
-    w_t = model.apply_truncation(t, omega_superop)
-    k_mat = model.lambda_superop(w_t, model.kept_cells(t))
+    w_t = superop_truncation(model, t, omega_superop)
+    k_mat = superop_lambda(model, w_t, model.kept_cells(t))
     system = np.eye(len(k_mat)) + k_mat
     condition = float(np.linalg.cond(system))
     if not np.isfinite(condition) or condition > 1e12:
@@ -311,7 +375,7 @@ def full_size_boundary_rep(model, omega_superop: np.ndarray,
     exact zeros.  boundary_rep solves the kept rows only.
     """
     w_t = masked_truncation(model, t, omega_superop)
-    k_mat = model.lambda_superop(w_t)
+    k_mat = superop_lambda(model, w_t)
     d2 = k_mat.shape[0]
     system = np.eye(d2) + k_mat
     condition = float(np.linalg.cond(system))
@@ -327,7 +391,8 @@ def full_size_boundary_rep(model, omega_superop: np.ndarray,
 def dense_lambda_superop(model, blocks: int = 1) -> np.ndarray:
     """Dense lambdahat on densities with 1 or 2 diagonal blocks.
 
-    MatrixModel.lambda_superop is the matrix-free form.
+    MatrixModel.lambda_superop is the map on densities, superop_lambda
+    the matrix-free form on superoperator columns.
     """
     d, mh = blocks * model.dim_k, model.h_dim
     eye = np.eye(d)

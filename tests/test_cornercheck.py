@@ -379,3 +379,11 @@ class TestCornerIdentity:
     def test_derivation_residual_small(self, model):
         for z in (0.3, 0.4 + 0.3j, -0.7j):
             assert derivation_residual(model, z) < 1e-10
+
+    def test_residual_checks_the_letters_against_the_shift(self):
+        # letters scaled by 1.1 keep the tail identity (mu scales by 1.21),
+        # so the series weight still sums, but its kernel is no longer
+        # lambdahat pihat: the residual reads the mismatch
+        m = MatrixModel(n_factors=3, factor_dim=2)
+        vars(m)["letters"] = 1.1 * m.letters
+        assert derivation_residual(m, 0.4 + 0.3j) > 1e-3

@@ -10,6 +10,7 @@ from cpflow.opbasis import (
     ChoiVerdict,
     MatrixModel,
     NonInvertibleSystemError,
+    _kraus,
     choi_min_eig,
     orthonormal_span,
 )
@@ -17,8 +18,10 @@ from cpflow.tensorspace import tail_weight_product
 from references import (
     assemble_doubled,
     choi_matrix,
+    cut_projection,
     dense_choi_min_eig,
     dense_lambda_superop,
+    dense_pi_superop,
     dense_rep,
     dense_superop,
     doubled_entries,
@@ -26,6 +29,8 @@ from references import (
     full_size,
     full_size_boundary_rep,
     identity_superop,
+    map_superop,
+    on_columns,
     solve_boundary_rep,
     solve_weight_superop,
     transpose_superop,
@@ -69,7 +74,7 @@ def reference_truncation(model, t, blocks):
     """Dense mu -> P mu P on densities with 1 or 2 diagonal blocks."""
     if blocks == 1:
         return truncation_superop(model, t)
-    p_tilde = np.kron(np.eye(2 * model.dim_k), model.cut(t))
+    p_tilde = np.kron(np.eye(2 * model.dim_k), cut_projection(model, t))
     return np.kron(p_tilde, p_tilde.T)
 
 
@@ -91,27 +96,33 @@ class TestBases:
 
     def test_cut_is_projection_at_edges(self, model):
         for t in (0.25, 0.5):
-            p = model.cut(t)
+            p = cut_projection(model, t)
             np.testing.assert_allclose(p @ p, p, atol=1e-14)
 
     def test_cut_rejects_non_edges(self, model):
         with pytest.raises(ValueError):
-            model.cut(0.3)
+            model.kept_cells(0.3)
         # the top edge keeps no cell: every representation there is zero
         with pytest.raises(ValueError, match="cut levels"):
-            MatrixModel(2, 2).cut(2.0)
+            MatrixModel(2, 2).kept_cells(2.0)
+        with pytest.raises(ValueError, match="cut levels"):
+            MatrixModel(2, 2).apply_truncation(2.0, np.eye(12))
 
     def test_kept_cells_are_a_top_suffix_of_the_cut(self, model):
-        # the cut's rank, and its diagonal is 0 below the kept cells and 1
-        # on them
+        # the cut's rank, and its diagonal is 0 on the dropped cells and 1
+        # on the kept ones, which split the cells below and above the cut
         for t in (0.0, 0.25, 0.5):
-            n, cut = model.kept_cells(t), model.cut(t)
+            n, cut = model.kept_cells(t), cut_projection(model, t)
+            dropped, kept = model._cut_cells(t)
+            assert isinstance(n, int)
             assert n == np.linalg.matrix_rank(cut)
             assert np.array_equal(np.diag(cut),
                                   [0.0] * (model.h_dim - n) + [1.0] * n)
+            assert (dropped.start, dropped.stop, kept.start, kept.stop) \
+                == (0, model.h_dim - n, model.h_dim - n, model.h_dim)
 
     def test_cut_commutes_with_damping(self, model):
-        p = model.cut(0.25)
+        p = cut_projection(model, 0.25)
         e = model.h_damping
         assert np.linalg.norm(p @ e - e @ p) == 0.0
 
@@ -127,61 +138,70 @@ class TestBases:
         assert evals[-1] <= tail + 1e-12
 
 
-def apply_pi(model, rho):
-    """pihat applied to a K-density through its superoperator."""
-    return (model.pi_superop @ rho.reshape(-1)).reshape(model.dim_h,
-                                                        model.dim_h)
-
-
 class TestPredualMaps:
     def test_pred_pi_positive(self, model):
         rng = np.random.default_rng(0)
         rho = random_density(rng, model.dim_k)
-        mu = apply_pi(model, rho)
+        mu = model.pi_superop(rho)
         assert np.linalg.eigvalsh(mu)[0] >= -1e-12
 
     def test_pi_superop_matches_pred_pi(self, model):
-        # the predual of the shift endomorphism: rho -> s0* rho s0
+        # the predual of the shift endomorphism, rho -> s0* rho s0, against
+        # its superoperator
         rng = np.random.default_rng(1)
         rho = random_density(rng, model.dim_k)
-        s0 = model.shift
-        np.testing.assert_allclose(s0.conj().T @ rho @ s0,
-                                   apply_pi(model, rho), atol=1e-12)
+        via = (dense_pi_superop(model) @ rho.reshape(-1)).reshape(
+            model.dim_h, model.dim_h)
+        np.testing.assert_allclose(model.pi_superop(rho), via, atol=1e-12)
 
     def test_lambda_superop_matches_dense(self, model):
         rng = np.random.default_rng(2)
         mu = random_density(rng, model.dim_h)
-        direct = model.lambda_superop(mu.reshape(-1, 1))
-        via = (dense_lambda_superop(model) @ mu.reshape(-1)).reshape(-1, 1)
+        direct = model.lambda_superop(mu)
+        via = (dense_lambda_superop(model) @ mu.reshape(-1)).reshape(
+            model.dim_k, model.dim_k)
         np.testing.assert_allclose(direct, via, atol=1e-12)
 
     @pytest.mark.parametrize("t", [0.0, 0.25, 0.5])
     def test_lambda_superop_on_kept_cells(self, model, t):
-        # lambdahat of the cut map's kept block against lambdahat of the
-        # whole masked map: bit for bit on the same kernel, since the
-        # dropped cells add exact zeros; the dense product agrees to
-        # roundoff only, since BLAS may fuse a product into the sum of two
-        # kept cells
+        # lambdahat on the kept cells against lambdahat of the cut
+        # densities: bit for bit on the same kernel, since the dropped
+        # cells add exact zeros; the dense product agrees to roundoff
+        # only, since BLAS may fuse a product into the sum of two kept
+        # cells.  The dropped cells' lambdahat is the rest, and exactly
+        # zero when no cell is dropped
         rng = np.random.default_rng(10)
         dh = model.dim_h
-        mu = rng.normal(size=(dh * dh, 5)) + 1j * rng.normal(size=(dh * dh, 5))
-        kept = model.lambda_superop(model.apply_truncation(t, mu),
-                                    model.kept_cells(t))
-        masked = truncation_superop(model, t) @ mu
-        assert np.array_equal(kept, model.lambda_superop(masked))
-        np.testing.assert_allclose(kept, dense_lambda_superop(model) @ masked,
-                                   rtol=0, atol=1e-12)
+        mu = rng.normal(size=(5, dh, dh)) + 1j * rng.normal(size=(5, dh, dh))
+        dropped, kept = model._cut_cells(t)
+        on_kept = model.lambda_superop(mu, kept)
+        masked = (truncation_superop(model, t)
+                  @ mu.reshape(5, -1).T).T.reshape(mu.shape)
+        assert np.array_equal(on_kept, model.lambda_superop(masked))
+        np.testing.assert_allclose(
+            on_kept.reshape(5, -1).T,
+            dense_lambda_superop(model) @ masked.reshape(5, -1).T,
+            rtol=0, atol=1e-12)
+        on_dropped = model.lambda_superop(mu, dropped)
+        np.testing.assert_allclose(on_kept + on_dropped,
+                                   model.lambda_superop(mu), rtol=0,
+                                   atol=1e-12)
+        if t == 0.0:
+            assert on_dropped.shape == on_kept.shape
+            assert not on_dropped.any()
 
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_lambda_superop_maps_superop_columns(self, model, blocks):
-        # two blocks: lambdahat of a doubled superoperator is the 2x2
-        # matrix of lambdahat of its entries
+        # lambdahat on the columns of a superoperator, read as a stack of
+        # densities; two blocks: lambdahat of a doubled superoperator is
+        # the 2x2 matrix of lambdahat of its entries
         rng = np.random.default_rng(6)
         dh, cols = model.dim_h, 5 if blocks == 1 else model.dim_k ** 2
         entries = [[rng.normal(size=(dh * dh, cols))
                     + 1j * rng.normal(size=(dh * dh, cols))
                     for _ in range(blocks)] for _ in range(blocks)]
-        images = [[model.lambda_superop(e) for e in row] for row in entries]
+        images = [[on_columns(model.lambda_superop, e, dh) for e in row]
+                  for row in entries]
         np.testing.assert_allclose(
             corner(model, images, model.dim_k),
             dense_lambda_superop(model, blocks) @ corner(model, entries, dh),
@@ -191,35 +211,49 @@ class TestPredualMaps:
                                                        (2, 3)])
     def test_series_kernel_matches_dense_product(self, n_factors,
                                                  factor_dim):
-        # the einsum sums each entry in another order than the dense
-        # product, so the two agree to roundoff, not bit for bit
+        # khat as the Kraus map of the letters, on the unit densities,
+        # against lambdahat pihat as dense matrices from the cell damping
+        # and the shift: each entry is summed in another order than the
+        # dense product, so the two agree to roundoff, not bit for bit
         m = MatrixModel(n_factors=n_factors, factor_dim=factor_dim)
-        k_hat, _ = m.series_kernel
-        dense = dense_lambda_superop(m) @ m.pi_superop
+        k_hat = map_superop(lambda r: _kraus(m.letters, r), m.dim_k)
+        dense = dense_lambda_superop(m) @ dense_pi_superop(m)
         assert np.linalg.norm(k_hat - dense) \
             <= np.finfo(float).eps * np.linalg.norm(dense)
 
     def test_lambda_of_identity_is_damping_trace(self, model):
         mu = np.eye(model.dim_h, dtype=complex)
-        out = model.lambda_superop(mu.reshape(-1, 1))
-        expected = np.eye(model.dim_k).reshape(-1, 1) * np.trace(
-            model.h_damping)
+        out = model.lambda_superop(mu)
+        expected = np.eye(model.dim_k) * np.trace(model.h_damping)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 class TestWeightSuperop:
     def test_weight_preserves_positivity(self, model):
         rng = np.random.default_rng(3)
-        omega = model.weight_superop()
         for _ in range(5):
             rho = random_density(rng, model.dim_k)
-            mu = (omega @ rho.reshape(-1)).reshape(model.dim_h,
-                                                   model.dim_h)
+            mu = model.weight_superop(rho)
             assert np.linalg.eigvalsh(0.5 * (mu + mu.conj().T))[0] >= -1e-10
 
     def test_divergent_label_rejected(self, model):
         with pytest.raises(NonInvertibleSystemError):
-            model.weight_superop(z=1e6)
+            model.weight_superop(np.eye(model.dim_k), z=1e6)
+
+    @pytest.mark.parametrize("n_factors", [2, 3, 4])
+    def test_stack_equals_one_density_at_a_time(self, n_factors):
+        # leading axes broadcast: a stack of densities, at any label, is
+        # mapped as each of its members alone, bit for bit
+        m = MatrixModel(n_factors=n_factors, factor_dim=2)
+        rng = np.random.default_rng(n_factors)
+        dk = m.dim_k
+        stack = (rng.normal(size=(2, 3, dk, dk))
+                 + 1j * rng.normal(size=(2, 3, dk, dk)))
+        for z in (1.0, -1.0, 1j, 0.4 + 0.3j):
+            got = m.weight_superop(stack, z)
+            assert got.shape == (2, 3, m.dim_h, m.dim_h)
+            for i in np.ndindex(2, 3):
+                assert np.array_equal(got[i], m.weight_superop(stack[i], z))
 
     def test_xi_eta_normalization(self, model):
         eta, d_val = model.xi_eta(point_mass(model))
@@ -232,7 +266,7 @@ class TestWeightSuperop:
         m = MatrixModel(n_factors=n_factors, factor_dim=2)
         nu, dh = make_nu(m), m.dim_h
         # sum_n (pihat lambdahat)^n nu solved on the dim_h^2 coordinates
-        big = m.pi_superop @ dense_lambda_superop(m)
+        big = dense_pi_superop(m) @ dense_lambda_superop(m)
         d_ref = np.trace(nu @ np.kron(m.delta_matrix, m.h_damping)).real
         series = np.linalg.solve(np.eye(dh * dh) - big, nu.reshape(-1))
         ref = series.reshape(dh, dh) / (1.0 - d_ref)
@@ -249,8 +283,8 @@ class TestWeightSuperop:
         nu = make_nu(m)
         eta, d_val = m.xi_eta(nu)
         x = (1.0 - d_val) * eta
-        np.testing.assert_allclose(x - apply_pi(m, m.lambda_superop(x)), nu,
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x - m.pi_superop(m.lambda_superop(x)),
+                                   nu, rtol=0, atol=1e-12)
 
     def test_boundary_rep_cp_at_cell_edges(self, model):
         for t in (0.5, 0.25):
@@ -369,8 +403,8 @@ class TestCutAwareKernels:
         entries = [[rng.normal(size=(dh * dh, din * din))
                     + 1j * rng.normal(size=(dh * dh, din * din))
                     for _ in range(blocks)] for _ in range(blocks)]
-        masked = corner(small, [[full_size(small, t,
-                                           small.apply_truncation(t, e))
+        masked = corner(small, [[full_size(small, t, on_columns(
+            lambda r: small.apply_truncation(t, r), e, dh))
                                  for e in row] for row in entries], dh)
         dense = reference_truncation(small, t, blocks) \
             @ corner(small, entries, dh)

@@ -77,3 +77,61 @@ def test_series_terms_counts_the_term_axis_of_a_block():
     block = series(scales)
     assert block.terms.shape == (max(lengths), 3)
     assert count(None, block) == max(lengths)
+
+
+@pytest.fixture(scope="module")
+def facts():
+    return load_readonly("tracer").FACTS
+
+
+def test_every_fact_names_a_traced_callable(facts, traced_names):
+    # a fact keyed by a name the tracer does not wrap is never recorded
+    for qualified in facts:
+        layer, *path = qualified.split(".")
+        obj = importlib.import_module("cpflow.%s" % layer)
+        for attr in path:
+            obj = getattr(obj, attr)
+        assert callable(obj), qualified
+        assert qualified in traced_names, qualified
+
+
+@pytest.mark.parametrize("name", ["weight_superop", "lambda_superop"])
+def test_out_bytes_of_a_density_map(facts, name):
+    # the maps return density arrays; a result without nbytes would be
+    # recorded as 0 bytes
+    import numpy as np
+    from cpflow.opbasis import MatrixModel
+
+    out_bytes = facts["opbasis.MatrixModel.%s" % name]["out_bytes"]
+    model = MatrixModel(n_factors=2)
+    rho = np.eye(model.dim_k if name == "weight_superop" else model.dim_h)
+    result = getattr(model, name)(rho)
+    assert out_bytes((model, rho), result) == result.nbytes > 0
+
+
+def test_corner_choi_dims_are_int_products(facts, monkeypatch, tmp_path):
+    # the fact reads the Choi dimension from the positional
+    # (factors, dim_in, dim_out) of every call the corner makes
+    import numpy as np
+    from cpflow import cli, cornercheck, opbasis
+
+    choi_dim = facts["opbasis.choi_min_eig"]["choi_dim"]
+    original = opbasis.choi_min_eig
+    calls = []
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, choi_dim(args, result)))
+        return result
+
+    for module in (opbasis, cornercheck, cli):
+        monkeypatch.setattr(module, "choi_min_eig", recorded)
+    cfg = cli.load_config(None)
+    rep = cli.Reporter("corner", cfg, tmp_path)
+    cli.COMMANDS["corner"](cfg, rep,
+                           np.random.default_rng(cfg["seeds"]["rng"]))
+    assert calls
+    for args, kwargs, dim in calls:
+        assert not kwargs and len(args) == 3
+        assert type(dim) is int
+        assert dim == args[1] * args[2] == args[0].vectors.shape[0]

@@ -8,20 +8,23 @@ from cpflow import cli, cornercheck, opbasis
 from cpflow.cli import COMMANDS, Reporter, load_config
 from cpflow.cornercheck import WeightMatrix
 from cpflow.opbasis import MatrixModel, choi_min_eig
-from references import complex_model, dense_rep, dense_superop
+from references import (
+    complex_model,
+    dense_rep,
+    dense_superop,
+    unit_densities,
+)
 
 LABELS = (-1.0 + 0j, 1j, complex(np.exp(1j * np.pi / 4)))
 CUTS = (0.5, 0.25)
 CONSTANTS = ("damping", "h_damping", "cross_overlap", "delta_matrix",
-             "shift", "pi_superop")
+             "shift", "letters")
 
 
 def constant_matrices(model):
     """Every constant matrix of the model, by name."""
     out = {name: getattr(model, name) for name in CONSTANTS}
     out["reference_coords"] = model.reference_coords[0]
-    out["series_kernel"] = model.series_kernel[0]
-    out.update(("cut(%g)" % t, model.cut(t)) for t in CUTS)
     return out
 
 
@@ -56,8 +59,16 @@ class TestDtypeContract:
     def test_complex_model_promotes_every_constant(self):
         for name, mat in constant_matrices(
                 complex_model(MatrixModel(n_factors=2))).items():
-            if not name.startswith("cut"):
-                assert mat.dtype == np.complex128, name
+            assert mat.dtype == np.complex128, name
+
+    def test_maps_keep_real_densities_real(self):
+        model = default_model()
+        rho = unit_densities(model.dim_k)
+        mu = np.eye(model.dim_h)
+        for image in (model.pi_superop(rho), model.lambda_superop(mu),
+                      model.apply_truncation(0.25, mu),
+                      model.weight_superop(rho)):
+            assert image.dtype == np.float64
 
     def test_corner_campaign_choi_inputs_are_real(self, monkeypatch,
                                                   tmp_path):
@@ -79,7 +90,8 @@ class TestDtypeContract:
     def test_nonreal_label_promotes(self):
         # the words stay real; only the coefficients take the label's type
         model = default_model()
-        assert model.weight_superop(1j).dtype == np.complex128
+        rho = unit_densities(model.dim_k)
+        assert model.weight_superop(rho, 1j).dtype == np.complex128
         corner = WeightMatrix(model, None, 1j)
         for t in CUTS:
             rep = model.boundary_rep(t, 1j)
@@ -91,8 +103,9 @@ class TestDtypeContract:
 
     def test_real_label_stays_real(self):
         model = MatrixModel(n_factors=2)
+        rho = unit_densities(model.dim_k)
         for z in (1.0, -1.0 + 0j, np.conj(-1.0 + 0j), -1):
-            assert model.weight_superop(z).dtype == np.float64
+            assert model.weight_superop(rho, z).dtype == np.float64
             assert model.boundary_rep(0.5, z).coeffs.dtype == np.float64
 
     def test_real_part_taken_without_tolerance(self):
@@ -114,8 +127,10 @@ class TestComplexOracle:
         assert_close(d_val, ref_d)
         assert_close(real.tail_ratio, ref.tail_ratio)
         labels = [1.0] + [w for z in LABELS for w in (z, np.conj(z))]
+        units = unit_densities(real.dim_k)
         for z in labels:
-            assert_close(real.weight_superop(z), ref.weight_superop(z))
+            assert_close(real.weight_superop(units, z),
+                         ref.weight_superop(units, z))
         checks = []
         for t in CUTS:
             kept = real.dim_k * real.kept_cells(t)

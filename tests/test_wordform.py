@@ -17,6 +17,7 @@ from references import (
     dense_choi_min_eig,
     dense_rep,
     fold_doubled,
+    map_superop,
     solve_boundary_rep,
     solve_unital_weight,
     solve_weight_superop,
@@ -70,7 +71,8 @@ def check_against_solve_path(n_factors: int, factor_dim: int,
     assert d_val == pytest.approx(want_d, rel=1e-13)
     weights = {z: solve_weight_superop(m, z) for z in labels}
     for z, want in weights.items():
-        assert_rel(m.weight_superop(z), want)
+        assert_rel(map_superop(lambda r: m.weight_superop(r, z), m.dim_k),
+                   want)
     unital = solve_unital_weight(m, nu)
     dk = m.dim_k
     for t in cuts:
@@ -119,11 +121,10 @@ class TestSolvePathOracle:
         nu = a @ a.T / np.trace(a @ a.T)
         eta, _ = m.xi_eta(nu)
         for t in CUTS:
-            n = m.kept_cells(t)
-            dn = m.dim_k * n
+            dn = m.dim_k * m.kept_cells(t)
             b0 = dense_rep(m, t, m.boundary_rep(t))
-            cut_eta = m.apply_truncation(t, eta.reshape(-1, 1))
-            lam = m.lambda_superop(cut_eta, n)
+            cut_eta = m.apply_truncation(t, eta).reshape(-1, 1)
+            lam = m.lambda_superop(eta, m._cut_cells(t)[1]).reshape(-1, 1)
             e_issue = cut_eta - b0 @ lam
             gap = m.boundary_rep(t, nu=nu).gap
             # the rank-one Choi matrix is F' (x) E: its trace over the
@@ -142,7 +143,7 @@ class TestSolvePathOracle:
         rng = np.random.default_rng(3)
         vars(m)["letters"] = 0.3 * rng.normal(size=m.letters.shape)
         with pytest.raises(TailIdentityError):
-            m.weight_superop()
+            m.weight_superop(np.eye(m.dim_k))
         with pytest.raises(TailIdentityError):
             m.boundary_rep(0.5)
 
@@ -152,6 +153,32 @@ class TestSolvePathOracle:
         assert mu_c == 0.0
         assert lengths.tolist() == [0]
         assert vectors.shape == (m.dim_k * m.dim_h, 1)
+
+    def test_no_dropped_cell_reduces_e_to_the_cut_nu(self):
+        # at cut 0 the dropped slice is empty, lambdahat_c nu is exactly
+        # zero, and E = (cut(nu) + B0(lambdahat_c nu)) / (1 - d) is
+        # cut(nu) / (1 - d): the Sherman-Morrison form of E equals it, and
+        # the rank-one term's Choi matrix is F' (x) E
+        m = MatrixModel(n_factors=3, factor_dim=2)
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(m.dim_h, 2))
+        nu = a @ a.T / np.trace(a @ a.T)
+        dropped, kept = m._cut_cells(0.0)
+        assert dropped == slice(0, 0)
+        low = m.lambda_superop(nu, dropped)
+        assert low.shape == (m.dim_k, m.dim_k) and not low.any()
+        eta, d_val = m.xi_eta(nu)
+        want = m.apply_truncation(0.0, nu) / (1.0 - d_val)
+        b0 = dense_rep(m, 0.0, m.boundary_rep(0.0))
+        e_sm = m.apply_truncation(0.0, eta) - (
+            b0 @ m.lambda_superop(eta, kept).reshape(-1)).reshape(want.shape)
+        assert_rel(e_sm, want)
+        gap = m.boundary_rep(0.0, nu=nu).gap
+        dk, dn = m.dim_k, len(want)
+        choi = (gap.vectors @ gap.weights @ gap.vectors.T).reshape(
+            dk, dn, dk, dn)
+        f = np.einsum("ikjk->ij", choi) / np.trace(want)
+        assert_rel(choi, np.einsum("ij,kl->ikjl", f, want))
 
 
 class TestMinimalFoldIsCP:
