@@ -10,11 +10,12 @@ The inputs are those of the ``corner`` command at its default config, at
 N = 3 factors (the default) and N = 4 of dimension 2 (dim_k = 8 and 16)
 and the three half-line cells (dim_h = 24 and 48), linear lambda, cuts
 0.5 and 0.25, witness label -1.  The kernels are the model's construction
-with its cached constants, the series weight of the dim_k^2 unit
-densities at labels 1 and -1, the cut of those minimal weight densities
-at cut 0.5 (to their blocks on the one cell of three that the cut keeps:
-8 x 8 and 16 x 16), the boundary representation of the minimal weight
-there in word form (15 and 31 words), the Choi spectrum of the folded
+with its cached constants (also at N = 6, dim_k = 64), the series weight
+of the dim_k^2 unit densities at labels 1 and -1, the cut of those
+minimal weight densities at cut 0.5 (to their blocks on the one cell of
+three that the cut keeps: 8 x 8 and 16 x 16), the boundary
+representation of the minimal weight there in word form (15 and 31
+words), the Choi spectrum of the folded
 2x2 corner there (a 128 x 128 Choi matrix at N = 3, 512 x 512 at N = 4,
 taken on the range of its 30 and 62 Choi vectors), the subordination
 check of the unital weight over the minimal one, and the hypermaximality
@@ -79,6 +80,11 @@ def test_model_construction(benchmark, model):
     built = benchmark(build_model, model.n_factors)
     assert built.dim_k == FACTOR_DIM ** model.n_factors
     assert built.dim_h == built.dim_k * (len(DEFAULT_EDGES) - 1)
+
+
+def test_model_construction_at_six_factors(benchmark):
+    built = benchmark(build_model, 6)
+    assert built.dim_k == FACTOR_DIM ** 6
 
 
 @pytest.mark.parametrize("z", [1.0, -1.0])

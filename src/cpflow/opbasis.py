@@ -20,12 +20,14 @@ the dropped cells' letters, the generalized boundary representation of
 the series weight at label z is cut o z pihat (I - z khat_c)^{-1}: the
 sum over the words w of dropped letters of rho -> K_w rho K_w^*,
 K_w = P s0^* A_w, with coefficient z^{|w|+1} for |w| < N and
-z^{N+1} / (1 - z mu_c) on the words of length N.  mu and mu_c are read
-from the identity khat^{N+1} = mu khat^N, which is checked on every use
-(TailIdentityError).  The unital weight's representation adds one
-rank-one term (MatrixModel.boundary_rep).  A map's Choi matrix is kept as
-factors V W V^* (ChoiFactors), and its spectrum is taken on the range of
-V (choi_min_eig): nothing here solves a system or builds a Choi matrix.
+z^{N+1} / (1 - z mu_c) on the words of length N.  Every letter has the
+tail vector K = kappa^{(x) N} as an eigenvector, A_p K = a_p K (checked
+on every use, TailIdentityError), and mu and mu_c are the sums of
+|a_p|^2 over all cells and over the dropped ones.  The unital weight's
+representation adds one rank-one term (MatrixModel.boundary_rep).  A
+map's Choi matrix is kept as factors V W V^* (ChoiFactors), and its
+spectrum is taken on the range of V (choi_min_eig): nothing here solves
+a system or builds a Choi matrix.
 
 Functionals are identified with density matrices: rho(A) = tr(rho_d A).
 Every map of the model acts on a density, or on a stack of densities
@@ -43,7 +45,7 @@ taken real only when its imaginary part is exactly zero (_real_if_exact).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -62,8 +64,8 @@ class NonInvertibleSystemError(np.linalg.LinAlgError):
 
 
 class TailIdentityError(ArithmeticError):
-    """khat^{N+1} = mu khat^N fails, so the finite sum of a resolvent
-    would be wrong."""
+    """A letter misses the tail vector as an eigenvector: khat^{N+1} =
+    mu khat^N fails, so the finite sum of a resolvent would be wrong."""
 
 
 def orthonormal_span(rates) -> list[ExpKernelVector]:
@@ -110,42 +112,16 @@ def _finite_resolvent(step, seed, mu_scale, n: int):
 
 
 def _words(letters: np.ndarray,
-           length: int) -> tuple[np.ndarray, np.ndarray, float]:
+           length: int) -> tuple[np.ndarray, np.ndarray]:
     """The products A_w of the letters over every word w of length
-    0 .. length, as one stack (count, d, d) in order of length, the word
-    lengths, and mu with k^{length+1} = mu k^length for the Kraus map k
-    of the letters (checked, _tail_ratio)."""
+    0 .. length, as one stack (count, d, d) in order of length, and the
+    word lengths."""
     stacks = [np.eye(letters.shape[-1], dtype=letters.dtype)[None]]
-    for _ in range(length + 1):
+    for _ in range(length):
         grown = np.einsum("pij,wjk->pwik", letters, stacks[-1])
         stacks.append(grown.reshape(-1, *grown.shape[2:]))
-    lengths = np.repeat(np.arange(length + 1), [len(s) for s in stacks[:-1]])
-    return (np.concatenate(stacks[:-1]), lengths,
-            _tail_ratio(stacks[-2], stacks[-1]))
-
-
-def _tail_ratio(last: np.ndarray, after: np.ndarray) -> float:
-    """mu with k^{N+1} = mu k^N, k^N and k^{N+1} the Kraus maps of the
-    stacks last and after (the words of length N and N + 1).
-
-    The identity is checked on their Choi matrices sum_w vec(A_w)
-    vec(A_w)^*, which determine the maps, to 1e-12 of their norms, and
-    TailIdentityError is raised when it fails.  No letter gives no words
-    and mu = 0.
-    """
-    def choi(stack):
-        vecs = stack.reshape(len(stack), stack.shape[-1] ** 2)
-        return vecs.T @ vecs.conj()
-
-    c_last, c_after = choi(last), choi(after)
-    norm_last = np.linalg.norm(c_last)
-    mu = np.vdot(c_last, c_after).real / norm_last ** 2 if norm_last else 0.0
-    residual = np.linalg.norm(c_after - mu * c_last)
-    if residual > 1e-12 * (np.linalg.norm(c_after) + mu * norm_last):
-        raise TailIdentityError(
-            "khat^(N+1) = mu khat^N fails by %.3g at mu = %.6g"
-            % (residual, mu))
-    return float(mu)
+    lengths = np.repeat(np.arange(length + 1), [len(s) for s in stacks])
+    return np.concatenate(stacks), lengths
 
 
 def _exp_cell_integral(rate: complex, a: float, b: float) -> complex:
@@ -284,10 +260,31 @@ class MatrixModel:
         return np.sqrt(np.diag(self.h_damping))[:, None, None] * rows
 
     @cached_property
+    def _tail_eigenvalues(self) -> np.ndarray:
+        """a_p = <K, A_p K> per cell, K = kappa^{(x) N} the tail vector
+        onto which N letters map every vector, so any set of letters has
+        khat^{N+1} = mu khat^N with mu = sum_p |a_p|^2 over the set.
+        TailIdentityError when |A_p K - a_p K| > 1e-12 |A_p K|."""
+        tail = reduce(np.kron, [self.reference_coords[0]] * self.n_factors)
+        images = self.letters @ tail
+        eigs = images @ tail.conj()
+        residual = np.linalg.norm(images - eigs[:, None] * tail, axis=1)
+        if np.any(residual > 1e-12 * np.linalg.norm(images, axis=1)):
+            raise TailIdentityError(
+                "A_p K = a_p K fails by %.3g" % residual.max())
+        return eigs
+
+    def _tail_ratio_on(self, cells: slice = slice(None)) -> float:
+        """mu with khat^{N+1} = mu khat^N for the Kraus map of the letters
+        of the cells, all of them by default (_tail_eigenvalues; 0 for no
+        cell)."""
+        return float(np.sum(np.abs(self._tail_eigenvalues[cells]) ** 2))
+
+    @cached_property
     def tail_ratio(self) -> float:
         """mu with khat^{N+1} = mu khat^N (checked): khat^N has rank one,
         so mu is the spectral radius of khat."""
-        return _words(self.letters, self.n_factors)[2]
+        return self._tail_ratio_on()
 
     def _converging(self, z: complex) -> float:
         """mu, once the weight series at label z converges (|z| mu < 1)."""
@@ -364,27 +361,24 @@ class MatrixModel:
 
     # -- boundary representations in word form -----------------------------
 
-    def _dropped_words(self, t: float) -> tuple[np.ndarray, np.ndarray,
-                                                 float]:
+    def _dropped_words(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """The words of the cells the cut at level t drops, computed once
         per cut edge.
 
         Returns the Choi vectors vec(K_w^T) of K_w = P s0^* A_w, one
         column per word w of length 0 .. N over the dropped cells' letters
         (the empty word first), indexed (input, kept output) like
-        choi_min_eig's Choi matrix; the word lengths; and mu_c with
-        khat_c^{N+1} = mu_c khat_c^N (checked; 0 when no cell is dropped).
+        choi_min_eig's Choi matrix, and the word lengths.
         """
         edge = cut_edge(t)
         if edge not in self._words_by_edge:
             d, h = self.dim_k, self.h_dim
             dropped, kept = self._cut_cells(t)
-            words, lengths, mu_c = _words(self.letters[dropped],
-                                          self.n_factors)
+            words, lengths = _words(self.letters[dropped], self.n_factors)
             head = self.shift.conj().T.reshape(d, h, d)[:, kept]
             vectors = np.einsum("icj,wjk->kicw", head, words)
-            self._words_by_edge[edge] = (
-                vectors.reshape(-1, len(words)), lengths, mu_c)
+            self._words_by_edge[edge] = (vectors.reshape(-1, len(words)),
+                                         lengths)
         return self._words_by_edge[edge]
 
     def boundary_rep(self, t: float, z: complex = 1.0,
@@ -415,15 +409,15 @@ class MatrixModel:
         if nu is not None and z != 1.0:
             raise ValueError("the unital weight has label 1, got %r" % z)
         self._converging(z)
-        vectors, lengths, mu_c = self._dropped_words(t)
-        n_f = self.n_factors
+        vectors, lengths = self._dropped_words(t)
+        dropped, kept = self._cut_cells(t)
+        mu_c, n_f = self._tail_ratio_on(dropped), self.n_factors
         coeffs = np.where(lengths < n_f, z ** (lengths + 1),
                           z ** (n_f + 1) / (1.0 - z * mu_c))
         if nu is None:
             return BoundaryRep(vectors, coeffs,
                                ChoiFactors(vectors[:, :0], np.zeros((0, 0))))
         eta, d_val = self.xi_eta(nu)
-        dropped, kept = self._cut_cells(t)
         # E = G M G^*, the Choi factors of c -> c E, on the supports of
         # cut(nu) and lambdahat_c nu
         kept_nu = self.apply_truncation(t, nu)

@@ -254,6 +254,34 @@ def solve_weight_superop(model, z: complex = 1.0) -> np.ndarray:
     return z * (pi_hat @ core)
 
 
+def choi_tail_ratio(letters: np.ndarray, n: int) -> tuple[float, float]:
+    """mu with k^{n+1} = mu k^n for the Kraus map k of the letters, fitted
+    on the Choi matrices C_n = sum_w vec(A_w) vec(A_w)^* over the words w
+    of length n and n + 1, which determine the maps, and the relative
+    residual |C_{n+1} - mu C_n| / (|C_{n+1}| + mu |C_n|) of the fit.
+
+    No letter gives no words, mu = 0 and residual 0.  MatrixModel reads
+    mu off the tail vector instead (_tail_eigenvalues).
+    """
+    def grow(stack):
+        grown = np.einsum("pij,wjk->pwik", letters, stack)
+        return grown.reshape(-1, *stack.shape[1:])
+
+    def choi(stack):
+        vecs = stack.reshape(len(stack), stack.shape[-1] ** 2)
+        return vecs.T @ vecs.conj()
+
+    last = np.eye(letters.shape[-1], dtype=letters.dtype)[None]
+    for _ in range(n):
+        last = grow(last)
+    c_last, c_after = choi(last), choi(grow(last))
+    norm_last = np.linalg.norm(c_last)
+    mu = np.vdot(c_last, c_after).real / norm_last ** 2 if norm_last else 0.0
+    scale = np.linalg.norm(c_after) + mu * norm_last
+    residual = np.linalg.norm(c_after - mu * c_last)
+    return float(mu), float(residual / scale) if scale else 0.0
+
+
 def solve_xi_eta(model, nu_density: np.ndarray) -> tuple[np.ndarray, float]:
     """MatrixModel.xi_eta with its resolvent solved on K-densities."""
     dk, dh = model.dim_k, model.dim_h

@@ -4,16 +4,24 @@ The model sums every resolvent in its finite form and takes every Choi
 spectrum on the range of the Choi factors (opbasis).  The oracles are
 the solve path in tests/references.py (resolvent solves, the condition
 number gate and dense Choi spectra), the corner coefficient blocks, and
-the tail identity in 50-digit arithmetic.
+the tail identity in 50-digit arithmetic.  The tail ratios mu and mu_c,
+which the model reads off the tail vector, are checked against the fit
+of khat^{N+1} = mu khat^N on Choi matrices and against their closed form
+sum_p h_p (X^T kappa)_p^2 in 50 digits.
 """
+
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 from mpmath import mp
 
+from cpflow.cli import DEFAULT_CONFIG
 from cpflow.cornercheck import _folded_rep, _kept_min_eig
 from cpflow.opbasis import MatrixModel, TailIdentityError, is_cp
 from references import (
+    choi_tail_ratio,
     dense_choi_min_eig,
     dense_rep,
     fold_doubled,
@@ -149,8 +157,8 @@ class TestSolvePathOracle:
 
     def test_no_dropped_cell_has_no_tail(self):
         m = MatrixModel(n_factors=3, factor_dim=2)
-        vectors, lengths, mu_c = m._dropped_words(0.0)
-        assert mu_c == 0.0
+        vectors, lengths = m._dropped_words(0.0)
+        assert m._tail_ratio_on(m._cut_cells(0.0)[0]) == 0.0
         assert lengths.tolist() == [0]
         assert vectors.shape == (m.dim_k * m.dim_h, 1)
 
@@ -287,7 +295,7 @@ class TestFiftyDigitTail:
             return out
 
         for cells, mu_float in [(h, m.tail_ratio)] + [
-                (h - m.kept_cells(t), m._dropped_words(t)[2])
+                (h - m.kept_cells(t), m._tail_ratio_on(m._cut_cells(t)[0]))
                 for t in (0.25, 0.5)]:
             last = mp_choi(words(letters[:cells], 2))
             after = mp_choi(words(letters[:cells], 3))
@@ -296,3 +304,94 @@ class TestFiftyDigitTail:
             assert mp_norm(after - mu * last) < mp.mpf("1e-45") \
                 * mp_norm(after)
             assert abs(mu - mu_float) <= 1e-13
+
+
+def tail_ratios(m):
+    """(cells, mu) for all cells and for the dropped cells of each cut."""
+    dropped = [m._cut_cells(t)[0] for t in CUTS]
+    return [(slice(None), m.tail_ratio)] + [(c, m._tail_ratio_on(c))
+                                            for c in dropped]
+
+
+def off_tail_letters(m, eps):
+    """The letters with eps |A_0 K| u K^T added to the first, u a unit
+    vector orthogonal to the tail vector K."""
+    tail = reduce(np.kron, [m.reference_coords[0]] * m.n_factors)
+    u = np.random.default_rng(5).normal(size=m.dim_k)
+    u -= (tail @ u) * tail
+    u /= np.linalg.norm(u)
+    out = m.letters.copy()
+    out[0] += eps * np.linalg.norm(out[0] @ tail) * np.outer(u, tail)
+    return out
+
+
+class TestTailVector:
+    """mu and mu_c read off the tail vector K = kappa^{(x) N}."""
+
+    @pytest.mark.parametrize("n_factors, factor_dim", SIZES + LARGE_SIZES)
+    def test_tail_ratios_match_choi_fit(self, n_factors, factor_dim):
+        # the full identity khat^{N+1} = mu khat^N on the Choi matrices of
+        # the words of length N and N + 1, at every size the corner runs
+        m = MatrixModel(n_factors=n_factors, factor_dim=factor_dim)
+        for cells, mu in tail_ratios(m):
+            want, residual = choi_tail_ratio(m.letters[cells], n_factors)
+            assert residual <= 1e-12
+            assert abs(mu - want) <= 1e-13
+
+    @pytest.mark.parametrize("n_factors", [2, 3, 4, 5, 6])
+    def test_tail_ratios_match_fifty_digit_closed_form(self, n_factors):
+        # A_p K = sqrt(h_p) (X^T kappa)_p K, so mu = sum_p h_p
+        # (X^T kappa)_p^2 over the cells, from the promoted cross overlap
+        # X, cell damping and kappa, without the letters; and since
+        # |X| <= 1 (a compression of one orthonormal basis against
+        # another), mu <= max_p h_p |X^T kappa|^2 <= h_0
+        m = MatrixModel(n_factors=n_factors)
+        mp.dps = 50
+        try:
+            cross = mp_matrix(m.cross_overlap)
+            kappa = [mp.mpf(float(x)) for x in m.reference_coords[0]]
+            damping = [mp.mpf(float(x)) for x in np.diag(m.h_damping)]
+            overlaps = [mp.fsum(cross[j, p] * kappa[j]
+                                for j in range(m.factor_dim))
+                        for p in range(m.h_dim)]
+            for cells, mu in tail_ratios(m):
+                cell_ids = range(m.h_dim)[cells]
+                want = mp.fsum(damping[p] * overlaps[p] ** 2
+                               for p in cell_ids)
+                assert abs(mu - want) <= 1e-15
+            bound = max(damping) * mp.fsum(x ** 2 for x in overlaps)
+            assert m.tail_ratio <= bound <= max(damping)
+            assert np.linalg.norm(m.cross_overlap, 2) <= 1.0
+        finally:
+            mp.dps = 15
+
+    def test_off_tail_letter_raises(self):
+        m = MatrixModel(n_factors=3, factor_dim=2)
+        vars(m)["letters"] = off_tail_letters(m, 1e-6)
+        with pytest.raises(TailIdentityError):
+            m.tail_ratio
+        with pytest.raises(TailIdentityError):
+            m.weight_superop(np.eye(m.dim_k))
+        with pytest.raises(TailIdentityError):
+            m.boundary_rep(0.5)
+
+    def test_rounding_off_tail_letter_passes(self):
+        m = MatrixModel(n_factors=3, factor_dim=2)
+        vars(m)["letters"] = off_tail_letters(m, 1e-15)
+        assert abs(m.tail_ratio - MatrixModel(3, 2).tail_ratio) <= 1e-15
+        m.weight_superop(np.eye(m.dim_k))
+        m.boundary_rep(0.5)
+
+    def test_tail_and_words_stay_small_at_six_factors(self):
+        # a fit of khat^7 = mu khat^6 on Choi matrices traces 717 MB here
+        tracemalloc.start()
+        try:
+            m = MatrixModel(n_factors=6,
+                            factor_dim=DEFAULT_CONFIG["tensor"]["factor_dim"])
+            m.tail_ratio
+            for t in DEFAULT_CONFIG["corner"]["cut_levels"]:
+                m._dropped_words(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
