@@ -239,12 +239,6 @@ class IdentityOperator(HalfLineOperator):
 
 
 @dataclass(frozen=True)
-class ZeroOperator(HalfLineOperator):
-    def matrix_element(self, u, v):
-        return 0.0 + 0.0j
-
-
-@dataclass(frozen=True)
 class ExpMultiplier(HalfLineOperator):
     """Multiplication by exp(-x), the damping factor; every instance is
     equal to and hashes like every other."""
@@ -253,53 +247,27 @@ class ExpMultiplier(HalfLineOperator):
         return inner_product(u, v.shifted(1.0))
 
 
-@dataclass(frozen=True)
-class RankOneSum(HalfLineOperator):
-    """A = sum_j w_j |ket_j><bra_j| over exponential-kernel vectors."""
+def gamma_element(u: ExpKernelVector, v: ExpKernelVector,
+                  parts: Iterable[tuple[ExpKernelVector, ExpKernelVector,
+                                        complex]] | None = None) -> complex:
+    """Exact (u, Gamma(A) v), where Gamma(A) is the damped translation average
 
-    parts: tuple[tuple[ExpKernelVector, ExpKernelVector, complex], ...]
+        integral_0^inf exp(-t) U(t) A U(t)* dt
 
-    def __init__(self, parts: Iterable[tuple[ExpKernelVector, ExpKernelVector, complex]]):
-        object.__setattr__(
-            self, "parts",
-            tuple((bra, ket, complex(w)) for bra, ket, w in parts))
-
-    def matrix_element(self, u, v):
-        total = 0.0 + 0.0j
-        for bra, ket, w in self.parts:
-            total += w * inner_product(u, ket) * inner_product(bra, v)
-        return total
-
-
-@dataclass(frozen=True)
-class GammaImage(HalfLineOperator):
-    """The damped translation average of a source operator.
-
-    Matrix elements are the closed-form value of
-    integral_0^inf exp(-t) (u, U(t) A U(t)* v) dt
-    where U(t) is right translation.  Only identity and rank-one-sum
-    sources are supported exactly.
+    and U(t) is right translation.  A is the identity when parts is None,
+    so the value is that of Gamma(I) = I - (multiplication by exp(-x)).
+    Otherwise A = sum_j w_j |ket_j><bra_j| over the triples (bra, ket, w)
+    in parts.  gamma_grid is the grid form of the same average.
     """
-
-    source: HalfLineOperator
-
-    def matrix_element(self, u, v):
-        src = self.source
-        if isinstance(src, IdentityOperator):
-            return inner_product(u, v) - inner_product(u, v.shifted(1.0))
-        if isinstance(src, ZeroOperator):
-            return 0.0 + 0.0j
-        if isinstance(src, RankOneSum):
-            # (u, ket)(bra, v) / (1 + conj(alpha) + nu) per pair of terms of
-            # u and v: fold the overlaps into the coefficients, damp once
-            total = 0.0 + 0.0j
-            for bra, ket, w in src.parts:
-                total += w * inner_product(_weighted(u, ket),
-                                           _weighted(v, bra).shifted(1.0))
-            return total
-        raise UnsupportedRepresentationError(
-            "damped translation average needs identity or rank-one-sum input; "
-            "use the grid quadrature path for matrix data")
+    if parts is None:
+        return inner_product(u, v) - inner_product(u, v.shifted(1.0))
+    # (u, ket)(bra, v) / (1 + conj(alpha) + nu) per pair of terms of u and
+    # v: fold the overlaps into the coefficients, damp once
+    total = 0.0 + 0.0j
+    for bra, ket, w in parts:
+        total += complex(w) * inner_product(_weighted(u, ket),
+                                            _weighted(v, bra).shifted(1.0))
+    return total
 
 
 def _weighted(f: ExpKernelVector, g: ExpKernelVector) -> ExpKernelVector:
@@ -307,17 +275,6 @@ def _weighted(f: ExpKernelVector, g: ExpKernelVector) -> ExpKernelVector:
     return ExpKernelVector(
         [(c * inner_product(g, ExpKernelVector([(1.0, mu)])), mu)
          for c, mu in f.terms])
-
-
-def apply_gamma(a: HalfLineOperator) -> HalfLineOperator:
-    """Gamma(A): average of U(t) A U(t)* against exp(-t) dt.
-
-    Satisfies Gamma(I) = I - (multiplication by exp(-x)).
-    """
-    if isinstance(a, np.ndarray):
-        raise UnsupportedRepresentationError(
-            "grid matrices are not supported exactly; call gamma_grid")
-    return GammaImage(a)
 
 
 def gamma_grid(a: np.ndarray, grid: "Grid") -> np.ndarray:

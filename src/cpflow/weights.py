@@ -163,14 +163,15 @@ def rank_one(ket: ProductVector,
 
 @dataclass(frozen=True)
 class HElement:
-    """A finite sum of product operators (k_op tensor h_op) on K x L2.
-
-    telescoping marks the distinguished element I - Lambda, for which the
-    weight series telescopes and admits an exact tail.
-    """
+    """A finite sum of product operators (k_op tensor h_op) on K x L2."""
 
     terms: tuple[tuple[complex, HalfLineOperator, TensorOperator], ...]
-    telescoping: bool = False
+
+    @property
+    def telescoping(self) -> bool:
+        """Whether this is I - Lambda, for which the weight series
+        telescopes and admits an exact tail; read off the terms."""
+        return tuple(self.terms) == boundary_identity().terms
 
     def pi_image(self, n_factors: int) -> TensorOperator:
         out = None
@@ -184,8 +185,7 @@ def boundary_identity() -> HElement:
     """The element I - Lambda, i.e. identity minus damping on the last slot."""
     return HElement(
         terms=((1.0, IdentityOperator(), identity_operator()),
-               (-1.0, ExpMultiplier(), identity_operator())),
-        telescoping=True)
+               (-1.0, ExpMultiplier(), identity_operator())))
 
 
 def identity_element() -> HElement:

@@ -11,14 +11,10 @@ from cpflow.halfline import (
     ComplexBlock,
     ExpKernelVector,
     ExpMultiplier,
-    GammaImage,
     Grid,
-    IdentityOperator,
     InvalidVectorError,
-    RankOneSum,
     UnsupportedRepresentationError,
-    ZeroOperator,
-    apply_gamma,
+    gamma_element,
     gamma_grid,
     inner_product,
     reference_vector,
@@ -138,7 +134,6 @@ class TestGamma:
         # Gamma(I) = I - e^{-x}: sum conj(a) d / (s (1 + s)),
         # s = conj(alpha) + nu
         rng = np.random.default_rng(3)
-        img = apply_gamma(IdentityOperator())
         for _ in range(20):
             u, v = random_vector(rng, 3), random_vector(rng, 2)
             expected = 0.0
@@ -146,8 +141,7 @@ class TestGamma:
                 for d, nu in v.terms:
                     s = np.conj(alpha) + nu
                     expected += np.conj(a) * d / (s * (1.0 + s))
-            assert img.matrix_element(u, v) == pytest.approx(expected,
-                                                             rel=1e-12)
+            assert gamma_element(u, v) == pytest.approx(expected, rel=1e-12)
 
     def test_rank_one_matches_nested_kernel_sums(self):
         # the term-by-term closed form: one overlap per rank-one side,
@@ -165,20 +159,17 @@ class TestGamma:
                             right = d * np.conj(e) / (nu + np.conj(beta))
                             expected += (w * left * right
                                          / (1.0 + np.conj(alpha) + nu))
-            img = apply_gamma(RankOneSum([(bra, ket, w)]))
-            assert img.matrix_element(u, v) == pytest.approx(expected,
-                                                             rel=1e-12)
+            assert gamma_element(u, v, [(bra, ket, w)]) == pytest.approx(
+                expected, rel=1e-12)
 
     def test_rank_one_closed_form(self):
         e = ExpKernelVector([(1.0, 1.0)])
-        img = apply_gamma(RankOneSum([(e, e, 1.0)]))
         # (e, Gamma(|e><e|) e) with unit rates: 1/(2*2*3) = 1/12
-        assert img.matrix_element(e, e) == pytest.approx(1.0 / 12.0)
+        assert gamma_element(e, e, [(e, e, 1.0)]) == pytest.approx(1.0 / 12.0)
 
     def test_rank_one_matches_quadrature(self):
         e = ExpKernelVector([(1.0, 1.0), (0.5, 2.0)])
         u = ExpKernelVector([(1.0, 1.4)])
-        img = apply_gamma(RankOneSum([(e, e, 1.0)]))
 
         def integrand(t):
             # (u, U(t) e) with real kernels: translate e to the right by t
@@ -187,17 +178,12 @@ class TestGamma:
             return np.exp(-t) * ov * ov
 
         oracle = quad(integrand, 0, 40, limit=200)[0]
-        assert img.matrix_element(u, u).real == pytest.approx(oracle,
-                                                              abs=1e-6)
+        assert gamma_element(u, u, [(e, e, 1.0)]).real == pytest.approx(
+            oracle, abs=1e-6)
 
     def test_zero_source(self):
         u = ExpKernelVector([(1.0, 1.0)])
-        assert apply_gamma(ZeroOperator()).matrix_element(u, u) == 0.0
-
-    def test_unsupported_source(self):
-        u = ExpKernelVector([(1.0, 1.0)])
-        with pytest.raises(UnsupportedRepresentationError):
-            GammaImage(ExpMultiplier()).matrix_element(u, u)
+        assert gamma_element(u, u, parts=[]) == 0.0
 
     def test_grid_quadrature_approximates_identity_image(self):
         grid = Grid(30.0, 3000)
@@ -207,6 +193,29 @@ class TestGamma:
         val = grid.spacing * np.vdot(u, out @ u)
         # Gamma(I) = I - damping: (u, (I - e^{-x}) u) = 1/2 - 1/3
         assert val.real == pytest.approx(1.0 / 6.0, abs=5e-3)
+
+    @pytest.mark.parametrize("source", ["identity", "rank-one"])
+    def test_grid_converges_to_closed_form(self, source):
+        # perfbench's Gamma grids and its refinement-order rule (0.8): the
+        # Riemann sums approach gamma_element at first order
+        u = ExpKernelVector([(1.0, 0.7), (-0.3, 1.9)])
+        v = ExpKernelVector([(0.8, 1.1)])
+        ket = ExpKernelVector([(1.0, 1.0), (0.5, 2.0)])
+        bra = ExpKernelVector([(1.0, 1.4)])
+        parts = None if source == "identity" else [(bra, ket, 1.0)]
+        exact = gamma_element(u, v, parts)
+        errors = []
+        for n in (150, 300, 600):
+            grid = Grid(15.0, n)
+            x, h = grid.midpoints, grid.spacing
+            if parts is None:
+                a = np.eye(n)
+            else:
+                a = h * np.outer(ket(x), np.conj(bra(x)))
+            value = h * np.vdot(u(x), gamma_grid(a, grid) @ v(x))
+            errors.append(abs(value - exact))
+        orders = [np.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
+        assert min(orders) >= 0.8
 
 
 def blockwise_gamma_grid(a, grid):

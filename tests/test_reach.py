@@ -1,0 +1,50 @@
+"""tools/reach.py: what the seven commands never execute."""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "reach.py"
+PACKAGE = ROOT / "src" / "cpflow"
+
+
+def listed(output):
+    """{module: {scope: set of first lines}} from the tool's output."""
+    modules = {}
+    for line in output.splitlines():
+        if line.startswith("  "):
+            scope, *lines = line.split()
+            scopes[scope] = {int(n) for n in lines}
+        elif not line.startswith("total:"):
+            scopes = modules.setdefault(line.split(":")[0], {})
+    return modules
+
+
+def body(module, name):
+    """The statements of a module-level function, its docstring left out."""
+    tree = ast.parse((PACKAGE / module).read_text())
+    node = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+    return node.body[1:] if ast.get_docstring(node) else node.body
+
+
+def test_lists_what_no_command_runs():
+    run = subprocess.run([sys.executable, str(TOOL)], capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert run.stderr == ""  # every command exited 0
+    modules = listed(run.stdout)
+    # no command evaluates Gamma in closed form: its whole body is listed
+    gamma = {node.lineno for stmt in body("halfline.py", "gamma_element")
+             for node in ast.walk(stmt) if isinstance(node, ast.stmt)}
+    assert gamma <= modules["halfline.py"]["gamma_element"]
+    # the delta command pairs through tensorspace: at most its
+    # error raise is listed, never a statement of its body
+    missed = modules["tensorspace.py"].get("pairing", set())
+    assert not missed & {stmt.lineno
+                         for stmt in body("tensorspace.py", "pairing")}
+    total = sum(len(lines) for scopes in modules.values()
+                for lines in scopes.values())
+    assert run.stdout.splitlines()[-1] == (
+        "total: %d statements never executed" % total)

@@ -22,6 +22,7 @@ from cpflow.tensorspace import (
 )
 from cpflow.weights import (
     Functional,
+    HElement,
     HFunctional,
     NonConvergenceError,
     PreconditionViolationError,
@@ -75,6 +76,20 @@ class TestMinimalWeight:
         expected = rho(None) - rho.delta_value()
         assert val.value == pytest.approx(expected, abs=1e-10)
         assert val.exact_tail
+
+    def test_telescoping_is_read_off_the_terms(self):
+        # I - Lambda built by hand, its terms as a list, sums with the
+        # exact tail as boundary_identity() does
+        rng = np.random.default_rng(1)
+        rho = rank_one(random_state(rng))
+        built = boundary_identity()
+        by_hand = HElement(list(built.terms))
+        assert by_hand.telescoping and built.telescoping
+        assert HElement(tuple(by_hand.terms)) == built
+        val = omega1(rho, by_hand, n_factors=4)
+        assert val.exact_tail
+        assert val.value == omega1(rho, built, n_factors=4).value
+        assert not identity_element().telescoping
 
     def test_nonconvergence_without_telescoping(self):
         rng = np.random.default_rng(2)
