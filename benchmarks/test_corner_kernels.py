@@ -36,7 +36,7 @@ from cpflow.cornercheck import (
     hypermax_witness,
     subordination_check,
 )
-from cpflow.opbasis import DEFAULT_EDGES, MatrixModel, choi_min_eig
+from cpflow.opbasis import DEFAULT_EDGES, MatrixModel, choi_min_eig, is_cp
 from cpflow.tensorspace import LambdaSequence
 from references import unit_densities
 from test_wordform import LARGE_SIZES, check_against_solve_path
@@ -46,7 +46,7 @@ CUTS = tuple(CORNER["cut_levels"])
 LABEL = complex(CORNER["witness_label"])
 FACTOR_DIM = DEFAULT_CONFIG["tensor"]["factor_dim"]
 CONSTANTS = ("basis", "damping", "cross_overlap", "reference_coords",
-             "delta_matrix", "shift", "letters", "tail_ratio")
+             "delta_matrix", "shift", "slot_matrix", "tail_ratio")
 
 
 def build_model(n_factors: int) -> MatrixModel:
@@ -114,7 +114,7 @@ def test_choi_min_eig_folded_corner(benchmark, model):
     folded = _folded_rep(model, model.boundary_rep(CUTS[0]), LABEL, CUTS[0])
     verdict = benchmark(choi_min_eig, folded, 2 * model.dim_k,
                         kept_dim(model))
-    assert verdict.completely_positive
+    assert is_cp(verdict.min_eigenvalue)
 
 
 def test_subordination_check(benchmark, corner_model):

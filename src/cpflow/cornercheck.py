@@ -249,17 +249,27 @@ def hypermax_witness(z: complex, model: MatrixModel, eta: np.ndarray,
     return HypermaxReport(z, tuple(minimal_eigs), gap_norm, dominance)
 
 
+_RESIDUAL_BLOCK = 64  # unit densities per block; N = 3 has 64
+
+
 def derivation_residual(model: MatrixModel, z: complex) -> float:
     """Residual of the corner identity sigma(rho - z L pi rho) = z pi rho
     on the dim_k^2 unit densities.
 
-    sigma is the series weight at label z with |z| < 1, summed through the
-    letters, and L pi goes through the shift and the cell damping; the
-    identity pins the off-diagonal of a corner matrix to the series weight.
+    sigma is the series weight at label z with |z| < 1, summed through Q,
+    and L pi goes through the shift and the cell damping; the identity
+    pins the off-diagonal of a corner matrix to the series weight.  The
+    unit densities run in blocks of _RESIDUAL_BLOCK, so that memory stays
+    a few MB where all at once would take 2.4 GB at N = 6, and the
+    residual is the root sum of squares of the blocks' norms.
     """
-    d = model.dim_k
-    units = np.eye(d * d).reshape(d * d, d, d)
-    pi_rho = model.pi_superop(units)
-    lhs = model.weight_superop(units - z * model.lambda_superop(pi_rho), z)
-    lhs -= z * pi_rho
-    return float(np.linalg.norm(lhs))
+    d, norms = model.dim_k, []
+    for start in range(0, d * d, _RESIDUAL_BLOCK):
+        units = np.eye(min(_RESIDUAL_BLOCK, d * d - start), d * d, start)
+        units = units.reshape(-1, d, d)
+        pi_rho = model.pi_superop(units)
+        lhs = model.weight_superop(units - z * model.lambda_superop(pi_rho),
+                                   z)
+        lhs -= z * pi_rho
+        norms.append(np.linalg.norm(lhs))
+    return float(np.linalg.norm(norms))

@@ -6,28 +6,28 @@ half-line slot of the big space carries the orthonormal indicators of the
 cells between DEFAULT_EDGES.  On these cells multiplication by exp(-x) and
 the spectral tail cuts are exact commuting diagonal matrices.
 
-The series kernel khat = lambdahat pihat is the Kraus map
-rho -> sum_p A_p rho A_p^*, one letter A_p = sqrt(h_p) (I (x) <p|) s0^*
-per cell p, h_p the cell's damping (MatrixModel.letters).  N letters
-contract every tensor slot against the reference coordinates, so khat^N
-has rank one and khat^{N+1} = mu khat^N: every resolvent is the finite
-sum
+The series kernel khat = lambdahat pihat acts on the first tensor slot
+through one m x m matrix, Q = X diag(h) X^T = sum_p h_p x_p x_p^T
+(MatrixModel.slot_matrix), with x_p the overlap of the slot basis with
+cell p, h_p the cell's damping and kappa the reference coordinates:
+khat(rho) = tr_1[(Q (x) I) rho] (x) kappa kappa^T.  N steps contract
+every slot, so khat^{N+1} = mu khat^N with mu = kappa^T Q kappa by
+construction, and every resolvent is the finite sum
 
     (I - z khat)^{-1} = sum_{n<N} (z khat)^n + z^N khat^N / (1 - z mu).
 
-A cut drops the cells below its level.  With khat_c the Kraus map of
-the dropped cells' letters, the generalized boundary representation of
-the series weight at label z is cut o z pihat (I - z khat_c)^{-1}: the
-sum over the words w of dropped letters of rho -> K_w rho K_w^*,
-K_w = P s0^* A_w, with coefficient z^{|w|+1} for |w| < N and
-z^{N+1} / (1 - z mu_c) on the words of length N.  Every letter has the
-tail vector K = kappa^{(x) N} as an eigenvector, A_p K = a_p K (checked
-on every use, TailIdentityError), and mu and mu_c are the sums of
-|a_p|^2 over all cells and over the dropped ones.  The unital weight's
-representation adds one rank-one term (MatrixModel.boundary_rep).  A
-map's Choi matrix is kept as factors V W V^* (ChoiFactors), and its
-spectrum is taken on the range of V (choi_min_eig): nothing here solves
-a system or builds a Choi matrix.
+A cut drops the cells below its level; khat_c and mu_c are the same
+with Q_c over the dropped cells.  The generalized boundary
+representation of the series weight at label z, cut o z pihat
+(I - z khat_c)^{-1}, is the sum over the words w = p_1 .. p_n of
+dropped cells, n <= N, of rho -> K_w rho K_w^*, with coefficient
+z^{n+1} for n < N and z^{N+1} / (1 - z mu_c) for n = N: K_w contracts
+slots 1 .. n against the sqrt(h_p) x_p, appends kappa^{(x) n} and takes
+the cut shift P s0^*.  The unital weight's representation adds one
+rank-one term (MatrixModel.boundary_rep).  A map's Choi matrix is kept
+as factors V W V^* (ChoiFactors), and its spectrum is taken on the
+range of V (choi_min_eig): nothing here solves a system or builds a
+Choi matrix.
 
 Functionals are identified with density matrices: rho(A) = tr(rho_d A).
 Every map of the model acts on a density, or on a stack of densities
@@ -35,7 +35,7 @@ along leading axes; none is built as a matrix over vectorized densities.
 
 The model is real: its rates, lambda sequence, cells and cuts are real, so
 every constant matrix (damping, cross overlap, reference coordinates,
-Delta, shift and letters) is float64, and so are the minimal and unital
+Delta, shift and Q) is float64, and so are the minimal and unital
 weights of a real density and their boundary representations.
 Complex numbers enter only through a label z with nonzero imaginary part,
 from which numpy promotes.  A closed form that returns complex numbers is
@@ -45,7 +45,7 @@ taken real only when its imaginary part is exactly zero (_real_if_exact).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -61,11 +61,6 @@ class NonInvertibleSystemError(np.linalg.LinAlgError):
     def __init__(self, message: str, condition: float):
         super().__init__(message)
         self.condition = condition
-
-
-class TailIdentityError(ArithmeticError):
-    """A letter misses the tail vector as an eigenvector: khat^{N+1} =
-    mu khat^N fails, so the finite sum of a resolvent would be wrong."""
 
 
 def orthonormal_span(rates) -> list[ExpKernelVector]:
@@ -93,14 +88,6 @@ def _label(z: complex) -> complex:
     return z.real if not z.imag else z
 
 
-def _kraus(letters: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_p A_p x A_p^* over a stack of letters, x a matrix or a stack of
-    them along leading axes.  The letters' adjoints give the dual map
-    (tr(y k(x)) = tr(k*(y) x))."""
-    herm = letters.conj().swapaxes(1, 2)
-    return (letters @ x[..., None, :, :] @ herm).sum(axis=-3)
-
-
 def _finite_resolvent(step, seed, mu_scale, n: int):
     """sum_{k<n} step^k(seed) + step^n(seed) / (1 - mu_scale), by Horner's
     rule: the resolvent (I - step)^{-1} applied to seed when
@@ -109,19 +96,6 @@ def _finite_resolvent(step, seed, mu_scale, n: int):
     for _ in range(n):
         out = seed + step(out)
     return out
-
-
-def _words(letters: np.ndarray,
-           length: int) -> tuple[np.ndarray, np.ndarray]:
-    """The products A_w of the letters over every word w of length
-    0 .. length, as one stack (count, d, d) in order of length, and the
-    word lengths."""
-    stacks = [np.eye(letters.shape[-1], dtype=letters.dtype)[None]]
-    for _ in range(length):
-        grown = np.einsum("pij,wjk->pwik", letters, stacks[-1])
-        stacks.append(grown.reshape(-1, *grown.shape[2:]))
-    lengths = np.repeat(np.arange(length + 1), [len(s) for s in stacks])
-    return np.concatenate(stacks), lengths
 
 
 def _exp_cell_integral(rate: complex, a: float, b: float) -> complex:
@@ -248,43 +222,46 @@ class MatrixModel:
         """How many cells the cut at level t keeps (_cut_cells)."""
         return self.h_dim - self._cut_cells(t)[1].start
 
-    # -- the series kernel as letters ---------------------------------------
+    # -- the series kernel on the first slot ---------------------------------
+
+    def _slot_matrix_on(self, cells: slice = slice(None)) -> np.ndarray:
+        """Q_c = X_c diag(h_c) X_c^T over the cells (zero for no cell)."""
+        x = self.cross_overlap[:, cells]
+        return (x * np.diag(self.h_damping)[cells]) @ x.T
 
     @cached_property
-    def letters(self) -> np.ndarray:
-        """A_p = sqrt(h_p) (I (x) <p|) s0^*, one dim_k x dim_k letter per
-        cell p, lowest cell first: khat = lambdahat pihat is
-        rho -> sum_p A_p rho A_p^*."""
-        d, h = self.dim_k, self.h_dim
-        rows = self.shift.conj().T.reshape(d, h, d).transpose(1, 0, 2)
-        return np.sqrt(np.diag(self.h_damping))[:, None, None] * rows
-
-    @cached_property
-    def _tail_eigenvalues(self) -> np.ndarray:
-        """a_p = <K, A_p K> per cell, K = kappa^{(x) N} the tail vector
-        onto which N letters map every vector, so any set of letters has
-        khat^{N+1} = mu khat^N with mu = sum_p |a_p|^2 over the set.
-        TailIdentityError when |A_p K - a_p K| > 1e-12 |A_p K|."""
-        tail = reduce(np.kron, [self.reference_coords[0]] * self.n_factors)
-        images = self.letters @ tail
-        eigs = images @ tail.conj()
-        residual = np.linalg.norm(images - eigs[:, None] * tail, axis=1)
-        if np.any(residual > 1e-12 * np.linalg.norm(images, axis=1)):
-            raise TailIdentityError(
-                "A_p K = a_p K fails by %.3g" % residual.max())
-        return eigs
+    def slot_matrix(self) -> np.ndarray:
+        """Q over all cells: khat = tr_1[(Q (x) I) .] (x) kappa kappa^T."""
+        return self._slot_matrix_on()
 
     def _tail_ratio_on(self, cells: slice = slice(None)) -> float:
-        """mu with khat^{N+1} = mu khat^N for the Kraus map of the letters
-        of the cells, all of them by default (_tail_eigenvalues; 0 for no
-        cell)."""
-        return float(np.sum(np.abs(self._tail_eigenvalues[cells]) ** 2))
+        """mu_c = kappa^T Q_c kappa over the cells, all by default."""
+        kappa = self.reference_coords[0]
+        return float((kappa @ self._slot_matrix_on(cells) @ kappa).real)
 
     @cached_property
     def tail_ratio(self) -> float:
-        """mu with khat^{N+1} = mu khat^N (checked): khat^N has rank one,
-        so mu is the spectral radius of khat."""
-        return self._tail_ratio_on()
+        """mu = kappa^T Q kappa with khat^{N+1} = mu khat^N: khat^N has rank
+        one, so mu is the spectral radius of khat."""
+        kappa = self.reference_coords[0]
+        return float((kappa @ self.slot_matrix @ kappa).real)
+
+    def _kernel(self, rho: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """tr_1[(q (x) I) rho] (x) kappa kappa^T, the series kernel with
+        slot matrix q, on a K-density or a stack of them."""
+        m, d, kappa = self.factor_dim, self.dim_k, self.reference_coords[0]
+        slots = rho.reshape(*rho.shape[:-2], m, d // m, m, d // m)
+        rest = np.einsum("ij,...iajb->...ab", q, slots)
+        return np.einsum("...ab,kl->...akbl", rest,
+                         np.outer(kappa, kappa)).reshape(rho.shape)
+
+    def _kernel_dual(self, y: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """q^T (x) (I (x) kappa^T) y (I (x) kappa), the dual of _kernel:
+        tr(y khat(rho)) = tr(khat^*(y) rho)."""
+        m, d, kappa = self.factor_dim, self.dim_k, self.reference_coords[0]
+        slots = y.reshape(*y.shape[:-2], d // m, m, d // m, m)
+        rest = np.einsum("...akbl,k,l->...ab", slots, kappa, kappa)
+        return np.einsum("ji,...ab->...iajb", q, rest).reshape(y.shape)
 
     def _converging(self, z: complex) -> float:
         """mu, once the weight series at label z converges (|z| mu < 1)."""
@@ -314,15 +291,16 @@ class MatrixModel:
         """The series weight density z pihat (I - z khat)^{-1} rho.
 
         The resolvent is summed in its finite form sum_{n<N} (z khat)^n +
-        z^N khat^N / (1 - z mu), by Horner's rule through the letters.  At
+        z^N khat^N / (1 - z mu), by Horner's rule through Q.  At
         z = 1 this is the minimal weight; the unital weight adds the
         rank-one gap rho -> tr(rho Delta) eta.  A label with zero
         imaginary part is real, so the weight of a real density is real.
         """
         z = _label(z)
         mu = self._converging(z)
-        core = _finite_resolvent(lambda c: z * _kraus(self.letters, c), rho,
-                                 z * mu, self.n_factors)
+        core = _finite_resolvent(
+            lambda c: z * self._kernel(c, self.slot_matrix), rho, z * mu,
+            self.n_factors)
         return z * self.pi_superop(core)
 
     def xi_eta(self, nu_density: np.ndarray) -> tuple[np.ndarray, float]:
@@ -365,20 +343,33 @@ class MatrixModel:
         """The words of the cells the cut at level t drops, computed once
         per cut edge.
 
-        Returns the Choi vectors vec(K_w^T) of K_w = P s0^* A_w, one
-        column per word w of length 0 .. N over the dropped cells' letters
-        (the empty word first), indexed (input, kept output) like
-        choi_min_eig's Choi matrix, and the word lengths.
+        Returns the Choi vectors vec(K_w^T), one column per word w of
+        length 0 .. N over the dropped cells (by length, the first cell
+        of a word most significant), indexed (input, kept output) like
+        choi_min_eig's Choi matrix, and the word lengths.  The word
+        p_1 .. p_n contracts slot n + 1 - i against sqrt(h_{p_i}) x_{p_i};
+        the head P s0^* takes the rest, its last n slots against kappa.
         """
         edge = cut_edge(t)
         if edge not in self._words_by_edge:
-            d, h = self.dim_k, self.h_dim
+            d, m, n_f = self.dim_k, self.factor_dim, self.n_factors
             dropped, kept = self._cut_cells(t)
-            words, lengths = _words(self.letters[dropped], self.n_factors)
-            head = self.shift.conj().T.reshape(d, h, d)[:, kept]
-            vectors = np.einsum("icj,wjk->kicw", head, words)
-            self._words_by_edge[edge] = (vectors.reshape(-1, len(words)),
-                                         lengths)
+            head = self.shift.conj().T.reshape(d, self.h_dim, d)[:, kept]
+            head = head.reshape(-1, d)
+            slot = self.cross_overlap[:, dropped] * np.sqrt(
+                np.diag(self.h_damping)[dropped])
+            kappa = self.reference_coords[0]
+            words, tail, blocks = np.ones((1, 1)), np.ones(1), []
+            for n in range(n_f + 1):
+                rest = head.reshape(len(head), m ** (n_f - n), m ** n) @ tail
+                blocks.append(np.einsum("wa,ob->abow", words, rest)
+                              .reshape(d * len(head), -1))
+                words = np.einsum("kp,wa->pwak", slot, words)
+                words = words.reshape(-1, m ** (n + 1))
+                tail = np.kron(tail, kappa)
+            lengths = np.repeat(np.arange(n_f + 1),
+                                [b.shape[1] for b in blocks])
+            self._words_by_edge[edge] = (np.hstack(blocks), lengths)
         return self._words_by_edge[edge]
 
     def boundary_rep(self, t: float, z: complex = 1.0,
@@ -435,9 +426,10 @@ class MatrixModel:
         if factor.shape[1] >= dn:
             factor, middle = np.eye(dn), factor @ middle @ factor.conj().T
         # f^T as the matrix x of the functional rho -> tr(x rho)
-        delta, adjoints = self.delta_matrix, self.letters.conj().swapaxes(1, 2)
-        x = _finite_resolvent(lambda y: _kraus(adjoints[dropped], y),
-                              delta - _kraus(adjoints, delta), mu_c, n_f)
+        delta, q_c = self.delta_matrix, self._slot_matrix_on(dropped)
+        seed = delta - self._kernel_dual(delta, self.slot_matrix)
+        x = _finite_resolvent(lambda y: self._kernel_dual(y, q_c), seed,
+                              mu_c, n_f)
         beta = np.sum(x.T * self.lambda_superop(eta, kept))
         gap = ChoiFactors(np.kron(np.eye(d), factor),
                           np.kron(x.T / (1.0 + beta), middle))
@@ -505,10 +497,6 @@ class ChoiVerdict:
     min_eigenvalue: float
     trace: float
     hermiticity_defect: float
-
-    @property
-    def completely_positive(self) -> bool:
-        return is_cp(self.min_eigenvalue)
 
 
 def choi_min_eig(factors: ChoiFactors, dim_in: int,

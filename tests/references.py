@@ -4,7 +4,9 @@ Each function here is the plain form of a computation that the package
 does in a cheaper shape; the tests compare the two.
 """
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from mpmath import mp
@@ -127,8 +129,8 @@ def complex_model(model: MatrixModel) -> MatrixModel:
     MatrixModel keeps real data real; this is its complex form, in which
     every product, solve, condition number and Choi spectrum runs in
     complex arithmetic on data whose imaginary part is zero.  The leaf
-    constants are model's, promoted; the shift and the letters are then
-    built from them in complex arithmetic.
+    constants are model's, promoted; the shift and the slot matrix Q are
+    then built from them in complex arithmetic.
     """
     out = MatrixModel(model.n_factors, model.factor_dim, model.seq)
     for name in ("damping", "h_damping", "cross_overlap", "delta_matrix"):
@@ -237,8 +239,8 @@ def solve_weight_superop(model, z: complex = 1.0) -> np.ndarray:
 
     z pihat (I - z khat)^{-1} with khat = lambdahat pihat built from the
     shift and the cell damping, gated on the spectral radius of khat from
-    its eigenvalues; the model sums the finite form over its letters
-    instead.
+    its eigenvalues; the model sums the finite form through its slot
+    matrix instead.
     """
     z = complex(z)
     if not z.imag:
@@ -254,6 +256,65 @@ def solve_weight_superop(model, z: complex = 1.0) -> np.ndarray:
     return z * (pi_hat @ core)
 
 
+def dense_letters(model) -> np.ndarray:
+    """The Kraus letters of khat = lambdahat pihat from the shift and the
+    cell damping, never from the slot matrix Q: A_p = sqrt(h_p)
+    (I (x) <p|) s0^*, one dim_k x dim_k letter per cell p, lowest cell
+    first, so that khat is rho -> sum_p A_p rho A_p^*."""
+    d, h = model.dim_k, model.h_dim
+    rows = model.shift.conj().T.reshape(d, h, d).transpose(1, 0, 2)
+    return np.sqrt(np.diag(model.h_damping))[:, None, None] * rows
+
+
+def kraus(letters: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_p A_p x A_p^* over a stack of letters, x a matrix or a stack of
+    them along leading axes.  The letters' adjoints give the dual map
+    (tr(y k(x)) = tr(k*(y) x))."""
+    herm = letters.conj().swapaxes(1, 2)
+    return (letters @ x[..., None, :, :] @ herm).sum(axis=-3)
+
+
+def letter_words(letters: np.ndarray,
+                 length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The products A_w of the letters over every word w of length
+    0 .. length, as one stack (count, d, d) in order of length, the first
+    letter of a word most significant, and the word lengths."""
+    stacks = [np.eye(letters.shape[-1], dtype=letters.dtype)[None]]
+    for _ in range(length):
+        grown = np.einsum("pij,wjk->pwik", letters, stacks[-1])
+        stacks.append(grown.reshape(-1, *grown.shape[2:]))
+    lengths = np.repeat(np.arange(length + 1), [len(s) for s in stacks])
+    return np.concatenate(stacks), lengths
+
+
+def letter_dropped_words(model, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """MatrixModel._dropped_words by products of the dense letters: the
+    Choi vectors vec(K_w^T) of K_w = P s0^* A_w over the words w of the
+    dropped cells' letters, and the word lengths."""
+    d, h = model.dim_k, model.h_dim
+    dropped, kept = model._cut_cells(t)
+    words, lengths = letter_words(dense_letters(model)[dropped],
+                                  model.n_factors)
+    head = model.shift.conj().T.reshape(d, h, d)[:, kept]
+    vectors = np.einsum("icj,wjk->kicw", head, words)
+    return vectors.reshape(-1, len(words)), lengths
+
+
+def tail_eigenvalues(letters: np.ndarray, kappa: np.ndarray,
+                     n: int) -> tuple[np.ndarray, float]:
+    """a_p = <K, A_p K> per letter, K = kappa^{(x) n} the tail vector
+    onto which n letters map every vector, so that the Kraus map of the
+    letters has k^{n+1} = mu k^n with mu = sum_p |a_p|^2; and the largest
+    relative residual |A_p K - a_p K| / |A_p K| of the eigenvector
+    identity (0 for no letter)."""
+    tail = reduce(np.kron, [kappa] * n)
+    images = letters @ tail
+    eigs = images @ tail.conj()
+    residual = np.linalg.norm(images - eigs[:, None] * tail, axis=1)
+    scale = np.linalg.norm(images, axis=1)
+    return eigs, float(np.max(residual / scale, initial=0.0))
+
+
 def choi_tail_ratio(letters: np.ndarray, n: int) -> tuple[float, float]:
     """mu with k^{n+1} = mu k^n for the Kraus map k of the letters, fitted
     on the Choi matrices C_n = sum_w vec(A_w) vec(A_w)^* over the words w
@@ -261,7 +322,7 @@ def choi_tail_ratio(letters: np.ndarray, n: int) -> tuple[float, float]:
     residual |C_{n+1} - mu C_n| / (|C_{n+1}| + mu |C_n|) of the fit.
 
     No letter gives no words, mu = 0 and residual 0.  MatrixModel reads
-    mu off the tail vector instead (_tail_eigenvalues).
+    mu off its slot matrix instead, mu = kappa^T Q kappa.
     """
     def grow(stack):
         grown = np.einsum("pij,wjk->pwik", letters, stack)
@@ -280,6 +341,19 @@ def choi_tail_ratio(letters: np.ndarray, n: int) -> tuple[float, float]:
     scale = np.linalg.norm(c_after) + mu * norm_last
     residual = np.linalg.norm(c_after - mu * c_last)
     return float(mu), float(residual / scale) if scale else 0.0
+
+
+def unchunked_derivation_residual(model, z: complex) -> float:
+    """cornercheck.derivation_residual on all dim_k^2 unit densities at
+    once, as one norm of the whole residual, its squares summed exactly
+    (math.fsum): a numpy norm of a million entries is itself off by a
+    few 1e-15 relative."""
+    units = unit_densities(model.dim_k)
+    pi_rho = model.pi_superop(units)
+    lhs = model.weight_superop(units - z * model.lambda_superop(pi_rho), z)
+    lhs -= z * pi_rho
+    parts = np.concatenate([lhs.real.ravel(), lhs.imag.ravel()])
+    return math.sqrt(math.fsum((parts * parts).tolist()))
 
 
 def solve_xi_eta(model, nu_density: np.ndarray) -> tuple[np.ndarray, float]:

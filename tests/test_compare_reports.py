@@ -38,9 +38,19 @@ def test_timing_only_difference_passes(parent, tmp_path):
 
 def test_changed_record_is_reported(parent, tmp_path):
     record = dict(REPORT["records"][0], value=0.2720290549821332)
-    change = write_run(tmp_path / "change", dict(REPORT, records=[record]))
+    added = {"name": "new-record", "value": True, "pass": True}
+    change = write_run(tmp_path / "change",
+                       dict(REPORT, records=[record, added]))
     assert compare_reports.compare_dirs(parent, change) \
-        == ["delta-report.json: differs outside timing"]
+        == ["delta-report.json: limit-reference 0.27202905498213314 -> "
+            "0.2720290549821332",
+            "delta-report.json: new-record absent -> true"]
+
+
+def test_change_outside_records_is_reported(parent, tmp_path):
+    change = write_run(tmp_path / "change", dict(REPORT, all_pass=False))
+    assert compare_reports.compare_dirs(parent, change) \
+        == ["delta-report.json: differs outside timing and records"]
 
 
 def test_csv_compared_byte_for_byte(parent, tmp_path):

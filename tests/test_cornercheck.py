@@ -1,5 +1,7 @@
 """Corner matrices, subordination order, hypermaximality witness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from cpflow.cornercheck import (
     hypermax_witness,
     subordination_check,
 )
-from cpflow.opbasis import MatrixModel
+from cpflow.opbasis import MatrixModel, is_cp
 from references import (
     assemble_doubled,
     dense_choi_min_eig,
@@ -25,6 +27,7 @@ from references import (
     solve_unital_weight,
     solve_weight_superop,
     transpose_superop,
+    unchunked_derivation_residual,
 )
 
 
@@ -75,15 +78,15 @@ class TestDoubledAssembly:
         doubled = assemble_doubled(
             [[identity_superop(d), zero], [zero, identity_superop(d)]],
             d, d)
-        assert dense_choi_min_eig(doubled, 2 * d, 2 * d).completely_positive
+        assert is_cp(dense_choi_min_eig(doubled, 2 * d, 2 * d).min_eigenvalue)
 
     def test_transpose_block_breaks_cp(self):
         d = 2
         doubled = assemble_doubled(
             [[identity_superop(d), transpose_superop(d)],
              [transpose_superop(d), identity_superop(d)]], d, d)
-        assert not dense_choi_min_eig(doubled, 2 * d,
-                                      2 * d).completely_positive
+        assert not is_cp(dense_choi_min_eig(doubled, 2 * d,
+                                            2 * d).min_eigenvalue)
 
 
 def random_entrywise_cp(rng, din, dout, rank, cut_rows=()):
@@ -140,8 +143,8 @@ class TestFold:
         assembled = dense_choi_min_eig(assemble_doubled(blocks, din, dout),
                                        2 * din, 2 * dout)
         assert min(folded.min_eigenvalue, 0.0) == assembled.min_eigenvalue
-        assert folded.completely_positive == assembled.completely_positive
-        assert folded.completely_positive == cp
+        assert is_cp(folded.min_eigenvalue) \
+            == is_cp(assembled.min_eigenvalue) == cp
 
     def test_fold_is_compression_by_v(self):
         # psi(X) = V* Phi(X) V with V = [I; I]: the sum of the output blocks
@@ -380,10 +383,25 @@ class TestCornerIdentity:
         for z in (0.3, 0.4 + 0.3j, -0.7j):
             assert derivation_residual(model, z) < 1e-10
 
-    def test_residual_checks_the_letters_against_the_shift(self):
-        # letters scaled by 1.1 keep the tail identity (mu scales by 1.21),
-        # so the series weight still sums, but its kernel is no longer
+    def test_residual_checks_q_against_the_shift(self):
+        # Q scaled by 1.1 keeps the tail identity (mu scales by 1.1), so
+        # the series weight still sums, but its kernel is no longer
         # lambdahat pihat: the residual reads the mismatch
         m = MatrixModel(n_factors=3, factor_dim=2)
-        vars(m)["letters"] = 1.1 * m.letters
+        vars(m)["slot_matrix"] = 1.1 * m.slot_matrix
         assert derivation_residual(m, 0.4 + 0.3j) > 1e-3
+
+    def test_residual_runs_in_blocks_of_unit_densities(self):
+        # at N = 4 the 256 unit densities run in 4 blocks: the traced peak
+        # stays far below the 23 MB of all of them at once, and the root
+        # sum of squares of the block norms is the norm of the whole
+        m = MatrixModel(n_factors=4, factor_dim=2)
+        want = unchunked_derivation_residual(m, 0.4 + 0.3j)
+        tracemalloc.start()
+        try:
+            got = derivation_residual(m, 0.4 + 0.3j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert abs(got - want) <= 1e-15 * want

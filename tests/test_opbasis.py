@@ -10,8 +10,8 @@ from cpflow.opbasis import (
     ChoiVerdict,
     MatrixModel,
     NonInvertibleSystemError,
-    _kraus,
     choi_min_eig,
+    is_cp,
     orthonormal_span,
 )
 from cpflow.tensorspace import tail_weight_product
@@ -21,6 +21,7 @@ from references import (
     cut_projection,
     dense_choi_min_eig,
     dense_lambda_superop,
+    dense_letters,
     dense_pi_superop,
     dense_rep,
     dense_superop,
@@ -29,6 +30,7 @@ from references import (
     full_size,
     full_size_boundary_rep,
     identity_superop,
+    kraus,
     map_superop,
     on_columns,
     solve_boundary_rep,
@@ -211,15 +213,37 @@ class TestPredualMaps:
                                                        (2, 3)])
     def test_series_kernel_matches_dense_product(self, n_factors,
                                                  factor_dim):
-        # khat as the Kraus map of the letters, on the unit densities,
-        # against lambdahat pihat as dense matrices from the cell damping
-        # and the shift: each entry is summed in another order than the
-        # dense product, so the two agree to roundoff, not bit for bit
+        # khat through the slot matrix Q, on the unit densities, against
+        # lambdahat pihat as dense matrices from the cell damping and the
+        # shift: each entry is summed in another order than the dense
+        # product, so the two agree to roundoff, not bit for bit
         m = MatrixModel(n_factors=n_factors, factor_dim=factor_dim)
-        k_hat = map_superop(lambda r: _kraus(m.letters, r), m.dim_k)
+        k_hat = map_superop(lambda r: m._kernel(r, m.slot_matrix), m.dim_k)
         dense = dense_lambda_superop(m) @ dense_pi_superop(m)
         assert np.linalg.norm(k_hat - dense) \
             <= np.finfo(float).eps * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("n_factors, factor_dim",
+                             [(1, 2), (2, 2), (3, 2), (4, 2), (3, 3),
+                              (5, 2), (6, 2)])
+    def test_slot_kernel_is_the_kraus_map_of_the_letters(self, n_factors,
+                                                         factor_dim):
+        # khat and its dual through Q against the Kraus maps of the dense
+        # letters from the shift and of their adjoints, on random
+        # Hermitian stacks, over all cells and over the cells of a cut
+        m = MatrixModel(n_factors=n_factors, factor_dim=factor_dim)
+        letters = dense_letters(m)
+        rng = np.random.default_rng(2)
+        rho = rng.normal(size=(5, m.dim_k, m.dim_k))
+        rho = rho + rho.swapaxes(1, 2)
+        for cells in (slice(None), slice(0, 2), slice(0, 1)):
+            q = m._slot_matrix_on(cells)
+            for got, want in (
+                    (m._kernel(rho, q), kraus(letters[cells], rho)),
+                    (m._kernel_dual(rho, q),
+                     kraus(letters[cells].conj().swapaxes(1, 2), rho))):
+                assert np.linalg.norm(got - want) \
+                    <= 1e-15 * np.linalg.norm(want)
 
     def test_lambda_of_identity_is_damping_trace(self, model):
         mu = np.eye(model.dim_h, dtype=complex)
@@ -292,9 +316,9 @@ class TestWeightSuperop:
             verdict = dense_choi_min_eig(
                 full_size(model, t, dense_rep(model, t, rep)), model.dim_k,
                 model.dim_h)
-            assert verdict.completely_positive
-            assert choi_min_eig(rep.choi, model.dim_k, model.dim_k
-                                * model.kept_cells(t)).completely_positive
+            assert is_cp(verdict.min_eigenvalue)
+            assert is_cp(choi_min_eig(rep.choi, model.dim_k, model.dim_k
+                                      * model.kept_cells(t)).min_eigenvalue)
 
 
 def whole(superop, dim_in, dim_out):
@@ -317,13 +341,13 @@ class TestChoi:
                   choi_min_eig(whole(identity_superop(3), 3, 3), 3, 3),
                   choi_min_eig(kraus_factors([np.eye(3)]), 3, 3)):
             assert v.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
-            assert v.completely_positive
+            assert is_cp(v.min_eigenvalue)
 
     def test_transpose_map(self):
         for v in (dense_choi_min_eig(transpose_superop(2), 2, 2),
                   choi_min_eig(whole(transpose_superop(2), 2, 2), 2, 2)):
             assert v.min_eigenvalue == pytest.approx(-1.0)
-            assert not v.completely_positive
+            assert not is_cp(v.min_eigenvalue)
 
     def test_shape_guard(self):
         with pytest.raises(ValueError):
@@ -362,7 +386,7 @@ class TestChoi:
         rng = np.random.default_rng(5)
         k = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         superop = np.kron(k, k.conj())
-        assert dense_choi_min_eig(superop, 2, 2).completely_positive
+        assert is_cp(dense_choi_min_eig(superop, 2, 2).min_eigenvalue)
         factors = kraus_factors([k])
         np.testing.assert_allclose(dense_superop(factors, 2, 2), superop,
                                    rtol=0, atol=1e-12)
@@ -374,8 +398,8 @@ class TestChoi:
 
     def test_one_unscaled_rule(self):
         # the trace does not widen the tolerance: -2e-8 fails at trace 3
-        assert not ChoiVerdict(-2e-8, 3.0, 0.0).completely_positive
-        assert ChoiVerdict(-1e-8, 3.0, 0.0).completely_positive
+        assert not is_cp(ChoiVerdict(-2e-8, 3.0, 0.0).min_eigenvalue)
+        assert is_cp(ChoiVerdict(-1e-8, 3.0, 0.0).min_eigenvalue)
 
 
 def random_kraus_superop(rng, dim_in, dim_out, rank, cut_rows=()):
@@ -479,14 +503,14 @@ class TestCutAwareKernels:
             w = choi_min_eig(whole(superop, din, dout), din, dout)
             assert w.min_eigenvalue == pytest.approx(v.min_eigenvalue,
                                                      abs=1e-12)
-        assert dense_choi_min_eig(cp_map, din, dout).completely_positive
+        assert is_cp(dense_choi_min_eig(cp_map, din, dout).min_eigenvalue)
 
     def test_choi_min_eig_of_zero_map(self):
         v = dense_choi_min_eig(np.zeros((16, 9)), 3, 4)
         assert v.min_eigenvalue == 0.0
         assert v.trace == 0.0
-        assert v.completely_positive
+        assert is_cp(v.min_eigenvalue)
         w = choi_min_eig(ChoiFactors(np.zeros((12, 0)), np.zeros((0, 0))),
                          3, 4)
-        assert (w.min_eigenvalue, w.trace, w.completely_positive) \
+        assert (w.min_eigenvalue, w.trace, is_cp(w.min_eigenvalue)) \
             == (0.0, 0.0, True)

@@ -3,15 +3,16 @@
 The model sums every resolvent in its finite form and takes every Choi
 spectrum on the range of the Choi factors (opbasis).  The oracles are
 the solve path in tests/references.py (resolvent solves, the condition
-number gate and dense Choi spectra), the corner coefficient blocks, and
-the tail identity in 50-digit arithmetic.  The tail ratios mu and mu_c,
-which the model reads off the tail vector, are checked against the fit
-of khat^{N+1} = mu khat^N on Choi matrices and against their closed form
-sum_p h_p (X^T kappa)_p^2 in 50 digits.
+number gate and dense Choi spectra), the corner coefficient blocks, the
+dense letters from the shift with their words, and the tail identity in
+50-digit arithmetic.  The tail ratios mu = kappa^T Q kappa and mu_c,
+which the model reads off its slot matrix, are checked against the
+letters' eigenvalues on the tail vector, against the fit of
+khat^{N+1} = mu khat^N on Choi matrices of the letters' words, and
+against their closed form sum_p h_p (X^T kappa)_p^2 in 50 digits.
 """
 
 import tracemalloc
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -19,17 +20,20 @@ from mpmath import mp
 
 from cpflow.cli import DEFAULT_CONFIG
 from cpflow.cornercheck import _folded_rep, _kept_min_eig
-from cpflow.opbasis import MatrixModel, TailIdentityError, is_cp
+from cpflow.opbasis import MatrixModel, is_cp
 from references import (
     choi_tail_ratio,
     dense_choi_min_eig,
+    dense_letters,
     dense_rep,
     fold_doubled,
+    letter_dropped_words,
     map_superop,
     solve_boundary_rep,
     solve_unital_weight,
     solve_weight_superop,
     solve_xi_eta,
+    tail_eigenvalues,
 )
 
 LABELS = (1.0, -1.0, 1j, complex(np.exp(0.1j)), 0.4 + 0.3j)
@@ -144,16 +148,17 @@ class TestSolvePathOracle:
             scale = np.vdot(e_issue, e_words) / np.vdot(e_issue, e_issue)
             assert_rel(e_words, scale * e_issue)
 
-    def test_failed_tail_identity_raises(self):
-        # letters whose Kraus map is not nilpotent plus rank one: the finite
-        # sum would be wrong, so nothing is summed
-        m = MatrixModel(n_factors=2, factor_dim=2)
-        rng = np.random.default_rng(3)
-        vars(m)["letters"] = 0.3 * rng.normal(size=m.letters.shape)
-        with pytest.raises(TailIdentityError):
-            m.weight_superop(np.eye(m.dim_k))
-        with pytest.raises(TailIdentityError):
-            m.boundary_rep(0.5)
+    @pytest.mark.parametrize("n_factors, factor_dim",
+                             SIZES + LARGE_SIZES + [(5, 2), (6, 2)])
+    def test_words_equal_letter_products(self, n_factors, factor_dim):
+        # the Choi vectors built slot by slot against the products of the
+        # dense letters from the shift, column by column
+        m = MatrixModel(n_factors=n_factors, factor_dim=factor_dim)
+        for t in CUTS:
+            vectors, lengths = m._dropped_words(t)
+            want, want_lengths = letter_dropped_words(m, t)
+            assert lengths.tolist() == want_lengths.tolist()
+            assert_rel(vectors, want, rel=1e-15)
 
     def test_no_dropped_cell_has_no_tail(self):
         m = MatrixModel(n_factors=3, factor_dim=2)
@@ -286,7 +291,7 @@ class TestFiftyDigitTail:
                         a_p[a * f + k, j * f + a] = \
                             mp.sqrt(damping[p]) * cross[j, p] * kappa[k]
             letters.append(a_p)
-        assert mp_norm(mp_matrix(m.letters[1]) - letters[1]) < 1e-15
+        assert mp_norm(mp_matrix(dense_letters(m)[1]) - letters[1]) < 1e-15
 
         def words(lets, n):
             out = [mp.eye(d)]
@@ -313,20 +318,23 @@ def tail_ratios(m):
                                             for c in dropped]
 
 
-def off_tail_letters(m, eps):
-    """The letters with eps |A_0 K| u K^T added to the first, u a unit
-    vector orthogonal to the tail vector K."""
-    tail = reduce(np.kron, [m.reference_coords[0]] * m.n_factors)
-    u = np.random.default_rng(5).normal(size=m.dim_k)
-    u -= (tail @ u) * tail
-    u /= np.linalg.norm(u)
-    out = m.letters.copy()
-    out[0] += eps * np.linalg.norm(out[0] @ tail) * np.outer(u, tail)
-    return out
-
-
 class TestTailVector:
-    """mu and mu_c read off the tail vector K = kappa^{(x) N}."""
+    """mu and mu_c read off the slot matrix, against the dense letters,
+    which have the tail vector K = kappa^{(x) N} as an eigenvector."""
+
+    @pytest.mark.parametrize("n_factors, factor_dim", SIZES + LARGE_SIZES)
+    def test_tail_ratios_match_letter_eigenvalues(self, n_factors,
+                                                  factor_dim):
+        # A_p K = a_p K for every letter, so mu_c = sum_p |a_p|^2 over
+        # the cells
+        m = MatrixModel(n_factors=n_factors, factor_dim=factor_dim)
+        letters = dense_letters(m)
+        for cells, mu in tail_ratios(m):
+            eigs, residual = tail_eigenvalues(letters[cells],
+                                              m.reference_coords[0],
+                                              n_factors)
+            assert residual <= 1e-12
+            assert abs(mu - np.sum(np.abs(eigs) ** 2)) <= 1e-13
 
     @pytest.mark.parametrize("n_factors, factor_dim", SIZES + LARGE_SIZES)
     def test_tail_ratios_match_choi_fit(self, n_factors, factor_dim):
@@ -334,7 +342,8 @@ class TestTailVector:
         # the words of length N and N + 1, at every size the corner runs
         m = MatrixModel(n_factors=n_factors, factor_dim=factor_dim)
         for cells, mu in tail_ratios(m):
-            want, residual = choi_tail_ratio(m.letters[cells], n_factors)
+            want, residual = choi_tail_ratio(dense_letters(m)[cells],
+                                             n_factors)
             assert residual <= 1e-12
             assert abs(mu - want) <= 1e-13
 
@@ -342,7 +351,7 @@ class TestTailVector:
     def test_tail_ratios_match_fifty_digit_closed_form(self, n_factors):
         # A_p K = sqrt(h_p) (X^T kappa)_p K, so mu = sum_p h_p
         # (X^T kappa)_p^2 over the cells, from the promoted cross overlap
-        # X, cell damping and kappa, without the letters; and since
+        # X, cell damping and kappa, without Q or the letters; and since
         # |X| <= 1 (a compression of one orthonormal basis against
         # another), mu <= max_p h_p |X^T kappa|^2 <= h_0
         m = MatrixModel(n_factors=n_factors)
@@ -364,23 +373,6 @@ class TestTailVector:
             assert np.linalg.norm(m.cross_overlap, 2) <= 1.0
         finally:
             mp.dps = 15
-
-    def test_off_tail_letter_raises(self):
-        m = MatrixModel(n_factors=3, factor_dim=2)
-        vars(m)["letters"] = off_tail_letters(m, 1e-6)
-        with pytest.raises(TailIdentityError):
-            m.tail_ratio
-        with pytest.raises(TailIdentityError):
-            m.weight_superop(np.eye(m.dim_k))
-        with pytest.raises(TailIdentityError):
-            m.boundary_rep(0.5)
-
-    def test_rounding_off_tail_letter_passes(self):
-        m = MatrixModel(n_factors=3, factor_dim=2)
-        vars(m)["letters"] = off_tail_letters(m, 1e-15)
-        assert abs(m.tail_ratio - MatrixModel(3, 2).tail_ratio) <= 1e-15
-        m.weight_superop(np.eye(m.dim_k))
-        m.boundary_rep(0.5)
 
     def test_tail_and_words_stay_small_at_six_factors(self):
         # a fit of khat^7 = mu khat^6 on Choi matrices traces 717 MB here

@@ -8,7 +8,9 @@ Runs each of the seven commands at its default config and at seeds 2024,
 be equal once its ``timing`` block is dropped; every other file (the CSV
 curves and ``gauge-check-formula-discrepancy.json``) must match byte for
 byte, and so must each run's exit code.  Prints one line per difference,
-naming the file, and exits 1 if there is any.
+naming the file, and exits 1 if there is any: for a report, one line per
+record that differs, with the record's name and both values, and one
+line for the file when it differs outside its records.
 """
 
 from __future__ import annotations
@@ -41,8 +43,27 @@ def _report(path: Path) -> dict:
     return report
 
 
+def _value(record: dict | None) -> str:
+    return "absent" if record is None else json.dumps(record["value"])
+
+
+def compare_reports(name: str, old: dict, new: dict) -> list[str]:
+    """One line per record that differs between two reports (timing
+    dropped), and one for the file if anything else differs."""
+    records = [{r["name"]: r for r in report.pop("records", [])}
+               for report in (old, new)]
+    lines = ["%s: %s %s -> %s" % (name, key, _value(records[0].get(key)),
+                                  _value(records[1].get(key)))
+             for key in {**records[0], **records[1]}
+             if records[0].get(key) != records[1].get(key)]
+    if old != new:
+        lines.append("%s: differs outside timing and records" % name)
+    return lines
+
+
 def compare_dirs(old: Path, new: Path) -> list[str]:
-    """The files of two output directories that differ, one line each."""
+    """The files of two output directories that differ, one line each,
+    or one line per differing record of a report."""
     differences = []
     names = {p.name for p in old.iterdir()} | {p.name for p in new.iterdir()}
     for name in sorted(names):
@@ -50,8 +71,7 @@ def compare_dirs(old: Path, new: Path) -> list[str]:
         if not (a.is_file() and b.is_file()):
             differences.append("%s: written by one side only" % name)
         elif name.endswith("-report.json"):
-            if _report(a) != _report(b):
-                differences.append("%s: differs outside timing" % name)
+            differences += compare_reports(name, _report(a), _report(b))
         elif a.read_bytes() != b.read_bytes():
             differences.append("%s: bytes differ" % name)
     return differences
