@@ -24,10 +24,10 @@ dropped cells, n <= N, of rho -> K_w rho K_w^*, with coefficient
 z^{n+1} for n < N and z^{N+1} / (1 - z mu_c) for n = N: K_w contracts
 slots 1 .. n against the sqrt(h_p) x_p, appends kappa^{(x) n} and takes
 the cut shift P s0^*.  The unital weight's representation adds one
-rank-one term (MatrixModel.boundary_rep).  A map's Choi matrix is kept
-as factors V W V^* (ChoiFactors), and its spectrum is taken on the
-range of V (choi_min_eig): nothing here solves a system or builds a
-Choi matrix.
+rank-one term from nu alone, in which 1 - d cancels (boundary_rep).  A
+map's Choi matrix is kept as factors V W V^* (ChoiFactors), and its
+spectrum is taken on the range of V (choi_min_eig): nothing here solves
+a system or builds a Choi matrix.
 
 Functionals are identified with density matrices: rho(A) = tr(rho_d A).
 Every map of the model acts on a density, or on a stack of densities
@@ -55,8 +55,8 @@ from .tensorspace import LambdaSequence, tail_weight_product
 
 class NonInvertibleSystemError(np.linalg.LinAlgError):
     """A weight series of the model diverges (|z| mu >= 1), or the
-    normalization 1 - nu(Lambda(Delta)) of xi_eta is singular; condition
-    is |z| mu or nu(Lambda(Delta))."""
+    normalization 1 - nu(Lambda(Delta)) of a unital weight is singular;
+    condition is |z| mu or nu(Lambda(Delta))."""
 
     def __init__(self, message: str, condition: float):
         super().__init__(message)
@@ -234,17 +234,15 @@ class MatrixModel:
         """Q over all cells: khat = tr_1[(Q (x) I) .] (x) kappa kappa^T."""
         return self._slot_matrix_on()
 
-    def _tail_ratio_on(self, cells: slice = slice(None)) -> float:
-        """mu_c = kappa^T Q_c kappa over the cells, all by default."""
+    def _tail_ratio_of(self, q: np.ndarray) -> float:
+        """kappa^T q kappa: mu_c of the slot matrix Q_c of some cells."""
         kappa = self.reference_coords[0]
-        return float((kappa @ self._slot_matrix_on(cells) @ kappa).real)
+        return float((kappa @ q @ kappa).real)
 
     @cached_property
     def tail_ratio(self) -> float:
-        """mu = kappa^T Q kappa with khat^{N+1} = mu khat^N: khat^N has rank
-        one, so mu is the spectral radius of khat."""
-        kappa = self.reference_coords[0]
-        return float((kappa @ self.slot_matrix @ kappa).real)
+        """mu = kappa^T Q kappa: khat^{N+1} = mu khat^N, khat's radius."""
+        return self._tail_ratio_of(self.slot_matrix)
 
     def _kernel(self, rho: np.ndarray, q: np.ndarray) -> np.ndarray:
         """tr_1[(q (x) I) rho] (x) kappa kappa^T, the series kernel with
@@ -317,13 +315,19 @@ class MatrixModel:
         minimal weight.  This is the formula of weights.BoundaryWeight.value
         for the weight that weights.xi_from_nu builds from nu.
         """
-        lam_nu = self.lambda_superop(nu_density)
+        lam_nu, d_val = self._normalization(nu_density)
+        eta = (nu_density + self.weight_superop(lam_nu)) / (1.0 - d_val)
+        return 0.5 * (eta + eta.conj().T), d_val
+
+    def _normalization(self, nu: np.ndarray) -> tuple[np.ndarray, float]:
+        """lambdahat nu and d = nu(Lambda(Delta)); NonInvertibleSystemError
+        when the normalization 1 - d is singular (d >= 1 - 1e-8)."""
+        lam_nu = self.lambda_superop(nu)
         d_val = np.trace(lam_nu @ self.delta_matrix).real
         if d_val >= 1.0 - 1e-8:
             raise NonInvertibleSystemError(
                 "normalization 1 - nu(Lambda(Delta)) is singular", d_val)
-        eta = (nu_density + self.weight_superop(lam_nu)) / (1.0 - d_val)
-        return 0.5 * (eta + eta.conj().T), d_val
+        return lam_nu, d_val
 
     def apply_truncation(self, t: float, rho: np.ndarray) -> np.ndarray:
         """The cut P rho P at level t, on the cells it keeps.
@@ -381,34 +385,32 @@ class MatrixModel:
         keeps (apply_truncation).
 
         With nu, of the unital weight omega^1 + G(eta) that xi_eta builds
-        from nu (label 1).  With B0 the minimal weight's representation,
-        lambdahat_k and lambdahat_c lambdahat on the kept and the dropped
-        cells, and v = vec(Delta), so that v^T rho = tr(rho Delta),
-        Sherman-Morrison splits it into B0 + E f^T:
+        from nu (label 1): B0, the minimal weight's representation, plus
 
-            E = (I - B0 lambdahat_k) cut(eta),
-            f^T = v^T (I - khat)(I - khat_c)^{-1} / (1 + beta),
-            beta = v^T (I - khat)(I - khat_c)^{-1} lambdahat_k cut(eta).
+            rho -> tr(x rho) E / (1 - tr(x lambdahat_c nu)),
+            E = cut(nu) + B0(lambdahat_c nu),
+            x = (I - khat_c^*)^{-1} (I - khat^*) Delta,
 
-        Since (1 - d) eta = sum_n (pihat lambdahat)^n nu, E is also
-        (cut(nu) + B0(lambdahat_c nu)) / (1 - d), the words applied to
-        nu; E is factored that way on the rows where cut(nu) and
-        lambdahat_c nu are not identically zero, or as itself when that
-        takes no fewer columns than E has.
+        with lambdahat_c lambdahat on the dropped cells: G(eta)'s
+        Sherman-Morrison term with 1 - d = 1 - nu(Lambda(Delta)) cancelled,
+        so eta is never summed; nu is rejected where xi_eta rejects it.  E
+        is factored on the rows where cut(nu) and lambdahat_c nu are not
+        identically zero, or as itself when that takes no fewer columns.
         """
         z = _label(z)
         if nu is not None and z != 1.0:
             raise ValueError("the unital weight has label 1, got %r" % z)
         self._converging(z)
         vectors, lengths = self._dropped_words(t)
-        dropped, kept = self._cut_cells(t)
-        mu_c, n_f = self._tail_ratio_on(dropped), self.n_factors
+        dropped = self._cut_cells(t)[0]
+        q_c, n_f = self._slot_matrix_on(dropped), self.n_factors
+        mu_c = self._tail_ratio_of(q_c)
         coeffs = np.where(lengths < n_f, z ** (lengths + 1),
                           z ** (n_f + 1) / (1.0 - z * mu_c))
         if nu is None:
             return BoundaryRep(vectors, coeffs,
                                ChoiFactors(vectors[:, :0], np.zeros((0, 0))))
-        eta, d_val = self.xi_eta(nu)
+        self._normalization(nu)
         # E = G M G^*, the Choi factors of c -> c E, on the supports of
         # cut(nu) and lambdahat_c nu
         kept_nu = self.apply_truncation(t, nu)
@@ -422,18 +424,16 @@ class MatrixModel:
                   + ChoiFactors(cols.reshape(dn, -1),
                                 np.kron(np.diag(coeffs),
                                         low_nu[np.ix_(on_low, on_low)])))
-        factor, middle = e_choi.vectors, e_choi.weights / (1.0 - d_val)
+        factor, middle = e_choi.vectors, e_choi.weights
         if factor.shape[1] >= dn:
             factor, middle = np.eye(dn), factor @ middle @ factor.conj().T
-        # f^T as the matrix x of the functional rho -> tr(x rho)
-        delta, q_c = self.delta_matrix, self._slot_matrix_on(dropped)
+        delta = self.delta_matrix  # x: the functional rho -> tr(x rho)
         seed = delta - self._kernel_dual(delta, self.slot_matrix)
         x = _finite_resolvent(lambda y: self._kernel_dual(y, q_c), seed,
                               mu_c, n_f)
-        beta = np.sum(x.T * self.lambda_superop(eta, kept))
-        gap = ChoiFactors(np.kron(np.eye(d), factor),
-                          np.kron(x.T / (1.0 + beta), middle))
-        return BoundaryRep(vectors, coeffs, gap)
+        scale = 1.0 - np.sum(x.T * low_nu)
+        return BoundaryRep(vectors, coeffs, ChoiFactors(
+            np.kron(np.eye(d), factor), np.kron(x.T / scale, middle)))
 
 
 @dataclass(frozen=True)

@@ -386,6 +386,43 @@ def solve_unital_weight(model, nu: np.ndarray | None) -> np.ndarray:
     return minimal + gap_superop(model, solve_xi_eta(model, nu)[0])
 
 
+def sherman_morrison_gap(model, t: float, nu: np.ndarray) -> tuple:
+    """The unital weight's rank-one term at cut level t, in its
+    Sherman-Morrison form through eta = xi_eta(nu)[0].
+
+    eta and B0, the minimal weight's representation, are the model's
+    (MatrixModel.xi_eta and boundary_rep, held to the solve path by
+    their own tests); lambdahat_k is lambdahat on the kept cells, and x
+    the matrix of the functional vec(Delta)^T (I - khat)(I - khat_c)^{-1},
+    solved on dense superoperators:
+
+        E = (I - B0 lambdahat_k) cut(eta),
+        beta = tr(x lambdahat_k eta),
+        gap(rho) = tr(x rho) E / (1 + beta).
+
+    MatrixModel.boundary_rep writes the same term from nu alone.  Returns
+    the gap's superoperator on the outputs the cut keeps (the rows of
+    solve_boundary_rep), beta, x and d = nu(Lambda(Delta)).
+    """
+    dk, kept = model.dim_k, model.kept_cells(t)
+    eta, d_val = model.xi_eta(nu)
+    b0 = dense_rep(model, t, model.boundary_rep(t))
+    cut_eta = superop_truncation(model, t, eta.reshape(-1, 1))
+    lam_k_eta = superop_lambda(model, cut_eta, kept)
+    pi_hat = dense_pi_superop(model)
+    k_hat = superop_lambda(model, pi_hat)
+    k_c = k_hat - superop_lambda(
+        model, superop_truncation(model, t, pi_hat), kept)
+    # tr(rho Delta) = vec(Delta^T) . vec(rho) on row-major vectorizations
+    eye = np.eye(dk * dk)
+    f = np.linalg.solve((eye - k_c).T,
+                        (eye - k_hat).T @ model.delta_matrix.T.reshape(-1))
+    beta = (f @ lam_k_eta).item()
+    e_col = cut_eta - b0 @ lam_k_eta
+    return (np.outer(e_col, f) / (1.0 + beta), beta, f.reshape(dk, dk).T,
+            d_val)
+
+
 def solve_boundary_rep(model, omega_superop: np.ndarray,
                        t: float) -> tuple[np.ndarray, float]:
     """MatrixModel.boundary_rep of a weight superoperator, by a solve.

@@ -1,0 +1,117 @@
+"""tools/ab.py: the statistics of the alternating-pairs verdict.
+
+Every case runs on synthetic numbers; no benchmark process is started.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+
+
+def shifted(values, delta):
+    return [v + delta for v in values]
+
+
+class TestJudge:
+    def test_quartiles_medians_and_wins(self):
+        c = ab.judge(PARENT, shifted(PARENT, -5.0), "lower", 1.0)
+        assert c.parent_median == 14.5 and c.change_median == 9.5
+        assert c.parent_quartiles == (12.25, 16.75)
+        assert (c.wins, c.pairs) == (10, 10)
+
+    def test_gain_needs_a_gap_wider_than_the_parents_spread(self):
+        # ten wins each; the parent's interquartile range is 4.5
+        assert ab.judge(PARENT, shifted(PARENT, -4.6), "lower",
+                        1.0).verdict == "gain"
+        assert ab.judge(PARENT, shifted(PARENT, -4.5), "lower",
+                        1.0).verdict != "gain"
+
+    def test_gain_needs_nine_wins_in_ten(self):
+        # nine wins and one loss is a gain, eight wins and two losses not
+        nine = shifted(PARENT, -6.0)
+        nine[0] = 11.0
+        assert ab.judge(PARENT, nine, "lower", 1.0).verdict == "gain"
+        eight = list(nine)
+        eight[1] = 12.0
+        c = ab.judge(PARENT, eight, "lower", 1.0)
+        assert c.wins == 8 and c.verdict != "gain"
+
+    def test_ties_count_for_neither_side(self):
+        change = shifted(PARENT, -6.0)
+        change[:2] = PARENT[:2]
+        c = ab.judge(PARENT, change, "lower", 1.0)
+        assert c.wins == 8 and c.verdict != "gain"
+
+    def test_regression_is_a_median_worse_by_more_than_the_bound(self):
+        narrow = [100.0 + 0.1 * i for i in range(10)]
+        worse = ab.judge(narrow, shifted(narrow, 26.0), "lower", 0.25)
+        assert worse.verdict == "regression"
+        within = ab.judge(narrow, shifted(narrow, 20.0), "lower", 0.25)
+        assert within.verdict == "no regression"
+
+    def test_spread_wider_than_the_bound_is_unresolved(self):
+        # the parent's quartiles are 12.25 and 16.75: 31% of its median
+        assert ab.judge(PARENT, shifted(PARENT, 1.0), "lower",
+                        0.25).verdict == "unresolved"
+        assert ab.judge(PARENT, PARENT, "lower", 0.25).verdict \
+            == "unresolved"
+
+    def test_every_change_run_better_resolves_a_wide_spread(self):
+        # quartiles 10 and 17.5 about a median of 10: a change below every
+        # parent run is no regression, though not a gain, and one just
+        # above the median is unresolved
+        parent = [10.0] * 7 + [20.0] * 3
+        c = ab.judge(parent, [9.9] * 10, "lower", 0.25)
+        assert c.wins == 10 and c.verdict == "no regression"
+        assert ab.judge(parent, [10.1] * 10, "lower", 0.25).verdict \
+            == "unresolved"
+
+    def test_higher_is_better(self):
+        ones = [1.0] * 10
+        assert ab.judge(ones, [0.98] * 10, "higher", 0.01).verdict \
+            == "regression"
+        assert ab.judge(ones, [0.995] * 10, "higher", 0.01).verdict \
+            == "no regression"
+        low = [0.5 + 0.01 * i for i in range(10)]
+        assert ab.judge(low, shifted(low, 0.1), "higher",
+                        1.0).verdict == "gain"
+
+    def test_unpaired_runs_rejected(self):
+        with pytest.raises(ValueError):
+            ab.judge(PARENT, PARENT[:9], "lower", 0.25)
+        with pytest.raises(ValueError):
+            ab.judge([1.0], [1.0], "lower", 0.25)
+
+
+class TestProtocol:
+    def test_bounds_and_directions_come_from_the_benchmark(self):
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        metrics = ab.end_to_end_metrics(spec)
+        assert list(metrics) == [m["name"] for m in spec["end_to_end"]]
+        for m in spec["end_to_end"]:
+            assert metrics[m["name"]] == {"better": m["better"],
+                                          "bound": m["bound"]}
+
+    @pytest.mark.parametrize("pairs", [2, 9, 10])
+    def test_order_is_balanced_and_repeats_from_its_seed(self, pairs):
+        order = ab.pair_order(pairs, 7)
+        assert order == ab.pair_order(pairs, 7)
+        assert sum(order) == (pairs + 1) // 2
+        assert any(ab.pair_order(pairs, seed) != order
+                   for seed in range(20))
+
+    def test_result_is_the_last_line(self):
+        result = {"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {"campaign_s": {"value": 0.005, "unit": "s"}}}
+        stdout = "workload corner\n  campaign_s 0.005 s\n%s\n" % json.dumps(
+            result)
+        assert ab.result_line(stdout) == result

@@ -528,17 +528,17 @@ class TestCornerPipeline:
         assert values["boundary-rep-choi-min-t-0.5"] == "0.0"
 
     def test_each_result_computed_once(self, monkeypatch, tmp_path):
-        # series weights: one per xi_eta (once in the runner and once per
-        # unital representation), each applying lambdahat to nu first, and
-        # one on the stack of unit densities of the derivation label, with
-        # lambdahat applied to its pihat; boundary representations:
-        # unital and minimal at each cut, then the corner's off-diagonal
-        # coefficients at each cut (its diagonal is the minimal weight's,
-        # handed on by the subordination verdict, and the lower entry's
-        # coefficients are the conjugates); Choi: unital, minimal and
-        # their difference at each cut, then the corner; the unital
-        # representation cuts nu once and applies lambdahat to nu on the
-        # dropped cells and to eta on the kept ones
+        # series weights: one in the runner's xi_eta, which applies
+        # lambdahat to nu first, and one on the stack of unit densities of
+        # the derivation label, with lambdahat applied to its pihat;
+        # boundary representations: unital and minimal at each cut, then
+        # the corner's off-diagonal coefficients at each cut (its diagonal
+        # is the minimal weight's, handed on by the subordination verdict,
+        # and the lower entry's coefficients are the conjugates); Choi:
+        # unital, minimal and their difference at each cut, then the
+        # corner; the unital representation sums no weight series: it
+        # applies lambdahat to nu for its normalization check, cuts nu
+        # once and applies lambdahat to nu on the dropped cells
         calls = {"boundary_rep": 0, "choi_min_eig": 0, "weight_superop": 0,
                  "apply_truncation": 0, "lambda_superop": 0}
 
@@ -557,8 +557,8 @@ class TestCornerPipeline:
             monkeypatch.setattr(module, "choi_min_eig", choi)
         corner_records(3, tmp_path)
         assert calls == {"boundary_rep": 6, "choi_min_eig": 8,
-                         "weight_superop": 4, "apply_truncation": 2,
-                         "lambda_superop": 8}
+                         "weight_superop": 2, "apply_truncation": 2,
+                         "lambda_superop": 6}
 
 
 # the default delta report, linear lambda: (name, value, expected)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cpflow.cornercheck import WeightMatrix
+from cpflow.cornercheck import WeightMatrix, subordination_check
 from cpflow.halfline import inner_product
 from cpflow.opbasis import (
     ChoiFactors,
@@ -283,6 +283,32 @@ class TestWeightSuperop:
         eta, d_val = model.xi_eta(point_mass(model))
         assert 0.0 < d_val < 1.0
         np.testing.assert_allclose(eta, eta.conj().T, atol=1e-12)
+
+    @pytest.mark.parametrize("d_scaled", [1.0 - 5e-9, 1.0, 2.0])
+    @pytest.mark.parametrize("make_nu", [point_mass, rank_two])
+    def test_singular_normalization_rejected(self, model, make_nu,
+                                             d_scaled):
+        # c nu with c nu(Lambda(Delta)) = d_scaled >= 1 - 1e-8: xi_eta, the
+        # unital representation at every cut and a subordination check
+        # over the unital weight reject it, carrying d
+        nu = make_nu(model)
+        nu_c = d_scaled / model.xi_eta(nu)[1] * nu
+        calls = [lambda: model.xi_eta(nu_c),
+                 lambda: subordination_check(model, nu_c, None, (0.5, 0.25))]
+        calls += [lambda t=t: model.boundary_rep(t, nu=nu_c)
+                  for t in (0.0, 0.25, 0.5)]
+        for call in calls:
+            with pytest.raises(NonInvertibleSystemError) as err:
+                call()
+            assert err.value.condition == pytest.approx(d_scaled, rel=1e-12)
+
+    def test_normalization_just_below_the_threshold_accepted(self, model):
+        nu = point_mass(model)
+        nu_c = (1.0 - 2e-8) / model.xi_eta(nu)[1] * nu
+        assert model.xi_eta(nu_c)[1] < 1.0 - 1e-8
+        for t in (0.0, 0.25, 0.5):
+            gap = model.boundary_rep(t, nu=nu_c).gap
+            assert np.isfinite(gap.weights).all()
 
     @pytest.mark.parametrize("make_nu", [point_mass, rank_two])
     @pytest.mark.parametrize("n_factors", [2, 3])

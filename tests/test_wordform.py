@@ -3,9 +3,10 @@
 The model sums every resolvent in its finite form and takes every Choi
 spectrum on the range of the Choi factors (opbasis).  The oracles are
 the solve path in tests/references.py (resolvent solves, the condition
-number gate and dense Choi spectra), the corner coefficient blocks, the
-dense letters from the shift with their words, and the tail identity in
-50-digit arithmetic.  The tail ratios mu = kappa^T Q kappa and mu_c,
+number gate and dense Choi spectra), the Sherman-Morrison form of the
+unital weight's rank-one term through eta, the corner coefficient
+blocks, the dense letters from the shift with their words, and the tail
+identity in 50-digit arithmetic.  The tail ratios mu = kappa^T Q kappa and mu_c,
 which the model reads off its slot matrix, are checked against the
 letters' eigenvalues on the tail vector, against the fit of
 khat^{N+1} = mu khat^N on Choi matrices of the letters' words, and
@@ -26,13 +27,17 @@ from references import (
     dense_choi_min_eig,
     dense_letters,
     dense_rep,
+    dense_superop,
     fold_doubled,
     letter_dropped_words,
     map_superop,
+    sherman_morrison_gap,
     solve_boundary_rep,
     solve_unital_weight,
     solve_weight_superop,
     solve_xi_eta,
+    superop_lambda,
+    superop_truncation,
     tail_eigenvalues,
 )
 
@@ -52,6 +57,18 @@ def point_mass(model):
     nu = np.zeros((model.dim_h, model.dim_h))
     nu[0, 0] = 1.0
     return nu
+
+
+def unital_densities(model):
+    """nu for the unital weight: a point mass, a random complex density
+    and a mass on the top cell, which no cut drops."""
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(model.dim_h, 3)) + 1j * rng.normal(
+        size=(model.dim_h, 3))
+    top = np.zeros((model.dim_h, model.dim_h))
+    top[model.h_dim - 1, model.h_dim - 1] = 1.0
+    return [point_mass(model), a @ a.conj().T / np.trace(a @ a.conj().T),
+            top]
 
 
 def assert_rel(got, want, rel=1e-13):
@@ -124,9 +141,31 @@ class TestSolvePathOracle:
         check_against_solve_path(4, 2, labels=(1.0, -1.0), cuts=(0.25,),
                                  folds=False)
 
+    @pytest.mark.parametrize("n_factors, factor_dim",
+                             [(1, 2), (2, 2), (3, 2), (4, 2), (3, 3), (2, 4)])
+    def test_unital_gap_equals_sherman_morrison_oracle(self, n_factors,
+                                                       factor_dim):
+        # the rank-one term from nu alone against its Sherman-Morrison
+        # form through eta, whose denominator 1 + beta is
+        # (1 - tr(x lambdahat_c nu)) / (1 - d)
+        m = MatrixModel(n_factors=n_factors, factor_dim=factor_dim)
+        for nu in unital_densities(m):
+            col = nu.reshape(-1, 1)
+            for t in CUTS:
+                kept = m.kept_cells(t)
+                want, beta, x, d_val = sherman_morrison_gap(m, t, nu)
+                assert_rel(dense_superop(m.boundary_rep(t, nu=nu).gap,
+                                         m.dim_k, m.dim_k * kept), want)
+                low_nu = superop_lambda(m, col) - superop_lambda(
+                    m, superop_truncation(m, t, col), kept)
+                tr_x_low = np.sum(x.T * low_nu.reshape(m.dim_k, m.dim_k))
+                assert abs((1.0 + beta) * (1.0 - d_val)
+                           - (1.0 - tr_x_low)) <= 1e-13 * abs(1.0 - tr_x_low)
+
     def test_unital_gap_is_the_sherman_morrison_term(self):
-        # E = (I - B0 lambdahat_k) cut(eta), the form the word factors are
-        # built from (cut(nu) + B0(lambdahat_c nu)) / (1 - d) rewrites
+        # E = (I - B0 lambdahat_k) cut(eta) is a multiple of the
+        # numerator cut(nu) + B0(lambdahat_c nu) the word factors are
+        # built from
         m = MatrixModel(n_factors=3, factor_dim=2)
         rng = np.random.default_rng(4)
         a = rng.normal(size=(m.dim_h, 2))
@@ -163,15 +202,16 @@ class TestSolvePathOracle:
     def test_no_dropped_cell_has_no_tail(self):
         m = MatrixModel(n_factors=3, factor_dim=2)
         vectors, lengths = m._dropped_words(0.0)
-        assert m._tail_ratio_on(m._cut_cells(0.0)[0]) == 0.0
+        assert m._tail_ratio_of(m._slot_matrix_on(m._cut_cells(0.0)[0])) \
+            == 0.0
         assert lengths.tolist() == [0]
         assert vectors.shape == (m.dim_k * m.dim_h, 1)
 
     def test_no_dropped_cell_reduces_e_to_the_cut_nu(self):
         # at cut 0 the dropped slice is empty, lambdahat_c nu is exactly
-        # zero, and E = (cut(nu) + B0(lambdahat_c nu)) / (1 - d) is
-        # cut(nu) / (1 - d): the Sherman-Morrison form of E equals it, and
-        # the rank-one term's Choi matrix is F' (x) E
+        # zero, the numerator cut(nu) + B0(lambdahat_c nu) is cut(nu), the
+        # Sherman-Morrison form of E equals cut(nu) / (1 - d), and the
+        # rank-one term's Choi matrix is F' (x) E
         m = MatrixModel(n_factors=3, factor_dim=2)
         rng = np.random.default_rng(4)
         a = rng.normal(size=(m.dim_h, 2))
@@ -300,7 +340,8 @@ class TestFiftyDigitTail:
             return out
 
         for cells, mu_float in [(h, m.tail_ratio)] + [
-                (h - m.kept_cells(t), m._tail_ratio_on(m._cut_cells(t)[0]))
+                (h - m.kept_cells(t),
+                 m._tail_ratio_of(m._slot_matrix_on(m._cut_cells(t)[0])))
                 for t in (0.25, 0.5)]:
             last = mp_choi(words(letters[:cells], 2))
             after = mp_choi(words(letters[:cells], 3))
@@ -314,8 +355,8 @@ class TestFiftyDigitTail:
 def tail_ratios(m):
     """(cells, mu) for all cells and for the dropped cells of each cut."""
     dropped = [m._cut_cells(t)[0] for t in CUTS]
-    return [(slice(None), m.tail_ratio)] + [(c, m._tail_ratio_on(c))
-                                            for c in dropped]
+    return [(slice(None), m.tail_ratio)] + [
+        (c, m._tail_ratio_of(m._slot_matrix_on(c))) for c in dropped]
 
 
 class TestTailVector:
