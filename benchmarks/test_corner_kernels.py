@@ -19,7 +19,8 @@ words), the Choi spectrum of the folded
 2x2 corner there (a 128 x 128 Choi matrix at N = 3, 512 x 512 at N = 4,
 taken on the range of its 30 and 62 Choi vectors), the subordination
 check of the unital weight over the minimal one, and the hypermaximality
-witness that follows it.  The last two also run at N = 5 (dim_k = 32),
+witness that follows it, which reads its gap off the unital weight's
+rank-one terms in that check.  The last two also run at N = 5 (dim_k = 32),
 and the whole ``corner`` runner (model, weights, every check and the
 derivation residual) runs at N = 4 and 5.
 
@@ -124,11 +125,9 @@ def test_subordination_check(benchmark, corner_model):
 
 
 def test_hypermax_witness(benchmark, corner_model):
-    nu = point_mass(corner_model)
-    eta, _ = corner_model.xi_eta(nu)
-    dominance = subordination_check(corner_model, nu, None, CUTS)
-    report = benchmark(hypermax_witness, LABEL, corner_model, eta,
-                       dominance)
+    dominance = subordination_check(corner_model, point_mass(corner_model),
+                                    None, CUTS)
+    report = benchmark(hypermax_witness, LABEL, corner_model, dominance)
     assert report.witnessed
 
 

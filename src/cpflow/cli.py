@@ -466,7 +466,6 @@ def run_corner(cfg, rep: Reporter, rng):
     cuts = [float(t) for t in block["cut_levels"]]
     nu = np.zeros((model.dim_h, model.dim_h))
     nu[0, 0] = 1.0
-    eta, _ = model.xi_eta(nu)
     verdict = subordination_check(model, nu, None, cuts)
     for t, low in zip(cuts, verdict.lower_min_eigs):
         rep.bound("boundary-rep-choi-min-t-%g" % t, low, -CP_TOLERANCE,
@@ -475,7 +474,7 @@ def run_corner(cfg, rep: Reporter, rng):
                True, CP_TOLERANCE, verdict.subordinate, "paper")
     label = _label(block["witness_label"])
     try:
-        wit = hypermax_witness(label, model, eta, verdict)
+        wit = hypermax_witness(label, model, verdict)
         rep.record("hypermax-witness", wit.witnessed, True, CP_TOLERANCE,
                    wit.witnessed, "derived-oracle")
     except DegenerateDirectionError as exc:

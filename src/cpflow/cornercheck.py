@@ -95,10 +95,11 @@ def _folded_rep(model: MatrixModel, diag_rep: BoundaryRep, z: complex,
 class WeightMatrix:
     """2x2 matrix of weights over a shared model.
 
-    The diagonal entries are the weight built from nu (MatrixModel.xi_eta;
-    None for the minimal weight); the off-diagonal ones are the series
-    weights at the unit label z (upper) and conj(z) (lower, so
-    Hermiticity of doubled densities is preserved).
+    The diagonal entries are the unital weight built from nu
+    (MatrixModel.boundary_rep; None for the minimal weight); the
+    off-diagonal ones are the series weights at the unit label z (upper)
+    and conj(z) (lower, so Hermiticity of doubled densities is
+    preserved).
     """
 
     model: MatrixModel
@@ -117,9 +118,10 @@ class WeightMatrix:
 class SubordinationVerdict:
     """Minimum Choi eigenvalues per cut: upper, lower, upper - lower.
 
-    lower_reps keeps the lower weight's boundary representation at each
-    cut (MatrixModel.boundary_rep), for a corner with that weight on its
-    diagonal (hypermax_witness).
+    reps keeps the (upper, lower) boundary representations at each cut
+    (MatrixModel.boundary_rep) for hypermax_witness: the lower one is
+    its corner's diagonal, and the difference of their rank-one terms
+    its diagonal gap.
     """
 
     subordinate: bool
@@ -127,7 +129,8 @@ class SubordinationVerdict:
     upper_min_eigs: tuple[float, ...]
     lower_min_eigs: tuple[float, ...]
     difference_min_eigs: tuple[float, ...]
-    lower_reps: tuple[BoundaryRep, ...] = field(compare=False, repr=False)
+    reps: tuple[tuple[BoundaryRep, BoundaryRep], ...] = field(
+        compare=False, repr=False)
 
 
 def subordination_check(model: MatrixModel, upper, lower,
@@ -135,8 +138,8 @@ def subordination_check(model: MatrixModel, upper, lower,
     """Is lower subordinate to upper at the sampled cut levels?
 
     upper and lower name weights of the model by the density nu that
-    MatrixModel.xi_eta builds their unital extension from, None for the
-    minimal weight.  The check compares their generalized boundary
+    their unital extension is built from (MatrixModel.boundary_rep), None
+    for the minimal weight.  The check compares their generalized boundary
     representations: the difference must be CP at every sampled level.
     Both share the minimal weight's words, so the difference is that of
     their rank-one terms.  Inputs whose own boundary representations are
@@ -150,11 +153,11 @@ def subordination_check(model: MatrixModel, upper, lower,
         raise ValueError("subordination needs cut levels that name distinct "
                          "cell edges, got %s" % (list(cut_levels),))
     mins = {"upper": [], "lower": [], "difference": []}
-    lower_reps = []
+    reps = []
     for t in cut_levels:
         rep_up, rep_low = (model.boundary_rep(t, nu=nu)
                            for nu in (upper, lower))
-        lower_reps.append(rep_low)
+        reps.append((rep_up, rep_low))
         for name, rep in (("upper", rep_up), ("lower", rep_low)):
             low = _kept_min_eig(model, rep.choi, model.dim_k, t)
             if not is_cp(low):
@@ -166,7 +169,7 @@ def subordination_check(model: MatrixModel, upper, lower,
     sub = all(map(is_cp, mins["difference"]))
     return SubordinationVerdict(sub, tuple(cut_levels), tuple(mins["upper"]),
                                 tuple(mins["lower"]),
-                                tuple(mins["difference"]), tuple(lower_reps))
+                                tuple(mins["difference"]), tuple(reps))
 
 
 @dataclass(frozen=True)
@@ -176,8 +179,10 @@ class HypermaxReport:
     minimal_cp: the mixed matrix with minimal diagonal is CP at every cut
     level of dominance; dominated: dominance, the subordination of the
     minimal weight to the unital one, holds; gap_nonzero: the diagonal
-    gap is a nonzero weight.  All three passing is the finite-dimensional
-    content of the no-rotations obstruction.
+    gap, the unital weight's rank-one term, is nonzero.  gap_norm is the
+    largest Frobenius norm of that term's Choi matrix over the cut
+    levels.  All three passing is the finite-dimensional content of the
+    no-rotations obstruction.
     """
 
     label: complex
@@ -207,18 +212,20 @@ def on_unit_circle(z: complex) -> bool:
     return abs(abs(z) - 1.0) <= 1e-12
 
 
-def hypermax_witness(z: complex, model: MatrixModel, eta: np.ndarray,
+def hypermax_witness(z: complex, model: MatrixModel,
                      dominance: SubordinationVerdict) -> HypermaxReport:
     """Witness the failure of hypermaximality of the corner at label z.
 
     Requires |z| = 1 and z != 1; z = 1 is the degenerate direction where
     the off-diagonal admits an extra weight and the witness collapses.
-    eta is the density of the normalized weight (MatrixModel.xi_eta),
-    which sets the diagonal gap, and dominance the subordination_check of
-    the unital weight over the minimal one (see the module docstring);
-    its cut levels are the witness's, and its lower representations are
-    the corner's diagonal ones.  Only the off-diagonal coefficients at z
-    are computed here; the ones at conj(z) are their conjugates.
+    dominance is the subordination_check of the unital weight over the
+    minimal one (see the module docstring); its cut levels are the
+    witness's, its lower representations are the corner's diagonal ones,
+    and the difference of its representations' rank-one terms, the
+    unital weight's, is the diagonal gap, whose Choi norm is taken from
+    its factors (ChoiFactors.frobenius_norm).  Only the off-diagonal
+    coefficients at z are computed here; the ones at conj(z) are their
+    conjugates.
 
     With the minimal weight on the diagonal, minimal_cp holds at every
     |z| <= 1, so the witness does not tell one label on the circle from
@@ -240,12 +247,12 @@ def hypermax_witness(z: complex, model: MatrixModel, eta: np.ndarray,
         raise DegenerateDirectionError(
             "label z = 1 admits an off-diagonal weight shift; the witness "
             "direction is degenerate")
-    gap_norm = float(np.linalg.norm(eta)) * float(
-        np.linalg.norm(model.delta_matrix))
+    gap_norm = max((up.gap - low.gap).frobenius_norm()
+                   for up, low in dominance.reps)
     minimal_eigs = [
-        _kept_min_eig(model, _folded_rep(model, diag_rep, z, t),
+        _kept_min_eig(model, _folded_rep(model, low, z, t),
                       2 * model.dim_k, t)
-        for t, diag_rep in zip(dominance.cut_levels, dominance.lower_reps)]
+        for t, (_, low) in zip(dominance.cut_levels, dominance.reps)]
     return HypermaxReport(z, tuple(minimal_eigs), gap_norm, dominance)
 
 

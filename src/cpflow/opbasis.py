@@ -301,34 +301,6 @@ class MatrixModel:
             self.n_factors)
         return z * self.pi_superop(core)
 
-    def xi_eta(self, nu_density: np.ndarray) -> tuple[np.ndarray, float]:
-        """Density of the normalized weight built from nu, plus nu(Lambda Delta).
-
-        With d = nu(Lambda(Delta)), eta = (1 - d)^{-1} sum_n (pihat
-        lambdahat)^n nu.  Pushing the resolvent through lambdahat sums the
-        series on K-densities:
-
-            sum_n (pihat lambdahat)^n nu
-                = nu + pihat (I - lambdahat pihat)^{-1} lambdahat nu,
-
-        so eta = (nu + omega1(nu o Lambda)) / (1 - d) with omega1 the
-        minimal weight.  This is the formula of weights.BoundaryWeight.value
-        for the weight that weights.xi_from_nu builds from nu.
-        """
-        lam_nu, d_val = self._normalization(nu_density)
-        eta = (nu_density + self.weight_superop(lam_nu)) / (1.0 - d_val)
-        return 0.5 * (eta + eta.conj().T), d_val
-
-    def _normalization(self, nu: np.ndarray) -> tuple[np.ndarray, float]:
-        """lambdahat nu and d = nu(Lambda(Delta)); NonInvertibleSystemError
-        when the normalization 1 - d is singular (d >= 1 - 1e-8)."""
-        lam_nu = self.lambda_superop(nu)
-        d_val = np.trace(lam_nu @ self.delta_matrix).real
-        if d_val >= 1.0 - 1e-8:
-            raise NonInvertibleSystemError(
-                "normalization 1 - nu(Lambda(Delta)) is singular", d_val)
-        return lam_nu, d_val
-
     def apply_truncation(self, t: float, rho: np.ndarray) -> np.ndarray:
         """The cut P rho P at level t, on the cells it keeps.
 
@@ -384,18 +356,22 @@ class MatrixModel:
         the word sum of the module docstring, on the outputs the cut
         keeps (apply_truncation).
 
-        With nu, of the unital weight omega^1 + G(eta) that xi_eta builds
-        from nu (label 1): B0, the minimal weight's representation, plus
+        With nu, of the unital weight omega^1 + G(eta) built from nu
+        (label 1), G(eta) the rank-one gap rho -> tr(rho Delta) eta with
+        eta = (nu + omega^1(lambdahat nu)) / (1 - d), d = nu(Lambda(Delta))
+        (the density of weights.xi_from_nu): B0, the minimal weight's
+        representation, plus
 
             rho -> tr(x rho) E / (1 - tr(x lambdahat_c nu)),
             E = cut(nu) + B0(lambdahat_c nu),
             x = (I - khat_c^*)^{-1} (I - khat^*) Delta,
 
         with lambdahat_c lambdahat on the dropped cells: G(eta)'s
-        Sherman-Morrison term with 1 - d = 1 - nu(Lambda(Delta)) cancelled,
-        so eta is never summed; nu is rejected where xi_eta rejects it.  E
-        is factored on the rows where cut(nu) and lambdahat_c nu are not
-        identically zero, or as itself when that takes no fewer columns.
+        Sherman-Morrison term with 1 - d cancelled, so eta is never summed.
+        nu is rejected with condition d when 1 - d is singular
+        (d >= 1 - 1e-8).  E is factored on the rows where cut(nu) and
+        lambdahat_c nu are not identically zero, or as itself when that
+        takes no fewer columns.
         """
         z = _label(z)
         if nu is not None and z != 1.0:
@@ -410,7 +386,10 @@ class MatrixModel:
         if nu is None:
             return BoundaryRep(vectors, coeffs,
                                ChoiFactors(vectors[:, :0], np.zeros((0, 0))))
-        self._normalization(nu)
+        d_val = np.trace(self.lambda_superop(nu) @ self.delta_matrix).real
+        if d_val >= 1.0 - 1e-8:
+            raise NonInvertibleSystemError(
+                "normalization 1 - nu(Lambda(Delta)) is singular", d_val)
         # E = G M G^*, the Choi factors of c -> c E, on the supports of
         # cut(nu) and lambdahat_c nu
         kept_nu = self.apply_truncation(t, nu)
@@ -457,6 +436,12 @@ class ChoiFactors:
 
     def __sub__(self, other: ChoiFactors) -> ChoiFactors:
         return self + ChoiFactors(other.vectors, -other.weights)
+
+    def frobenius_norm(self) -> float:
+        """Frobenius norm of the Choi matrix V W V^*, which is not formed:
+        its square is tr(W G W^* G) with the Gram matrix G = V^* V."""
+        g, w = self.vectors.conj().T @ self.vectors, self.weights
+        return float(np.sqrt(abs(np.vdot(g @ w, w @ g))))
 
 
 @dataclass(frozen=True)

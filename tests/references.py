@@ -357,7 +357,20 @@ def unchunked_derivation_residual(model, z: complex) -> float:
 
 
 def solve_xi_eta(model, nu_density: np.ndarray) -> tuple[np.ndarray, float]:
-    """MatrixModel.xi_eta with its resolvent solved on K-densities."""
+    """The density eta of the normalized weight built from nu, and
+    d = nu(Lambda(Delta)), with the resolvent solved on K-densities.
+
+    With d = nu(Lambda(Delta)), eta = (1 - d)^{-1} sum_n (pihat
+    lambdahat)^n nu.  Pushing the resolvent through lambdahat sums the
+    series on K-densities:
+
+        sum_n (pihat lambdahat)^n nu
+            = nu + pihat (I - lambdahat pihat)^{-1} lambdahat nu,
+
+    so eta = (nu + omega1(nu o Lambda)) / (1 - d) with omega1 the
+    minimal weight: the formula of weights.BoundaryWeight.value for the
+    weight that weights.xi_from_nu builds from nu.
+    """
     dk, dh = model.dim_k, model.dim_h
     lam_nu = superop_lambda(model, nu_density.reshape(-1, 1))
     d_val = np.trace(lam_nu.reshape(dk, dk) @ model.delta_matrix).real
@@ -373,7 +386,7 @@ def gap_superop(model, eta: np.ndarray) -> np.ndarray:
     """The rank-one gap G = eta (x) Delta, rho -> tr(rho Delta) eta.
 
     The unital weight built from nu is the minimal weight plus the gap
-    of eta = xi_eta(nu)[0].
+    of eta = solve_xi_eta(model, nu)[0].
     """
     return eta.reshape(-1, 1) @ model.delta_matrix.T.reshape(1, -1)
 
@@ -388,11 +401,11 @@ def solve_unital_weight(model, nu: np.ndarray | None) -> np.ndarray:
 
 def sherman_morrison_gap(model, t: float, nu: np.ndarray) -> tuple:
     """The unital weight's rank-one term at cut level t, in its
-    Sherman-Morrison form through eta = xi_eta(nu)[0].
+    Sherman-Morrison form through eta = solve_xi_eta(model, nu)[0].
 
-    eta and B0, the minimal weight's representation, are the model's
-    (MatrixModel.xi_eta and boundary_rep, held to the solve path by
-    their own tests); lambdahat_k is lambdahat on the kept cells, and x
+    B0, the minimal weight's representation, is the model's
+    (MatrixModel.boundary_rep, held to the solve path by its own tests);
+    lambdahat_k is lambdahat on the kept cells, and x
     the matrix of the functional vec(Delta)^T (I - khat)(I - khat_c)^{-1},
     solved on dense superoperators:
 
@@ -405,7 +418,7 @@ def sherman_morrison_gap(model, t: float, nu: np.ndarray) -> tuple:
     solve_boundary_rep), beta, x and d = nu(Lambda(Delta)).
     """
     dk, kept = model.dim_k, model.kept_cells(t)
-    eta, d_val = model.xi_eta(nu)
+    eta, d_val = solve_xi_eta(model, nu)
     b0 = dense_rep(model, t, model.boundary_rep(t))
     cut_eta = superop_truncation(model, t, eta.reshape(-1, 1))
     lam_k_eta = superop_lambda(model, cut_eta, kept)

@@ -210,16 +210,15 @@ def test_criterion_7_cp_subordination():
     dh = model.dim_h
     nu = np.zeros((dh, dh), dtype=complex)
     nu[0, 0] = 1.0
-    eta, _ = model.xi_eta(nu)
     verdict = subordination_check(model, nu, None, (0.5, 0.25))
     eigs = dict(zip(verdict.cut_levels, verdict.lower_min_eigs))
     for t in (0.5, 0.25):
         assert eigs[t] >= -1e-8
     assert verdict.subordinate
-    witness = hypermax_witness(-1.0, model, eta, verdict)
+    witness = hypermax_witness(-1.0, model, verdict)
     assert witness.witnessed
     with pytest.raises(DegenerateDirectionError):
-        hypermax_witness(1.0, model, eta, verdict)
+        hypermax_witness(1.0, model, verdict)
     announce("criterion-7",
              "boundary-rep Choi min eigs %s, subordination %s, hypermax "
              "witness passes, z=1 degenerate"

@@ -528,17 +528,18 @@ class TestCornerPipeline:
         assert values["boundary-rep-choi-min-t-0.5"] == "0.0"
 
     def test_each_result_computed_once(self, monkeypatch, tmp_path):
-        # series weights: one in the runner's xi_eta, which applies
-        # lambdahat to nu first, and one on the stack of unit densities of
-        # the derivation label, with lambdahat applied to its pihat;
+        # series weights: one, on the stack of unit densities of the
+        # derivation label, with lambdahat applied to its pihat; no
+        # weight series is summed from nu, since the unital representation
+        # applies lambdahat to nu for its normalization check, cuts nu
+        # once and applies lambdahat to nu on the dropped cells, and the
+        # witness reads its gap off that representation's rank-one term;
         # boundary representations: unital and minimal at each cut, then
         # the corner's off-diagonal coefficients at each cut (its diagonal
         # is the minimal weight's, handed on by the subordination verdict,
         # and the lower entry's coefficients are the conjugates); Choi:
         # unital, minimal and their difference at each cut, then the
-        # corner; the unital representation sums no weight series: it
-        # applies lambdahat to nu for its normalization check, cuts nu
-        # once and applies lambdahat to nu on the dropped cells
+        # corner
         calls = {"boundary_rep": 0, "choi_min_eig": 0, "weight_superop": 0,
                  "apply_truncation": 0, "lambda_superop": 0}
 
@@ -557,8 +558,8 @@ class TestCornerPipeline:
             monkeypatch.setattr(module, "choi_min_eig", choi)
         corner_records(3, tmp_path)
         assert calls == {"boundary_rep": 6, "choi_min_eig": 8,
-                         "weight_superop": 2, "apply_truncation": 2,
-                         "lambda_superop": 6}
+                         "weight_superop": 1, "apply_truncation": 2,
+                         "lambda_superop": 5}
 
 
 # the default delta report, linear lambda: (name, value, expected)

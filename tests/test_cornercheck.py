@@ -43,15 +43,14 @@ def nu(model):
     return out
 
 
-def witness_inputs(model, nu, cuts=(0.5, 0.25)):
-    """eta and the dominance verdict of the unital over the minimal weight."""
-    eta, _ = model.xi_eta(nu)
-    return eta, subordination_check(model, nu, None, cuts)
+def dominance_of(model, nu, cuts=(0.5, 0.25)):
+    """The dominance verdict of the unital over the minimal weight."""
+    return subordination_check(model, nu, None, cuts)
 
 
 @pytest.fixture(scope="module")
-def inputs(model, nu):
-    return witness_inputs(model, nu)
+def dominance(model, nu):
+    return dominance_of(model, nu)
 
 
 class TestDoubledAssembly:
@@ -237,26 +236,26 @@ class TestSubordination:
 
 
 class TestHypermaxWitness:
-    def test_witness_at_minus_one(self, model, inputs):
-        rep = hypermax_witness(-1.0, model, *inputs)
+    def test_witness_at_minus_one(self, model, dominance):
+        rep = hypermax_witness(-1.0, model, dominance)
         assert rep.minimal_cp
         assert rep.dominated
         assert rep.gap_nonzero
         assert rep.witnessed
 
     def test_witness_off_axis(self, model, nu):
-        rep = hypermax_witness(1j, model, *witness_inputs(model, nu, (0.5,)))
+        rep = hypermax_witness(1j, model, dominance_of(model, nu, (0.5,)))
         assert rep.witnessed
 
-    def test_degenerate_direction(self, model, inputs):
+    def test_degenerate_direction(self, model, dominance):
         with pytest.raises(DegenerateDirectionError):
-            hypermax_witness(1.0, model, *inputs)
+            hypermax_witness(1.0, model, dominance)
 
-    def test_off_circle_rejected(self, model, inputs):
+    def test_off_circle_rejected(self, model, dominance):
         with pytest.raises(ValueError):
-            hypermax_witness(0.5, model, *inputs)
+            hypermax_witness(0.5, model, dominance)
         with pytest.raises(ValueError, match="unit circle"):
-            hypermax_witness(complex("nan"), model, *inputs)
+            hypermax_witness(complex("nan"), model, dominance)
 
     @pytest.mark.parametrize("n_factors", [2, 3])
     def test_matches_dense_doubled_reference(self, n_factors):
@@ -265,15 +264,14 @@ class TestHypermaxWitness:
         m = MatrixModel(n_factors=n_factors, factor_dim=2)
         nu = np.zeros((m.dim_h, m.dim_h), dtype=complex)
         nu[0, 0] = 1.0
-        eta, dominance = witness_inputs(m, nu)
+        dominance = dominance_of(m, nu)
         minimal = solve_weight_superop(m)
         full = solve_unital_weight(m, nu)
         cuts = (0.5, 0.25)
         dims = (m.dim_k, m.dim_h)
         doubled = (2 * m.dim_k, 2 * m.dim_h)
         labels = (-1.0 + 0j, 1j, complex(np.exp(1j * np.pi / 4)))
-        reports = [hypermax_witness(z, m, eta, dominance)
-                   for z in labels]
+        reports = [hypermax_witness(z, m, dominance) for z in labels]
         for z, rep in zip(labels, reports):
             assert rep.witnessed
             upper = solve_weight_superop(m, z)
@@ -294,11 +292,31 @@ class TestHypermaxWitness:
                 assert abs(got_min - ref_min.min_eigenvalue) <= 1e-13
                 assert abs(got_diff - ref_diff.min_eigenvalue) <= 1e-15
 
-    def test_zero_gap_reported(self, model, inputs):
-        eta, dominance = inputs
-        rep = hypermax_witness(-1.0, model, 0.0 * eta, dominance)
+    def test_zero_gap_reported(self, model, nu):
+        # the unital weight of 0 nu is the minimal one: its rank-one term
+        # is exactly zero at every cut
+        rep = hypermax_witness(-1.0, model, dominance_of(model, 0.0 * nu))
+        assert rep.gap_norm == 0.0
         assert not rep.gap_nonzero
         assert not rep.witnessed
+
+    @pytest.mark.parametrize("n_factors", [1, 2, 3, 4])
+    def test_gap_is_the_solved_rank_one_term(self, n_factors):
+        # at the default nu the gap is nonzero, and it is the largest
+        # Frobenius norm over the cuts of the difference of the solved
+        # unital and minimal representations (a superoperator's Frobenius
+        # norm is its Choi matrix's)
+        m = MatrixModel(n_factors=n_factors, factor_dim=2)
+        nu = point_mass(m, 0)
+        cuts = (0.5, 0.25)
+        rep = hypermax_witness(-1.0, m, dominance_of(m, nu, cuts))
+        assert rep.gap_norm > 0.0
+        assert rep.gap_nonzero
+        unital, minimal = (solve_unital_weight(m, w) for w in (nu, None))
+        want = max(np.linalg.norm(solve_boundary_rep(m, unital, t)[0]
+                                  - solve_boundary_rep(m, minimal, t)[0])
+                   for t in cuts)
+        assert rep.gap_norm == pytest.approx(want, rel=1e-12)
 
 
 def point_mass(model, row: int) -> np.ndarray:
@@ -351,7 +369,7 @@ class TestKeptOutputsOracle:
             got = getattr(verdict, "%s_min_eigs" % name)
             np.testing.assert_allclose(got, want[name], rtol=0, atol=1e-13)
         for z in self.LABELS:
-            report = hypermax_witness(z, m, np.eye(m.dim_h), verdict)
+            report = hypermax_witness(z, m, verdict)
             np.testing.assert_allclose(report.minimal_min_eigs,
                                        want_witness[z], rtol=0, atol=1e-13)
 
@@ -361,7 +379,7 @@ class TestKeptOutputsOracle:
         m = MatrixModel(n_factors=1, factor_dim=2)
         upper, lower = kept_outputs_cases()["onto-top-cell"](m)
         verdict = subordination_check(m, upper, lower, self.CUTS)
-        for t, rep in zip(self.CUTS, verdict.lower_reps):
+        for t, (_, rep) in zip(self.CUTS, verdict.reps):
             kept = m.dim_k * m.kept_cells(t)
             gap = dense_superop(rep.gap, m.dim_k, kept)
             assert gap.shape == (kept * kept, m.dim_k ** 2)

@@ -35,6 +35,7 @@ from references import (
     on_columns,
     solve_boundary_rep,
     solve_weight_superop,
+    solve_xi_eta,
     transpose_superop,
     truncation_superop,
 )
@@ -280,7 +281,7 @@ class TestWeightSuperop:
                 assert np.array_equal(got[i], m.weight_superop(stack[i], z))
 
     def test_xi_eta_normalization(self, model):
-        eta, d_val = model.xi_eta(point_mass(model))
+        eta, d_val = solve_xi_eta(model, point_mass(model))
         assert 0.0 < d_val < 1.0
         np.testing.assert_allclose(eta, eta.conj().T, atol=1e-12)
 
@@ -288,13 +289,12 @@ class TestWeightSuperop:
     @pytest.mark.parametrize("make_nu", [point_mass, rank_two])
     def test_singular_normalization_rejected(self, model, make_nu,
                                              d_scaled):
-        # c nu with c nu(Lambda(Delta)) = d_scaled >= 1 - 1e-8: xi_eta, the
+        # c nu with c nu(Lambda(Delta)) = d_scaled >= 1 - 1e-8: the
         # unital representation at every cut and a subordination check
         # over the unital weight reject it, carrying d
         nu = make_nu(model)
-        nu_c = d_scaled / model.xi_eta(nu)[1] * nu
-        calls = [lambda: model.xi_eta(nu_c),
-                 lambda: subordination_check(model, nu_c, None, (0.5, 0.25))]
+        nu_c = d_scaled / solve_xi_eta(model, nu)[1] * nu
+        calls = [lambda: subordination_check(model, nu_c, None, (0.5, 0.25))]
         calls += [lambda t=t: model.boundary_rep(t, nu=nu_c)
                   for t in (0.0, 0.25, 0.5)]
         for call in calls:
@@ -304,8 +304,8 @@ class TestWeightSuperop:
 
     def test_normalization_just_below_the_threshold_accepted(self, model):
         nu = point_mass(model)
-        nu_c = (1.0 - 2e-8) / model.xi_eta(nu)[1] * nu
-        assert model.xi_eta(nu_c)[1] < 1.0 - 1e-8
+        nu_c = (1.0 - 2e-8) / solve_xi_eta(model, nu)[1] * nu
+        assert solve_xi_eta(model, nu_c)[1] < 1.0 - 1e-8
         for t in (0.0, 0.25, 0.5):
             gap = model.boundary_rep(t, nu=nu_c).gap
             assert np.isfinite(gap.weights).all()
@@ -321,7 +321,7 @@ class TestWeightSuperop:
         series = np.linalg.solve(np.eye(dh * dh) - big, nu.reshape(-1))
         ref = series.reshape(dh, dh) / (1.0 - d_ref)
         ref = 0.5 * (ref + ref.conj().T)
-        eta, d_val = m.xi_eta(nu)
+        eta, d_val = solve_xi_eta(m, nu)
         assert d_val == pytest.approx(d_ref, rel=0, abs=1e-14)
         assert np.linalg.norm(eta - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -331,7 +331,7 @@ class TestWeightSuperop:
         # x = (1 - d) eta solves x - pihat lambdahat x = nu
         m = MatrixModel(n_factors=n_factors, factor_dim=2)
         nu = make_nu(m)
-        eta, d_val = m.xi_eta(nu)
+        eta, d_val = solve_xi_eta(m, nu)
         x = (1.0 - d_val) * eta
         np.testing.assert_allclose(x - m.pi_superop(m.lambda_superop(x)),
                                    nu, rtol=0, atol=1e-12)

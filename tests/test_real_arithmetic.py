@@ -121,10 +121,6 @@ class TestComplexOracle:
         ref = complex_model(real)
         nu = np.zeros((real.dim_h, real.dim_h))
         nu[0, 0] = 1.0
-        (eta, d_val), (ref_eta, ref_d) = real.xi_eta(nu), \
-            ref.xi_eta(nu.astype(complex))
-        assert_close(eta, ref_eta)
-        assert_close(d_val, ref_d)
         assert_close(real.tail_ratio, ref.tail_ratio)
         labels = [1.0] + [w for z in LABELS for w in (z, np.conj(z))]
         units = unit_densities(real.dim_k)

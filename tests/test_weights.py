@@ -24,6 +24,7 @@ from cpflow.weights import (
     Functional,
     HElement,
     HFunctional,
+    NearSingularNormalizationError,
     NonConvergenceError,
     PreconditionViolationError,
     WeightSeriesConfig,
@@ -136,6 +137,31 @@ class TestUnitalFamily:
         full = omega_full(rho, boundary_identity(), xi0, n_factors=4)
         base = omega1(rho, boundary_identity(), n_factors=4)
         assert full == pytest.approx(base.value)
+
+    @staticmethod
+    def scaled_nu(c):
+        """c nu for the unit nu: its d = nu(Lambda(Delta)) scales by c."""
+        (w, ket, bra), = unit_nu().terms
+        return HFunctional(((c * w, ket, bra),))
+
+    @pytest.mark.parametrize("d_scaled", [1.0 - 5e-9, 1.0, 2.0])
+    def test_singular_normalization_rejected(self, d_scaled):
+        # the threshold of the matrix model's unital representation,
+        # d >= 1 - 1e-8 (test_opbasis)
+        d0 = unit_nu().damped_trace().delta_value()
+        assert d0.imag == 0.0 and 0.0 < d0.real < 1.0
+        with pytest.raises(NearSingularNormalizationError):
+            xi_from_nu(self.scaled_nu(d_scaled / d0.real), n_factors=4)
+
+    def test_normalization_just_below_the_threshold_accepted(self):
+        d0 = unit_nu().damped_trace().delta_value().real
+        xi = xi_from_nu(self.scaled_nu((1.0 - 2e-8) / d0), n_factors=4)
+        assert xi.norm_const == pytest.approx(5e7, rel=1e-6)
+
+    def test_non_real_normalization_rejected(self):
+        d0 = unit_nu().damped_trace().delta_value().real
+        with pytest.raises(PreconditionViolationError, match="not real"):
+            xi_from_nu(self.scaled_nu(0.5j / d0), n_factors=4)
 
     def test_lambda_of_matches_damped_trace(self):
         nu = unit_nu()

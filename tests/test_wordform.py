@@ -87,17 +87,13 @@ def dense_kept_min(model, superop, dim_in, t):
 def check_against_solve_path(n_factors: int, factor_dim: int,
                              labels=LABELS, cuts=CUTS,
                              folds: bool = True) -> None:
-    """Every weight, eta and boundary representation of the model at the
+    """Every weight and boundary representation of the model at the
     labels and cuts against the solve path to 1e-13 relative, and the
     Choi minima of the corner run (unital, minimal, difference, and with
     folds the minimal fold at each label) against dense spectra to
     1e-12, with the same CP verdicts.  labels must hold 1."""
     m = MatrixModel(n_factors=n_factors, factor_dim=factor_dim)
     nu = point_mass(m)
-    eta, d_val = m.xi_eta(nu)
-    want_eta, want_d = solve_xi_eta(m, nu)
-    assert_rel(eta, want_eta)
-    assert d_val == pytest.approx(want_d, rel=1e-13)
     weights = {z: solve_weight_superop(m, z) for z in labels}
     for z, want in weights.items():
         assert_rel(map_superop(lambda r: m.weight_superop(r, z), m.dim_k),
@@ -170,7 +166,7 @@ class TestSolvePathOracle:
         rng = np.random.default_rng(4)
         a = rng.normal(size=(m.dim_h, 2))
         nu = a @ a.T / np.trace(a @ a.T)
-        eta, _ = m.xi_eta(nu)
+        eta, _ = solve_xi_eta(m, nu)
         for t in CUTS:
             dn = m.dim_k * m.kept_cells(t)
             b0 = dense_rep(m, t, m.boundary_rep(t))
@@ -220,7 +216,7 @@ class TestSolvePathOracle:
         assert dropped == slice(0, 0)
         low = m.lambda_superop(nu, dropped)
         assert low.shape == (m.dim_k, m.dim_k) and not low.any()
-        eta, d_val = m.xi_eta(nu)
+        eta, d_val = solve_xi_eta(m, nu)
         want = m.apply_truncation(0.0, nu) / (1.0 - d_val)
         b0 = dense_rep(m, 0.0, m.boundary_rep(0.0))
         e_sm = m.apply_truncation(0.0, eta) - (
