@@ -59,37 +59,7 @@ class GaugeParam:
             else:
                 value = complex(value)
             object.__setattr__(self, name, value)
-        self.validate()
-
-    def validate(self):
-        a, b, c, y = self.a, self.b, self.c, self.y
-        # the invariants of every class
-        modulus = abs(a)
-        top = _largest(modulus)
-        if top > 1.0 + _TOL:
-            raise InvalidParameterError("|a| must not exceed 1")
-        if _least(y.real) < -_TOL:
-            raise InvalidParameterError("Re(y) must be nonnegative")
-        if self.klass == UNITARY:
-            if _largest(abs(modulus - 1.0)) > _TOL:
-                raise InvalidParameterError("unitary class needs |a| = 1")
-            if _largest(abs(a * c + b)) > _TOL:
-                raise InvalidParameterError("unitary class needs ac + b = 0")
-            if _largest(abs(y.real)) > _TOL:
-                raise InvalidParameterError("unitary class needs Re(y) = 0")
-        elif self.klass == FLOW:
-            if max(_largest(abs(b)), _largest(abs(c)),
-                   _largest(abs(y))) > _TOL:
-                raise InvalidParameterError("flow class needs b = c = y = 0")
-        elif self.klass != GENERAL:
-            raise InvalidParameterError("unknown class %r" % self.klass)
-        elif not top < 1.0 - _TOL:  # a NaN member checks the block too
-            # act's unit-circle rate holds only where ac + b = 0; drawn
-            # general blocks have |a| <= 0.95 and skip it
-            on = abs(modulus - 1.0) <= _TOL
-            if _largest(on & (abs(a * c + b) > _TOL)):
-                raise InvalidParameterError(
-                    "general class needs ac + b = 0 where |a| = 1")
+        _validated(self.a, self.b, self.c, self.y, self.klass)
 
     @property
     def on_unit_circle(self) -> bool:
@@ -101,6 +71,39 @@ class GaugeParam:
         if not on.any():
             return False
         raise InvalidParameterError("block straddles the unit circle")
+
+
+def _validated(a, b, c, y, klass: str):
+    """|a|, once (a, b, c, y), numbers or equal-shape blocks, hold the
+    invariants of the class; raises InvalidParameterError otherwise."""
+    # the invariants of every class
+    modulus = abs(a)
+    top = _largest(modulus)
+    if top > 1.0 + _TOL:
+        raise InvalidParameterError("|a| must not exceed 1")
+    if _least(y.real) < -_TOL:
+        raise InvalidParameterError("Re(y) must be nonnegative")
+    if klass == UNITARY:
+        if _largest(abs(modulus - 1.0)) > _TOL:
+            raise InvalidParameterError("unitary class needs |a| = 1")
+        if _largest(abs(a * c + b)) > _TOL:
+            raise InvalidParameterError("unitary class needs ac + b = 0")
+        if _largest(abs(y.real)) > _TOL:
+            raise InvalidParameterError("unitary class needs Re(y) = 0")
+    elif klass == FLOW:
+        if max(_largest(abs(b)), _largest(abs(c)),
+               _largest(abs(y))) > _TOL:
+            raise InvalidParameterError("flow class needs b = c = y = 0")
+    elif klass != GENERAL:
+        raise InvalidParameterError("unknown class %r" % klass)
+    elif not top < 1.0 - _TOL:  # a NaN member checks the block too
+        # act's unit-circle rate holds only where ac + b = 0; drawn
+        # general blocks have |a| <= 0.95 and skip it
+        on = abs(modulus - 1.0) <= _TOL
+        if _largest(on & (abs(a * c + b) > _TOL)):
+            raise InvalidParameterError(
+                "general class needs ac + b = 0 where |a| = 1")
+    return modulus
 
 
 def _largest(x):
@@ -152,56 +155,53 @@ def r_term(g: GaugeParam, gp: GaugeParam) -> float:
     """
     if g.on_unit_circle or gp.on_unit_circle:
         return 0.0
-    return _r_value(g.a, g.b, g.c, gp.a, gp.b, gp.c)
+    return _r_pair(g.a, g.b, g.c, gp.a, gp.b, gp.c)[0]
 
 
-def _r_value(a: complex, b: complex, c: complex,
-             ap: complex, bp: complex, cp: complex) -> float:
-    """r for |a|, |a'| < 1 on plain complex numbers or complex arrays."""
-    da = 1.0 - abs(a) ** 2
-    dap = 1.0 - abs(ap) ** 2
-    daap = 1.0 - abs(a * ap) ** 2
-    return (abs(ap.conjugate() * bp + cp) ** 2 / dap
-            + abs(bp * da - a.conjugate() * b - c) ** 2 / da
-            - abs((a * ap).conjugate() * (a * bp + b)
-                  + ap.conjugate() * c + cp) ** 2 / daap)
-
-
-def _r_square_form(a: complex, b: complex, c: complex,
-                   ap: complex, bp: complex, cp: complex) -> float:
-    """r as one squared modulus over a positive denominator:
+def _r_pair(a: complex, b: complex, c: complex,
+            ap: complex, bp: complex, cp: complex, *,
+            da=None, dap=None) -> tuple:
+    """(r, r_sq) for |a|, |a'| < 1 on plain complex numbers or complex
+    arrays: r as a sum of three squared moduli, and r_sq as one squared
+    modulus over a positive denominator, nonnegative by construction,
 
         |(1-|a|^2) a' (conj(a') b' + c')
          + (1-|a'|^2) (b' (1-|a|^2) - conj(a) b - c)|^2
-        / ((1-|a|^2) (1-|a'|^2) (1-|a a'|^2)),
+        / ((1-|a|^2) (1-|a'|^2) (1-|a a'|^2)).
 
-    nonnegative by construction for |a|, |a'| < 1.
+    da and dap, when given, are 1 - |a|^2 and 1 - |a'|^2.
     """
-    da = 1.0 - abs(a) ** 2
-    dap = 1.0 - abs(ap) ** 2
-    daap = 1.0 - abs(a * ap) ** 2
-    num = (da * ap * (ap.conjugate() * bp + cp)
-           + dap * (bp * da - a.conjugate() * b - c))
-    return abs(num) ** 2 / (da * dap * daap)
+    if da is None:
+        da, dap = 1.0 - abs(a) ** 2, 1.0 - abs(ap) ** 2
+    aap, apc = a * ap, ap.conjugate()
+    daap = 1.0 - abs(aap) ** 2
+    head, rest = apc * bp + cp, bp * da - a.conjugate() * b - c
+    r = (abs(head) ** 2 / dap + abs(rest) ** 2 / da
+         - abs(aap.conjugate() * (a * bp + b) + apc * c + cp) ** 2 / daap)
+    return r, abs(da * ap * head + dap * rest) ** 2 / (da * dap * daap)
 
 
 def r_sweep(rng: np.random.Generator, n: int) -> tuple[float, float]:
     """min r over n general pairs, and the square-form residual.
 
-    Returns the minimum of r over n general pairs of _param_blocks
-    together with max |r - r_sq| / max(r_sq, 1), r_sq being
-    _r_square_form of the same pair.  Both kernels run on whole blocks.
-    General draws have |a| <= 0.95, so r_term's unit-circle branch never
-    applies.  Memory is O(_SWEEP_BLOCK) in n.
+    Returns the minimum of r over n random general pairs together with
+    max |r - r_sq| / max(r_sq, 1), both from _r_pair on whole blocks.  A
+    block is the pairs of one _draw_block of 2m parameters, member j
+    with member m + j as in _param_blocks; it is validated as general
+    once, and its |a| gives 1 - |a|^2.  General draws have |a| <= 0.95,
+    so r_term's unit-circle branch never applies.  Memory is
+    O(_SWEEP_BLOCK) in n.
     """
     if n < 1:
         raise ValueError("r_sweep needs n >= 1")
     r_min = math.inf
     worst = 0.0
-    for g, gp in _param_blocks(rng, GENERAL, n, 2, _SWEEP_BLOCK):
-        pairs = g.a, g.b, g.c, gp.a, gp.b, gp.c
-        r = _r_value(*pairs)
-        r_sq = _r_square_form(*pairs)
+    for start in range(0, n, _SWEEP_BLOCK):
+        m = min(_SWEEP_BLOCK, n - start)
+        a, b, c, y = _draw_block(rng, GENERAL, 2 * m)
+        d = 1.0 - _validated(a, b, c, y, GENERAL) ** 2
+        r, r_sq = _r_pair(a[:m], b[:m], c[:m], a[m:], b[m:], c[m:],
+                          da=d[:m], dap=d[m:])
         r_min = min(r_min, float(r.min()))
         worst = max(worst,
                     float((abs(r - r_sq) / np.maximum(r_sq, 1.0)).max()))

@@ -46,6 +46,7 @@ from .halfline import (
     HalfLineOperator,
     IdentityOperator,
 )
+from .opbasis import NonInvertibleSystemError
 from .tensorspace import (
     ProductVector,
     TensorOperator,
@@ -79,8 +80,9 @@ class PreconditionViolationError(ValueError):
         self.measured = measured
 
 
-class NearSingularNormalizationError(ValueError):
-    """The normalization 1 - nu(Lambda(Delta)) is too close to zero."""
+class NearSingularNormalizationError(NonInvertibleSystemError):
+    """The normalization 1 - nu(Lambda(Delta)) is too close to zero;
+    condition is nu(Lambda(Delta)), as the matrix model reports it."""
 
 
 @dataclass(frozen=True)
@@ -440,7 +442,7 @@ def xi_from_nu(nu: HFunctional, cfg: WeightSeriesConfig | None = None, *,
         raise PreconditionViolationError("nu(Lambda(Delta)) is not real", d)
     if d.real >= 1.0 - 1e-8:
         raise NearSingularNormalizationError(
-            "nu(Lambda(Delta)) = %g is too close to 1" % d.real)
+            "nu(Lambda(Delta)) = %g is too close to 1" % d.real, d.real)
     return BoundaryWeight(nu, 1.0 / (1.0 - d.real), n_factors, cfg)
 
 

@@ -635,6 +635,40 @@ def random_param_reference(rng: np.random.Generator,
     return GaugeParam(a, b, c, complex(y_re, rng.normal()))
 
 
+def r_value(a: complex, b: complex, c: complex,
+            ap: complex, bp: complex, cp: complex) -> float:
+    """r for |a|, |a'| < 1 on plain complex numbers or complex arrays.
+
+    gauge._r_pair returns it as its first output, with the square form.
+    """
+    da = 1.0 - abs(a) ** 2
+    dap = 1.0 - abs(ap) ** 2
+    daap = 1.0 - abs(a * ap) ** 2
+    return (abs(ap.conjugate() * bp + cp) ** 2 / dap
+            + abs(bp * da - a.conjugate() * b - c) ** 2 / da
+            - abs((a * ap).conjugate() * (a * bp + b)
+                  + ap.conjugate() * c + cp) ** 2 / daap)
+
+
+def r_square_form(a: complex, b: complex, c: complex,
+                  ap: complex, bp: complex, cp: complex) -> float:
+    """r as one squared modulus over a positive denominator:
+
+        |(1-|a|^2) a' (conj(a') b' + c')
+         + (1-|a'|^2) (b' (1-|a|^2) - conj(a) b - c)|^2
+        / ((1-|a|^2) (1-|a'|^2) (1-|a a'|^2)),
+
+    nonnegative by construction for |a|, |a'| < 1.  gauge._r_pair returns
+    it as its second output.
+    """
+    da = 1.0 - abs(a) ** 2
+    dap = 1.0 - abs(ap) ** 2
+    daap = 1.0 - abs(a * ap) ** 2
+    num = (da * ap * (ap.conjugate() * bp + cp)
+           + dap * (bp * da - a.conjugate() * b - c))
+    return abs(num) ** 2 / (da * dap * daap)
+
+
 def identity_param(klass: str = GENERAL) -> GaugeParam:
     return GaugeParam(1.0, 0.0, 0.0, 0.0, klass=klass)
 

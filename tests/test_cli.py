@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -281,6 +283,32 @@ class TestCommands:
     def test_unknown_command_rejected(self, tmp_path):
         result = CliRunner().invoke(main, ["frobnicate"])
         assert result.exit_code != 0
+
+    def test_import_leaves_click_out(self, tmp_path):
+        # main, the click command, is built on first access and kept; the
+        # console script's own import form still exits 2 on a bad config
+        src = os.path.dirname(os.path.dirname(opbasis.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        check = ("import sys, cpflow.cli as cli\n"
+                 "assert 'click' not in sys.modules\n"
+                 "assert not hasattr(cli, 'no_such_name')\n"
+                 "import click\n"
+                 "assert isinstance(cli.main, click.Command)\n"
+                 "assert vars(cli)['main'] is cli.main\n")
+        subprocess.run([sys.executable, "-c", check], env=env, check=True,
+                       timeout=60)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump({"grid": {"length": -1}}))
+        script = "import sys\nfrom cpflow.cli import main\nsys.exit(main())"
+        run = subprocess.run(
+            [sys.executable, "-c", script, "delta", "--config", str(path),
+             "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr == ("Error: invalid config: grid.length must be "
+                              "> 0, got -1\n")
 
 
 class RecordingConfig(dict):

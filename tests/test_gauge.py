@@ -33,6 +33,8 @@ from references import (
     act_reference,
     composed_reference,
     identity_param,
+    r_square_form,
+    r_value,
     random_param_reference,
 )
 
@@ -169,7 +171,7 @@ class TestComposition:
 
 
 def r_terms(a, b, c, ap, bp, cp):
-    """The three terms whose sum is gauge._r_value, on complex numbers."""
+    """The three terms whose sum is references.r_value, on complex numbers."""
     da, dap = 1.0 - abs(a) ** 2, 1.0 - abs(ap) ** 2
     return (abs(ap.conjugate() * bp + cp) ** 2 / dap,
             abs(bp * da - a.conjugate() * b - c) ** 2 / da,
@@ -257,12 +259,12 @@ class TestDraws:
         assert sum(len(block[0]) for block in blocks) == n
         r_all, sq_all, r_ref, sq_ref, scale = [], [], [], [], []
         for block in blocks:
-            r_all.extend(gauge._r_value(*block))
-            sq_all.extend(gauge._r_square_form(*block))
+            r_all.extend(r_value(*block))
+            sq_all.extend(r_square_form(*block))
             for pair in zip(*block):
                 pair = [complex(v) for v in pair]
-                r_ref.append(gauge._r_value(*pair))
-                sq_ref.append(gauge._r_square_form(*pair))
+                r_ref.append(r_value(*pair))
+                sq_ref.append(r_square_form(*pair))
                 scale.append(max(1.0, *r_terms(*pair)))
         r_all, sq_all, r_ref, sq_ref, scale = map(
             np.array, (r_all, sq_all, r_ref, sq_ref, scale))
@@ -275,6 +277,27 @@ class TestDraws:
         ref_residual = abs(r_ref - sq_ref) / np.maximum(sq_ref, 1.0)
         assert abs(residual - ref_residual.max()) <= 1e-13
         assert residual <= 1e-12
+
+    @pytest.mark.parametrize("seed", [2024, 7, 11])
+    def test_r_pair_is_both_kernels(self, seed):
+        # r_sweep's draws, on whole blocks and pair by pair in Python
+        # complex numbers; r_sweep's 1 - |a|^2 from the block's |a| too
+        n = 3 * gauge._SWEEP_BLOCK
+        for g, gp in gauge._param_blocks(np.random.default_rng(seed),
+                                         gauge.GENERAL, n, 2,
+                                         gauge._SWEEP_BLOCK):
+            block = g.a, g.b, g.c, gp.a, gp.b, gp.c
+            r, r_sq = gauge._r_pair(*block)
+            assert np.array_equal(r, r_value(*block))
+            assert np.array_equal(r_sq, r_square_form(*block))
+            d = 1.0 - abs(np.concatenate([g.a, gp.a])) ** 2
+            given = gauge._r_pair(*block, da=d[:len(g.a)], dap=d[len(g.a):])
+            assert all(map(np.array_equal, given, (r, r_sq)))
+            for pair in zip(*block):
+                pair = [complex(v) for v in pair]
+                r, r_sq = gauge._r_pair(*pair)
+                assert type(r) is float and type(r_sq) is float
+                assert (r, r_sq) == (r_value(*pair), r_square_form(*pair))
 
     @pytest.mark.parametrize("row, value", [(0, 2.0),    # |a| = 1.9
                                             (2, -1.0)])  # Re y = -2

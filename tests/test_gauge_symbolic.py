@@ -124,7 +124,8 @@ def action_gap(law):
 def test_r_is_its_square_form():
     g, gp = param(""), param("p")
     pair = (g.a, g.b, g.c, gp.a, gp.b, gp.c)
-    assert is_zero(gauge._r_value(*pair) - gauge._r_square_form(*pair))
+    r, r_sq = gauge._r_pair(*pair)
+    assert is_zero(r - r_sq)
 
 
 def test_action_law():

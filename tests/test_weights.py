@@ -37,6 +37,7 @@ from cpflow.weights import (
     rank_one,
     xi_from_nu,
 )
+from cpflow.opbasis import NonInvertibleSystemError
 from cpflow.tensorspace import identity_operator
 from references import (
     lambda_of,
@@ -147,11 +148,13 @@ class TestUnitalFamily:
     @pytest.mark.parametrize("d_scaled", [1.0 - 5e-9, 1.0, 2.0])
     def test_singular_normalization_rejected(self, d_scaled):
         # the threshold of the matrix model's unital representation,
-        # d >= 1 - 1e-8 (test_opbasis)
+        # d >= 1 - 1e-8, carrying d as it does (test_opbasis)
         d0 = unit_nu().damped_trace().delta_value()
         assert d0.imag == 0.0 and 0.0 < d0.real < 1.0
-        with pytest.raises(NearSingularNormalizationError):
+        with pytest.raises(NearSingularNormalizationError) as err:
             xi_from_nu(self.scaled_nu(d_scaled / d0.real), n_factors=4)
+        assert isinstance(err.value, NonInvertibleSystemError)
+        assert err.value.condition == pytest.approx(d_scaled, rel=1e-12)
 
     def test_normalization_just_below_the_threshold_accepted(self):
         d0 = unit_nu().damped_trace().delta_value().real
