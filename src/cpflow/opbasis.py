@@ -52,6 +52,8 @@ import numpy as np
 from .halfline import ExpKernelVector, ExpMultiplier, inner_product
 from .tensorspace import LambdaSequence, tail_weight_product
 
+UNITAL_LIMIT = 1.0 - 1e-8  # the d = nu(Lambda(Delta)) where 1 - d is singular
+
 
 class NonInvertibleSystemError(np.linalg.LinAlgError):
     """A weight series of the model diverges (|z| mu >= 1), or the
@@ -369,7 +371,7 @@ class MatrixModel:
         with lambdahat_c lambdahat on the dropped cells: G(eta)'s
         Sherman-Morrison term with 1 - d cancelled, so eta is never summed.
         nu is rejected with condition d when 1 - d is singular
-        (d >= 1 - 1e-8).  E is factored on the rows where cut(nu) and
+        (d >= UNITAL_LIMIT).  E is factored on the rows where cut(nu) and
         lambdahat_c nu are not identically zero, or as itself when that
         takes no fewer columns.
         """
@@ -387,7 +389,7 @@ class MatrixModel:
             return BoundaryRep(vectors, coeffs,
                                ChoiFactors(vectors[:, :0], np.zeros((0, 0))))
         d_val = np.trace(self.lambda_superop(nu) @ self.delta_matrix).real
-        if d_val >= 1.0 - 1e-8:
+        if d_val >= UNITAL_LIMIT:
             raise NonInvertibleSystemError(
                 "normalization 1 - nu(Lambda(Delta)) is singular", d_val)
         # E = G M G^*, the Choi factors of c -> c E, on the supports of

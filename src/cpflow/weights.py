@@ -46,7 +46,7 @@ from .halfline import (
     HalfLineOperator,
     IdentityOperator,
 )
-from .opbasis import NonInvertibleSystemError
+from .opbasis import UNITAL_LIMIT, NonInvertibleSystemError
 from .tensorspace import (
     ProductVector,
     TensorOperator,
@@ -440,7 +440,7 @@ def xi_from_nu(nu: HFunctional, cfg: WeightSeriesConfig | None = None, *,
     d = damped.delta_value()
     if abs(d.imag) > 1e-10:
         raise PreconditionViolationError("nu(Lambda(Delta)) is not real", d)
-    if d.real >= 1.0 - 1e-8:
+    if d.real >= UNITAL_LIMIT:
         raise NearSingularNormalizationError(
             "nu(Lambda(Delta)) = %g is too close to 1" % d.real, d.real)
     return BoundaryWeight(nu, 1.0 / (1.0 - d.real), n_factors, cfg)

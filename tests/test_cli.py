@@ -1,5 +1,6 @@
 """Command-line runner: reports, curves, determinism, config validation."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import yaml
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from cpflow import cornercheck, opbasis, semigroups
+from cpflow import cli, cornercheck, opbasis, semigroups
 from cpflow.cli import (
     COMMANDS,
     DEFAULT_CONFIG,
@@ -380,6 +381,39 @@ class TestConfigKeysRead:
             "minimal-weight-identity-residual"]
         assert not residual["pass"]
         assert residual["value"] > 1e-3
+
+
+class TestWeightsRecords:
+    @pytest.mark.parametrize("block, member", [(1024, 12), (10, 22)])
+    def test_nan_member_fails_both_records(self, block, member, tmp_path,
+                                           monkeypatch):
+        # one member's weight series returns NaN, in the one block of 25
+        # or in the last of three blocks: both residuals carry it and fail
+        series, seen = cli.omega1, []
+
+        def omega1(rho, *args, **kwargs):
+            res = series(rho, *args, **kwargs)
+            value = res.value.copy()
+            start = sum(seen)
+            seen.append(value.size)
+            if start <= member < sum(seen):
+                value[member - start] = complex("nan")
+            return dataclasses.replace(res, value=value)
+
+        monkeypatch.setattr(cli, "omega1", omega1)
+        monkeypatch.setattr(cli, "_SAMPLE_BLOCK", block)
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"weights": {"samples": 25}}))
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["weights-unitality", "--config",
+                                           str(path), "--out", str(out)])
+        assert result.exit_code == 1
+        assert sum(seen) == 25 and len(seen) == -(-25 // block)
+        records = load_report(out, "weights-unitality")["records"]
+        assert [r["name"] for r in records] == [
+            "minimal-weight-identity-residual", "unital-weight-residual"]
+        for record in records:
+            assert math.isnan(record["value"]) and not record["pass"]
 
 
 class TestGaugeRecords:

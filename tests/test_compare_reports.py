@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from cpflow import cli
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
 _spec = importlib.util.spec_from_file_location("compare_reports", TOOL)
 compare_reports = importlib.util.module_from_spec(_spec)
@@ -60,3 +62,21 @@ def test_csv_compared_byte_for_byte(parent, tmp_path):
     assert compare_reports.compare_dirs(parent, change) \
         == ["delta-pairing.csv: bytes differ",
             "extra.csv: written by one side only"]
+
+
+def test_runs_every_command_of_the_cli(monkeypatch, tmp_path, capsys):
+    runs = []
+
+    def run(checkout, command, seed, out):
+        runs.append((checkout.name, seed, command))
+        out.mkdir(parents=True)
+        return 0
+
+    monkeypatch.setattr(compare_reports, "run", run)
+    assert compare_reports.main([str(tmp_path / "parent"),
+                                 str(tmp_path / "change")]) == 0
+    assert runs == [(side, seed, command)
+                    for seed in compare_reports.SEEDS
+                    for command in cli.COMMANDS
+                    for side in ("parent", "change")]
+    assert capsys.readouterr().out == "0 files compared, 0 differences\n"

@@ -9,6 +9,7 @@ from cpflow.opbasis import (
     ChoiFactors,
     ChoiVerdict,
     MatrixModel,
+    UNITAL_LIMIT,
     NonInvertibleSystemError,
     choi_min_eig,
     is_cp,
@@ -301,6 +302,38 @@ class TestWeightSuperop:
             with pytest.raises(NonInvertibleSystemError) as err:
                 call()
             assert err.value.condition == pytest.approx(d_scaled, rel=1e-12)
+
+    @pytest.mark.parametrize("factor_dim", [1, 2, 3, 4])
+    def test_both_raises_unreachable_for_densities(self, factor_dim):
+        # for |z| <= 1 and a density nu neither raise is reached at
+        # N <= 6: mu = kappa^T Q kappa <= lambda_max(Q) <= max_p h_p
+        # ||X||_2^2 stays below _converging's margin, and the largest
+        # nu(Lambda(Delta)) over densities, lambda_max(Delta (x) diag(h)),
+        # = max_p h_p lambda_max(damping)^N prod_{i > N} (tail), below
+        # UNITAL_LIMIT
+        for n_factors in range(1, 7):
+            m = MatrixModel(n_factors=n_factors, factor_dim=factor_dim)
+            kappa = m.reference_coords[0]
+            h = np.diag(m.h_damping)
+            damping = np.linalg.eigvalsh(m.damping)
+            q_max = np.linalg.eigvalsh(m.slot_matrix)[-1]
+            x_norm = np.linalg.norm(m.cross_overlap, 2)
+            assert np.linalg.norm(kappa) == pytest.approx(1.0, rel=1e-15)
+            assert m.tail_ratio <= q_max * (1.0 + 1e-12)
+            assert q_max <= h.max() * x_norm ** 2 * (1.0 + 1e-12)
+            assert h.max() * x_norm ** 2 < 1.0 - 1e-9
+            assert damping[0] > 0.0
+            d_max = (h.max() * damping[-1] ** n_factors
+                     * tail_weight_product(m.seq, n_factors + 1))
+            assert d_max < UNITAL_LIMIT
+            if n_factors <= 3:
+                # d_max is attained: the top eigenvector of Delta on the
+                # cell of the largest h_p, as boundary_rep computes d
+                delta = np.linalg.eigh(m.delta_matrix)[1][:, -1]
+                v = np.kron(delta, np.eye(m.h_dim)[h.argmax()])
+                d_val = np.trace(m.lambda_superop(np.outer(v, v))
+                                 @ m.delta_matrix)
+                assert d_val == pytest.approx(d_max, rel=1e-12)
 
     def test_normalization_just_below_the_threshold_accepted(self, model):
         nu = point_mass(model)

@@ -1,13 +1,19 @@
-"""tools/reach.py: what the seven commands never execute."""
+"""tools/reach.py: what the commands of cli.COMMANDS never execute."""
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+from cpflow import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "reach.py"
 PACKAGE = ROOT / "src" / "cpflow"
+_spec = importlib.util.spec_from_file_location("reach", TOOL)
+reach = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reach)
 
 
 def listed(output):
@@ -48,3 +54,25 @@ def test_lists_what_no_command_runs():
                 for lines in scopes.values())
     assert run.stdout.splitlines()[-1] == (
         "total: %d statements never executed" % total)
+
+
+def test_traces_every_command_of_the_cli(monkeypatch):
+    ran = []
+
+    def main(args):
+        ran.append(args[0])
+        raise SystemExit(0)
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(cli, "main", main)
+    codes = reach.trace_commands()[1]
+    assert ran == list(cli.COMMANDS)
+    assert codes == dict.fromkeys(cli.COMMANDS, 0)
+
+
+def test_exits_nonzero_when_a_command_fails(monkeypatch, capsys):
+    codes = dict.fromkeys(cli.COMMANDS, 0)
+    codes["corner"] = 1
+    monkeypatch.setattr(reach, "trace_commands", lambda: ({}, codes))
+    assert reach.main() == 1
+    assert capsys.readouterr().err == "corner exited with 1\n"

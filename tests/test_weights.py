@@ -147,8 +147,9 @@ class TestUnitalFamily:
 
     @pytest.mark.parametrize("d_scaled", [1.0 - 5e-9, 1.0, 2.0])
     def test_singular_normalization_rejected(self, d_scaled):
-        # the threshold of the matrix model's unital representation,
-        # d >= 1 - 1e-8, carrying d as it does (test_opbasis)
+        # opbasis.UNITAL_LIMIT, d >= 1 - 1e-8, the threshold of the matrix
+        # model's unital representation, carrying d as it does
+        # (test_opbasis)
         d0 = unit_nu().damped_trace().delta_value()
         assert d0.imag == 0.0 and 0.0 < d0.real < 1.0
         with pytest.raises(NearSingularNormalizationError) as err:

@@ -2,15 +2,14 @@
 
     python3 tools/compare_reports.py PARENT CHANGE
 
-Runs each of the seven commands at its default config and at seeds 2024,
-7 and 11 in both checkouts (the package is imported from each checkout's
-``src``), every run in its own temporary output directory.  A report must
-be equal once its ``timing`` block is dropped; every other file (the CSV
-curves and ``gauge-check-formula-discrepancy.json``) must match byte for
+Runs each command of this checkout's ``cli.COMMANDS`` at its default
+config and seeds 2024, 7 and 11 in PARENT and CHANGE (each imports the
+package from its ``src``), each run in its own temporary directory.  A
+report must be equal once its ``timing`` block is dropped; any other file
+(CSV curves, ``gauge-check-formula-discrepancy.json``) must match byte for
 byte, and so must each run's exit code.  Prints one line per difference,
-naming the file, and exits 1 if there is any: for a report, one line per
-record that differs, with the record's name and both values, and one
-line for the file when it differs outside its records.
+naming the file, and exits 1 if there is any: per report, one line per
+differing record (its name and both values) and one if anything else does.
 """
 
 from __future__ import annotations
@@ -22,8 +21,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-COMMANDS = ("delta", "decay", "covariance", "gauge-check", "transitivity",
-            "corner", "weights-unitality")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from cpflow.cli import COMMANDS  # noqa: E402
+
 SEEDS = (2024, 7, 11)
 
 

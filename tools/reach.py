@@ -1,15 +1,15 @@
-"""List the statements of cpflow that none of the seven commands executes.
+"""List the statements of cpflow that none of its commands executes.
 
     python3 tools/reach.py
 
-Installs a line tracer (sys.settrace) before importing cpflow from this
-checkout's ``src``, runs each of the seven commands at its default config
-through ``cli.main`` (seed 2024, every run in its own temporary output
-directory) and restores the previous tracer.  Then prints, per module,
-the statements no run executed, grouped by the function or class that
-holds them, and their total.  A statement is any ``ast`` statement except
-``def``, ``class``, imports and docstrings; it counts as executed when a
-line of its own (not of a statement nested in it) ran.
+Installs a line tracer (sys.settrace), imports cpflow from this
+checkout's ``src``, runs each command of ``cli.COMMANDS`` at its default
+config through ``cli.main`` (seed 2024, each in its own temporary output
+directory) and restores the previous tracer.  Prints, per module, the
+statements no run executed, by the function or class that holds them,
+and their total; exits 1 if a command exited nonzero.  A statement is an
+``ast`` statement but a def, class, import or docstring; it is executed
+when a line of its own (not of a statement nested in it) ran.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "cpflow"
-COMMANDS = ("delta", "decay", "covariance", "gauge-check", "transitivity",
-            "corner", "weights-unitality")
 SEED = 2024
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -50,7 +48,7 @@ def trace_commands() -> tuple[dict[str, set[int]], dict[str, int]]:
     sys.settrace(call)
     try:
         from cpflow import cli
-        for command in COMMANDS:
+        for command in cli.COMMANDS:
             with tempfile.TemporaryDirectory() as out, \
                     contextlib.redirect_stdout(io.StringIO()):
                 try:
@@ -127,7 +125,7 @@ def main() -> int:
         for scope, lines in scopes.items():
             print("  %s %s" % (scope, " ".join(map(str, lines))))
     print("total: %d statements never executed" % total)
-    return 0
+    return 1 if any(codes.values()) else 0
 
 
 if __name__ == "__main__":
