@@ -20,9 +20,12 @@ words), the Choi spectrum of the folded
 taken on the range of its 30 and 62 Choi vectors), the subordination
 check of the unital weight over the minimal one, and the hypermaximality
 witness that follows it, which reads its gap off the unital weight's
-rank-one terms in that check.  The last two also run at N = 5 (dim_k = 32),
-and the whole ``corner`` runner (model, weights, every check and the
-derivation residual) runs at N = 4 and 5.
+rank-one terms in that check.  The folded spectrum is the witness's
+fallback kernel: the default witness certifies the corner by its 2x2
+coefficient blocks and takes it only where a block's margin fails.  The
+last two also run at N = 5 and 6 (dim_k = 32 and 64), and the whole
+``corner`` runner (model, weights, every check and the derivation
+residual) runs at N = 4 and 5.
 
 The largest sizes of the solve-path oracle of tests/test_wordform.py,
 (N, m) = (4, 2) and (3, 3), run here too: they take 7 s and 2 min.
@@ -71,7 +74,7 @@ def model(request):
     return build_model(request.param)
 
 
-@pytest.fixture(scope="module", params=[CORNER["factors"], 4, 5],
+@pytest.fixture(scope="module", params=[CORNER["factors"], 4, 5, 6],
                 ids=lambda n: "N%d" % n)
 def corner_model(request):
     return build_model(request.param)

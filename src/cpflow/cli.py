@@ -325,8 +325,8 @@ class Reporter:
         }
         path = self.out_dir / ("%s-report.json" % self.experiment)
         with open(path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+            fh.write(json.dumps(report, indent=2, sort_keys=True,
+                                default=str) + "\n")
         return path
 
 
@@ -430,8 +430,8 @@ def run_gauge_check(cfg, rep: Reporter, rng):
         path = rep.out_dir / "gauge-check-formula-discrepancy.json"
         rep.out_dir.mkdir(parents=True, exist_ok=True)
         with open(path, "w") as fh:
-            json.dump(discrepancy, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(discrepancy, indent=2, sort_keys=True)
+                     + "\n")
         rep.record("formula-discrepancy-report", str(path.name),
                    "emitted when printed law deviates", 0.0, True,
                    "derived-oracle")

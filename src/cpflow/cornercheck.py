@@ -16,15 +16,24 @@ psi(X) = sum_ab phi_ab(X_ab) = V* Phi(X) V, V = [I; I], is CP: up to a
 permutation Choi(Phi) is Choi(psi) plus an identically zero block, and
 Choi(psi) is the 2x2 block matrix of the entries' Choi matrices.  Nor is
 any representation dense: boundary representations are word sums
-(MatrixModel.boundary_rep) on the cells a cut keeps, their folds and
-differences are Choi factors, and _kept_min_eig restores the zero block
-of the dropped cells.  The unital and the minimal matrix at a label
-share their off-diagonal entries, and boundary representations of 2x2
-matrices are taken entry by entry, so the difference of theirs is
+(MatrixModel.boundary_rep) on the cells a cut keeps plus a rank-one term
+kept as Kronecker factors x^T (x) E, and _on_kept restores the zero
+block of the dropped cells.  The unital and the minimal matrix at a
+label share their off-diagonal entries, and boundary representations of
+2x2 matrices are taken entry by entry, so the difference of theirs is
 diag(D, D), with D the difference of the diagonal entries'
 representations.  Dominance of the minimal matrix by the unital one is
 therefore the subordination of the minimal weight to the unital weight;
 D is the unital weight's rank-one term.
+
+A QR Choi spectrum (opbasis.choi_min_eig) is taken only where no
+smaller certificate decides the verdict.  Per cut, subordination_check
+takes the lower weight's, reads the difference x^T (x) D off the extreme
+eigenvalues of x and D, and takes the upper weight's only when the sum
+of those two minima fails is_cp: upper = lower + difference, so by
+Weyl's inequality it is CP otherwise.  hypermax_witness takes the
+folded corner's only where its coefficient blocks do not certify it.
+The default corner run takes the lower weight's two spectra.
 """
 
 from __future__ import annotations
@@ -55,19 +64,32 @@ class DegenerateDirectionError(ValueError):
     """The requested witness direction is degenerate (label z = 1)."""
 
 
+def _on_kept(model: MatrixModel, t: float, low: float) -> float:
+    """The minimum Choi eigenvalue of a whole map from low, that on the
+    outputs the cut at level t keeps: the whole Choi matrix adds
+    identically zero rows and columns, so it is low, or min(low, 0) when
+    the cut drops a cell."""
+    return low if model.kept_cells(t) == model.h_dim else min(low, 0.0)
+
+
 def _kept_min_eig(model: MatrixModel, factors: ChoiFactors, dim_in: int,
                   t: float) -> float:
     """Minimum Choi eigenvalue of a map given on the outputs that the cut
-    at level t keeps (a boundary representation, or a fold or difference
-    of such).
+    at level t keeps (a boundary representation or a fold of such), by
+    its QR spectrum."""
+    return _on_kept(model, t, choi_min_eig(
+        factors, dim_in, model.dim_k * model.kept_cells(t)).min_eigenvalue)
 
-    The whole map's Choi matrix is the kept one plus identically zero
-    rows and columns: its minimum eigenvalue is the kept one's, or
-    min(that, 0) when the cut drops a cell.
-    """
-    kept = model.kept_cells(t)
-    low = choi_min_eig(factors, dim_in, model.dim_k * kept).min_eigenvalue
-    return low if kept == model.h_dim else min(low, 0.0)
+
+def _difference_min_eig(model: MatrixModel, up: BoundaryRep,
+                        low: BoundaryRep, t: float) -> float:
+    """Minimum Choi eigenvalue of up - low, two representations at cut
+    level t: they share the words and x, so the difference is x^T (x) D,
+    D = up.e - low.e, whose least eigenvalue is a product of extreme
+    eigenvalues of x and D."""
+    ends = np.outer(np.linalg.eigvalsh(up.x)[[0, -1]],
+                    np.linalg.eigvalsh(up.e - low.e)[[0, -1]])
+    return _on_kept(model, t, float(ends.min()))
 
 
 def _folded_rep(model: MatrixModel, diag_rep: BoundaryRep, z: complex,
@@ -118,7 +140,9 @@ class WeightMatrix:
 class SubordinationVerdict:
     """Minimum Choi eigenvalues per cut: upper, lower, upper - lower.
 
-    reps keeps the (upper, lower) boundary representations at each cut
+    An upper minimum is None where Weyl's inequality made the upper
+    weight CP without its spectrum (the module docstring).  reps keeps
+    the (upper, lower) boundary representations at each cut
     (MatrixModel.boundary_rep) for hypermax_witness: the lower one is
     its corner's diagonal, and the difference of their rank-one terms
     its diagonal gap.
@@ -126,7 +150,7 @@ class SubordinationVerdict:
 
     subordinate: bool
     cut_levels: tuple[float, ...]
-    upper_min_eigs: tuple[float, ...]
+    upper_min_eigs: tuple[float | None, ...]
     lower_min_eigs: tuple[float, ...]
     difference_min_eigs: tuple[float, ...]
     reps: tuple[tuple[BoundaryRep, BoundaryRep], ...] = field(
@@ -158,14 +182,16 @@ def subordination_check(model: MatrixModel, upper, lower,
         rep_up, rep_low = (model.boundary_rep(t, nu=nu)
                            for nu in (upper, lower))
         reps.append((rep_up, rep_low))
-        for name, rep in (("upper", rep_up), ("lower", rep_low)):
-            low = _kept_min_eig(model, rep.choi, model.dim_k, t)
-            if not is_cp(low):
+        low = _kept_min_eig(model, rep_low.choi, model.dim_k, t)
+        diff = _difference_min_eig(model, rep_up, rep_low, t)
+        up = (None if is_cp(low + diff)
+              else _kept_min_eig(model, rep_up.choi, model.dim_k, t))
+        for name, value in (("upper", up), ("lower", low)):
+            if value is not None and not is_cp(value):
                 raise NonCompletelyPositiveInputError(
-                    "%s weight is not CP at cut level %g" % (name, t), low)
-            mins[name].append(low)
-        mins["difference"].append(
-            _kept_min_eig(model, rep_up.gap - rep_low.gap, model.dim_k, t))
+                    "%s weight is not CP at cut level %g" % (name, t), value)
+        for values, value in zip(mins.values(), (up, low, diff)):
+            values.append(value)
     sub = all(map(is_cp, mins["difference"]))
     return SubordinationVerdict(sub, tuple(cut_levels), tuple(mins["upper"]),
                                 tuple(mins["lower"]),
@@ -182,17 +208,19 @@ class HypermaxReport:
     gap, the unital weight's rank-one term, is nonzero.  gap_norm is the
     largest Frobenius norm of that term's Choi matrix over the cut
     levels.  All three passing is the finite-dimensional content of the
-    no-rotations obstruction.
+    no-rotations obstruction.  A minimum is None where the coefficient
+    blocks made the corner CP without its spectrum (hypermax_witness).
     """
 
     label: complex
-    minimal_min_eigs: tuple[float, ...]
+    minimal_min_eigs: tuple[float | None, ...]
     gap_norm: float
     dominance: SubordinationVerdict
 
     @property
     def minimal_cp(self) -> bool:
-        return all(map(is_cp, self.minimal_min_eigs))
+        return all(low is None or is_cp(low)
+                   for low in self.minimal_min_eigs)
 
     @property
     def dominated(self) -> bool:
@@ -222,10 +250,9 @@ def hypermax_witness(z: complex, model: MatrixModel,
     minimal one (see the module docstring); its cut levels are the
     witness's, its lower representations are the corner's diagonal ones,
     and the difference of its representations' rank-one terms, the
-    unital weight's, is the diagonal gap, whose Choi norm is taken from
-    its factors (ChoiFactors.frobenius_norm).  Only the off-diagonal
-    coefficients at z are computed here; the ones at conj(z) are their
-    conjugates.
+    unital weight's, is the diagonal gap x^T (x) D, whose Choi norm is
+    ||x||_F ||D||_F.  Only the off-diagonal coefficients at z are
+    computed here; the ones at conj(z) are their conjugates.
 
     With the minimal weight on the diagonal, minimal_cp holds at every
     |z| <= 1, so the witness does not tell one label on the circle from
@@ -237,8 +264,10 @@ def hypermax_witness(z: complex, model: MatrixModel,
     On the words of length N it is [[a, b], [conj(b), a]] with
     a = 1 / (1 - mu_c) and b = z^{N+1} / (1 - z mu_c), positive
     semidefinite because |1 - z mu_c| >= 1 - mu_c.  A sum of positive
-    semidefinite blocks is positive semidefinite, so the recorded minima
-    are zeros or rounding on the corner's range.
+    semidefinite blocks is positive semidefinite, so the folded spectrum
+    (_folded_rep) is taken only at a cut where a block's margin a - |b|
+    is negative in floating point, or where the diagonal has a rank-one
+    term, which this argument leaves out.
     """
     z = complex(z)
     if not on_unit_circle(z):
@@ -247,12 +276,14 @@ def hypermax_witness(z: complex, model: MatrixModel,
         raise DegenerateDirectionError(
             "label z = 1 admits an off-diagonal weight shift; the witness "
             "direction is degenerate")
-    gap_norm = max((up.gap - low.gap).frobenius_norm()
+    gap_norm = max(float(np.linalg.norm(up.x) * np.linalg.norm(up.e - low.e))
                    for up, low in dominance.reps)
-    minimal_eigs = [
-        _kept_min_eig(model, _folded_rep(model, low, z, t),
-                      2 * model.dim_k, t)
-        for t, (_, low) in zip(dominance.cut_levels, dominance.reps)]
+    minimal_eigs = []
+    for t, (_, low) in zip(dominance.cut_levels, dominance.reps):
+        off = model.boundary_rep(t, z).coeffs
+        certified = not low.e.any() and np.all(np.abs(off) <= low.coeffs)
+        minimal_eigs.append(None if certified else _kept_min_eig(
+            model, _folded_rep(model, low, z, t), 2 * model.dim_k, t))
     return HypermaxReport(z, tuple(minimal_eigs), gap_norm, dominance)
 
 

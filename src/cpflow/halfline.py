@@ -92,8 +92,8 @@ class ComplexBlock:
     complex or a numpy number) is promoted with complex(x), as CPython
     promotes it.  A block divisor and array operands raise TypeError, an
     overflowing modulus is inf where CPython raises OverflowError, and
-    numpy may warn on overflow where CPython is silent.
-    Iteration yields Python complex numbers; np.asarray gives complex128.
+    numpy may warn on overflow where CPython is silent.  np.asarray
+    gives complex128.
     """
 
     __slots__ = ("real", "imag")
@@ -117,9 +117,6 @@ class ComplexBlock:
         out.real = self.real
         out.imag = self.imag
         return out if dtype is None else out.astype(dtype, copy=False)
-
-    def __iter__(self):
-        return map(complex, self.real.tolist(), self.imag.tolist())
 
     def conjugate(self) -> "ComplexBlock":
         return ComplexBlock(self.real, -self.imag)

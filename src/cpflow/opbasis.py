@@ -24,7 +24,8 @@ dropped cells, n <= N, of rho -> K_w rho K_w^*, with coefficient
 z^{n+1} for n < N and z^{N+1} / (1 - z mu_c) for n = N: K_w contracts
 slots 1 .. n against the sqrt(h_p) x_p, appends kappa^{(x) n} and takes
 the cut shift P s0^*.  The unital weight's representation adds one
-rank-one term from nu alone, in which 1 - d cancels (boundary_rep).  A
+rank-one term from nu alone, in which 1 - d cancels, kept as the
+Kronecker factors of its Choi matrix x^T (x) E (boundary_rep).  A
 map's Choi matrix is kept as factors V W V^* (ChoiFactors), and its
 spectrum is taken on the range of V (choi_min_eig): nothing here solves
 a system or builds a Choi matrix.
@@ -129,9 +130,11 @@ class MatrixModel:
     n_factors: int = 4
     factor_dim: int = 2
     seq: LambdaSequence = LambdaSequence("linear")
-    # _dropped_words by cut edge
+    # _dropped_words and _gap_functional by cut edge
     _words_by_edge: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
+    _x_by_edge: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     @property
     def dim_k(self) -> int:
@@ -350,6 +353,20 @@ class MatrixModel:
             self._words_by_edge[edge] = (np.hstack(blocks), lengths)
         return self._words_by_edge[edge]
 
+    def _gap_functional(self, t: float) -> np.ndarray:
+        """x = (I - khat_c^*)^{-1} (I - khat^*) Delta at the cut at level t,
+        the functional rho -> tr(x rho) of every unital weight's rank-one
+        term there (boundary_rep), computed once per cut edge."""
+        edge = cut_edge(t)
+        if edge not in self._x_by_edge:
+            q_c = self._slot_matrix_on(self._cut_cells(t)[0])
+            delta = self.delta_matrix
+            seed = delta - self._kernel_dual(delta, self.slot_matrix)
+            self._x_by_edge[edge] = _finite_resolvent(
+                lambda y: self._kernel_dual(y, q_c), seed,
+                self._tail_ratio_of(q_c), self.n_factors)
+        return self._x_by_edge[edge]
+
     def boundary_rep(self, t: float, z: complex = 1.0,
                      nu: np.ndarray | None = None) -> BoundaryRep:
         """Generalized boundary representation at cut level t, in word form.
@@ -371,9 +388,9 @@ class MatrixModel:
         with lambdahat_c lambdahat on the dropped cells: G(eta)'s
         Sherman-Morrison term with 1 - d cancelled, so eta is never summed.
         nu is rejected with condition d when 1 - d is singular
-        (d >= UNITAL_LIMIT).  E is factored on the rows where cut(nu) and
-        lambdahat_c nu are not identically zero, or as itself when that
-        takes no fewer columns.
+        (d >= UNITAL_LIMIT).  The term is kept as its Kronecker factors,
+        x (dim_k x dim_k, the same for every nu) and E over its scale
+        (BoundaryRep); a weight without one has E = 0.
         """
         z = _label(z)
         if nu is not None and z != 1.0:
@@ -385,36 +402,23 @@ class MatrixModel:
         mu_c = self._tail_ratio_of(q_c)
         coeffs = np.where(lengths < n_f, z ** (lengths + 1),
                           z ** (n_f + 1) / (1.0 - z * mu_c))
+        x, dn = self._gap_functional(t), self.dim_k * self.kept_cells(t)
         if nu is None:
-            return BoundaryRep(vectors, coeffs,
-                               ChoiFactors(vectors[:, :0], np.zeros((0, 0))))
+            return BoundaryRep(vectors, coeffs, x, np.zeros((dn, dn)))
         d_val = np.trace(self.lambda_superop(nu) @ self.delta_matrix).real
         if d_val >= UNITAL_LIMIT:
             raise NonInvertibleSystemError(
                 "normalization 1 - nu(Lambda(Delta)) is singular", d_val)
-        # E = G M G^*, the Choi factors of c -> c E, on the supports of
-        # cut(nu) and lambdahat_c nu
-        kept_nu = self.apply_truncation(t, nu)
+        # E = cut(nu) + B0(lambdahat_c nu), B0 read off the words on the
+        # rows where lambdahat_c nu is not identically zero
         low_nu = self.lambda_superop(nu, dropped)
-        d, dn = self.dim_k, len(kept_nu)
-        on_kept, on_low = (np.flatnonzero(np.any(m != 0, axis=1))
-                           for m in (kept_nu, low_nu))
-        cols = vectors.reshape(d, dn, -1)[on_low].transpose(1, 2, 0)
-        e_choi = (ChoiFactors(np.eye(dn)[:, on_kept],
-                              kept_nu[np.ix_(on_kept, on_kept)])
-                  + ChoiFactors(cols.reshape(dn, -1),
-                                np.kron(np.diag(coeffs),
-                                        low_nu[np.ix_(on_low, on_low)])))
-        factor, middle = e_choi.vectors, e_choi.weights
-        if factor.shape[1] >= dn:
-            factor, middle = np.eye(dn), factor @ middle @ factor.conj().T
-        delta = self.delta_matrix  # x: the functional rho -> tr(x rho)
-        seed = delta - self._kernel_dual(delta, self.slot_matrix)
-        x = _finite_resolvent(lambda y: self._kernel_dual(y, q_c), seed,
-                              mu_c, n_f)
-        scale = 1.0 - np.sum(x.T * low_nu)
-        return BoundaryRep(vectors, coeffs, ChoiFactors(
-            np.kron(np.eye(d), factor), np.kron(x.T / scale, middle)))
+        on = np.flatnonzero(np.any(low_nu != 0, axis=1))
+        cols = vectors.reshape(self.dim_k, dn, -1)[on].transpose(1, 2, 0)
+        cols = cols.reshape(dn, -1)
+        e = self.apply_truncation(t, nu) + cols @ np.kron(
+            np.diag(coeffs), low_nu[np.ix_(on, on)]) @ cols.conj().T
+        return BoundaryRep(vectors, coeffs, x,
+                           e / (1.0 - np.sum(x.T * low_nu)))
 
 
 @dataclass(frozen=True)
@@ -439,12 +443,6 @@ class ChoiFactors:
     def __sub__(self, other: ChoiFactors) -> ChoiFactors:
         return self + ChoiFactors(other.vectors, -other.weights)
 
-    def frobenius_norm(self) -> float:
-        """Frobenius norm of the Choi matrix V W V^*, which is not formed:
-        its square is tr(W G W^* G) with the Gram matrix G = V^* V."""
-        g, w = self.vectors.conj().T @ self.vectors, self.weights
-        return float(np.sqrt(abs(np.vdot(g @ w, w @ g))))
-
 
 @dataclass(frozen=True)
 class BoundaryRep:
@@ -452,18 +450,29 @@ class BoundaryRep:
 
     The map rho -> sum_w coeffs[w] K_w rho K_w^* from K-densities to the
     densities on the cells a cut keeps, plus the unital weight's rank-one
-    term: words holds the Choi vectors of the K_w, one column each
-    (MatrixModel.boundary_rep), and gap the Choi factors of the rank-one
-    term (without columns for a weight that has none).
+    term rho -> tr(x rho) e: words holds the Choi vectors of the K_w, one
+    column each (MatrixModel.boundary_rep), and the term's Choi matrix is
+    x^T (x) e, with e = 0 for a weight that has none.
     """
 
     words: np.ndarray
     coeffs: np.ndarray
-    gap: ChoiFactors
+    x: np.ndarray
+    e: np.ndarray
+
+    @property
+    def gap(self) -> ChoiFactors:
+        """Choi factors of the rank-one term, on the rows where e is not
+        identically zero (without columns when e = 0)."""
+        on = np.flatnonzero(np.any(self.e != 0, axis=1))
+        return ChoiFactors(np.kron(np.eye(len(self.x)),
+                                   np.eye(len(self.e))[:, on]),
+                           np.kron(self.x.T, self.e[np.ix_(on, on)]))
 
     @property
     def choi(self) -> ChoiFactors:
-        return ChoiFactors(self.words, np.diag(self.coeffs)) + self.gap
+        words = ChoiFactors(self.words, np.diag(self.coeffs))
+        return words + self.gap if self.e.any() else words
 
 
 # ---------------------------------------------------------------------------

@@ -511,6 +511,13 @@ def dense_superop(factors: ChoiFactors, dim_in: int,
             .transpose(1, 3, 0, 2).reshape(dim_out ** 2, dim_in ** 2))
 
 
+def choi_frobenius_norm(factors: ChoiFactors) -> float:
+    """Frobenius norm of the Choi matrix V W V^*, which is not formed:
+    its square is tr(W G W^* G) with the Gram matrix G = V^* V."""
+    g, w = factors.vectors.conj().T @ factors.vectors, factors.weights
+    return float(np.sqrt(abs(np.vdot(g @ w, w @ g))))
+
+
 def dense_rep(model, t: float, rep) -> np.ndarray:
     """A BoundaryRep as the superoperator on the outputs the cut keeps
     (the rows of solve_boundary_rep)."""
@@ -599,6 +606,11 @@ def full_size_corner_minima(model: MatrixModel, upper, lower, cut_levels,
                 dense_choi_min_eig(fold, *doubled).min_eigenvalue)
     return ({name: tuple(v) for name, v in mins.items()},
             {z: tuple(v) for z, v in witness.items()})
+
+
+def block_members(block) -> list[complex]:
+    """The members of a halfline.ComplexBlock as Python complex numbers."""
+    return list(map(complex, block.real.tolist(), block.imag.tolist()))
 
 
 def omega_full(rho, element, xi, cfg=None, n_factors=None) -> complex:

@@ -599,9 +599,10 @@ class TestCornerPipeline:
         # boundary representations: unital and minimal at each cut, then
         # the corner's off-diagonal coefficients at each cut (its diagonal
         # is the minimal weight's, handed on by the subordination verdict,
-        # and the lower entry's coefficients are the conjugates); Choi:
-        # unital, minimal and their difference at each cut, then the
-        # corner
+        # and the lower entry's coefficients are the conjugates); Choi: the
+        # minimal weight at each cut, as the unital weight is CP by the
+        # difference's small spectra and the corner by its coefficient
+        # blocks
         calls = {"boundary_rep": 0, "choi_min_eig": 0, "weight_superop": 0,
                  "apply_truncation": 0, "lambda_superop": 0}
 
@@ -619,7 +620,7 @@ class TestCornerPipeline:
         for module in (opbasis, cornercheck):
             monkeypatch.setattr(module, "choi_min_eig", choi)
         corner_records(3, tmp_path)
-        assert calls == {"boundary_rep": 6, "choi_min_eig": 8,
+        assert calls == {"boundary_rep": 6, "choi_min_eig": 2,
                          "weight_superop": 1, "apply_truncation": 2,
                          "lambda_superop": 5}
 

@@ -8,6 +8,8 @@ import pytest
 from cpflow.cornercheck import (
     DegenerateDirectionError,
     NonCompletelyPositiveInputError,
+    _difference_min_eig,
+    _kept_min_eig,
     derivation_residual,
     hypermax_witness,
     subordination_check,
@@ -15,6 +17,7 @@ from cpflow.cornercheck import (
 from cpflow.opbasis import MatrixModel, is_cp
 from references import (
     assemble_doubled,
+    choi_frobenius_norm,
     dense_choi_min_eig,
     dense_rep,
     dense_superop,
@@ -41,6 +44,16 @@ def nu(model):
     out = np.zeros((model.dim_h, model.dim_h), dtype=complex)
     out[0, 0] = 1.0
     return out
+
+
+def assert_pinned(got, want: float, atol: float) -> None:
+    """A minimum against its dense oracle to atol where the verdict took
+    the spectrum, and the CP verdict the oracle implies where a
+    certificate stood in for it (got is None)."""
+    if got is None:
+        assert is_cp(want)
+    else:
+        assert abs(got - want) <= atol
 
 
 def dominance_of(model, nu, cuts=(0.5, 0.25)):
@@ -191,8 +204,11 @@ class TestSubordination:
     def test_unital_dominates_minimal(self, model, nu):
         v = subordination_check(model, nu, None, (0.5, 0.25))
         assert v.subordinate
-        # the verdict keeps the Choi minima of both representations; the
-        # dense solve path agrees to rounding
+        # the verdict keeps the minimal weight's Choi minima, and the
+        # dense solve path agrees to rounding; the unital weight's is
+        # not taken, since the minimal weight plus the difference is CP,
+        # and the dense path finds it CP
+        assert v.upper_min_eigs == (None, None)
         for t, up, low in zip((0.5, 0.25), v.upper_min_eigs,
                               v.lower_min_eigs):
             for weight, got in ((nu, up), (None, low)):
@@ -200,12 +216,51 @@ class TestSubordination:
                     model, solve_unital_weight(model, weight), t)
                 want = dense_choi_min_eig(full_size(model, t, rep),
                                           model.dim_k, model.dim_h)
-                assert abs(got - want.min_eigenvalue) <= 1e-13
+                assert_pinned(got, want.min_eigenvalue, 1e-13)
 
     def test_strict_order(self, model, nu):
+        # D = -E / s has a negative eigenvalue, so the lower bound of the
+        # upper weight fails and its spectrum is taken: the minimal weight
+        # is CP, and the dense path agrees with every minimum
         v = subordination_check(model, None, nu, (0.5,))
         assert not v.subordinate
         assert v.difference_min_eigs[0] < -1e-4
+        assert not is_cp(v.lower_min_eigs[0] + v.difference_min_eigs[0])
+        want, _ = full_size_corner_minima(model, None, nu, (0.5,), ())
+        for name in ("upper", "lower", "difference"):
+            got = getattr(v, "%s_min_eigs" % name)
+            np.testing.assert_allclose(got, want[name], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n_factors", [1, 2, 3])
+    def test_negative_scale_against_oracles(self, n_factors):
+        # an indefinite nu with d = 1/2 but tr(x lambdahat_c nu) = 2, so
+        # the scale s = 1 - tr(x lambdahat_c nu) of the rank-one term is
+        # -1: the difference x^T (x) E / s from extreme eigenvalues
+        # equals the QR spectrum of its Choi factors and the dense one,
+        # and the unital weight is rejected by name as the dense path
+        # finds it not CP
+        m = MatrixModel(n_factors=n_factors, factor_dim=2)
+        t, dropped = 0.5, m._cut_cells(0.5)[0]
+        x = m._gap_functional(t)
+        nu = 2.0 / np.sum(x.T * m.lambda_superop(point_mass(m, 0),
+                                                 dropped)) * point_mass(m, 0)
+        d_at = [np.trace(m.lambda_superop(w) @ m.delta_matrix)
+                for w in (nu, point_mass(m, 2))]
+        nu = nu - (d_at[0] - 0.5) / d_at[1] * point_mass(m, 2)
+        assert 1.0 - np.sum(x.T * m.lambda_superop(nu, dropped)) \
+            == pytest.approx(-1.0, rel=1e-12)
+        up, low = m.boundary_rep(t, nu=nu), m.boundary_rep(t)
+        want, _ = full_size_corner_minima(m, nu, None, (t,), ())
+        got = _difference_min_eig(m, up, low, t)
+        assert got < -0.5
+        assert abs(got - want["difference"][0]) <= 1e-13
+        assert abs(got - _kept_min_eig(m, up.gap - low.gap, m.dim_k, t)) \
+            <= 1e-13
+        with pytest.raises(NonCompletelyPositiveInputError,
+                           match="upper") as err:
+            subordination_check(m, nu, None, (t,))
+        assert not is_cp(want["upper"][0])
+        assert abs(err.value.eigenvalue - want["upper"][0]) <= 1e-13
 
     def test_non_cp_input_rejected(self, model, nu):
         # a negative nu makes the lower weight non-CP
@@ -229,10 +284,18 @@ class TestSubordination:
             subordination_check(model, -nu, None, cuts)
 
     def test_non_cp_unital_weight_rejected(self, model, nu):
-        # a negative nu makes the unital weight non-CP
-        with pytest.raises(NonCompletelyPositiveInputError) as err:
+        # a negative nu makes the unital weight non-CP: the minimal
+        # weight plus the difference fails, so the unital weight's
+        # spectrum is taken, and it is the dense path's
+        with pytest.raises(NonCompletelyPositiveInputError,
+                           match="upper") as err:
             subordination_check(model, -nu, None, (0.5, 0.25))
         assert err.value.eigenvalue < 0
+        rep, _ = solve_boundary_rep(model, solve_unital_weight(model, -nu),
+                                    0.5)
+        want = dense_choi_min_eig(full_size(model, 0.5, rep), model.dim_k,
+                                  model.dim_h)
+        assert abs(err.value.eigenvalue - want.min_eigenvalue) <= 1e-13
 
 
 class TestHypermaxWitness:
@@ -288,8 +351,9 @@ class TestHypermaxWitness:
                 ref_diff = dense_choi_min_eig(dense(full) - dense(minimal),
                                               *doubled)
                 # different algorithms: the minima agree to rounding
-                # (at most 5.3e-15 apart here), the difference's to 2.3e-16
-                assert abs(got_min - ref_min.min_eigenvalue) <= 1e-13
+                # (at most 5.3e-15 apart here), the difference's to 2.3e-16;
+                # a minimum the coefficient blocks certify is not taken
+                assert_pinned(got_min, ref_min.min_eigenvalue, 1e-13)
                 assert abs(got_diff - ref_diff.min_eigenvalue) <= 1e-15
 
     def test_zero_gap_reported(self, model, nu):
@@ -317,6 +381,33 @@ class TestHypermaxWitness:
                                   - solve_boundary_rep(m, minimal, t)[0])
                    for t in cuts)
         assert rep.gap_norm == pytest.approx(want, rel=1e-12)
+        # and the Gram form of the norm on the rank-one terms' factors
+        gram = max(choi_frobenius_norm(up.gap - low.gap)
+                   for up, low in rep.dominance.reps)
+        assert rep.gap_norm == pytest.approx(gram, rel=1e-12)
+        assert type(rep.gap_norm) is float and type(rep.witnessed) is bool
+
+    def test_failing_margin_takes_the_folded_spectrum(self, model,
+                                                      dominance):
+        # |z| = 1 + 5e-13 is on the circle to 1e-12, but |z^{n+1}| > 1, so
+        # every word's coefficient margin fails and the folded spectrum is
+        # taken at each cut; it is the dense path's, and CP
+        z = -(1.0 + 5e-13)
+        for t, (_, low) in zip(dominance.cut_levels, dominance.reps):
+            off = model.boundary_rep(t, z).coeffs
+            assert (np.abs(off) > low.coeffs).any()
+        rep = hypermax_witness(z, model, dominance)
+        assert None not in rep.minimal_min_eigs
+        assert rep.witnessed
+        _, want = full_size_corner_minima(model, point_mass(model, 0), None,
+                                          dominance.cut_levels, (z,))
+        np.testing.assert_allclose(rep.minimal_min_eigs, want[z], rtol=0,
+                                   atol=1e-13)
+
+    def test_exact_margins_take_no_folded_spectrum(self, model, dominance):
+        for z in (-1.0, 1j, -1j):
+            assert hypermax_witness(z, model, dominance).minimal_min_eigs \
+                == (None, None)
 
 
 def point_mass(model, row: int) -> np.ndarray:
@@ -367,11 +458,16 @@ class TestKeptOutputsOracle:
             m, upper, lower, self.CUTS, self.LABELS)
         for name in ("upper", "lower", "difference"):
             got = getattr(verdict, "%s_min_eigs" % name)
-            np.testing.assert_allclose(got, want[name], rtol=0, atol=1e-13)
+            for got_t, want_t in zip(got, want[name], strict=True):
+                assert_pinned(got_t, want_t, 1e-13)
         for z in self.LABELS:
             report = hypermax_witness(z, m, verdict)
-            np.testing.assert_allclose(report.minimal_min_eigs,
-                                       want_witness[z], rtol=0, atol=1e-13)
+            # a diagonal with a rank-one term takes every folded spectrum
+            if lower is not None:
+                assert None not in report.minimal_min_eigs
+            for got_t, want_t in zip(report.minimal_min_eigs,
+                                     want_witness[z], strict=True):
+                assert_pinned(got_t, want_t, 1e-13)
 
     def test_top_cell_kept_block_has_zero_rows(self):
         # the minimal weight's words reach every kept row; the rank-one
@@ -391,9 +487,10 @@ class TestKeptOutputsOracle:
         m = MatrixModel(n_factors=1, factor_dim=2)
         upper, lower = kept_outputs_cases()["onto-identity"](m)
         verdict = subordination_check(m, upper, lower, self.CUTS)
-        for mins in (verdict.upper_min_eigs, verdict.lower_min_eigs,
-                     verdict.difference_min_eigs):
+        for mins in (verdict.lower_min_eigs, verdict.difference_min_eigs):
             assert mins[0] > 0.0 and mins[1:] == (0.0, 0.0)
+        # upper = lower + difference is CP by those, so not taken
+        assert verdict.upper_min_eigs == (None,) * 3
 
 
 class TestCornerIdentity:

@@ -20,7 +20,11 @@ import pytest
 from mpmath import mp
 
 from cpflow.cli import DEFAULT_CONFIG
-from cpflow.cornercheck import _folded_rep, _kept_min_eig
+from cpflow.cornercheck import (
+    _difference_min_eig,
+    _folded_rep,
+    _kept_min_eig,
+)
 from cpflow.opbasis import MatrixModel, is_cp
 from references import (
     choi_tail_ratio,
@@ -89,9 +93,11 @@ def check_against_solve_path(n_factors: int, factor_dim: int,
                              folds: bool = True) -> None:
     """Every weight and boundary representation of the model at the
     labels and cuts against the solve path to 1e-13 relative, and the
-    Choi minima of the corner run (unital, minimal, difference, and with
-    folds the minimal fold at each label) against dense spectra to
-    1e-12, with the same CP verdicts.  labels must hold 1."""
+    Choi minima of the corner run (unital, minimal, difference by its
+    QR spectrum and from the extreme eigenvalues of its Kronecker
+    factors, and with folds the minimal fold at each label) against
+    dense spectra to 1e-12, with the same CP verdicts.  labels must
+    hold 1."""
     m = MatrixModel(n_factors=n_factors, factor_dim=factor_dim)
     nu = point_mass(m)
     weights = {z: solve_weight_superop(m, z) for z in labels}
@@ -113,6 +119,8 @@ def check_against_solve_path(n_factors: int, factor_dim: int,
                  (rep_u.gap, dense_u - dense[1.0])]
         minima = [(_kept_min_eig(m, f, dk, t), dense_kept_min(m, d, dk, t))
                   for f, d in pairs]
+        minima.append((_difference_min_eig(m, rep_u, reps[1.0], t),
+                       minima[-1][1]))
         kept = dk * m.kept_cells(t)
         for z in labels if folds else ():
             fold = fold_doubled([[dense[1.0], dense[z]],
