@@ -440,9 +440,6 @@ class ChoiFactors:
         weights[:len(a), :len(a)], weights[len(a):, len(a):] = a, b
         return ChoiFactors(np.hstack([self.vectors, other.vectors]), weights)
 
-    def __sub__(self, other: ChoiFactors) -> ChoiFactors:
-        return self + ChoiFactors(other.vectors, -other.weights)
-
 
 @dataclass(frozen=True)
 class BoundaryRep:

@@ -511,6 +511,12 @@ def dense_superop(factors: ChoiFactors, dim_in: int,
             .transpose(1, 3, 0, 2).reshape(dim_out ** 2, dim_in ** 2))
 
 
+def choi_difference(a: ChoiFactors, b: ChoiFactors) -> ChoiFactors:
+    """Choi factors of the map a - b: the factors stacked, b's weights
+    negated."""
+    return a + ChoiFactors(b.vectors, -b.weights)
+
+
 def choi_frobenius_norm(factors: ChoiFactors) -> float:
     """Frobenius norm of the Choi matrix V W V^*, which is not formed:
     its square is tr(W G W^* G) with the Gram matrix G = V^* V."""

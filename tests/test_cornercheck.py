@@ -17,6 +17,7 @@ from cpflow.cornercheck import (
 from cpflow.opbasis import MatrixModel, is_cp
 from references import (
     assemble_doubled,
+    choi_difference,
     choi_frobenius_norm,
     dense_choi_min_eig,
     dense_rep,
@@ -254,8 +255,8 @@ class TestSubordination:
         got = _difference_min_eig(m, up, low, t)
         assert got < -0.5
         assert abs(got - want["difference"][0]) <= 1e-13
-        assert abs(got - _kept_min_eig(m, up.gap - low.gap, m.dim_k, t)) \
-            <= 1e-13
+        qr = _kept_min_eig(m, choi_difference(up.gap, low.gap), m.dim_k, t)
+        assert abs(got - qr) <= 1e-13
         with pytest.raises(NonCompletelyPositiveInputError,
                            match="upper") as err:
             subordination_check(m, nu, None, (t,))
@@ -382,7 +383,7 @@ class TestHypermaxWitness:
                    for t in cuts)
         assert rep.gap_norm == pytest.approx(want, rel=1e-12)
         # and the Gram form of the norm on the rank-one terms' factors
-        gram = max(choi_frobenius_norm(up.gap - low.gap)
+        gram = max(choi_frobenius_norm(choi_difference(up.gap, low.gap))
                    for up, low in rep.dominance.reps)
         assert rep.gap_norm == pytest.approx(gram, rel=1e-12)
         assert type(rep.gap_norm) is float and type(rep.witnessed) is bool
