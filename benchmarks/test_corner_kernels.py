@@ -15,7 +15,8 @@ of the dim_k^2 unit densities at labels 1 and -1, the cut of those
 minimal weight densities at cut 0.5 (to their blocks on the one cell of
 three that the cut keeps: 8 x 8 and 16 x 16), the boundary
 representation of the minimal weight there in word form (15 and 31
-words), the Choi spectrum of the folded
+words, timed on a fresh model so that its words are built, not read
+from the model's cache), the Choi spectrum of the folded
 2x2 corner there (a 128 x 128 Choi matrix at N = 3, 512 x 512 at N = 4,
 taken on the range of its 30 and 62 Choi vectors), the subordination
 check of the unital weight over the minimal one, and the hypermaximality
@@ -23,9 +24,11 @@ witness that follows it, which reads its gap off the unital weight's
 rank-one terms in that check.  The folded spectrum is the witness's
 fallback kernel: the default witness certifies the corner by its 2x2
 coefficient blocks and takes it only where a block's margin fails.  The
-last two also run at N = 5 and 6 (dim_k = 32 and 64), and the whole
-``corner`` runner (model, weights, every check and the derivation
-residual) runs at N = 4 and 5.
+last two also run at N = 5 and 6 (dim_k = 32 and 64).  The derivation
+residual of the ``corner`` runner, on the dim_k^2 unit densities at its
+label 0.4 + 0.3i, runs at N = 3, 4 and 5, and the whole ``corner`` runner
+(model, weights, every check and the derivation residual) at N = 4
+and 5.
 
 The largest sizes of the solve-path oracle of tests/test_wordform.py,
 (N, m) = (4, 2) and (3, 3), run here too: they take 7 s and 2 min.
@@ -37,6 +40,7 @@ import pytest
 from cpflow.cli import DEFAULT_CONFIG, Reporter, load_config, run_corner
 from cpflow.cornercheck import (
     _folded_rep,
+    derivation_residual,
     hypermax_witness,
     subordination_check,
 )
@@ -49,6 +53,7 @@ CORNER = DEFAULT_CONFIG["corner"]
 CUTS = tuple(CORNER["cut_levels"])
 LABEL = complex(CORNER["witness_label"])
 FACTOR_DIM = DEFAULT_CONFIG["tensor"]["factor_dim"]
+DERIVATION_LABEL = 0.4 + 0.3j  # run_corner's
 CONSTANTS = ("basis", "damping", "cross_overlap", "reference_coords",
              "delta_matrix", "shift", "slot_matrix", "tail_ratio")
 
@@ -112,6 +117,25 @@ def test_boundary_rep(benchmark, model):
     rep = benchmark(model.boundary_rep, CUTS[0])
     assert rep.words.shape == (model.dim_k * kept_dim(model),
                                2 ** (model.n_factors + 1) - 1)
+
+
+def test_dropped_words(benchmark, model):
+    def fresh_model():
+        return (build_model(model.n_factors),), {}
+
+    words = []
+    benchmark.pedantic(lambda m: words.append(m._dropped_words(CUTS[0])),
+                       setup=fresh_model, rounds=50)
+    assert all(w[0].shape == (model.dim_k * kept_dim(model),
+                              2 ** (model.n_factors + 1) - 1)
+               for w in words)
+
+
+@pytest.mark.parametrize("n_factors", [3, 4, 5], ids=lambda n: "N%d" % n)
+def test_derivation_residual(benchmark, n_factors):
+    built = build_model(n_factors)
+    residual = benchmark(derivation_residual, built, DERIVATION_LABEL)
+    assert residual < 1e-10
 
 
 def test_choi_min_eig_folded_corner(benchmark, model):

@@ -46,6 +46,7 @@ from .opbasis import (
     BoundaryRep,
     ChoiFactors,
     MatrixModel,
+    _kron,
     choi_min_eig,
     cut_edge,
     is_cp,
@@ -110,7 +111,7 @@ def _folded_rep(model: MatrixModel, diag_rep: BoundaryRep, z: complex,
     upper[:len(off), :len(off)] = np.diag(off)
     weights = np.block([[diag.weights, upper], [upper.conj().T,
                                                 diag.weights]])
-    return ChoiFactors(np.kron(np.eye(2), diag.vectors), weights)
+    return ChoiFactors(_kron(np.eye(2), diag.vectors), weights)
 
 
 @dataclass(frozen=True)
@@ -240,6 +241,21 @@ def on_unit_circle(z: complex) -> bool:
     return abs(abs(z) - 1.0) <= 1e-12
 
 
+def _margin_bound(low: BoundaryRep, off: np.ndarray) -> float:
+    """A lower bound on the least Choi eigenvalue of the folded corner
+    with diagonal low, a word sum without rank-one term, and off-diagonal
+    coefficients off.
+
+    The fold is the sum over the words w of B_w (x) v_w v_w^*, with
+    B_w = [[a_w, b_w], [conj(b_w), a_w]] and v_w the word's Choi vector,
+    and B_w >= (a_w - |b_w|) I, so its least eigenvalue is at least
+    sum_w min(0, a_w - |b_w|) ||v_w||^2.
+    """
+    slack = np.minimum(low.coeffs - np.abs(off), 0.0)
+    neg = np.flatnonzero(slack)
+    return float(slack[neg] @ np.linalg.norm(low.words[:, neg], axis=0) ** 2)
+
+
 def hypermax_witness(z: complex, model: MatrixModel,
                      dominance: SubordinationVerdict) -> HypermaxReport:
     """Witness the failure of hypermaximality of the corner at label z.
@@ -263,11 +279,12 @@ def hypermax_witness(z: complex, model: MatrixModel,
     [conj(z)^{n+1}, 1]], positive semidefinite because |z^{n+1}| <= 1.
     On the words of length N it is [[a, b], [conj(b), a]] with
     a = 1 / (1 - mu_c) and b = z^{N+1} / (1 - z mu_c), positive
-    semidefinite because |1 - z mu_c| >= 1 - mu_c.  A sum of positive
-    semidefinite blocks is positive semidefinite, so the folded spectrum
-    (_folded_rep) is taken only at a cut where a block's margin a - |b|
-    is negative in floating point, or where the diagonal has a rank-one
-    term, which this argument leaves out.
+    semidefinite because |1 - z mu_c| >= 1 - mu_c.  In floating point
+    |z^{n+1}| may round an ulp above 1, so a margin a - |b| may come out
+    just below zero; _margin_bound bounds the fold's least eigenvalue by
+    the sum of the negative margins, and the folded spectrum (_folded_rep)
+    is taken only at a cut where that bound fails is_cp, or where the
+    diagonal has a rank-one term, which this argument leaves out.
     """
     z = complex(z)
     if not on_unit_circle(z):
@@ -281,13 +298,13 @@ def hypermax_witness(z: complex, model: MatrixModel,
     minimal_eigs = []
     for t, (_, low) in zip(dominance.cut_levels, dominance.reps):
         off = model.boundary_rep(t, z).coeffs
-        certified = not low.e.any() and np.all(np.abs(off) <= low.coeffs)
+        certified = not low.e.any() and is_cp(_margin_bound(low, off))
         minimal_eigs.append(None if certified else _kept_min_eig(
             model, _folded_rep(model, low, z, t), 2 * model.dim_k, t))
     return HypermaxReport(z, tuple(minimal_eigs), gap_norm, dominance)
 
 
-_RESIDUAL_BLOCK = 64  # unit densities per block; N = 3 has 64
+_RESIDUAL_BLOCK = 16  # unit densities per block; N = 3 has 64
 
 
 def derivation_residual(model: MatrixModel, z: complex) -> float:
@@ -299,7 +316,10 @@ def derivation_residual(model: MatrixModel, z: complex) -> float:
     pins the off-diagonal of a corner matrix to the series weight.  The
     unit densities run in blocks of _RESIDUAL_BLOCK, so that memory stays
     a few MB where all at once would take 2.4 GB at N = 6, and the
-    residual is the root sum of squares of the blocks' norms.
+    residual is the root sum of squares of the blocks' norms.  At N = 3
+    a block's largest arrays take 147 KB, few enough that the allocator
+    keeps their pages from one run to the next; all 64 densities at once
+    are faulted in again on every run.
     """
     d, norms = model.dim_k, []
     for start in range(0, d * d, _RESIDUAL_BLOCK):

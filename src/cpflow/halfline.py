@@ -298,8 +298,11 @@ def gamma_grid(a: np.ndarray, grid: "Grid") -> np.ndarray:
     h = grid.spacing
     out = h * np.asarray(a, dtype=np.result_type(a, float))
     decay = np.exp(-h)
-    for i in range(1, n):
-        out[i, 1:] += decay * out[i - 1, :-1]
+    step = np.empty(n - 1, out.dtype)
+    # row i from row i - 1 in place, the decayed row in one reused buffer
+    for prev, row in zip(out[:-1, :-1], out[1:, 1:]):
+        np.multiply(decay, prev, out=step)
+        np.add(row, step, out=row)
     return out
 
 

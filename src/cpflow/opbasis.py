@@ -84,6 +84,13 @@ def _real_if_exact(a) -> np.ndarray:
     return a if a.imag.any() else a.real.copy()
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two matrices as one broadcast product: the same
+    products, so the same values, without np.kron's overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        len(a) * len(b), a.shape[1] * b.shape[1])
+
+
 def _label(z: complex) -> complex:
     """z as a complex number, or as a float when its imaginary part is
     zero, so that a real label keeps the model's arithmetic real."""
@@ -130,9 +137,11 @@ class MatrixModel:
     n_factors: int = 4
     factor_dim: int = 2
     seq: LambdaSequence = LambdaSequence("linear")
-    # _dropped_words and _gap_functional by cut edge
+    # _dropped_words, _cut_tail_ratio and _gap_functional by cut edge
     _words_by_edge: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
+    _mu_by_edge: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
     _x_by_edge: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
@@ -199,7 +208,7 @@ class MatrixModel:
         """Compression of the limit operator Delta to the truncated space."""
         out = np.array([[1.0]])
         for _ in range(self.n_factors):
-            out = np.kron(out, self.damping)
+            out = _kron(out, self.damping)
         return out * tail_weight_product(self.seq, self.n_factors + 1)
 
     @cached_property
@@ -253,10 +262,12 @@ class MatrixModel:
         """tr_1[(q (x) I) rho] (x) kappa kappa^T, the series kernel with
         slot matrix q, on a K-density or a stack of them."""
         m, d, kappa = self.factor_dim, self.dim_k, self.reference_coords[0]
-        slots = rho.reshape(*rho.shape[:-2], m, d // m, m, d // m)
-        rest = np.einsum("ij,...iajb->...ab", q, slots)
-        return np.einsum("...ab,kl->...akbl", rest,
-                         np.outer(kappa, kappa)).reshape(rho.shape)
+        lead, r = rho.shape[:-2], d // m
+        # the first slot's index pair (i, j) as one axis against vec(q)
+        pairs = rho.reshape(*lead, m, r, m, r).swapaxes(-3, -2)
+        rest = q.ravel() @ pairs.reshape(*lead, m * m, r * r)
+        return (rest.reshape(*lead, r, 1, r, 1)
+                * np.outer(kappa, kappa)[:, None, :]).reshape(rho.shape)
 
     def _kernel_dual(self, y: np.ndarray, q: np.ndarray) -> np.ndarray:
         """q^T (x) (I (x) kappa^T) y (I (x) kappa), the dual of _kernel:
@@ -304,7 +315,12 @@ class MatrixModel:
         core = _finite_resolvent(
             lambda c: z * self._kernel(c, self.slot_matrix), rho, z * mu,
             self.n_factors)
-        return z * self.pi_superop(core)
+        # in place, z first: numpy's complex product does not round
+        # symmetrically, and z * (an unnamed result of 256 KB or more)
+        # runs in place with the operands swapped, so a density's weight
+        # would round by the size of its stack
+        image = self.pi_superop(core)
+        return np.multiply(z, image, out=image)
 
     def apply_truncation(self, t: float, rho: np.ndarray) -> np.ndarray:
         """The cut P rho P at level t, on the cells it keeps.
@@ -343,15 +359,27 @@ class MatrixModel:
             words, tail, blocks = np.ones((1, 1)), np.ones(1), []
             for n in range(n_f + 1):
                 rest = head.reshape(len(head), m ** (n_f - n), m ** n) @ tail
-                blocks.append(np.einsum("wa,ob->abow", words, rest)
+                # vec(K_w^T) indexed (a, b, o, w): words[w, a] rest[o, b]
+                blocks.append((words.T[:, None, None, :]
+                               * rest.T[None, :, :, None])
                               .reshape(d * len(head), -1))
-                words = np.einsum("kp,wa->pwak", slot, words)
+                # the next letter p leads: slot[k, p] words[w, a] at (p w, a k)
+                words = slot.T[:, None, None, :] * words[None, :, :, None]
                 words = words.reshape(-1, m ** (n + 1))
-                tail = np.kron(tail, kappa)
+                tail = np.outer(tail, kappa).ravel()
             lengths = np.repeat(np.arange(n_f + 1),
                                 [b.shape[1] for b in blocks])
             self._words_by_edge[edge] = (np.hstack(blocks), lengths)
         return self._words_by_edge[edge]
+
+    def _cut_tail_ratio(self, t: float) -> float:
+        """mu_c = kappa^T Q_c kappa over the cells the cut at level t
+        drops, computed once per cut edge."""
+        edge = cut_edge(t)
+        if edge not in self._mu_by_edge:
+            self._mu_by_edge[edge] = self._tail_ratio_of(
+                self._slot_matrix_on(self._cut_cells(t)[0]))
+        return self._mu_by_edge[edge]
 
     def _gap_functional(self, t: float) -> np.ndarray:
         """x = (I - khat_c^*)^{-1} (I - khat^*) Delta at the cut at level t,
@@ -364,7 +392,7 @@ class MatrixModel:
             seed = delta - self._kernel_dual(delta, self.slot_matrix)
             self._x_by_edge[edge] = _finite_resolvent(
                 lambda y: self._kernel_dual(y, q_c), seed,
-                self._tail_ratio_of(q_c), self.n_factors)
+                self._cut_tail_ratio(t), self.n_factors)
         return self._x_by_edge[edge]
 
     def boundary_rep(self, t: float, z: complex = 1.0,
@@ -397,9 +425,7 @@ class MatrixModel:
             raise ValueError("the unital weight has label 1, got %r" % z)
         self._converging(z)
         vectors, lengths = self._dropped_words(t)
-        dropped = self._cut_cells(t)[0]
-        q_c, n_f = self._slot_matrix_on(dropped), self.n_factors
-        mu_c = self._tail_ratio_of(q_c)
+        mu_c, n_f = self._cut_tail_ratio(t), self.n_factors
         coeffs = np.where(lengths < n_f, z ** (lengths + 1),
                           z ** (n_f + 1) / (1.0 - z * mu_c))
         x, dn = self._gap_functional(t), self.dim_k * self.kept_cells(t)
@@ -411,11 +437,11 @@ class MatrixModel:
                 "normalization 1 - nu(Lambda(Delta)) is singular", d_val)
         # E = cut(nu) + B0(lambdahat_c nu), B0 read off the words on the
         # rows where lambdahat_c nu is not identically zero
-        low_nu = self.lambda_superop(nu, dropped)
+        low_nu = self.lambda_superop(nu, self._cut_cells(t)[0])
         on = np.flatnonzero(np.any(low_nu != 0, axis=1))
         cols = vectors.reshape(self.dim_k, dn, -1)[on].transpose(1, 2, 0)
         cols = cols.reshape(dn, -1)
-        e = self.apply_truncation(t, nu) + cols @ np.kron(
+        e = self.apply_truncation(t, nu) + cols @ _kron(
             np.diag(coeffs), low_nu[np.ix_(on, on)]) @ cols.conj().T
         return BoundaryRep(vectors, coeffs, x,
                            e / (1.0 - np.sum(x.T * low_nu)))
@@ -462,9 +488,9 @@ class BoundaryRep:
         """Choi factors of the rank-one term, on the rows where e is not
         identically zero (without columns when e = 0)."""
         on = np.flatnonzero(np.any(self.e != 0, axis=1))
-        return ChoiFactors(np.kron(np.eye(len(self.x)),
-                                   np.eye(len(self.e))[:, on]),
-                           np.kron(self.x.T, self.e[np.ix_(on, on)]))
+        return ChoiFactors(_kron(np.eye(len(self.x)),
+                                 np.eye(len(self.e))[:, on]),
+                           _kron(self.x.T, self.e[np.ix_(on, on)]))
 
     @property
     def choi(self) -> ChoiFactors:

@@ -24,10 +24,13 @@ from cpflow.cli import _seq
 from cpflow.halfline import ExpKernelVector, ExpMultiplier, Grid
 from cpflow.opbasis import (
     DEFAULT_EDGES,
+    BoundaryRep,
     ChoiFactors,
     ChoiVerdict,
     MatrixModel,
     NonInvertibleSystemError,
+    _finite_resolvent,
+    _label,
     cut_edge,
 )
 from cpflow.semigroups import (
@@ -37,7 +40,12 @@ from cpflow.semigroups import (
     evolve,
     flow_inner,
 )
-from cpflow.tensorspace import ProductVector, TensorOperator, reference_state
+from cpflow.tensorspace import (
+    ProductVector,
+    TensorOperator,
+    reference_state,
+    tail_weight_product,
+)
 from cpflow.weights import (
     BoundaryWeight,
     HElement,
@@ -300,6 +308,87 @@ def letter_dropped_words(model, t: float) -> tuple[np.ndarray, np.ndarray]:
     return vectors.reshape(-1, len(words)), lengths
 
 
+# The einsum and np.kron forms that MatrixModel and cornercheck replaced
+# by matmuls and broadcast products; the broadcast products round
+# exactly as these do.
+
+def einsum_kernel(model, rho: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """MatrixModel._kernel by two ellipsis einsums."""
+    m, d, kappa = model.factor_dim, model.dim_k, model.reference_coords[0]
+    slots = rho.reshape(*rho.shape[:-2], m, d // m, m, d // m)
+    rest = np.einsum("ij,...iajb->...ab", q, slots)
+    return np.einsum("...ab,kl->...akbl", rest,
+                     np.outer(kappa, kappa)).reshape(rho.shape)
+
+
+def kron_delta_matrix(model) -> np.ndarray:
+    """MatrixModel.delta_matrix by np.kron."""
+    out = np.array([[1.0]])
+    for _ in range(model.n_factors):
+        out = np.kron(out, model.damping)
+    return out * tail_weight_product(model.seq, model.n_factors + 1)
+
+
+def kron_dropped_words(model, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """MatrixModel._dropped_words by einsum and np.kron, never cached."""
+    d, m, n_f = model.dim_k, model.factor_dim, model.n_factors
+    dropped, kept = model._cut_cells(t)
+    head = model.shift.conj().T.reshape(d, model.h_dim, d)[:, kept]
+    head = head.reshape(-1, d)
+    slot = model.cross_overlap[:, dropped] * np.sqrt(
+        np.diag(model.h_damping)[dropped])
+    kappa = model.reference_coords[0]
+    words, tail, blocks = np.ones((1, 1)), np.ones(1), []
+    for n in range(n_f + 1):
+        rest = head.reshape(len(head), m ** (n_f - n), m ** n) @ tail
+        blocks.append(np.einsum("wa,ob->abow", words, rest)
+                      .reshape(d * len(head), -1))
+        words = np.einsum("kp,wa->pwak", slot, words)
+        words = words.reshape(-1, m ** (n + 1))
+        tail = np.kron(tail, kappa)
+    lengths = np.repeat(np.arange(n_f + 1), [b.shape[1] for b in blocks])
+    return np.hstack(blocks), lengths
+
+
+def kron_boundary_rep(model, t: float, z: complex = 1.0,
+                      nu: np.ndarray | None = None) -> BoundaryRep:
+    """MatrixModel.boundary_rep with mu_c, x and Delta rebuilt on each
+    call and its Kronecker products by np.kron."""
+    z = _label(z)
+    vectors, lengths = kron_dropped_words(model, t)
+    dropped = model._cut_cells(t)[0]
+    q_c, n_f = model._slot_matrix_on(dropped), model.n_factors
+    mu_c = model._tail_ratio_of(q_c)
+    coeffs = np.where(lengths < n_f, z ** (lengths + 1),
+                      z ** (n_f + 1) / (1.0 - z * mu_c))
+    delta = kron_delta_matrix(model)
+    seed = delta - model._kernel_dual(delta, model.slot_matrix)
+    x = _finite_resolvent(lambda y: model._kernel_dual(y, q_c), seed, mu_c,
+                          n_f)
+    dn = model.dim_k * model.kept_cells(t)
+    if nu is None:
+        return BoundaryRep(vectors, coeffs, x, np.zeros((dn, dn)))
+    low_nu = model.lambda_superop(nu, dropped)
+    on = np.flatnonzero(np.any(low_nu != 0, axis=1))
+    cols = vectors.reshape(model.dim_k, dn, -1)[on].transpose(1, 2, 0)
+    cols = cols.reshape(dn, -1)
+    e = model.apply_truncation(t, nu) + cols @ np.kron(
+        np.diag(coeffs), low_nu[np.ix_(on, on)]) @ cols.conj().T
+    return BoundaryRep(vectors, coeffs, x, e / (1.0 - np.sum(x.T * low_nu)))
+
+
+def kron_gap(rep: BoundaryRep) -> ChoiFactors:
+    """BoundaryRep.gap by np.kron."""
+    on = np.flatnonzero(np.any(rep.e != 0, axis=1))
+    return ChoiFactors(np.kron(np.eye(len(rep.x)), np.eye(len(rep.e))[:, on]),
+                       np.kron(rep.x.T, rep.e[np.ix_(on, on)]))
+
+
+def kron_folded_vectors(diag_rep: BoundaryRep) -> np.ndarray:
+    """The Choi vectors of cornercheck._folded_rep by np.kron."""
+    return np.kron(np.eye(2), diag_rep.choi.vectors)
+
+
 def tail_eigenvalues(letters: np.ndarray, kappa: np.ndarray,
                      n: int) -> tuple[np.ndarray, float]:
     """a_p = <K, A_p K> per letter, K = kappa^{(x) n} the tail vector
@@ -345,15 +434,18 @@ def choi_tail_ratio(letters: np.ndarray, n: int) -> tuple[float, float]:
 
 def unchunked_derivation_residual(model, z: complex) -> float:
     """cornercheck.derivation_residual on all dim_k^2 unit densities at
-    once, as one norm of the whole residual, its squares summed exactly
-    (math.fsum): a numpy norm of a million entries is itself off by a
-    few 1e-15 relative."""
+    once, as one norm of the whole residual, its squares summed by
+    math.fsum, density by density and then the densities' sums: a numpy
+    norm of a million entries is itself off by a few 1e-15 relative, and
+    correctly rounded sums of nonnegative terms add to within an ulp of
+    the exact sum."""
     units = unit_densities(model.dim_k)
     pi_rho = model.pi_superop(units)
     lhs = model.weight_superop(units - z * model.lambda_superop(pi_rho), z)
     lhs -= z * pi_rho
-    parts = np.concatenate([lhs.real.ravel(), lhs.imag.ravel()])
-    return math.sqrt(math.fsum((parts * parts).tolist()))
+    return math.sqrt(math.fsum(math.fsum((one * one).ravel().tolist())
+                               for part in (lhs.real, lhs.imag)
+                               for one in part))
 
 
 def solve_xi_eta(model, nu_density: np.ndarray) -> tuple[np.ndarray, float]:
@@ -612,6 +704,17 @@ def full_size_corner_minima(model: MatrixModel, upper, lower, cut_levels,
                 dense_choi_min_eig(fold, *doubled).min_eigenvalue)
     return ({name: tuple(v) for name, v in mins.items()},
             {z: tuple(v) for z, v in witness.items()})
+
+
+def rowwise_gamma_grid(a: np.ndarray, grid: Grid) -> np.ndarray:
+    """halfline.gamma_grid's diagonal recursion with a new temporary for
+    each decayed row."""
+    n, h = grid.points, grid.spacing
+    out = h * np.asarray(a, dtype=np.result_type(a, float))
+    decay = np.exp(-h)
+    for i in range(1, n):
+        out[i, 1:] += decay * out[i - 1, :-1]
+    return out
 
 
 def block_members(block) -> list[complex]:

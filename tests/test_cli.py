@@ -590,11 +590,12 @@ class TestCornerPipeline:
         assert values["boundary-rep-choi-min-t-0.5"] == "0.0"
 
     def test_each_result_computed_once(self, monkeypatch, tmp_path):
-        # series weights: one, on the stack of unit densities of the
-        # derivation label, with lambdahat applied to its pihat; no
-        # weight series is summed from nu, since the unital representation
-        # applies lambdahat to nu for its normalization check, cuts nu
-        # once and applies lambdahat to nu on the dropped cells, and the
+        # series weights: one per block of 16 unit densities of the
+        # derivation label (64 at N = 3, so 4), each with lambdahat
+        # applied to its pihat; no weight series is summed from nu, since
+        # the unital representation applies lambdahat to nu for its
+        # normalization check, cuts nu once and applies lambdahat to nu on
+        # the dropped cells (4 lambdahat with the derivation's 4), and the
         # witness reads its gap off that representation's rank-one term;
         # boundary representations: unital and minimal at each cut, then
         # the corner's off-diagonal coefficients at each cut (its diagonal
@@ -621,8 +622,8 @@ class TestCornerPipeline:
             monkeypatch.setattr(module, "choi_min_eig", choi)
         corner_records(3, tmp_path)
         assert calls == {"boundary_rep": 6, "choi_min_eig": 2,
-                         "weight_superop": 1, "apply_truncation": 2,
-                         "lambda_superop": 5}
+                         "weight_superop": 4, "apply_truncation": 2,
+                         "lambda_superop": 8}
 
 
 # the default delta report, linear lambda: (name, value, expected)

@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cpflow import cornercheck
 from cpflow.cornercheck import (
     DegenerateDirectionError,
     NonCompletelyPositiveInputError,
     _difference_min_eig,
     _kept_min_eig,
+    _margin_bound,
     derivation_residual,
     hypermax_witness,
     subordination_check,
@@ -388,22 +390,67 @@ class TestHypermaxWitness:
         assert rep.gap_norm == pytest.approx(gram, rel=1e-12)
         assert type(rep.gap_norm) is float and type(rep.witnessed) is bool
 
-    def test_failing_margin_takes_the_folded_spectrum(self, model,
-                                                      dominance):
+    def test_failing_margins_are_certified_by_their_bound(self, model,
+                                                          dominance):
         # |z| = 1 + 5e-13 is on the circle to 1e-12, but |z^{n+1}| > 1, so
-        # every word's coefficient margin fails and the folded spectrum is
-        # taken at each cut; it is the dense path's, and CP
+        # every word's coefficient margin fails by a few 1e-12; their sum
+        # bounds the fold's minimum far above -CP_TOLERANCE, so no folded
+        # spectrum is taken, and the dense path's is CP
         z = -(1.0 + 5e-13)
         for t, (_, low) in zip(dominance.cut_levels, dominance.reps):
             off = model.boundary_rep(t, z).coeffs
             assert (np.abs(off) > low.coeffs).any()
+            assert -1e-10 < _margin_bound(low, off) < 0.0
         rep = hypermax_witness(z, model, dominance)
-        assert None not in rep.minimal_min_eigs
+        assert rep.minimal_min_eigs == (None, None)
         assert rep.witnessed
         _, want = full_size_corner_minima(model, point_mass(model, 0), None,
                                           dominance.cut_levels, (z,))
-        np.testing.assert_allclose(rep.minimal_min_eigs, want[z], rtol=0,
-                                   atol=1e-13)
+        assert all(map(is_cp, want[z]))
+
+    @pytest.mark.parametrize("n_factors, z", [
+        (2, np.exp(0.1j)), (3, np.exp(0.1j)), (3, np.exp(2j))],
+        ids=["N2-exp0.1i", "N3-exp0.1i", "N3-exp2i"])
+    def test_rounded_powers_take_no_qr_spectrum(self, n_factors, z,
+                                                monkeypatch):
+        # these labels round some |z^{n+1}| an ulp above 1, so an exact
+        # margin fails; the margin bound certifies every cut without a QR
+        # spectrum, and the dense path agrees that the corner is CP
+        m = MatrixModel(n_factors=n_factors, factor_dim=2)
+        dominance = dominance_of(m, point_mass(m, 0))
+        assert any((np.abs(m.boundary_rep(t, z).coeffs) > low.coeffs).any()
+                   for t, (_, low) in zip(dominance.cut_levels,
+                                          dominance.reps))
+
+        def no_spectrum(*args):
+            raise AssertionError("a QR spectrum was taken")
+
+        monkeypatch.setattr(cornercheck, "choi_min_eig", no_spectrum)
+        rep = hypermax_witness(z, m, dominance)
+        assert rep.minimal_min_eigs == (None, None)
+        assert rep.witnessed
+        monkeypatch.undo()
+        _, want = full_size_corner_minima(m, point_mass(m, 0), None,
+                                          dominance.cut_levels, (z,))
+        assert all(map(is_cp, want[z]))
+
+    @pytest.mark.parametrize("n_factors", [2, 3])
+    def test_rank_one_diagonal_takes_the_folded_spectrum(self, n_factors):
+        # a diagonal with a rank-one term is outside the margin bound: the
+        # folded spectrum is taken at every cut, at labels whose margins
+        # hold exactly as well as at rounded ones, and it is the dense
+        # path's
+        m = MatrixModel(n_factors=n_factors, factor_dim=2)
+        upper, lower = 2.0 * point_mass(m, 0), point_mass(m, 0)
+        cuts = (0.5, 0.25)
+        dominance = subordination_check(m, upper, lower, cuts)
+        labels = (-1.0 + 0j, complex(np.exp(0.1j)))
+        _, want = full_size_corner_minima(m, upper, lower, cuts, labels)
+        for z in labels:
+            rep = hypermax_witness(z, m, dominance)
+            assert None not in rep.minimal_min_eigs
+            np.testing.assert_allclose(rep.minimal_min_eigs, want[z],
+                                       rtol=0, atol=1e-13)
 
     def test_exact_margins_take_no_folded_spectrum(self, model, dominance):
         for z in (-1.0, 1j, -1j):
@@ -508,7 +555,7 @@ class TestCornerIdentity:
         assert derivation_residual(m, 0.4 + 0.3j) > 1e-3
 
     def test_residual_runs_in_blocks_of_unit_densities(self):
-        # at N = 4 the 256 unit densities run in 4 blocks: the traced peak
+        # at N = 4 the 256 unit densities run in 16 blocks: the traced peak
         # stays far below the 23 MB of all of them at once, and the root
         # sum of squares of the block norms is the norm of the whole
         m = MatrixModel(n_factors=4, factor_dim=2)
@@ -521,3 +568,12 @@ class TestCornerIdentity:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
         assert abs(got - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("z", [0.4 + 0.3j, 0.3], ids=["complex", "real"])
+    @pytest.mark.parametrize("n_factors", [2, 3, 4, 5])
+    def test_blocks_equal_all_densities_at_once(self, n_factors, z):
+        # each unit density's residual rounds as it would alone, so only
+        # the sum of the squares differs from one norm of the whole
+        m = MatrixModel(n_factors=n_factors, factor_dim=2)
+        want = unchunked_derivation_residual(m, z)
+        assert abs(derivation_residual(m, z) - want) <= 1e-15 * want

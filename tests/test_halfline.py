@@ -20,7 +20,7 @@ from cpflow.halfline import (
     reference_vector,
 )
 from cpflow.semigroups import FlowState, evolve, flow_inner
-from references import block_members
+from references import block_members, rowwise_gamma_grid
 
 BOUNDARY_KERNEL = ExpKernelVector([(1.0, 0.5)])
 """Unit vector q(x) = exp(-x/2) used for the boundary expectation.
@@ -245,6 +245,20 @@ class TestGammaGridRecursion:
         out = gamma_grid(a, grid)
         scale = np.max(np.abs(ref))
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("n", [1, 2, 150, 301])
+    @pytest.mark.parametrize("source", ["identity", "random-complex"])
+    def test_equals_the_row_recursion_bit_for_bit(self, n, source):
+        # the in-place rows round as a new temporary per row does
+        grid = Grid(15.0, n)
+        if source == "identity":
+            a = np.eye(n)
+        else:
+            rng = np.random.default_rng(n)
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        out, want = gamma_grid(a, grid), rowwise_gamma_grid(a, grid)
+        assert out.dtype == want.dtype
+        assert np.array_equal(out, want)
 
     # a real input stays real, with the real part of the complex path's
     # values bit for bit; that path's imaginary part is all zero

@@ -3,14 +3,18 @@
 perfbench/tracer.py wraps the public functions of the cpflow modules, and
 perfbench/metrics.py counts calls of some of them by qualified name.  A
 rename or deletion in cpflow breaks ``run.py --trace 1`` and
-``selftest.py``; these tests catch it without running either.  The two
-files are loaded read-only: no bytecode is written next to them and the
-tracer is never installed.
+``selftest.py``; these tests catch it without running either.  So does a
+change that drops a counted function from a workload, or calls it from
+one that ``metrics.uses`` does not name: one campaign of each workload
+runs here under a profile hook, as selftest.py's coverage rule runs it
+under the tracer.  The files are loaded read-only: no bytecode is
+written next to them and the tracer is never installed.
 """
 
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -38,22 +42,72 @@ def traced_names():
     return {name for name, *_ in tracer.traced_callables()}
 
 
-def counted_functions():
-    metrics = load_readonly("metrics")
-    for metric in metrics.PER_LAYER:
-        if metric.name.endswith(".calls"):
-            head = metric.name[:-len(".calls")]
-            yield metrics._QUALIFIED.get(head, head)
+METRICS = load_readonly("metrics")
 
 
-@pytest.mark.parametrize("qualified", list(counted_functions()))
-def test_counted_function_resolves_and_is_traced(qualified, traced_names):
+def resolve(qualified):
+    """The cpflow object a qualified name (layer.attr...) names."""
     layer, *path = qualified.split(".")
     obj = importlib.import_module("cpflow.%s" % layer)
     for attr in path:
         obj = getattr(obj, attr)
+    return obj
+
+
+def counted_metrics():
+    """(metric, qualified name of the function it counts) per *.calls
+    metric."""
+    for metric in METRICS.PER_LAYER:
+        if metric.name.endswith(".calls"):
+            head = metric.name[:-len(".calls")]
+            yield metric, METRICS._QUALIFIED.get(head, head)
+
+
+@pytest.mark.parametrize("qualified",
+                         [qualified for _, qualified in counted_metrics()])
+def test_counted_function_resolves_and_is_traced(qualified, traced_names):
+    obj = resolve(qualified)
     assert callable(obj)
     assert qualified in traced_names
+
+
+@pytest.fixture(scope="module")
+def campaign_calls(tmp_path_factory):
+    """Calls of each counted function in one campaign of each workload at
+    the benchmark's default seed, counted on the functions' code objects,
+    so a call through any binding counts."""
+    workloads = load_readonly("workloads")
+    codes = {resolve(qualified).__code__: metric.name
+             for metric, qualified in counted_metrics()}
+    out = {}
+    for workload in METRICS.WORKLOADS:
+        out_dir = tmp_path_factory.mktemp(workload)
+        steps = workloads.prepare(workload, 2024, out_dir)
+        tally, seen = workloads.Tally(), Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                seen[codes[frame.f_code]] += 1
+
+        sys.setprofile(profile)
+        try:
+            workloads.run_campaign(steps, out_dir, tally)
+        finally:
+            sys.setprofile(None)
+        assert tally.failed == 0, tally.failures
+        out[workload] = seen
+    return out
+
+
+@pytest.mark.parametrize("workload", METRICS.WORKLOADS)
+def test_counted_calls_are_nonzero_exactly_where_used(workload,
+                                                      campaign_calls):
+    # selftest.py's coverage rule: a *.calls metric is nonzero on the
+    # workloads its uses names and zero on every other
+    calls = campaign_calls[workload]
+    for metric, _ in counted_metrics():
+        assert (calls[metric.name] > 0) == (workload in metric.uses), (
+            metric.name, calls[metric.name], metric.uses)
 
 
 def test_series_terms_counts_the_term_axis_of_a_block():
@@ -87,11 +141,7 @@ def facts():
 def test_every_fact_names_a_traced_callable(facts, traced_names):
     # a fact keyed by a name the tracer does not wrap is never recorded
     for qualified in facts:
-        layer, *path = qualified.split(".")
-        obj = importlib.import_module("cpflow.%s" % layer)
-        for attr in path:
-            obj = getattr(obj, attr)
-        assert callable(obj), qualified
+        assert callable(resolve(qualified)), qualified
         assert qualified in traced_names, qualified
 
 

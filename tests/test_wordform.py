@@ -5,8 +5,9 @@ spectrum on the range of the Choi factors (opbasis).  The oracles are
 the solve path in tests/references.py (resolvent solves, the condition
 number gate and dense Choi spectra), the Sherman-Morrison form of the
 unital weight's rank-one term through eta, the corner coefficient
-blocks, the dense letters from the shift with their words, and the tail
-identity in 50-digit arithmetic.  The tail ratios mu = kappa^T Q kappa and mu_c,
+blocks, the dense letters from the shift with their words, the np.kron
+and einsum forms that broadcast products and a matmul replaced, and the
+tail identity in 50-digit arithmetic.  The tail ratios mu = kappa^T Q kappa and mu_c,
 which the model reads off its slot matrix, are checked against the
 letters' eigenvalues on the tail vector, against the fit of
 khat^{N+1} = mu khat^N on Choi matrices of the letters' words, and
@@ -28,11 +29,18 @@ from cpflow.cornercheck import (
 from cpflow.opbasis import MatrixModel, is_cp
 from references import (
     choi_tail_ratio,
+    complex_model,
     dense_choi_min_eig,
     dense_letters,
     dense_rep,
     dense_superop,
+    einsum_kernel,
     fold_doubled,
+    kron_boundary_rep,
+    kron_delta_matrix,
+    kron_dropped_words,
+    kron_folded_vectors,
+    kron_gap,
     letter_dropped_words,
     map_superop,
     sherman_morrison_gap,
@@ -43,6 +51,7 @@ from references import (
     superop_lambda,
     superop_truncation,
     tail_eigenvalues,
+    unit_densities,
 )
 
 LABELS = (1.0, -1.0, 1j, complex(np.exp(0.1j)), 0.4 + 0.3j)
@@ -236,6 +245,72 @@ class TestSolvePathOracle:
             dk, dn, dk, dn)
         f = np.einsum("ikjk->ij", choi) / np.trace(want)
         assert_rel(choi, np.einsum("ij,kl->ikjl", f, want))
+
+
+def bitwise_equal(got, want) -> bool:
+    """Equal dtype, shape and bytes: a signed zero or NaN payload counts."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+class TestBroadcastProducts:
+    """The broadcast products and the kernel's matmul against the np.kron
+    and einsum forms they replace (tests/references.py).
+
+    A broadcast product forms each entry as the same single product as
+    np.kron or a product-only einsum, so the words, the coefficients, x,
+    E, Delta and every Choi factor built from them are equal bit for bit;
+    the kernel's matmul sums in another order than the einsum, so it is
+    equal to rounding.
+    """
+
+    @pytest.mark.parametrize("promote", [False, True],
+                             ids=["real", "complex-model"])
+    @pytest.mark.parametrize("n_factors", [2, 3, 4])
+    def test_representations_equal_bit_for_bit(self, n_factors, promote):
+        m = MatrixModel(n_factors=n_factors, factor_dim=2)
+        m = complex_model(m) if promote else m
+        assert bitwise_equal(m.delta_matrix, kron_delta_matrix(m))
+        cases = ((1.0, None), (1.0, point_mass(m)), (-1.0, None),
+                 (complex(np.exp(0.1j)), None))
+        for t in (0.5, 0.25):
+            assert all(map(bitwise_equal, m._dropped_words(t),
+                           kron_dropped_words(m, t)))
+            for z, nu in cases:
+                got, want = m.boundary_rep(t, z, nu), kron_boundary_rep(
+                    m, t, z, nu)
+                for name in ("words", "coeffs", "x", "e"):
+                    assert bitwise_equal(getattr(got, name),
+                                         getattr(want, name)), name
+                gap, want_gap = got.gap, kron_gap(got)
+                assert bitwise_equal(gap.vectors, want_gap.vectors)
+                assert bitwise_equal(gap.weights, want_gap.weights)
+                assert bitwise_equal(_folded_rep(m, got, -1.0, t).vectors,
+                                     kron_folded_vectors(got))
+
+    @pytest.mark.parametrize("promote", [False, True],
+                             ids=["real", "complex-model"])
+    @pytest.mark.parametrize("n_factors", [2, 3, 4, 5])
+    def test_kernel_equals_the_einsum_form(self, n_factors, promote):
+        # real and complex densities, one and a stack, against the full
+        # and a dropped-cell slot matrix; the complex model's Q stays
+        # complex, so the kernel runs in complex arithmetic
+        m = MatrixModel(n_factors=n_factors, factor_dim=2)
+        m = complex_model(m) if promote else m
+        rng = np.random.default_rng(n_factors)
+        d = m.dim_k
+        real = rng.normal(size=(5, d, d))
+        stacks = (real, real + 1j * rng.normal(size=(5, d, d)), real[0],
+                  unit_densities(d)[:16])
+        for q in (m.slot_matrix, m._slot_matrix_on(m._cut_cells(0.5)[0])):
+            assert q.dtype == (complex if promote else float)
+            for rho in stacks:
+                got, want = m._kernel(rho, q), einsum_kernel(m, rho, q)
+                assert got.dtype == want.dtype == np.result_type(rho, q)
+                assert got.shape == rho.shape
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(
+                    np.abs(want))
 
 
 class TestMinimalFoldIsCP:
