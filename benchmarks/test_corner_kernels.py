@@ -15,8 +15,9 @@ of the dim_k^2 unit densities at labels 1 and -1, the cut of those
 minimal weight densities at cut 0.5 (to their blocks on the one cell of
 three that the cut keeps: 8 x 8 and 16 x 16), the boundary
 representation of the minimal weight there in word form (15 and 31
-words, timed on a fresh model so that its words are built, not read
-from the model's cache), the Choi spectrum of the folded
+words), the cut's record (MatrixModel.cut: its words, mu_c and x) at
+N = 3 and 5, timed on a fresh model so that it is built, not read from
+the model's cache, the Choi spectrum of the folded
 2x2 corner there (a 128 x 128 Choi matrix at N = 3, 512 x 512 at N = 4,
 taken on the range of its 30 and 62 Choi vectors), the subordination
 check of the unital weight over the minimal one, and the hypermaximality
@@ -102,33 +103,36 @@ def test_weight_superop(benchmark, model, z):
     assert out.shape == (model.dim_k ** 2, model.dim_h, model.dim_h)
 
 
-def kept_dim(model) -> int:
-    """Output dimension of a map after the cut CUTS[0]."""
-    return model.dim_k * model.kept_cells(CUTS[0])
-
-
 def test_apply_truncation(benchmark, model):
     weights = model.weight_superop(unit_densities(model.dim_k))
     out = benchmark(model.apply_truncation, CUTS[0], weights)
-    assert out.shape == (model.dim_k ** 2, kept_dim(model), kept_dim(model))
+    dim_out = model.cut(CUTS[0]).dim_out
+    assert out.shape == (model.dim_k ** 2, dim_out, dim_out)
 
 
 def test_boundary_rep(benchmark, model):
     rep = benchmark(model.boundary_rep, CUTS[0])
-    assert rep.words.shape == (model.dim_k * kept_dim(model),
+    assert rep.words.shape == (model.dim_k * model.cut(CUTS[0]).dim_out,
                                2 ** (model.n_factors + 1) - 1)
 
 
-def test_dropped_words(benchmark, model):
+@pytest.mark.parametrize("n_factors", [CORNER["factors"], 5],
+                         ids=lambda n: "N%d" % n)
+def test_cut(benchmark, n_factors):
+    # medians of 50 fresh models on a shared 2-core Xeon VM (OpenBLAS
+    # 0.3.31): the record, 218 us at N = 3 and 1.14 ms at N = 5; the
+    # words alone before the record held them (MatrixModel._dropped_words)
+    # took 117-123 us and 1.05-1.08 ms, and the words, mu_c and x together
+    # 236-253 us and 1.34-1.53 ms
     def fresh_model():
-        return (build_model(model.n_factors),), {}
+        return (build_model(n_factors),), {}
 
-    words = []
-    benchmark.pedantic(lambda m: words.append(m._dropped_words(CUTS[0])),
+    cuts = []
+    benchmark.pedantic(lambda m: cuts.append(m.cut(CUTS[0])),
                        setup=fresh_model, rounds=50)
-    assert all(w[0].shape == (model.dim_k * kept_dim(model),
-                              2 ** (model.n_factors + 1) - 1)
-               for w in words)
+    d = FACTOR_DIM ** n_factors
+    assert all(c.words.shape == (d * c.dim_out, 2 ** (n_factors + 1) - 1)
+               and c.x.shape == (d, d) for c in cuts)
 
 
 @pytest.mark.parametrize("n_factors", [3, 4, 5], ids=lambda n: "N%d" % n)
@@ -141,7 +145,7 @@ def test_derivation_residual(benchmark, n_factors):
 def test_choi_min_eig_folded_corner(benchmark, model):
     folded = _folded_rep(model, model.boundary_rep(CUTS[0]), LABEL, CUTS[0])
     verdict = benchmark(choi_min_eig, folded, 2 * model.dim_k,
-                        kept_dim(model))
+                        model.cut(CUTS[0]).dim_out)
     assert is_cp(verdict.min_eigenvalue)
 
 

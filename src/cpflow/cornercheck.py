@@ -70,7 +70,7 @@ def _on_kept(model: MatrixModel, t: float, low: float) -> float:
     outputs the cut at level t keeps: the whole Choi matrix adds
     identically zero rows and columns, so it is low, or min(low, 0) when
     the cut drops a cell."""
-    return low if model.kept_cells(t) == model.h_dim else min(low, 0.0)
+    return low if model.cut(t).dim_out == model.dim_h else min(low, 0.0)
 
 
 def _kept_min_eig(model: MatrixModel, factors: ChoiFactors, dim_in: int,
@@ -79,7 +79,7 @@ def _kept_min_eig(model: MatrixModel, factors: ChoiFactors, dim_in: int,
     at level t keeps (a boundary representation or a fold of such), by
     its QR spectrum."""
     return _on_kept(model, t, choi_min_eig(
-        factors, dim_in, model.dim_k * model.kept_cells(t)).min_eigenvalue)
+        factors, dim_in, model.cut(t).dim_out).min_eigenvalue)
 
 
 def _difference_min_eig(model: MatrixModel, up: BoundaryRep,

@@ -64,11 +64,9 @@ class GaugeParam:
     @property
     def on_unit_circle(self) -> bool:
         on = abs(abs(self.a) - 1.0) <= _TOL
-        if not isinstance(on, np.ndarray):
-            return on
-        if on.all():
+        if np.all(on):
             return True
-        if not on.any():
+        if not np.any(on):
             return False
         raise InvalidParameterError("block straddles the unit circle")
 
@@ -78,21 +76,20 @@ def _validated(a, b, c, y, klass: str):
     invariants of the class; raises InvalidParameterError otherwise."""
     # the invariants of every class
     modulus = abs(a)
-    top = _largest(modulus)
+    top = np.max(modulus)
     if top > 1.0 + _TOL:
         raise InvalidParameterError("|a| must not exceed 1")
-    if _least(y.real) < -_TOL:
+    if np.min(y.real) < -_TOL:
         raise InvalidParameterError("Re(y) must be nonnegative")
     if klass == UNITARY:
-        if _largest(abs(modulus - 1.0)) > _TOL:
+        if np.max(abs(modulus - 1.0)) > _TOL:
             raise InvalidParameterError("unitary class needs |a| = 1")
-        if _largest(abs(a * c + b)) > _TOL:
+        if np.max(abs(a * c + b)) > _TOL:
             raise InvalidParameterError("unitary class needs ac + b = 0")
-        if _largest(abs(y.real)) > _TOL:
+        if np.max(abs(y.real)) > _TOL:
             raise InvalidParameterError("unitary class needs Re(y) = 0")
     elif klass == FLOW:
-        if max(_largest(abs(b)), _largest(abs(c)),
-               _largest(abs(y))) > _TOL:
+        if max(np.max(abs(b)), np.max(abs(c)), np.max(abs(y))) > _TOL:
             raise InvalidParameterError("flow class needs b = c = y = 0")
     elif klass != GENERAL:
         raise InvalidParameterError("unknown class %r" % klass)
@@ -100,20 +97,10 @@ def _validated(a, b, c, y, klass: str):
         # act's unit-circle rate holds only where ac + b = 0; drawn
         # general blocks have |a| <= 0.95 and skip it
         on = abs(modulus - 1.0) <= _TOL
-        if _largest(on & (abs(a * c + b) > _TOL)):
+        if np.max(on & (abs(a * c + b) > _TOL)):
             raise InvalidParameterError(
                 "general class needs ac + b = 0 where |a| = 1")
     return modulus
-
-
-def _largest(x):
-    """The largest entry of a block, or a plain number itself."""
-    return x.max() if isinstance(x, np.ndarray) else x
-
-
-def _least(x):
-    """The least entry of a block, or a plain number itself."""
-    return x.min() if isinstance(x, np.ndarray) else x
 
 
 @dataclass(frozen=True)

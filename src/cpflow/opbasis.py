@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,6 +128,32 @@ def cut_edge(t: float) -> float:
                      "%g, got %g" % (DEFAULT_EDGES[-1], t))
 
 
+class Cut(NamedTuple):
+    """The cut at one cell edge (MatrixModel.cut).
+
+    dropped and kept slice the cells below the edge and the top ones from
+    it up, where every map after the cut lives; dim_out = dim_k x kept
+    cells is the dimension of those maps' outputs.  words holds the Choi
+    vectors vec(K_w^T), one column per word w of length 0 .. N over the
+    dropped cells (by length, the first cell of a word most significant),
+    indexed (input, kept output) like choi_min_eig's Choi matrix, and
+    lengths their lengths: the word p_1 .. p_n contracts slot n + 1 - i
+    against sqrt(h_{p_i}) x_{p_i}, and the head P s0^* takes the rest,
+    its last n slots against kappa.  mu = kappa^T Q_c kappa is mu_c, and
+    x = (I - khat_c^*)^{-1} (I - khat^*) Delta the functional
+    rho -> tr(x rho) of every unital weight's rank-one term at the cut
+    (MatrixModel.boundary_rep).
+    """
+
+    dropped: slice
+    kept: slice
+    dim_out: int
+    words: np.ndarray
+    lengths: np.ndarray
+    mu: float
+    x: np.ndarray
+
+
 @dataclass(frozen=True)
 class MatrixModel:
     """Truncated model with n_factors tensor slots of dimension factor_dim.
@@ -137,13 +164,9 @@ class MatrixModel:
     n_factors: int = 4
     factor_dim: int = 2
     seq: LambdaSequence = LambdaSequence("linear")
-    # _dropped_words, _cut_tail_ratio and _gap_functional by cut edge
-    _words_by_edge: dict = field(default_factory=dict, init=False,
-                                 repr=False, compare=False)
-    _mu_by_edge: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
-    _x_by_edge: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
+    # the records of cut, by cut edge
+    _cuts: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def dim_k(self) -> int:
@@ -224,17 +247,6 @@ class MatrixModel:
         # rows (j, i1 .. i_{N-1}), columns (i1 .. i_{N-1}, i_N, i0)
         return np.einsum("jc,ab,k->jabkc", self.cross_overlap, rest,
                          np.conj(kappa)).reshape(self.dim_k, self.dim_h)
-
-    def _cut_cells(self, t: float) -> tuple[slice, slice]:
-        """The cells the cut at level t drops and keeps: those below
-        cut_edge(t), and the top ones from it up, where every map after
-        the cut lives."""
-        low = DEFAULT_EDGES.index(cut_edge(t))
-        return slice(0, low), slice(low, self.h_dim)
-
-    def kept_cells(self, t: float) -> int:
-        """How many cells the cut at level t keeps (_cut_cells)."""
-        return self.h_dim - self._cut_cells(t)[1].start
 
     # -- the series kernel on the first slot ---------------------------------
 
@@ -325,75 +337,53 @@ class MatrixModel:
     def apply_truncation(self, t: float, rho: np.ndarray) -> np.ndarray:
         """The cut P rho P at level t, on the cells it keeps.
 
-        P is the exact 0/1 diagonal on the kept cells (_cut_cells), so
+        P is the exact 0/1 diagonal on the kept cells (cut(t).kept), so
         P rho P is zero outside rho's block on them; the result is that
-        block, a (dim_k n)-density for n = kept_cells(t).
+        block, a cut(t).dim_out-density.  On a model that has not yet
+        built the cut this builds the whole record, words and x too (the
+        words take 0.74 s at N = 8, cut 0.5); only tests call this before
+        boundary_rep.
         """
         d, h = self.dim_k, self.h_dim
-        kept = self._cut_cells(t)[1]
+        kept = self.cut(t).kept
         block = rho.reshape(*rho.shape[:-2], d, h, d, h)[..., kept, :, kept]
         return block.reshape(*rho.shape[:-2], d * block.shape[-3], -1)
 
     # -- boundary representations in word form -----------------------------
 
-    def _dropped_words(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """The words of the cells the cut at level t drops, computed once
-        per cut edge.
-
-        Returns the Choi vectors vec(K_w^T), one column per word w of
-        length 0 .. N over the dropped cells (by length, the first cell
-        of a word most significant), indexed (input, kept output) like
-        choi_min_eig's Choi matrix, and the word lengths.  The word
-        p_1 .. p_n contracts slot n + 1 - i against sqrt(h_{p_i}) x_{p_i};
-        the head P s0^* takes the rest, its last n slots against kappa.
-        """
+    def cut(self, t: float) -> Cut:
+        """The cut at level t (Cut), built once per cut edge."""
         edge = cut_edge(t)
-        if edge not in self._words_by_edge:
-            d, m, n_f = self.dim_k, self.factor_dim, self.n_factors
-            dropped, kept = self._cut_cells(t)
-            head = self.shift.conj().T.reshape(d, self.h_dim, d)[:, kept]
-            head = head.reshape(-1, d)
-            slot = self.cross_overlap[:, dropped] * np.sqrt(
-                np.diag(self.h_damping)[dropped])
-            kappa = self.reference_coords[0]
-            words, tail, blocks = np.ones((1, 1)), np.ones(1), []
-            for n in range(n_f + 1):
-                rest = head.reshape(len(head), m ** (n_f - n), m ** n) @ tail
-                # vec(K_w^T) indexed (a, b, o, w): words[w, a] rest[o, b]
-                blocks.append((words.T[:, None, None, :]
-                               * rest.T[None, :, :, None])
-                              .reshape(d * len(head), -1))
-                # the next letter p leads: slot[k, p] words[w, a] at (p w, a k)
-                words = slot.T[:, None, None, :] * words[None, :, :, None]
-                words = words.reshape(-1, m ** (n + 1))
-                tail = np.outer(tail, kappa).ravel()
-            lengths = np.repeat(np.arange(n_f + 1),
-                                [b.shape[1] for b in blocks])
-            self._words_by_edge[edge] = (np.hstack(blocks), lengths)
-        return self._words_by_edge[edge]
-
-    def _cut_tail_ratio(self, t: float) -> float:
-        """mu_c = kappa^T Q_c kappa over the cells the cut at level t
-        drops, computed once per cut edge."""
-        edge = cut_edge(t)
-        if edge not in self._mu_by_edge:
-            self._mu_by_edge[edge] = self._tail_ratio_of(
-                self._slot_matrix_on(self._cut_cells(t)[0]))
-        return self._mu_by_edge[edge]
-
-    def _gap_functional(self, t: float) -> np.ndarray:
-        """x = (I - khat_c^*)^{-1} (I - khat^*) Delta at the cut at level t,
-        the functional rho -> tr(x rho) of every unital weight's rank-one
-        term there (boundary_rep), computed once per cut edge."""
-        edge = cut_edge(t)
-        if edge not in self._x_by_edge:
-            q_c = self._slot_matrix_on(self._cut_cells(t)[0])
-            delta = self.delta_matrix
-            seed = delta - self._kernel_dual(delta, self.slot_matrix)
-            self._x_by_edge[edge] = _finite_resolvent(
-                lambda y: self._kernel_dual(y, q_c), seed,
-                self._cut_tail_ratio(t), self.n_factors)
-        return self._x_by_edge[edge]
+        if edge in self._cuts:
+            return self._cuts[edge]
+        d, m, n_f = self.dim_k, self.factor_dim, self.n_factors
+        low = DEFAULT_EDGES.index(edge)
+        dropped, kept = slice(0, low), slice(low, self.h_dim)
+        head = self.shift.conj().T.reshape(d, self.h_dim, d)[:, kept]
+        head = head.reshape(-1, d)
+        slot = self.cross_overlap[:, dropped] * np.sqrt(
+            np.diag(self.h_damping)[dropped])
+        kappa = self.reference_coords[0]
+        words, tail, blocks = np.ones((1, 1)), np.ones(1), []
+        for n in range(n_f + 1):
+            rest = head.reshape(len(head), m ** (n_f - n), m ** n) @ tail
+            # vec(K_w^T) indexed (a, b, o, w): words[w, a] rest[o, b]
+            blocks.append((words.T[:, None, None, :]
+                           * rest.T[None, :, :, None])
+                          .reshape(d * len(head), -1))
+            # the next letter p leads: slot[k, p] words[w, a] at (p w, a k)
+            words = slot.T[:, None, None, :] * words[None, :, :, None]
+            words = words.reshape(-1, m ** (n + 1))
+            tail = np.outer(tail, kappa).ravel()
+        lengths = np.repeat(np.arange(n_f + 1), [b.shape[1] for b in blocks])
+        q_c = self._slot_matrix_on(dropped)
+        mu_c, delta = self._tail_ratio_of(q_c), self.delta_matrix
+        seed = delta - self._kernel_dual(delta, self.slot_matrix)
+        x = _finite_resolvent(lambda y: self._kernel_dual(y, q_c), seed,
+                              mu_c, n_f)
+        self._cuts[edge] = Cut(dropped, kept, d * (self.h_dim - low),
+                               np.hstack(blocks), lengths, mu_c, x)
+        return self._cuts[edge]
 
     def boundary_rep(self, t: float, z: complex = 1.0,
                      nu: np.ndarray | None = None) -> BoundaryRep:
@@ -424,11 +414,10 @@ class MatrixModel:
         if nu is not None and z != 1.0:
             raise ValueError("the unital weight has label 1, got %r" % z)
         self._converging(z)
-        vectors, lengths = self._dropped_words(t)
-        mu_c, n_f = self._cut_tail_ratio(t), self.n_factors
-        coeffs = np.where(lengths < n_f, z ** (lengths + 1),
-                          z ** (n_f + 1) / (1.0 - z * mu_c))
-        x, dn = self._gap_functional(t), self.dim_k * self.kept_cells(t)
+        cut, n_f = self.cut(t), self.n_factors
+        vectors, x, dn = cut.words, cut.x, cut.dim_out
+        coeffs = np.where(cut.lengths < n_f, z ** (cut.lengths + 1),
+                          z ** (n_f + 1) / (1.0 - z * cut.mu))
         if nu is None:
             return BoundaryRep(vectors, coeffs, x, np.zeros((dn, dn)))
         d_val = np.trace(self.lambda_superop(nu) @ self.delta_matrix).real
@@ -437,7 +426,7 @@ class MatrixModel:
                 "normalization 1 - nu(Lambda(Delta)) is singular", d_val)
         # E = cut(nu) + B0(lambdahat_c nu), B0 read off the words on the
         # rows where lambdahat_c nu is not identically zero
-        low_nu = self.lambda_superop(nu, self._cut_cells(t)[0])
+        low_nu = self.lambda_superop(nu, cut.dropped)
         on = np.flatnonzero(np.any(low_nu != 0, axis=1))
         cols = vectors.reshape(self.dim_k, dn, -1)[on].transpose(1, 2, 0)
         cols = cols.reshape(dn, -1)

@@ -171,7 +171,7 @@ def cut_projection(model, t: float) -> np.ndarray:
 
     t must name a cell edge below the top one (cut_edge); the cut is then
     the exact diagonal projection onto the cells at or above it, which
-    MatrixModel._cut_cells names as slices.
+    MatrixModel.cut names as slices.
     """
     edge = cut_edge(t)
     return np.diag([float(e >= edge) for e in DEFAULT_EDGES[:-1]])
@@ -211,7 +211,8 @@ def superop_lambda(model, mu: np.ndarray, cells: int | None = None):
 def superop_truncation(model, t: float, superop: np.ndarray) -> np.ndarray:
     """mu -> P mu P after a superoperator, on the rows of the kept cells
     (MatrixModel.apply_truncation on the densities)."""
-    d, h, n = model.dim_k, model.h_dim, model.kept_cells(t)
+    d, h = model.dim_k, model.h_dim
+    n = model.cut(t).dim_out // d
     kept = superop.reshape(d, h, d, h, -1)[:, h - n:, :, h - n:]
     return kept.reshape(d * d * n * n, -1)
 
@@ -223,7 +224,8 @@ def full_size(model, t: float, kept: np.ndarray) -> np.ndarray:
     folds do); they are scattered back into zeros of shape
     (dim_h^2, columns).
     """
-    d, h, n = model.dim_k, model.h_dim, model.kept_cells(t)
+    d, h = model.dim_k, model.h_dim
+    n = model.cut(t).dim_out // d
     out = np.zeros((d, h, d, h, kept.shape[-1]), dtype=kept.dtype)
     out[:, h - n:, :, h - n:] = kept.reshape(d, n, d, n, -1)
     return out.reshape(d * h * d * h, -1)
@@ -296,11 +298,11 @@ def letter_words(letters: np.ndarray,
 
 
 def letter_dropped_words(model, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """MatrixModel._dropped_words by products of the dense letters: the
+    """MatrixModel.cut's words by products of the dense letters: the
     Choi vectors vec(K_w^T) of K_w = P s0^* A_w over the words w of the
     dropped cells' letters, and the word lengths."""
     d, h = model.dim_k, model.h_dim
-    dropped, kept = model._cut_cells(t)
+    dropped, kept = model.cut(t).dropped, model.cut(t).kept
     words, lengths = letter_words(dense_letters(model)[dropped],
                                   model.n_factors)
     head = model.shift.conj().T.reshape(d, h, d)[:, kept]
@@ -330,9 +332,9 @@ def kron_delta_matrix(model) -> np.ndarray:
 
 
 def kron_dropped_words(model, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """MatrixModel._dropped_words by einsum and np.kron, never cached."""
+    """MatrixModel.cut's words by einsum and np.kron, never cached."""
     d, m, n_f = model.dim_k, model.factor_dim, model.n_factors
-    dropped, kept = model._cut_cells(t)
+    dropped, kept = model.cut(t).dropped, model.cut(t).kept
     head = model.shift.conj().T.reshape(d, model.h_dim, d)[:, kept]
     head = head.reshape(-1, d)
     slot = model.cross_overlap[:, dropped] * np.sqrt(
@@ -350,22 +352,29 @@ def kron_dropped_words(model, t: float) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack(blocks), lengths
 
 
+def kron_mu_and_x(model, t: float) -> tuple[float, np.ndarray]:
+    """MatrixModel.cut's mu_c and x, rebuilt on each call with Delta by
+    np.kron."""
+    q_c = model._slot_matrix_on(model.cut(t).dropped)
+    mu_c = model._tail_ratio_of(q_c)
+    delta = kron_delta_matrix(model)
+    seed = delta - model._kernel_dual(delta, model.slot_matrix)
+    x = _finite_resolvent(lambda y: model._kernel_dual(y, q_c), seed, mu_c,
+                          model.n_factors)
+    return mu_c, x
+
+
 def kron_boundary_rep(model, t: float, z: complex = 1.0,
                       nu: np.ndarray | None = None) -> BoundaryRep:
     """MatrixModel.boundary_rep with mu_c, x and Delta rebuilt on each
     call and its Kronecker products by np.kron."""
     z = _label(z)
     vectors, lengths = kron_dropped_words(model, t)
-    dropped = model._cut_cells(t)[0]
-    q_c, n_f = model._slot_matrix_on(dropped), model.n_factors
-    mu_c = model._tail_ratio_of(q_c)
+    mu_c, x = kron_mu_and_x(model, t)
+    n_f, dropped = model.n_factors, model.cut(t).dropped
     coeffs = np.where(lengths < n_f, z ** (lengths + 1),
                       z ** (n_f + 1) / (1.0 - z * mu_c))
-    delta = kron_delta_matrix(model)
-    seed = delta - model._kernel_dual(delta, model.slot_matrix)
-    x = _finite_resolvent(lambda y: model._kernel_dual(y, q_c), seed, mu_c,
-                          n_f)
-    dn = model.dim_k * model.kept_cells(t)
+    dn = model.cut(t).dim_out
     if nu is None:
         return BoundaryRep(vectors, coeffs, x, np.zeros((dn, dn)))
     low_nu = model.lambda_superop(nu, dropped)
@@ -509,7 +518,8 @@ def sherman_morrison_gap(model, t: float, nu: np.ndarray) -> tuple:
     the gap's superoperator on the outputs the cut keeps (the rows of
     solve_boundary_rep), beta, x and d = nu(Lambda(Delta)).
     """
-    dk, kept = model.dim_k, model.kept_cells(t)
+    dk = model.dim_k
+    kept = model.cut(t).dim_out // dk
     eta, d_val = solve_xi_eta(model, nu)
     b0 = dense_rep(model, t, model.boundary_rep(t))
     cut_eta = superop_truncation(model, t, eta.reshape(-1, 1))
@@ -539,7 +549,7 @@ def solve_boundary_rep(model, omega_superop: np.ndarray,
     against the transposed system and the zero rows stay exact zeros.
     """
     w_t = superop_truncation(model, t, omega_superop)
-    k_mat = superop_lambda(model, w_t, model.kept_cells(t))
+    k_mat = superop_lambda(model, w_t, model.cut(t).dim_out // model.dim_k)
     system = np.eye(len(k_mat)) + k_mat
     condition = float(np.linalg.cond(system))
     if not np.isfinite(condition) or condition > 1e12:
@@ -619,8 +629,7 @@ def choi_frobenius_norm(factors: ChoiFactors) -> float:
 def dense_rep(model, t: float, rep) -> np.ndarray:
     """A BoundaryRep as the superoperator on the outputs the cut keeps
     (the rows of solve_boundary_rep)."""
-    return dense_superop(rep.choi, model.dim_k,
-                         model.dim_k * model.kept_cells(t))
+    return dense_superop(rep.choi, model.dim_k, model.cut(t).dim_out)
 
 
 def full_size_boundary_rep(model, omega_superop: np.ndarray,

@@ -1,10 +1,12 @@
-"""tools/ab.py: the statistics of the alternating-pairs verdict.
+"""tools/ab.py: the statistics of the alternating-pairs verdict and the
+environment of its runs.
 
 Every case runs on synthetic numbers; no benchmark process is started.
 """
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -115,3 +117,49 @@ class TestProtocol:
         stdout = "workload corner\n  campaign_s 0.005 s\n%s\n" % json.dumps(
             result)
         assert ab.result_line(stdout) == result
+
+
+class TestRuns:
+    def test_each_side_warms_a_private_bytecode_cache_unrecorded(
+            self, monkeypatch, tmp_path):
+        # a side's first run is its warm-up and reads 100, every later run
+        # 1: only the 1s reach the verdict, and every run of a side writes
+        # its bytecode under one prefix of its own, outside both checkouts
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        names = ab.end_to_end_metrics(json.loads(
+            (ROOT / "BENCHMARK.json").read_text()))
+        calls = []
+
+        def fake_run(cmd, cwd, env, **kwargs):
+            calls.append((Path(cwd).name, env))
+            first = [side for side, _ in calls].count(Path(cwd).name) == 1
+            result = {"correct": True, "attempted": 1, "failed": 0,
+                      "metrics": {name: {"value": 100.0 if first else 1.0}
+                                  for name in names}}
+            return subprocess.CompletedProcess(cmd, 0, json.dumps(result),
+                                               "")
+
+        judged = []
+        judge = ab.judge
+
+        def recorded(parent, change, *args):
+            judged.append((parent, change))
+            return judge(parent, change, *args)
+
+        monkeypatch.setattr(ab.subprocess, "run", fake_run)
+        monkeypatch.setattr(ab, "judge", recorded)
+        assert ab.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                        "--workload", "corner", "--pairs", "4",
+                        "--order-seed", "1"]) == 0
+        assert [side for side, _ in calls[:2]] == ["parent", "change"]
+        assert len(calls) == 2 + 2 * 4
+        assert judged == [([1.0] * 4, [1.0] * 4)] * len(names)
+        prefixes = {}
+        for side, env in calls:
+            assert "PYTHONDONTWRITEBYTECODE" not in env
+            prefixes.setdefault(side, set()).add(env["PYTHONPYCACHEPREFIX"])
+        (parent,), (change,) = prefixes["parent"], prefixes["change"]
+        assert parent != change
+        for prefix in (parent, change):
+            assert not Path(prefix).is_relative_to(tmp_path)
+            assert not Path(prefix).exists()  # removed after the runs

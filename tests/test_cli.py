@@ -603,9 +603,10 @@ class TestCornerPipeline:
         # and the lower entry's coefficients are the conjugates); Choi: the
         # minimal weight at each cut, as the unital weight is CP by the
         # difference's small spectra and the corner by its coefficient
-        # blocks
+        # blocks; x, the only caller of khat^*, at each cut: N + 1 duals
         calls = {"boundary_rep": 0, "choi_min_eig": 0, "weight_superop": 0,
-                 "apply_truncation": 0, "lambda_superop": 0}
+                 "apply_truncation": 0, "lambda_superop": 0,
+                 "_kernel_dual": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -614,7 +615,7 @@ class TestCornerPipeline:
             return wrapper
 
         for name in ("boundary_rep", "weight_superop", "apply_truncation",
-                     "lambda_superop"):
+                     "lambda_superop", "_kernel_dual"):
             monkeypatch.setattr(MatrixModel, name,
                                 counted(name, getattr(MatrixModel, name)))
         choi = counted("choi_min_eig", opbasis.choi_min_eig)
@@ -623,7 +624,7 @@ class TestCornerPipeline:
         corner_records(3, tmp_path)
         assert calls == {"boundary_rep": 6, "choi_min_eig": 2,
                          "weight_superop": 4, "apply_truncation": 2,
-                         "lambda_superop": 8}
+                         "lambda_superop": 8, "_kernel_dual": 8}
 
 
 # the default delta report, linear lambda: (name, value, expected)

@@ -243,8 +243,8 @@ class TestSubordination:
         # and the unital weight is rejected by name as the dense path
         # finds it not CP
         m = MatrixModel(n_factors=n_factors, factor_dim=2)
-        t, dropped = 0.5, m._cut_cells(0.5)[0]
-        x = m._gap_functional(t)
+        t, dropped = 0.5, m.cut(0.5).dropped
+        x = m.cut(t).x
         nu = 2.0 / np.sum(x.T * m.lambda_superop(point_mass(m, 0),
                                                  dropped)) * point_mass(m, 0)
         d_at = [np.trace(m.lambda_superop(w) @ m.delta_matrix)
@@ -524,7 +524,7 @@ class TestKeptOutputsOracle:
         upper, lower = kept_outputs_cases()["onto-top-cell"](m)
         verdict = subordination_check(m, upper, lower, self.CUTS)
         for t, (_, rep) in zip(self.CUTS, verdict.reps):
-            kept = m.dim_k * m.kept_cells(t)
+            kept = m.cut(t).dim_out
             gap = dense_superop(rep.gap, m.dim_k, kept)
             assert gap.shape == (kept * kept, m.dim_k ** 2)
             rows = gap.reshape(kept, kept, -1)

@@ -105,19 +105,26 @@ class TestBases:
 
     def test_cut_rejects_non_edges(self, model):
         with pytest.raises(ValueError):
-            model.kept_cells(0.3)
+            model.cut(0.3)
         # the top edge keeps no cell: every representation there is zero
         with pytest.raises(ValueError, match="cut levels"):
-            MatrixModel(2, 2).kept_cells(2.0)
+            MatrixModel(2, 2).cut(2.0)
         with pytest.raises(ValueError, match="cut levels"):
             MatrixModel(2, 2).apply_truncation(2.0, np.eye(12))
+
+    def test_cut_is_built_once_per_edge(self):
+        # a level within 1e-12 of an edge names that edge and its record
+        m = MatrixModel(2, 2)
+        assert m.cut(0.5) is m.cut(0.5 + 1e-13)
+        assert m.cut(0.25) is not m.cut(0.5)
 
     def test_kept_cells_are_a_top_suffix_of_the_cut(self, model):
         # the cut's rank, and its diagonal is 0 on the dropped cells and 1
         # on the kept ones, which split the cells below and above the cut
         for t in (0.0, 0.25, 0.5):
-            n, cut = model.kept_cells(t), cut_projection(model, t)
-            dropped, kept = model._cut_cells(t)
+            n = model.cut(t).dim_out // model.dim_k
+            cut = cut_projection(model, t)
+            dropped, kept = model.cut(t).dropped, model.cut(t).kept
             assert isinstance(n, int)
             assert n == np.linalg.matrix_rank(cut)
             assert np.array_equal(np.diag(cut),
@@ -177,7 +184,7 @@ class TestPredualMaps:
         rng = np.random.default_rng(10)
         dh = model.dim_h
         mu = rng.normal(size=(5, dh, dh)) + 1j * rng.normal(size=(5, dh, dh))
-        dropped, kept = model._cut_cells(t)
+        dropped, kept = model.cut(t).dropped, model.cut(t).kept
         on_kept = model.lambda_superop(mu, kept)
         masked = (truncation_superop(model, t)
                   @ mu.reshape(5, -1).T).T.reshape(mu.shape)
@@ -376,8 +383,8 @@ class TestWeightSuperop:
                 full_size(model, t, dense_rep(model, t, rep)), model.dim_k,
                 model.dim_h)
             assert is_cp(verdict.min_eigenvalue)
-            assert is_cp(choi_min_eig(rep.choi, model.dim_k, model.dim_k
-                                      * model.kept_cells(t)).min_eigenvalue)
+            assert is_cp(choi_min_eig(rep.choi, model.dim_k,
+                                      model.cut(t).dim_out).min_eigenvalue)
 
 
 def whole(superop, dim_in, dim_out):
@@ -510,7 +517,7 @@ class TestCutAwareKernels:
             system = np.eye(w_t.shape[1]) \
                 + dense_lambda_superop(m, blocks) @ w_t
             reference = w_t @ np.linalg.inv(system)
-            kept = m.dim_k * m.kept_cells(t)
+            kept = m.cut(t).dim_out
             if blocks == 1:
                 rep = dense_rep(m, t, m.boundary_rep(t))
             else:
@@ -535,7 +542,7 @@ class TestCutAwareKernels:
             rep, cond = solve_boundary_rep(m, omega, t)
             want, want_cond = full_size_boundary_rep(m, omega, t)
             assert rep.flags.c_contiguous
-            assert rep.shape == ((m.dim_k * m.kept_cells(t)) ** 2,
+            assert rep.shape == (m.cut(t).dim_out ** 2,
                                  m.dim_k ** 2)
             assert np.array_equal(full_size(m, t, rep), want)
             assert cond == want_cond

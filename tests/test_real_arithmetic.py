@@ -129,7 +129,7 @@ class TestComplexOracle:
                          ref.weight_superop(units, z))
         checks = []
         for t in CUTS:
-            kept = real.dim_k * real.kept_cells(t)
+            kept = real.cut(t).dim_out
             pairs = [(real.boundary_rep(t, z), ref.boundary_rep(t, z))
                      for z in labels]
             pairs.append((real.boundary_rep(t, nu=nu),

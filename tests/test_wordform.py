@@ -40,6 +40,7 @@ from references import (
     kron_delta_matrix,
     kron_dropped_words,
     kron_folded_vectors,
+    kron_mu_and_x,
     kron_gap,
     letter_dropped_words,
     map_superop,
@@ -91,10 +92,9 @@ def assert_rel(got, want, rel=1e-13):
 
 def dense_kept_min(model, superop, dim_in, t):
     """The dense oracle of cornercheck._kept_min_eig."""
-    kept = model.kept_cells(t)
-    low = dense_choi_min_eig(superop, dim_in,
-                             model.dim_k * kept).min_eigenvalue
-    return low if kept == model.h_dim else min(low, 0.0)
+    dim_out = model.cut(t).dim_out
+    low = dense_choi_min_eig(superop, dim_in, dim_out).min_eigenvalue
+    return low if dim_out == model.dim_h else min(low, 0.0)
 
 
 def check_against_solve_path(n_factors: int, factor_dim: int,
@@ -130,7 +130,7 @@ def check_against_solve_path(n_factors: int, factor_dim: int,
                   for f, d in pairs]
         minima.append((_difference_min_eig(m, rep_u, reps[1.0], t),
                        minima[-1][1]))
-        kept = dk * m.kept_cells(t)
+        kept = m.cut(t).dim_out
         for z in labels if folds else ():
             fold = fold_doubled([[dense[1.0], dense[z]],
                                  [dense[z].conj(), dense[1.0]]], dk, kept)
@@ -165,7 +165,7 @@ class TestSolvePathOracle:
         for nu in unital_densities(m):
             col = nu.reshape(-1, 1)
             for t in CUTS:
-                kept = m.kept_cells(t)
+                kept = m.cut(t).dim_out // m.dim_k
                 want, beta, x, d_val = sherman_morrison_gap(m, t, nu)
                 assert_rel(dense_superop(m.boundary_rep(t, nu=nu).gap,
                                          m.dim_k, m.dim_k * kept), want)
@@ -185,10 +185,10 @@ class TestSolvePathOracle:
         nu = a @ a.T / np.trace(a @ a.T)
         eta, _ = solve_xi_eta(m, nu)
         for t in CUTS:
-            dn = m.dim_k * m.kept_cells(t)
+            dn = m.cut(t).dim_out
             b0 = dense_rep(m, t, m.boundary_rep(t))
             cut_eta = m.apply_truncation(t, eta).reshape(-1, 1)
-            lam = m.lambda_superop(eta, m._cut_cells(t)[1]).reshape(-1, 1)
+            lam = m.lambda_superop(eta, m.cut(t).kept).reshape(-1, 1)
             e_issue = cut_eta - b0 @ lam
             gap = m.boundary_rep(t, nu=nu).gap
             # the rank-one Choi matrix is F' (x) E: its trace over the
@@ -207,15 +207,15 @@ class TestSolvePathOracle:
         # dense letters from the shift, column by column
         m = MatrixModel(n_factors=n_factors, factor_dim=factor_dim)
         for t in CUTS:
-            vectors, lengths = m._dropped_words(t)
+            vectors, lengths = m.cut(t).words, m.cut(t).lengths
             want, want_lengths = letter_dropped_words(m, t)
             assert lengths.tolist() == want_lengths.tolist()
             assert_rel(vectors, want, rel=1e-15)
 
     def test_no_dropped_cell_has_no_tail(self):
         m = MatrixModel(n_factors=3, factor_dim=2)
-        vectors, lengths = m._dropped_words(0.0)
-        assert m._tail_ratio_of(m._slot_matrix_on(m._cut_cells(0.0)[0])) \
+        vectors, lengths = m.cut(0.0).words, m.cut(0.0).lengths
+        assert m._tail_ratio_of(m._slot_matrix_on(m.cut(0.0).dropped)) \
             == 0.0
         assert lengths.tolist() == [0]
         assert vectors.shape == (m.dim_k * m.dim_h, 1)
@@ -229,7 +229,7 @@ class TestSolvePathOracle:
         rng = np.random.default_rng(4)
         a = rng.normal(size=(m.dim_h, 2))
         nu = a @ a.T / np.trace(a @ a.T)
-        dropped, kept = m._cut_cells(0.0)
+        dropped, kept = m.cut(0.0).dropped, m.cut(0.0).kept
         assert dropped == slice(0, 0)
         low = m.lambda_superop(nu, dropped)
         assert low.shape == (m.dim_k, m.dim_k) and not low.any()
@@ -275,8 +275,11 @@ class TestBroadcastProducts:
         cases = ((1.0, None), (1.0, point_mass(m)), (-1.0, None),
                  (complex(np.exp(0.1j)), None))
         for t in (0.5, 0.25):
-            assert all(map(bitwise_equal, m._dropped_words(t),
+            cut = m.cut(t)
+            assert all(map(bitwise_equal, (cut.words, cut.lengths),
                            kron_dropped_words(m, t)))
+            assert all(map(bitwise_equal, (cut.mu, cut.x),
+                           kron_mu_and_x(m, t)))
             for z, nu in cases:
                 got, want = m.boundary_rep(t, z, nu), kron_boundary_rep(
                     m, t, z, nu)
@@ -303,7 +306,7 @@ class TestBroadcastProducts:
         real = rng.normal(size=(5, d, d))
         stacks = (real, real + 1j * rng.normal(size=(5, d, d)), real[0],
                   unit_densities(d)[:16])
-        for q in (m.slot_matrix, m._slot_matrix_on(m._cut_cells(0.5)[0])):
+        for q in (m.slot_matrix, m._slot_matrix_on(m.cut(0.5).dropped)):
             assert q.dtype == (complex if promote else float)
             for rho in stacks:
                 got, want = m._kernel(rho, q), einsum_kernel(m, rho, q)
@@ -349,7 +352,7 @@ class TestMinimalFoldIsCP:
             diag, off = (solve_boundary_rep(m, w, t)[0]
                          for w in (minimal, upper))
             fold = fold_doubled([[diag, off], [off.conj(), diag]], dk,
-                                dk * m.kept_cells(t))
+                                m.cut(t).dim_out)
             want = dense_kept_min(m, fold, 2 * dk, t)
             assert is_cp(low) and is_cp(want)
             assert abs(low - want) <= 1e-12
@@ -419,8 +422,8 @@ class TestFiftyDigitTail:
             return out
 
         for cells, mu_float in [(h, m.tail_ratio)] + [
-                (h - m.kept_cells(t),
-                 m._tail_ratio_of(m._slot_matrix_on(m._cut_cells(t)[0])))
+                (m.cut(t).dropped.stop,
+                 m._tail_ratio_of(m._slot_matrix_on(m.cut(t).dropped)))
                 for t in (0.25, 0.5)]:
             last = mp_choi(words(letters[:cells], 2))
             after = mp_choi(words(letters[:cells], 3))
@@ -433,7 +436,7 @@ class TestFiftyDigitTail:
 
 def tail_ratios(m):
     """(cells, mu) for all cells and for the dropped cells of each cut."""
-    dropped = [m._cut_cells(t)[0] for t in CUTS]
+    dropped = [m.cut(t).dropped for t in CUTS]
     return [(slice(None), m.tail_ratio)] + [
         (c, m._tail_ratio_of(m._slot_matrix_on(c))) for c in dropped]
 
@@ -502,7 +505,7 @@ class TestTailVector:
                             factor_dim=DEFAULT_CONFIG["tensor"]["factor_dim"])
             m.tail_ratio
             for t in DEFAULT_CONFIG["corner"]["cut_levels"]:
-                m._dropped_words(t)
+                m.cut(t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

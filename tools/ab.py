@@ -7,7 +7,12 @@ Each pair runs the benchmark command of BENCHMARK.json
 length once from each checkout, every run a fresh process started in its
 checkout.  Half the pairs start with the parent and half with the change,
 in an order drawn from a seed that is printed first (``--order-seed``
-repeats an order).  Every run's metrics are printed, then, for each
+repeats an order).  Each side reads and writes its bytecode only under a
+private ``PYTHONPYCACHEPREFIX`` that one unrecorded warm-up run fills
+before the pairs, so a checkout's own ``__pycache__``, stale or not, and
+a ``PYTHONDONTWRITEBYTECODE`` in the caller's environment, under which a
+side with stale bytecode would recompile in every process, change no
+number.  Every run's metrics are printed, then, for each
 end-to-end metric of BENCHMARK.json, the two medians, the parent's
 quartiles, the pairs the change wins and the verdict of ``judge``.  The
 direction and bound of each metric come from the BENCHMARK.json of this
@@ -19,10 +24,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -98,12 +105,24 @@ def result_line(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
-def run_once(spec: dict, checkout: Path, workload: str) -> dict:
-    """One benchmark run from the checkout; its metric values by name."""
+def run_env(pycache: Path) -> dict[str, str]:
+    """This process's environment, with bytecode read from and written to
+    pycache only, and written even where PYTHONDONTWRITEBYTECODE is set
+    here."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def run_once(spec: dict, checkout: Path, workload: str,
+             pycache: Path) -> dict:
+    """One benchmark run from the checkout, its bytecode under pycache;
+    its metric values by name."""
     # the command's interpreter is this one
     cmd = [sys.executable, *spec["command"][1:], "--workload", workload,
            "--trace", "0", "--seconds", str(spec["run_seconds"])]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          env=run_env(pycache))
     if proc.returncode != 0:
         sys.exit("ab: run in %s exited %d:\n%s"
                  % (checkout, proc.returncode, proc.stderr))
@@ -131,16 +150,21 @@ def main(argv: list[str] | None = None) -> int:
     print("order seed %d" % seed, flush=True)
     metrics = end_to_end_metrics(spec)
     runs = {"parent": [], "change": []}
-    for i, parent_first in enumerate(pair_order(args.pairs, seed)):
-        sides = ("parent", "change") if parent_first else ("change",
-                                                           "parent")
-        for side in sides:
-            values = run_once(spec, getattr(args, side).resolve(),
-                              args.workload)
-            runs[side].append(values)
-            print("pair %d %s: %s" % (i + 1, side, " ".join(
-                "%s=%.6g" % (name, values[name]) for name in metrics)),
-                flush=True)
+    with tempfile.TemporaryDirectory(prefix="ab-pycache-") as cache:
+        sides = {side: (getattr(args, side).resolve(), Path(cache) / side)
+                 for side in runs}
+        for checkout, pycache in sides.values():
+            run_once(spec, checkout, args.workload, pycache)  # warm-up
+        for i, parent_first in enumerate(pair_order(args.pairs, seed)):
+            order = ("parent", "change") if parent_first else ("change",
+                                                               "parent")
+            for side in order:
+                checkout, pycache = sides[side]
+                values = run_once(spec, checkout, args.workload, pycache)
+                runs[side].append(values)
+                print("pair %d %s: %s" % (i + 1, side, " ".join(
+                    "%s=%.6g" % (name, values[name]) for name in metrics)),
+                    flush=True)
     print("%-20s %13s %13s %27s %5s  %s" % (
         "metric", "parent median", "change median", "parent quartiles",
         "wins", "verdict"))
