@@ -41,7 +41,7 @@ from .weights import (
     rank_one,
     xi_from_nu,
 )
-from .opbasis import CP_TOLERANCE, DEFAULT_EDGES, MatrixModel, cut_edge
+from .opbasis import CP_TOLERANCE, DEFAULT_EDGES, MatrixModel, cut_edges
 # choi_min_eig is unused here; perfbench's selftest checks this binding
 from .opbasis import choi_min_eig  # noqa: F401
 from .cornercheck import (
@@ -226,9 +226,8 @@ def _validate(cfg: dict) -> list[str]:
                 errors.append("covariance.labels must have a finite "
                               "covariance c(w, z) for every pair")
     cuts = cfg["corner"]["cut_levels"]
-    if not isinstance(cuts, list) or not cuts \
-            or not _parses(lambda t: cut_edge(float(t)), cuts) \
-            or len({cut_edge(float(t)) for t in cuts}) < len(cuts):
+    if not isinstance(cuts, list) or not _parses(
+            lambda c: cut_edges([float(t) for t in c]), [cuts]):
         errors.append("corner.cut_levels must be a non-empty list of "
                       "distinct cell edges below the top edge %s"
                       % (DEFAULT_EDGES[:-1],))

@@ -48,7 +48,7 @@ from .opbasis import (
     MatrixModel,
     _kron,
     choi_min_eig,
-    cut_edge,
+    cut_edges,
     is_cp,
 )
 
@@ -169,14 +169,10 @@ def subordination_check(model: MatrixModel, upper, lower,
     Both share the minimal weight's words, so the difference is that of
     their rank-one terms.  Inputs whose own boundary representations are
     not CP are rejected with the offending eigenvalue.  The cut levels
-    must be one or more distinct cell edges below the top one
-    (opbasis.cut_edge), else ValueError is raised before any
-    representation is built.
+    must name distinct cell edges (opbasis.cut_edges), else ValueError is
+    raised before any representation is built.
     """
-    edges = [cut_edge(t) for t in cut_levels]
-    if not edges or len(set(edges)) < len(edges):
-        raise ValueError("subordination needs cut levels that name distinct "
-                         "cell edges, got %s" % (list(cut_levels),))
+    cut_edges(cut_levels)
     mins = {"upper": [], "lower": [], "difference": []}
     reps = []
     for t in cut_levels:

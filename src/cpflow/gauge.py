@@ -130,11 +130,6 @@ def act(g: GaugeParam, z: complex) -> UnitAction:
     return UnitAction(label, rate)
 
 
-def adjoint(g: GaugeParam) -> GaugeParam:
-    """Parameter of the adjoint cocycle: a -> conj(a), b <-> c, y -> conj(y)."""
-    return replace(g, a=g.a.conjugate(), b=g.c, c=g.b, y=g.y.conjugate())
-
-
 def r_term(g: GaugeParam, gp: GaugeParam) -> float:
     """The nonnegative correction entering the composed y parameter.
 

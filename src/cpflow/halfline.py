@@ -62,13 +62,6 @@ class ExpKernelVector:
         """Multiply pointwise by exp(-delta x), i.e. add delta to each rate."""
         return ExpKernelVector([(a, mu + delta) for a, mu in self.terms])
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x, dtype=complex)
-        for c, mu in self.terms:
-            out += c * np.exp(-mu * x)
-        return out
-
 
 def _coefficient(c):
     """complex(c), or a 1-D block as a ComplexBlock."""
@@ -219,16 +212,8 @@ def reference_vector(lam: float) -> ExpKernelVector:
 # operators in kernel form
 # ---------------------------------------------------------------------------
 
-class HalfLineOperator:
-    """Base class: anything with matrix elements against kernel vectors."""
-
-    def matrix_element(self, u: ExpKernelVector, v: ExpKernelVector) -> complex:
-        """Return (u, A v)."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class IdentityOperator(HalfLineOperator):
+class IdentityOperator:
     """The identity; every instance is equal to and hashes like every other."""
 
     def matrix_element(self, u, v):
@@ -236,9 +221,8 @@ class IdentityOperator(HalfLineOperator):
 
 
 @dataclass(frozen=True)
-class ExpMultiplier(HalfLineOperator):
-    """Multiplication by exp(-x), the damping factor; every instance is
-    equal to and hashes like every other."""
+class ExpMultiplier:
+    """Multiplication by exp(-x); all instances are equal and hash alike."""
 
     def matrix_element(self, u, v):
         return inner_product(u, v.shifted(1.0))

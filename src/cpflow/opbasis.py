@@ -128,6 +128,16 @@ def cut_edge(t: float) -> float:
                      "%g, got %g" % (DEFAULT_EDGES[-1], t))
 
 
+def cut_edges(levels) -> list[float]:
+    """The edges that the cut levels name (cut_edge): one or more, and no
+    edge twice, as it would be checked and reported twice; else ValueError."""
+    edges = [cut_edge(t) for t in levels]
+    if not edges or len(set(edges)) < len(edges):
+        raise ValueError("cut levels must name distinct cell edges, got %s"
+                         % (list(levels),))
+    return edges
+
+
 class Cut(NamedTuple):
     """The cut at one cell edge (MatrixModel.cut).
 

@@ -113,13 +113,6 @@ class FlowState:
         object.__setattr__(self, "source_cells",
                            cells.copy() if src is None else src)
 
-    @property
-    def dim_k(self) -> int:
-        return self.cells.shape[1]
-
-    def norm(self) -> float:
-        return float(np.sqrt(max(flow_inner(self, self).real, 0.0)))
-
 
 def bump_state(grid: Grid, center: float, width: float) -> FlowState:
     """A normalized Gaussian bump in one K-coordinate channel."""

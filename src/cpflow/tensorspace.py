@@ -24,7 +24,6 @@ import numpy as np
 from .halfline import (
     ExpKernelVector,
     ExpMultiplier,
-    HalfLineOperator,
     IdentityOperator,
     inner_product,
     reference_vector,
@@ -192,7 +191,7 @@ def product_inner(f: ProductVector, g: ProductVector) -> complex:
 
 TailKind = Literal["identity", "damping"]
 
-_TAIL_OPS: dict[TailKind, HalfLineOperator] = {
+_TAIL_OPS: dict[TailKind, IdentityOperator | ExpMultiplier] = {
     "identity": IdentityOperator(),
     "damping": ExpMultiplier(),
 }
@@ -210,9 +209,11 @@ class TensorOperator:
     the limit operator Delta.
     """
 
-    terms: tuple[tuple[complex, tuple[HalfLineOperator, ...], TailKind], ...]
+    terms: tuple[tuple[complex, tuple[IdentityOperator | ExpMultiplier, ...],
+                       TailKind], ...]
 
-    def __init__(self, terms: Iterable[tuple[complex, Sequence[HalfLineOperator], TailKind]]):
+    def __init__(self, terms: Iterable[tuple[
+            complex, Sequence[IdentityOperator | ExpMultiplier], TailKind]]):
         packed = []
         for c, factors, tail in terms:
             if tail not in _TAIL_OPS:
@@ -286,7 +287,7 @@ def pi_lambda_power(a: TensorOperator, n: int, n_factors: int) -> TensorOperator
     return a
 
 
-def pi_apply(h_op: HalfLineOperator, k_op: TensorOperator,
+def pi_apply(h_op: IdentityOperator | ExpMultiplier, k_op: TensorOperator,
              n_factors: int) -> TensorOperator:
     """pi applied to the product operator (k_op tensor h_op).
 

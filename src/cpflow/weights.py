@@ -43,7 +43,6 @@ import numpy as np
 from .halfline import (
     ExpKernelVector,
     ExpMultiplier,
-    HalfLineOperator,
     IdentityOperator,
 )
 from .opbasis import UNITAL_LIMIT, NonInvertibleSystemError
@@ -167,7 +166,8 @@ def rank_one(ket: ProductVector,
 class HElement:
     """A finite sum of product operators (k_op tensor h_op) on K x L2."""
 
-    terms: tuple[tuple[complex, HalfLineOperator, TensorOperator], ...]
+    terms: tuple[tuple[complex, IdentityOperator | ExpMultiplier,
+                       TensorOperator], ...]
 
     @property
     def telescoping(self) -> bool:

@@ -5,7 +5,7 @@ does in a cheaper shape; the tests compare the two.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -726,6 +726,15 @@ def rowwise_gamma_grid(a: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
+def sampled(f: ExpKernelVector, x: np.ndarray) -> np.ndarray:
+    """The values of the exponential-kernel vector f at the points x."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x, dtype=complex)
+    for c, mu in f.terms:
+        out += c * np.exp(-mu * x)
+    return out
+
+
 def block_members(block) -> list[complex]:
     """The members of a halfline.ComplexBlock as Python complex numbers."""
     return list(map(complex, block.real.tolist(), block.imag.tolist()))
@@ -801,6 +810,11 @@ def r_square_form(a: complex, b: complex, c: complex,
 
 def identity_param(klass: str = GENERAL) -> GaugeParam:
     return GaugeParam(1.0, 0.0, 0.0, 0.0, klass=klass)
+
+
+def adjoint(g: GaugeParam) -> GaugeParam:
+    """Parameter of the adjoint cocycle: a -> conj(a), b <-> c, y -> conj(y)."""
+    return replace(g, a=g.a.conjugate(), b=g.c, c=g.b, y=g.y.conjugate())
 
 
 def act_reference(g: GaugeParam, z: complex) -> UnitAction:
@@ -963,6 +977,11 @@ def numeric_gram_by_label(zs, t: float, f) -> np.ndarray:
     return out
 
 
+def flow_norm(state) -> float:
+    """The L2 norm of a semigroups.FlowState, from flow_inner."""
+    return float(np.sqrt(max(flow_inner(state, state).real, 0.0)))
+
+
 def isometry_residual(z: complex, t: float, f) -> float:
     """| ||U_z(t) f|| - ||f|| |, the O(h) boundary-feed discretization error.
 
@@ -972,7 +991,7 @@ def isometry_residual(z: complex, t: float, f) -> float:
     shrink linearly under grid refinement.
     """
     ef = evolve(f, z, t).state
-    return float(abs(ef.norm() - f.norm()))
+    return float(abs(flow_norm(ef) - flow_norm(f)))
 
 
 def series_by_shifting(rho, element, cfg, n_factors, z=1.0) -> SeriesValue:

@@ -57,8 +57,24 @@ class TestJudge:
         narrow = [100.0 + 0.1 * i for i in range(10)]
         worse = ab.judge(narrow, shifted(narrow, 26.0), "lower", 0.25)
         assert worse.verdict == "regression"
+        assert worse.pair_median == pytest.approx(26.0)
         within = ab.judge(narrow, shifted(narrow, 20.0), "lower", 0.25)
         assert within.verdict == "no regression"
+
+    def test_drift_inside_a_run_is_unresolved_not_a_regression(self):
+        # the medians read 1 -> 3, but within its pair the change reads
+        # worse in two pairs and the same in eight: a drift both sides of
+        # a pair share, so the median over pairs of change - parent is 0
+        parent = [1.0] * 6 + [3.0] * 4
+        change = [1.0] * 4 + [3.0] * 6
+        c = ab.judge(parent, change, "lower", 0.25)
+        assert (c.parent_median, c.change_median) == (1.0, 3.0)
+        assert c.pair_median == 0.0 and c.wins == 0
+        assert c.verdict == "unresolved"
+        # read with higher better, each change run is worse by 2 or 0
+        higher = ab.judge(change, parent, "higher", 0.25)
+        assert str(higher.pair_median) == "0.0"  # not -0.0
+        assert higher.verdict == "unresolved"
 
     def test_spread_wider_than_the_bound_is_unresolved(self):
         # the parent's quartiles are 12.25 and 16.75: 31% of its median

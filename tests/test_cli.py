@@ -206,6 +206,26 @@ class TestCommands:
         assert result.exception is None or isinstance(result.exception,
                                                       SystemExit)
 
+    @pytest.mark.parametrize("levels", [
+        [], [0.3], [2.0], [0.5, 0.5 + 1e-13], [0.25, 0.0, 0.25]])
+    def test_one_cut_level_rule(self, tmp_path, levels):
+        # opbasis.cut_edges is the rule of the config and of the check
+        with pytest.raises(ValueError, match="cut levels"):
+            opbasis.cut_edges(levels)
+        with pytest.raises(ValueError, match="cut levels"):
+            cornercheck.subordination_check(MatrixModel(2, 2), None, None,
+                                            levels)
+        path = tmp_path / "cuts.yaml"
+        path.write_text(yaml.safe_dump({"corner": {"cut_levels": levels}}))
+        result = CliRunner().invoke(
+            main, ["corner", "--config", str(path), "--out",
+                   str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "corner.cut_levels" in result.output
+
+    def test_cut_edges_are_the_named_edges(self):
+        assert opbasis.cut_edges([0.5, 0.25 + 1e-13, 0.0]) == [0.5, 0.25, 0.0]
+
     @pytest.mark.parametrize("override, message", [
         ({"grid": {"length": "abc"}}, "grid.length must be a number"),
         ({"series": {"max_terms": "5"}}, "series.max_terms must be an integer"),

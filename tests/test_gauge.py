@@ -18,7 +18,6 @@ from cpflow.gauge import (
     act,
     action_composition_residual,
     action_sweep,
-    adjoint,
     associativity_sweep,
     compose,
     first_discrepancy,
@@ -31,6 +30,7 @@ from cpflow.gauge import (
 )
 from references import (
     act_reference,
+    adjoint,
     composed_reference,
     identity_param,
     r_square_form,

@@ -20,7 +20,7 @@ from cpflow.halfline import (
     reference_vector,
 )
 from cpflow.semigroups import FlowState, evolve, flow_inner
-from references import block_members, rowwise_gamma_grid
+from references import block_members, rowwise_gamma_grid, sampled
 
 BOUNDARY_KERNEL = ExpKernelVector([(1.0, 0.5)])
 """Unit vector q(x) = exp(-x/2) used for the boundary expectation.
@@ -54,8 +54,11 @@ complex_terms = st.lists(st.tuples(
 
 
 def quad_inner(f, g, upper=60.0):
-    re = quad(lambda x: (np.conj(f(x)) * g(x)).real, 0, upper, limit=200)[0]
-    im = quad(lambda x: (np.conj(f(x)) * g(x)).imag, 0, upper, limit=200)[0]
+    def integrand(x):
+        return np.conj(sampled(f, x)) * sampled(g, x)
+
+    re = quad(lambda x: integrand(x).real, 0, upper, limit=200)[0]
+    im = quad(lambda x: integrand(x).imag, 0, upper, limit=200)[0]
     return re + 1j * im
 
 
@@ -174,7 +177,8 @@ class TestGamma:
 
         def integrand(t):
             # (u, U(t) e) with real kernels: translate e to the right by t
-            ov = quad(lambda y: (np.conj(u(y + t)) * e(y)).real,
+            ov = quad(lambda y: (np.conj(sampled(u, y + t))
+                                * sampled(e, y)).real,
                       0, 60, limit=200)[0]
             return np.exp(-t) * ov * ov
 
@@ -212,8 +216,9 @@ class TestGamma:
             if parts is None:
                 a = np.eye(n)
             else:
-                a = h * np.outer(ket(x), np.conj(bra(x)))
-            value = h * np.vdot(u(x), gamma_grid(a, grid) @ v(x))
+                a = h * np.outer(sampled(ket, x), np.conj(sampled(bra, x)))
+            value = h * np.vdot(sampled(u, x),
+                                gamma_grid(a, grid) @ sampled(v, x))
             errors.append(abs(value - exact))
         orders = [np.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
         assert min(orders) >= 0.8
@@ -294,15 +299,16 @@ class TestGridBackend:
         errs = []
         for n in (400, 800, 1600):
             grid = Grid(40.0, n)
-            approx = flow_inner(FlowState(grid, f(grid.midpoints)),
-                                FlowState(grid, g(grid.midpoints)))
+            approx = flow_inner(FlowState(grid, sampled(f, grid.midpoints)),
+                                FlowState(grid, sampled(g, grid.midpoints)))
             errs.append(abs(approx - exact))
         assert errs[0] > errs[1] > errs[2]
 
     def test_translate_shifts_support(self):
         # U_0(t) is the plain right translation, snapped to whole cells
         grid = Grid(10.0, 100)
-        f = FlowState(grid, ExpKernelVector([(1.0, 1.0)])(grid.midpoints))
+        f = FlowState(grid, sampled(ExpKernelVector([(1.0, 1.0)]),
+                                   grid.midpoints))
         res = evolve(f, 0.0, 1.0)
         assert res.state.steps == 10
         assert res.snap_distance == pytest.approx(0.0, abs=1e-12)

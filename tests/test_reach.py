@@ -4,7 +4,10 @@ import ast
 import importlib.util
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
+
+import pytest
 
 from cpflow import cli
 
@@ -36,9 +39,43 @@ def body(module, name):
     return node.body[1:] if ast.get_docstring(node) else node.body
 
 
-def test_lists_what_no_command_runs():
-    run = subprocess.run([sys.executable, str(TOOL)], capture_output=True,
-                         text=True, timeout=300, check=True)
+PERFBENCH = "pinned by perfbench/ (tracer, metrics or workloads)"
+GAMMA = "gamma_grid's closed-form oracle; ROADMAP item 10 decides Gamma"
+FALLBACK = "certificate fallback the default corner does not take"
+OPERATOR = "ComplexBlock's contract: every operator, a scalar either side"
+ERROR = "constructor of an error no default config raises"
+
+UNENTERED = {
+    "halfline.gamma_grid": PERFBENCH,
+    "weights.omega_z": PERFBENCH,
+    "weights._infer_width": PERFBENCH,
+    "cornercheck.WeightMatrix.boundary_rep": PERFBENCH,
+    "halfline.gamma_element": GAMMA,
+    "halfline._weighted": GAMMA,
+    "cornercheck._folded_rep": FALLBACK,
+    "opbasis.ChoiFactors.__add__": FALLBACK,
+    "opbasis.BoundaryRep.gap": FALLBACK,
+    "halfline.ComplexBlock.__neg__": OPERATOR,
+    "halfline.ComplexBlock.__rsub__": OPERATOR,
+    "cornercheck.NonCompletelyPositiveInputError.__init__": ERROR,
+    "opbasis.NonInvertibleSystemError.__init__": ERROR,
+    "weights.NonConvergenceError.__init__": ERROR,
+    "weights.PreconditionViolationError.__init__": ERROR,
+    "tensorspace.has_rate": "validates a custom lambda list, which no "
+                            "default config has",
+}
+"""Each function no command enters at its default config, and why it
+stays in src; a function only tests call belongs in tests/."""
+
+
+@pytest.fixture(scope="module")
+def run():
+    """One run of the tool, shared by the tests that read its output."""
+    return subprocess.run([sys.executable, str(TOOL)], capture_output=True,
+                          text=True, timeout=300, check=True)
+
+
+def test_lists_what_no_command_runs(run):
     assert run.stderr == ""  # every command exited 0
     modules = listed(run.stdout)
     # no command evaluates Gamma in closed form: its whole body is listed
@@ -76,3 +113,18 @@ def test_exits_nonzero_when_a_command_fails(monkeypatch, capsys):
     monkeypatch.setattr(reach, "trace_commands", lambda: ({}, codes))
     assert reach.main() == 1
     assert capsys.readouterr().err == "corner exited with 1\n"
+
+
+def test_functions_no_command_enters_are_named(run):
+    # a scope counts when the tool lists every statement the AST gives it
+    modules = listed(run.stdout)
+    whole = set()
+    for path in PACKAGE.glob("*.py"):
+        lines = defaultdict(set)
+        for lineno, _, scope in reach.statements(ast.parse(path.read_text())):
+            lines[scope].add(lineno)
+        missed = modules.get(path.name, {})
+        whole |= {"%s.%s" % (path.stem, scope)
+                  for scope, first in lines.items()
+                  if first <= missed.get(scope, set())}
+    assert whole == set(UNENTERED)

@@ -14,10 +14,11 @@ a ``PYTHONDONTWRITEBYTECODE`` in the caller's environment, under which a
 side with stale bytecode would recompile in every process, change no
 number.  Every run's metrics are printed, then, for each
 end-to-end metric of BENCHMARK.json, the two medians, the parent's
-quartiles, the pairs the change wins and the verdict of ``judge``.  The
-direction and bound of each metric come from the BENCHMARK.json of this
-checkout, which the tool only reads.  Exits 1 when a run fails or a
-metric regresses.
+quartiles, the median over pairs of how much worse the change reads
+within its pair, the pairs the change wins and the verdict of
+``judge``.  The direction and bound of each metric come from the
+BENCHMARK.json of this checkout, which the tool only reads.  Exits 1
+when a run fails or a metric regresses.
 """
 
 from __future__ import annotations
@@ -38,11 +39,14 @@ BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 class Comparison(NamedTuple):
     """One metric over the pairs: medians, the parent's quartiles, the
-    pairs the change reads better in, and the verdict."""
+    median over pairs of how much worse the change reads than the parent
+    of its pair (negative when it reads better), the pairs the change
+    reads better in, and the verdict."""
 
     parent_median: float
     change_median: float
     parent_quartiles: tuple[float, float]
+    pair_median: float
     wins: int
     pairs: int
     verdict: str
@@ -60,7 +64,10 @@ def judge(parent: list[float], change: list[float], better: str,
       its median is better than the parent's by more than the parent's
       interquartile range;
     - else "regression" when its median is worse than the parent's by
-      more than bound, relative to the parent's median;
+      more than bound, relative to the parent's median, and so is the
+      median over pairs of the change's run less the parent's (a drift
+      of the host that both runs of a pair share cancels in it);
+    - else "unresolved" when only the medians are that much worse;
     - else "unresolved" when the parent's interquartile range, relative
       to its median, is wider than bound, unless every run of the change
       reads better than every run of the parent;
@@ -72,17 +79,22 @@ def judge(parent: list[float], change: list[float], better: str,
     p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    # a tie reads +0.0: sign * (c - p) would be -0.0 when higher is better
+    pair_med = statistics.median(sign * c - sign * p
+                                 for p, c in zip(parent, change))
     scale = abs(p_med) or 1.0  # a zero median compares absolutely
     if wins * 10 >= 9 * len(parent) and sign * (p_med - c_med) > q3 - q1:
         verdict = "gain"
     elif sign * (c_med - p_med) > bound * scale:
-        verdict = "regression"
+        verdict = ("regression" if pair_med > bound * scale
+                   else "unresolved")
     elif q3 - q1 > bound * scale and not all(
             sign * (p - c) > 0 for p in parent for c in change):
         verdict = "unresolved"
     else:
         verdict = "no regression"
-    return Comparison(p_med, c_med, (q1, q3), wins, len(parent), verdict)
+    return Comparison(p_med, c_med, (q1, q3), pair_med, wins, len(parent),
+                      verdict)
 
 
 def end_to_end_metrics(spec: dict) -> dict[str, dict]:
@@ -165,17 +177,17 @@ def main(argv: list[str] | None = None) -> int:
                 print("pair %d %s: %s" % (i + 1, side, " ".join(
                     "%s=%.6g" % (name, values[name]) for name in metrics)),
                     flush=True)
-    print("%-20s %13s %13s %27s %5s  %s" % (
+    print("%-20s %13s %13s %27s %13s %5s  %s" % (
         "metric", "parent median", "change median", "parent quartiles",
-        "wins", "verdict"))
+        "pair median", "wins", "verdict"))
     regressed = False
     for name, m in metrics.items():
         c = judge([r[name] for r in runs["parent"]],
                   [r[name] for r in runs["change"]], m["better"], m["bound"])
         regressed |= c.verdict == "regression"
-        print("%-20s %13.6g %13.6g %13.6g..%-12.6g %2d/%-2d  %s" % (
+        print("%-20s %13.6g %13.6g %13.6g..%-12.6g %13.6g %2d/%-2d  %s" % (
             name, c.parent_median, c.change_median, *c.parent_quartiles,
-            c.wins, c.pairs, c.verdict))
+            c.pair_median, c.wins, c.pairs, c.verdict))
     return 1 if regressed else 0
 
 
