@@ -23,6 +23,7 @@ from .halfline import ComplexBlock, ExpKernelVector, Grid
 from .tensorspace import (
     LAMBDA_KINDS,
     LambdaSequence,
+    ProductVector,
     TruncationExceededError,
     delta_pairing,
     has_rate,
@@ -75,7 +76,6 @@ from .semigroups import (
     refinement_orders,
     semigroup_residual,
 )
-from .tensorspace import ProductVector
 
 
 class ConfigError(Exception):
@@ -275,6 +275,7 @@ class Reporter:
         self.out_dir = out_dir
         self.records = []
         self.curves = {}
+        self.attachments = {}
         self.started = time.time()
 
     def record(self, name: str, value, expected, tolerance: float,
@@ -302,6 +303,13 @@ class Reporter:
     def curve(self, name: str, rows):
         self.curves[name] = [(int(i), float(v), float(b)) for i, v, b in rows]
 
+    def attach(self, name: str, payload) -> str:
+        """Keep payload to write as JSON beside the report; return its file
+        name."""
+        filename = "%s-%s.json" % (self.experiment, name)
+        self.attachments[filename] = payload
+        return filename
+
     @property
     def all_pass(self) -> bool:
         return all(r["pass"] for r in self.records)
@@ -323,9 +331,10 @@ class Reporter:
             "timing": {"wall_seconds": time.time() - self.started},
         }
         path = self.out_dir / ("%s-report.json" % self.experiment)
-        with open(path, "w") as fh:
-            fh.write(json.dumps(report, indent=2, sort_keys=True,
-                                default=str) + "\n")
+        for name, payload in [*self.attachments.items(), (path.name, report)]:
+            with open(self.out_dir / name, "w") as fh:
+                fh.write(json.dumps(payload, indent=2, sort_keys=True,
+                                    default=str) + "\n")
         return path
 
 
@@ -426,12 +435,8 @@ def run_gauge_check(cfg, rep: Reporter, rng):
                   "le", "derived-oracle")
     discrepancy = first_discrepancy(rng, block["pairs"], zs)
     if discrepancy is not None:
-        path = rep.out_dir / "gauge-check-formula-discrepancy.json"
-        rep.out_dir.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(json.dumps(discrepancy, indent=2, sort_keys=True)
-                     + "\n")
-        rep.record("formula-discrepancy-report", str(path.name),
+        rep.record("formula-discrepancy-report",
+                   rep.attach("formula-discrepancy", discrepancy),
                    "emitted when printed law deviates", 0.0, True,
                    "derived-oracle")
 

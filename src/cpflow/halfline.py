@@ -281,12 +281,14 @@ def gamma_grid(a: np.ndarray, grid: "Grid") -> np.ndarray:
         raise UnsupportedRepresentationError("matrix does not match the grid")
     h = grid.spacing
     out = h * np.asarray(a, dtype=np.result_type(a, float))
-    decay = np.exp(-h)
+    # the decay as a row, not a scalar each call converts again
+    decay = np.full(n - 1, np.exp(-h))
     step = np.empty(n - 1, out.dtype)
+    multiply, add = np.multiply, np.add
     # row i from row i - 1 in place, the decayed row in one reused buffer
     for prev, row in zip(out[:-1, :-1], out[1:, 1:]):
-        np.multiply(decay, prev, out=step)
-        np.add(row, step, out=row)
+        multiply(decay, prev, out=step)
+        add(row, step, out=row)
     return out
 
 

@@ -25,7 +25,6 @@ from .halfline import (
     ExpKernelVector,
     ExpMultiplier,
     IdentityOperator,
-    inner_product,
     reference_vector,
 )
 
@@ -174,15 +173,6 @@ def check_aligned(f: ProductVector, g: ProductVector) -> None:
         raise ValueError("states must share truncation and tail alignment")
     if f.seq != g.seq:
         raise ValueError("states must share their lambda sequence")
-
-
-def product_inner(f: ProductVector, g: ProductVector) -> complex:
-    """(f, g) as the product of factor inner products; tails must align."""
-    check_aligned(f, g)
-    total = 1.0 + 0.0j
-    for a, b in zip(f.factors, g.factors):
-        total *= inner_product(a, b)
-    return total
 
 
 # ---------------------------------------------------------------------------

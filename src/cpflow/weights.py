@@ -54,7 +54,6 @@ from .tensorspace import (
     identity_operator,
     pairing,
     pi_apply,
-    product_inner,
     tail_weight_product,
 )
 
@@ -137,10 +136,11 @@ class Functional:
         bras = [b for _, _, b in self.terms]
         vectors = kets + bras
         p = len(vectors)
+        ident = identity_operator()
         gram = np.empty((p, p), dtype=complex)
         for i in range(p):
             for j in range(p):
-                gram[i, j] = product_inner(vectors[i], vectors[j])
+                gram[i, j] = pairing(vectors[i], ident, vectors[j])
         gram = 0.5 * (gram + gram.conj().T)
         evals, evecs = np.linalg.eigh(gram)
         keep = evals > max(evals.max(), 1.0) * 1e-14 if evals.size else evals > 0

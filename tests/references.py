@@ -726,6 +726,18 @@ def rowwise_gamma_grid(a: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
+def scalar_decay_gamma_grid(a: np.ndarray, grid: Grid) -> np.ndarray:
+    """halfline.gamma_grid's in-place rows with the decay a scalar."""
+    n, h = grid.points, grid.spacing
+    out = h * np.asarray(a, dtype=np.result_type(a, float))
+    decay = np.exp(-h)
+    step = np.empty(n - 1, out.dtype)
+    for prev, row in zip(out[:-1, :-1], out[1:, 1:]):
+        np.multiply(decay, prev, out=step)
+        np.add(row, step, out=row)
+    return out
+
+
 def sampled(f: ExpKernelVector, x: np.ndarray) -> np.ndarray:
     """The values of the exponential-kernel vector f at the points x."""
     x = np.asarray(x, dtype=float)

@@ -450,6 +450,32 @@ class TestGaugeRecords:
         assert residual["provenance"] == "derived-oracle"
         assert 0.0 <= residual["value"] <= 1e-12
 
+    def test_runner_writes_no_file(self, tmp_path):
+        rep = cli._run("gauge-check", None, tmp_path, 2024)
+        assert "formula-discrepancy-report" in {r["name"] for r in rep.records}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reporter_writes_the_discrepancy_file(self, monkeypatch,
+                                                  tmp_path):
+        reporters, run_once = [], cli._run
+
+        def run(*args):
+            reporters.append(run_once(*args))
+            return reporters[-1]
+
+        monkeypatch.setattr(cli, "_run", run)
+        name = "gauge-check-formula-discrepancy.json"
+        result = run_cli(["gauge-check", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            name, "gauge-check-report.json"]
+        records = {r["name"]: r for r in load_report(tmp_path,
+                                                     "gauge-check")["records"]}
+        assert records["formula-discrepancy-report"]["value"] == name
+        payload = reporters[0].attachments[name]
+        assert (tmp_path / name).read_text() == json.dumps(
+            payload, indent=2, sort_keys=True) + "\n"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("command", ["delta", "gauge-check",

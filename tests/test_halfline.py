@@ -20,7 +20,12 @@ from cpflow.halfline import (
     reference_vector,
 )
 from cpflow.semigroups import FlowState, evolve, flow_inner
-from references import block_members, rowwise_gamma_grid, sampled
+from references import (
+    block_members,
+    rowwise_gamma_grid,
+    sampled,
+    scalar_decay_gamma_grid,
+)
 
 BOUNDARY_KERNEL = ExpKernelVector([(1.0, 0.5)])
 """Unit vector q(x) = exp(-x/2) used for the boundary expectation.
@@ -262,6 +267,22 @@ class TestGammaGridRecursion:
             rng = np.random.default_rng(n)
             a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         out, want = gamma_grid(a, grid), rowwise_gamma_grid(a, grid)
+        assert out.dtype == want.dtype
+        assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("n", [7, 150, 300, 600])
+    @pytest.mark.parametrize("source", ["identity", "random-real",
+                                        "random-complex"])
+    def test_equals_the_scalar_decay_loop_bit_for_bit(self, n, source):
+        grid = Grid(15.0, n)
+        rng = np.random.default_rng(n)
+        if source == "identity":
+            a = np.eye(n)
+        elif source == "random-real":
+            a = rng.normal(size=(n, n))
+        else:
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        out, want = gamma_grid(a, grid), scalar_decay_gamma_grid(a, grid)
         assert out.dtype == want.dtype
         assert np.array_equal(out, want)
 

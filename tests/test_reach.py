@@ -115,6 +115,20 @@ def test_exits_nonzero_when_a_command_fails(monkeypatch, capsys):
     assert capsys.readouterr().err == "corner exited with 1\n"
 
 
+# with no line read, the reader is gone before the tool's first write
+@pytest.mark.parametrize("lines", [0, 1])
+def test_a_closed_pipe_ends_the_listing_quietly(lines):
+    with subprocess.Popen([sys.executable, str(TOOL)], text=True,
+                          stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        for _ in range(lines):
+            proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=300) == 0
+    assert stderr == ""
+
+
 def test_functions_no_command_enters_are_named(run):
     # a scope counts when the tool lists every statement the AST gives it
     modules = listed(run.stdout)

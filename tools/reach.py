@@ -7,9 +7,11 @@ checkout's ``src``, runs each command of ``cli.COMMANDS`` at its default
 config through ``cli.main`` (seed 2024, each in its own temporary output
 directory) and restores the previous tracer.  Prints, per module, the
 statements no run executed, by the function or class that holds them,
-and their total; exits 1 if a command exited nonzero.  A statement is an
-``ast`` statement but a def, class, import or docstring; it is executed
-when a line of its own (not of a statement nested in it) ran.
+and their total; exits 1 if a command exited nonzero.  A reader that
+closes the pipe early (``| head``) ends the listing quietly.  A
+statement is an ``ast`` statement but a def, class, import or
+docstring; it is executed when a line of its own (not of a statement
+nested in it) ran.
 """
 
 from __future__ import annotations
@@ -118,13 +120,19 @@ def main() -> int:
         if code:
             print("%s exited with %s" % (command, code), file=sys.stderr)
     total = 0
-    for module, scopes in unexecuted(executed).items():
-        count = sum(len(lines) for lines in scopes.values())
-        total += count
-        print("%s: %d statements" % (module, count))
-        for scope, lines in scopes.items():
-            print("  %s %s" % (scope, " ".join(map(str, lines))))
-    print("total: %d statements never executed" % total)
+    try:
+        for module, scopes in unexecuted(executed).items():
+            count = sum(len(lines) for lines in scopes.values())
+            total += count
+            print("%s: %d statements" % (module, count))
+            for scope, lines in scopes.items():
+                print("  %s %s" % (scope, " ".join(map(str, lines))))
+        print("total: %d statements never executed" % total)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone (as in `| head`): the listing ends there, and
+        # stdout points at devnull so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if any(codes.values()) else 0
 
 
