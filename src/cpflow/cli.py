@@ -49,7 +49,6 @@ from .cornercheck import (
     DegenerateDirectionError,
     derivation_residual,
     hypermax_witness,
-    on_unit_circle,
     subordination_check,
 )
 from .gauge import (
@@ -59,6 +58,7 @@ from .gauge import (
     action_sweep,
     associativity_sweep,
     first_discrepancy,
+    on_unit_circle,
     pair_reachable,
     r_sweep,
     single_reachable,
@@ -86,7 +86,8 @@ DEFAULT_CONFIG = {
     "grid": {"length": 8.0, "points": 200},
     "tensor": {"factors": 4, "factor_dim": 2},
     "lambda": {"kind": "linear", "values": None},
-    "series": {"tail_tolerance": 1e-10, "max_terms": 200},
+    "series": {key: getattr(WeightSeriesConfig, key)
+               for key in ("tail_tolerance", "max_terms")},
     "seeds": {"rng": 2024},
     "delta": {"levels": 8},
     "decay": {"n_max": 8, "head_level": 3},
@@ -514,8 +515,7 @@ def run_weights_unitality(cfg, rep: Reporter, rng):
     n_factors = cfg["tensor"]["factors"]
     m = cfg["weights"]["factor_dim"]
     samples = cfg["weights"]["samples"]
-    series = WeightSeriesConfig(max_terms=cfg["series"]["max_terms"],
-                                tail_tolerance=cfg["series"]["tail_tolerance"])
+    series = WeightSeriesConfig(**cfg["series"])
     bid = boundary_identity()
     nu_vec = reference_state(seq, n_factors)
     nu_h = seq.reference(1)

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gauge import on_unit_circle
 from .opbasis import (
     BoundaryRep,
     ChoiFactors,
@@ -230,11 +231,6 @@ class HypermaxReport:
     @property
     def witnessed(self) -> bool:
         return self.minimal_cp and self.dominated and self.gap_nonzero
-
-
-def on_unit_circle(z: complex) -> bool:
-    """|z| = 1 to within 1e-12; False for a NaN or infinite label."""
-    return abs(abs(z) - 1.0) <= 1e-12
 
 
 def _margin_bound(low: BoundaryRep, off: np.ndarray) -> float:

@@ -37,6 +37,12 @@ FLOW = "flow"
 _TOL = 1e-12
 
 
+def on_unit_circle(z):
+    """|z| = 1 to within _TOL, member by member for an array; False for
+    a NaN or infinite z."""
+    return abs(abs(z) - 1.0) <= _TOL
+
+
 @dataclass(frozen=True)
 class GaugeParam:
     """A parameter (a, b, c, y), or a block of parameters of one class.
@@ -63,7 +69,7 @@ class GaugeParam:
 
     @property
     def on_unit_circle(self) -> bool:
-        on = abs(abs(self.a) - 1.0) <= _TOL
+        on = on_unit_circle(self.a)
         if np.all(on):
             return True
         if not np.any(on):
@@ -74,30 +80,32 @@ class GaugeParam:
 def _validated(a, b, c, y, klass: str):
     """|a|, once (a, b, c, y), numbers or equal-shape blocks, hold the
     invariants of the class; raises InvalidParameterError otherwise."""
-    # the invariants of every class
+    # each test is written as the invariant that must hold, which a NaN
+    # member fails; first the invariants of every class
     modulus = abs(a)
     top = np.max(modulus)
-    if top > 1.0 + _TOL:
+    if not top <= 1.0 + _TOL:
         raise InvalidParameterError("|a| must not exceed 1")
-    if np.min(y.real) < -_TOL:
+    if not np.min(y.real) >= -_TOL:
         raise InvalidParameterError("Re(y) must be nonnegative")
     if klass == UNITARY:
-        if np.max(abs(modulus - 1.0)) > _TOL:
+        if not np.all(on_unit_circle(modulus)):
             raise InvalidParameterError("unitary class needs |a| = 1")
-        if np.max(abs(a * c + b)) > _TOL:
+        if not np.max(abs(a * c + b)) <= _TOL:
             raise InvalidParameterError("unitary class needs ac + b = 0")
-        if np.max(abs(y.real)) > _TOL:
+        if not np.max(abs(y.real)) <= _TOL:
             raise InvalidParameterError("unitary class needs Re(y) = 0")
     elif klass == FLOW:
-        if max(np.max(abs(b)), np.max(abs(c)), np.max(abs(y))) > _TOL:
+        if not (np.max(abs(b)) <= _TOL and np.max(abs(c)) <= _TOL
+                and np.max(abs(y)) <= _TOL):
             raise InvalidParameterError("flow class needs b = c = y = 0")
     elif klass != GENERAL:
         raise InvalidParameterError("unknown class %r" % klass)
-    elif not top < 1.0 - _TOL:  # a NaN member checks the block too
+    elif not top < 1.0 - _TOL:
         # act's unit-circle rate holds only where ac + b = 0; drawn
         # general blocks have |a| <= 0.95 and skip it
-        on = abs(modulus - 1.0) <= _TOL
-        if np.max(on & (abs(a * c + b) > _TOL)):
+        gap = np.where(on_unit_circle(modulus), abs(a * c + b), 0.0)
+        if not np.max(gap) <= _TOL:
             raise InvalidParameterError(
                 "general class needs ac + b = 0 where |a| = 1")
     return modulus
@@ -355,7 +363,7 @@ def pair_reachable(src, dst, allowed: str = "a1") -> Reachability:
         return Reachability(False, None,
                             "requires a = %r with a != 1" % a)
     if allowed == "unit":
-        if abs(abs(a) - 1.0) <= _TOL:
+        if on_unit_circle(a):
             return Reachability(True, (a, b), None)
         return Reachability(False, None,
                             "requires a = %r with |a| != 1" % a)

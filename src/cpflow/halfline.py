@@ -76,17 +76,18 @@ def _coefficient(c):
 class ComplexBlock:
     """A 1-D block of complex numbers held as two float64 arrays.
 
-    +, -, unary -, *, / by a scalar, conjugate() and abs() round every
-    member exactly as CPython 3.11 rounds the same operation on that
-    member as a Python complex (_Py_c_sum, _Py_c_diff, _Py_c_prod,
-    _Py_c_quot, hypot).  Each real multiply and add is its own ufunc
-    call, so no pair of them can fuse into an FMA; numpy's complex128
-    product and np.abs round differently.  A scalar operand (int, float,
-    complex or a numpy number) is promoted with complex(x), as CPython
-    promotes it.  A block divisor and array operands raise TypeError, an
-    overflowing modulus is inf where CPython raises OverflowError, and
-    numpy may warn on overflow where CPython is silent.  np.asarray
-    gives complex128.
+    + and * (a scalar on either side), - (a scalar on the right), / by
+    a scalar, conjugate() and abs() round every member exactly as
+    CPython 3.11 rounds the same operation on that member as a Python
+    complex (_Py_c_sum, _Py_c_diff, _Py_c_prod, _Py_c_quot, hypot).
+    Each real multiply and add is its own ufunc call, so no pair of them
+    can fuse into an FMA; numpy's complex128 product and np.abs round
+    differently.  A scalar operand (int, float, complex or a numpy
+    number) is promoted with complex(x), as CPython promotes it.  A
+    block divisor and array operands raise TypeError, an overflowing
+    modulus is inf where CPython raises OverflowError, and numpy may
+    warn on overflow where CPython is silent.  np.asarray gives
+    complex128.
     """
 
     __slots__ = ("real", "imag")
@@ -117,9 +118,6 @@ class ComplexBlock:
     def __abs__(self) -> np.ndarray:
         return np.hypot(self.real, self.imag)
 
-    def __neg__(self) -> "ComplexBlock":
-        return ComplexBlock(-self.real, -self.imag)
-
     def __add__(self, other) -> "ComplexBlock":
         o = _parts(other)
         if o is None:
@@ -133,12 +131,6 @@ class ComplexBlock:
         if o is None:
             return NotImplemented
         return ComplexBlock(self.real - o[0], self.imag - o[1])
-
-    def __rsub__(self, other) -> "ComplexBlock":
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        return ComplexBlock(o[0] - self.real, o[1] - self.imag)
 
     def __mul__(self, other) -> "ComplexBlock":
         # (ar br - ai bi) + (ar bi + ai br) i: the same sum in either

@@ -348,6 +348,11 @@ class RecordingConfig(dict):
             return RecordingConfig(value, self.read, name + ".")
         return value
 
+    def __iter__(self):
+        # ** unpacks a dict subclass with dict's own __iter__ without
+        # calling __getitem__; with this one, ** reads through it
+        return super().__iter__()
+
 
 # the settings each runner reads at the default lambda.kind, as README
 # "Command line" tables them; main reads seeds.rng for every command, and

@@ -6,9 +6,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
-from cpflow import gauge
+from cpflow import cli, cornercheck, gauge
+from cpflow.cli import ConfigError, load_config
 from cpflow.gauge import (
     FLOW,
     GENERAL,
@@ -106,6 +108,80 @@ class TestValidation:
         c[2] = 1e-3
         with pytest.raises(InvalidParameterError, match=message):
             GaugeParam(a, b, c, np.zeros(4))
+
+
+# one member of each class, and the fields its invariants read: a
+# general member on the unit circle has its b and c read by ac + b = 0
+MEMBERS = {
+    GENERAL: {"a": 1j, "b": 1.0, "c": 1j, "y": 0.5},
+    UNITARY: {"a": 1j, "b": 1.0, "c": 1j, "y": 0.5j},
+    FLOW: {"a": 0.5j, "b": 0.0, "c": 0.0, "y": 0.0},
+}
+
+
+class TestNaNRejected:
+    @pytest.mark.parametrize("klass", sorted(MEMBERS))
+    def test_members_are_valid(self, klass):
+        GaugeParam(klass=klass, **MEMBERS[klass])
+        GaugeParam(klass=klass, **{part: np.full(3, value, complex)
+                                   for part, value in MEMBERS[klass].items()})
+
+    @pytest.mark.parametrize("klass", sorted(MEMBERS))
+    @pytest.mark.parametrize("part", "abcy")
+    def test_nan_scalar(self, klass, part):
+        fields = dict(MEMBERS[klass], **{part: math.nan})
+        with pytest.raises(InvalidParameterError):
+            GaugeParam(klass=klass, **fields)
+
+    @pytest.mark.parametrize("klass", sorted(MEMBERS))
+    @pytest.mark.parametrize("part", "abcy")
+    def test_nan_member_of_a_block(self, klass, part):
+        fields = {name: np.full(3, value, complex)
+                  for name, value in MEMBERS[klass].items()}
+        fields[part][1] = math.nan
+        with pytest.raises(InvalidParameterError):
+            GaugeParam(klass=klass, **fields)
+
+
+# |z| on both sides of the tolerance 1e-12, and labels no modulus test
+# may pass
+CIRCLE_CASES = [(1.0 + 1e-13, True), (1.0 - 1e-13, True),
+                (1.0 + 2e-12, False), (1.0 - 2e-12, False),
+                (math.nan, False), (math.inf, False)]
+
+
+class TestUnitCircle:
+    """gauge.on_unit_circle is the one unit-circle rule; every caller
+    gives its answer."""
+
+    @pytest.mark.parametrize("modulus, on", CIRCLE_CASES)
+    @pytest.mark.parametrize("angle", [0.0, 0.7, math.pi])
+    def test_every_caller_agrees(self, tmp_path, modulus, on, angle):
+        z = modulus * cmath.exp(1j * angle) if math.isfinite(modulus) \
+            else complex(modulus)
+        assert gauge.on_unit_circle(z) is on
+        assert gauge.on_unit_circle(np.array([z, 1.0]))[0] == on
+        assert pair_reachable((0.0, 1.0), (0.0, z), "unit").reachable is on
+        path = tmp_path / "corner.yaml"
+        path.write_text(yaml.safe_dump(
+            {"corner": {"witness_label": repr(z)}}))
+        if on:
+            load_config(str(path))
+            assert GaugeParam(z, klass=UNITARY).on_unit_circle is True
+        else:
+            with pytest.raises(ConfigError, match="corner.witness_label"):
+                load_config(str(path))
+            with pytest.raises(InvalidParameterError):
+                GaugeParam(z, klass=UNITARY)
+        if on or abs(z) < 1.0:  # a general parameter holds the label
+            assert GaugeParam(z).on_unit_circle is on
+        else:
+            with pytest.raises(InvalidParameterError, match="exceed"):
+                GaugeParam(z)
+
+    def test_corner_and_cli_read_gauge_rule(self):
+        assert cornercheck.on_unit_circle is gauge.on_unit_circle
+        assert cli.on_unit_circle is gauge.on_unit_circle
 
 
 class TestAdjoint:

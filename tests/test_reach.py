@@ -42,7 +42,6 @@ def body(module, name):
 PERFBENCH = "pinned by perfbench/ (tracer, metrics or workloads)"
 GAMMA = "gamma_grid's closed-form oracle; ROADMAP item 10 decides Gamma"
 FALLBACK = "certificate fallback the default corner does not take"
-OPERATOR = "ComplexBlock's contract: every operator, a scalar either side"
 ERROR = "constructor of an error no default config raises"
 
 UNENTERED = {
@@ -55,8 +54,6 @@ UNENTERED = {
     "cornercheck._folded_rep": FALLBACK,
     "opbasis.ChoiFactors.__add__": FALLBACK,
     "opbasis.BoundaryRep.gap": FALLBACK,
-    "halfline.ComplexBlock.__neg__": OPERATOR,
-    "halfline.ComplexBlock.__rsub__": OPERATOR,
     "cornercheck.NonCompletelyPositiveInputError.__init__": ERROR,
     "opbasis.NonInvertibleSystemError.__init__": ERROR,
     "weights.NonConvergenceError.__init__": ERROR,
