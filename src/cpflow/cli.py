@@ -9,9 +9,11 @@ reports modulo timestamps.
 
 from __future__ import annotations
 
+import argparse
 import copy
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -241,9 +243,14 @@ def _validate(cfg: dict) -> list[str]:
 
 def load_config(path: str | None) -> dict:
     override = {}
-    if path:
-        with open(path) as fh:
-            override = yaml.safe_load(fh) or {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                override = yaml.safe_load(fh) or {}
+        except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+            # an OSError's own text names the path again
+            raise ConfigError("invalid config: cannot read %s: %s" % (
+                path, getattr(exc, "strerror", None) or exc)) from exc
     if not isinstance(override, dict):
         raise ConfigError("invalid config: the top level must be a mapping")
     # a copy: runners and main may write into the sections they get
@@ -552,40 +559,44 @@ COMMANDS = {
 }
 
 
-def __getattr__(name: str):
-    """main, the click command, built and kept on first access: importing
-    this module leaves click unimported."""
-    if name != "main":
-        raise AttributeError("%s has no attribute %r" % (__name__, name))
-    import click
-
-    @click.command()
-    @click.argument("command", type=click.Choice(sorted(COMMANDS)))
-    @click.option("--config", "config_path", type=click.Path(exists=True),
-                  default=None, help="YAML config overriding the defaults.")
-    @click.option("--out", "out_dir", type=click.Path(), default="out",
-                  help="Directory for the report and CSV curves.")
-    @click.option("--seed", type=click.IntRange(min=0), default=None,
-                  help="Override the RNG seed from the config.")
-    def main(command, config_path, out_dir, seed):
-        """Run one experiment and write its report."""
-        try:
-            rep = _run(command, config_path, out_dir, seed)
-        except ConfigError as exc:
-            error = click.ClickException(str(exc))
-            error.exit_code = 2
-            raise error from exc
-        failed = [r["name"] for r in rep.records if not r["pass"]]
-        click.echo("report: %s" % rep.write())
-        for record in rep.records:
-            click.echo("  [%s] %s" % ("PASS" if record["pass"] else "FAIL",
-                                      record["name"]))
-        if failed:
-            raise click.ClickException("failed checks: %s"
-                                       % ", ".join(failed))
-
-    globals()["main"] = main
-    return main
+def main(argv: list[str] | None = None) -> int:
+    """Run one experiment, write its report and return the exit status:
+    0 if every check passes, 1 if one fails, 2 on a usage or config error."""
+    parser = argparse.ArgumentParser(
+        prog="cpflow", description="Run one experiment and write its report.")
+    parser.add_argument("command", choices=sorted(COMMANDS))
+    parser.add_argument("--config",
+                        help="YAML config overriding the defaults.")
+    parser.add_argument("--out", default="out",
+                        help="Directory for the report and CSV curves.")
+    parser.add_argument("--seed", type=int,
+                        help="Override the RNG seed from the config.")
+    try:
+        args = parser.parse_args(argv)
+        if args.seed is not None and args.seed < 0:
+            parser.error("argument --seed: %d is not >= 0" % args.seed)
+    except SystemExit as exc:  # a usage error (2), or --help (0)
+        return exc.code
+    # the nearest existing ancestor: a run must not end unable to write
+    out = next(p for p in (Path(args.out), *Path(args.out).parents)
+               if p.exists() or p.is_symlink())
+    if not out.is_dir():
+        print("Error: --out %s: %s is not a directory" % (args.out, out),
+              file=sys.stderr)
+        return 2
+    try:
+        rep = _run(args.command, args.config, args.out, args.seed)
+    except ConfigError as exc:
+        print("Error: %s" % exc, file=sys.stderr)
+        return 2
+    failed = [r["name"] for r in rep.records if not r["pass"]]
+    print("report: %s" % rep.write())
+    for record in rep.records:
+        print("  [%s] %s" % ("PASS" if record["pass"] else "FAIL",
+                             record["name"]))
+    if failed:
+        print("Error: failed checks: %s" % ", ".join(failed), file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _run(command, config_path, out_dir, seed) -> Reporter:
@@ -620,4 +631,4 @@ def _run(command, config_path, out_dir, seed) -> Reporter:
 
 
 if __name__ == "__main__":
-    __getattr__("main")()
+    sys.exit(main())

@@ -88,6 +88,8 @@ def _validated(a, b, c, y, klass: str):
         raise InvalidParameterError("|a| must not exceed 1")
     if not np.min(y.real) >= -_TOL:
         raise InvalidParameterError("Re(y) must be nonnegative")
+    if not all(np.isfinite(part).all() for part in (b, c, y)):
+        raise InvalidParameterError("b, c and y must be finite")
     if klass == UNITARY:
         if not np.all(on_unit_circle(modulus)):
             raise InvalidParameterError("unitary class needs |a| = 1")

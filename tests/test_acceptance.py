@@ -10,9 +10,7 @@ import json
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
 
-from cpflow.cli import main as cli_main
 from cpflow.gauge import (
     FLOW,
     UNITARY,
@@ -57,6 +55,7 @@ from cpflow.weights import (
     xi_from_nu,
 )
 from references import adjoint, omega_full, sampled
+from test_cli import run_cli
 
 LINEAR = LambdaSequence("linear")
 
@@ -261,15 +260,12 @@ def test_criterion_9_cli_determinism(tmp_path):
     }))
     commands = ["delta", "decay", "covariance", "gauge-check",
                 "transitivity", "corner", "weights-unitality"]
-    runner = CliRunner()
     for command in commands:
         payloads = []
         for tag in ("a", "b"):
             out = tmp_path / command / tag
-            result = runner.invoke(
-                cli_main,
-                [command, "--config", str(config), "--seed", "11",
-                 "--out", str(out)], catch_exceptions=False)
+            result = run_cli([command, "--config", str(config), "--seed",
+                              "11", "--out", str(out)])
             assert result.exit_code == 0, result.output
             with open(out / ("%s-report.json" % command)) as fh:
                 report = json.load(fh)

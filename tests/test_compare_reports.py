@@ -70,7 +70,7 @@ def test_runs_every_command_of_the_cli(monkeypatch, tmp_path, capsys):
     def run(checkout, command, seed, out):
         runs.append((checkout.name, seed, command))
         out.mkdir(parents=True)
-        return 0
+        return 0, "", ""
 
     monkeypatch.setattr(compare_reports, "run", run)
     assert compare_reports.main([str(tmp_path / "parent"),
@@ -80,3 +80,28 @@ def test_runs_every_command_of_the_cli(monkeypatch, tmp_path, capsys):
                     for command in cli.COMMANDS
                     for side in ("parent", "change")]
     assert capsys.readouterr().out == "0 files compared, 0 differences\n"
+
+
+def test_printed_streams_are_compared(monkeypatch, tmp_path, capsys):
+    def run(checkout, command, seed, out):
+        out.mkdir(parents=True)
+        moved = checkout.name == "change" and (seed, command) == (7, "delta")
+        return 0, "report: <out>/%s-report.json\n" % command, \
+            "Error: moved\n" if moved else ""
+
+    monkeypatch.setattr(compare_reports, "run", run)
+    assert compare_reports.main([str(tmp_path / "parent"),
+                                 str(tmp_path / "change")]) == 1
+    assert capsys.readouterr().out == ("seed 7 delta: stderr differs\n"
+                                       "0 files compared, 1 differences\n")
+
+
+def test_output_directory_is_a_placeholder(tmp_path):
+    # what a run prints names its output directory, which differs per run
+    checkout = TOOL.parent.parent
+    runs = [compare_reports.run(checkout, "transitivity", 7, tmp_path / side)
+            for side in ("parent", "change")]
+    assert runs[0] == runs[1]
+    code, stdout, stderr = runs[0]
+    assert code == 0 and stderr == ""
+    assert stdout.startswith("report: <out>/transitivity-report.json\n")

@@ -110,37 +110,51 @@ class TestValidation:
             GaugeParam(a, b, c, np.zeros(4))
 
 
-# one member of each class, and the fields its invariants read: a
-# general member on the unit circle has its b and c read by ac + b = 0
+# a valid member of each class, by name, and of the general class also
+# one inside the unit disc, where no class invariant reads b or c
 MEMBERS = {
-    GENERAL: {"a": 1j, "b": 1.0, "c": 1j, "y": 0.5},
-    UNITARY: {"a": 1j, "b": 1.0, "c": 1j, "y": 0.5j},
-    FLOW: {"a": 0.5j, "b": 0.0, "c": 0.0, "y": 0.0},
+    GENERAL: (GENERAL, {"a": 1j, "b": 1.0, "c": 1j, "y": 0.5}),
+    "general-inside": (GENERAL, {"a": 0.5, "b": 1.0, "c": 1j, "y": 0.5}),
+    UNITARY: (UNITARY, {"a": 1j, "b": 1.0, "c": 1j, "y": 0.5j}),
+    FLOW: (FLOW, {"a": 0.5j, "b": 0.0, "c": 0.0, "y": 0.0}),
 }
+NON_FINITE = [math.nan, math.inf, complex(0, math.nan), complex(0, math.inf)]
 
 
 class TestNaNRejected:
-    @pytest.mark.parametrize("klass", sorted(MEMBERS))
-    def test_members_are_valid(self, klass):
-        GaugeParam(klass=klass, **MEMBERS[klass])
+    """Every field of every class is finite: NaN, inf and their
+    imaginary forms are rejected, as scalars and as block members."""
+
+    @pytest.mark.parametrize("member", sorted(MEMBERS))
+    def test_members_are_valid(self, member):
+        klass, fields = MEMBERS[member]
+        GaugeParam(klass=klass, **fields)
         GaugeParam(klass=klass, **{part: np.full(3, value, complex)
-                                   for part, value in MEMBERS[klass].items()})
+                                   for part, value in fields.items()})
 
-    @pytest.mark.parametrize("klass", sorted(MEMBERS))
+    @pytest.mark.parametrize("member", sorted(MEMBERS))
     @pytest.mark.parametrize("part", "abcy")
-    def test_nan_scalar(self, klass, part):
-        fields = dict(MEMBERS[klass], **{part: math.nan})
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_non_finite_scalar(self, member, part, value):
+        klass, fields = MEMBERS[member]
         with pytest.raises(InvalidParameterError):
-            GaugeParam(klass=klass, **fields)
+            GaugeParam(klass=klass, **dict(fields, **{part: value}))
 
-    @pytest.mark.parametrize("klass", sorted(MEMBERS))
+    @pytest.mark.parametrize("member", sorted(MEMBERS))
     @pytest.mark.parametrize("part", "abcy")
-    def test_nan_member_of_a_block(self, klass, part):
-        fields = {name: np.full(3, value, complex)
-                  for name, value in MEMBERS[klass].items()}
-        fields[part][1] = math.nan
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_non_finite_member_of_a_block(self, member, part, value):
+        klass, fields = MEMBERS[member]
+        block = {name: np.full(3, field, complex)
+                 for name, field in fields.items()}
+        block[part][1] = value
         with pytest.raises(InvalidParameterError):
-            GaugeParam(klass=klass, **fields)
+            GaugeParam(klass=klass, **block)
+
+    def test_message_names_the_finite_invariant(self):
+        with pytest.raises(InvalidParameterError,
+                           match="b, c and y must be finite"):
+            GaugeParam(0.5, b=math.nan, c=math.inf)
 
 
 # |z| on both sides of the tolerance 1e-12, and labels no modulus test

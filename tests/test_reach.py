@@ -95,7 +95,7 @@ def test_traces_every_command_of_the_cli(monkeypatch):
 
     def main(args):
         ran.append(args[0])
-        raise SystemExit(0)
+        return 0
 
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(cli, "main", main)

@@ -7,9 +7,11 @@ config and seeds 2024, 7 and 11 in PARENT and CHANGE (each imports the
 package from its ``src``), each run in its own temporary directory.  A
 report must be equal once its ``timing`` block is dropped; any other file
 (CSV curves, ``gauge-check-formula-discrepancy.json``) must match byte for
-byte, and so must each run's exit code.  Prints one line per difference,
-naming the file, and exits 1 if there is any: per report, one line per
-differing record (its name and both values) and one if anything else does.
+byte, and so must each run's exit code, stdout and stderr (with the run's
+output directory written as ``<out>``).  Prints one line per difference,
+naming the file or stream, and exits 1 if there is any: per report, one
+line per differing record (its name and both values) and one if anything
+else does.
 """
 
 from __future__ import annotations
@@ -27,14 +29,17 @@ from cpflow.cli import COMMANDS  # noqa: E402
 SEEDS = (2024, 7, 11)
 
 
-def run(checkout: Path, command: str, seed: int, out: Path) -> int:
-    """Run one command of the checkout; return its exit code."""
+def run(checkout: Path, command: str, seed: int,
+        out: Path) -> tuple[int, str, str]:
+    """Run one command of the checkout; return its exit code, stdout and
+    stderr, each stream with the output directory written as <out>."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    return subprocess.run(
+    done = subprocess.run(
         [sys.executable, "-m", "cpflow.cli", command, "--seed", str(seed),
          "--out", str(out)],
-        cwd=checkout, env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL).returncode
+        cwd=checkout, env=env, capture_output=True, text=True)
+    return (done.returncode, done.stdout.replace(str(out), "<out>"),
+            done.stderr.replace(str(out), "<out>"))
 
 
 def _report(path: Path) -> dict:
@@ -90,12 +95,16 @@ def main(argv: list[str]) -> int:
             for command in COMMANDS:
                 outs = [Path(tmp, side, "%s-%d" % (command, seed))
                         for side in ("parent", "change")]
-                codes = [run(checkout, command, seed, out)
-                         for checkout, out in zip((parent, change), outs)]
+                was, now = [run(checkout, command, seed, out)
+                            for checkout, out in zip((parent, change), outs)]
                 label = "seed %d %s" % (seed, command)
-                if codes[0] != codes[1]:
+                if was[0] != now[0]:
                     differences.append("%s: exit code %d, was %d"
-                                       % (label, codes[1], codes[0]))
+                                       % (label, now[0], was[0]))
+                differences += ["%s: %s differs" % (label, stream)
+                                for stream, old, new in zip(
+                                    ("stdout", "stderr"), was[1:], now[1:])
+                                if old != new]
                 if not all(out.is_dir() for out in outs):
                     differences.append("%s: no output directory" % label)
                     continue
