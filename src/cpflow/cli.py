@@ -507,12 +507,15 @@ def _sample_block(rng, seq, n_factors: int, m: int, k: int) -> Functional:
 
     The draw is indexed [sample, vector, factor, re/im, j]: the same
     stream as one rng.normal(size=m) call per part, sample after sample.
-    Only the block's coefficients outlive the call, not the draw.
+    One member-major copy of it, [vector, factor, re/im, j, sample],
+    holds every coefficient: each ComplexBlock is a contiguous real row
+    and imaginary row of that copy.
     """
     parts = rng.normal(size=(k, 2, n_factors, 2, m))
-    coeffs = parts[:, :, :, 0] + 1j * parts[:, :, :, 1]
+    rows = np.moveaxis(parts, 0, -1).copy()
     vecs = [ProductVector(seq, tuple(
-        ExpKernelVector([(coeffs[:, v, i, j], 1.0 + j) for j in range(m)])
+        ExpKernelVector([(ComplexBlock(rows[v, i, 0, j], rows[v, i, 1, j]),
+                          1.0 + j) for j in range(m)])
         for i in range(n_factors)), n_factors + 1) for v in range(2)]
     return rank_one(vecs[0], vecs[0]) + rank_one(vecs[1], vecs[1])
 

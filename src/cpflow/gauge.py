@@ -21,7 +21,7 @@ which the symbolic tests prove and formula_discrepancy_report states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,7 +126,7 @@ class UnitAction:
 
 def act(g: GaugeParam, z: complex) -> UnitAction:
     """The action on label z; a block g acts on labels that broadcast
-    against it, such as a column block on a row of labels."""
+    against it, such as a column of labels against a row block."""
     a, b, c, y = g.a, g.b, g.c, g.y
     label = a * z + b
     if g.on_unit_circle:
@@ -233,23 +233,13 @@ def action_sweep(rng: np.random.Generator, n: int, sample_zs) -> dict:
     for klass in worst:
         for g, gp in _param_blocks(rng, klass, n, 2, pairs):
             worst[klass] = max(worst[klass], float(
-                action_composition_residual(_column(g), _column(gp),
-                                            zs).max()))
+                action_composition_residual(g, gp, zs).max()))
     return worst
 
 
 def _pairs_per_block(n_labels: int) -> int:
     """Pairs in one action_sweep block at n_labels labels."""
     return max(1, _PAIR_ENTRIES // n_labels)
-
-
-def _column(g: GaugeParam) -> GaugeParam:
-    """A block as a column block, which acts on a row of labels.
-
-    Drawn blocks never straddle |a| = 1 (a flow draw lands within _TOL of
-    it with probability about 1e-12); act() raises on one that does.
-    """
-    return replace(g, **{part: getattr(g, part)[:, None] for part in "abcy"})
 
 
 def first_discrepancy(rng: np.random.Generator, n: int, sample_zs):
@@ -293,18 +283,21 @@ def action_composition_residual(g: GaugeParam, gp: GaugeParam, sample_zs):
 
     Returns the max over sampled z of the exponent mismatch plus the label
     mismatch; the label part vanishes identically for the affine law.  All
-    labels go through one act() call per side; for column blocks g, gp
-    the result is the array of per-member residuals.
+    labels go through one act() call per side, as a column against the
+    parameters: for blocks g, gp the result is the array of per-member
+    residuals, for single parameters a float.  Drawn blocks never straddle
+    |a| = 1 (a flow draw lands within _TOL of it with probability about
+    1e-12); act() raises on one that does.
     """
     composed = compose(g, gp)
-    z = np.asarray(sample_zs, complex)
+    z = np.asarray(sample_zs, complex).reshape(-1, *[1] * np.ndim(g.a))
     first = act(gp, z)
     second = act(g, first.new_label)
     direct = act(composed, z)
     gap = (abs(second.new_label - direct.new_label)
            + abs(first.exponent_rate + second.exponent_rate
                  - direct.exponent_rate))
-    worst = gap.max(axis=-1)
+    worst = gap.max(axis=0)
     return worst if worst.ndim else float(worst)
 
 

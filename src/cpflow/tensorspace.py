@@ -231,12 +231,6 @@ class TensorOperator:
                         tail == "damping"))
         return out, None
 
-    def scaled(self, c: complex) -> "TensorOperator":
-        return TensorOperator([(c * w, f, t) for w, f, t in self.terms])
-
-    def __add__(self, other: "TensorOperator") -> "TensorOperator":
-        return TensorOperator(self.terms + other.terms)
-
 
 def identity_operator() -> TensorOperator:
     return TensorOperator([(1.0, (), "identity")])
@@ -262,19 +256,6 @@ def pairing(g: ProductVector, a: TensorOperator, f: ProductVector) -> complex:
     if overwide is not None:
         raise overwide
     return total
-
-
-def pi_lambda_power(a: TensorOperator, n: int, n_factors: int) -> TensorOperator:
-    """(pi Lambda)^n applied to a: n damping slots in front of a shifted copy."""
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    if n + a.width > n_factors:
-        raise TruncationExceededError(
-            "shifting by %d pushes the operator past %d factors"
-            % (n, n_factors))
-    for _ in range(n):
-        a = pi_apply(ExpMultiplier(), a, n_factors)
-    return a
 
 
 def pi_apply(h_op: IdentityOperator | ExpMultiplier, k_op: TensorOperator,
@@ -303,12 +284,16 @@ class DeltaPairingResult:
 def delta_pairing(f: ProductVector, g: ProductVector) -> DeltaPairingResult:
     """(f, Delta g) together with the approach curve n -> (f, (pi Lambda)^n(I) g).
 
-    The curve runs n = 0 .. N over the explicit factors; the reported value
-    includes the closed-form tail factor past the truncation.
+    The curve runs n = 0 .. N over the explicit factors, in one pass: each
+    (pi Lambda)^(n+1)(I) is one pi_apply of the damping slot to
+    (pi Lambda)^n(I).  The reported value includes the closed-form tail
+    factor past the truncation.
     """
     n = f.width
-    ident = identity_operator()
-    curve = np.array([pairing(f, pi_lambda_power(ident, k, n), g)
-                      for k in range(n + 1)])
+    op = identity_operator()
+    curve = [pairing(f, op, g)]
+    for _ in range(n):
+        op = pi_apply(ExpMultiplier(), op, n)
+        curve.append(pairing(f, op, g))
     value = pairing(f, delta_operator(), g)
-    return DeltaPairingResult(value, curve)
+    return DeltaPairingResult(value, np.array(curve))

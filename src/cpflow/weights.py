@@ -176,11 +176,11 @@ class HElement:
         return tuple(self.terms) == boundary_identity().terms
 
     def pi_image(self, n_factors: int) -> TensorOperator:
-        out = None
-        for c, h_op, k_op in self.terms:
-            piece = pi_apply(h_op, k_op, n_factors).scaled(c)
-            out = piece if out is None else out + piece
-        return out
+        """pi of the element: the terms of each pi(k_op tensor h_op),
+        scaled by their coefficient; the zero operator for no terms."""
+        return TensorOperator(
+            (c * w, factors, tail) for c, h_op, k_op in self.terms
+            for w, factors, tail in pi_apply(h_op, k_op, n_factors).terms)
 
 
 def boundary_identity() -> HElement:

@@ -28,7 +28,17 @@ class TestJudge:
         c = ab.judge(PARENT, shifted(PARENT, -5.0), "lower", 1.0)
         assert c.parent_median == 14.5 and c.change_median == 9.5
         assert c.parent_quartiles == (12.25, 16.75)
+        assert c.change_quartiles == (7.25, 11.75)
         assert (c.wins, c.pairs) == (10, 10)
+
+    def test_change_quartiles_read_the_change_alone(self):
+        # an A/A series shows both sides' spread; the verdict reads only
+        # the parent's, so a wide change spread leaves it as it was
+        wide = [14.5 + 3.0 * (v - 14.5) for v in PARENT]
+        c = ab.judge(PARENT, wide, "lower", 1.0)
+        assert c.parent_quartiles == (12.25, 16.75)
+        assert c.change_quartiles == (7.75, 21.25)
+        assert c.verdict == ab.judge(PARENT, PARENT, "lower", 1.0).verdict
 
     def test_gain_needs_a_gap_wider_than_the_parents_spread(self):
         # ten wins each; the parent's interquartile range is 4.5
@@ -137,7 +147,7 @@ class TestProtocol:
 
 class TestRuns:
     def test_each_side_warms_a_private_bytecode_cache_unrecorded(
-            self, monkeypatch, tmp_path):
+            self, monkeypatch, tmp_path, capsys):
         # a side's first run is its warm-up and reads 100, every later run
         # 1: only the 1s reach the verdict, and every run of a side writes
         # its bytecode under one prefix of its own, outside both checkouts
@@ -170,6 +180,11 @@ class TestRuns:
         assert [side for side, _ in calls[:2]] == ["parent", "change"]
         assert len(calls) == 2 + 2 * 4
         assert judged == [([1.0] * 4, [1.0] * 4)] * len(names)
+        table = capsys.readouterr().out.splitlines()[-1 - len(names):]
+        assert "parent quartiles" in table[0]
+        assert "change quartiles" in table[0]
+        for name, row in zip(names, table[1:]):
+            assert row.split()[:5] == [name, "1", "1", "1..1", "1..1"]
         prefixes = {}
         for side, env in calls:
             assert "PYTHONDONTWRITEBYTECODE" not in env

@@ -483,12 +483,13 @@ class TestBlocks:
         for klass in (UNITARY, FLOW, GENERAL):
             members = []
             for g, gp in gauge._param_blocks(rng, klass, n, 2, pairs):
-                res = action_composition_residual(gauge._column(g),
-                                                  gauge._column(gp), zs)
+                res = action_composition_residual(g, gp, zs)
+                assert res.shape == g.a.shape
                 members.extend(res)
                 for i in range(len(g.a)):
                     p, pp = member(g, i), member(gp, i)
                     ref = action_composition_residual(p, pp, zs)
+                    assert type(ref) is float
                     scale = max(1.0, abs(act(compose(p, pp), zs)
                                          .exponent_rate).max())
                     assert abs(res[i] - ref) <= 1e-13 * scale
@@ -606,7 +607,7 @@ class TestBlocks:
         # every combination of g and g' on and off the circle; C C' is on
         # it exactly when both are.  On the circle the rate is that of
         # ac + b = 0, which the members there satisfy.  act() reads one
-        # branch per block, so the straddling column block raises and each
+        # branch per block, so the straddling block raises and each
         # member passes on its own branch.
         rng = np.random.default_rng(5)
         unit = np.exp(2j * np.pi * rng.random((2, 8)))
@@ -619,8 +620,7 @@ class TestBlocks:
         g, gp = (GaugeParam(a[k], b[k], c[k], y[k]) for k in range(2))
         zs = ZS[:7]
         with pytest.raises(InvalidParameterError, match="straddles"):
-            action_composition_residual(gauge._column(g),
-                                        gauge._column(gp), zs)
+            action_composition_residual(g, gp, zs)
         for i in range(8):
             p, pp = member(g, i), member(gp, i)
             assert (p.on_unit_circle, pp.on_unit_circle) \

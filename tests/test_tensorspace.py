@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from cpflow.halfline import ExpMultiplier, inner_product
+from cpflow.halfline import ExpKernelVector, ExpMultiplier, inner_product
 from cpflow.tensorspace import (
     InvalidSequenceError,
     LambdaSequence,
@@ -20,7 +20,6 @@ from cpflow.tensorspace import (
     identity_operator,
     pairing,
     pi_apply,
-    pi_lambda_power,
     reference_state,
     tail_weight_product,
 )
@@ -210,12 +209,10 @@ class TestPairing:
 
 class TestIteratedShifts:
     def test_truncation_guard(self):
+        # pi of an operator already as wide as the state has no slot left
+        full = TensorOperator([(1.0, (ExpMultiplier(),) * 4, "identity")])
         with pytest.raises(TruncationExceededError):
-            pi_lambda_power(identity_operator(), 5, 4)
-
-    def test_prepends_damping_slots(self):
-        op = pi_lambda_power(identity_operator(), 2, 4)
-        assert op.width == 2
+            pi_apply(ExpMultiplier(), full, 4)
 
     def test_pi_apply_width(self):
         op = pi_apply(ExpMultiplier(), identity_operator(), 4)
@@ -223,6 +220,22 @@ class TestIteratedShifts:
 
 
 class TestDeltaPairing:
+    @pytest.mark.parametrize("n", [1, 3, 8, 12])
+    @pytest.mark.parametrize("seq", [LINEAR, POWERS_OF_TWO],
+                             ids=["linear", "powers-of-two"])
+    def test_curve_is_the_pairing_of_each_power(self, seq, n):
+        # (pi Lambda)^k(I) is k damping slots in front of an identity tail
+        rng = np.random.default_rng(n)
+        f, g = (ProductVector(seq, [ExpKernelVector(
+            [(complex(*rng.normal(size=2)), 1.0 + j) for j in range(2)])
+            for _ in range(n)]) for _ in range(2))
+        curve = delta_pairing(f, g).curve
+        assert len(curve) == n + 1
+        for k in range(n + 1):
+            power = TensorOperator([(1.0, (ExpMultiplier(),) * k,
+                                     "identity")])
+            assert curve[k] == pairing(f, power, g)
+
     def test_finite_product_oracle(self):
         f = reference_state(LINEAR, 8)
         result = delta_pairing(f, f)

@@ -116,6 +116,17 @@ class TestMinimalWeight:
         assert omega_z(0.0, rho, identity_element(),
                        n_factors=4).value == 0.0
 
+    def test_element_without_terms_is_zero(self):
+        # pi of the empty sum is the zero operator; the certificate reads
+        # only rho and z, so the series stops where it does for I
+        assert HElement(()).pi_image(3).terms == ()
+        rho = rank_one(reference_state(LINEAR, 3))
+        res = omega_z(0.5, rho, HElement(()), n_factors=3)
+        assert res.value == 0j
+        assert not res.terms.any()
+        assert len(res.terms) == len(
+            omega_z(0.5, rho, identity_element(), n_factors=3).terms)
+
 
 class TestUnitalFamily:
     def test_xi_unital_on_boundary_identity(self):
@@ -594,6 +605,23 @@ class TestBlocks:
             assert np.array_equal(res.terms, ref.terms, equal_nan=True)
             for i in range(5):
                 assert_member(res, i, series(block_functional(coeffs[i])))
+
+    @pytest.mark.parametrize("members", [1, 25])
+    def test_sample_block_holds_the_draw(self, members):
+        # rho = |f><f| + |g><g|; factor i of vector v has coefficient j
+        # from parts[:, v, i, 0, j] + i parts[:, v, i, 1, j]
+        rho = cli._sample_block(np.random.default_rng(7), LINEAR, 3, 2,
+                                members)
+        parts = np.random.default_rng(7).normal(size=(members, 2, 3, 2, 2))
+        for v, (w, ket, bra) in enumerate(rho.terms):
+            assert w == 1.0 and ket is bra
+            for i, factor in enumerate(ket.factors):
+                for j, (c, mu) in enumerate(factor.terms):
+                    assert mu == 1.0 + j
+                    assert type(c) is ComplexBlock
+                    for row, part in ((c.real, 0), (c.imag, 1)):
+                        assert row.flags.c_contiguous
+                        assert (row == parts[:, v, i, part, j]).all()
 
     def test_scalar_coefficients_stay_complex(self):
         (c, mu), = ExpKernelVector([(np.complex128(1 + 2j), 1)]).terms

@@ -13,8 +13,8 @@ before the pairs, so a checkout's own ``__pycache__``, stale or not, and
 a ``PYTHONDONTWRITEBYTECODE`` in the caller's environment, under which a
 side with stale bytecode would recompile in every process, change no
 number.  Every run's metrics are printed, then, for each
-end-to-end metric of BENCHMARK.json, the two medians, the parent's
-quartiles, the median over pairs of how much worse the change reads
+end-to-end metric of BENCHMARK.json, the two medians, the quartiles of
+each side, the median over pairs of how much worse the change reads
 within its pair, the pairs the change wins and the verdict of
 ``judge``.  The direction and bound of each metric come from the
 BENCHMARK.json of this checkout, which the tool only reads.  Exits 1
@@ -38,7 +38,7 @@ BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 class Comparison(NamedTuple):
-    """One metric over the pairs: medians, the parent's quartiles, the
+    """One metric over the pairs: medians, the quartiles of each side, the
     median over pairs of how much worse the change reads than the parent
     of its pair (negative when it reads better), the pairs the change
     reads better in, and the verdict."""
@@ -46,6 +46,7 @@ class Comparison(NamedTuple):
     parent_median: float
     change_median: float
     parent_quartiles: tuple[float, float]
+    change_quartiles: tuple[float, float]
     pair_median: float
     wins: int
     pairs: int
@@ -78,6 +79,7 @@ def judge(parent: list[float], change: list[float], better: str,
     sign = {"lower": 1.0, "higher": -1.0}[better]
     p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    c1, _, c3 = statistics.quantiles(change, n=4, method="inclusive")
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     # a tie reads +0.0: sign * (c - p) would be -0.0 when higher is better
     pair_med = statistics.median(sign * c - sign * p
@@ -93,8 +95,8 @@ def judge(parent: list[float], change: list[float], better: str,
         verdict = "unresolved"
     else:
         verdict = "no regression"
-    return Comparison(p_med, c_med, (q1, q3), pair_med, wins, len(parent),
-                      verdict)
+    return Comparison(p_med, c_med, (q1, q3), (c1, c3), pair_med, wins,
+                      len(parent), verdict)
 
 
 def end_to_end_metrics(spec: dict) -> dict[str, dict]:
@@ -177,17 +179,19 @@ def main(argv: list[str] | None = None) -> int:
                 print("pair %d %s: %s" % (i + 1, side, " ".join(
                     "%s=%.6g" % (name, values[name]) for name in metrics)),
                     flush=True)
-    print("%-20s %13s %13s %27s %13s %5s  %s" % (
+    print("%-20s %13s %13s %27s %27s %13s %5s  %s" % (
         "metric", "parent median", "change median", "parent quartiles",
-        "pair median", "wins", "verdict"))
+        "change quartiles", "pair median", "wins", "verdict"))
     regressed = False
     for name, m in metrics.items():
         c = judge([r[name] for r in runs["parent"]],
                   [r[name] for r in runs["change"]], m["better"], m["bound"])
         regressed |= c.verdict == "regression"
-        print("%-20s %13.6g %13.6g %13.6g..%-12.6g %13.6g %2d/%-2d  %s" % (
-            name, c.parent_median, c.change_median, *c.parent_quartiles,
-            c.pair_median, c.wins, c.pairs, c.verdict))
+        print("%-20s %13.6g %13.6g %13.6g..%-12.6g %13.6g..%-12.6g %13.6g "
+              "%2d/%-2d  %s" % (
+                  name, c.parent_median, c.change_median,
+                  *c.parent_quartiles, *c.change_quartiles, c.pair_median,
+                  c.wins, c.pairs, c.verdict))
     return 1 if regressed else 0
 
 
